@@ -15,9 +15,9 @@
 //
 //   bench_campaign_service --work-dir=PATH [--cache-dir=PATH]
 //       [--workers=3] [--scenarios=24] [--replications=400] [--seed=42]
-//       [--chunk=4] [--threads-per-worker=1] [--budget=-1]
-//       [--deadline-ms=0] [--slow-ms=0] [--slow-first=-1]
-//       [--crash-shard=-1] [--crash-after=0] [--out=PATH] [--report=PATH]
+//       [--chunk=4] [--budget=-1] [--deadline-ms=0] [--slow-ms=0]
+//       [--slow-first=-1] [--crash-shard=-1] [--crash-after=0]
+//       [--out=PATH] [--report=PATH]
 //       [--trace=PATH] [--flightrec=PATH] [--fail-index=-1]
 //       [--chaos-seed=0] [--chaos-rate=0.05]
 //
@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
     std::cerr << "usage: " << cli.program()
               << " --work-dir=PATH [--cache-dir=PATH] [--workers=N]"
                  " [--scenarios=N] [--replications=N] [--seed=N] [--chunk=N]"
-                 " [--threads-per-worker=N] [--budget=N] [--deadline-ms=N]"
-                 " [--slow-ms=N] [--slow-first=K] [--crash-shard=K]"
+                 " [--budget=N] [--deadline-ms=N] [--slow-ms=N]"
+                 " [--slow-first=K] [--crash-shard=K]"
                  " [--crash-after=N] [--out=PATH] [--report=PATH]"
                  " [--trace=PATH] [--flightrec=PATH] [--fail-index=K]"
                  " [--chaos-seed=N] [--chaos-rate=R]\n";
@@ -96,8 +96,6 @@ int main(int argc, char** argv) {
 
   campaign::ServiceConfig cfg;
   cfg.workers = static_cast<int>(cli.get_int("workers", 3));
-  cfg.threads_per_worker =
-      static_cast<int>(cli.get_int("threads-per-worker", 1));
   cfg.chunk = static_cast<int>(cli.get_int("chunk", 4));
   cfg.work_dir = work_dir;
   cfg.cache_dir = cli.get("cache-dir", "");

@@ -215,6 +215,8 @@ int main(int argc, char** argv) {
       case topo::XbarKind::kInterCuL1: level = "L1"; break;
       case topo::XbarKind::kInterCuMid: level = "mid"; break;
       case topo::XbarKind::kInterCuL3: level = "L3"; break;
+      case topo::XbarKind::kTorusRouter: level = "torus"; break;
+      case topo::XbarKind::kDflyRouter: level = "dragonfly"; break;
     }
     const std::string where =
         xb.cu >= 0 ? "CU " + std::to_string(xb.cu)

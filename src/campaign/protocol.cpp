@@ -132,9 +132,7 @@ bool valid_utf8(std::string_view bytes) {
 
 const char* to_string(MsgType t) {
   switch (t) {
-    case MsgType::kHello: return "hello";
     case MsgType::kProgress: return "progress";
-    case MsgType::kStats: return "stats";
     case MsgType::kReleased: return "released";
     case MsgType::kDone: return "done";
     case MsgType::kRun: return "run";
@@ -145,9 +143,7 @@ const char* to_string(MsgType t) {
 }
 
 std::optional<MsgType> msg_type_from_string(std::string_view s) {
-  if (s == "hello") return MsgType::kHello;
   if (s == "progress") return MsgType::kProgress;
-  if (s == "stats") return MsgType::kStats;
   if (s == "released") return MsgType::kReleased;
   if (s == "done") return MsgType::kDone;
   if (s == "run") return MsgType::kRun;

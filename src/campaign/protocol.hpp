@@ -4,30 +4,28 @@
 //
 // A frame is a 4-byte big-endian payload length followed by exactly that
 // many bytes of compact JSON (util/json, so numbers round-trip bit-exactly
-// through the protocol).  Frames are small -- assignments, heartbeats,
-// steal grants -- and each side writes a whole frame with one write loop,
-// so a reader woken by poll() drains complete messages.
+// through the protocol).  Frames are small -- assignments, progress and
+// its metrics snapshot, steal grants -- and each side writes a whole
+// frame with one write loop, so a reader woken by poll() drains complete
+// messages.
 //
-// Message vocabulary (field "t"):
+// Message vocabulary (field "t"), six types:
 //
 //   worker -> coordinator
-//     hello     {t, shard, pid}                      after fork/respawn
-//     progress  {t, shard, completed:[[idx,status]..],
-//                executed, remaining, outcome}       after each chunk, and
-//                                                    as an idle heartbeat
-//     stats     {t, shard, metrics}                  cumulative absolute
-//                                                    metrics snapshot (obs
-//                                                    fleet wire form),
-//                                                    piggybacked after each
-//                                                    progress and before done
-//     released  {t, shard, ranges:[[lo,hi)..]}       reply to steal
-//     done      {t, shard, outcome}                  reply to stop
+//     progress  {t, completed:[[idx,status]..],      after each chunk, and
+//                executed, resumed, outcome,         as an idle heartbeat
+//                metrics}
+//     released  {t, ranges:[[lo,hi)..]}              reply to steal
+//     done      {t, outcome, metrics}                reply to stop
 //
 //   coordinator -> worker
 //     run       {t, ranges:[[lo,hi)..]}              own these indices
 //     steal     {t}                                  give back ~half of the
 //                                                    unstarted remainder
 //     stop      {t}                                  finish up and exit
+//
+// "metrics" is the worker incarnation's cumulative absolute metrics
+// snapshot in the obs fleet wire form (obs/fleet.hpp).
 //
 // Any frame may additionally carry "fs", a per-sender frame sequence id;
 // the service layer stamps it to pair flow events (send "s" / recv "f")
@@ -68,9 +66,7 @@ bool valid_utf8(std::string_view bytes);
 
 /// The message vocabulary, one enumerator per "t" value.
 enum class MsgType {
-  kHello,
   kProgress,
-  kStats,
   kReleased,
   kDone,  // worker -> coordinator
   kRun,

@@ -8,9 +8,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <deque>
+#include <filesystem>
 #include <map>
 #include <sstream>
 
@@ -33,40 +35,7 @@ namespace rr::campaign {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-struct ServiceMetrics {
-  obs::Counter& cache_hit;
-  obs::Counter& cache_miss;
-  obs::Counter& steal_requests;
-  obs::Counter& steal_granted;
-  obs::Counter& steal_indices;
-  obs::Counter& worker_spawn;
-  obs::Counter& worker_crash;
-  obs::Counter& worker_respawn;
-
-  ServiceMetrics()
-      : cache_hit(obs::MetricsRegistry::global().counter("campaign.cache.hit")),
-        cache_miss(
-            obs::MetricsRegistry::global().counter("campaign.cache.miss")),
-        steal_requests(
-            obs::MetricsRegistry::global().counter("campaign.steal.requests")),
-        steal_granted(
-            obs::MetricsRegistry::global().counter("campaign.steal.granted")),
-        steal_indices(
-            obs::MetricsRegistry::global().counter("campaign.steal.indices")),
-        worker_spawn(
-            obs::MetricsRegistry::global().counter("campaign.worker.spawn")),
-        worker_crash(
-            obs::MetricsRegistry::global().counter("campaign.worker.crash")),
-        worker_respawn(
-            obs::MetricsRegistry::global().counter("campaign.worker.respawn")) {
-  }
-};
-
-ServiceMetrics& metrics() {
-  static ServiceMetrics m;
-  return m;
-}
+using Entries = std::vector<std::optional<engine::JournalEntry>>;
 
 std::string shard_journal_path(const ServiceConfig& cfg, int shard) {
   return cfg.work_dir + "/shard-" + std::to_string(shard) + ".jsonl";
@@ -74,6 +43,35 @@ std::string shard_journal_path(const ServiceConfig& cfg, int shard) {
 
 std::string coord_journal_path(const ServiceConfig& cfg) {
   return cfg.work_dir + "/shard-coord.jsonl";
+}
+
+/// Every journal of the campaign in the work dir, whichever fleet shape
+/// wrote it, so a work dir resumes under any worker count: each
+/// shard-<k>.jsonl in shard order (digits only, so a quarantined
+/// "*.corrupt" file never matches), then the coordinator's own journal.
+std::vector<std::string> journal_paths(const ServiceConfig& cfg) {
+  std::vector<std::string> ids;
+  std::error_code ec;
+  for (const auto& e : std::filesystem::directory_iterator(cfg.work_dir, ec)) {
+    const std::string name = e.path().filename().string();
+    if (name.size() <= 12 || !name.starts_with("shard-") ||
+        !name.ends_with(".jsonl"))
+      continue;
+    const std::string id = name.substr(6, name.size() - 12);
+    if (std::all_of(id.begin(), id.end(),
+                    [](unsigned char c) { return std::isdigit(c) != 0; }))
+      ids.push_back(id);
+  }
+  // Numeric order without parsing: fewer digits first.
+  std::sort(ids.begin(), ids.end(),
+            [](const std::string& a, const std::string& b) {
+              return a.size() != b.size() ? a.size() < b.size() : a < b;
+            });
+  std::vector<std::string> paths;
+  for (const std::string& id : ids)
+    paths.push_back(cfg.work_dir + "/shard-" + id + ".jsonl");
+  paths.push_back(coord_journal_path(cfg));
+  return paths;
 }
 
 // ---------------------------------------------------------------------------
@@ -116,6 +114,34 @@ std::uint64_t shard_flow_base(int shard, int incarnation) {
          kShardFlowStride;
 }
 
+/// Frame instrumentation for both ends of a socket.  A sent frame is
+/// stamped with the sender's next flow id ("fs") and opens a flow; the
+/// receive that finds the stamp closes it.  Both directions land in the
+/// flight ring, valued with the shard at the worker end.
+struct FrameTrace {
+  sim::TraceRecorder* rec;  ///< null when not tracing
+  std::string track;
+  std::uint64_t next_fs;
+
+  bool send(int fd, Json msg, const std::string& label, int shard) {
+    const std::uint64_t id = next_fs++;
+    msg.set("fs", static_cast<std::int64_t>(id));
+    if (rec) rec->flow_begin("send " + label, track, obs::wall_now(), id);
+    FlightRecorder::global().record(FlightKind::kFrame, "send " + label,
+                                    static_cast<double>(shard));
+    return write_frame(fd, msg);
+  }
+
+  void received(const Json& msg, const std::string& label, int shard) {
+    const Json* fs = msg.find("fs");
+    if (rec && fs && fs->is_number() && fs->as_double() >= 0)
+      rec->flow_end("recv " + label, track, obs::wall_now(),
+                    static_cast<std::uint64_t>(fs->as_double()));
+    FlightRecorder::global().record(FlightKind::kFrame, "recv " + label,
+                                    static_cast<double>(shard));
+  }
+};
+
 engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
                                                const ServiceConfig& cfg) {
   engine::ResilientConfig rcfg = cfg.resilient;
@@ -123,8 +149,6 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
   rcfg.seed_of = spec.seed_of;
   return rcfg;
 }
-
-int outcome_rank(engine::RunOutcome o) { return static_cast<int>(o); }
 
 // ---------------------------------------------------------------------------
 // Worker side.  Runs in the forked child; never returns.
@@ -134,9 +158,9 @@ int outcome_rank(engine::RunOutcome o) { return static_cast<int>(o); }
                               const CampaignSpec& spec,
                               const engine::ResilientScenario& fn,
                               const ServiceConfig& cfg, bool arm_crash) {
-  // Satellite: workers re-read the log environment the coordinator
-  // exported and tag every line with their shard id -- as text prefix
-  // for humans and as a structured JSONL field for tools.
+  // Workers re-read the log environment the coordinator exported and tag
+  // every line with their shard id -- as text prefix for humans and as a
+  // structured JSONL field for tools.
   log_init_from_env();
   set_log_prefix("shard " + std::to_string(shard));
   set_log_shard(shard);
@@ -155,53 +179,38 @@ int outcome_rank(engine::RunOutcome o) { return static_cast<int>(o); }
   if (!cfg.work_dir.empty())
     FlightRecorder::global().set_dump_path(cfg.work_dir + "/flightrec-shard-" +
                                            std::to_string(shard) + ".json");
+  FrameTrace frames{tracing ? &rec : nullptr, "frames/" + track,
+                    shard_flow_base(shard, incarnation)};
 
-  // Frame instrumentation: every sent frame is stamped with a flow id
-  // ("fs") and opens a flow at this end; every received frame with a
-  // stamp closes one.  The last frames also land in the flight ring.
-  std::uint64_t fseq = 0;
-  const std::uint64_t flow_base = shard_flow_base(shard, incarnation);
-  const std::string frame_track = "frames/" + track;
-  const auto send_frame = [&](Json msg, const char* type) -> bool {
-    const std::uint64_t id = flow_base + fseq++;
-    msg.set("fs", static_cast<std::int64_t>(id));
-    if (tracing)
-      rec.flow_begin(std::string("send ") + type, frame_track, obs::wall_now(),
-                     id);
-    FlightRecorder::global().record(FlightKind::kFrame,
-                                    std::string("send ") + type,
-                                    static_cast<double>(shard));
-    return write_frame(fd, msg);
-  };
-  const auto send_stats = [&]() -> bool {
-    Json st = Json::object();
-    st.set("t", "stats").set("shard", shard)
+  engine::RunOutcome worst = engine::RunOutcome::kClean;
+  // Progress and done frames carry this incarnation's cumulative metrics
+  // snapshot, so a crash loses at most one chunk of counters.
+  const auto report = [&](const char* type, Json msg) {
+    msg.set("t", type).set("outcome", engine::to_string(worst))
         .set("metrics",
              obs::snapshot_to_wire(obs::MetricsRegistry::global().snapshot()));
-    return send_frame(std::move(st), "stats");
+    return frames.send(fd, std::move(msg), type, shard);
+  };
+  const auto progress = [&](Json completed, int executed, int resumed) {
+    Json msg = Json::object();
+    msg.set("completed", std::move(completed)).set("executed", executed)
+        .set("resumed", resumed);
+    return report("progress", std::move(msg));
   };
 
   int code = fault::to_int(fault::ExitCode::kError);
   try {
-    engine::SweepEngine eng({std::max(1, cfg.threads_per_worker)});
+    engine::SweepEngine eng({1});
     engine::SweepJournal journal(shard_journal_path(cfg, shard), spec.params,
                                  spec.scenarios);
     if (arm_crash && cfg.crash_after > 0)
       journal.set_crash_after(cfg.crash_after);
     const engine::ResilientConfig rcfg = shard_resilient_config(spec, cfg);
-
-    {
-      Json hello = Json::object();
-      hello.set("t", "hello").set("shard", shard)
-          .set("pid", static_cast<std::int64_t>(::getpid()));
-      if (!send_frame(std::move(hello), "hello")) std::_Exit(code);
-    }
+    obs::Histogram& chunk_hist = obs::MetricsRegistry::global().histogram(
+        "campaign.chunk_us", obs::latency_bounds_us());
 
     std::deque<int> owned;
-    engine::RunOutcome worst = engine::RunOutcome::kClean;
-    bool budget_hit = false;
     bool stopping = false;
-
     while (!stopping) {
       // Drain control frames first: immediately when work is pending,
       // with a heartbeat-long block when idle.
@@ -215,16 +224,7 @@ int outcome_rank(engine::RunOutcome o) { return static_cast<int>(o); }
         const MsgType t = frame_type(*msg);  // throws on garbage: the
                                              // catch below exits kError
                                              // and the coordinator respawns
-        FlightRecorder::global().record(FlightKind::kFrame,
-                                        std::string("recv ") + to_string(t),
-                                        static_cast<double>(shard));
-        if (tracing) {
-          const Json* fs = msg->find("fs");
-          if (fs && fs->is_number() && fs->as_double() >= 0)
-            rec.flow_end(std::string("recv ") + to_string(t), frame_track,
-                         obs::wall_now(),
-                         static_cast<std::uint64_t>(fs->as_double()));
-        }
+        frames.received(*msg, to_string(t), shard);
         if (t == MsgType::kRun) {
           // Bounds-checked decode: an assignment outside the campaign's
           // index space is a desynced or hostile stream, rejected before
@@ -246,29 +246,20 @@ int outcome_rank(engine::RunOutcome o) { return static_cast<int>(o); }
             std::sort(give.begin(), give.end());
           }
           Json rel = Json::object();
-          rel.set("t", "released").set("shard", shard)
+          rel.set("t", "released")
               .set("ranges", ranges_to_json(ranges_from_sorted_indices(give)));
-          if (!send_frame(std::move(rel), "released")) break;
+          if (!frames.send(fd, std::move(rel), "released", shard)) break;
         } else if (t == MsgType::kStop) {
           stopping = true;
         }
         continue;  // keep draining frames before running more work
       }
 
+      // Budget tripped: idle until told to stop.
+      if (worst == engine::RunOutcome::kBudgetExceeded) owned.clear();
       if (owned.empty()) {
-        if (pr == 0) {
-          // Idle heartbeat so the coordinator's fleet watchdog sees life.
-          Json hb = Json::object();
-          hb.set("t", "progress").set("shard", shard)
-              .set("completed", Json::array()).set("executed", 0)
-              .set("resumed", 0).set("remaining", 0)
-              .set("outcome", engine::to_string(worst));
-          if (!send_frame(std::move(hb), "progress")) break;
-        }
-        continue;
-      }
-      if (budget_hit) {  // budget tripped: idle until told to stop
-        owned.clear();
+        // Idle heartbeat so the coordinator's fleet watchdog sees life.
+        if (pr == 0 && !progress(Json::array(), 0, 0)) break;
         continue;
       }
 
@@ -281,9 +272,6 @@ int outcome_rank(engine::RunOutcome o) { return static_cast<int>(o); }
       int pre = 0;
       for (const int i : chunk)
         if (journal.completed(i)) ++pre;
-      static obs::Histogram& chunk_hist =
-          obs::MetricsRegistry::global().histogram("campaign.chunk_us",
-                                                   obs::latency_bounds_us());
       engine::ResilientReport rep = [&] {
         // The span publishes chunk wall latency into the registry and,
         // when tracing, onto this worker's wall track.
@@ -292,7 +280,7 @@ int outcome_rank(engine::RunOutcome o) { return static_cast<int>(o); }
         return engine::run_resilient_indices(eng, spec.scenarios, chunk, fn,
                                              &journal, rcfg);
       }();
-      if (outcome_rank(rep.outcome) > outcome_rank(worst)) worst = rep.outcome;
+      worst = std::max(worst, rep.outcome);
 
       Json completed = Json::array();
       int got = 0;
@@ -305,32 +293,11 @@ int outcome_rank(engine::RunOutcome o) { return static_cast<int>(o); }
         pair.push_back(engine::to_string(e->status));
         completed.push_back(std::move(pair));
       }
-      Json progress = Json::object();
-      progress.set("t", "progress").set("shard", shard)
-          .set("completed", std::move(completed)).set("executed", got - pre)
-          .set("resumed", pre)
-          .set("remaining", static_cast<std::int64_t>(owned.size()))
-          .set("outcome", engine::to_string(rep.outcome));
-      if (!send_frame(std::move(progress), "progress")) break;
-      // Piggyback the cumulative metrics snapshot on every chunk's
-      // progress, so a later crash loses at most one chunk of counters.
-      if (!send_stats()) break;
-      if (rep.outcome == engine::RunOutcome::kBudgetExceeded) {
-        budget_hit = true;
-        owned.clear();
-      }
+      if (!progress(std::move(completed), got - pre, pre)) break;
     }
 
     code = engine::exit_code(worst);
-    if (stopping) {
-      // Final stats before done, so the coordinator's drain folds this
-      // incarnation's complete counters into the fleet snapshot.
-      send_stats();
-      Json done = Json::object();
-      done.set("t", "done").set("shard", shard)
-          .set("outcome", engine::to_string(worst));
-      send_frame(std::move(done), "done");
-    }
+    if (stopping) report("done", Json::object());
   } catch (const std::exception& e) {
     RR_ERROR("campaign worker failed: " << e.what());
     code = fault::to_int(fault::ExitCode::kError);
@@ -350,19 +317,22 @@ int outcome_rank(engine::RunOutcome o) { return static_cast<int>(o); }
 // Coordinator side.
 // ---------------------------------------------------------------------------
 
+/// Owner-table states besides a shard id (>= 0).  kDone is final.
+constexpr int kDone = -1;
+constexpr int kPooled = -2;
+
 struct WorkerState {
   int shard = -1;
   pid_t pid = -1;
   int fd = -1;
   bool alive = false;
-  bool stopping = false;   ///< stop frame sent
+  bool stopping = false;   ///< stop sent or being killed: never respawned
   bool done_seen = false;  ///< done frame received
   bool steal_outstanding = false;
   int respawns = 0;
-  std::vector<std::uint8_t> owned;  ///< per campaign index: assigned, not done
-  int owned_count = 0;
-  obs::Snapshot stats_snap;  ///< latest absolute stats this incarnation
-  bool has_stats = false;
+  int owned = 0;           ///< indices the owner table gives this shard
+  /// Latest absolute metrics snapshot of the current incarnation.
+  std::optional<obs::Snapshot> metrics;
 };
 
 class Coordinator {
@@ -371,13 +341,39 @@ class Coordinator {
               const ServiceConfig& cfg)
       : spec_(spec), fn_(fn), cfg_(cfg), n_(spec.scenarios),
         tracing_(tracing_enabled(cfg)),
-        done_(static_cast<std::size_t>(n_), 0) {}
+        owner_(static_cast<std::size_t>(n_), kPooled), pooled_(n_),
+        frames_{tracing_ ? &trace_ : nullptr, "frames/coord", kCoordFlowBase} {}
 
   CampaignStats stats;
   bool abort = false;
+  /// The local runner's own outcome was degraded (e.g. its journal went
+  /// memory-only) even though its entries are all present.
+  bool degraded = false;
+
+  /// Drive the campaign and return the merged entries in index order; on
+  /// return every index is done or unreachable (budget abort).
+  Entries run() {
+    // Resume: whatever an earlier run of this campaign journaled in the
+    // work dir, under any fleet shape, is done before anything forks.
+    Entries merged =
+        engine::merge_journal_files(journal_paths(cfg_), spec_.params, n_);
+    for (int i = 0; i < n_; ++i)
+      if (merged[static_cast<std::size_t>(i)]) set_owner(i, kDone);
+    stats.resumed = done_count_;
+    if (stats.resumed > 0)
+      RR_INFO("campaign resume: " << stats.resumed << "/" << n_
+                                  << " scenarios already journaled");
+    if (cfg_.workers > 0 && done_count_ < n_) {
+      run_fleet();
+      merged =
+          engine::merge_journal_files(journal_paths(cfg_), spec_.params, n_);
+    }
+    if (!abort && done_count_ < n_) run_local(merged);
+    return merged;
+  }
 
   /// The fleet snapshot after run(): the coordinator's own registry as
-  /// part "coord", then each shard's folded stats under its index label.
+  /// part "coord", then each shard's folded metrics under its index label.
   obs::FleetSnapshot fleet() const {
     obs::FleetSnapshot f;
     f.add_part("coord", obs::MetricsRegistry::global().snapshot());
@@ -386,9 +382,9 @@ class Coordinator {
     return f;
   }
 
-  /// Merge the coordinator's frame trace with every shard incarnation's
-  /// trace file into cfg.trace_path (crashed incarnations wrote nothing
-  /// and are skipped).
+  /// Merge the coordinator's trace with every shard incarnation's trace
+  /// file into cfg.trace_path (crashed incarnations wrote nothing and are
+  /// skipped).
   void write_merged_trace() {
     if (!tracing_) return;
     obs::export_counters(obs::MetricsRegistry::global().snapshot(), trace_,
@@ -396,12 +392,13 @@ class Coordinator {
     std::vector<obs::TracePart> parts;
     if (write_trace_file(trace_, coord_trace_path(cfg_)))
       parts.push_back({"coord", coord_trace_path(cfg_)});
-    for (const WorkerState& w : workers_)
-      for (int inc = 0; inc <= w.respawns; ++inc)
-        parts.push_back(
-            {"shard" + std::to_string(w.shard) +
-                 (inc > 0 ? "." + std::to_string(inc) : ""),
-             shard_trace_path(cfg_, w.shard, inc)});
+    for (const WorkerState& w : workers_) {
+      for (int inc = 0; inc <= w.respawns; ++inc) {
+        std::string label = "shard" + std::to_string(w.shard);
+        if (inc > 0) label.append(".").append(std::to_string(inc));
+        parts.push_back({label, shard_trace_path(cfg_, w.shard, inc)});
+      }
+    }
     int skipped = 0;
     if (!obs::merge_trace_files(parts, cfg_.trace_path, &skipped)) {
       RR_WARN("campaign: merged trace write to " << cfg_.trace_path
@@ -414,108 +411,32 @@ class Coordinator {
     }
   }
 
-  /// Drive the campaign; on return every index is either done or
-  /// unreachable (budget abort).
-  void run() {
-    // Resume: anything already in a shard (or takeover) journal from an
-    // earlier incarnation of this campaign is done before we fork at all.
-    preload_done();
-
-    std::vector<int> pending;
-    for (int i = 0; i < n_; ++i)
-      if (!done_[static_cast<std::size_t>(i)]) pending.push_back(i);
-    if (pending.empty()) return;
-
-    const int shards =
-        std::min(cfg_.workers, static_cast<int>(pending.size()));
-    workers_.resize(static_cast<std::size_t>(shards));
-
-    // Satellite: export the effective log configuration so every forked
-    // worker (and anything it execs) inherits it.
-    ::setenv("RR_LOG_LEVEL", to_string(log_level()), 1);
-    const std::string sink = log_json_path();
-    if (!sink.empty()) ::setenv("RR_LOG_JSON", sink.c_str(), 1);
-
-    // Even contiguous split of the pending indices across the shards.
-    last_frame_ = Clock::now();
-    std::size_t off = 0;
-    for (int k = 0; k < shards; ++k) {
-      WorkerState& w = workers_[static_cast<std::size_t>(k)];
-      w.shard = k;
-      w.owned.assign(static_cast<std::size_t>(n_), 0);
-      const std::size_t share =
-          (pending.size() - off) / static_cast<std::size_t>(shards - k);
-      const std::vector<int> slice(pending.begin() + static_cast<long>(off),
-                                   pending.begin() +
-                                       static_cast<long>(off + share));
-      off += share;
-      spawn(w, ranges_from_sorted_indices(slice), k == cfg_.crash_shard);
-    }
-
-    bool fleet_dead = false;
-    while (done_count_ < n_ && !abort) {
-      if (!any_alive()) {
-        fleet_dead = true;
-        break;
-      }
-      rebalance();
-      poll_once(static_cast<int>(cfg_.heartbeat.count()));
-      reap();
-      if (Clock::now() - last_frame_ > cfg_.fleet_deadline) {
-        RR_ERROR("campaign fleet made no progress for "
-                 << cfg_.fleet_deadline.count() << " ms; killing workers");
-        kill_all();
-        fleet_dead = true;
-        break;
-      }
-    }
-
-    stop_all();
-    if (fleet_dead && done_count_ < n_ && !abort) takeover();
-  }
-
  private:
-  /// Stamp, trace, flight-record, and write one coordinator->worker
-  /// frame.  A false return (dead peer) is caught by reap(), same as the
-  /// raw write_frame contract.
-  bool send(WorkerState& w, Json msg, const char* type) {
-    const std::uint64_t id = kCoordFlowBase + fseq_++;
-    msg.set("fs", static_cast<std::int64_t>(id));
-    if (tracing_)
-      trace_.flow_begin(std::string("send ") + type + " -> shard " +
-                            std::to_string(w.shard),
-                        "frames/coord", obs::wall_now(), id);
-    FlightRecorder::global().record(
-        FlightKind::kFrame,
-        std::string("coord send ") + type + " -> shard " +
-            std::to_string(w.shard),
-        static_cast<double>(w.shard));
-    return write_frame(w.fd, msg);
+  int& owner(int i) { return owner_[static_cast<std::size_t>(i)]; }
+
+  /// The counter that tracks how many indices `who` holds.
+  int& held_by(int who) {
+    if (who == kDone) return done_count_;
+    if (who == kPooled) return pooled_;
+    return workers_[static_cast<std::size_t>(who)].owned;
   }
 
-  void preload_done() {
-    std::vector<std::string> paths = journal_paths();
-    const auto pre =
-        engine::merge_journal_files(paths, spec_.params, n_);
-    for (int i = 0; i < n_; ++i) {
-      if (pre[static_cast<std::size_t>(i)]) {
-        done_[static_cast<std::size_t>(i)] = 1;
-        ++done_count_;
-        ++stats.resumed;
-      }
-    }
-    if (stats.resumed > 0)
-      RR_INFO("campaign resume: " << stats.resumed << "/" << n_
-                                  << " scenarios already journaled");
+  /// The one way an index changes hands: the initial split, steal
+  /// releases, failed spawns, exhausted respawns and completions all
+  /// come through here.  A done index never changes again.
+  void set_owner(int i, int to) {
+    int& from = owner(i);
+    if (from == kDone || from == to) return;
+    --held_by(from);
+    ++held_by(to);
+    from = to;
   }
 
-  std::vector<std::string> journal_paths() const {
-    std::vector<std::string> paths;
-    const int shards = std::max(1, cfg_.workers);
-    for (int k = 0; k < shards; ++k)
-      paths.push_back(shard_journal_path(cfg_, k));
-    paths.push_back(coord_journal_path(cfg_));
-    return paths;
+  std::vector<int> indices_of(int who) const {
+    std::vector<int> out;
+    for (int i = 0; i < n_; ++i)
+      if (owner_[static_cast<std::size_t>(i)] == who) out.push_back(i);
+    return out;
   }
 
   bool any_alive() const {
@@ -524,28 +445,56 @@ class Coordinator {
     return false;
   }
 
-  void pool_ranges(const std::vector<IndexRange>& ranges) {
-    for (const IndexRange& r : ranges)
-      for (int i = r.lo; i < r.hi; ++i)
-        if (!done_[static_cast<std::size_t>(i)]) pool_.push_back(i);
+  void run_fleet() {
+    // Export the effective log configuration so every forked worker (and
+    // anything it execs) inherits it.
+    ::setenv("RR_LOG_LEVEL", to_string(log_level()), 1);
+    const std::string sink = log_json_path();
+    if (!sink.empty()) ::setenv("RR_LOG_JSON", sink.c_str(), 1);
+
+    // Every pending index starts pooled, so the first rebalance() splits
+    // the pool evenly, in index order, across the fresh (idle) workers.
+    workers_.resize(static_cast<std::size_t>(std::min(cfg_.workers, pooled_)));
+    last_frame_ = Clock::now();
+    for (std::size_t k = 0; k < workers_.size(); ++k) {
+      workers_[k].shard = static_cast<int>(k);
+      spawn(workers_[k], workers_[k].shard == cfg_.crash_shard);
+    }
+    while (done_count_ < n_ && !abort && any_alive()) {
+      rebalance();
+      poll_once(static_cast<int>(cfg_.heartbeat.count()));
+      reap();
+      if (Clock::now() - last_frame_ > cfg_.fleet_deadline) {
+        RR_ERROR("campaign fleet made no progress for "
+                 << cfg_.fleet_deadline.count() << " ms; killing workers");
+        kill_all();
+      }
+    }
+    stop_all();
   }
 
-  void spawn(WorkerState& w, const std::vector<IndexRange>& ranges,
-             bool arm_crash) {
+  /// Send `w` a frame of `type` with `fields`.  A failed write (dead
+  /// peer) is caught by reap(), same as the raw write_frame contract.
+  void send(WorkerState& w, const char* type, Json fields = Json::object()) {
+    fields.set("t", type);
+    frames_.send(w.fd, std::move(fields),
+                 std::string(type) + " -> shard " + std::to_string(w.shard),
+                 w.shard);
+  }
+
+  /// Fork a new incarnation of `w`'s shard; false (logged) on failure.
+  bool spawn(WorkerState& w, bool arm_crash) {
     int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-      RR_ERROR("campaign: socketpair failed; shard " << w.shard
-                                                     << " not spawned");
-      pool_ranges(ranges);
-      return;
-    }
-    const pid_t pid = ::fork();
+    const bool paired = ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0;
+    const pid_t pid = paired ? ::fork() : -1;
     if (pid < 0) {
-      ::close(sv[0]);
-      ::close(sv[1]);
-      RR_ERROR("campaign: fork failed; shard " << w.shard << " not spawned");
-      pool_ranges(ranges);
-      return;
+      if (paired) {
+        ::close(sv[0]);
+        ::close(sv[1]);
+      }
+      RR_ERROR("campaign: socketpair/fork failed; shard " << w.shard
+                                                          << " not spawned");
+      return false;
     }
     if (pid == 0) {
       ::close(sv[0]);
@@ -558,48 +507,17 @@ class Coordinator {
     w.pid = pid;
     w.fd = sv[0];
     w.alive = true;
-    w.stopping = false;
-    w.done_seen = false;
-    w.steal_outstanding = false;
-    w.has_stats = false;  // the new incarnation starts its counters at zero
-    w.stats_snap = {};
-    metrics().worker_spawn.inc();
     ++stats.workers_spawned;
-    assign(w, ranges);
+    return true;
   }
 
-  void assign(WorkerState& w, const std::vector<IndexRange>& ranges) {
-    if (ranges.empty()) return;
-    for (const IndexRange& r : ranges) {
-      for (int i = r.lo; i < r.hi; ++i) {
-        auto& bit = w.owned[static_cast<std::size_t>(i)];
-        if (!bit) {
-          bit = 1;
-          ++w.owned_count;
-        }
-      }
-    }
-    Json msg = Json::object();
-    msg.set("t", "run").set("ranges", ranges_to_json(ranges));
-    send(w, std::move(msg), "run");  // a dead peer is caught by reap()
-  }
-
-  void release_owned_to_pool(WorkerState& w) {
-    for (int i = 0; i < n_; ++i) {
-      auto& bit = w.owned[static_cast<std::size_t>(i)];
-      if (bit) {
-        bit = 0;
-        if (!done_[static_cast<std::size_t>(i)]) pool_.push_back(i);
-      }
-    }
-    w.owned_count = 0;
-  }
-
-  std::vector<IndexRange> owned_ranges(const WorkerState& w) const {
-    std::vector<int> idx;
-    for (int i = 0; i < n_; ++i)
-      if (w.owned[static_cast<std::size_t>(i)]) idx.push_back(i);
-    return ranges_from_sorted_indices(idx);
+  /// Make `w` the owner of the sorted `indices` and send it a run frame.
+  void give(WorkerState& w, const std::vector<int>& indices) {
+    if (indices.empty()) return;
+    for (const int i : indices) set_owner(i, w.shard);
+    Json fields = Json::object();
+    fields.set("ranges", ranges_to_json(ranges_from_sorted_indices(indices)));
+    send(w, "run", std::move(fields));
   }
 
   /// Apply one worker frame.  Throws std::runtime_error on a frame that
@@ -610,19 +528,20 @@ class Coordinator {
   void handle_frame(WorkerState& w, const Json& msg) {
     last_frame_ = Clock::now();
     const MsgType t = frame_type(msg);
-    FlightRecorder::global().record(
-        FlightKind::kFrame,
-        std::string("coord recv ") + to_string(t) + " <- shard " +
-            std::to_string(w.shard),
-        static_cast<double>(w.shard));
-    if (tracing_) {
-      const Json* fs = msg.find("fs");
-      if (fs && fs->is_number() && fs->as_double() >= 0)
-        trace_.flow_end(std::string("recv ") + to_string(t) + " <- shard " +
-                            std::to_string(w.shard),
-                        "frames/coord", obs::wall_now(),
-                        static_cast<std::uint64_t>(fs->as_double()));
-    }
+    frames_.received(msg,
+                     std::string(to_string(t)) + " <- shard " +
+                         std::to_string(w.shard),
+                     w.shard);
+    // An absolute cumulative snapshot for this incarnation: keep only the
+    // latest (it is folded into the shard's part at retirement).
+    // snapshot_from_wire throws on garbage, retiring the worker like any
+    // other corrupt frame.
+    if (const Json* m = msg.find("metrics"))
+      w.metrics = obs::snapshot_from_wire(*m);
+    if (const Json* o = msg.find("outcome");
+        o && o->as_string() ==
+                 engine::to_string(engine::RunOutcome::kBudgetExceeded))
+      abort = true;
     if (t == MsgType::kProgress) {
       for (const Json& pair : msg.at("completed").as_array()) {
         const int i = static_cast<int>(pair.at(std::size_t{0}).as_int());
@@ -631,37 +550,20 @@ class Coordinator {
                                    std::to_string(i) +
                                    " outside campaign of " +
                                    std::to_string(n_));
-        if (!done_[static_cast<std::size_t>(i)]) {
-          done_[static_cast<std::size_t>(i)] = 1;
-          ++done_count_;
-        }
-        auto& bit = w.owned[static_cast<std::size_t>(i)];
-        if (bit) {
-          bit = 0;
-          --w.owned_count;
-        }
+        set_owner(i, kDone);
       }
       stats.executed += static_cast<int>(msg.at("executed").as_int());
       stats.resumed += static_cast<int>(msg.at("resumed").as_int());
-      if (msg.at("outcome").as_string() ==
-          engine::to_string(engine::RunOutcome::kBudgetExceeded))
-        abort = true;
     } else if (t == MsgType::kReleased) {
       w.steal_outstanding = false;
       int granted = 0;
-      for (const IndexRange& r : ranges_from_json(msg.at("ranges"), n_)) {
-        for (int i = r.lo; i < r.hi; ++i) {
-          auto& bit = w.owned[static_cast<std::size_t>(i)];
-          if (!bit) continue;
-          bit = 0;
-          --w.owned_count;
-          if (!done_[static_cast<std::size_t>(i)]) pool_.push_back(i);
-          ++granted;
-        }
-      }
+      for (const IndexRange& r : ranges_from_json(msg.at("ranges"), n_))
+        for (int i = r.lo; i < r.hi; ++i)
+          if (owner(i) == w.shard) {
+            set_owner(i, kPooled);
+            ++granted;
+          }
       if (granted > 0) {
-        metrics().steal_granted.inc();
-        metrics().steal_indices.add(static_cast<std::uint64_t>(granted));
         ++stats.steals_granted;
         stats.stolen_indices += granted;
         FlightRecorder::global().record(
@@ -670,63 +572,45 @@ class Coordinator {
                 " (shard " + std::to_string(w.shard) + ")",
             static_cast<double>(granted));
       }
-    } else if (t == MsgType::kStats) {
-      // Absolute cumulative snapshot for this incarnation; keep only the
-      // latest (folding into shard_stats_ happens once, at retirement).
-      // snapshot_from_wire throws on garbage, retiring the worker like
-      // any other corrupt frame.
-      w.stats_snap = obs::snapshot_from_wire(msg.at("metrics"));
-      w.has_stats = true;
     } else if (t == MsgType::kDone) {
       w.done_seen = true;
-      if (msg.at("outcome").as_string() ==
-          engine::to_string(engine::RunOutcome::kBudgetExceeded))
-        abort = true;
     }
-    // "hello" only refreshes last_frame_.
   }
 
-  /// Hand pooled work to idle workers, then steal for any still idle.
+  /// Hand pooled indices to idle workers, split evenly in index order;
+  /// with nothing pooled, ask the most-loaded worker to shed half.
   void rebalance() {
     if (abort) return;
     std::vector<WorkerState*> idle;
     for (WorkerState& w : workers_)
-      if (w.alive && !w.stopping && w.owned_count == 0) idle.push_back(&w);
+      if (w.alive && !w.stopping && w.owned == 0) idle.push_back(&w);
     if (idle.empty()) return;
 
-    if (!pool_.empty()) {
-      std::vector<int> avail(pool_.begin(), pool_.end());
-      pool_.clear();
-      std::sort(avail.begin(), avail.end());
+    if (pooled_ > 0) {
+      const std::vector<int> pool = indices_of(kPooled);
       std::size_t off = 0;
-      for (std::size_t k = 0; k < idle.size() && off < avail.size(); ++k) {
-        const std::size_t share =
-            (avail.size() - off + (idle.size() - k) - 1) / (idle.size() - k);
-        const std::vector<int> slice(
-            avail.begin() + static_cast<long>(off),
-            avail.begin() + static_cast<long>(off + share));
+      for (std::size_t k = 0; k < idle.size(); ++k) {
+        const std::size_t share = (pool.size() - off) / (idle.size() - k);
+        give(*idle[k],
+             std::vector<int>(pool.begin() + static_cast<long>(off),
+                              pool.begin() + static_cast<long>(off + share)));
         off += share;
-        assign(*idle[k], ranges_from_sorted_indices(slice));
       }
       return;
     }
 
-    // Nothing pooled: ask the most-loaded worker to shed half.
-    for (WorkerState* thief : idle) {
-      (void)thief;
+    // One steal per idle worker, each from a different victim.
+    for (std::size_t k = 0; k < idle.size(); ++k) {
       WorkerState* victim = nullptr;
       for (WorkerState& w : workers_) {
         if (!w.alive || w.stopping || w.steal_outstanding) continue;
-        if (w.owned_count <= cfg_.chunk) continue;
-        if (!victim || w.owned_count > victim->owned_count) victim = &w;
+        if (w.owned <= cfg_.chunk) continue;
+        if (!victim || w.owned > victim->owned) victim = &w;
       }
       if (!victim) break;
-      Json msg = Json::object();
-      msg.set("t", "steal");
       victim->steal_outstanding = true;
-      metrics().steal_requests.inc();
       ++stats.steal_requests;
-      send(*victim, std::move(msg), "steal");
+      send(*victim, "steal");
     }
   }
 
@@ -741,19 +625,16 @@ class Coordinator {
       pfds.push_back({w.fd, POLLIN, 0});
       who.push_back(&w);
     }
-    if (pfds.empty()) return;
-    const int pr = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    if (pr <= 0) return;
+    if (pfds.empty() || ::poll(pfds.data(), pfds.size(), timeout_ms) <= 0)
+      return;
     for (std::size_t k = 0; k < pfds.size(); ++k) {
       if ((pfds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       WorkerState& w = *who[k];
       try {
-        const std::optional<Json> msg = read_frame(w.fd);
-        if (msg) {
+        if (const std::optional<Json> msg = read_frame(w.fd))
           handle_frame(w, *msg);
-        } else {
+        else
           handle_exit(w);  // clean EOF: the worker is gone
-        }
       } catch (const std::exception& e) {
         RR_WARN("campaign: shard " << w.shard << " stream error ("
                                    << e.what() << "); retiring worker");
@@ -771,8 +652,7 @@ class Coordinator {
     for (WorkerState& w : workers_) {
       if (!w.alive) continue;
       int status = 0;
-      const pid_t r = ::waitpid(w.pid, &status, WNOHANG);
-      if (r == w.pid) finish_exit(w, status);
+      if (::waitpid(w.pid, &status, WNOHANG) == w.pid) finish_exit(w, status);
     }
   }
 
@@ -799,28 +679,25 @@ class Coordinator {
 
     // Fold the incarnation's final absolute snapshot into the shard's
     // fleet part; incarnations of one shard sum.  A crash loses at most
-    // the counters since its last stats frame (one chunk).
-    if (w.has_stats) {
+    // the counters since its last progress frame (one chunk).
+    if (w.metrics) {
       try {
-        obs::merge_into(shard_stats_[w.shard], w.stats_snap);
+        obs::merge_into(shard_stats_[w.shard], *w.metrics);
       } catch (const std::exception& e) {
         RR_WARN("campaign: shard " << w.shard
-                                   << " stats unmergeable: " << e.what());
+                                   << " metrics unmergeable: " << e.what());
       }
-      w.has_stats = false;
-      w.stats_snap = {};
+      w.metrics.reset();
     }
 
     const int code = WIFEXITED(status) ? WEXITSTATUS(status)
                      : WIFSIGNALED(status) ? 128 + WTERMSIG(status)
                                            : -1;
-    const bool clean = w.done_seen || (w.stopping && WIFEXITED(status));
-    if (clean) {
+    if (w.done_seen || (w.stopping && WIFEXITED(status))) {
       RR_DEBUG("campaign: shard " << w.shard << " exited " << code);
       return;
     }
 
-    metrics().worker_crash.inc();
     ++stats.crashes;
     FlightRecorder::global().record(
         FlightKind::kMark,
@@ -835,39 +712,36 @@ class Coordinator {
                                        ? describe(*fault::exit_code_from_int(
                                              code))
                                        : "unmapped")
-                               << ") with " << w.owned_count
+                               << ") with " << w.owned
                                << " indices outstanding");
-    if (!abort && done_count_ < n_ && w.owned_count > 0 &&
-        w.respawns < cfg_.max_respawns) {
+    if (!abort && !w.stopping && w.owned > 0 && w.respawns < kMaxRespawns) {
       ++w.respawns;
-      metrics().worker_respawn.inc();
       ++stats.respawns;
       FlightRecorder::global().record(
           FlightKind::kMetric,
           "campaign.worker.respawn +1 (shard " + std::to_string(w.shard) +
               ")",
           1.0);
-      const std::vector<IndexRange> ranges = owned_ranges(w);
-      // Clear ownership first: spawn() re-asserts it via assign(), and a
-      // failed spawn pools the ranges instead.
-      std::fill(w.owned.begin(), w.owned.end(), 0);
-      w.owned_count = 0;
       RR_INFO("campaign: respawning shard "
-              << w.shard << " (attempt " << w.respawns << "/"
-              << cfg_.max_respawns << "); journal resume covers completed work");
-      spawn(w, ranges, /*arm_crash=*/false);
-    } else {
-      release_owned_to_pool(w);
+              << w.shard << " (attempt " << w.respawns << "/" << kMaxRespawns
+              << "); journal resume covers completed work");
+      // The new incarnation gets its shard's outstanding indices back, so
+      // it resumes them from the shard's own journal.
+      if (spawn(w, /*arm_crash=*/false)) {
+        give(w, indices_of(w.shard));
+        return;
+      }
     }
+    // Out of respawns (or the respawn failed): the remainder is pooled.
+    for (const int i : indices_of(w.shard)) set_owner(i, kPooled);
   }
 
   void kill_all() {
     for (WorkerState& w : workers_) {
       if (!w.alive) continue;
+      w.stopping = true;
       ::kill(w.pid, SIGKILL);
-      int status = 0;
-      ::waitpid(w.pid, &status, 0);
-      finish_exit(w, status);
+      handle_exit(w);
     }
   }
 
@@ -876,9 +750,7 @@ class Coordinator {
     for (WorkerState& w : workers_) {
       if (!w.alive || w.stopping) continue;
       w.stopping = true;
-      Json msg = Json::object();
-      msg.set("t", "stop");
-      send(w, std::move(msg), "stop");
+      send(w, "stop");
     }
     const Clock::time_point deadline = Clock::now() + cfg_.fleet_deadline;
     while (any_alive() && Clock::now() < deadline) {
@@ -891,34 +763,48 @@ class Coordinator {
     }
   }
 
-  /// Last resort: every worker is gone and indices remain.  Finish them
-  /// in-process on the coordinator's own journal; merge handles the rest.
-  void takeover() {
+  /// The coordinator's own runner: the whole campaign when workers == 0,
+  /// else whatever a dead fleet left.  It is created only after every
+  /// worker has been reaped (its thread pool must never be forked), and
+  /// journals to shard-coord.jsonl, which it never reads back: its
+  /// in-memory entries fill in any index the merged journals lack.
+  void run_local(Entries& merged) {
     std::vector<int> pending;
     for (int i = 0; i < n_; ++i)
-      if (!done_[static_cast<std::size_t>(i)]) pending.push_back(i);
-    if (pending.empty()) return;
-    RR_WARN("campaign: no workers left; running " << pending.size()
-                                                  << " indices in-process");
-    engine::SweepEngine eng({std::max(1, cfg_.threads_per_worker)});
+      if (owner(i) != kDone) pending.push_back(i);
+    if (cfg_.workers > 0)
+      RR_WARN("campaign: no workers left; running " << pending.size()
+                                                    << " indices in-process");
+    engine::SweepEngine eng({1});
     engine::SweepJournal journal(coord_journal_path(cfg_), spec_.params, n_);
     int pre = 0;
     for (const int i : pending)
       if (journal.completed(i)) ++pre;
-    const engine::ResilientReport rep = engine::run_resilient_indices(
-        eng, n_, pending, fn_, &journal, shard_resilient_config(spec_, cfg_));
+    // Wall spans of the local run land on the coordinator's trace row.
+    struct Detach {
+      bool on;
+      ~Detach() {
+        if (on) obs::WallTrace::global().attach(nullptr, "");
+      }
+    } detach{tracing_};
+    if (tracing_) obs::WallTrace::global().attach(&trace_, "wall/coord");
+    const engine::ResilientReport rep = [&] {
+      obs::ProfSpan span("campaign x" + std::to_string(pending.size()));
+      return engine::run_resilient_indices(
+          eng, n_, pending, fn_, &journal, shard_resilient_config(spec_, cfg_));
+    }();
     int got = 0;
     for (const int i : pending) {
-      if (!rep.entries[static_cast<std::size_t>(i)]) continue;
+      const auto& e = rep.entries[static_cast<std::size_t>(i)];
+      if (!e) continue;
       ++got;
-      if (!done_[static_cast<std::size_t>(i)]) {
-        done_[static_cast<std::size_t>(i)] = 1;
-        ++done_count_;
-      }
+      auto& slot = merged[static_cast<std::size_t>(i)];
+      if (!slot) slot = e;
     }
     stats.executed += got - pre;
     stats.resumed += pre;
-    if (rep.outcome == engine::RunOutcome::kBudgetExceeded) abort = true;
+    abort = rep.outcome == engine::RunOutcome::kBudgetExceeded;
+    degraded = rep.outcome == engine::RunOutcome::kDegraded;
   }
 
   const CampaignSpec& spec_;
@@ -926,19 +812,34 @@ class Coordinator {
   const ServiceConfig& cfg_;
   const int n_;
   const bool tracing_;
-  std::vector<std::uint8_t> done_;
+  /// Per campaign index: kDone, kPooled, or the owning shard.
+  std::vector<int> owner_;
+  int pooled_;
   int done_count_ = 0;
-  std::deque<int> pool_;
   std::vector<WorkerState> workers_;
   Clock::time_point last_frame_{};
-  /// Coordinator-side frame trace (flow send/recv events); merged with
-  /// the shard files by write_merged_trace().
+  /// Coordinator-side trace (frame flows, local-run wall spans); merged
+  /// with the shard files by write_merged_trace().
   sim::TraceRecorder trace_;
-  std::uint64_t fseq_ = 0;
-  /// Per-shard fleet parts, folded from each incarnation's last stats
-  /// frame at retirement.
+  FrameTrace frames_;
+  /// Per-shard fleet parts, folded from each incarnation's last metrics
+  /// snapshot at retirement.
   std::map<int, obs::Snapshot> shard_stats_;
 };
+
+/// Add one run's stats to the process-wide campaign.* counters.
+void add_to_counters(const CampaignStats& s) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const auto add = [&](const char* name, int v) {
+    reg.counter(name).add(static_cast<std::uint64_t>(v));
+  };
+  add("campaign.worker.spawn", s.workers_spawned);
+  add("campaign.worker.crash", s.crashes);
+  add("campaign.worker.respawn", s.respawns);
+  add("campaign.steal.requests", s.steal_requests);
+  add("campaign.steal.granted", s.steals_granted);
+  add("campaign.steal.indices", s.stolen_indices);
+}
 
 // ---------------------------------------------------------------------------
 // Result assembly.
@@ -959,8 +860,7 @@ void fill_counts(CampaignResult& result) {
   }
 }
 
-std::string entries_bytes(
-    const std::vector<std::optional<engine::JournalEntry>>& entries) {
+std::string entries_bytes(const Entries& entries) {
   std::ostringstream os;
   engine::write_entries_jsonl(entries, os);
   return os.str();
@@ -993,42 +893,12 @@ CampaignResult serve_from_cache(const CampaignSpec& spec,
   result.outcome = engine::RunOutcome::kClean;  // only clean runs are cached
   // The acceptance contract: a full cache hit counts one hit per scenario
   // served, so `campaign.cache.hit == scenario count` on a repeat query.
-  metrics().cache_hit.add(static_cast<std::uint64_t>(spec.scenarios));
+  obs::MetricsRegistry::global()
+      .counter("campaign.cache.hit")
+      .add(static_cast<std::uint64_t>(spec.scenarios));
   RR_INFO("campaign cache: hit for " << result.campaign << " ("
                                      << spec.scenarios << " scenarios)");
   return result;
-}
-
-void run_in_process(const CampaignSpec& spec,
-                    const engine::ResilientScenario& fn,
-                    const ServiceConfig& cfg, CampaignResult& result) {
-  // The degenerate shard still produces the full observability surface:
-  // a "coord" fleet part (added by the caller) and, when tracing, a
-  // single-process merged trace on the same wall track the fleet uses.
-  const bool tracing = tracing_enabled(cfg);
-  sim::TraceRecorder rec;
-  obs::WallTrace::global().attach(tracing ? &rec : nullptr, "wall/coord");
-  engine::SweepEngine eng({std::max(1, cfg.threads_per_worker)});
-  engine::SweepJournal journal(shard_journal_path(cfg, 0), spec.params,
-                               spec.scenarios);
-  const engine::ResilientReport rep = [&] {
-    obs::ProfSpan span("campaign x" + std::to_string(spec.scenarios));
-    return engine::run_resilient(eng, spec.scenarios, fn, &journal,
-                                 shard_resilient_config(spec, cfg));
-  }();
-  result.entries = rep.entries;
-  result.outcome = rep.outcome;
-  result.stats.resumed = rep.resumed;
-  result.stats.executed =
-      spec.scenarios - rep.resumed - rep.not_run;
-  if (tracing) {
-    obs::WallTrace::global().attach(nullptr, "");
-    obs::export_counters(obs::MetricsRegistry::global().snapshot(), rec,
-                         obs::wall_now(), "wall/coord");
-    if (write_trace_file(rec, coord_trace_path(cfg)))
-      obs::merge_trace_files({{"coord", coord_trace_path(cfg)}},
-                             cfg.trace_path);
-  }
 }
 
 }  // namespace
@@ -1104,7 +974,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
                                          << e.what() << "); recomputing");
       }
     }
-    metrics().cache_miss.inc();
+    obs::MetricsRegistry::global().counter("campaign.cache.miss").inc();
   }
 
   CampaignResult result;
@@ -1137,49 +1007,28 @@ CampaignResult run_campaign(const CampaignSpec& spec,
           std::to_string(cfg.workers) + " workers",
       static_cast<double>(spec.scenarios));
 
-  if (cfg.workers == 0) {
-    run_in_process(spec, fn, cfg, result);
-    result.fleet.add_part("coord", obs::MetricsRegistry::global().snapshot());
-  } else {
-    // A worker death mid-write must surface as EPIPE on our write_frame,
-    // not as a fatal signal.
-    struct ::sigaction ignore{}, saved{};
-    ignore.sa_handler = SIG_IGN;
-    ::sigaction(SIGPIPE, &ignore, &saved);
-    Coordinator coord(spec, fn, cfg);
-    try {
-      coord.run();
-    } catch (...) {
-      ::sigaction(SIGPIPE, &saved, nullptr);
-      throw;
-    }
+  // A worker death mid-write must surface as EPIPE on our write_frame,
+  // not as a fatal signal.
+  struct ::sigaction ignore{}, saved{};
+  ignore.sa_handler = SIG_IGN;
+  ::sigaction(SIGPIPE, &ignore, &saved);
+  Coordinator coord(spec, fn, cfg);
+  try {
+    result.entries = coord.run();
+  } catch (...) {
     ::sigaction(SIGPIPE, &saved, nullptr);
-    result.stats = coord.stats;
-    coord.write_merged_trace();
-    result.fleet = coord.fleet();
-    result.entries = engine::merge_journal_files(
-        [&] {
-          std::vector<std::string> paths;
-          for (int k = 0; k < cfg.workers; ++k)
-            paths.push_back(shard_journal_path(cfg, k));
-          paths.push_back(coord_journal_path(cfg));
-          return paths;
-        }(),
-        spec.params, spec.scenarios);
-    bool degraded = false;
-    bool missing = false;
-    for (const auto& e : result.entries) {
-      if (!e)
-        missing = true;
-      else if (!e->ok())
-        degraded = true;
-    }
-    result.outcome = coord.abort ? engine::RunOutcome::kBudgetExceeded
-                     : (degraded || missing) ? engine::RunOutcome::kDegraded
-                                             : engine::RunOutcome::kClean;
+    throw;
   }
-
+  ::sigaction(SIGPIPE, &saved, nullptr);
+  result.stats = coord.stats;
+  add_to_counters(coord.stats);
+  coord.write_merged_trace();
+  result.fleet = coord.fleet();
   fill_counts(result);
+  result.outcome = coord.abort ? engine::RunOutcome::kBudgetExceeded
+                   : (coord.degraded || result.ok < spec.scenarios)
+                       ? engine::RunOutcome::kDegraded
+                       : engine::RunOutcome::kClean;
   result.result_bytes = entries_bytes(result.entries);
 
   if (cache && result.outcome == engine::RunOutcome::kClean) {

@@ -1,21 +1,23 @@
 // Sharded campaign service (DESIGN.md §11): the multi-process composition
 // of the resilient sweep runtime.
 //
-// run_campaign() splits a campaign's scenario index range into shards and
-// forks one worker process per shard.  Each worker drives its shard
-// through engine::run_resilient_indices with its own fsync'd shard
-// journal (campaign-scoped, so it resumes bit-exactly in any process),
-// its own watchdog/retry settings, and a per-shard failure budget.  The
-// coordinator stays single-threaded and event-driven: it polls the
-// workers' frame sockets (campaign/protocol.hpp), scans heartbeat
-// deadlines the same way the scenario watchdog scans start stamps, reaps
-// dead workers with waitpid, respawns crashed ones onto their own shard
-// journal (completed work is served from the journal, not recomputed),
-// and work-steals unstarted index sub-ranges from loaded shards the
-// moment another worker goes idle.  When every index is complete the
-// shard journals are merged into one cross-shard result whose scenario
-// ordering and bytes are identical to a single-process run of the same
-// campaign.
+// run_campaign() is a coordinator that keeps one ownership table over the
+// campaign's scenario indices: each index is done, pooled, or owned by one
+// shard.  It forks one worker process per shard; each worker drives the
+// indices it owns through engine::run_resilient_indices with its own
+// fsync'd shard journal (campaign-scoped, so it resumes bit-exactly in
+// any process), its own watchdog/retry settings, and a per-shard failure
+// budget.  The coordinator stays single-threaded and event-driven: it
+// polls the workers' frame sockets (campaign/protocol.hpp), scans a fleet
+// deadline, reaps dead workers with waitpid, respawns a crashed shard onto
+// its own journal (completed work is served from the journal, not
+// recomputed), and hands pooled indices -- or, with nothing pooled, an
+// unstarted tail stolen from the most-loaded shard -- to any idle worker.
+// With zero workers, or once the whole fleet is gone, the coordinator
+// runs what is left itself on shard-coord.jsonl.  The result is merged
+// from every shard journal in the work dir, so scenario ordering and
+// bytes are identical to a single-process run of the same campaign under
+// any fleet shape, and a work dir resumes under any worker count.
 //
 // In front of execution sits the content-addressed result cache
 // (campaign/cache.hpp): a repeated query of the same campaign identity is
@@ -35,6 +37,9 @@
 
 namespace rr::campaign {
 
+/// Respawns allowed per shard before its remainder goes to the pool.
+inline constexpr int kMaxRespawns = 3;
+
 /// What to run: the campaign identity is campaign_hash(params), exactly
 /// the identity the shard journals and the result cache are keyed by.
 /// Fold anything that changes results (spec knobs, seed, engine
@@ -51,12 +56,9 @@ struct CampaignSpec {
 
 /// How to run it.
 struct ServiceConfig {
-  /// Forked worker processes; 0 runs the whole campaign in-process
-  /// (still journaled and cache-fronted -- the degenerate shard).
+  /// Forked worker processes; 0 is the coordinator with zero workers: it
+  /// runs the whole campaign itself (still journaled and cache-fronted).
   int workers = 1;
-  /// SweepEngine threads inside each worker (workers are the primary
-  /// parallelism axis; keep 1 unless scenarios are long).
-  int threads_per_worker = 1;
   /// Indices a worker runs between control-socket polls; also the
   /// minimum remainder worth stealing from.
   int chunk = 4;
@@ -66,8 +68,6 @@ struct ServiceConfig {
   /// wedged, SIGKILL it, and finish the remainder in-process.  The
   /// coordinator-side analogue of the scenario watchdog.
   std::chrono::milliseconds fleet_deadline{60'000};
-  /// Respawns allowed per shard before its remainder is reassigned.
-  int max_respawns = 3;
   /// Directory for shard journals (created if missing).  Required when
   /// scenarios run; reusing it resumes the campaign's shards.
   std::string work_dir;
@@ -90,6 +90,8 @@ struct ServiceConfig {
   std::string trace_path;
 };
 
+/// The run's only per-event counts; run_campaign adds them to the
+/// process-wide `campaign.*` counters once, when the run ends.
 struct CampaignStats {
   int workers_spawned = 0;
   int crashes = 0;
@@ -115,10 +117,11 @@ struct CampaignResult {
   std::string cached_report_md;
   CampaignStats stats;
   /// Fleet-wide metrics: every worker ships absolute registry snapshots
-  /// over `stats` frames; the coordinator folds each shard's last
-  /// snapshot (across incarnations) into a labeled part ("coord", "0",
-  /// "1", ...) and `merged` sums them exactly.  Empty on a cache hit
-  /// (the cached report carries the populating run's fleet block).
+  /// on its `progress` and `done` frames; the coordinator folds each
+  /// shard's last snapshot (across incarnations) into a labeled part
+  /// ("coord", "0", "1", ...) and `merged` sums them exactly.  Empty on
+  /// a cache hit (the cached report carries the populating run's fleet
+  /// block).
   obs::FleetSnapshot fleet;
   int ok = 0;
   int timed_out = 0;
@@ -135,7 +138,8 @@ struct CampaignResult {
 /// Execute (or serve) the campaign.  `fn` must be deterministic per
 /// (index, seed) -- that is what makes shard merges, respawn resumes, and
 /// cache hits bit-exact.  The function is called in forked worker
-/// processes (and in-process for workers == 0 or coordinator takeover).
+/// processes, and in the coordinator itself for whatever the fleet
+/// leaves (everything when workers == 0).
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const engine::ResilientScenario& fn,
                             const ServiceConfig& cfg);

@@ -353,16 +353,15 @@ void Json::push_back(Json v) {
 }
 
 void Json::write(std::ostream& os, int indent, int depth) const {
-  const std::string pad =
-      indent >= 0 ? "\n" + std::string(static_cast<std::size_t>(indent) *
-                                           (static_cast<std::size_t>(depth) + 1),
-                                       ' ')
-                  : "";
-  const std::string closing =
-      indent >= 0
-          ? "\n" + std::string(
-                       static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth), ' ')
-          : "";
+  // Built by append: GCC 12 flags `"\n" + std::string(...)` with a false
+  // -Wrestrict.
+  std::string pad, closing;
+  if (indent >= 0) {
+    const auto width = static_cast<std::size_t>(indent);
+    closing.append(1, '\n').append(width * static_cast<std::size_t>(depth), ' ');
+    pad = closing;
+    pad.append(width, ' ');
+  }
   const char* sep = indent >= 0 ? ": " : ":";
   switch (kind_) {
     case Kind::kNull: os << "null"; break;

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -254,24 +255,23 @@ TEST(CampaignProtocol, RandomGarbageNeverCrashesTheReader) {
   }
 }
 
-TEST(CampaignProtocol, StatsFramesAreInTheVocabulary) {
-  EXPECT_STREQ(campaign::to_string(campaign::MsgType::kStats), "stats");
-  ASSERT_TRUE(campaign::msg_type_from_string("stats").has_value());
-  EXPECT_EQ(*campaign::msg_type_from_string("stats"),
-            campaign::MsgType::kStats);
-  // A stats frame round-trips its wire snapshot bit-exactly.
+TEST(CampaignProtocol, ProgressFramesCarryMetricsSnapshots) {
+  // A progress frame round-trips its wire snapshot bit-exactly.
   obs::MetricsRegistry reg;
   reg.counter("journal.appends").add(5);
   reg.gauge("queue.depth").set(1.0 / 3.0);
   Json msg = Json::object();
-  msg.set("t", "stats").set("shard", 2)
+  msg.set("t", "progress").set("completed", Json::array())
+      .set("executed", 0).set("resumed", 0).set("outcome", "clean")
       .set("metrics", obs::snapshot_to_wire(reg.snapshot()));
   const auto got = frame_from_bytes(framed(msg.dump()));
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(campaign::frame_type(*got), campaign::MsgType::kStats);
+  EXPECT_EQ(campaign::frame_type(*got), campaign::MsgType::kProgress);
   const obs::Snapshot back = obs::snapshot_from_wire(got->at("metrics"));
   EXPECT_EQ(back.find("journal.appends")->ivalue, 5u);
   EXPECT_EQ(back.find("queue.depth")->value, 1.0 / 3.0);
+  // Metrics ride on progress and done; there is no separate stats frame.
+  EXPECT_FALSE(campaign::msg_type_from_string("stats").has_value());
 }
 
 TEST(CampaignProtocol, SortedIndicesCompressToMaximalRanges) {
@@ -403,6 +403,71 @@ TEST(CampaignService, ReusedWorkDirResumesInsteadOfRecomputing) {
   EXPECT_EQ(result.stats.resumed, 3);
   EXPECT_EQ(result.stats.executed, 7);
   EXPECT_EQ(result.result_bytes, golden);
+#endif
+}
+
+TEST(CampaignService, ResumeReadsJournalsOfShardsThisRunDoesNotSpawn) {
+  const auto spec = make_spec("resume-shape", 10);
+  const std::string golden = reference_bytes(spec, plain_fn());
+  for (const int workers : {2, 0}) {
+#ifdef RR_TSAN
+    if (workers > 0) continue;  // fork + threads trips TSan's die_after_fork
+#endif
+    // A previous run with more workers journaled indices 7-9 on shard 3,
+    // a shard this run does not spawn.
+    const std::string work =
+        tmp_dir("campaign-resume-shape-" + std::to_string(workers));
+    {
+      engine::SweepEngine eng({1});
+      engine::SweepJournal journal(work + "/shard-3.jsonl", spec.params, 10);
+      engine::ResilientConfig rcfg;
+      rcfg.base_seed = spec.base_seed;
+      ASSERT_EQ(engine::run_resilient_indices(eng, 10, {7, 8, 9}, plain_fn(),
+                                              &journal, rcfg)
+                    .ok,
+                3);
+    }
+
+    campaign::ServiceConfig cfg;
+    cfg.workers = workers;
+    cfg.work_dir = work;
+    const auto result = campaign::run_campaign(spec, plain_fn(), cfg);
+    EXPECT_EQ(result.outcome, engine::RunOutcome::kClean) << workers;
+    EXPECT_EQ(result.stats.resumed, 3) << workers;
+    EXPECT_EQ(result.stats.executed, 7) << workers;
+    EXPECT_EQ(result.result_bytes, golden) << workers;
+  }
+}
+
+TEST(CampaignService,
+     WorkersThatAlwaysDieExhaustRespawnsThenTheCoordinatorFinishes) {
+#ifdef RR_TSAN
+  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
+#else
+  const auto spec = make_spec("always-die", 10);
+  const std::string golden = reference_bytes(spec, plain_fn());
+  // Scenario 5 kills any worker process that runs it; only the
+  // coordinator itself can finish it.
+  const pid_t coordinator = ::getpid();
+  const engine::ResilientScenario fn = [coordinator](
+                                           int i, const engine::CancelToken&) {
+    if (i == 5 && ::getpid() != coordinator)
+      std::_Exit(fault::to_int(fault::ExitCode::kCrash));
+    return scenario_metrics(i);
+  };
+
+  campaign::ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.chunk = 1;
+  cfg.work_dir = tmp_dir("campaign-always-die");
+  const auto result = campaign::run_campaign(spec, fn, cfg);
+  EXPECT_EQ(result.outcome, engine::RunOutcome::kClean);
+  EXPECT_EQ(result.result_bytes, golden);
+  // Shard 1 owns index 5 first and dies on it until its respawns run
+  // out; the pool then hands index 5 to shard 0, which does the same;
+  // with no worker left, the coordinator runs it in-process.
+  EXPECT_EQ(result.stats.crashes, 2 * (1 + campaign::kMaxRespawns));
+  EXPECT_EQ(result.stats.respawns, 2 * campaign::kMaxRespawns);
 #endif
 }
 

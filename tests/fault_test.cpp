@@ -15,6 +15,7 @@
 #include "io/io_model.hpp"
 #include "sim/interrupt.hpp"
 #include "topo/degraded.hpp"
+#include "util/cli.hpp"
 
 namespace rr::fault {
 namespace {
@@ -600,6 +601,11 @@ TEST(Taxonomy, ExitCodeContractIsStable) {
   }
   EXPECT_FALSE(exit_code_from_int(5).has_value());
   EXPECT_FALSE(exit_code_from_int(-1).has_value());
+}
+
+TEST(Taxonomy, CliUsageErrorsExitWithTheUsageCode) {
+  // util/cli cannot include fault/, so its usage exit is pinned here.
+  EXPECT_EQ(CliParser::kUsageExitCode, to_int(ExitCode::kUsage));
 }
 
 }  // namespace

@@ -88,6 +88,17 @@ struct LatencyCase {
   double pxc_expected;
 };
 
+// gtest prints each case's raw bytes into the listed test name, padding
+// after `cls` included.  A static table zero-fills that padding, so the
+// names are the same on every build; temporaries passed to Values() would
+// carry whatever was on the stack.
+constexpr LatencyCase kLatencyCases[] = {
+    {IClass::kBR, 4, 4},   {IClass::kFP6, 6, 6}, {IClass::kFP7, 7, 7},
+    {IClass::kFPD, 13, 9},  // the Fig. 4 headline
+    {IClass::kFX2, 2, 2},  {IClass::kFX3, 3, 3}, {IClass::kFXB, 4, 4},
+    {IClass::kLS, 6, 6},   {IClass::kSHUF, 4, 4},
+};
+
 class LatencyFig4 : public ::testing::TestWithParam<LatencyCase> {};
 
 TEST_P(LatencyFig4, MicrobenchmarkRecoversLatency) {
@@ -97,13 +108,7 @@ TEST_P(LatencyFig4, MicrobenchmarkRecoversLatency) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllGroups, LatencyFig4,
-    ::testing::Values(LatencyCase{IClass::kBR, 4, 4}, LatencyCase{IClass::kFP6, 6, 6},
-                      LatencyCase{IClass::kFP7, 7, 7},
-                      LatencyCase{IClass::kFPD, 13, 9},  // the Fig. 4 headline
-                      LatencyCase{IClass::kFX2, 2, 2}, LatencyCase{IClass::kFX3, 3, 3},
-                      LatencyCase{IClass::kFXB, 4, 4}, LatencyCase{IClass::kLS, 6, 6},
-                      LatencyCase{IClass::kSHUF, 4, 4}),
+    AllGroups, LatencyFig4, ::testing::ValuesIn(kLatencyCases),
     [](const auto& inf) {
       return std::string(kIClassNames[static_cast<int>(inf.param.cls)]);
     });

@@ -165,7 +165,8 @@ TEST_P(EngineVsSerial, LatencySweepIsBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, EngineVsSerial, ::testing::Values(1, 2, 7),
                          [](const auto& inf) {
-                           return "t" + std::to_string(inf.param);
+                           return std::string("t").append(
+                               std::to_string(inf.param));
                          });
 
 // ---------------------------------------------------------------------------

@@ -170,8 +170,8 @@ TEST_P(ZooContract, PartitionGraphKeepsStrictlyPositiveLookahead) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, ZooContract, ::testing::ValuesIn(zoo_names()),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& param_info) {
+                           std::string name = param_info.param;
                            for (char& c : name)
                              if (c == '-') c = '_';
                            return name;

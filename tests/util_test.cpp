@@ -231,6 +231,48 @@ TEST(Cli, FallbacksWhenAbsent) {
   EXPECT_FALSE(cli.get_bool("missing", false));
 }
 
+TEST(Cli, WellFormedNumbersStillParse) {
+  const char* argv[] = {"prog", "--delta=-1", "--rate=0.05", "--eps=1e-3"};
+  const CliParser cli(4, argv);
+  EXPECT_EQ(cli.get_int("delta", 0), -1);
+  EXPECT_DOUBLE_EQ(cli.get_double("delta", 0.0), -1.0);
+  EXPECT_DOUBLE_EQ(cli.get_double("rate", 0.0), 0.05);
+  EXPECT_DOUBLE_EQ(cli.get_double("eps", 0.0), 1e-3);
+}
+
+namespace {
+
+std::int64_t int_flag(const char* arg) {
+  const char* argv[] = {"prog", arg};
+  return CliParser(2, argv).get_int("workers", 1);
+}
+
+double double_flag(const char* arg) {
+  const char* argv[] = {"prog", arg};
+  return CliParser(2, argv).get_double("rate", 1.0);
+}
+
+}  // namespace
+
+// Edge validation: a value that is not one complete number of the type
+// is a usage error (exit 2, fault::ExitCode::kUsage), never a silent 0.
+TEST(CliDeathTest, MalformedNumbersAreUsageErrors) {
+  const auto usage = ::testing::ExitedWithCode(CliParser::kUsageExitCode);
+  EXPECT_EXIT(int_flag("--workers=abc"), usage,
+              "prog: --workers=abc: not an integer");
+  EXPECT_EXIT(int_flag("--workers=4x"), usage,
+              "prog: --workers=4x: not an integer");
+  EXPECT_EXIT(int_flag("--workers="), usage,
+              "prog: --workers=: not an integer");
+  EXPECT_EXIT(int_flag("--workers=99999999999999999999"), usage,
+              "prog: --workers=99999999999999999999: not an integer");
+  EXPECT_EXIT(double_flag("--rate=abc"), usage,
+              "prog: --rate=abc: not a number");
+  EXPECT_EXIT(double_flag("--rate=0.05x"), usage,
+              "prog: --rate=0.05x: not a number");
+  EXPECT_EXIT(double_flag("--rate="), usage, "prog: --rate=: not a number");
+}
+
 // ---------------------------------------------------------------------------
 // JSON string escapes
 // ---------------------------------------------------------------------------
