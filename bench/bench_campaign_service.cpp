@@ -1,14 +1,18 @@
 // Driver for the sharded campaign service (DESIGN.md §11; not a paper
 // figure).  Runs a Monte-Carlo interrupted-HPL campaign through
-// campaign::run_campaign -- coordinator + N forked workers, per-shard
-// journals, work-stealing, crash respawn, and the content-addressed
-// result cache -- and exits with the fault::ExitCode of the outcome
-// (0 clean / 3 degraded / 4 failure-budget-exceeded).
+// campaign::run_campaign -- coordinator + N forked workers, one
+// coordinator-written journal (work_dir/campaign.jsonl), work-stealing,
+// crash respawn, and the content-addressed result cache -- and exits
+// with the fault::ExitCode of the outcome (0 clean / 3 degraded /
+// 4 failure-budget-exceeded; 2 for a malformed or unknown flag).
 //
-// CI drives it three ways (see .github/workflows/ci.yml, campaign-smoke):
-//   * N workers with --crash-shard armed: one worker dies mid-shard via
-//     the journal crash hook, is respawned, and the merged result must be
-//     byte-identical to a 1-worker run of the same campaign;
+// CI drives it four ways (see .github/workflows/ci.yml, campaign-smoke):
+//   * N workers with --crash-shard armed: that worker exits 137 once it
+//     has run --crash-after scenarios, before reporting them; it is
+//     respawned, and the result must be byte-identical to a 1-worker run
+//     of the same campaign;
+//   * the same work dir again with fewer workers: everything resumes
+//     from its journal ("executed=0 resumed=24");
 //   * a repeat invocation with --cache-dir: served entirely from the
 //     cache ("cache=hit ..."), bytes verbatim;
 //   * the same campaign under --workers=0 (in-process, sanitizer-safe).
@@ -53,7 +57,12 @@
 
 int main(int argc, char** argv) {
   using namespace rr;
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv,
+                      {"work-dir", "scenarios", "replications", "seed",
+                       "slow-ms", "slow-first", "workers", "chunk", "cache-dir",
+                       "budget", "deadline-ms", "crash-shard", "crash-after",
+                       "trace", "flightrec", "fail-index", "chaos-seed",
+                       "chaos-rate", "out", "report"});
   const std::string work_dir = cli.get("work-dir", "");
   if (work_dir.empty()) {
     std::cerr << "usage: " << cli.program()

@@ -357,7 +357,7 @@ bool check_floor(const Json& floor, const char* key, double measured,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv, {"quick", "out", "floor", "report"});
   const bool quick = cli.get_bool("quick", false);
   const std::string out_path = cli.get("out", "BENCH_DES.json");
 

@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
 
   // ---- interrupted HPL walk, 1 -> 3,060 nodes -----------------------------
   print_banner(std::cout, "Interrupted LINPACK walk (memory-scaled problem)");
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv, {"journal"});
   const std::vector<int> node_counts{1, 64, 256, 1024, 2048, 3060};
   Table hpl({"nodes", "fault-free (h)", "MTBF (h)", "C (s)", "tau (min)",
              "expected (h)", "overhead (%)", "interrupts", "efficiency (%)"});

@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace rr;
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv, {"journal"});
   engine::SweepEngine eng;
   const std::vector<int> node_counts = model::paper_node_counts();
   std::vector<model::ScalePoint> series;

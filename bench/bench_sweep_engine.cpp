@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   const arch::SystemSpec system = arch::make_roadrunner();
   const topo::Topology& topo = engine::SharedContext::instance().topology();
 
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv, {"report", "trace", "journal"});
   const std::string report_path = cli.get("report", "");
   const std::string trace_path = cli.get("trace", "");
   sim::TraceRecorder trace;

@@ -114,7 +114,9 @@ bool check_golden(const std::string& path, const rr::Json& computed) {
 
 int main(int argc, char** argv) {
   using namespace rr;
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv,
+                      {"machines", "small", "iterations", "replications",
+                       "threads", "golden", "report"});
 
   const std::vector<std::string> names =
       parse_machines(cli.get("machines", "all"));

@@ -44,7 +44,11 @@ std::vector<int> parse_nodes(const std::string& csv) {
 
 int main(int argc, char** argv) {
   using namespace rr;
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv,
+                      {"journal", "nodes", "replications", "seed",
+                       "deadline-ms", "budget", "max-attempts", "slow-ms",
+                       "fail-transient", "fail-permanent", "threads",
+                       "crash-after", "out"});
   const std::string journal_path = cli.get("journal", "");
   if (journal_path.empty()) {
     std::cerr << "usage: " << cli.program()

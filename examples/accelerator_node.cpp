@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace rr;
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv, {"blocks", "elements", "best"});
   const int n_blocks = static_cast<int>(cli.get_int("blocks", 16));
   const int elements = static_cast<int>(cli.get_int("elements", 512));
   const bool best = cli.get_bool("best", false);

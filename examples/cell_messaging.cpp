@@ -20,7 +20,7 @@
 
 int main(int argc, char** argv) {
   using namespace rr;
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv, {"nodes", "best", "trace"});
 
   topo::TopologyParams tp;
   tp.cu_count = 1;

@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace rr;
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv, {"mb"});
   const DataSize data = DataSize::mib(static_cast<double>(cli.get_int("mb", 64)));
 
   const core::RoadrunnerSystem rr = core::RoadrunnerSystem::with_cu_count(1);

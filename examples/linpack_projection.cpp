@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace rr;
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv, {"n", "nb"});
   const int n = static_cast<int>(cli.get_int("n", 512));
   const int nb = static_cast<int>(cli.get_int("nb", 64));
 

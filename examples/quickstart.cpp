@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace rr;
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv, {"cus"});
   const int cus = static_cast<int>(cli.get_int("cus", 17));
 
   const core::RoadrunnerSystem rr = core::RoadrunnerSystem::with_cu_count(cus);

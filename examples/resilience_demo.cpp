@@ -24,7 +24,7 @@
 
 int main(int argc, char** argv) {
   using namespace rr;
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv, {"seed", "state-gib"});
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 6));
   const double state_gib = static_cast<double>(cli.get_int("state-gib", 4));
 

@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace rr;
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv, {"n", "px", "py", "mk"});
   const int n = static_cast<int>(cli.get_int("n", 16));
   sweep::KbaConfig kba;
   kba.px = static_cast<int>(cli.get_int("px", 2));

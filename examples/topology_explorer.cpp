@@ -31,7 +31,7 @@ const char* kind_name(rr::topo::XbarKind k) {
 
 int main(int argc, char** argv) {
   using namespace rr;
-  const CliParser cli(argc, argv);
+  const CliParser cli(argc, argv, {"cus", "src", "dst"});
   const int cus = static_cast<int>(cli.get_int("cus", 17));
 
   topo::TopologyParams params;

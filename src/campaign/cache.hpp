@@ -3,7 +3,7 @@
 // A campaign's identity is the 64-bit FNV-1a hash of its parameter object
 // plus seed and engine provenance (whatever the caller folds into
 // `params` -- the service uses spec.params verbatim, the same object the
-// shard journals are keyed by).  One cache entry is one directory:
+// campaign journal is keyed by).  One cache entry is one directory:
 //
 //   <root>/<hex64>/meta.json      {"cache":"rr-campaign-cache","version":1,
 //                                  "campaign":"<hex64>","name":...,

@@ -4,19 +4,19 @@
 //
 // A frame is a 4-byte big-endian payload length followed by exactly that
 // many bytes of compact JSON (util/json, so numbers round-trip bit-exactly
-// through the protocol).  Frames are small -- assignments, progress and
-// its metrics snapshot, steal grants -- and each side writes a whole
-// frame with one write loop, so a reader woken by poll() drains complete
-// messages.
+// through the protocol).  Frames are small -- assignments, a chunk's
+// results and a metrics snapshot, steal grants -- and each side writes a
+// whole frame with one write loop, so a reader woken by poll() drains
+// complete messages.
 //
 // Message vocabulary (field "t"), six types:
 //
 //   worker -> coordinator
-//     progress  {t, completed:[[idx,status]..],      after each chunk, and
-//                executed, resumed, outcome,         as an idle heartbeat
-//                metrics}
+//     progress  {t, entries:[{..}..], metrics}      after each chunk, and
+//                                                    (no entries) as an
+//                                                    idle heartbeat
 //     released  {t, ranges:[[lo,hi)..]}              reply to steal
-//     done      {t, outcome, metrics}                reply to stop
+//     done      {t, metrics}                         reply to stop
 //
 //   coordinator -> worker
 //     run       {t, ranges:[[lo,hi)..]}              own these indices
@@ -24,8 +24,11 @@
 //                                                    unstarted remainder
 //     stop      {t}                                  finish up and exit
 //
-// "metrics" is the worker incarnation's cumulative absolute metrics
-// snapshot in the obs fleet wire form (obs/fleet.hpp).
+// "entries" are the chunk's results, one journal record each
+// (engine::to_json of a JournalEntry, without the checksum): the
+// coordinator appends them to the campaign's only journal.  "metrics" is
+// the worker incarnation's cumulative absolute metrics snapshot in the
+// obs fleet wire form (obs/fleet.hpp).
 //
 // Any frame may additionally carry "fs", a per-sender frame sequence id;
 // the service layer stamps it to pair flow events (send "s" / recv "f")

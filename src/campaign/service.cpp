@@ -8,11 +8,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <deque>
-#include <filesystem>
 #include <map>
 #include <sstream>
 
@@ -36,43 +34,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using Entries = std::vector<std::optional<engine::JournalEntry>>;
-
-std::string shard_journal_path(const ServiceConfig& cfg, int shard) {
-  return cfg.work_dir + "/shard-" + std::to_string(shard) + ".jsonl";
-}
-
-std::string coord_journal_path(const ServiceConfig& cfg) {
-  return cfg.work_dir + "/shard-coord.jsonl";
-}
-
-/// Every journal of the campaign in the work dir, whichever fleet shape
-/// wrote it, so a work dir resumes under any worker count: each
-/// shard-<k>.jsonl in shard order (digits only, so a quarantined
-/// "*.corrupt" file never matches), then the coordinator's own journal.
-std::vector<std::string> journal_paths(const ServiceConfig& cfg) {
-  std::vector<std::string> ids;
-  std::error_code ec;
-  for (const auto& e : std::filesystem::directory_iterator(cfg.work_dir, ec)) {
-    const std::string name = e.path().filename().string();
-    if (name.size() <= 12 || !name.starts_with("shard-") ||
-        !name.ends_with(".jsonl"))
-      continue;
-    const std::string id = name.substr(6, name.size() - 12);
-    if (std::all_of(id.begin(), id.end(),
-                    [](unsigned char c) { return std::isdigit(c) != 0; }))
-      ids.push_back(id);
-  }
-  // Numeric order without parsing: fewer digits first.
-  std::sort(ids.begin(), ids.end(),
-            [](const std::string& a, const std::string& b) {
-              return a.size() != b.size() ? a.size() < b.size() : a < b;
-            });
-  std::vector<std::string> paths;
-  for (const std::string& id : ids)
-    paths.push_back(cfg.work_dir + "/shard-" + id + ".jsonl");
-  paths.push_back(coord_journal_path(cfg));
-  return paths;
-}
 
 // ---------------------------------------------------------------------------
 // Fleet observability plumbing (DESIGN.md §15).
@@ -182,34 +143,33 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
   FrameTrace frames{tracing ? &rec : nullptr, "frames/" + track,
                     shard_flow_base(shard, incarnation)};
 
-  engine::RunOutcome worst = engine::RunOutcome::kClean;
   // Progress and done frames carry this incarnation's cumulative metrics
   // snapshot, so a crash loses at most one chunk of counters.
   const auto report = [&](const char* type, Json msg) {
-    msg.set("t", type).set("outcome", engine::to_string(worst))
-        .set("metrics",
-             obs::snapshot_to_wire(obs::MetricsRegistry::global().snapshot()));
+    msg.set("t", type).set(
+        "metrics",
+        obs::snapshot_to_wire(obs::MetricsRegistry::global().snapshot()));
     return frames.send(fd, std::move(msg), type, shard);
   };
-  const auto progress = [&](Json completed, int executed, int resumed) {
+  const auto progress = [&](Json entries) {
     Json msg = Json::object();
-    msg.set("completed", std::move(completed)).set("executed", executed)
-        .set("resumed", resumed);
+    msg.set("entries", std::move(entries));
     return report("progress", std::move(msg));
   };
 
-  int code = fault::to_int(fault::ExitCode::kError);
+  int code = fault::to_int(fault::ExitCode::kClean);
   try {
     engine::SweepEngine eng({1});
-    engine::SweepJournal journal(shard_journal_path(cfg, shard), spec.params,
-                                 spec.scenarios);
-    if (arm_crash && cfg.crash_after > 0)
-      journal.set_crash_after(cfg.crash_after);
-    const engine::ResilientConfig rcfg = shard_resilient_config(spec, cfg);
+    // No journal and no failure budget here: the coordinator journals the
+    // entries each progress frame carries and counts the campaign's
+    // failures itself.
+    engine::ResilientConfig rcfg = shard_resilient_config(spec, cfg);
+    rcfg.failure_budget = -1;
     obs::Histogram& chunk_hist = obs::MetricsRegistry::global().histogram(
         "campaign.chunk_us", obs::latency_bounds_us());
 
     std::deque<int> owned;
+    int completed = 0;  // scenarios this incarnation has run
     bool stopping = false;
     while (!stopping) {
       // Drain control frames first: immediately when work is pending,
@@ -255,11 +215,9 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
         continue;  // keep draining frames before running more work
       }
 
-      // Budget tripped: idle until told to stop.
-      if (worst == engine::RunOutcome::kBudgetExceeded) owned.clear();
       if (owned.empty()) {
         // Idle heartbeat so the coordinator's fleet watchdog sees life.
-        if (pr == 0 && !progress(Json::array(), 0, 0)) break;
+        if (pr == 0 && !progress(Json::array())) break;
         continue;
       }
 
@@ -269,34 +227,26 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
         chunk.push_back(owned.front());
         owned.pop_front();
       }
-      int pre = 0;
-      for (const int i : chunk)
-        if (journal.completed(i)) ++pre;
-      engine::ResilientReport rep = [&] {
+      const engine::ResilientReport rep = [&] {
         // The span publishes chunk wall latency into the registry and,
         // when tracing, onto this worker's wall track.
         obs::ProfSpan span("chunk x" + std::to_string(chunk.size()),
                            &chunk_hist);
         return engine::run_resilient_indices(eng, spec.scenarios, chunk, fn,
-                                             &journal, rcfg);
+                                             nullptr, rcfg);
       }();
-      worst = std::max(worst, rep.outcome);
-
-      Json completed = Json::array();
-      int got = 0;
-      for (const int i : chunk) {
-        const auto& e = rep.entries[static_cast<std::size_t>(i)];
-        if (!e) continue;
-        ++got;
-        Json pair = Json::array();
-        pair.push_back(i);
-        pair.push_back(engine::to_string(e->status));
-        completed.push_back(std::move(pair));
-      }
-      if (!progress(std::move(completed), got - pre, pre)) break;
+      completed += static_cast<int>(chunk.size());
+      // Crash hook: die like a SIGKILL once crash_after scenarios have
+      // run, before the chunk that got there is reported.
+      if (arm_crash && cfg.crash_after > 0 && completed >= cfg.crash_after)
+        std::_Exit(fault::to_int(fault::ExitCode::kCrash));
+      Json entries = Json::array();
+      for (const int i : chunk)
+        if (const auto& e = rep.entries[static_cast<std::size_t>(i)])
+          entries.push_back(engine::to_json(*e));
+      if (!progress(std::move(entries))) break;
     }
 
-    code = engine::exit_code(worst);
     if (stopping) report("done", Json::object());
   } catch (const std::exception& e) {
     RR_ERROR("campaign worker failed: " << e.what());
@@ -307,10 +257,9 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
                          obs::wall_now(), "wall/" + track);
     write_trace_file(rec, shard_trace_path(cfg, shard, incarnation));
   }
-  // Forked child: no destructors, no atexit -- every journal append was
-  // already fsync'd, and running the parent's cleanup here would be wrong.
-  // A degraded exit leaves its flight-ring postmortem behind first.
-  std::_Exit(FlightRecorder::dump_on_exit(code));
+  // Forked child: no destructors, no atexit -- running the parent's
+  // cleanup here would be wrong.
+  std::_Exit(code);
 }
 
 // ---------------------------------------------------------------------------
@@ -338,38 +287,33 @@ struct WorkerState {
 class Coordinator {
  public:
   Coordinator(const CampaignSpec& spec, const engine::ResilientScenario& fn,
-              const ServiceConfig& cfg)
+              const ServiceConfig& cfg, engine::SweepJournal& journal)
       : spec_(spec), fn_(fn), cfg_(cfg), n_(spec.scenarios),
-        tracing_(tracing_enabled(cfg)),
+        tracing_(tracing_enabled(cfg)), journal_(journal),
         owner_(static_cast<std::size_t>(n_), kPooled), pooled_(n_),
         frames_{tracing_ ? &trace_ : nullptr, "frames/coord", kCoordFlowBase} {}
 
   CampaignStats stats;
   bool abort = false;
-  /// The local runner's own outcome was degraded (e.g. its journal went
-  /// memory-only) even though its entries are all present.
-  bool degraded = false;
 
-  /// Drive the campaign and return the merged entries in index order; on
-  /// return every index is done or unreachable (budget abort).
+  /// Drive the campaign and return the journal's entries in index order;
+  /// on return every index is done or unreachable (budget abort).
   Entries run() {
-    // Resume: whatever an earlier run of this campaign journaled in the
-    // work dir, under any fleet shape, is done before anything forks.
-    Entries merged =
-        engine::merge_journal_files(journal_paths(cfg_), spec_.params, n_);
+    // Resume: whatever the journal held when it opened is done before
+    // anything forks, and its failures count against the budget.
     for (int i = 0; i < n_; ++i)
-      if (merged[static_cast<std::size_t>(i)]) set_owner(i, kDone);
+      if (const auto e = journal_.entry(i)) mark_done(*e);
     stats.resumed = done_count_;
     if (stats.resumed > 0)
       RR_INFO("campaign resume: " << stats.resumed << "/" << n_
                                   << " scenarios already journaled");
-    if (cfg_.workers > 0 && done_count_ < n_) {
-      run_fleet();
-      merged =
-          engine::merge_journal_files(journal_paths(cfg_), spec_.params, n_);
-    }
-    if (!abort && done_count_ < n_) run_local(merged);
-    return merged;
+    if (cfg_.workers > 0 && done_count_ < n_ && !abort) run_fleet();
+    if (!abort && done_count_ < n_) run_local();
+    stats.executed = done_count_ - stats.resumed;
+    Entries out(static_cast<std::size_t>(n_));
+    for (int i = 0; i < n_; ++i)
+      out[static_cast<std::size_t>(i)] = journal_.entry(i);
+    return out;
   }
 
   /// The fleet snapshot after run(): the coordinator's own registry as
@@ -413,6 +357,14 @@ class Coordinator {
 
  private:
   int& owner(int i) { return owner_[static_cast<std::size_t>(i)]; }
+
+  /// Mark a journaled entry's index done and count it against the
+  /// campaign-wide failure budget.
+  void mark_done(const engine::JournalEntry& e) {
+    set_owner(e.index, kDone);
+    const int budget = cfg_.resilient.failure_budget;
+    if (!e.ok() && ++failures_ > budget && budget >= 0) abort = true;
+  }
 
   /// The counter that tracks how many indices `who` holds.
   int& held_by(int who) {
@@ -538,22 +490,22 @@ class Coordinator {
     // other corrupt frame.
     if (const Json* m = msg.find("metrics"))
       w.metrics = obs::snapshot_from_wire(*m);
-    if (const Json* o = msg.find("outcome");
-        o && o->as_string() ==
-                 engine::to_string(engine::RunOutcome::kBudgetExceeded))
-      abort = true;
     if (t == MsgType::kProgress) {
-      for (const Json& pair : msg.at("completed").as_array()) {
-        const int i = static_cast<int>(pair.at(std::size_t{0}).as_int());
-        if (i < 0 || i >= n_)
-          throw std::runtime_error("progress frame claims scenario " +
-                                   std::to_string(i) +
+      // Decode and bounds-check the whole frame before acting on any of it.
+      std::vector<engine::JournalEntry> fresh;
+      for (const Json& j : msg.at("entries").as_array()) {
+        engine::JournalEntry e = engine::journal_entry_from_json(j);
+        if (e.index < 0 || e.index >= n_)
+          throw std::runtime_error("progress frame carries scenario " +
+                                   std::to_string(e.index) +
                                    " outside campaign of " +
                                    std::to_string(n_));
-        set_owner(i, kDone);
+        if (owner(e.index) != kDone) fresh.push_back(std::move(e));
       }
-      stats.executed += static_cast<int>(msg.at("executed").as_int());
-      stats.resumed += static_cast<int>(msg.at("resumed").as_int());
+      // One write(2) and one fdatasync for the chunk.  An index the frame
+      // repeats throws here, before a byte is written.
+      journal_.append(fresh);
+      for (const engine::JournalEntry& e : fresh) mark_done(e);
     } else if (t == MsgType::kReleased) {
       w.steal_outstanding = false;
       int granted = 0;
@@ -724,9 +676,8 @@ class Coordinator {
           1.0);
       RR_INFO("campaign: respawning shard "
               << w.shard << " (attempt " << w.respawns << "/" << kMaxRespawns
-              << "); journal resume covers completed work");
-      // The new incarnation gets its shard's outstanding indices back, so
-      // it resumes them from the shard's own journal.
+              << ")");
+      // The new incarnation is handed its shard's not-done indices.
       if (spawn(w, /*arm_crash=*/false)) {
         give(w, indices_of(w.shard));
         return;
@@ -765,10 +716,9 @@ class Coordinator {
 
   /// The coordinator's own runner: the whole campaign when workers == 0,
   /// else whatever a dead fleet left.  It is created only after every
-  /// worker has been reaped (its thread pool must never be forked), and
-  /// journals to shard-coord.jsonl, which it never reads back: its
-  /// in-memory entries fill in any index the merged journals lack.
-  void run_local(Entries& merged) {
+  /// worker has been reaped (its thread pool must never be forked) and
+  /// appends to the campaign journal like the frames do.
+  void run_local() {
     std::vector<int> pending;
     for (int i = 0; i < n_; ++i)
       if (owner(i) != kDone) pending.push_back(i);
@@ -776,10 +726,6 @@ class Coordinator {
       RR_WARN("campaign: no workers left; running " << pending.size()
                                                     << " indices in-process");
     engine::SweepEngine eng({1});
-    engine::SweepJournal journal(coord_journal_path(cfg_), spec_.params, n_);
-    int pre = 0;
-    for (const int i : pending)
-      if (journal.completed(i)) ++pre;
     // Wall spans of the local run land on the coordinator's trace row.
     struct Detach {
       bool on;
@@ -790,21 +736,12 @@ class Coordinator {
     if (tracing_) obs::WallTrace::global().attach(&trace_, "wall/coord");
     const engine::ResilientReport rep = [&] {
       obs::ProfSpan span("campaign x" + std::to_string(pending.size()));
-      return engine::run_resilient_indices(
-          eng, n_, pending, fn_, &journal, shard_resilient_config(spec_, cfg_));
+      return engine::run_resilient_indices(eng, n_, pending, fn_, &journal_,
+                                           shard_resilient_config(spec_, cfg_));
     }();
-    int got = 0;
-    for (const int i : pending) {
-      const auto& e = rep.entries[static_cast<std::size_t>(i)];
-      if (!e) continue;
-      ++got;
-      auto& slot = merged[static_cast<std::size_t>(i)];
-      if (!slot) slot = e;
-    }
-    stats.executed += got - pre;
-    stats.resumed += pre;
-    abort = rep.outcome == engine::RunOutcome::kBudgetExceeded;
-    degraded = rep.outcome == engine::RunOutcome::kDegraded;
+    for (const int i : pending)
+      if (const auto& e = rep.entries[static_cast<std::size_t>(i)])
+        mark_done(*e);
   }
 
   const CampaignSpec& spec_;
@@ -812,10 +749,14 @@ class Coordinator {
   const ServiceConfig& cfg_;
   const int n_;
   const bool tracing_;
+  /// The campaign's only journal: preloaded entries are the resume, and
+  /// every result lands here, from a frame or from the local runner.
+  engine::SweepJournal& journal_;
   /// Per campaign index: kDone, kPooled, or the owning shard.
   std::vector<int> owner_;
   int pooled_;
   int done_count_ = 0;
+  int failures_ = 0;  ///< done entries that are not ok
   std::vector<WorkerState> workers_;
   Clock::time_point last_frame_{};
   /// Coordinator-side trace (frame flows, local-run wall spans); merged
@@ -987,11 +928,11 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   RR_EXPECTS(!cfg.work_dir.empty());
   IoError dir_err;
   if (!make_dirs(cfg.work_dir, &dir_err)) {
-    // Degrade, don't die: with no work dir the shard journals fall back
-    // to memory-only (and report the run as degraded), but every
-    // scenario still executes.
+    // Degrade, don't die: with no work dir the journal falls back to
+    // memory-only (and reports the run as degraded), but every scenario
+    // still executes.
     RR_ERROR("campaign: " << dir_err.detail
-                          << "; continuing without durable journals");
+                          << "; continuing without a durable journal");
   }
 
   // Flight recorder: every campaign run arms a postmortem destination
@@ -1007,12 +948,17 @@ CampaignResult run_campaign(const CampaignSpec& spec,
           std::to_string(cfg.workers) + " workers",
       static_cast<double>(spec.scenarios));
 
+  // The campaign's only journal, opened before anything forks: the
+  // entries it preloads are the resume.
+  engine::SweepJournal journal(cfg.work_dir + "/campaign.jsonl", spec.params,
+                               spec.scenarios);
+
   // A worker death mid-write must surface as EPIPE on our write_frame,
   // not as a fatal signal.
   struct ::sigaction ignore{}, saved{};
   ignore.sa_handler = SIG_IGN;
   ::sigaction(SIGPIPE, &ignore, &saved);
-  Coordinator coord(spec, fn, cfg);
+  Coordinator coord(spec, fn, cfg, journal);
   try {
     result.entries = coord.run();
   } catch (...) {
@@ -1026,7 +972,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   result.fleet = coord.fleet();
   fill_counts(result);
   result.outcome = coord.abort ? engine::RunOutcome::kBudgetExceeded
-                   : (coord.degraded || result.ok < spec.scenarios)
+                   : (journal.degraded() || result.ok < spec.scenarios)
                        ? engine::RunOutcome::kDegraded
                        : engine::RunOutcome::kClean;
   result.result_bytes = entries_bytes(result.entries);

@@ -3,21 +3,25 @@
 //
 // run_campaign() is a coordinator that keeps one ownership table over the
 // campaign's scenario indices: each index is done, pooled, or owned by one
-// shard.  It forks one worker process per shard; each worker drives the
-// indices it owns through engine::run_resilient_indices with its own
-// fsync'd shard journal (campaign-scoped, so it resumes bit-exactly in
-// any process), its own watchdog/retry settings, and a per-shard failure
-// budget.  The coordinator stays single-threaded and event-driven: it
-// polls the workers' frame sockets (campaign/protocol.hpp), scans a fleet
-// deadline, reaps dead workers with waitpid, respawns a crashed shard onto
-// its own journal (completed work is served from the journal, not
-// recomputed), and hands pooled indices -- or, with nothing pooled, an
-// unstarted tail stolen from the most-loaded shard -- to any idle worker.
-// With zero workers, or once the whole fleet is gone, the coordinator
-// runs what is left itself on shard-coord.jsonl.  The result is merged
-// from every shard journal in the work dir, so scenario ordering and
-// bytes are identical to a single-process run of the same campaign under
-// any fleet shape, and a work dir resumes under any worker count.
+// shard.  It opens the campaign's only journal, <work_dir>/campaign.jsonl
+// (whatever it already holds is the resume), then forks one worker
+// process per shard.  Workers hold no journal: each drives the indices it
+// owns through engine::run_resilient_indices a chunk at a time, with the
+// configured watchdog/retry settings, and sends the chunk's entries back
+// in a progress frame.  The coordinator appends each frame's entries to
+// the journal with one write and one fdatasync, and counts the
+// campaign-wide failure budget itself.  It stays single-threaded and
+// event-driven: it polls the workers' frame sockets
+// (campaign/protocol.hpp), scans a fleet deadline, reaps dead workers
+// with waitpid, respawns a crashed shard with its not-done indices (at
+// most each worker's unreported chunk is recomputed), and hands pooled
+// indices -- or, with nothing pooled, an unstarted tail stolen from the
+// most-loaded shard -- to any idle worker.  With zero workers, or once
+// the whole fleet is gone, the coordinator runs what is left itself on
+// the same journal.  The result is the journal's entries in index order,
+// so scenario ordering and bytes are identical to a single-process run of
+// the same campaign under any fleet shape, and a work dir resumes under
+// any worker count.
 //
 // In front of execution sits the content-addressed result cache
 // (campaign/cache.hpp): a repeated query of the same campaign identity is
@@ -41,7 +45,7 @@ namespace rr::campaign {
 inline constexpr int kMaxRespawns = 3;
 
 /// What to run: the campaign identity is campaign_hash(params), exactly
-/// the identity the shard journals and the result cache are keyed by.
+/// the identity the campaign journal and the result cache are keyed by.
 /// Fold anything that changes results (spec knobs, seed, engine
 /// provenance) into `params`.
 struct CampaignSpec {
@@ -68,18 +72,22 @@ struct ServiceConfig {
   /// wedged, SIGKILL it, and finish the remainder in-process.  The
   /// coordinator-side analogue of the scenario watchdog.
   std::chrono::milliseconds fleet_deadline{60'000};
-  /// Directory for shard journals (created if missing).  Required when
-  /// scenarios run; reusing it resumes the campaign's shards.
+  /// Directory for the campaign journal, campaign.jsonl (created if
+  /// missing).  Required when scenarios run; reusing it resumes the
+  /// campaign under any worker count.
   std::string work_dir;
   /// Result-cache root; empty disables caching.
   std::string cache_dir;
-  /// Per-shard resilience settings (retry, watchdog deadline, failure
-  /// budget).  base_seed/seed_of are taken from the spec, not from here.
+  /// Resilience settings: retry and the watchdog deadline apply to every
+  /// scenario wherever it runs; the failure budget is campaign-wide,
+  /// counted by the coordinator over every journaled entry.
+  /// base_seed/seed_of are taken from the spec, not from here.
   engine::ResilientConfig resilient{};
   /// Fault-injection hook: shard `crash_shard`'s first incarnation dies
-  /// via the journal crash hook (std::_Exit(137), fault::ExitCode::kCrash)
-  /// after `crash_after` appends -- deterministic mid-shard death for the
-  /// respawn path.  Respawns are not re-armed.
+  /// with std::_Exit(137) (fault::ExitCode::kCrash) once it has run
+  /// `crash_after` scenarios, before it reports the chunk that got it
+  /// there -- deterministic mid-shard death for the respawn path.
+  /// Respawns are not re-armed.
   int crash_shard = -1;
   int crash_after = 0;
   /// Merged distributed trace: when set (and work_dir is usable), every
@@ -99,12 +107,12 @@ struct CampaignStats {
   int steal_requests = 0;
   int steals_granted = 0;   ///< steal replies that released work
   int stolen_indices = 0;
-  int executed = 0;         ///< scenarios actually computed this run
-  int resumed = 0;          ///< served from pre-existing shard journals
+  int executed = 0;         ///< entries this run appended to the journal
+  int resumed = 0;          ///< entries the journal held when the run began
 };
 
 struct CampaignResult {
-  /// Merged cross-shard entries in index order (nullopt = never ran).
+  /// The campaign journal's entries in index order (nullopt = never ran).
   std::vector<std::optional<engine::JournalEntry>> entries;
   engine::RunOutcome outcome = engine::RunOutcome::kClean;
   bool cache_hit = false;
@@ -136,8 +144,8 @@ struct CampaignResult {
 };
 
 /// Execute (or serve) the campaign.  `fn` must be deterministic per
-/// (index, seed) -- that is what makes shard merges, respawn resumes, and
-/// cache hits bit-exact.  The function is called in forked worker
+/// (index, seed) -- that is what makes any fleet shape, respawns, resumes,
+/// and cache hits bit-exact.  The function is called in forked worker
 /// processes, and in the coordinator itself for whatever the fleet
 /// leaves (everything when workers == 0).
 CampaignResult run_campaign(const CampaignSpec& spec,

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -264,38 +265,6 @@ std::vector<std::optional<JournalEntry>> read_journal_entries(
   return entries;
 }
 
-std::vector<std::optional<JournalEntry>> merge_journal_files(
-    const std::vector<std::string>& paths, const Json& params, int scenarios) {
-  std::vector<std::optional<JournalEntry>> merged(
-      static_cast<std::size_t>(scenarios));
-  for (const auto& path : paths) {
-    std::vector<std::optional<JournalEntry>> shard;
-    try {
-      shard = read_journal_entries(path, params, scenarios);
-    } catch (const std::exception& e) {
-      // One bad shard must not take down the merge: its indices are
-      // simply absent and the caller recomputes them.
-      JournalMetrics::instance().corrupt.inc();
-      RR_WARN("journal merge: skipping unloadable shard " << path << ": "
-                                                          << e.what());
-      continue;
-    }
-    for (int i = 0; i < scenarios; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (!shard[idx]) continue;
-      if (!merged[idx]) {
-        merged[idx] = shard[idx];
-        continue;
-      }
-      if (to_json(*merged[idx]).dump() != to_json(*shard[idx]).dump())
-        RR_WARN("journal merge: index " << i << " differs between shards"
-                                        << " (keeping the first record); "
-                                        << path << " loses");
-    }
-  }
-  return merged;
-}
-
 SweepJournal::SweepJournal(std::string path, const Json& params, int scenarios)
     : path_(std::move(path)), scenarios_(scenarios) {
   RR_EXPECTS(scenarios_ >= 0);
@@ -465,21 +434,38 @@ std::vector<JournalEntry> SweepJournal::entries() const {
   return out;
 }
 
-void SweepJournal::append(const JournalEntry& e) {
+void SweepJournal::append(std::span<const JournalEntry> group) {
   std::lock_guard lock(mu_);
-  if (e.index < 0 || e.index >= scenarios_)
-    journal_fail(path_, "append index " + std::to_string(e.index) +
-                            " out of range");
-  if (entries_[static_cast<std::size_t>(e.index)])
-    journal_fail(path_,
-                 "index " + std::to_string(e.index) + " journaled twice");
+  std::vector<int> indices;
+  indices.reserve(group.size());
+  for (const JournalEntry& e : group) {
+    if (e.index < 0 || e.index >= scenarios_)
+      journal_fail(path_, "append index " + std::to_string(e.index) +
+                              " out of range");
+    if (entries_[static_cast<std::size_t>(e.index)])
+      journal_fail(path_,
+                   "index " + std::to_string(e.index) + " journaled twice");
+    indices.push_back(e.index);
+  }
+  std::sort(indices.begin(), indices.end());
+  if (const auto dup = std::adjacent_find(indices.begin(), indices.end());
+      dup != indices.end())
+    journal_fail(path_, "index " + std::to_string(*dup) + " journaled twice");
+  if (group.empty()) return;
+
   bool durable = false;
   if (!degraded_.load(std::memory_order_relaxed) && fd_ >= 0) {
     JournalMetrics& jm = JournalMetrics::instance();
-    const std::string line = checksummed_line(to_json(e));
+    // The group's record lines, newline-joined; append_line_fsync adds
+    // the final terminator and writes them all with one write(2).
+    std::string lines;
+    for (const JournalEntry& e : group) {
+      if (!lines.empty()) lines.push_back('\n');
+      lines += checksummed_line(to_json(e));
+    }
     // Remember where this append starts so a failed attempt's partial
     // bytes can be truncated away before the retry -- otherwise the
-    // retried record would land after a torn fragment and poison the
+    // retried records would land after a torn fragment and poison the
     // file for every future reader.
     struct ::stat st{};
     const long long good =
@@ -505,7 +491,7 @@ void SweepJournal::append(const JournalEntry& e) {
               return false;
             }
           }
-          if (!append_line_fsync(fd_, line, io)) {
+          if (!append_line_fsync(fd_, lines, io)) {
             needs_repair = true;
             return false;
           }
@@ -516,17 +502,18 @@ void SweepJournal::append(const JournalEntry& e) {
       jm.fsync_us.observe(std::chrono::duration<double, std::micro>(
                               std::chrono::steady_clock::now() - t0)
                               .count());
-      jm.appends.inc();
+      jm.appends.add(group.size());
     } else {
       degrade("append failed: " + err.detail);
     }
   }
-  entries_[static_cast<std::size_t>(e.index)] = e;
-  ++completed_;
+  for (const JournalEntry& e : group)
+    entries_[static_cast<std::size_t>(e.index)] = e;
+  completed_ += group.size();
   if (durable) {
-    ++appended_;
+    appended_ += static_cast<int>(group.size());
     if (crash_after_ > 0 && appended_ >= crash_after_) {
-      // Record is durable (fsync above); die like a SIGKILL would, at a
+      // Records are durable (fsync above); die like a SIGKILL would, at a
       // scenario boundary, with nothing flushed and no destructors run.
       std::_Exit(kCrashExitCode);
     }

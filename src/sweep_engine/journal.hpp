@@ -1,13 +1,15 @@
 // Write-ahead journal for sweep campaigns (see DESIGN.md §8).
 //
-// A campaign of n independent scenarios appends one fsync'd JSONL record
-// per *completed* scenario -- params hash, index, derived seed, status,
-// metrics -- so a run killed at any instant loses at most the scenario
-// that was in flight.  Reopening the same path with the same campaign
-// parameters resumes: already-journaled indices are served from the
-// journal (bit-exact, thanks to %.17g number round-tripping) and only the
+// A campaign of n independent scenarios appends one JSONL record per
+// *completed* scenario -- params hash, index, derived seed, status,
+// metrics -- fsync'd before the run moves on (alone, or with the rest of
+// its group: the campaign coordinator appends a worker's chunk at once),
+// so a run killed at any instant loses at most the work that was in
+// flight.  Reopening the same path with the same campaign parameters
+// resumes: already-journaled indices are served from the journal
+// (bit-exact, thanks to %.17g number round-tripping) and only the
 // missing ones are recomputed.  A torn final line -- the only damage an
-// interrupted append can do, since each record is a single O_APPEND
+// interrupted append can do, since each append is a single O_APPEND
 // write(2) -- is detected on open and truncated away.
 //
 // File layout (one JSON object per line; every line carries a trailing
@@ -40,6 +42,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,18 +98,6 @@ std::string campaign_hex(std::uint64_t campaign);
 std::vector<std::optional<JournalEntry>> read_journal_entries(
     const std::string& path, const Json& params, int scenarios);
 
-/// Union-merge several shard journals of one campaign into a single
-/// entry vector in index order.  Shards normally hold disjoint index
-/// sets; when two journals both carry an index (a respawn raced a
-/// takeover), the first path's record wins and a byte-level mismatch is
-/// logged -- deterministic scenarios make the records identical anyway.
-/// Missing files are skipped, and a shard that fails to load (corrupt or
-/// unreadable) is skipped with a warning and counted in
-/// `journal.corrupt` -- its indices are simply recomputed -- so one bad
-/// shard cannot take down a merge.
-std::vector<std::optional<JournalEntry>> merge_journal_files(
-    const std::vector<std::string>& paths, const Json& params, int scenarios);
-
 class SweepJournal {
  public:
   /// Create `path` (writing the header) or resume an existing journal.
@@ -154,10 +145,16 @@ class SweepJournal {
   /// away before the retry so the file stays parseable, and a permanent
   /// failure or exhausted retry degrades the journal to memory-only
   /// (counting `io.fault.degraded`).
-  void append(const JournalEntry& e);
+  void append(const JournalEntry& e) { append(std::span(&e, 1)); }
+  /// The same for a group of scenarios: every record line in one
+  /// write(2), then one fdatasync.  The whole group is checked before a
+  /// byte is written (an index repeated within it is a duplicate too), so
+  /// a rejected group leaves the journal untouched.  An empty group is a
+  /// no-op.
+  void append(std::span<const JournalEntry> group);
 
   /// Crash hook for kill-and-resume testing: after the Nth successful
-  /// append of this journal object (1-based), the process exits
+  /// record append of this journal object (1-based), the process exits
   /// immediately with kCrashExitCode -- no destructors, no flushes --
   /// mimicking a SIGKILL at a scenario boundary.  Also armed by the
   /// RR_CRASH_AFTER_N environment variable at construction.

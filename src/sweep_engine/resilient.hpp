@@ -94,11 +94,12 @@ ResilientReport run_resilient(SweepEngine& eng, int n,
                               const ResilientConfig& cfg = {});
 
 /// Shard-range variant: run only `indices` (each unique, in [0, n)) of an
-/// n-scenario campaign.  This is how a campaign worker executes its shard
-/// of a sharded run: the journal stays scoped to the whole campaign
-/// (opened with `scenarios == n`, entries land at their global index), so
-/// shard journals from different processes merge into one campaign and a
-/// worker's journal resumes bit-exactly in any process.
+/// n-scenario campaign.  The campaign service runs every worker chunk
+/// through it with no journal and no failure budget (the coordinator
+/// journals what the worker reports and owns the campaign-wide budget),
+/// and its own local runner with the campaign's one journal, which stays
+/// scoped to the whole campaign (opened with `scenarios == n`, entries
+/// land at their global index).
 ///
 /// Every journaled entry -- inside or outside `indices` -- is preloaded
 /// into the report and counted (the failure budget is a property of the

@@ -5,9 +5,13 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "util/expect.hpp"
+
 namespace rr {
 
-CliParser::CliParser(int argc, const char* const* argv) {
+CliParser::CliParser(int argc, const char* const* argv,
+                     std::initializer_list<std::string_view> names)
+    : names_(names.begin(), names.end()) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -17,19 +21,25 @@ CliParser::CliParser(int argc, const char* const* argv) {
     }
     arg.erase(0, 2);
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else {
-      flags_[arg] = "true";  // bare --name is a boolean switch
-    }
+    std::string name = arg.substr(0, eq);
+    if (!names_.contains(name)) usage_error(name, "unknown flag");
+    // A bare --name is a boolean switch.
+    flags_[std::move(name)] =
+        eq == std::string::npos ? "true" : arg.substr(eq + 1);
   }
 }
 
-bool CliParser::has(const std::string& name) const { return flags_.count(name) > 0; }
+const std::string* CliParser::find(const std::string& name) const {
+  RR_EXPECTS(names_.contains(name));
+  const auto it = flags_.find(name);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
+bool CliParser::has(const std::string& name) const { return find(name) != nullptr; }
 
 std::string CliParser::get(const std::string& name, const std::string& fallback) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : it->second;
+  const std::string* v = find(name);
+  return v ? *v : fallback;
 }
 
 namespace {
@@ -45,32 +55,31 @@ bool parse_whole(const std::string& text, T& out) {
 }  // namespace
 
 std::int64_t CliParser::get_int(const std::string& name, std::int64_t fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
+  const std::string* text = find(name);
+  if (!text) return fallback;
   std::int64_t v = 0;
-  if (!parse_whole(it->second, v)) usage_error(name, it->second, "not an integer");
+  if (!parse_whole(*text, v)) usage_error(name + "=" + *text, "not an integer");
   return v;
 }
 
 double CliParser::get_double(const std::string& name, double fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
+  const std::string* text = find(name);
+  if (!text) return fallback;
   double v = 0.0;
-  if (!parse_whole(it->second, v) || !std::isfinite(v))
-    usage_error(name, it->second, "not a number");
+  if (!parse_whole(*text, v) || !std::isfinite(v))
+    usage_error(name + "=" + *text, "not a number");
   return v;
 }
 
-void CliParser::usage_error(const std::string& name, const std::string& value,
-                            const char* what) const {
-  std::cerr << program_ << ": --" << name << "=" << value << ": " << what << "\n";
+void CliParser::usage_error(const std::string& flag, const char* what) const {
+  std::cerr << program_ << ": --" << flag << ": " << what << "\n";
   std::exit(kUsageExitCode);
 }
 
 bool CliParser::get_bool(const std::string& name, bool fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* text = find(name);
+  if (!text) return fallback;
+  return *text == "true" || *text == "1" || *text == "yes";
 }
 
 }  // namespace rr

@@ -1,25 +1,36 @@
 // Tiny command-line flag parser for examples and bench binaries.
 // Supports --name=value plus bare --name boolean switches; everything else
 // is positional.  (No "--name value" form: it is ambiguous with positional
-// arguments.)  Numeric getters validate at the edge: a value that is not
-// one complete number of the requested type is a usage error.
+// arguments.)  Flags are validated at the edge: a binary declares the
+// names it reads, a flag outside them is a usage error, and numeric
+// getters accept only one complete number of the requested type.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rr {
 
 class CliParser {
  public:
-  CliParser(int argc, const char* const* argv);
+  /// Parse argv against `names`, the flags this binary reads.  A --name
+  /// or --name=value whose name is not among them prints
+  /// "<program>: --<name>: unknown flag" to stderr and exits with
+  /// kUsageExitCode.
+  CliParser(int argc, const char* const* argv,
+            std::initializer_list<std::string_view> names);
 
-  /// Exit status of a malformed numeric flag: fault::ExitCode::kUsage
+  /// Exit status of a malformed or unknown flag: fault::ExitCode::kUsage
   /// (util cannot include fault/; fault_test pins the two equal).
   static constexpr int kUsageExitCode = 2;
 
+  // Every getter takes a declared name; reading any other name is a
+  // programming error (RR_EXPECTS).
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
   /// The flag as an integer.  Only a complete decimal integer that fits
@@ -38,11 +49,13 @@ class CliParser {
   const std::string& program() const { return program_; }
 
  private:
-  [[noreturn]] void usage_error(const std::string& name,
-                                const std::string& value,
+  /// The given value of declared flag `name`, or null when absent.
+  const std::string* find(const std::string& name) const;
+  [[noreturn]] void usage_error(const std::string& flag,
                                 const char* what) const;
 
   std::string program_;
+  std::set<std::string> names_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
 };

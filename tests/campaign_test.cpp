@@ -1,18 +1,20 @@
 // Contract tests for the sharded campaign service (DESIGN.md §11): the
 // frame protocol, the coordinator/worker fleet (sharding, work-stealing,
 // crash respawn), and the content-addressed result cache.  The invariant
-// under test throughout is byte-identity: the merged cross-shard result
-// of any fleet shape -- including one with a worker killed mid-shard --
-// equals the single-process bytes, and a cache hit serves the populating
-// run's bytes verbatim.
+// under test throughout is byte-identity: the result of any fleet shape
+// -- including one with a worker killed mid-shard, or a disk that takes
+// no writes -- equals the single-process bytes, and a cache hit serves
+// the populating run's bytes verbatim.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "campaign/service.hpp"
 #include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
+#include "util/env.hpp"
 #include "util/fileio.hpp"
 #include "util/flightrec.hpp"
 #include "util/rng.hpp"
@@ -38,9 +41,12 @@
 namespace rr {
 namespace {
 
+/// A fresh, empty work directory: a stale one left by an earlier process
+/// with the same pid would otherwise be resumed from.
 std::string tmp_dir(const std::string& stem) {
   const std::string dir =
       ::testing::TempDir() + stem + "." + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
   make_dirs(dir);
   return dir;
 }
@@ -261,8 +267,7 @@ TEST(CampaignProtocol, ProgressFramesCarryMetricsSnapshots) {
   reg.counter("journal.appends").add(5);
   reg.gauge("queue.depth").set(1.0 / 3.0);
   Json msg = Json::object();
-  msg.set("t", "progress").set("completed", Json::array())
-      .set("executed", 0).set("resumed", 0).set("outcome", "clean")
+  msg.set("t", "progress").set("entries", Json::array())
       .set("metrics", obs::snapshot_to_wire(reg.snapshot()));
   const auto got = frame_from_bytes(framed(msg.dump()));
   ASSERT_TRUE(got.has_value());
@@ -332,17 +337,18 @@ TEST(CampaignService, CrashedWorkerIsRespawnedAndResultStaysByteIdentical) {
   cfg.workers = 3;
   cfg.chunk = 1;
   cfg.work_dir = tmp_dir("campaign-crash");
-  cfg.crash_shard = 1;   // dies via the journal crash hook (exit 137)...
-  cfg.crash_after = 2;   // ...after two fsync'd appends
+  cfg.crash_shard = 1;   // dies with exit 137 once it has run two
+  cfg.crash_after = 2;   // scenarios, before reporting the second
   const auto result = campaign::run_campaign(spec, plain_fn(), cfg);
   EXPECT_EQ(result.outcome, engine::RunOutcome::kClean);
   EXPECT_EQ(result.ok, 12);
   EXPECT_GE(result.stats.crashes, 1);
   EXPECT_GE(result.stats.respawns, 1);
-  // The respawned worker resumed from its own journal: the append that
-  // the crash cut off before its progress frame (the crash hook fires
-  // right after the fsync) is served from disk, not recomputed.
-  EXPECT_GE(result.stats.resumed, 1);
+  // Workers keep no journal: the scenario the crash kept from being
+  // reported is recomputed by the respawn, and every entry the
+  // coordinator journaled came from this run.
+  EXPECT_EQ(result.stats.resumed, 0);
+  EXPECT_EQ(result.stats.executed, 12);
   EXPECT_EQ(result.result_bytes, golden);
 #endif
 }
@@ -376,34 +382,35 @@ TEST(CampaignService, IdleWorkersStealFromLoadedShards) {
 }
 
 TEST(CampaignService, ReusedWorkDirResumesInsteadOfRecomputing) {
-#ifdef RR_TSAN
-  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
-#else
   const auto spec = make_spec("resume", 10);
   const std::string golden = reference_bytes(spec, plain_fn());
-  const std::string work = tmp_dir("campaign-resume");
-
-  // A previous incarnation journaled part of shard 0's range.
-  {
-    engine::SweepEngine eng({1});
-    engine::SweepJournal journal(work + "/shard-0.jsonl", spec.params, 10);
-    engine::ResilientConfig rcfg;
-    rcfg.base_seed = spec.base_seed;
-    ASSERT_EQ(engine::run_resilient_indices(eng, 10, {0, 1, 2}, plain_fn(),
-                                            &journal, rcfg)
-                  .ok,
-              3);
-  }
-
-  campaign::ServiceConfig cfg;
-  cfg.workers = 2;
-  cfg.work_dir = work;
-  const auto result = campaign::run_campaign(spec, plain_fn(), cfg);
-  EXPECT_EQ(result.outcome, engine::RunOutcome::kClean);
-  EXPECT_EQ(result.stats.resumed, 3);
-  EXPECT_EQ(result.stats.executed, 7);
-  EXPECT_EQ(result.result_bytes, golden);
+  for (const int workers : {2, 0}) {
+#ifdef RR_TSAN
+    if (workers > 0) continue;  // fork + threads trips TSan's die_after_fork
 #endif
+    // A previous incarnation of this campaign journaled indices 0-2.
+    const std::string work =
+        tmp_dir("campaign-resume-" + std::to_string(workers));
+    {
+      engine::SweepEngine eng({1});
+      engine::SweepJournal journal(work + "/campaign.jsonl", spec.params, 10);
+      engine::ResilientConfig rcfg;
+      rcfg.base_seed = spec.base_seed;
+      ASSERT_EQ(engine::run_resilient_indices(eng, 10, {0, 1, 2}, plain_fn(),
+                                              &journal, rcfg)
+                    .ok,
+                3);
+    }
+
+    campaign::ServiceConfig cfg;
+    cfg.workers = workers;
+    cfg.work_dir = work;
+    const auto result = campaign::run_campaign(spec, plain_fn(), cfg);
+    EXPECT_EQ(result.outcome, engine::RunOutcome::kClean) << workers;
+    EXPECT_EQ(result.stats.resumed, 3) << workers;
+    EXPECT_EQ(result.stats.executed, 7) << workers;
+    EXPECT_EQ(result.result_bytes, golden) << workers;
+  }
 }
 
 TEST(CampaignService, ResumeReadsJournalsOfShardsThisRunDoesNotSpawn) {
@@ -413,13 +420,14 @@ TEST(CampaignService, ResumeReadsJournalsOfShardsThisRunDoesNotSpawn) {
 #ifdef RR_TSAN
     if (workers > 0) continue;  // fork + threads trips TSan's die_after_fork
 #endif
-    // A previous run with more workers journaled indices 7-9 on shard 3,
-    // a shard this run does not spawn.
+    // A previous run with more workers journaled indices 7-9, the range
+    // of its shard 3, a shard this run does not spawn.  The one campaign
+    // journal keeps them whatever the fleet shape.
     const std::string work =
         tmp_dir("campaign-resume-shape-" + std::to_string(workers));
     {
       engine::SweepEngine eng({1});
-      engine::SweepJournal journal(work + "/shard-3.jsonl", spec.params, 10);
+      engine::SweepJournal journal(work + "/campaign.jsonl", spec.params, 10);
       engine::ResilientConfig rcfg;
       rcfg.base_seed = spec.base_seed;
       ASSERT_EQ(engine::run_resilient_indices(eng, 10, {7, 8, 9}, plain_fn(),
@@ -496,22 +504,64 @@ TEST(CampaignService, DegradedAndBudgetOutcomesFollowTheExitCodeContract) {
                    .lookup(engine::campaign_hash(spec.params), spec.params)
                    .has_value());
 
-  const engine::ResilientScenario all_fail =
-      [](int, const engine::CancelToken&) -> Json {
-    throw engine::PermanentError("injected permanent fault");
-  };
+  // The failure budget is campaign-wide, whatever the fleet shape: two
+  // failures in different shards' ranges exceed a budget of one under
+  // any worker count.
+  const engine::ResilientScenario two_fail =
+      [](int i, const engine::CancelToken&) {
+        if (i == 1 || i == 6)
+          throw engine::PermanentError("injected permanent fault");
+        return scenario_metrics(i);
+      };
   const auto bspec = make_spec("budget", 8);
-  campaign::ServiceConfig bcfg;
-  bcfg.workers = 2;
-  bcfg.chunk = 1;
-  bcfg.work_dir = tmp_dir("campaign-budget");
-  bcfg.resilient.failure_budget = 1;
-  bcfg.resilient.retry.max_attempts = 1;
-  const auto bresult = campaign::run_campaign(bspec, all_fail, bcfg);
-  EXPECT_EQ(bresult.outcome, engine::RunOutcome::kBudgetExceeded);
-  EXPECT_EQ(bresult.exit_code(),
-            fault::to_int(fault::ExitCode::kBudgetExceeded));
+  for (const int workers : {0, 1, 2, 4}) {
+    campaign::ServiceConfig bcfg;
+    bcfg.workers = workers;
+    bcfg.chunk = 1;
+    bcfg.work_dir = tmp_dir("campaign-budget-" + std::to_string(workers));
+    bcfg.resilient.failure_budget = 1;
+    bcfg.resilient.retry.max_attempts = 1;
+    const auto bresult = campaign::run_campaign(bspec, two_fail, bcfg);
+    EXPECT_EQ(bresult.outcome, engine::RunOutcome::kBudgetExceeded)
+        << workers << " workers";
+    EXPECT_EQ(bresult.exit_code(),
+              fault::to_int(fault::ExitCode::kBudgetExceeded))
+        << workers << " workers";
+  }
 #endif
+}
+
+/// The environment of a full disk: every write fails with ENOSPC.
+class FullDiskEnv : public Env {
+ public:
+  long write(int, const void*, std::size_t) override {
+    errno = ENOSPC;
+    return -1;
+  }
+};
+
+TEST(CampaignService, FullDiskCostsDurabilityNeverResults) {
+  const auto spec = make_spec("full-disk", 12);
+  const std::string golden = reference_bytes(spec, plain_fn());
+  for (const int workers : {0, 2}) {
+#ifdef RR_TSAN
+    if (workers > 0) continue;  // fork + threads trips TSan's die_after_fork
+#endif
+    campaign::ServiceConfig cfg;
+    cfg.workers = workers;
+    cfg.work_dir = tmp_dir("campaign-full-disk-" + std::to_string(workers));
+    FullDiskEnv full;
+    campaign::CampaignResult result;
+    {
+      const ScopedEnv scope(&full);
+      result = campaign::run_campaign(spec, plain_fn(), cfg);
+    }
+    // The journal fell back to memory-only, so the run is degraded, but
+    // every scenario's result is there, byte-identical.
+    EXPECT_EQ(result.outcome, engine::RunOutcome::kDegraded) << workers;
+    EXPECT_EQ(result.ok, spec.scenarios) << workers;
+    EXPECT_EQ(result.result_bytes, golden) << workers;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -519,9 +569,9 @@ TEST(CampaignService, DegradedAndBudgetOutcomesFollowTheExitCodeContract) {
 // ---------------------------------------------------------------------------
 
 /// Worker-side counters reach the fleet report: each forked worker resets
-/// its inherited registry and ships absolute snapshots over stats frames,
-/// so the sum of the shard parts' journal.appends is exactly the executed
-/// scenario count -- counters that used to be invisible to the
+/// its inherited registry and ships absolute snapshots on its progress and
+/// done frames, so the sum of the shard parts' sweep.ok is exactly the
+/// executed scenario count -- counters that used to be invisible to the
 /// coordinator's own snapshot.
 TEST(CampaignFleet, WorkerCountersLandInTheFleetReport) {
 #ifdef RR_TSAN
@@ -540,19 +590,19 @@ TEST(CampaignFleet, WorkerCountersLandInTheFleetReport) {
   // The fleet snapshot has a coordinator part plus one part per shard.
   ASSERT_FALSE(result.fleet.empty());
   ASSERT_NE(result.fleet.part("coord"), nullptr);
-  std::uint64_t worker_appends = 0;
+  std::uint64_t worker_ok = 0;
   int shard_parts = 0;
   for (const auto& [label, snap] : result.fleet.parts) {
     if (label == "coord") continue;
     ++shard_parts;
-    if (const obs::MetricSnapshot* m = snap.find("journal.appends"))
-      worker_appends += m->ivalue;
+    if (const obs::MetricSnapshot* m = snap.find("sweep.ok"))
+      worker_ok += m->ivalue;
   }
   EXPECT_EQ(shard_parts, 2);
-  // Exactly one fsync'd append per executed scenario, summed across the
+  // Exactly one ok scenario per executed scenario, summed across the
   // shard parts (the coordinator's registry is polluted by earlier
   // in-process tests; the worker parts are clean by construction).
-  EXPECT_EQ(worker_appends, static_cast<std::uint64_t>(n));
+  EXPECT_EQ(worker_ok, static_cast<std::uint64_t>(n));
   // Each worker also shipped its chunk-latency histogram.
   bool chunk_hist = false;
   for (const auto& [label, snap] : result.fleet.parts)
@@ -572,7 +622,7 @@ TEST(CampaignFleet, WorkerCountersLandInTheFleetReport) {
   ASSERT_NE(fleet_json.find("0"), nullptr);
   ASSERT_NE(fleet_json.find("1"), nullptr);
   const obs::Snapshot part0 = obs::snapshot_from_wire(fleet_json.at("0"));
-  ASSERT_NE(part0.find("journal.appends"), nullptr);
+  ASSERT_NE(part0.find("sweep.ok"), nullptr);
   ASSERT_NE(doc.at("metrics").find("journal.appends"), nullptr);
   EXPECT_GE(doc.at("metrics").at("journal.appends").at("value").as_int(),
             static_cast<std::int64_t>(n));

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -24,6 +25,17 @@
 #include "sweep_engine/engine.hpp"
 #include "topo/fat_tree.hpp"
 #include "util/rng.hpp"
+
+namespace rr::comm {
+
+// gtest names each value-parameterized case with its printed parameter,
+// and ctest lists that name.  Without this a preset prints as its raw
+// bytes -- a heap pointer first -- so the names change between builds.
+static void PrintTo(const ChannelParams& p, std::ostream* os) {
+  *os << p.name;
+}
+
+}  // namespace rr::comm
 
 namespace rr {
 namespace {

@@ -423,6 +423,38 @@ TEST(SweepJournal, RejectsDuplicateAndOutOfRangeIndices) {
   std::remove(path.c_str());
 }
 
+TEST(SweepJournal, GroupAppendIsAllOrNothingAndReopensRecordByRecord) {
+  const std::string path = tmp_path("journal-group");
+  std::remove(path.c_str());
+  std::vector<engine::JournalEntry> group(3);
+  for (int k = 0; k < 3; ++k) {
+    group[static_cast<std::size_t>(k)].index = 2 * k;
+    group[static_cast<std::size_t>(k)].seed = static_cast<std::uint64_t>(k);
+    group[static_cast<std::size_t>(k)].metrics = demo_metrics(2 * k);
+  }
+  {
+    engine::SweepJournal j(path, demo_params(), 6);
+    j.append(std::vector<engine::JournalEntry>{});  // a no-op
+    // An index repeated within the group, or one already journaled,
+    // rejects the whole group before a byte is written.
+    std::vector<engine::JournalEntry> repeated = {group[1], group[1]};
+    EXPECT_THROW(j.append(repeated), std::runtime_error);
+    EXPECT_EQ(j.completed_count(), 0u);
+    j.append(group);
+    EXPECT_EQ(j.completed_count(), 3u);
+    EXPECT_THROW(j.append(std::vector<engine::JournalEntry>{group[2]}),
+                 std::runtime_error);
+  }
+  engine::SweepJournal j(path, demo_params(), 6);
+  EXPECT_TRUE(j.resumed());
+  EXPECT_EQ(j.completed_count(), 3u);
+  EXPECT_TRUE(j.completed(4));
+  EXPECT_FALSE(j.completed(1));
+  EXPECT_TRUE(bits_eq(j.entry(4)->metrics.at("x").as_double(),
+                      group[2].metrics.at("x").as_double()));
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // ThreadPool abort flag
 // ---------------------------------------------------------------------------
@@ -712,9 +744,9 @@ TEST(ResilientRun, KillAndResumeProducesByteIdenticalResults) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-range runs and cross-journal merges (the campaign service's
-// building blocks): a worker-written shard journal must resume bit-exactly
-// in-process, and shard journals must union into the single-process bytes.
+// Shard-range runs (the campaign service's building blocks): a journal
+// written by a subset run must load read-only and resume bit-exactly
+// in-process.
 // ---------------------------------------------------------------------------
 
 TEST(ShardRuns, CampaignHexIsStableLowercasePadded) {
@@ -741,59 +773,6 @@ TEST(ShardRuns, IndicesSubsetRunsOnlyRequestedSlots) {
   EXPECT_TRUE(report.entries[5].has_value());
   EXPECT_EQ(journal.completed_count(), 3u);
   std::remove(path.c_str());
-}
-
-TEST(ShardRuns, ShardJournalsMergeByteIdenticallyToFullRun) {
-  const int n = 8;
-  const auto fn = [](int i, const engine::CancelToken&) {
-    return demo_metrics(i);
-  };
-
-  // Golden: one uninterrupted full run.
-  const std::string golden_path = tmp_path("journal-merge-golden");
-  std::remove(golden_path.c_str());
-  std::string golden;
-  {
-    engine::SweepEngine eng({1});
-    engine::SweepJournal journal(golden_path, demo_params(), n);
-    const auto report = engine::run_resilient(eng, n, fn, &journal, {});
-    ASSERT_EQ(report.ok, n);
-    std::ostringstream os;
-    engine::write_entries_jsonl(report.entries, os);
-    golden = os.str();
-  }
-
-  // Two disjoint shards, separate campaign-scoped journals, interleaved
-  // index sets (as work-stealing would leave them).
-  const std::string a = tmp_path("journal-merge-a");
-  const std::string b = tmp_path("journal-merge-b");
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  {
-    engine::SweepEngine eng({2});
-    engine::SweepJournal ja(a, demo_params(), n);
-    engine::SweepJournal jb(b, demo_params(), n);
-    ASSERT_EQ(
-        engine::run_resilient_indices(eng, n, {0, 3, 4, 7}, fn, &ja, {}).ok,
-        4);
-    ASSERT_EQ(
-        engine::run_resilient_indices(eng, n, {1, 2, 5, 6}, fn, &jb, {}).ok,
-        4);
-  }
-
-  const auto merged = engine::merge_journal_files(
-      {a, b, tmp_path("journal-merge-missing")}, demo_params(), n);
-  std::ostringstream os;
-  engine::write_entries_jsonl(merged, os);
-  EXPECT_EQ(os.str(), golden);
-
-  // read_journal_entries sees one shard's slots without touching the file.
-  const auto only_a = engine::read_journal_entries(a, demo_params(), n);
-  EXPECT_TRUE(only_a[0].has_value());
-  EXPECT_FALSE(only_a[1].has_value());
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  std::remove(golden_path.c_str());
 }
 
 TEST(ShardRuns, WorkerJournalResumesBitExactlyInProcess) {
@@ -826,6 +805,11 @@ TEST(ShardRuns, WorkerJournalResumesBitExactlyInProcess) {
         3);
   }
 
+  // read_journal_entries sees the subset's slots without touching the file.
+  const auto only = engine::read_journal_entries(path, demo_params(), n);
+  EXPECT_TRUE(only[0].has_value());
+  EXPECT_FALSE(only[2].has_value());
+
   // In-process takeover: reopen the worker's journal, run the rest; the
   // preloaded entries are served bit-exactly, never recomputed.
   engine::SweepEngine eng({3});
@@ -840,34 +824,6 @@ TEST(ShardRuns, WorkerJournalResumesBitExactlyInProcess) {
   EXPECT_EQ(os.str(), golden);
   std::remove(path.c_str());
   std::remove(golden_path.c_str());
-}
-
-TEST(ShardRuns, MergeDuplicateIndexKeepsFirstPathsRecord) {
-  const int n = 2;
-  const std::string a = tmp_path("journal-dup-a");
-  const std::string b = tmp_path("journal-dup-b");
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  engine::JournalEntry first;
-  first.index = 0;
-  first.attempts = 1;
-  first.seed = 7;
-  first.metrics = demo_metrics(0);
-  engine::JournalEntry second = first;
-  second.attempts = 2;  // a retry-count divergence, as a respawn race leaves
-  {
-    engine::SweepJournal ja(a, demo_params(), n);
-    ja.append(first);
-    engine::SweepJournal jb(b, demo_params(), n);
-    jb.append(second);
-  }
-  const auto merged = engine::merge_journal_files({a, b}, demo_params(), n);
-  ASSERT_TRUE(merged[0].has_value());
-  EXPECT_EQ(merged[0]->attempts, 1);  // first path wins
-  const auto flipped = engine::merge_journal_files({b, a}, demo_params(), n);
-  EXPECT_EQ(flipped[0]->attempts, 2);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
 }
 
 }  // namespace

@@ -215,7 +215,7 @@ TEST(Table, CsvQuotesSpecials) {
 
 TEST(Cli, ParsesEqualsFormAndSwitches) {
   const char* argv[] = {"prog", "--alpha=3", "--beta=4.5", "--flag", "pos"};
-  const CliParser cli(5, argv);
+  const CliParser cli(5, argv, {"alpha", "beta", "flag"});
   EXPECT_EQ(cli.get_int("alpha", 0), 3);
   EXPECT_DOUBLE_EQ(cli.get_double("beta", 0.0), 4.5);
   EXPECT_TRUE(cli.get_bool("flag", false));
@@ -225,7 +225,7 @@ TEST(Cli, ParsesEqualsFormAndSwitches) {
 
 TEST(Cli, FallbacksWhenAbsent) {
   const char* argv[] = {"prog"};
-  const CliParser cli(1, argv);
+  const CliParser cli(1, argv, {"missing"});
   EXPECT_EQ(cli.get("missing", "dflt"), "dflt");
   EXPECT_EQ(cli.get_int("missing", 7), 7);
   EXPECT_FALSE(cli.get_bool("missing", false));
@@ -233,7 +233,7 @@ TEST(Cli, FallbacksWhenAbsent) {
 
 TEST(Cli, WellFormedNumbersStillParse) {
   const char* argv[] = {"prog", "--delta=-1", "--rate=0.05", "--eps=1e-3"};
-  const CliParser cli(4, argv);
+  const CliParser cli(4, argv, {"delta", "rate", "eps"});
   EXPECT_EQ(cli.get_int("delta", 0), -1);
   EXPECT_DOUBLE_EQ(cli.get_double("delta", 0.0), -1.0);
   EXPECT_DOUBLE_EQ(cli.get_double("rate", 0.0), 0.05);
@@ -244,12 +244,12 @@ namespace {
 
 std::int64_t int_flag(const char* arg) {
   const char* argv[] = {"prog", arg};
-  return CliParser(2, argv).get_int("workers", 1);
+  return CliParser(2, argv, {"workers"}).get_int("workers", 1);
 }
 
 double double_flag(const char* arg) {
   const char* argv[] = {"prog", arg};
-  return CliParser(2, argv).get_double("rate", 1.0);
+  return CliParser(2, argv, {"rate"}).get_double("rate", 1.0);
 }
 
 }  // namespace
@@ -271,6 +271,23 @@ TEST(CliDeathTest, MalformedNumbersAreUsageErrors) {
   EXPECT_EXIT(double_flag("--rate=0.05x"), usage,
               "prog: --rate=0.05x: not a number");
   EXPECT_EXIT(double_flag("--rate="), usage, "prog: --rate=: not a number");
+}
+
+// A flag the binary does not read is a usage error too, never ignored: a
+// typo must not silently run with the default.
+TEST(CliDeathTest, UnknownFlagsAreUsageErrors) {
+  const auto usage = ::testing::ExitedWithCode(CliParser::kUsageExitCode);
+  EXPECT_EXIT(int_flag("--wokers=3"), usage, "prog: --wokers: unknown flag");
+  EXPECT_EXIT(int_flag("--verbose"), usage, "prog: --verbose: unknown flag");
+  EXPECT_EXIT(int_flag("--=3"), usage, "prog: --: unknown flag");
+  // Declared flags and positional arguments still parse.
+  const char* argv[] = {"prog", "--workers=3", "input.txt"};
+  const CliParser cli(3, argv, {"workers", "rate"});
+  EXPECT_EQ(cli.get_int("workers", 1), 3);
+  EXPECT_FALSE(cli.has("rate"));
+  ASSERT_EQ(cli.positional().size(), 1u);
+  // Reading a name the binary never declared is a programming error.
+  EXPECT_DEATH((void)cli.get("wokers", ""), "Precondition violation");
 }
 
 // ---------------------------------------------------------------------------
