@@ -8,10 +8,12 @@
 #include "model/sweep_model.hpp"
 #include "spu/dma.hpp"
 #include "sweep/schedule.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
 
   const auto pxc = model::spe_compute(arch::CellVariant::kPowerXCell8i);
 

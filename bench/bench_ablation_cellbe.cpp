@@ -8,10 +8,12 @@
 #include "arch/spec.hpp"
 #include "model/linpack.hpp"
 #include "model/sweep_model.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   using arch::Precision;
 
   arch::SystemSpec pxc_sys = arch::make_roadrunner();

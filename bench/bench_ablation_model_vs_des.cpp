@@ -9,10 +9,12 @@
 
 #include "topo/fat_tree.hpp"
 #include "model/sim_validation.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   topo::TopologyParams tp;
   tp.cu_count = 2;
   const topo::FatTree topo = topo::FatTree::build(tp);

@@ -8,10 +8,12 @@
 
 #include "model/apps.hpp"
 #include "spu/pipeline.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   const spu::SpuPipeline pxc{spu::PipelineSpec::powerxcell_8i()};
   const spu::SpuPipeline cbe{spu::PipelineSpec::cell_be()};
 

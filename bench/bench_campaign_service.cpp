@@ -6,13 +6,15 @@
 // with the fault::ExitCode of the outcome (0 clean / 3 degraded /
 // 4 failure-budget-exceeded; 2 for a malformed or unknown flag).
 //
-// CI drives it four ways (see .github/workflows/ci.yml, campaign-smoke):
+// CI drives it five ways (see .github/workflows/ci.yml, campaign-smoke):
 //   * N workers with --crash-shard armed: that worker exits 137 once it
 //     has run --crash-after scenarios, before reporting them; it is
 //     respawned, and the result must be byte-identical to a 1-worker run
 //     of the same campaign;
 //   * the same work dir again with fewer workers: everything resumes
 //     from its journal ("executed=0 resumed=24");
+//   * the coordinator itself killed under --workers=0 (RR_CRASH_AFTER_N,
+//     or kill -9) and its work dir resumed under another worker count;
 //   * a repeat invocation with --cache-dir: served entirely from the
 //     cache ("cache=hit ..."), bytes verbatim;
 //   * the same campaign under --workers=0 (in-process, sanitizer-safe).

@@ -6,10 +6,12 @@
 #include <iostream>
 
 #include "comm/collectives.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   const DataSize payload = DataSize::bytes(64);
   const auto early = comm::CollectiveLegs::roadrunner(payload, false);
   const auto best = comm::CollectiveLegs::roadrunner(payload, true);

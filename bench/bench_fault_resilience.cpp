@@ -9,11 +9,8 @@
 // of this binary prints bit-identical tables.  The 1 -> 3,060 node
 // studies and the interval sweep run on the parallel sweep engine
 // (src/sweep_engine) -- same seeds, same numbers, N-way faster; pass a
-// path argument to also dump the scenario records as JSON lines.  Pass
-// --journal=PATH to run the HPL walk through the crash-safe resumable
-// runtime instead: completed points are journaled as they finish, a
-// relaunch resumes from the journal, and the quarantine summary makes
-// any degraded scenarios visible.
+// path argument to also dump the scenario records as JSON lines.  Takes
+// no flags.
 #include <cmath>
 #include <iostream>
 #include <vector>
@@ -52,6 +49,7 @@ void add_study_rows(rr::Table& t,
 
 int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});
   const arch::SystemSpec system = arch::make_roadrunner();
   const topo::FatTree topo = topo::FatTree::roadrunner();
   const fault::StudyConfig cfg;  // defaults: 4 GiB/node state, seeded
@@ -126,34 +124,12 @@ int main(int argc, char** argv) {
 
   // ---- interrupted HPL walk, 1 -> 3,060 nodes -----------------------------
   print_banner(std::cout, "Interrupted LINPACK walk (memory-scaled problem)");
-  const CliParser cli(argc, argv, {"journal"});
   const std::vector<int> node_counts{1, 64, 256, 1024, 2048, 3060};
   Table hpl({"nodes", "fault-free (h)", "MTBF (h)", "C (s)", "tau (min)",
              "expected (h)", "overhead (%)", "interrupts", "efficiency (%)"});
-  if (const std::string jpath = cli.get("journal", ""); !jpath.empty()) {
-    // Resume-aware entry point: the walk survives a kill and picks up
-    // from its journal on relaunch.
-    engine::SweepJournal journal(jpath,
-                                 engine::hpl_campaign_params(node_counts, cfg),
-                                 static_cast<int>(node_counts.size()));
-    if (journal.resumed())
-      std::cout << "resuming journal " << jpath << ": "
-                << journal.completed_count() << "/" << journal.scenarios()
-                << " points already done"
-                << (journal.tail_recovered() ? " (torn tail recovered)" : "")
-                << "\n";
-    engine::ResilientReport report;
-    add_study_rows(hpl, engine::resumable_hpl_study(eng, system, topo,
-                                                    node_counts, cfg, journal,
-                                                    {}, &report));
-    hpl.print(std::cout);
-    std::cout << "\n";
-    report.print(std::cout);
-  } else {
-    add_study_rows(hpl, engine::parallel_hpl_study(eng, system, topo,
-                                                   node_counts, cfg, &store));
-    hpl.print(std::cout);
-  }
+  add_study_rows(hpl, engine::parallel_hpl_study(eng, system, topo,
+                                                 node_counts, cfg, &store));
+  hpl.print(std::cout);
 
   // ---- interrupted timed Sweep3D run --------------------------------------
   // Enough wavefront iterations that the full-machine run takes a few

@@ -3,10 +3,12 @@
 #include <iostream>
 
 #include "arch/spec.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   using arch::Precision;
   const arch::TribladeSpec node = arch::make_triblade();
   const double total_gf = node.peak(Precision::kDouble).in_gflops();

@@ -6,10 +6,12 @@
 
 #include "spu/kernels.hpp"
 #include "spu/microbench.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   const spu::SpuPipeline cbe{spu::PipelineSpec::cell_be()};
   const spu::SpuPipeline pxc{spu::PipelineSpec::powerxcell_8i()};
 

@@ -5,10 +5,12 @@
 
 #include "arch/calibration.hpp"
 #include "comm/path.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   namespace cal = rr::arch::cal;
   const comm::PathModel path = comm::cell_to_cell_internode();
 

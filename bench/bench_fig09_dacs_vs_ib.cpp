@@ -7,10 +7,12 @@
 
 #include "comm/channel.hpp"
 #include "comm/fabric.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   const comm::ChannelModel dacs{comm::dacs_pcie()};
   const comm::ChannelModel ib{comm::with_hops(comm::mpi_infiniband_default_params(), 3)};
 

@@ -10,11 +10,13 @@
 #include "comm/fabric.hpp"
 #include "sweep_engine/studies.hpp"
 #include "topo/topology.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   namespace cal = rr::arch::cal;
   // Topology + fabric come from the engine's memoized context; the 3,059
   // destination pings fan out across the worker pool in node-order chunks.

@@ -5,10 +5,12 @@
 #include <iostream>
 
 #include "model/sweep_model.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   const auto rows = model::figure12_rows();
 
   print_banner(std::cout, "Fig. 12: Sweep3D iteration time (5x5x400 per core/SPE)");

@@ -3,10 +3,7 @@
 // the accelerated runs on the early software stack ("Measured"), and the
 // peak-PCIe projection ("best"); plus the acceleration factors.  The 13
 // node counts run as one parallel batch on the sweep engine with the SPU
-// rate tables memoized (bit-identical to the serial series).  Pass
-// --journal=PATH to run the series through the crash-safe resumable
-// runtime: a killed run resumes from the journal with bit-identical
-// numbers, and the quarantine summary reports any degraded points.
+// rate tables memoized (bit-identical to the serial series).
 #include <iostream>
 
 #include "model/sweep_model.hpp"
@@ -16,27 +13,10 @@
 
 int main(int argc, char** argv) {
   using namespace rr;
-  const CliParser cli(argc, argv, {"journal"});
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   engine::SweepEngine eng;
-  const std::vector<int> node_counts = model::paper_node_counts();
-  std::vector<model::ScalePoint> series;
-  engine::ResilientReport report;
-  const std::string jpath = cli.get("journal", "");
-  if (!jpath.empty()) {
-    engine::SweepJournal journal(jpath,
-                                 engine::scale_campaign_params(node_counts, {}),
-                                 static_cast<int>(node_counts.size()));
-    if (journal.resumed())
-      std::cout << "resuming journal " << jpath << ": "
-                << journal.completed_count() << "/" << journal.scenarios()
-                << " points already done"
-                << (journal.tail_recovered() ? " (torn tail recovered)" : "")
-                << "\n";
-    series = engine::resumable_scale_series(eng, node_counts, {}, journal, {},
-                                            &report);
-  } else {
-    series = engine::parallel_scale_series(eng, node_counts);
-  }
+  const std::vector<model::ScalePoint> series =
+      engine::parallel_scale_series(eng, model::paper_node_counts());
 
   print_banner(std::cout, "Fig. 13: Sweep3D iteration time at scale (s)");
   Table t({"nodes", "Opteron only", "Cell (measured)", "Cell (best)"});
@@ -70,10 +50,5 @@ int main(int argc, char** argv) {
   std::cout << "\n\"We expect that some of this performance improvement will\n"
                "be realized before Roadrunner becomes a production machine in\n"
                "late 2008.\" (Section VI.A)\n";
-  if (!jpath.empty()) {
-    std::cout << "\n";
-    report.print(std::cout);
-    return report.exit_code();
-  }
   return 0;
 }

@@ -8,10 +8,12 @@
 
 #include "arch/spec.hpp"
 #include "model/hpl_sim.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   const arch::SystemSpec system = arch::make_roadrunner();
 
   print_banner(std::cout, "HPL walk: sustained rate vs problem size");

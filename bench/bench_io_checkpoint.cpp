@@ -6,10 +6,12 @@
 #include <iostream>
 
 #include "io/io_model.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   const arch::SystemSpec system = arch::make_roadrunner();
   const io::IoSubsystem io(system);
 

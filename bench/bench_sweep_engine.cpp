@@ -6,11 +6,10 @@
 // the bit-identity gate; the speedup is reported honestly and the >= 3x
 // expectation is only scored when the host actually has >= 4 cores.
 // Pass a path argument to dump the parallel run's scenario records as
-// JSON lines.  Pass --journal=PATH to additionally run the sweep through
-// the crash-safe resumable runtime (resilient.hpp): the journaled run
+// JSON lines.  Pass --work-dir=DIR to additionally run the sweep as a
+// journaled campaign (campaign/service.hpp, in-process): its results
 // must reproduce the engine results bit for bit (also part of the exit
-// gate), resumes from an existing journal, and prints the quarantine
-// summary.
+// gate), and a rerun of the same work dir resumes from its journal.
 //
 // Observability (DESIGN.md §10): pass --report=PATH to emit a run-report
 // JSON (+ Markdown sibling) carrying the campaign identity, provenance,
@@ -26,6 +25,7 @@
 #include <vector>
 
 #include "arch/spec.hpp"
+#include "campaign/service.hpp"
 #include "comm/network.hpp"
 #include "fault/resilience_study.hpp"
 #include "fault/taxonomy.hpp"
@@ -35,7 +35,6 @@
 #include "obs/report.hpp"
 #include "sim/task.hpp"
 #include "sim/trace.hpp"
-#include "sweep_engine/journal.hpp"
 #include "sweep_engine/studies.hpp"
 #include "topo/topology.hpp"
 #include "util/cli.hpp"
@@ -104,7 +103,7 @@ int main(int argc, char** argv) {
   const arch::SystemSpec system = arch::make_roadrunner();
   const topo::Topology& topo = engine::SharedContext::instance().topology();
 
-  const CliParser cli(argc, argv, {"report", "trace", "journal"});
+  const CliParser cli(argc, argv, {"report", "trace", "work-dir"});
   const std::string report_path = cli.get("report", "");
   const std::string trace_path = cli.get("trace", "");
   sim::TraceRecorder trace;
@@ -191,24 +190,41 @@ int main(int argc, char** argv) {
   }
 
   bool resumable_ok = true;
-  if (const std::string jpath = cli.get("journal", ""); !jpath.empty()) {
+  if (const std::string work_dir = cli.get("work-dir", ""); !work_dir.empty()) {
     obs::ProfSpan span("phase/resilient_run", &phase_us);
-    engine::SweepJournal journal(jpath,
-                                 engine::hpl_campaign_params(node_counts, cfg),
-                                 static_cast<int>(node_counts.size()));
-    if (journal.resumed())
-      std::cout << "\nresuming journal " << jpath << ": "
-                << journal.completed_count() << "/" << journal.scenarios()
-                << " scenarios already done"
-                << (journal.tail_recovered() ? " (torn tail recovered)" : "")
-                << "\n";
-    engine::ResilientReport report;
-    const auto resumed = engine::resumable_hpl_study(
-        engN, system, topo, node_counts, cfg, journal, {}, &report);
-    resumable_ok = bit_identical(n_thread, resumed);
-    std::cout << "\nbit-identical metrics, engine vs journaled/resumed run: "
+    // The same 10 points as a campaign with no workers: journaled in
+    // work_dir, resumed from it on a rerun, seeded as hpl_study seeds.
+    campaign::CampaignSpec spec;
+    spec.name = "bench_sweep_engine";
+    spec.params = engine::hpl_campaign_params(node_counts, cfg);
+    spec.scenarios = static_cast<int>(node_counts.size());
+    spec.seed_of = [&](int i) {
+      return fault::study_point_seed(
+          cfg.seed, node_counts[static_cast<std::size_t>(i)], 0);
+    };
+    campaign::ServiceConfig scfg;
+    scfg.workers = 0;
+    scfg.work_dir = work_dir;
+    const campaign::CampaignResult result = campaign::run_campaign(
+        spec,
+        [&](int i, const engine::CancelToken&) {
+          const int nodes = node_counts[static_cast<std::size_t>(i)];
+          return engine::to_json(fault::study_point(
+              system, topo, nodes, fault::hpl_fault_free_s(system, nodes),
+              cfg));
+        },
+        scfg);
+    std::vector<fault::ResiliencePoint> journaled;
+    for (const auto& e : result.entries)
+      if (e && e->ok())
+        journaled.push_back(engine::resilience_point_from_json(e->metrics));
+    resumable_ok = bit_identical(n_thread, journaled);
+    std::cout << "\ncampaign in " << work_dir << ": "
+              << engine::to_string(result.outcome)
+              << " executed=" << result.stats.executed
+              << " resumed=" << result.stats.resumed << "\n"
+              << "bit-identical metrics, engine vs journaled campaign: "
               << (resumable_ok ? "yes" : "NO") << "\n";
-    report.print(std::cout);
   }
 
   if (!cli.positional().empty()) {

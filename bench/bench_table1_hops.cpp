@@ -4,10 +4,12 @@
 #include <iostream>
 
 #include "topo/fat_tree.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   const topo::FatTree t = topo::FatTree::roadrunner();
   const topo::NodeId src{0};
 

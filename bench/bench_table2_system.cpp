@@ -4,10 +4,12 @@
 #include <iostream>
 
 #include "core/roadrunner.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   using arch::Precision;
   const core::RoadrunnerSystem rr = core::RoadrunnerSystem::full();
   const arch::SystemSpec& s = rr.spec();

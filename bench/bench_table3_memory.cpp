@@ -7,10 +7,12 @@
 
 #include "arch/calibration.hpp"
 #include "mem/memory_system.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   namespace cal = rr::arch::cal;
 
   const mem::MemoryModel opteron(mem::opteron_memory_system());

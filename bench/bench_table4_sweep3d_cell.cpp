@@ -9,10 +9,12 @@
 #include "arch/calibration.hpp"
 #include "model/sweep_model.hpp"
 #include "spu/kernels.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rr;
+  const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
   namespace cal = rr::arch::cal;
 
   const model::TableIvResult r = model::table_iv();

@@ -298,11 +298,17 @@ class Coordinator {
 
   /// Drive the campaign and return the journal's entries in index order;
   /// on return every index is done or unreachable (budget abort).
+  /// Throws std::runtime_error, before anything forks, if the journal
+  /// holds an entry under a seed this spec does not derive.
   Entries run() {
     // Resume: whatever the journal held when it opened is done before
-    // anything forks, and its failures count against the budget.
+    // anything forks, once its seed checks out, and its failures count
+    // against the budget.
     for (int i = 0; i < n_; ++i)
-      if (const auto e = journal_.entry(i)) mark_done(*e);
+      if (const auto e = journal_.entry(i)) {
+        check_seed(*e);
+        mark_done(*e);
+      }
     stats.resumed = done_count_;
     if (stats.resumed > 0)
       RR_INFO("campaign resume: " << stats.resumed << "/" << n_
@@ -357,6 +363,24 @@ class Coordinator {
 
  private:
   int& owner(int i) { return owner_[static_cast<std::size_t>(i)]; }
+
+  /// A checksummed entry under a seed the spec does not derive was
+  /// journaled by a different seeding scheme: serving it would break
+  /// determinism, and the journal refuses a second record for its index,
+  /// so the campaign cannot run on this work dir -- the same contract as
+  /// a params mismatch.
+  void check_seed(const engine::JournalEntry& e) const {
+    const std::uint64_t want =
+        spec_.seed_of ? spec_.seed_of(e.index)
+                      : engine::scenario_seed(
+                            spec_.base_seed,
+                            static_cast<std::uint64_t>(e.index));
+    if (e.seed != want)
+      throw std::runtime_error(
+          "journal " + journal_.path() + ": index " + std::to_string(e.index) +
+          " journaled with seed " + std::to_string(e.seed) +
+          " but the campaign derives " + std::to_string(want));
+  }
 
   /// Mark a journaled entry's index done and count it against the
   /// campaign-wide failure budget.
@@ -726,6 +750,10 @@ class Coordinator {
       RR_WARN("campaign: no workers left; running " << pending.size()
                                                     << " indices in-process");
     engine::SweepEngine eng({1});
+    // The engine counts failures of this call only: hand it what is left
+    // of the campaign-wide budget (unlimited stays unlimited).
+    engine::ResilientConfig rcfg = shard_resilient_config(spec_, cfg_);
+    if (rcfg.failure_budget >= 0) rcfg.failure_budget -= failures_;
     // Wall spans of the local run land on the coordinator's trace row.
     struct Detach {
       bool on;
@@ -737,7 +765,7 @@ class Coordinator {
     const engine::ResilientReport rep = [&] {
       obs::ProfSpan span("campaign x" + std::to_string(pending.size()));
       return engine::run_resilient_indices(eng, n_, pending, fn_, &journal_,
-                                           shard_resilient_config(spec_, cfg_));
+                                           rcfg);
     }();
     for (const int i : pending)
       if (const auto& e = rep.entries[static_cast<std::size_t>(i)])

@@ -4,8 +4,9 @@
 // run_campaign() is a coordinator that keeps one ownership table over the
 // campaign's scenario indices: each index is done, pooled, or owned by one
 // shard.  It opens the campaign's only journal, <work_dir>/campaign.jsonl
-// (whatever it already holds is the resume), then forks one worker
-// process per shard.  Workers hold no journal: each drives the indices it
+// (whatever it already holds is the resume; nothing else opens or
+// resumes a result journal), then forks one worker process per shard.
+// Workers hold no journal: each drives the indices it
 // owns through engine::run_resilient_indices a chunk at a time, with the
 // configured watchdog/retry settings, and sends the chunk's entries back
 // in a progress frame.  The coordinator appends each frame's entries to
@@ -147,7 +148,10 @@ struct CampaignResult {
 /// (index, seed) -- that is what makes any fleet shape, respawns, resumes,
 /// and cache hits bit-exact.  The function is called in forked worker
 /// processes, and in the coordinator itself for whatever the fleet
-/// leaves (everything when workers == 0).
+/// leaves (everything when workers == 0).  Throws std::runtime_error,
+/// before anything forks, when the work dir's journal belongs to another
+/// campaign (params or scenario count) or holds an entry whose seed is
+/// not the one the spec derives for its index.
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const engine::ResilientScenario& fn,
                             const ServiceConfig& cfg);

@@ -6,9 +6,9 @@
 // its group: the campaign coordinator appends a worker's chunk at once),
 // so a run killed at any instant loses at most the work that was in
 // flight.  Reopening the same path with the same campaign parameters
-// resumes: already-journaled indices are served from the journal
-// (bit-exact, thanks to %.17g number round-tripping) and only the
-// missing ones are recomputed.  A torn final line -- the only damage an
+// preloads what it holds; the campaign coordinator, the only code that
+// resumes, serves those indices from it (bit-exact, thanks to %.17g
+// number round-tripping) and recomputes only the missing ones.  A torn final line -- the only damage an
 // interrupted append can do, since each append is a single O_APPEND
 // write(2) -- is detected on open and truncated away.
 //
@@ -33,9 +33,9 @@
 // fresh -- resuming from a corrupt prefix would silently drop work; the
 // *read-only* loaders fail closed with line/offset diagnostics instead.
 // Append I/O failures retry transient errnos on the shared backoff, then
-// degrade the journal to memory-only (`degraded()`), which the resilient
-// runner maps to ExitCode::kDegraded -- a full disk costs durability,
-// never the run.
+// degrade the journal to memory-only (`degraded()`), which the campaign
+// maps to ExitCode::kDegraded -- a full disk costs durability, never the
+// run.
 #pragma once
 
 #include <atomic>

@@ -4,12 +4,10 @@
 #include <atomic>
 #include <deque>
 #include <ostream>
-#include <sstream>
 #include <thread>
 
 #include "obs/metrics.hpp"
 #include "util/expect.hpp"
-#include "util/fileio.hpp"
 #include "util/log.hpp"
 
 namespace rr::engine {
@@ -25,16 +23,13 @@ std::int64_t now_ns() {
 }
 
 // Retry-taxonomy instrumentation (DESIGN.md §10): every terminal status
-// and every retry/backoff is counted, and entries served from a resumed
-// journal credit journal.resume_hits.
+// and every retry/backoff is counted.
 struct SweepMetrics {
   obs::Counter& ok;
   obs::Counter& retries;
   obs::Counter& timeouts;
   obs::Counter& quarantined;
   obs::Counter& budget_aborts;
-  obs::Counter& resume_hits;
-  obs::Counter& seed_rejects;
   obs::Histogram& backoff_us;
 
   static SweepMetrics& instance() {
@@ -44,8 +39,6 @@ struct SweepMetrics {
                           reg.counter("sweep.timeouts"),
                           reg.counter("sweep.quarantined"),
                           reg.counter("sweep.budget_aborts"),
-                          reg.counter("journal.resume_hits"),
-                          reg.counter("journal.seed_rejects"),
                           reg.histogram("sweep.backoff_us",
                                         obs::latency_bounds_us())};
     return m;
@@ -74,32 +67,12 @@ int exit_code(RunOutcome o) {
   return fault::to_int(fault::ExitCode::kError);
 }
 
-void ResilientReport::print(std::ostream& os) const {
-  os << "sweep summary: " << entries.size() << " scenarios: " << ok << " ok";
-  if (retried > 0) os << " (" << retried << " retried)";
-  os << ", " << timed_out << " timed out, " << quarantined << " quarantined";
-  if (resumed > 0) os << ", " << resumed << " resumed from journal";
-  if (not_run > 0) os << ", " << not_run << " not run (budget abort)";
-  os << "\n";
-  for (const auto& e : entries) {
-    if (!e || e->ok()) continue;
-    os << "  " << to_string(e->status) << ": index " << e->index << " seed "
-       << e->seed;
-    if (e->status == ScenarioStatus::kQuarantined)
-      os << " class " << fault::to_string(e->error_class);
-    os << " after " << e->attempts
-       << (e->attempts == 1 ? " attempt" : " attempts") << ": " << e->error
-       << "\n";
-  }
-  os << "outcome: " << to_string(outcome) << " (exit " << exit_code() << ")\n";
-}
-
 void ResilientReport::log() const {
   RR_INFO("sweep summary: " << entries.size() << " scenarios: " << ok
                             << " ok (" << retried << " retried), " << timed_out
                             << " timed out, " << quarantined << " quarantined, "
-                            << resumed << " resumed, " << not_run
-                            << " not run; outcome " << to_string(outcome));
+                            << not_run << " not run; outcome "
+                            << to_string(outcome));
   for (const auto& e : entries) {
     if (!e || e->ok()) continue;
     RR_WARN(to_string(e->status)
@@ -115,11 +88,10 @@ void ResilientReport::log() const {
 
 ResilientReport run_resilient(SweepEngine& eng, int n,
                               const ResilientScenario& fn,
-                              SweepJournal* journal,
                               const ResilientConfig& cfg) {
   std::vector<int> indices(static_cast<std::size_t>(std::max(n, 0)));
   for (int i = 0; i < n; ++i) indices[static_cast<std::size_t>(i)] = i;
-  return run_resilient_indices(eng, n, indices, fn, journal, cfg);
+  return run_resilient_indices(eng, n, indices, fn, nullptr, cfg);
 }
 
 ResilientReport run_resilient_indices(SweepEngine& eng, int n,
@@ -137,6 +109,7 @@ ResilientReport run_resilient_indices(SweepEngine& eng, int n,
   for (const int i : indices) {
     RR_EXPECTS(i >= 0 && i < n);
     RR_EXPECTS(!requested[static_cast<std::size_t>(i)]);
+    RR_EXPECTS(!journal || !journal->completed(i));  // resume is the caller's
     requested[static_cast<std::size_t>(i)] = 1;
   }
 
@@ -146,39 +119,13 @@ ResilientReport run_resilient_indices(SweepEngine& eng, int n,
                                        static_cast<std::uint64_t>(i));
   };
 
-  // Failures counted against the budget include ones a resumed journal
-  // already recorded: the budget is a property of the campaign, not of
-  // one process's lifetime.
   std::atomic<int> failures{0};
   std::atomic<bool> abort{false};
   SweepMetrics& sm = SweepMetrics::instance();
-  if (journal) {
-    for (int i = 0; i < n; ++i) {
-      auto e = journal->entry(i);
-      if (!e) continue;
-      if (e->seed != seed_of(i)) {
-        // A checksummed record with the wrong derived seed is not bit
-        // rot -- it was journaled under a different seeding scheme.
-        // Serving its metrics would break the determinism contract, so
-        // the scenario is recomputed instead.
-        sm.seed_rejects.inc();
-        RR_WARN("journal " << journal->path() << ": index " << i
-                           << " journaled with seed " << e->seed
-                           << " but the campaign derives " << seed_of(i)
-                           << "; recomputing");
-        continue;
-      }
-      report.entries[static_cast<std::size_t>(i)] = std::move(e);
-      sm.resume_hits.inc();
-      if (!report.entries[static_cast<std::size_t>(i)]->ok())
-        failures.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
   const auto budget_tripped = [&] {
     return cfg.failure_budget >= 0 &&
            failures.load(std::memory_order_relaxed) > cfg.failure_budget;
   };
-  if (budget_tripped()) abort.store(true, std::memory_order_release);
 
   // Watchdog state: per-index cancel tokens plus start/finish stamps the
   // watchdog thread scans.  deque: CancelToken is not movable.
@@ -215,8 +162,6 @@ ResilientReport run_resilient_indices(SweepEngine& eng, int n,
                           // counters below are shared
   const auto worker = [&](int i) {
     const auto idx = static_cast<std::size_t>(i);
-    if (report.entries[idx]) return;  // resumed from the journal
-
     JournalEntry entry;
     entry.index = i;
     entry.seed = seed_of(i);
@@ -281,17 +226,13 @@ ResilientReport run_resilient_indices(SweepEngine& eng, int n,
     }
   };
 
-  // The pool fans out over the not-yet-journaled requested indices only;
-  // slots are still keyed by global index, so the determinism contract
-  // (results keyed by index, seeds derived from index) is unchanged.
-  std::vector<int> todo;
-  todo.reserve(indices.size());
-  for (const int i : indices)
-    if (!report.entries[static_cast<std::size_t>(i)]) todo.push_back(i);
-  if (!todo.empty())
+  // The pool fans out over the requested indices; slots are keyed by
+  // global index, so the determinism contract (results keyed by index,
+  // seeds derived from index) holds for any subset.
+  if (!indices.empty())
     eng.pool().for_each_index(
-        static_cast<int>(todo.size()),
-        [&](int j) { worker(todo[static_cast<std::size_t>(j)]); }, &abort);
+        static_cast<int>(indices.size()),
+        [&](int j) { worker(indices[static_cast<std::size_t>(j)]); }, &abort);
 
   batch_done.store(true, std::memory_order_release);
   if (watchdog.joinable()) watchdog.join();
@@ -311,29 +252,11 @@ ResilientReport run_resilient_indices(SweepEngine& eng, int n,
       case ScenarioStatus::kQuarantined: ++report.quarantined; break;
     }
   }
-  if (journal) {
-    // Entries that were already in the journal when this process started:
-    // their worker returned before stamping started_ns.
-    for (int i = 0; i < n; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (report.entries[idx] &&
-          started_ns[idx].load(std::memory_order_relaxed) == 0)
-        ++report.resumed;
-    }
-  }
-
   if (abort.load(std::memory_order_acquire) && budget_tripped()) {
     report.outcome = RunOutcome::kBudgetExceeded;
     sm.budget_aborts.inc();
   } else if (report.timed_out + report.quarantined > 0) {
     report.outcome = RunOutcome::kDegraded;
-  } else if (journal && journal->degraded()) {
-    // Every scenario ran, but the journal lost durability along the way:
-    // the results are complete in memory yet nothing would survive a
-    // crash, so the run must not report clean (DESIGN.md §13).
-    report.outcome = RunOutcome::kDegraded;
-    RR_WARN("run degraded: journal " << journal->path()
-                                     << " fell back to memory-only");
   } else {
     report.outcome = RunOutcome::kClean;
   }
@@ -348,14 +271,6 @@ void write_entries_jsonl(
     to_json(*e).dump_to(os);
     os << '\n';
   }
-}
-
-bool write_entries_file(
-    const std::vector<std::optional<JournalEntry>>& entries,
-    const std::string& path) {
-  std::ostringstream os;
-  write_entries_jsonl(entries, os);
-  return write_file_atomic(path, os.str());
 }
 
 }  // namespace rr::engine

@@ -1,22 +1,22 @@
-// Crash-safe, resumable execution of a sweep batch (DESIGN.md §8).
+// Resilient execution of a sweep batch (DESIGN.md §8).
 //
-// run_resilient() wraps the plain SweepEngine fan-out with the four
+// run_resilient() wraps the plain SweepEngine fan-out with the three
 // protections long campaigns need:
 //
-//   * journaling -- every completed scenario is appended (fsync'd) to a
-//     SweepJournal before the run moves on, so a kill at any instant
-//     loses at most in-flight work; on resume, journaled indices are
-//     served from disk and only the rest are recomputed, and the final
-//     results file is bit-identical to an uninterrupted run's;
 //   * a per-scenario watchdog -- scenarios run against a CancelToken and
 //     a wall-clock deadline; one that overruns is cancelled cooperatively
-//     and journaled `timed_out` without poisoning the batch;
+//     and recorded `timed_out` without poisoning the batch;
 //   * a retry taxonomy -- transient failures retry with deterministic
 //     backoff, permanent/poison failures are quarantined and the batch
 //     continues;
-//   * a failure budget -- once too many scenarios have failed, the pool's
-//     abort flag stops new work and the run ends kBudgetExceeded, with
-//     everything already journaled still durable (and resumable).
+//   * a failure budget -- once too many scenarios of this call have
+//     failed, the pool's abort flag stops new work and the run ends
+//     kBudgetExceeded.
+//
+// Durability and resume belong to the campaign coordinator
+// (campaign/service.hpp), which owns the only journal: its local runner
+// hands that journal to run_resilient_indices as an append sink, so each
+// finished scenario is durable before the run moves on.
 #pragma once
 
 #include <chrono>
@@ -46,11 +46,10 @@ struct ResilientConfig {
   RetryPolicy retry{};
   /// Per-scenario wall-clock deadline; zero disables the watchdog.
   std::chrono::milliseconds deadline{0};
-  /// Abort once more than this many scenarios have failed (timed out or
-  /// quarantined, including failures loaded from a resumed journal);
-  /// negative = unlimited.
+  /// Abort once more than this many scenarios of one call have failed
+  /// (timed out or quarantined); negative = unlimited.
   int failure_budget = -1;
-  /// Seed recorded in each journal entry; defaults to
+  /// Seed recorded in each entry; defaults to
   /// scenario_seed(base_seed, index).  Override to match a study's own
   /// derivation (e.g. fault::study_point_seed).
   std::uint64_t base_seed = 0;
@@ -68,44 +67,36 @@ struct ResilientReport {
   int retried = 0;      ///< ok, but needed more than one attempt
   int timed_out = 0;
   int quarantined = 0;
-  int resumed = 0;      ///< served from the journal, not recomputed
   int not_run = 0;      ///< skipped by a budget abort
   RunOutcome outcome = RunOutcome::kClean;
 
   int exit_code() const { return engine::exit_code(outcome); }
 
-  /// Post-run summary: counts, plus one line per degraded scenario with
-  /// its index, seed, class, and error -- degraded runs must be visible.
-  void print(std::ostream& os) const;
-
-  /// The same summary through RR_LOG: counts at info, one warn line per
-  /// degraded scenario, error on a budget abort -- so quarantine and
-  /// degradation notices respect the log threshold and the RR_LOG_JSON
-  /// sink.  run_resilient() calls this on every completed run.
+  /// Post-run summary through RR_LOG: counts at info, one warn line per
+  /// degraded scenario (index, seed, class, error), error on a budget
+  /// abort -- so quarantine and degradation notices respect the log
+  /// threshold and the RR_LOG_JSON sink.  Every run calls this.
   void log() const;
 };
 
-/// Run scenarios 0..n-1 under the resilience protocol.  `journal` may be
-/// null (no durability; retry/watchdog/budget still apply).  When a
-/// journal is given it must have been opened with `scenarios == n`.
+/// Run scenarios 0..n-1 under the resilience protocol, in memory: the
+/// single-process reference a campaign of any fleet shape must match.
 ResilientReport run_resilient(SweepEngine& eng, int n,
                               const ResilientScenario& fn,
-                              SweepJournal* journal,
                               const ResilientConfig& cfg = {});
 
 /// Shard-range variant: run only `indices` (each unique, in [0, n)) of an
-/// n-scenario campaign.  The campaign service runs every worker chunk
-/// through it with no journal and no failure budget (the coordinator
-/// journals what the worker reports and owns the campaign-wide budget),
-/// and its own local runner with the campaign's one journal, which stays
-/// scoped to the whole campaign (opened with `scenarios == n`, entries
-/// land at their global index).
+/// n-scenario campaign; entries land at their global index, and indices
+/// not requested stay nullopt and are not counted.  `not_run` counts the
+/// requested indices a budget abort skipped.
 ///
-/// Every journaled entry -- inside or outside `indices` -- is preloaded
-/// into the report and counted (the failure budget is a property of the
-/// campaign, not of one call); `not_run` counts only requested indices a
-/// budget abort skipped.  Indices neither requested nor journaled stay
-/// nullopt and are not counted.
+/// `journal`, when given, is only a sink: each finished entry is appended
+/// to it before the run moves on.  It must be scoped to the whole
+/// campaign (opened with `scenarios == n`) and hold none of `indices` --
+/// resuming is the caller's job, and a journaled index is a caller error.
+/// The campaign service runs every worker chunk through this with no
+/// journal and no failure budget, and its local runner with the
+/// campaign's one journal and the budget the campaign has left.
 ResilientReport run_resilient_indices(SweepEngine& eng, int n,
                                       const std::vector<int>& indices,
                                       const ResilientScenario& fn,
@@ -118,8 +109,5 @@ ResilientReport run_resilient_indices(SweepEngine& eng, int n,
 /// uninterrupted run and any kill-and-resume chain of the same campaign.
 void write_entries_jsonl(const std::vector<std::optional<JournalEntry>>& entries,
                          std::ostream& os);
-/// write_entries_jsonl to `path` via an atomic temp+rename snapshot.
-bool write_entries_file(const std::vector<std::optional<JournalEntry>>& entries,
-                        const std::string& path);
 
 }  // namespace rr::engine

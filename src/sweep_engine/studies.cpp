@@ -128,71 +128,6 @@ Json hpl_campaign_params(const std::vector<int>& node_counts,
   return p;
 }
 
-Json scale_campaign_params(const std::vector<int>& node_counts,
-                           const model::SweepWorkload& w) {
-  Json nodes = Json::array();
-  for (const int n : node_counts) nodes.push_back(n);
-  Json p = Json::object();
-  p.set("study", "sweep3d_scale")
-      .set("nodes", std::move(nodes))
-      .set("it", w.it)
-      .set("jt", w.jt)
-      .set("kt", w.kt)
-      .set("mk", w.mk)
-      .set("angles", w.angles);
-  return p;
-}
-
-std::vector<fault::ResiliencePoint> resumable_hpl_study(
-    SweepEngine& eng, const arch::SystemSpec& system,
-    const topo::Topology& full_topo, const std::vector<int>& node_counts,
-    const fault::StudyConfig& cfg, SweepJournal& journal,
-    const ResilientConfig& rcfg, ResilientReport* report) {
-  const int n = static_cast<int>(node_counts.size());
-  ResilientConfig rc = rcfg;
-  rc.seed_of = [&cfg, &node_counts](int i) {
-    return fault::study_point_seed(cfg.seed,
-                                   node_counts[static_cast<std::size_t>(i)], 0);
-  };
-  const ResilientReport rep = run_resilient(
-      eng, n,
-      [&](int i, const CancelToken&) {
-        const int nodes = node_counts[static_cast<std::size_t>(i)];
-        return to_json(fault::study_point(
-            system, full_topo, nodes, fault::hpl_fault_free_s(system, nodes),
-            cfg));
-      },
-      &journal, rc);
-  std::vector<fault::ResiliencePoint> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (const auto& e : rep.entries)
-    if (e && e->ok()) out.push_back(resilience_point_from_json(e->metrics));
-  if (report) *report = rep;
-  return out;
-}
-
-std::vector<model::ScalePoint> resumable_scale_series(
-    SweepEngine& eng, const std::vector<int>& node_counts,
-    const model::SweepWorkload& w, SweepJournal& journal,
-    const ResilientConfig& rcfg, ResilientReport* report) {
-  const SharedContext& ctx = SharedContext::instance();
-  const int n = static_cast<int>(node_counts.size());
-  const ResilientReport rep = run_resilient(
-      eng, n,
-      [&](int i, const CancelToken&) {
-        return to_json(
-            model::scale_point(node_counts[static_cast<std::size_t>(i)], w,
-                               ctx.spe_pxc(), ctx.opteron_1800()));
-      },
-      &journal, rcfg);
-  std::vector<model::ScalePoint> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (const auto& e : rep.entries)
-    if (e && e->ok()) out.push_back(scale_point_from_json(e->metrics));
-  if (report) *report = rep;
-  return out;
-}
-
 std::vector<comm::LatencySweepPoint> parallel_latency_sweep(
     SweepEngine& eng, const comm::FabricModel& fabric, topo::NodeId src) {
   const int n = fabric.topology().node_count();

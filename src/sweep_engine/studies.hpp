@@ -17,7 +17,6 @@
 #include "model/sweep_model.hpp"
 #include "sweep_engine/context.hpp"
 #include "sweep_engine/engine.hpp"
-#include "sweep_engine/resilient.hpp"
 #include "sweep_engine/result_store.hpp"
 
 namespace rr::engine {
@@ -53,32 +52,9 @@ std::vector<model::ScalePoint> parallel_scale_series(
 std::vector<comm::LatencySweepPoint> parallel_latency_sweep(
     SweepEngine& eng, const comm::FabricModel& fabric, topo::NodeId src);
 
-// ---------------------------------------------------------------------------
-// Resumable (journal-backed) entry points -- resilient.hpp protocol.
-// Campaign params identify the sweep: open the SweepJournal with the
-// matching *_campaign_params() object, or the journal refuses to resume.
-// ---------------------------------------------------------------------------
-
+/// Campaign params of the interrupted-HPL walk: the identity a campaign
+/// of parallel_hpl_study's points is journaled and cached under.
 Json hpl_campaign_params(const std::vector<int>& node_counts,
                          const fault::StudyConfig& cfg);
-Json scale_campaign_params(const std::vector<int>& node_counts,
-                           const model::SweepWorkload& w);
-
-/// Journal-backed parallel_hpl_study: already-journaled points are decoded
-/// from the journal (bit-exact) instead of recomputed, fresh points are
-/// journaled as they complete, and the run obeys `rcfg`'s watchdog /
-/// retry / failure-budget settings.  Returns the ok points in index
-/// order; failures are visible in `report` (always written when given).
-std::vector<fault::ResiliencePoint> resumable_hpl_study(
-    SweepEngine& eng, const arch::SystemSpec& system,
-    const topo::Topology& full_topo, const std::vector<int>& node_counts,
-    const fault::StudyConfig& cfg, SweepJournal& journal,
-    const ResilientConfig& rcfg = {}, ResilientReport* report = nullptr);
-
-/// Journal-backed parallel_scale_series (Fig. 13/14 sweep).
-std::vector<model::ScalePoint> resumable_scale_series(
-    SweepEngine& eng, const std::vector<int>& node_counts,
-    const model::SweepWorkload& w, SweepJournal& journal,
-    const ResilientConfig& rcfg = {}, ResilientReport* report = nullptr);
 
 }  // namespace rr::engine

@@ -1,12 +1,15 @@
 // Contract tests for the sharded campaign service (DESIGN.md §11): the
 // frame protocol, the coordinator/worker fleet (sharding, work-stealing,
-// crash respawn), and the content-addressed result cache.  The invariant
-// under test throughout is byte-identity: the result of any fleet shape
-// -- including one with a worker killed mid-shard, or a disk that takes
-// no writes -- equals the single-process bytes, and a cache hit serves
-// the populating run's bytes verbatim.
+// crash respawn), resume from the campaign journal (the only resume),
+// and the content-addressed result cache.  The invariant under test
+// throughout is byte-identity: the result of any fleet shape --
+// including one with a worker killed mid-shard, a coordinator killed
+// mid-campaign, or a disk that takes no writes -- equals the
+// single-process bytes, and a cache hit serves the populating run's
+// bytes verbatim.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,7 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,12 +25,17 @@
 #include "campaign/cache.hpp"
 #include "campaign/protocol.hpp"
 #include "campaign/service.hpp"
+#include "fault/resilience_study.hpp"
+#include "model/sweep_model.hpp"
 #include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
+#include "sweep_engine/studies.hpp"
 #include "util/env.hpp"
 #include "util/fileio.hpp"
 #include "util/flightrec.hpp"
 #include "util/rng.hpp"
+
+#include "tmp_dir.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define RR_TSAN 1
@@ -40,16 +47,6 @@
 
 namespace rr {
 namespace {
-
-/// A fresh, empty work directory: a stale one left by an earlier process
-/// with the same pid would otherwise be resumed from.
-std::string tmp_dir(const std::string& stem) {
-  const std::string dir =
-      ::testing::TempDir() + stem + "." + std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
-  make_dirs(dir);
-  return dir;
-}
 
 Json campaign_params(const std::string& salt) {
   Json p = Json::object();
@@ -87,8 +84,7 @@ std::string reference_bytes(const campaign::CampaignSpec& spec,
   engine::SweepEngine eng({1});
   engine::ResilientConfig rcfg;
   rcfg.base_seed = spec.base_seed;
-  const auto report =
-      engine::run_resilient(eng, spec.scenarios, fn, nullptr, rcfg);
+  const auto report = engine::run_resilient(eng, spec.scenarios, fn, rcfg);
   std::ostringstream os;
   engine::write_entries_jsonl(report.entries, os);
   return os.str();
@@ -447,6 +443,49 @@ TEST(CampaignService, ResumeReadsJournalsOfShardsThisRunDoesNotSpawn) {
   }
 }
 
+TEST(CampaignService, ResumeRefusesAnEntryJournaledUnderAnotherSeed) {
+  // A checksummed record whose seed is not the one the spec derives was
+  // journaled under a different seeding scheme.  Serving it would break
+  // determinism and the journal refuses a second record for its index,
+  // so the campaign must refuse the work dir, under any fleet shape,
+  // before anything runs.
+  const auto spec = make_spec("stale-seed", 6);
+  for (const int workers : {0, 2}) {
+#ifdef RR_TSAN
+    if (workers > 0) continue;  // fork + threads trips TSan's die_after_fork
+#endif
+    const std::string work =
+        tmp_dir("campaign-stale-seed-" + std::to_string(workers));
+    {
+      engine::SweepJournal journal(work + "/campaign.jsonl", spec.params, 6);
+      engine::JournalEntry stale;
+      stale.index = 2;
+      stale.seed = 12345;  // not scenario_seed(spec.base_seed, 2)
+      stale.metrics = Json::object();
+      stale.metrics.set("x", 999);
+      journal.append(stale);
+    }
+
+    campaign::ServiceConfig cfg;
+    cfg.workers = workers;
+    cfg.work_dir = work;
+    try {
+      const auto result = campaign::run_campaign(spec, plain_fn(), cfg);
+      ADD_FAILURE() << workers << " workers: the stale entry was accepted ("
+                    << engine::to_string(result.outcome) << ")";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("campaign.jsonl"), std::string::npos) << what;
+      EXPECT_NE(what.find("index 2 "), std::string::npos) << what;
+      EXPECT_NE(what.find("12345"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(engine::scenario_seed(
+                    spec.base_seed, 2))),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST(CampaignService,
      WorkersThatAlwaysDieExhaustRespawnsThenTheCoordinatorFinishes) {
 #ifdef RR_TSAN
@@ -528,6 +567,29 @@ TEST(CampaignService, DegradedAndBudgetOutcomesFollowTheExitCodeContract) {
               fault::to_int(fault::ExitCode::kBudgetExceeded))
         << workers << " workers";
   }
+
+  // Failures the journal already holds count too: an earlier run
+  // journaled index 1's failure, so index 6's exceeds the budget and the
+  // in-process runner, handed what is left of it, stops there.
+  const std::string work = tmp_dir("campaign-budget-resumed");
+  {
+    engine::SweepEngine eng({1});
+    engine::SweepJournal journal(work + "/campaign.jsonl", bspec.params, 8);
+    engine::ResilientConfig rcfg;
+    rcfg.base_seed = bspec.base_seed;
+    ASSERT_EQ(engine::run_resilient_indices(eng, 8, {1}, two_fail, &journal,
+                                            rcfg)
+                  .quarantined,
+              1);
+  }
+  campaign::ServiceConfig resume_cfg;
+  resume_cfg.workers = 0;
+  resume_cfg.work_dir = work;
+  resume_cfg.resilient.failure_budget = 1;
+  const auto rresult = campaign::run_campaign(bspec, two_fail, resume_cfg);
+  EXPECT_EQ(rresult.outcome, engine::RunOutcome::kBudgetExceeded);
+  EXPECT_EQ(rresult.stats.resumed, 1);
+  EXPECT_EQ(rresult.not_run, 1);  // index 7, after the failure at 6
 #endif
 }
 
@@ -562,6 +624,172 @@ TEST(CampaignService, FullDiskCostsDurabilityNeverResults) {
     EXPECT_EQ(result.ok, spec.scenarios) << workers;
     EXPECT_EQ(result.result_bytes, golden) << workers;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Resume: the coordinator's preload is the only resume.  Journaled
+// scenarios are served bit-exactly, never recomputed, under any fleet
+// shape, and a killed campaign resumes to the uninterrupted bytes.
+// ---------------------------------------------------------------------------
+
+/// Every entry is ok and carries exactly `reference`'s metrics.  Numbers
+/// print %.17g, so equal dumps mean bit-identical doubles.
+template <typename Point>
+void expect_points(const campaign::CampaignResult& result,
+                   const std::vector<Point>& reference, const char* what) {
+  ASSERT_EQ(result.ok, static_cast<int>(reference.size())) << what;
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    EXPECT_EQ(result.entries[i]->metrics.dump(),
+              engine::to_json(reference[i]).dump())
+        << what << " point " << i;
+}
+
+TEST(ResilientRun, ResumeServesJournaledScenariosBitIdentically) {
+  // Small enough to run in milliseconds, big enough that failures happen.
+  const std::vector<int> nodes{1, 180, 1024, 3060};
+  fault::StudyConfig study;
+  study.replications = 300;
+  const auto& ctx = engine::SharedContext::instance();
+  const auto reference =
+      fault::hpl_study(ctx.system(), ctx.topology(), nodes, study);
+
+  // The interrupted-HPL walk as a campaign, seeded as hpl_study seeds it.
+  campaign::CampaignSpec spec;
+  spec.name = "hpl_resume";
+  spec.params = engine::hpl_campaign_params(nodes, study);
+  spec.scenarios = static_cast<int>(nodes.size());
+  spec.seed_of = [&](int i) {
+    return fault::study_point_seed(study.seed,
+                                   nodes[static_cast<std::size_t>(i)], 0);
+  };
+  const engine::ResilientScenario fn = [&](int i,
+                                           const engine::CancelToken&) {
+    const int n = nodes[static_cast<std::size_t>(i)];
+    return engine::to_json(fault::study_point(
+        ctx.system(), ctx.topology(), n,
+        fault::hpl_fault_free_s(ctx.system(), n), study));
+  };
+
+  campaign::ServiceConfig cfg;
+  cfg.workers = 0;
+  cfg.work_dir = tmp_dir("campaign-resume-hpl");
+  const auto fresh = campaign::run_campaign(spec, fn, cfg);
+  EXPECT_EQ(fresh.stats.resumed, 0);
+  expect_points(fresh, reference, "fresh campaign");
+
+  // A rerun of the work dir under another fleet shape: every point comes
+  // from the journal, decoded -- and the numbers are still bit-identical.
+  cfg.workers = 2;
+  const auto resumed = campaign::run_campaign(spec, fn, cfg);
+  EXPECT_EQ(resumed.stats.resumed, spec.scenarios);
+  EXPECT_EQ(resumed.stats.executed, 0);
+  EXPECT_EQ(resumed.stats.workers_spawned, 0);
+  expect_points(resumed, reference, "resumed campaign");
+}
+
+TEST(ResilientRun, ResumableScaleSeriesMatchesSerial) {
+  const std::vector<int>& nodes = model::paper_node_counts();
+  const auto serial = model::figure13_series(nodes);
+
+  campaign::CampaignSpec spec;
+  spec.name = "fig13_series";
+  spec.params = Json::object();
+  spec.params.set("study", "sweep3d_scale");
+  spec.scenarios = static_cast<int>(nodes.size());
+  const engine::SharedContext& ctx = engine::SharedContext::instance();
+  campaign::ServiceConfig cfg;
+  cfg.workers = 0;
+  cfg.work_dir = tmp_dir("campaign-resume-scale");
+  const auto result = campaign::run_campaign(
+      spec,
+      [&](int i, const engine::CancelToken&) {
+        return engine::to_json(
+            model::scale_point(nodes[static_cast<std::size_t>(i)], {},
+                               ctx.spe_pxc(), ctx.opteron_1800()));
+      },
+      cfg);
+  expect_points(result, serial, "scale series");
+}
+
+// Kill-and-resume: a forked child runs the campaign and dies at a
+// scenario boundary (the RR_CRASH_AFTER_N hook fires std::_Exit right
+// after a journal fsync -- the moral equivalent of SIGKILL); the resumed
+// campaign's result is byte-identical to an uninterrupted run's.
+TEST(ResilientRun, KillAndResumeProducesByteIdenticalResults) {
+#ifdef RR_TSAN
+  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
+#else
+  const auto spec = make_spec("kill-and-resume", 6);
+  const std::string golden = reference_bytes(spec, plain_fn());
+  campaign::ServiceConfig cfg;
+  cfg.workers = 0;
+  cfg.work_dir = tmp_dir("campaign-killed");
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // In the child: no gtest, no return -- either the crash hook fires
+    // inside the journal's second append or we report survival via a
+    // distinctive code.
+    ::setenv("RR_CRASH_AFTER_N", "2", 1);
+    campaign::run_campaign(spec, plain_fn(), cfg);
+    std::_Exit(42);  // unreachable if the hook worked
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), engine::SweepJournal::kCrashExitCode);
+
+  // Relaunch on the same work dir: the two journaled scenarios are
+  // served, the other four run, and the bytes match the golden.
+  const auto result = campaign::run_campaign(spec, plain_fn(), cfg);
+  EXPECT_EQ(result.ok, spec.scenarios);
+  EXPECT_EQ(result.stats.resumed, 2);
+  EXPECT_EQ(result.stats.executed, 4);
+  EXPECT_EQ(result.result_bytes, golden);
+
+  // The artifact writer is atomic: the file lands whole.
+  const std::string out = tmp_path("campaign-killed-out");
+  ASSERT_TRUE(result.write_results(out));
+  EXPECT_EQ(read_file(out), golden);
+  std::remove(out.c_str());
+#endif
+}
+
+TEST(ShardRuns, WorkerJournalResumesBitExactlyInProcess) {
+  const int n = 6;
+  const auto spec = make_spec("takeover", n);
+  const std::string golden = reference_bytes(spec, plain_fn());
+
+  // "Worker": journals a shard's worth of the campaign, then disappears.
+  const std::string work = tmp_dir("campaign-takeover");
+  const std::string path = work + "/campaign.jsonl";
+  {
+    engine::SweepEngine eng({2});
+    engine::SweepJournal journal(path, spec.params, n);
+    engine::ResilientConfig rcfg;
+    rcfg.base_seed = spec.base_seed;
+    ASSERT_EQ(engine::run_resilient_indices(eng, n, {0, 1, 4}, plain_fn(),
+                                            &journal, rcfg)
+                  .ok,
+              3);
+  }
+
+  // read_journal_entries sees the subset's slots without touching the file.
+  const auto only = engine::read_journal_entries(path, spec.params, n);
+  EXPECT_TRUE(only[0].has_value());
+  EXPECT_FALSE(only[2].has_value());
+
+  // In-process takeover: the coordinator with no workers resumes the
+  // journal; the preloaded entries are served bit-exactly, never
+  // recomputed.
+  campaign::ServiceConfig cfg;
+  cfg.workers = 0;
+  cfg.work_dir = work;
+  const auto result = campaign::run_campaign(spec, plain_fn(), cfg);
+  EXPECT_EQ(result.ok, n);
+  EXPECT_EQ(result.stats.resumed, 3);
+  EXPECT_EQ(result.result_bytes, golden);
 }
 
 // ---------------------------------------------------------------------------

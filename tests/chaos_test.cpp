@@ -24,19 +24,10 @@
 #include "util/fileio.hpp"
 #include "util/rng.hpp"
 
+#include "tmp_dir.hpp"
+
 namespace rr {
 namespace {
-
-std::string tmp_dir(const std::string& stem) {
-  const std::string dir =
-      ::testing::TempDir() + stem + "." + std::to_string(::getpid());
-  make_dirs(dir);
-  return dir;
-}
-
-std::string tmp_path(const std::string& stem) {
-  return ::testing::TempDir() + stem + "." + std::to_string(::getpid());
-}
 
 std::uint64_t counter_value(const char* name) {
   return obs::MetricsRegistry::global().counter(name).value();
@@ -243,18 +234,24 @@ TEST(JournalChaosTest, PermanentAppendFailureDegradesToMemoryOnly) {
 }
 
 TEST(JournalChaosTest, DegradedJournalClampsRunOutcome) {
-  const std::string path = tmp_path("journal_outcome_clamp");
-  const Json params = demo_params("clamp");
-  engine::SweepJournal journal(path, params, 6);
+  campaign::CampaignSpec spec;
+  spec.name = "chaos_clamp";
+  spec.params = demo_params("clamp");
+  spec.scenarios = 6;
+  campaign::ServiceConfig cfg;
+  cfg.workers = 0;
+  cfg.work_dir = tmp_dir("journal_outcome_clamp");
   FailOpEnv env(FailOpEnv::Op::kWrite, ENOSPC);
-  ScopedEnv scope(&env);
-  engine::SweepEngine eng({1});
-  const engine::ResilientReport rep =
-      engine::run_resilient(eng, 6, plain_fn(), &journal);
-  EXPECT_EQ(rep.ok, 6);  // every scenario still completed
-  EXPECT_TRUE(journal.degraded());
-  EXPECT_EQ(rep.outcome, engine::RunOutcome::kDegraded);
-  EXPECT_EQ(rep.exit_code(), 3);
+  campaign::CampaignResult result;
+  {
+    ScopedEnv scope(&env);
+    result = campaign::run_campaign(spec, plain_fn(), cfg);
+  }
+  // Every scenario still completed, but the journal lost durability
+  // along the way, so the campaign must not report clean.
+  EXPECT_EQ(result.ok, 6);
+  EXPECT_EQ(result.outcome, engine::RunOutcome::kDegraded);
+  EXPECT_EQ(result.exit_code(), 3);
 }
 
 TEST(JournalChaosTest, MidFileTamperFailsClosedWithLineDiagnostics) {

@@ -26,12 +26,10 @@
 #include "util/json.hpp"
 #include "util/log.hpp"
 
+#include "tmp_dir.hpp"
+
 namespace rr::obs {
 namespace {
-
-std::string tmp_path(const std::string& stem) {
-  return ::testing::TempDir() + stem + "." + std::to_string(::getpid());
-}
 
 // ---------------------------------------------------------------------------
 // Wire round-trip.
@@ -230,8 +228,7 @@ TEST(TraceMerge, ShardTracksAndFlowEventsSurvive) {
   EXPECT_EQ(coord.flow_events(), 1u);
   EXPECT_EQ(shard0.flow_events(), 1u);
 
-  const std::string d = tmp_path("tracemerge");
-  ASSERT_TRUE(make_dirs(d));
+  const std::string d = tmp_dir("tracemerge");
   const auto write = [&](const sim::TraceRecorder& r, const std::string& p) {
     std::ostringstream os;
     r.write_json(os);
@@ -283,8 +280,7 @@ TEST(TraceMerge, ShardTracksAndFlowEventsSurvive) {
 }
 
 TEST(TraceMerge, AllPartsMissingFails) {
-  const std::string d = tmp_path("tracemerge-none");
-  ASSERT_TRUE(make_dirs(d));
+  const std::string d = tmp_dir("tracemerge-none");
   EXPECT_FALSE(merge_trace_files({{"a", d + "/nope.json"}},
                                  d + "/out.json"));
 }

@@ -2,18 +2,15 @@
 // study, N threads == 1 thread == the legacy serial loop, bit for bit
 // (memcmp over the doubles, not a tolerance), and the result order is
 // keyed by scenario index regardless of completion order.  Plus the
-// crash-safe resumable runtime (DESIGN.md §8): journal round trips,
-// torn-tail recovery, watchdog timeouts, the retry taxonomy, the
-// failure budget, and a fork-based kill-and-resume bit-identity check.
+// resilient runtime (DESIGN.md §8): journal round trips, torn-tail
+// recovery, watchdog timeouts, the retry taxonomy, and the failure
+// budget.  Resume from a journal is the campaign coordinator's, tested
+// in campaign_test.
 #include <gtest/gtest.h>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <set>
@@ -24,19 +21,14 @@
 #include "fault/resilience_study.hpp"
 #include "model/sweep_model.hpp"
 #include "obs/metrics.hpp"
+#include "sweep_engine/journal.hpp"
+#include "sweep_engine/resilient.hpp"
 #include "sweep_engine/result_store.hpp"
 #include "sweep_engine/studies.hpp"
-#include "util/fileio.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
-#if defined(__SANITIZE_THREAD__)
-#define RR_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define RR_TSAN 1
-#endif
-#endif
+#include "tmp_dir.hpp"
 
 namespace rr {
 namespace {
@@ -262,10 +254,6 @@ TEST(ResultStore, OneThreadEngineRunsStillStampParallel) {
 // Sweep journal: record round trips, resume, torn tails, campaign identity
 // ---------------------------------------------------------------------------
 
-std::string tmp_path(const std::string& stem) {
-  return ::testing::TempDir() + stem + "." + std::to_string(::getpid());
-}
-
 Json demo_params() {
   Json p = Json::object();
   p.set("study", Json("unit"));
@@ -319,7 +307,6 @@ TEST(SweepJournal, EntryJsonRoundTripsBitExact) {
 
 TEST(SweepJournal, FreshJournalReopensAndResumes) {
   const std::string path = tmp_path("journal-resume");
-  std::remove(path.c_str());
 
   engine::JournalEntry ok;
   ok.index = 2;
@@ -359,7 +346,6 @@ TEST(SweepJournal, FreshJournalReopensAndResumes) {
 
 TEST(SweepJournal, TornTailIsTruncatedAndRecovered) {
   const std::string path = tmp_path("journal-torn");
-  std::remove(path.c_str());
   {
     engine::SweepJournal j(path, demo_params(), 3);
     engine::JournalEntry e;
@@ -393,7 +379,6 @@ TEST(SweepJournal, TornTailIsTruncatedAndRecovered) {
 
 TEST(SweepJournal, RefusesMismatchedCampaignOrScenarioCount) {
   const std::string path = tmp_path("journal-mismatch");
-  std::remove(path.c_str());
   { engine::SweepJournal j(path, demo_params(), 4); }
   Json other = demo_params();
   other.set("seed", Json("99999"));
@@ -407,7 +392,6 @@ TEST(SweepJournal, RefusesMismatchedCampaignOrScenarioCount) {
 
 TEST(SweepJournal, RejectsDuplicateAndOutOfRangeIndices) {
   const std::string path = tmp_path("journal-dup");
-  std::remove(path.c_str());
   engine::SweepJournal j(path, demo_params(), 2);
   engine::JournalEntry e;
   e.index = 1;
@@ -425,7 +409,6 @@ TEST(SweepJournal, RejectsDuplicateAndOutOfRangeIndices) {
 
 TEST(SweepJournal, GroupAppendIsAllOrNothingAndReopensRecordByRecord) {
   const std::string path = tmp_path("journal-group");
-  std::remove(path.c_str());
   std::vector<engine::JournalEntry> group(3);
   for (int k = 0; k < 3; ++k) {
     group[static_cast<std::size_t>(k)].index = 2 * k;
@@ -490,7 +473,7 @@ TEST(ResilientRun, TransientFailuresRetryToSuccess) {
           throw engine::TransientError("flaky");
         return demo_metrics(i);
       },
-      nullptr, rc);
+      rc);
   EXPECT_EQ(report.ok, 5);
   EXPECT_EQ(report.retried, 1);
   EXPECT_EQ(report.quarantined, 0);
@@ -525,7 +508,7 @@ TEST(ResilientRun, MetricsCountRetriesAndOutcomes) {
         if (i == 4) throw std::runtime_error("bad input");
         return demo_metrics(i);
       },
-      nullptr, rc);
+      rc);
   EXPECT_EQ(report.ok, 4);
   EXPECT_EQ(report.quarantined, 1);
 
@@ -549,7 +532,7 @@ TEST(ResilientRun, PermanentAndPoisonFailuresAreQuarantinedNotRetried) {
         if (i == 3) throw 42;  // not even an exception
         return demo_metrics(i);
       },
-      nullptr, {});
+      {});
   EXPECT_EQ(report.ok, 3);
   EXPECT_EQ(report.quarantined, 2);
   ASSERT_TRUE(report.entries[1].has_value());
@@ -579,7 +562,7 @@ TEST(ResilientRun, WatchdogTimesOutOverrunWithoutPoisoningBatch) {
         }
         return demo_metrics(i);
       },
-      nullptr, rc);
+      rc);
   EXPECT_EQ(report.ok, 3);
   EXPECT_EQ(report.timed_out, 1);
   ASSERT_TRUE(report.entries[1].has_value());
@@ -599,7 +582,7 @@ TEST(ResilientRun, FailureBudgetAbortsCleanly) {
       [](int, const engine::CancelToken&) -> Json {
         throw engine::PermanentError("always fails");
       },
-      nullptr, rc);
+      rc);
   EXPECT_EQ(report.quarantined, 2);
   EXPECT_EQ(report.not_run, 6);
   EXPECT_FALSE(report.entries.back().has_value());
@@ -608,145 +591,9 @@ TEST(ResilientRun, FailureBudgetAbortsCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Resume protocol: journaled scenarios are served, not recomputed, and
-// the journal-backed studies reproduce the plain engine bit for bit
-// ---------------------------------------------------------------------------
-
-TEST(ResilientRun, ResumeServesJournaledScenariosBitIdentically) {
-  const std::string path = tmp_path("journal-hpl");
-  std::remove(path.c_str());
-  const auto& ctx = engine::SharedContext::instance();
-  const auto cfg = quick_config();
-  const auto reference = fault::hpl_study(ctx.system(), ctx.topology(),
-                                          study_nodes(), cfg);
-  const Json params = engine::hpl_campaign_params(study_nodes(), cfg);
-  {
-    engine::SweepEngine eng({2});
-    engine::SweepJournal journal(path, params,
-                                 static_cast<int>(study_nodes().size()));
-    engine::ResilientReport report;
-    const auto fresh = engine::resumable_hpl_study(
-        eng, ctx.system(), ctx.topology(), study_nodes(), cfg, journal, {},
-        &report);
-    expect_identical(reference, fresh, "journaled fresh run");
-    EXPECT_EQ(report.resumed, 0);
-    EXPECT_EQ(report.outcome, engine::RunOutcome::kClean);
-  }
-  // Second process (different thread count): everything comes from the
-  // journal, decoded -- and the numbers are still bit-identical.
-  engine::SweepEngine eng({7});
-  engine::SweepJournal journal(path, params,
-                               static_cast<int>(study_nodes().size()));
-  EXPECT_TRUE(journal.resumed());
-  engine::ResilientReport report;
-  const auto resumed = engine::resumable_hpl_study(
-      eng, ctx.system(), ctx.topology(), study_nodes(), cfg, journal, {},
-      &report);
-  expect_identical(reference, resumed, "journaled resumed run");
-  EXPECT_EQ(report.resumed, static_cast<int>(study_nodes().size()));
-  std::remove(path.c_str());
-}
-
-TEST(ResilientRun, ResumableScaleSeriesMatchesSerial) {
-  const std::string path = tmp_path("journal-scale");
-  std::remove(path.c_str());
-  const auto serial = model::figure13_series(model::paper_node_counts());
-  engine::SweepEngine eng({3});
-  engine::SweepJournal journal(
-      path, engine::scale_campaign_params(model::paper_node_counts(), {}),
-      static_cast<int>(model::paper_node_counts().size()));
-  const auto out = engine::resumable_scale_series(
-      eng, model::paper_node_counts(), {}, journal);
-  ASSERT_EQ(out.size(), serial.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].nodes, serial[i].nodes);
-    EXPECT_TRUE(bits_eq(out[i].opteron_s, serial[i].opteron_s)) << i;
-    EXPECT_TRUE(bits_eq(out[i].cell_measured_s, serial[i].cell_measured_s))
-        << i;
-    EXPECT_TRUE(bits_eq(out[i].cell_best_s, serial[i].cell_best_s)) << i;
-  }
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Kill-and-resume: a child process crashes at a scenario boundary (the
-// RR_CRASH_AFTER_N hook fires std::_Exit right after a journal fsync --
-// the moral equivalent of SIGKILL), and the resumed campaign's final
-// artifact is byte-identical to an uninterrupted run's.
-// ---------------------------------------------------------------------------
-
-TEST(ResilientRun, KillAndResumeProducesByteIdenticalResults) {
-#ifdef RR_TSAN
-  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
-#else
-  const int n = 6;
-  const auto fn = [](int i, const engine::CancelToken&) {
-    return demo_metrics(i);
-  };
-
-  // Golden: one uninterrupted journaled run.
-  const std::string golden_path = tmp_path("journal-golden");
-  std::remove(golden_path.c_str());
-  std::string golden;
-  {
-    engine::SweepEngine eng({1});
-    engine::SweepJournal journal(golden_path, demo_params(), n);
-    const auto report = engine::run_resilient(eng, n, fn, &journal, {});
-    ASSERT_EQ(report.ok, n);
-    std::ostringstream os;
-    engine::write_entries_jsonl(report.entries, os);
-    golden = os.str();
-  }
-
-  // Child: same campaign, crashes after two appends (via the env hook).
-  const std::string path = tmp_path("journal-killed");
-  std::remove(path.c_str());
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // In the child: no gtest, no return -- either the crash hook fires
-    // inside append() or we report survival via a distinctive code.
-    ::setenv("RR_CRASH_AFTER_N", "2", 1);
-    engine::SweepEngine eng({2});
-    engine::SweepJournal journal(path, demo_params(), n);
-    engine::run_resilient(eng, n, fn, &journal, {});
-    std::_Exit(42);  // unreachable if the hook worked
-  }
-  ::unsetenv("RR_CRASH_AFTER_N");
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), engine::SweepJournal::kCrashExitCode);
-
-  // Relaunch (different thread count): the journaled scenarios are
-  // skipped and the final artifact is byte-identical to the golden.
-  engine::SweepEngine eng({3});
-  engine::SweepJournal journal(path, demo_params(), n);
-  EXPECT_TRUE(journal.resumed());
-  EXPECT_EQ(journal.completed_count(), 2u);
-  const auto report = engine::run_resilient(eng, n, fn, &journal, {});
-  EXPECT_EQ(report.ok, n);
-  EXPECT_EQ(report.resumed, 2);
-  std::ostringstream os;
-  engine::write_entries_jsonl(report.entries, os);
-  EXPECT_EQ(os.str(), golden);
-  ASSERT_EQ(os.str().size(), golden.size());
-  EXPECT_EQ(std::memcmp(os.str().data(), golden.data(), golden.size()), 0);
-
-  // The artifact writer is atomic: the file lands whole.
-  const std::string out = tmp_path("resumed-out");
-  ASSERT_TRUE(engine::write_entries_file(report.entries, out));
-  EXPECT_EQ(read_file(out), golden);
-  std::remove(out.c_str());
-  std::remove(path.c_str());
-  std::remove(golden_path.c_str());
-#endif
-}
-
-// ---------------------------------------------------------------------------
-// Shard-range runs (the campaign service's building blocks): a journal
-// written by a subset run must load read-only and resume bit-exactly
-// in-process.
+// Shard-range runs (the campaign service's building blocks): a subset run
+// fills only its requested slots and appends them to the journal it is
+// handed.
 // ---------------------------------------------------------------------------
 
 TEST(ShardRuns, CampaignHexIsStableLowercasePadded) {
@@ -756,7 +603,6 @@ TEST(ShardRuns, CampaignHexIsStableLowercasePadded) {
 
 TEST(ShardRuns, IndicesSubsetRunsOnlyRequestedSlots) {
   const std::string path = tmp_path("journal-subset");
-  std::remove(path.c_str());
   engine::SweepEngine eng({2});
   engine::SweepJournal journal(path, demo_params(), 6);
   const auto fn = [](int i, const engine::CancelToken&) {
@@ -773,57 +619,6 @@ TEST(ShardRuns, IndicesSubsetRunsOnlyRequestedSlots) {
   EXPECT_TRUE(report.entries[5].has_value());
   EXPECT_EQ(journal.completed_count(), 3u);
   std::remove(path.c_str());
-}
-
-TEST(ShardRuns, WorkerJournalResumesBitExactlyInProcess) {
-  const int n = 6;
-  const auto fn = [](int i, const engine::CancelToken&) {
-    return demo_metrics(i);
-  };
-
-  const std::string golden_path = tmp_path("journal-takeover-golden");
-  std::remove(golden_path.c_str());
-  std::string golden;
-  {
-    engine::SweepEngine eng({1});
-    engine::SweepJournal journal(golden_path, demo_params(), n);
-    const auto report = engine::run_resilient(eng, n, fn, &journal, {});
-    ASSERT_EQ(report.ok, n);
-    std::ostringstream os;
-    engine::write_entries_jsonl(report.entries, os);
-    golden = os.str();
-  }
-
-  // "Worker": journals a shard's worth of the campaign, then disappears.
-  const std::string path = tmp_path("journal-takeover");
-  std::remove(path.c_str());
-  {
-    engine::SweepEngine eng({2});
-    engine::SweepJournal journal(path, demo_params(), n);
-    ASSERT_EQ(
-        engine::run_resilient_indices(eng, n, {0, 1, 4}, fn, &journal, {}).ok,
-        3);
-  }
-
-  // read_journal_entries sees the subset's slots without touching the file.
-  const auto only = engine::read_journal_entries(path, demo_params(), n);
-  EXPECT_TRUE(only[0].has_value());
-  EXPECT_FALSE(only[2].has_value());
-
-  // In-process takeover: reopen the worker's journal, run the rest; the
-  // preloaded entries are served bit-exactly, never recomputed.
-  engine::SweepEngine eng({3});
-  engine::SweepJournal journal(path, demo_params(), n);
-  EXPECT_TRUE(journal.resumed());
-  EXPECT_EQ(journal.completed_count(), 3u);
-  const auto report = engine::run_resilient(eng, n, fn, &journal, {});
-  EXPECT_EQ(report.ok, n);
-  EXPECT_EQ(report.resumed, 3);
-  std::ostringstream os;
-  engine::write_entries_jsonl(report.entries, os);
-  EXPECT_EQ(os.str(), golden);
-  std::remove(path.c_str());
-  std::remove(golden_path.c_str());
 }
 
 }  // namespace
