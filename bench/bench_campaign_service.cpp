@@ -32,9 +32,11 @@
 // exercises work-stealing (the padding does not change the results --
 // scenario metrics depend only on the seed).
 //
-// Fleet observability knobs (DESIGN.md §15): --trace merges every
-// process's Chrome trace into one file; --flightrec pins the crash
-// flight recorder's dump path (defaults to work_dir/flightrec.json);
+// Fleet observability knobs (DESIGN.md §15): --trace is the path of the
+// fleet's one Chrome trace, which the coordinator writes from the spans
+// and frame times every worker ships, one row per process; --flightrec
+// pins the crash flight recorder's dump path (defaults to
+// work_dir/flightrec.json);
 // --fail-index=K makes scenario K permanently fail, a deterministic
 // degraded run that leaves a postmortem behind; --chaos-seed installs a
 // seeded fault-injecting filesystem for the whole fleet.

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -217,6 +218,54 @@ std::vector<IndexRange> ranges_from_sorted_indices(
     }
   }
   return out;
+}
+
+Json time_to_json(TimePoint t) { return Json(t.ps() / 1000); }
+
+TimePoint time_from_json(const Json& j) {
+  const double ns = j.as_double();
+  if (!(ns >= 0 && ns <= 9007199254740992.0) || ns != std::floor(ns))
+    throw std::runtime_error("wire time is not a whole ns count in [0, 2^53]");
+  return TimePoint::from_ps(static_cast<std::int64_t>(ns) * 1000);
+}
+
+namespace {
+
+Json spans_to_json(const std::vector<sim::TraceRecorder::Span>& spans) {
+  Json arr = Json::array();
+  for (const auto& s : spans)
+    arr.push_back(
+        Json::Array{s.name, time_to_json(s.start), time_to_json(s.end)});
+  return arr;
+}
+
+std::vector<sim::TraceRecorder::Span> spans_from_json(const Json& j) {
+  std::vector<sim::TraceRecorder::Span> out;
+  for (const Json& t : j.as_array()) {
+    if (!t.is_array() || t.size() != 3)
+      throw std::runtime_error("trace entry is not a [name,t0,t1] triple");
+    sim::TraceRecorder::Span s{t.at(std::size_t{0}).as_string(),
+                               time_from_json(t.at(std::size_t{1})),
+                               time_from_json(t.at(std::size_t{2}))};
+    if (s.end < s.start)
+      throw std::runtime_error("trace entry \"" + s.name +
+                               "\" ends before it starts");
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+}  // namespace
+
+Json trace_to_json(const FrameTrace& trace) {
+  Json out = Json::object();
+  out.set("spans", spans_to_json(trace.spans))
+      .set("recvs", spans_to_json(trace.recvs));
+  return out;
+}
+
+FrameTrace trace_from_json(const Json& j) {
+  return {spans_from_json(j.at("spans")), spans_from_json(j.at("recvs"))};
 }
 
 }  // namespace rr::campaign

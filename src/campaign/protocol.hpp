@@ -12,11 +12,11 @@
 // Message vocabulary (field "t"), six types:
 //
 //   worker -> coordinator
-//     progress  {t, entries:[{..}..], metrics}      after each chunk, and
-//                                                    (no entries) as an
+//     progress  {t, entries:[{..}..], metrics,      after each chunk, and
+//                trace?}                             (no entries) as an
 //                                                    idle heartbeat
 //     released  {t, ranges:[[lo,hi)..]}              reply to steal
-//     done      {t, metrics}                         reply to stop
+//     done      {t, metrics, trace?}                 reply to stop
 //
 //   coordinator -> worker
 //     run       {t, ranges:[[lo,hi)..]}              own these indices
@@ -30,9 +30,11 @@
 // the worker incarnation's cumulative absolute metrics snapshot in the
 // obs fleet wire form (obs/fleet.hpp).
 //
-// Any frame may additionally carry "fs", a per-sender frame sequence id;
-// the service layer stamps it to pair flow events (send "s" / recv "f")
-// in merged distributed traces.  Receivers that don't trace ignore it.
+// When the campaign traces, every frame also carries "sent", its send
+// time, and progress and done carry "trace" (FrameTrace below): what the
+// worker has to add to the coordinator's one trace since its last
+// report.  Times are whole nanoseconds of obs::wall_now(), whose origin
+// the whole fleet shares.  Receivers that don't trace ignore both.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +42,9 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/trace.hpp"
 #include "util/json.hpp"
+#include "util/units.hpp"
 
 namespace rr::campaign {
 
@@ -109,5 +113,26 @@ int range_count(const std::vector<IndexRange>& ranges);
 /// Compress a sorted, duplicate-free index list into maximal ranges.
 std::vector<IndexRange> ranges_from_sorted_indices(
     const std::vector<int>& indices);
+
+/// A wall time on the wire ("sent" and the trace field): whole
+/// nanoseconds of obs::wall_now().  Decoding throws unless `j` is a
+/// whole number in [0, 2^53].
+Json time_to_json(TimePoint t);
+TimePoint time_from_json(const Json& j);
+
+/// The "trace" field of a progress or done frame: the wall spans the
+/// worker incarnation closed, and the coordinator frames it received
+/// (name: the message type, start: the frame's "sent", end: its receive
+/// time), both since its previous report.  On the wire:
+/// {"spans":[[name,t0,t1]..],"recvs":[[name,t0,t1]..]}.
+struct FrameTrace {
+  std::vector<sim::TraceRecorder::Span> spans;
+  std::vector<sim::TraceRecorder::Span> recvs;
+};
+
+/// Decoding treats the field as hostile, like "entries": a wrong shape,
+/// a bad time, or an end before its start throws std::runtime_error.
+Json trace_to_json(const FrameTrace& trace);
+FrameTrace trace_from_json(const Json& j);
 
 }  // namespace rr::campaign

@@ -13,6 +13,7 @@
 #include <deque>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "campaign/cache.hpp"
 #include "campaign/protocol.hpp"
@@ -21,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/report.hpp"
-#include "obs/tracemerge.hpp"
 #include "sim/trace.hpp"
 #include "util/expect.hpp"
 #include "util/fileio.hpp"
@@ -39,69 +39,23 @@ using Entries = std::vector<std::optional<engine::JournalEntry>>;
 // Fleet observability plumbing (DESIGN.md §15).
 // ---------------------------------------------------------------------------
 
-bool tracing_enabled(const ServiceConfig& cfg) {
-  return !cfg.trace_path.empty() && !cfg.work_dir.empty();
+/// Write one frame: the flight ring records it, valued with the shard at
+/// the worker end, and when tracing it carries its send time.
+bool send_frame(int fd, Json msg, bool tracing, const std::string& label,
+                int shard) {
+  if (tracing) msg.set("sent", time_to_json(obs::wall_now()));
+  FlightRecorder::global().record(FlightKind::kFrame, "send " + label,
+                                  static_cast<double>(shard));
+  return write_frame(fd, msg);
 }
 
-std::string coord_trace_path(const ServiceConfig& cfg) {
-  return cfg.work_dir + "/trace-coord.json";
+/// The trace row of a shard incarnation: "shard1", then "shard1.1" for
+/// its first respawn -- a respawn is visibly a different process.
+std::string trace_row(int shard, int incarnation) {
+  std::string row = "shard" + std::to_string(shard);
+  if (incarnation > 0) row.append(".").append(std::to_string(incarnation));
+  return row;
 }
-
-/// Per-incarnation file: a respawned shard must not clobber what an
-/// earlier incarnation managed to write.
-std::string shard_trace_path(const ServiceConfig& cfg, int shard,
-                             int incarnation) {
-  return cfg.work_dir + "/trace-shard-" + std::to_string(shard) + "-" +
-         std::to_string(incarnation) + ".json";
-}
-
-bool write_trace_file(const sim::TraceRecorder& rec, const std::string& path) {
-  std::ostringstream os;
-  rec.write_json(os);
-  return write_file_atomic(path, os.str());
-}
-
-/// Flow ids pair a frame's send ("s") with its receive ("f") across the
-/// merged trace, so every sender stamps "fs" from its own disjoint
-/// range: the coordinator from kCoordFlowBase, shard k incarnation i
-/// from (8k + i + 1) * kShardFlowStride.  Ranges never collide below
-/// one million frames per incarnation.
-constexpr std::uint64_t kShardFlowStride = 1'000'000;
-constexpr std::uint64_t kCoordFlowBase = 2'000'000'000;
-
-std::uint64_t shard_flow_base(int shard, int incarnation) {
-  return (static_cast<std::uint64_t>(shard) * 8 +
-          static_cast<std::uint64_t>(incarnation) + 1) *
-         kShardFlowStride;
-}
-
-/// Frame instrumentation for both ends of a socket.  A sent frame is
-/// stamped with the sender's next flow id ("fs") and opens a flow; the
-/// receive that finds the stamp closes it.  Both directions land in the
-/// flight ring, valued with the shard at the worker end.
-struct FrameTrace {
-  sim::TraceRecorder* rec;  ///< null when not tracing
-  std::string track;
-  std::uint64_t next_fs;
-
-  bool send(int fd, Json msg, const std::string& label, int shard) {
-    const std::uint64_t id = next_fs++;
-    msg.set("fs", static_cast<std::int64_t>(id));
-    if (rec) rec->flow_begin("send " + label, track, obs::wall_now(), id);
-    FlightRecorder::global().record(FlightKind::kFrame, "send " + label,
-                                    static_cast<double>(shard));
-    return write_frame(fd, msg);
-  }
-
-  void received(const Json& msg, const std::string& label, int shard) {
-    const Json* fs = msg.find("fs");
-    if (rec && fs && fs->is_number() && fs->as_double() >= 0)
-      rec->flow_end("recv " + label, track, obs::wall_now(),
-                    static_cast<std::uint64_t>(fs->as_double()));
-    FlightRecorder::global().record(FlightKind::kFrame, "recv " + label,
-                                    static_cast<double>(shard));
-  }
-};
 
 engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
                                                const ServiceConfig& cfg) {
@@ -115,8 +69,7 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
 // Worker side.  Runs in the forked child; never returns.
 // ---------------------------------------------------------------------------
 
-[[noreturn]] void worker_main(int fd, int shard, int incarnation,
-                              const CampaignSpec& spec,
+[[noreturn]] void worker_main(int fd, int shard, const CampaignSpec& spec,
                               const engine::ResilientScenario& fn,
                               const ServiceConfig& cfg, bool arm_crash) {
   // Workers re-read the log environment the coordinator exported and tag
@@ -130,26 +83,28 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
   // WallTrace attachment, and its flight-recorder dump path; all three
   // would corrupt fleet observability.  Reset the registry so the
   // absolute snapshots this worker ships describe only its own work,
-  // attach (or detach) the wall trace to this process's recorder, and
-  // point postmortems at a shard-scoped file.
+  // collect this process's wall spans (or none), and point postmortems
+  // at a shard-scoped file.
   obs::MetricsRegistry::global().reset();
-  const bool tracing = tracing_enabled(cfg);
-  sim::TraceRecorder rec;
-  const std::string track = "shard" + std::to_string(shard);
-  obs::WallTrace::global().attach(tracing ? &rec : nullptr, "wall/" + track);
+  const bool tracing = !cfg.trace_path.empty();
+  sim::TraceRecorder spans;
+  obs::WallTrace::global().attach(tracing ? &spans : nullptr);
   if (!cfg.work_dir.empty())
     FlightRecorder::global().set_dump_path(cfg.work_dir + "/flightrec-shard-" +
                                            std::to_string(shard) + ".json");
-  FrameTrace frames{tracing ? &rec : nullptr, "frames/" + track,
-                    shard_flow_base(shard, incarnation)};
 
   // Progress and done frames carry this incarnation's cumulative metrics
-  // snapshot, so a crash loses at most one chunk of counters.
+  // snapshot, so a crash loses at most one chunk of counters, and, when
+  // tracing, the spans closed and frames received since the last report.
+  std::vector<sim::TraceRecorder::Span> recvs;
   const auto report = [&](const char* type, Json msg) {
     msg.set("t", type).set(
         "metrics",
         obs::snapshot_to_wire(obs::MetricsRegistry::global().snapshot()));
-    return frames.send(fd, std::move(msg), type, shard);
+    if (tracing)
+      msg.set("trace", trace_to_json({spans.take_spans(),
+                                      std::exchange(recvs, {})}));
+    return send_frame(fd, std::move(msg), tracing, type, shard);
   };
   const auto progress = [&](Json entries) {
     Json msg = Json::object();
@@ -184,7 +139,12 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
         const MsgType t = frame_type(*msg);  // throws on garbage: the
                                              // catch below exits kError
                                              // and the coordinator respawns
-        frames.received(*msg, to_string(t), shard);
+        FlightRecorder::global().record(FlightKind::kFrame,
+                                        std::string("recv ") + to_string(t),
+                                        static_cast<double>(shard));
+        if (tracing)
+          recvs.push_back({to_string(t), time_from_json(msg->at("sent")),
+                           obs::wall_now()});
         if (t == MsgType::kRun) {
           // Bounds-checked decode: an assignment outside the campaign's
           // index space is a desynced or hostile stream, rejected before
@@ -208,7 +168,8 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
           Json rel = Json::object();
           rel.set("t", "released")
               .set("ranges", ranges_to_json(ranges_from_sorted_indices(give)));
-          if (!frames.send(fd, std::move(rel), "released", shard)) break;
+          if (!send_frame(fd, std::move(rel), tracing, "released", shard))
+            break;
         } else if (t == MsgType::kStop) {
           stopping = true;
         }
@@ -229,7 +190,7 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
       }
       const engine::ResilientReport rep = [&] {
         // The span publishes chunk wall latency into the registry and,
-        // when tracing, onto this worker's wall track.
+        // when tracing, onto this incarnation's trace row.
         obs::ProfSpan span("chunk x" + std::to_string(chunk.size()),
                            &chunk_hist);
         return engine::run_resilient_indices(eng, spec.scenarios, chunk, fn,
@@ -251,11 +212,6 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
   } catch (const std::exception& e) {
     RR_ERROR("campaign worker failed: " << e.what());
     code = fault::to_int(fault::ExitCode::kError);
-  }
-  if (tracing) {
-    obs::export_counters(obs::MetricsRegistry::global().snapshot(), rec,
-                         obs::wall_now(), "wall/" + track);
-    write_trace_file(rec, shard_trace_path(cfg, shard, incarnation));
   }
   // Forked child: no destructors, no atexit -- running the parent's
   // cleanup here would be wrong.
@@ -280,6 +236,7 @@ struct WorkerState {
   bool steal_outstanding = false;
   int respawns = 0;
   int owned = 0;           ///< indices the owner table gives this shard
+  std::string row;         ///< trace row of the current incarnation
   /// Latest absolute metrics snapshot of the current incarnation.
   std::optional<obs::Snapshot> metrics;
 };
@@ -289,9 +246,11 @@ class Coordinator {
   Coordinator(const CampaignSpec& spec, const engine::ResilientScenario& fn,
               const ServiceConfig& cfg, engine::SweepJournal& journal)
       : spec_(spec), fn_(fn), cfg_(cfg), n_(spec.scenarios),
-        tracing_(tracing_enabled(cfg)), journal_(journal),
-        owner_(static_cast<std::size_t>(n_), kPooled), pooled_(n_),
-        frames_{tracing_ ? &trace_ : nullptr, "frames/coord", kCoordFlowBase} {}
+        tracing_(!cfg.trace_path.empty()), journal_(journal),
+        owner_(static_cast<std::size_t>(n_), kPooled), pooled_(n_) {
+    trace_.set_row("wall/coord", "coord");
+    trace_.set_row("frames/coord", "coord");
+  }
 
   CampaignStats stats;
   bool abort = false;
@@ -332,33 +291,21 @@ class Coordinator {
     return f;
   }
 
-  /// Merge the coordinator's trace with every shard incarnation's trace
-  /// file into cfg.trace_path (crashed incarnations wrote nothing and are
-  /// skipped).
-  void write_merged_trace() {
+  /// Write the campaign's one trace to cfg.trace_path: the coordinator's
+  /// rows, every incarnation's row with the spans and frame flows it
+  /// shipped, and as counters the coordinator's registry and each
+  /// shard's folded metrics.
+  void write_trace() {
     if (!tracing_) return;
+    const TimePoint now = obs::wall_now();
     obs::export_counters(obs::MetricsRegistry::global().snapshot(), trace_,
-                         obs::wall_now(), "wall/coord");
-    std::vector<obs::TracePart> parts;
-    if (write_trace_file(trace_, coord_trace_path(cfg_)))
-      parts.push_back({"coord", coord_trace_path(cfg_)});
-    for (const WorkerState& w : workers_) {
-      for (int inc = 0; inc <= w.respawns; ++inc) {
-        std::string label = "shard" + std::to_string(w.shard);
-        if (inc > 0) label.append(".").append(std::to_string(inc));
-        parts.push_back({label, shard_trace_path(cfg_, w.shard, inc)});
-      }
-    }
-    int skipped = 0;
-    if (!obs::merge_trace_files(parts, cfg_.trace_path, &skipped)) {
-      RR_WARN("campaign: merged trace write to " << cfg_.trace_path
-                                                 << " failed");
-    } else {
-      RR_INFO("campaign: merged trace -> " << cfg_.trace_path << " ("
-                                           << parts.size() - skipped
-                                           << " parts, " << skipped
-                                           << " missing)");
-    }
+                         now, "wall/coord");
+    for (const auto& [shard, snap] : shard_stats_)
+      obs::export_counters(snap, trace_, now, "wall/" + trace_row(shard, 0));
+    std::ostringstream os;
+    trace_.write_json(os);
+    if (!write_file_atomic(cfg_.trace_path, os.str()))
+      RR_WARN("campaign: trace write to " << cfg_.trace_path << " failed");
   }
 
  private:
@@ -453,9 +400,9 @@ class Coordinator {
   /// peer) is caught by reap(), same as the raw write_frame contract.
   void send(WorkerState& w, const char* type, Json fields = Json::object()) {
     fields.set("t", type);
-    frames_.send(w.fd, std::move(fields),
-                 std::string(type) + " -> shard " + std::to_string(w.shard),
-                 w.shard);
+    send_frame(w.fd, std::move(fields), tracing_,
+               std::string(type) + " -> shard " + std::to_string(w.shard),
+               w.shard);
   }
 
   /// Fork a new incarnation of `w`'s shard; false (logged) on failure.
@@ -476,13 +423,15 @@ class Coordinator {
       ::close(sv[0]);
       for (const WorkerState& other : workers_)
         if (other.fd >= 0) ::close(other.fd);
-      worker_main(sv[1], w.shard, w.respawns, spec_, fn_, cfg_,
-                  arm_crash);  // noreturn
+      worker_main(sv[1], w.shard, spec_, fn_, cfg_, arm_crash);  // noreturn
     }
     ::close(sv[1]);
     w.pid = pid;
     w.fd = sv[0];
     w.alive = true;
+    w.row = trace_row(w.shard, w.respawns);
+    trace_.set_row("wall/" + w.row, w.row);
+    trace_.set_row("frames/" + w.row, w.row);
     ++stats.workers_spawned;
     return true;
   }
@@ -504,10 +453,11 @@ class Coordinator {
   void handle_frame(WorkerState& w, const Json& msg) {
     last_frame_ = Clock::now();
     const MsgType t = frame_type(msg);
-    frames_.received(msg,
-                     std::string(to_string(t)) + " <- shard " +
-                         std::to_string(w.shard),
-                     w.shard);
+    const std::string label =
+        std::string(to_string(t)) + " <- shard " + std::to_string(w.shard);
+    FlightRecorder::global().record(FlightKind::kFrame, "recv " + label,
+                                    static_cast<double>(w.shard));
+    if (tracing_) record_trace(w, label, msg);
     // An absolute cumulative snapshot for this incarnation: keep only the
     // latest (it is folded into the shard's part at retirement).
     // snapshot_from_wire throws on garbage, retiring the worker like any
@@ -551,6 +501,27 @@ class Coordinator {
     } else if (t == MsgType::kDone) {
       w.done_seen = true;
     }
+  }
+
+  /// Record what a worker frame adds to the trace, on `w`'s row: the
+  /// frame's own flow, then the spans and frame receives its trace field
+  /// ships.  Everything is decoded before anything is recorded, and
+  /// hostile input throws like any other corrupt frame.
+  void record_trace(const WorkerState& w, const std::string& label,
+                    const Json& msg) {
+    const TimePoint now = obs::wall_now();
+    const TimePoint sent = time_from_json(msg.at("sent"));
+    if (sent > now)
+      throw std::runtime_error("frame sent after the coordinator read it");
+    const Json* field = msg.find("trace");
+    const FrameTrace shipped = field ? trace_from_json(*field) : FrameTrace{};
+    const std::string frames = "frames/" + w.row;
+    trace_.flow(label, frames, sent, "frames/coord", now);
+    for (const auto& s : shipped.spans)
+      trace_.end(trace_.begin(s.name, "wall/" + w.row, s.start), s.end);
+    for (const auto& r : shipped.recvs)
+      trace_.flow(r.name + " -> shard " + std::to_string(w.shard),
+                  "frames/coord", r.start, frames, r.end);
   }
 
   /// Hand pooled indices to idle workers, split evenly in index order;
@@ -787,10 +758,9 @@ class Coordinator {
   int failures_ = 0;  ///< done entries that are not ok
   std::vector<WorkerState> workers_;
   Clock::time_point last_frame_{};
-  /// Coordinator-side trace (frame flows, local-run wall spans); merged
-  /// with the shard files by write_merged_trace().
+  /// The campaign's one trace: its own frames and local-run wall spans,
+  /// and what each worker incarnation ships, on per-process rows.
   sim::TraceRecorder trace_;
-  FrameTrace frames_;
   /// Per-shard fleet parts, folded from each incarnation's last metrics
   /// snapshot at retirement.
   std::map<int, obs::Snapshot> shard_stats_;
@@ -996,7 +966,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   ::sigaction(SIGPIPE, &saved, nullptr);
   result.stats = coord.stats;
   add_to_counters(coord.stats);
-  coord.write_merged_trace();
+  coord.write_trace();
   result.fleet = coord.fleet();
   fill_counts(result);
   result.outcome = coord.abort ? engine::RunOutcome::kBudgetExceeded

@@ -91,11 +91,12 @@ struct ServiceConfig {
   /// Respawns are not re-armed.
   int crash_shard = -1;
   int crash_after = 0;
-  /// Merged distributed trace: when set (and work_dir is usable), every
-  /// process writes a per-incarnation Chrome trace file into work_dir
-  /// (ProfSpan wall spans, frame instants, flow events pairing frame
-  /// send->recv) and the coordinator merges them all into this path,
-  /// one Perfetto process row per shard.  Empty disables tracing.
+  /// The fleet's Chrome trace: when set, the coordinator writes it here
+  /// once the campaign ends, one Perfetto process row per process ("coord",
+  /// "shard0", "shard1.1" for shard 1's first respawn) with ProfSpan wall
+  /// spans, a flow per frame from its send to its receive, and metric
+  /// counters.  Workers ship their spans on progress/done frames and
+  /// write no file.  Empty disables tracing.
   std::string trace_path;
 };
 

@@ -2,11 +2,20 @@
 
 namespace rr::obs {
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// Fixed at load, before anything forks: every campaign worker inherits
+/// it, so the whole fleet's wall times share one origin and the
+/// coordinator can record worker times as they come.
+const Clock::time_point kWallEpoch = Clock::now();
+
+}  // namespace
+
 TimePoint wall_now() {
-  using Clock = std::chrono::steady_clock;
-  static const Clock::time_point epoch = Clock::now();
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      Clock::now() - epoch)
+                      Clock::now() - kWallEpoch)
                       .count();
   return TimePoint::from_ps(ns * 1000);
 }

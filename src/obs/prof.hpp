@@ -10,9 +10,10 @@
 //     spans side by side in Perfetto.
 //
 // Wall time is mapped onto the recorder's picosecond timeline as
-// nanoseconds-since-profiling-epoch * 1000, where the epoch is the first
-// wall_now() call in the process; wall tracks are prefixed "wall/" so
-// they are visually distinct from simulated tracks.
+// nanoseconds-since-profiling-epoch * 1000, where the epoch is fixed when
+// the program loads, so forked children share their parent's; wall
+// tracks are prefixed "wall/" so they are visually distinct from
+// simulated tracks.
 //
 // TraceRecorder itself is single-threaded; WallTrace serializes span
 // delivery behind a mutex, so ProfSpans may finish on any thread as long

@@ -17,6 +17,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -273,6 +275,35 @@ TEST(CampaignProtocol, ProgressFramesCarryMetricsSnapshots) {
   EXPECT_EQ(back.find("queue.depth")->value, 1.0 / 3.0);
   // Metrics ride on progress and done; there is no separate stats frame.
   EXPECT_FALSE(campaign::msg_type_from_string("stats").has_value());
+}
+
+TEST(CampaignProtocol, TraceFieldRoundTripsAndDecodingFailsClosed) {
+  using campaign::trace_from_json;
+  campaign::FrameTrace trace;
+  trace.spans.push_back({"chunk x4", TimePoint::from_ps(1'000'000'001'000),
+                         TimePoint::from_ps(1'000'000'009'000)});
+  trace.recvs.push_back({"run", TimePoint::from_ps(5'000),
+                         TimePoint::from_ps(5'000)});
+  const auto back = trace_from_json(
+      Json::parse(campaign::trace_to_json(trace).dump()));
+  ASSERT_EQ(back.spans.size(), 1u);
+  ASSERT_EQ(back.recvs.size(), 1u);
+  EXPECT_EQ(back.spans[0].name, "chunk x4");
+  EXPECT_EQ(back.spans[0].start.ps(), 1'000'000'001'000);  // ns exact
+  EXPECT_EQ(back.spans[0].end.ps(), 1'000'000'009'000);
+  EXPECT_EQ(back.recvs[0].name, "run");
+  // Hostile shapes and times are rejected, never recorded: a missing
+  // list, a non-triple, a non-string name, a negative, fractional or
+  // out-of-range time, and an end before its start.
+  for (const char* bad :
+       {"[]", "{\"spans\":[]}", "{\"spans\":[[\"a\",1]],\"recvs\":[]}",
+        "{\"spans\":[[7,1,2]],\"recvs\":[]}",
+        "{\"spans\":[[\"a\",-1,2]],\"recvs\":[]}",
+        "{\"spans\":[[\"a\",1.5,2]],\"recvs\":[]}",
+        "{\"spans\":[[\"a\",1,1e300]],\"recvs\":[]}",
+        "{\"spans\":[],\"recvs\":[[\"run\",9,3]]}"})
+    EXPECT_THROW(trace_from_json(Json::parse(bad)), std::runtime_error) << bad;
+  EXPECT_THROW(campaign::time_from_json(Json("soon")), std::runtime_error);
 }
 
 TEST(CampaignProtocol, SortedIndicesCompressToMaximalRanges) {
@@ -858,9 +889,51 @@ TEST(CampaignFleet, WorkerCountersLandInTheFleetReport) {
 #endif
 }
 
-/// The merged distributed trace: one process row per campaign process,
-/// wall spans from the workers, and flow events pairing frame send with
-/// frame receive across rows.
+/// A campaign trace file, read back: process rows by name, and the
+/// spans on each row.
+struct FleetTrace {
+  std::map<std::string, std::int64_t> rows;  ///< process_name -> pid
+  std::map<std::int64_t, std::vector<std::string>> spans;  ///< pid -> names
+  std::map<std::int64_t, double> flow_begin, flow_end;     ///< id -> ts
+
+  explicit FleetTrace(const std::string& path) {
+    const Json doc = Json::parse(read_file(path));
+    for (const Json& e : doc.at("traceEvents").as_array()) {
+      const std::string ph = e.at("ph").as_string();
+      if (ph == "M" && e.at("name").as_string() == "process_name")
+        rows[e.at("args").at("name").as_string()] = e.at("pid").as_int();
+      else if (ph == "X")
+        spans[e.at("pid").as_int()].push_back(e.at("name").as_string());
+      else if (ph == "s")
+        flow_begin[e.at("id").as_int()] = e.at("ts").as_double();
+      else if (ph == "f")
+        flow_end[e.at("id").as_int()] = e.at("ts").as_double();
+    }
+  }
+
+  /// Spans on the row named `row` (empty if there is no such row).
+  std::vector<std::string> spans_on(const std::string& row) const {
+    const auto r = rows.find(row);
+    if (r == rows.end()) return {};
+    const auto s = spans.find(r->second);
+    return s == spans.end() ? std::vector<std::string>{} : s->second;
+  }
+};
+
+/// Trace files a campaign left in its work dir.
+std::vector<std::string> trace_files_in(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("trace-", 0) == 0) out.push_back(name);
+  }
+  return out;
+}
+
+/// The fleet trace: one process row per campaign process, wall spans
+/// from the workers, and flow events pairing frame send with frame
+/// receive across rows -- each receive at or after its send, because the
+/// whole fleet shares one wall-clock origin.
 TEST(CampaignFleet, MergedTraceCarriesShardTracksAndFlowEvents) {
 #ifdef RR_TSAN
   GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
@@ -874,34 +947,72 @@ TEST(CampaignFleet, MergedTraceCarriesShardTracksAndFlowEvents) {
   const auto result = campaign::run_campaign(spec, plain_fn(), cfg);
   ASSERT_EQ(result.outcome, engine::RunOutcome::kClean);
 
-  const Json doc = Json::parse(read_file(cfg.trace_path));
-  std::vector<std::string> processes;
-  int flow_begins = 0, flow_ends = 0;
-  bool worker_span = false;
-  for (const Json& e : doc.at("traceEvents").as_array()) {
-    const std::string ph = e.at("ph").as_string();
-    if (ph == "M" && e.at("name").as_string() == "process_name")
-      processes.push_back(e.at("args").at("name").as_string());
-    else if (ph == "s")
-      ++flow_begins;
-    else if (ph == "f")
-      ++flow_ends;
-    else if (ph == "X" && e.at("pid").as_int() > 1)
-      worker_span = true;  // a wall span re-homed onto a shard's row
-  }
+  const FleetTrace trace(cfg.trace_path);
   // coord + both shards are present as named process rows.
-  EXPECT_NE(std::find(processes.begin(), processes.end(), "coord"),
-            processes.end());
-  EXPECT_NE(std::find(processes.begin(), processes.end(), "shard0"),
-            processes.end());
-  EXPECT_NE(std::find(processes.begin(), processes.end(), "shard1"),
-            processes.end());
-  // Every frame leg is instrumented on both ends, so a clean 2-worker
-  // campaign has many completed flows; >= 1 is the contract.
-  EXPECT_GE(flow_begins, 1);
-  EXPECT_GE(flow_ends, 1);
-  EXPECT_TRUE(worker_span);
+  for (const char* row : {"coord", "shard0", "shard1"})
+    EXPECT_EQ(trace.rows.count(row), 1u) << row;
+  // The workers' chunk spans land on their own rows.
+  EXPECT_FALSE(trace.spans_on("shard0").empty());
+  EXPECT_FALSE(trace.spans_on("shard1").empty());
+  // Every frame leg is recorded on both ends, so a clean 2-worker
+  // campaign has many completed flows, and none ends before it begins.
+  EXPECT_FALSE(trace.flow_begin.empty());
+  EXPECT_EQ(trace.flow_begin.size(), trace.flow_end.size());
+  for (const auto& [id, ts] : trace.flow_begin) {
+    ASSERT_EQ(trace.flow_end.count(id), 1u) << "flow " << id << " unpaired";
+    EXPECT_GE(trace.flow_end.at(id), ts) << "flow " << id << " runs backwards";
+  }
 #endif
+}
+
+/// A crashed incarnation keeps what it shipped before it died: its row
+/// carries the chunk it reported, and the respawn gets a row of its own.
+TEST(CampaignFleet, CrashedIncarnationKeepsTheSpansItSent) {
+#ifdef RR_TSAN
+  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
+#else
+  const auto spec = make_spec("fleet-trace-crash", 8);
+  campaign::ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.chunk = 1;
+  cfg.crash_shard = 1;  // reports its first scenario, dies on its second
+  cfg.crash_after = 2;
+  cfg.work_dir = tmp_dir("campaign-trace-crash");
+  cfg.trace_path = cfg.work_dir + "/trace.json";
+  const auto result = campaign::run_campaign(spec, plain_fn(), cfg);
+  ASSERT_EQ(result.outcome, engine::RunOutcome::kClean);
+  ASSERT_GE(result.stats.crashes, 1);
+
+  const FleetTrace trace(cfg.trace_path);
+  const auto first = trace.spans_on("shard1");
+  EXPECT_NE(std::find(first.begin(), first.end(), "chunk x1"), first.end());
+  EXPECT_EQ(trace.rows.count("shard1.1"), 1u);
+#endif
+}
+
+/// The coordinator writes the only trace: no per-process trace file is
+/// left in the work dir, whatever the fleet shape.
+TEST(CampaignFleet, TracingLeavesNoFilesInTheWorkDir) {
+  for (const int workers : {0, 2}) {
+#ifdef RR_TSAN
+    if (workers > 0) continue;  // fork + threads trips TSan's die_after_fork
+#endif
+    const auto spec = make_spec("fleet-trace-files", 8);
+    campaign::ServiceConfig cfg;
+    cfg.workers = workers;
+    cfg.work_dir = tmp_dir("campaign-trace-files");
+    cfg.trace_path = tmp_path("campaign-trace-files.json");
+    const auto result = campaign::run_campaign(spec, plain_fn(), cfg);
+    ASSERT_EQ(result.outcome, engine::RunOutcome::kClean);
+    EXPECT_EQ(trace_files_in(cfg.work_dir), std::vector<std::string>{})
+        << workers << " workers";
+    if (workers == 0) {
+      // The in-process run is one span on the coordinator's row.
+      const auto coord = FleetTrace(cfg.trace_path).spans_on("coord");
+      EXPECT_NE(std::find(coord.begin(), coord.end(), "campaign x8"),
+                coord.end());
+    }
+  }
 }
 
 /// A degraded campaign leaves a flight-recorder postmortem behind.

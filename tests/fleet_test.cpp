@@ -1,9 +1,11 @@
 // Fleet observability tests (DESIGN.md §15): exact snapshot wire
 // round-trips, the cross-process merge algebra (K worker snapshots merge
 // to exactly what one registry observing every sample would hold),
-// labeled Prometheus exposition, distributed trace merging with flow
-// events, the crash flight recorder's ring/dump behavior, and the
-// shard-tagged JSONL log field the workers emit.
+// labeled Prometheus exposition, the crash flight recorder's ring/dump
+// behavior, and the shard-tagged JSONL log field the workers emit.  The
+// fleet trace is one coordinator-side recorder: its process rows and
+// flows are tested in trace_test, the campaign's use of them in
+// campaign_test.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -12,15 +14,12 @@
 #include <cmath>
 #include <memory>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/export.hpp"
 #include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
-#include "obs/tracemerge.hpp"
-#include "sim/trace.hpp"
 #include "util/fileio.hpp"
 #include "util/flightrec.hpp"
 #include "util/json.hpp"
@@ -208,81 +207,6 @@ TEST(FleetMerge, PrometheusExpositionLabelsParts) {
   EXPECT_NE(text.find("\nwork_done{shard=\"0\"} 3\n"), std::string::npos);
   EXPECT_NE(text.find("\nwork_done{shard=\"1\"} 4\n"), std::string::npos);
   EXPECT_NE(text.find("work_done 7\n"), std::string::npos);  // merged total
-}
-
-// ---------------------------------------------------------------------------
-// Distributed trace merge.
-// ---------------------------------------------------------------------------
-
-TEST(TraceMerge, ShardTracksAndFlowEventsSurvive) {
-  // Coordinator sends (flow id 7 opens there) and shard0 receives (same
-  // id closes there); shard1 contributes an ordinary span.
-  sim::TraceRecorder coord;
-  coord.flow_begin("send run", "frames/coord", TimePoint::from_ps(1000), 7);
-  sim::TraceRecorder shard0;
-  shard0.flow_end("recv run", "frames/shard0", TimePoint::from_ps(2000), 7);
-  sim::TraceRecorder shard1;
-  const auto span = shard1.begin("chunk x4", "wall/shard1",
-                                 TimePoint::from_ps(1000));
-  shard1.end(span, TimePoint::from_ps(9000));
-  EXPECT_EQ(coord.flow_events(), 1u);
-  EXPECT_EQ(shard0.flow_events(), 1u);
-
-  const std::string d = tmp_dir("tracemerge");
-  const auto write = [&](const sim::TraceRecorder& r, const std::string& p) {
-    std::ostringstream os;
-    r.write_json(os);
-    ASSERT_TRUE(write_file_atomic(p, os.str()));
-  };
-  write(coord, d + "/coord.json");
-  write(shard0, d + "/s0.json");
-  write(shard1, d + "/s1.json");
-
-  int skipped = -1;
-  const std::string out = d + "/trace.json";
-  ASSERT_TRUE(merge_trace_files({{"coord", d + "/coord.json"},
-                                 {"shard0", d + "/s0.json"},
-                                 {"shard1", d + "/s1.json"},
-                                 {"shard2", d + "/missing.json"}},
-                                out, &skipped));
-  EXPECT_EQ(skipped, 1);  // the crashed incarnation's absent file
-
-  const Json doc = Json::parse(read_file(out));
-  const Json& ev = doc.at("traceEvents");
-  // One process row per part, named by its label.
-  int named = 0;
-  bool saw_begin = false, saw_end = false, saw_span = false;
-  for (const Json& e : ev.as_array()) {
-    const std::string ph = e.at("ph").as_string();
-    if (ph == "M") {
-      // write_json also emits thread_name metadata; the merge adds one
-      // process_name per part.
-      if (e.at("name").as_string() == "process_name") ++named;
-    } else if (ph == "s") {
-      saw_begin = true;
-      EXPECT_EQ(e.at("cat").as_string(), "frame");
-      EXPECT_EQ(e.at("id").as_int(), 7);
-      EXPECT_EQ(e.at("pid").as_int(), 1);  // coord is part 0 -> pid 1
-    } else if (ph == "f") {
-      saw_end = true;
-      EXPECT_EQ(e.at("bp").as_string(), "e");
-      EXPECT_EQ(e.at("id").as_int(), 7);
-      EXPECT_EQ(e.at("pid").as_int(), 2);  // shard0 is part 1 -> pid 2
-    } else if (ph == "X") {
-      saw_span = true;
-      EXPECT_EQ(e.at("pid").as_int(), 3);
-    }
-  }
-  EXPECT_EQ(named, 3);
-  EXPECT_TRUE(saw_begin);
-  EXPECT_TRUE(saw_end);
-  EXPECT_TRUE(saw_span);
-}
-
-TEST(TraceMerge, AllPartsMissingFails) {
-  const std::string d = tmp_dir("tracemerge-none");
-  EXPECT_FALSE(merge_trace_files({{"a", d + "/nope.json"}},
-                                 d + "/out.json"));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <sstream>
 
 #include "topo/fat_tree.hpp"
@@ -65,6 +66,121 @@ TEST(TraceRecorder, CounterSamplesEmitChromeCounterEvents) {
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"queue_depth\":5}"), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"tombstones\":1}"), std::string::npos);
+}
+
+TEST(TraceRecorder, TimestampsKeepPicosecondPrecision) {
+  // Times print as exact decimal microseconds of the picosecond axis, not
+  // in the stream's 6 significant digits ("1.23457e+06"); counter values
+  // round-trip like every other JSON number.
+  TraceRecorder tr;
+  const auto a = tr.begin("long", "t", TimePoint::from_ps(1'234'567'891'000));
+  tr.end(a, TimePoint::from_ps(1'234'567'891'000 + 250'000'000'001));
+  tr.instant("first", "t", TimePoint::from_ps(2'000'001'000'000));
+  tr.instant("second", "t", TimePoint::from_ps(2'000'004'000'000));
+  tr.counter("ratio", "t", TimePoint::from_ps(0), 0.1);
+  std::ostringstream os;
+  tr.write_json(os);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"ts\":1234567.891,\"dur\":250000.000001,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"ts\":2000001,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ts\":2000004,"), std::string::npos) << json;
+  EXPECT_NE(json.find("{\"ratio\":0.10000000000000001}"), std::string::npos)
+      << json;
+  EXPECT_EQ(Json::parse(json).at("traceEvents").size(), 5u);  // meta + 4
+}
+
+TEST(TraceRecorder, NamedRowsBecomeProcessesAndFlowsPairAcrossThem) {
+  // One recorder holds a whole fleet: each named row is its own pid with
+  // a process_name record, a span lands on its track's row, and a flow's
+  // two ends pair by the id the recorder assigned, across rows.
+  TraceRecorder tr;
+  tr.set_row("frames/coord", "coord");
+  tr.set_row("frames/shard0", "shard0");
+  tr.set_row("wall/shard1.1", "shard1.1");
+  tr.flow("run -> shard 0", "frames/coord", TimePoint::from_ps(1'000'000),
+          "frames/shard0", TimePoint::from_ps(2'500'000));
+  const auto span =
+      tr.begin("chunk x4", "wall/shard1.1", TimePoint::from_ps(1'000'000));
+  tr.end(span, TimePoint::from_ps(9'000'000));
+  tr.instant("unrowed", "misc", TimePoint::from_ps(0));
+  std::ostringstream os;
+  tr.write_json(os);
+  const Json doc = Json::parse(os.str());
+
+  std::map<std::string, std::int64_t> rows;  // process_name -> pid
+  std::map<std::string, std::int64_t> track_pid;
+  std::int64_t s_id = -1, s_pid = -1, f_id = -2, f_pid = -1, x_pid = -1,
+               i_pid = -1;
+  double s_ts = -1, f_ts = -1;
+  for (const Json& e : doc.at("traceEvents").as_array()) {
+    const std::string ph = e.at("ph").as_string();
+    const std::int64_t pid = e.at("pid").as_int();
+    if (ph == "M" && e.at("name").as_string() == "process_name") {
+      rows[e.at("args").at("name").as_string()] = pid;
+    } else if (ph == "M") {
+      track_pid[e.at("args").at("name").as_string()] = pid;
+    } else if (ph == "s") {
+      EXPECT_EQ(e.at("cat").as_string(), "frame");
+      s_id = e.at("id").as_int();
+      s_pid = pid;
+      s_ts = e.at("ts").as_double();
+    } else if (ph == "f") {
+      EXPECT_EQ(e.at("bp").as_string(), "e");
+      f_id = e.at("id").as_int();
+      f_pid = pid;
+      f_ts = e.at("ts").as_double();
+    } else if (ph == "X") {
+      x_pid = pid;
+    } else if (ph == "i") {
+      i_pid = pid;
+    }
+  }
+  // Rows are pids 1.. in naming order; an unrowed track gets the next.
+  const std::map<std::string, std::int64_t> want{
+      {"coord", 1}, {"shard0", 2}, {"shard1.1", 3}};
+  EXPECT_EQ(rows, want);
+  EXPECT_EQ(track_pid.at("frames/coord"), 1);
+  EXPECT_EQ(track_pid.at("misc"), 4);
+  EXPECT_EQ(s_id, f_id);
+  EXPECT_EQ(s_pid, 1);  // sent on the coordinator's row
+  EXPECT_EQ(f_pid, 2);  // received on shard0's row
+  EXPECT_EQ(s_ts, 1.0);
+  EXPECT_EQ(f_ts, 2.5);
+  EXPECT_EQ(x_pid, 3);  // the span sits on its incarnation's row
+  EXPECT_EQ(i_pid, 4);
+}
+
+TEST(TraceRecorder, RecorderWithoutRowsWritesOnePidAndNoProcessNames) {
+  TraceRecorder tr;
+  tr.flow("ping", "a", TimePoint::from_ps(0), "b", TimePoint::from_ps(10));
+  const auto span = tr.begin("work", "c", TimePoint::from_ps(0));
+  tr.end(span, TimePoint::from_ps(5));
+  std::ostringstream os;
+  tr.write_json(os);
+  const std::string json = os.str();
+  EXPECT_EQ(json.find("process_name"), std::string::npos);
+  const Json doc = Json::parse(json);
+  ASSERT_EQ(doc.at("traceEvents").size(), 6u);  // 3 thread_name + 3 events
+  for (const Json& e : doc.at("traceEvents").as_array())
+    EXPECT_EQ(e.at("pid").as_int(), 1) << e.dump();
+}
+
+TEST(TraceRecorder, TakeSpansHandsOverClosedSpansAndEmptiesTheRecorder) {
+  TraceRecorder tr;
+  const auto a = tr.begin("first", "wall", TimePoint::from_ps(1000));
+  tr.end(a, TimePoint::from_ps(3000));
+  const auto b = tr.begin("second", "wall", TimePoint::from_ps(4000));
+  tr.end(b, TimePoint::from_ps(4000));
+  const auto spans = tr.take_spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "first");
+  EXPECT_EQ(spans[0].start.ps(), 1000);
+  EXPECT_EQ(spans[0].end.ps(), 3000);
+  EXPECT_EQ(spans[1].name, "second");
+  EXPECT_EQ(tr.size(), 0u);
+  EXPECT_TRUE(tr.take_spans().empty());
 }
 
 TEST(TraceRecorder, EscapesQuotesInNames) {
