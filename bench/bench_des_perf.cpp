@@ -17,17 +17,7 @@
 //                        heap is not >= 5x faster or its pool grows;
 //   * mailbox         -- coroutine producer/consumer ping through
 //                        sim::Mailbox (the task/mailbox interop path);
-//   * sweep3d-scale   -- end-to-end model::figure13_series scenarios/sec;
-//   * partitioned-chains -- the multi-core path: 8 per-CU logical
-//                        processes with model-like per-event compute and
-//                        1/64 cross-partition traffic, run serially on
-//                        sim::Simulator and on sim::ParallelSimulator at
-//                        1/2/4 threads.  Event counts and per-partition
-//                        checksums must agree exactly (the cheap echo of
-//                        the des_diff_test bit-identity contract); the
-//                        best parallel rate is floor-gated, and on >= 4
-//                        hardware threads the full run additionally
-//                        requires >= 2x the serial rate at 4 threads.
+//   * sweep3d-scale   -- end-to-end model::figure13_series scenarios/sec.
 //
 // The schedule-heavy workload also runs an *instrumented* variant (one
 // obs::Counter increment per event, queue gauges snapshotted at the end)
@@ -38,13 +28,9 @@
 // Flags: --quick (CI smoke sizes), --out=BENCH_DES.json,
 //        --floor=path (fail if any events/sec falls >20% below the
 //        checked-in floor values), --report=PATH (obs run report).
-#include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <functional>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "model/sweep_model.hpp"
@@ -52,7 +38,6 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "sim/mailbox.hpp"
-#include "sim/parallel_simulator.hpp"
 #include "sim/reference_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
@@ -217,130 +202,6 @@ double sweep3d_rate(const std::vector<int>& counts, int reps, int* scenarios) {
   return rate;
 }
 
-// --- partitioned-chains: the multi-core workload.  P logical processes
-// each run a self-rescheduling chain; every event burns a fixed splitmix
-// spin (standing in for model math) and folds into a per-partition
-// checksum; every 64th event ships a fire-and-forget cross message to the
-// next partition.  All delays are pure functions of (partition, ordinal),
-// so the serial run on sim::Simulator and the parallel runs at any thread
-// count execute the *same* event set -- the final checksums must match
-// exactly (per-partition chains are sequential in both engines and cross
-// deliveries commute through XOR). ---
-constexpr int kParChainWork = 40;  // splitmix rounds per event
-constexpr std::int64_t kParLookaheadPs = 1'000'000;  // 1 us cross latency
-
-std::uint64_t par_spin(std::uint64_t x) {
-  std::uint64_t s = x;
-  std::uint64_t acc = 0;
-  for (int i = 0; i < kParChainWork; ++i) acc ^= splitmix64(s);
-  return acc;
-}
-
-std::int64_t par_delay_ps(int partition, std::uint64_t ordinal) {
-  std::uint64_t s = 0x9e3779b97f4a7c15ULL * (ordinal + 1) +
-                    static_cast<std::uint64_t>(partition);
-  return static_cast<std::int64_t>(1 + splitmix64(s) % 4096);
-}
-
-struct alignas(64) ParChainState {
-  std::uint64_t armed = 0;
-  std::uint64_t sink = 0;
-};
-
-struct ParChainResult {
-  std::uint64_t events = 0;
-  double events_per_sec = 0.0;
-  std::vector<std::uint64_t> sinks;
-  sim::ParallelSimStats stats;
-};
-
-ParChainResult parallel_chain_rate(int partitions, int threads,
-                                   std::uint64_t quota_per_partition) {
-  sim::PartitionGraph g(partitions);
-  g.set_all_links(Duration::picoseconds(kParLookaheadPs));
-  sim::ParallelSimulator sim(g, threads);
-  std::vector<ParChainState> st(static_cast<std::size_t>(partitions));
-
-  std::function<void(int)> fire = [&](int p) {
-    ParChainState& s = st[static_cast<std::size_t>(p)];
-    s.sink ^= par_spin(s.armed + static_cast<std::uint64_t>(p));
-    if (s.armed >= quota_per_partition) return;
-    const std::uint64_t n = s.armed++;
-    sim.partition(p).schedule(Duration::picoseconds(par_delay_ps(p, n)),
-                              [&fire, p] { fire(p); });
-    if (partitions > 1 && (n & 63) == 0) {
-      const int dst = (p + 1) % partitions;
-      sim.partition(p).send(
-          dst,
-          Duration::picoseconds(kParLookaheadPs + par_delay_ps(p, n ^ 0xffff)),
-          [&st, dst] {
-            st[static_cast<std::size_t>(dst)].sink ^=
-                par_spin(static_cast<std::uint64_t>(dst));
-          });
-    }
-  };
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int p = 0; p < partitions; ++p) {
-    st[static_cast<std::size_t>(p)].armed = 1;
-    sim.partition(p).schedule(Duration::picoseconds(par_delay_ps(p, 0)),
-                              [&fire, p] { fire(p); });
-  }
-  sim.run();
-  const double s = seconds_since(t0);
-
-  ParChainResult r;
-  r.events = sim.events_run();
-  r.events_per_sec = static_cast<double>(r.events) / s;
-  for (const auto& ps : st) r.sinks.push_back(ps.sink);
-  r.stats = sim.stats();
-  sim.export_metrics(obs::MetricsRegistry::global(),
-                     "parsim." + std::to_string(threads) + "t");
-  return r;
-}
-
-// The serial oracle: the identical event set on one sim::Simulator, with
-// partition index reduced to a state index and cross sends expressed as
-// plain schedules at the same absolute latency.
-ParChainResult serial_chain_rate(int partitions,
-                                 std::uint64_t quota_per_partition) {
-  sim::Simulator sim;
-  std::vector<ParChainState> st(static_cast<std::size_t>(partitions));
-
-  std::function<void(int)> fire = [&](int p) {
-    ParChainState& s = st[static_cast<std::size_t>(p)];
-    s.sink ^= par_spin(s.armed + static_cast<std::uint64_t>(p));
-    if (s.armed >= quota_per_partition) return;
-    const std::uint64_t n = s.armed++;
-    sim.schedule(Duration::picoseconds(par_delay_ps(p, n)),
-                 [&fire, p] { fire(p); });
-    if (partitions > 1 && (n & 63) == 0) {
-      const int dst = (p + 1) % partitions;
-      sim.schedule(
-          Duration::picoseconds(kParLookaheadPs + par_delay_ps(p, n ^ 0xffff)),
-          [&st, dst] {
-            st[static_cast<std::size_t>(dst)].sink ^=
-                par_spin(static_cast<std::uint64_t>(dst));
-          });
-    }
-  };
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int p = 0; p < partitions; ++p) {
-    st[static_cast<std::size_t>(p)].armed = 1;
-    sim.schedule(Duration::picoseconds(par_delay_ps(p, 0)),
-                 [&fire, p] { fire(p); });
-  }
-  sim.run();
-  const double s = seconds_since(t0);
-
-  ParChainResult r;
-  r.events = sim.events_run();
-  r.events_per_sec = static_cast<double>(r.events) / s;
-  for (const auto& ps : st) r.sinks.push_back(ps.sink);
-  return r;
-}
-
 bool check_floor(const Json& floor, const char* key, double measured,
                  bool* ok) {
   const Json* f = floor.find(key);
@@ -389,26 +250,6 @@ int main(int argc, char** argv) {
   int scenarios = 0;
   const double sweep3d = sweep3d_rate(counts, quick ? 1 : 3, &scenarios);
 
-  const int par_parts = 8;
-  const std::uint64_t par_quota = quick ? 25'000 : 100'000;
-  const unsigned hw = std::thread::hardware_concurrency();
-  const auto par_serial = serial_chain_rate(par_parts, par_quota);
-  const auto par_1t = parallel_chain_rate(par_parts, 1, par_quota);
-  const auto par_2t = parallel_chain_rate(par_parts, 2, par_quota);
-  const auto par_4t = parallel_chain_rate(par_parts, 4, par_quota);
-  for (const auto* pr : {&par_1t, &par_2t, &par_4t}) {
-    if (pr->events != par_serial.events || pr->sinks != par_serial.sinks) {
-      std::cerr << "FAIL: partitioned-chains diverged from the serial "
-                   "oracle (events "
-                << pr->events << " vs " << par_serial.events << ")\n";
-      return 1;
-    }
-  }
-  const double par_best = std::max(
-      {par_1t.events_per_sec, par_2t.events_per_sec, par_4t.events_per_sec});
-  const double par_speedup_4t =
-      par_4t.events_per_sec / par_serial.events_per_sec;
-
   Table t({"workload", "events", "events/sec", "vs legacy"});
   t.row().add("schedule-heavy (tombstone heap)").add(sched_total).add(sched_new, 0)
       .add(sched_new / sched_ref, 2);
@@ -423,25 +264,7 @@ int main(int argc, char** argv) {
   t.row().add("coroutine mailbox ping").add(mailbox_msgs).add(mailbox, 0).add("-");
   t.row().add("sweep3d scaling (scenarios/sec)").add(scenarios).add(sweep3d, 2)
       .add("-");
-  t.row().add("partitioned-chains (serial oracle)").add(par_serial.events)
-      .add(par_serial.events_per_sec, 0).add(1.0, 2);
-  t.row().add("partitioned-chains (parallel, 1t)").add(par_1t.events)
-      .add(par_1t.events_per_sec, 0)
-      .add(par_1t.events_per_sec / par_serial.events_per_sec, 2);
-  t.row().add("partitioned-chains (parallel, 2t)").add(par_2t.events)
-      .add(par_2t.events_per_sec, 0)
-      .add(par_2t.events_per_sec / par_serial.events_per_sec, 2);
-  t.row().add("partitioned-chains (parallel, 4t)").add(par_4t.events)
-      .add(par_4t.events_per_sec, 0).add(par_speedup_4t, 2);
   t.print(std::cout);
-  std::cout << "partitioned-chains: " << par_parts << " partitions, "
-            << par_4t.stats.windows << " windows, "
-            << par_4t.stats.cross_messages << " cross messages, "
-            << par_4t.stats.lookahead_stalls << " lookahead stalls, "
-            << par_4t.stats.null_messages
-            << " null messages (window-bound broadcasts); checksums match "
-               "the serial oracle at 1/2/4 threads ("
-            << hw << " hardware threads)\n";
   std::cout << "cancel-heavy pool capacity: " << cancel_new.pool_capacity_early
             << " after first batch, " << cancel_new.pool_capacity_final
             << " at end (flat => pooled slots recycled)\n"
@@ -468,19 +291,6 @@ int main(int argc, char** argv) {
   j.set("mailbox_events_per_sec", mailbox);
   j.set("sweep3d_scenarios", scenarios);
   j.set("sweep3d_scenarios_per_sec", sweep3d);
-  j.set("partitioned_chain_partitions", par_parts);
-  j.set("partitioned_chain_events", par_serial.events);
-  j.set("partitioned_chain_serial_events_per_sec", par_serial.events_per_sec);
-  j.set("parallel_chain_events_per_sec_1t", par_1t.events_per_sec);
-  j.set("parallel_chain_events_per_sec_2t", par_2t.events_per_sec);
-  j.set("parallel_chain_events_per_sec_4t", par_4t.events_per_sec);
-  j.set("parallel_chain_events_per_sec", par_best);
-  j.set("parallel_chain_speedup_4t", par_speedup_4t);
-  j.set("parallel_chain_windows", par_4t.stats.windows);
-  j.set("parallel_chain_cross_messages", par_4t.stats.cross_messages);
-  j.set("parallel_chain_lookahead_stalls", par_4t.stats.lookahead_stalls);
-  j.set("parallel_chain_null_messages", par_4t.stats.null_messages);
-  j.set("hardware_threads", static_cast<std::uint64_t>(hw));
   if (!write_file_atomic(out_path, j.dump(2) + "\n")) {
     std::cerr << "cannot write " << out_path << "\n";
     return 1;
@@ -500,15 +310,6 @@ int main(int argc, char** argv) {
               << cancel_new.pool_capacity_final << "\n";
     ok = false;
   }
-  // The >= 2x scaling acceptance gate only means something on hardware
-  // that can actually run 4 worker threads; CI smoke boxes and --quick
-  // runs report the speedup but do not fail on it.
-  if (!quick && hw >= 4 && par_speedup_4t < 2.0) {
-    std::cerr << "FAIL: partitioned-chains 4-thread speedup "
-              << format_double(par_speedup_4t, 2) << " < 2x serial ("
-              << hw << " hardware threads)\n";
-    ok = false;
-  }
   if (cli.has("floor")) {
     const auto floor_text = read_file(cli.get("floor", ""));
     const Json floor = Json::parse(floor_text);
@@ -520,10 +321,6 @@ int main(int argc, char** argv) {
                 cancel_new.events_per_sec, &ok);
     check_floor(floor, "mailbox_events_per_sec", mailbox, &ok);
     check_floor(floor, "sweep3d_scenarios_per_sec", sweep3d, &ok);
-    // The multi-core floor is gated on the *best* thread count so a
-    // single-core CI box is held to the engine's overhead, not to a
-    // parallel speedup it cannot produce.
-    check_floor(floor, "parallel_chain_events_per_sec", par_best, &ok);
   }
 
   if (const std::string rpath = cli.get("report", ""); !rpath.empty()) {

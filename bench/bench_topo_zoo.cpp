@@ -1,7 +1,7 @@
 // Cross-machine topology-zoo study (no paper figure; DESIGN.md §14):
-// runs the Sweep3D / HPL sweep entry points, the Fig. 10 latency sweep,
-// the parallel-DES lookahead derivation, and the degraded-route audit
-// over every requested zoo machine and prints the comparative table.
+// runs the Sweep3D / HPL sweep entry points, the Fig. 10 latency sweep
+// and the degraded-route audit over every requested zoo machine and
+// prints the comparative table.
 //
 //   --machines=a,b,c   zoo machines to study (default: all of them)
 //   --small            reduced presets (tests / CI smoke scale)
@@ -134,20 +134,17 @@ int main(int argc, char** argv) {
   print_banner(std::cout, "Topology zoo: cross-machine comparison (" +
                               std::string(cfg.small ? "small" : "full") +
                               " presets)");
-  Table table({"machine", "family", "nodes", "parts", "avg hops", "max",
-               "lat mean us", "lookahead us", "mtbf h", "hpl eff",
-               "sw3d eff", "audit"});
+  Table table({"machine", "family", "nodes", "avg hops", "max",
+               "lat mean us", "mtbf h", "hpl eff", "sw3d eff", "audit"});
   bool ok = true;
   for (const engine::MachineStudy& r : rows) {
     table.row()
         .add(r.machine)
         .add(r.family)
         .add(r.nodes)
-        .add(r.partitions)
         .add(r.average_hops, 3)
         .add(r.max_hops)
         .add(r.latency_mean_us, 3)
-        .add(r.lookahead_us, 3)
         .add(r.hpl.system_mtbf_h, 1)
         .add(r.hpl.efficiency, 4)
         .add(r.sweep3d.efficiency, 4)

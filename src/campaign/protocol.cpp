@@ -185,8 +185,8 @@ std::vector<IndexRange> ranges_from_json(const Json& j, int max_index) {
     if (!pair.is_array() || pair.size() != 2)
       throw std::runtime_error("index range is not a [lo,hi] pair");
     IndexRange r;
-    r.lo = static_cast<int>(pair.at(std::size_t{0}).as_int());
-    r.hi = static_cast<int>(pair.at(std::size_t{1}).as_int());
+    r.lo = pair.at(std::size_t{0}).as_int32();
+    r.hi = pair.at(std::size_t{1}).as_int32();
     if (r.lo < 0)
       throw std::runtime_error("negative index range lower bound " +
                                std::to_string(r.lo));

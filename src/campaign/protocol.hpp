@@ -100,8 +100,8 @@ struct IndexRange {
 };
 
 /// [[lo,hi],...] <-> vector<IndexRange>.  Decoding validates shape and
-/// bounds: every element must be a two-number array with
-/// 0 <= lo <= hi, and, when `max_index >= 0`, hi <= max_index -- a
+/// bounds: every element must be a two-integer array, each fitting an
+/// int, with 0 <= lo <= hi, and, when `max_index >= 0`, hi <= max_index -- a
 /// frame assigning indices outside the campaign is rejected with a
 /// diagnostic, never acted on.
 Json ranges_to_json(const std::vector<IndexRange>& ranges);

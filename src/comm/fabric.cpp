@@ -77,27 +77,6 @@ Bandwidth FabricModel::large_message_bandwidth(topo::NodeId src, topo::NodeId ds
   return achieved_bandwidth(n, t);
 }
 
-int FabricModel::min_cross_cu_hops(int cu_a, int cu_b) const {
-  const int cus = topo_->cu_count();
-  RR_EXPECTS(cu_a >= 0 && cu_a < cus && cu_b >= 0 && cu_b < cus);
-  RR_EXPECTS(cu_a != cu_b);
-  const int best = topo_->min_partition_hops(cu_a, cu_b);
-  RR_ENSURES(best > 0);
-  return best;
-}
-
-sim::PartitionGraph FabricModel::cu_partition_graph() const {
-  const int cus = topo_->cu_count();
-  sim::PartitionGraph g(cus);
-  for (int a = 0; a < cus; ++a) {
-    for (int b = 0; b < cus; ++b) {
-      if (a == b) continue;
-      g.set_link(a, b, base_ + per_hop_ * min_cross_cu_hops(a, b));
-    }
-  }
-  return g;
-}
-
 Bandwidth FabricModel::average_bandwidth(topo::NodeId src, DataSize n,
                                          bool pinned) const {
   double sum = 0.0;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "comm/channel.hpp"
-#include "sim/parallel_simulator.hpp"
 #include "topo/topology.hpp"
 
 namespace rr::comm {
@@ -38,21 +37,6 @@ class FabricModel {
 
   /// Mean large-message bandwidth from `src` to every other node.
   Bandwidth average_bandwidth(topo::NodeId src, DataSize n, bool pinned) const;
-
-  /// Minimum crossbar hops between any node of partition `cu_a` and any
-  /// node of partition `cu_b` under the deterministic routing
-  /// (Topology::min_partition_hops: >= 5 cross-CU on the fat tree per
-  /// Table I, 1 + slab ring distance on a torus, 2 on a dragonfly).
-  int min_cross_cu_hops(int cu_a, int cu_b) const;
-
-  /// Logical-process graph for the parallel conservative engine
-  /// (sim::ParallelSimulator): one partition per CU / torus slab /
-  /// dragonfly group, directed link
-  /// latency = the smallest zero-byte MPI latency between the two CUs
-  /// (software base + per-hop latency x min_cross_cu_hops).  Strictly
-  /// positive by construction -- this is the lookahead that lets the
-  /// window protocol make progress.
-  sim::PartitionGraph cu_partition_graph() const;
 
   const topo::Topology& topology() const { return *topo_; }
 

@@ -8,6 +8,17 @@
 
 namespace rr::fault {
 
+void FaultInjector::arm(std::function<void(const FailureEvent&)> on_failure) {
+  RR_EXPECTS(on_failure != nullptr);
+  const auto shared =
+      std::make_shared<std::function<void(const FailureEvent&)>>(
+          std::move(on_failure));
+  for (const FailureEvent& ev : schedule_) {
+    sim_.schedule_at(TimePoint::origin() + ev.at,
+                     [shared, ev] { (*shared)(ev); });
+  }
+}
+
 void apply_to_fabric(topo::DegradedTopology& fabric, const FailureEvent& ev,
                      const std::vector<std::pair<int, int>>& cables) {
   switch (ev.component) {

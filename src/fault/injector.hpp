@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -14,42 +13,24 @@
 #include "sim/interrupt.hpp"
 #include "sim/simulator.hpp"
 #include "topo/degraded.hpp"
-#include "util/expect.hpp"
 
 namespace rr::fault {
 
-/// Replays a failure schedule as DES events.  Parameterized over the
-/// clock it schedules on: anything with the serial Simulator's implicit
-/// surface (now / schedule_at / cancel) works, which is what lets the
-/// resilience studies run unchanged on one partition of the parallel
-/// engine (sim::ParallelSimulator::Partition).
-template <class SimT>
-class BasicFaultInjector {
+/// Replays a failure schedule as DES events.
+class FaultInjector {
  public:
-  BasicFaultInjector(SimT& sim, std::vector<FailureEvent> schedule)
+  FaultInjector(sim::Simulator& sim, std::vector<FailureEvent> schedule)
       : sim_(sim), schedule_(std::move(schedule)) {}
 
   /// Schedule every event; `on_failure` fires at each event's time.
-  void arm(std::function<void(const FailureEvent&)> on_failure) {
-    RR_EXPECTS(on_failure != nullptr);
-    const auto shared =
-        std::make_shared<std::function<void(const FailureEvent&)>>(
-            std::move(on_failure));
-    for (const FailureEvent& ev : schedule_) {
-      sim_.schedule_at(TimePoint::origin() + ev.at,
-                       [shared, ev] { (*shared)(ev); });
-    }
-  }
+  void arm(std::function<void(const FailureEvent&)> on_failure);
 
   const std::vector<FailureEvent>& schedule() const { return schedule_; }
 
  private:
-  SimT& sim_;
+  sim::Simulator& sim_;
   std::vector<FailureEvent> schedule_;
 };
-
-/// The historical serial-engine spelling, used throughout the studies.
-using FaultInjector = BasicFaultInjector<sim::Simulator>;
 
 /// Apply one failure event to the degraded-fabric overlay.  kCrossbar
 /// event indices are CU-level crossbar ids (the id layout puts all

@@ -6,7 +6,8 @@
 // round-trip every finite double bit-exactly; counters and bucket counts
 // are exact below 2^53 (the registry-wide contract), so
 // snapshot_from_wire(snapshot_to_wire(s)) == s field for field, and the
-// campaign's stats frames lose nothing in transit.
+// metrics a campaign worker ships on its `progress`/`done` frames lose
+// nothing in transit.
 //
 // Merge semantics (merge_into):
 //   * counters   -- sum (exact uint64),
@@ -32,7 +33,8 @@
 namespace rr::obs {
 
 /// {"snapshot":"rr-metrics","version":1,"metrics":[...]} -- the exact,
-/// self-identifying wire form shipped in campaign `stats` frames.
+/// self-identifying wire form a campaign worker ships in the `metrics`
+/// field of its `progress`/`done` frames.
 Json snapshot_to_wire(const Snapshot& s);
 
 /// Parse and validate a wire snapshot.  Throws std::runtime_error on a

@@ -204,13 +204,13 @@ Json to_json(const JournalEntry& e) {
 
 JournalEntry journal_entry_from_json(const Json& j) {
   JournalEntry e;
-  e.index = static_cast<int>(j.at("index").as_int());
+  e.index = j.at("index").as_int32();
   const auto status = scenario_status_from_string(j.at("status").as_string());
   if (!status)
     throw JsonError("journal: unknown status '" + j.at("status").as_string() +
                     "'");
   e.status = *status;
-  e.attempts = static_cast<int>(j.at("attempts").as_int());
+  e.attempts = j.at("attempts").as_int32();
   e.seed = parse_u64(j.at("seed").as_string());
   if (e.ok()) {
     e.metrics = j.at("metrics");

@@ -87,7 +87,7 @@ std::vector<Json> ResultStore::read_file(const std::string& path,
 
 fault::ResiliencePoint resilience_point_from_json(const Json& j) {
   fault::ResiliencePoint pt;
-  pt.nodes = static_cast<int>(j.at("nodes").as_int());
+  pt.nodes = j.at("nodes").as_int32();
   pt.fault_free_s = j.at("fault_free_s").as_double();
   pt.system_mtbf_h = j.at("system_mtbf_h").as_double();
   pt.checkpoint_s = j.at("checkpoint_s").as_double();
@@ -103,7 +103,7 @@ fault::ResiliencePoint resilience_point_from_json(const Json& j) {
 
 model::ScalePoint scale_point_from_json(const Json& j) {
   model::ScalePoint pt;
-  pt.nodes = static_cast<int>(j.at("nodes").as_int());
+  pt.nodes = j.at("nodes").as_int32();
   pt.opteron_s = j.at("opteron_s").as_double();
   pt.cell_measured_s = j.at("cell_measured_s").as_double();
   pt.cell_best_s = j.at("cell_best_s").as_double();

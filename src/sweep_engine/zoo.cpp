@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "comm/fabric.hpp"
-#include "sim/parallel_simulator.hpp"
 #include "sweep_engine/studies.hpp"
 #include "topo/degraded.hpp"
 #include "topo/machines.hpp"
@@ -60,7 +59,6 @@ std::vector<MachineStudy> cross_machine_study(
     row.family = t->family();
     row.nodes = t->node_count();
     row.crossbars = t->crossbar_count();
-    row.partitions = t->cu_count();
 
     row.hop_histogram = t->hop_histogram(topo::NodeId{0});
     row.average_hops = t->average_hops(topo::NodeId{0});
@@ -80,12 +78,6 @@ std::vector<MachineStudy> cross_machine_study(
       row.latency_mean_us = sum / static_cast<double>(lat.size());
       row.latency_max_us = hi;
     }
-
-    const sim::PartitionGraph graph = fabric.cu_partition_graph();
-    const std::int64_t lookahead_ps = graph.lookahead_ps();
-    row.lookahead_us = lookahead_ps == sim::PartitionGraph::kNoLink
-                           ? 0.0
-                           : static_cast<double>(lookahead_ps) * 1e-6;
 
     row.hpl =
         parallel_hpl_study(eng, system, *t, {row.nodes}, cfg.fault).front();
@@ -120,7 +112,6 @@ Json zoo_to_json(const std::vector<MachineStudy>& rows) {
     o.set("family", r.family);
     o.set("nodes", r.nodes);
     o.set("crossbars", r.crossbars);
-    o.set("partitions", r.partitions);
     Json hist = Json::array();
     for (int count : r.hop_histogram) hist.push_back(count);
     o.set("hop_histogram", std::move(hist));
@@ -129,7 +120,6 @@ Json zoo_to_json(const std::vector<MachineStudy>& rows) {
     o.set("latency_min_us", r.latency_min_us);
     o.set("latency_mean_us", r.latency_mean_us);
     o.set("latency_max_us", r.latency_max_us);
-    o.set("lookahead_us", r.lookahead_us);
     o.set("hpl", point_json(r.hpl));
     o.set("sweep3d", point_json(r.sweep3d));
     Json audit = Json::object();

@@ -1,9 +1,9 @@
 // Cross-machine topology-zoo study (extension; DESIGN.md §14): the same
-// Sweep3D / HPL sweep entry points, latency sweep, lookahead derivation,
-// and degraded-route audit, run over every requested zoo machine
-// (topo/machines.hpp) through the sweep engine.  One MachineStudy per
-// machine carries the comparative hop / latency / resilience table the
-// bench renders and the run report embeds.
+// Sweep3D / HPL sweep entry points, latency sweep and degraded-route
+// audit, run over every requested zoo machine (topo/machines.hpp) through
+// the sweep engine.  One MachineStudy per machine carries the comparative
+// hop / latency / resilience table the bench renders and the run report
+// embeds.
 //
 // Everything downstream of the Topology interface is shared: only the
 // fabric changes between rows, so a difference in a row is a difference
@@ -37,7 +37,6 @@ struct MachineStudy {
   // Structure.
   int nodes = 0;
   int crossbars = 0;
-  int partitions = 0;  ///< Topology::cu_count()
 
   // Deterministic routing, from node 0 (the Table I experiment).
   std::vector<int> hop_histogram;  ///< index = hops; histogram[0] == 1
@@ -49,10 +48,6 @@ struct MachineStudy {
   double latency_min_us = 0.0;
   double latency_mean_us = 0.0;
   double latency_max_us = 0.0;
-
-  // Parallel-DES lookahead: the cu_partition_graph global minimum link
-  // latency (0 when the machine has a single partition and no links).
-  double lookahead_us = 0.0;
 
   // Whole-machine application studies through the existing engine entry
   // points (parallel_hpl_study / parallel_sweep_study); the component

@@ -101,11 +101,4 @@ std::vector<int> Dragonfly::route(NodeId src, NodeId dst) const {
   return path;
 }
 
-int Dragonfly::min_partition_hops(int cu_a, int cu_b) const {
-  RR_EXPECTS(cu_a >= 0 && cu_a < params_.groups);
-  RR_EXPECTS(cu_b >= 0 && cu_b < params_.groups);
-  RR_EXPECTS(cu_a != cu_b);
-  return 2;
-}
-
 }  // namespace rr::topo

@@ -32,7 +32,6 @@ class Dragonfly final : public Topology {
   static Dragonfly build(const DragonflyParams& params);
 
   const char* family() const override { return "dragonfly"; }
-  int cu_count() const override { return params_.groups; }
   const DragonflyParams& params() const { return params_; }
 
   int router_id(int group, int local) const;
@@ -40,11 +39,6 @@ class Dragonfly final : public Topology {
   int gateway(int group, int peer_group) const;
 
   std::vector<int> route(NodeId src, NodeId dst) const override;
-
-  /// Always 2: each gateway router carries nodes, so the closest pair of
-  /// nodes in two groups sits directly on the two ends of the group pair's
-  /// global cable.
-  int min_partition_hops(int cu_a, int cu_b) const override;
 
  private:
   Dragonfly() = default;

@@ -223,34 +223,6 @@ std::vector<int> FatTree::route(NodeId src, NodeId dst) const {
   return path;
 }
 
-int FatTree::min_partition_hops(int cu_a, int cu_b) const {
-  RR_EXPECTS(cu_a >= 0 && cu_a < params_.cu_count);
-  RR_EXPECTS(cu_b >= 0 && cu_b < params_.cu_count);
-  RR_EXPECTS(cu_a != cu_b);
-  // One representative node per lower crossbar is exhaustive: the
-  // deterministic route is a function of (src lower xbar, dst lower xbar)
-  // only, never of the port within the crossbar.
-  const auto reps = [&](int cu) {
-    std::vector<NodeId> out;
-    for (int j = 0; j < params_.lower_xbars_per_cu; ++j) {
-      const Crossbar& x = crossbar(cu_lower_id(cu, j));
-      if (!x.compute_nodes.empty()) {
-        out.push_back(NodeId{x.compute_nodes.front()});
-      }
-    }
-    return out;
-  };
-  int best = -1;
-  for (const NodeId s : reps(cu_a)) {
-    for (const NodeId d : reps(cu_b)) {
-      const int h = hop_count(s, d);
-      if (best < 0 || h < best) best = h;
-    }
-  }
-  RR_ENSURES(best > 0);
-  return best;
-}
-
 /// First surviving upper crossbar of `cu` cabled to both lower crossbars,
 /// scanning from the destination-indexed preference in a fixed order.
 std::optional<int> FatTree::pick_upper(const DegradedTopology& d, int cu,

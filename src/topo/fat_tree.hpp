@@ -56,7 +56,7 @@ class FatTree final : public Topology {
   static FatTree build(const FatTreeParams& params);
 
   const char* family() const override { return "fat-tree"; }
-  int cu_count() const override { return params_.cu_count; }
+  int cu_count() const { return params_.cu_count; }
   const FatTreeParams& params() const { return params_; }
 
   const Attachment& attachment(NodeId n) const {
@@ -72,12 +72,6 @@ class FatTree final : public Topology {
   int l3_id(int sw, int y) const;
 
   std::vector<int> route(NodeId src, NodeId dst) const override;
-
-  /// Exact: a route depends only on the endpoints' lower crossbars, so
-  /// sampling one node per crossbar covers every pair.  Cross-CU routes
-  /// always traverse at least the two CU switches plus an inter-CU
-  /// crossbar, so this is >= 5 for cu_a != cu_b (Table I).
-  int min_partition_hops(int cu_a, int cu_b) const override;
 
   /// Up*/down* rerouting around failures: at each decision point of the
   /// healthy route (intra-CU upper crossbar, inter-CU switch choice,

@@ -49,7 +49,7 @@ enum class XbarKind : std::uint8_t {
 /// One crossbar / router of the fabric.
 struct Crossbar {
   XbarKind kind{};
-  int cu = -1;      ///< owning partition (CU / torus slab / dragonfly group)
+  int cu = -1;      ///< owning CU (fat tree) or group (dragonfly), else -1
   int sw = -1;      ///< owning inter-CU switch (fat tree) or group, else -1
   int index = -1;   ///< index within its level / group
   std::vector<int> links;           ///< adjacent crossbar ids (sorted)
@@ -64,21 +64,9 @@ class Topology {
   /// Machine family tag: "fat-tree", "torus", "dragonfly".
   virtual const char* family() const = 0;
 
-  /// Number of partitions for the parallel conservative engine (CUs on
-  /// the fat tree, slabs along the partition dimension on a torus,
-  /// groups on a dragonfly).  Always >= 1.
-  virtual int cu_count() const = 0;
-
   /// The deterministic route: the sequence of crossbars a message from
   /// `src` to `dst` traverses.  Empty for src == dst.
   virtual std::vector<int> route(NodeId src, NodeId dst) const = 0;
-
-  /// Minimum crossbar hops between any node of partition `cu_a` and any
-  /// node of partition `cu_b` under the deterministic routing, for
-  /// cu_a != cu_b.  Strictly positive -- this feeds the parallel-DES
-  /// lookahead (comm::FabricModel::cu_partition_graph), which must never
-  /// collapse to zero.
-  virtual int min_partition_hops(int cu_a, int cu_b) const = 0;
 
   /// The degraded route from `src` to `dst` on the surviving fabric, or
   /// nullopt when nothing survives.  Endpoints are already known alive
@@ -110,11 +98,6 @@ class Topology {
     RR_EXPECTS(n.v >= 0 && n.v < node_count());
     return node_xbar_[n.v];
   }
-
-  /// Owning partition of a compute node: the natural partition map for
-  /// the parallel conservative engine.  Total and single-valued: every
-  /// node maps to exactly one partition in [0, cu_count()).
-  int cu_of(NodeId n) const { return xbars_[node_xbar(n)].cu; }
 
   /// Number of crossbar hops on the deterministic route (Table I metric).
   /// Zero for src == dst (the route is empty -- the self convention every

@@ -1,27 +1,14 @@
 #include "topo/torus.hpp"
 
-#include <algorithm>
-
 namespace rr::topo {
-
-int ring_distance(int a, int b, int k) {
-  const int fwd = ((b - a) % k + k) % k;
-  return std::min(fwd, k - fwd);
-}
 
 Torus Torus::build(const TorusParams& p) {
   RR_EXPECTS(!p.dims.empty());
   for (int k : p.dims) RR_EXPECTS(k >= 1);
   RR_EXPECTS(p.nodes_per_router >= 1);
-  RR_EXPECTS(p.partition_dim == -1 ||
-             (p.partition_dim >= 0 &&
-              p.partition_dim < static_cast<int>(p.dims.size())));
 
   Torus t;
   t.params_ = p;
-  t.partition_dim_ =
-      p.partition_dim == -1 ? static_cast<int>(p.dims.size()) - 1
-                            : p.partition_dim;
 
   int routers = 1;
   for (int k : p.dims) routers *= k;
@@ -31,7 +18,6 @@ Torus Torus::build(const TorusParams& p) {
   for (int r = 0; r < routers; ++r) {
     Crossbar& x = t.xbars_[r];
     x.kind = XbarKind::kTorusRouter;
-    x.cu = t.coordinates(r)[t.partition_dim_];
     x.index = r;
     for (int n = 0; n < p.nodes_per_router; ++n) {
       const NodeId id{r * p.nodes_per_router + n};
@@ -103,13 +89,6 @@ std::vector<int> Torus::route(NodeId src, NodeId dst) const {
     }
   }
   return path;
-}
-
-int Torus::min_partition_hops(int cu_a, int cu_b) const {
-  RR_EXPECTS(cu_a >= 0 && cu_a < cu_count());
-  RR_EXPECTS(cu_b >= 0 && cu_b < cu_count());
-  RR_EXPECTS(cu_a != cu_b);
-  return 1 + ring_distance(cu_a, cu_b, params_.dims[partition_dim_]);
 }
 
 }  // namespace rr::topo

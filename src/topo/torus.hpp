@@ -19,9 +19,6 @@ struct TorusParams {
   std::vector<int> dims;
   /// Compute nodes attached to each router (>= 1).
   int nodes_per_router = 1;
-  /// Dimension sliced into partitions for the parallel engine (one slab
-  /// of routers per coordinate along it); -1 = the last dimension.
-  int partition_dim = -1;
 };
 
 class Torus final : public Topology {
@@ -31,9 +28,7 @@ class Torus final : public Topology {
   static Torus build(const TorusParams& params);
 
   const char* family() const override { return "torus"; }
-  int cu_count() const override { return params_.dims[partition_dim_]; }
   const TorusParams& params() const { return params_; }
-  int partition_dim() const { return partition_dim_; }
 
   int router_count() const { return crossbar_count(); }
   int router_id(const std::vector<int>& coord) const;
@@ -41,20 +36,10 @@ class Torus final : public Topology {
 
   std::vector<int> route(NodeId src, NodeId dst) const override;
 
-  /// 1 + ring distance between the two slabs along the partition
-  /// dimension: dimension-ordered routing between routers that differ
-  /// only in that dimension achieves exactly this, and no cross-slab
-  /// route can do better.
-  int min_partition_hops(int cu_a, int cu_b) const override;
-
  private:
   Torus() = default;
 
   TorusParams params_;
-  int partition_dim_ = 0;
 };
-
-/// Minimal hops around a ring of length k (ties and direction aside).
-int ring_distance(int a, int b, int k);
 
 }  // namespace rr::topo

@@ -4,8 +4,10 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 namespace rr {
 
@@ -291,9 +293,18 @@ double Json::as_double() const {
 
 std::int64_t Json::as_int() const {
   const double v = as_double();
+  // Casting a double outside [-2^63, 2^63) to int64 is undefined.
+  if (!(v >= -0x1p63 && v < 0x1p63)) fail("json: number out of int64 range");
   const auto i = static_cast<std::int64_t>(v);
   if (static_cast<double>(i) != v) fail("json: number is not integral");
   return i;
+}
+
+int Json::as_int32() const {
+  const std::int64_t i = as_int();
+  if (i < std::numeric_limits<int>::min() || i > std::numeric_limits<int>::max())
+    fail("json: integer " + std::to_string(i) + " out of int range");
+  return static_cast<int>(i);
 }
 
 const std::string& Json::as_string() const {

@@ -69,7 +69,8 @@ class Json {
 
   bool as_bool() const;
   double as_double() const;
-  std::int64_t as_int() const;  ///< number checked to be integral
+  std::int64_t as_int() const;  ///< number checked to be an integral int64
+  int as_int32() const;         ///< as_int, checked to fit an int
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;

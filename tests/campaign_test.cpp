@@ -235,6 +235,14 @@ TEST(CampaignProtocol, RangeDecodingValidatesShapeAndBounds) {
                std::runtime_error);
   EXPECT_THROW(ranges_from_json(Json::parse("[[0]]")), std::runtime_error);
   EXPECT_THROW(ranges_from_json(Json::parse("[7]")), std::runtime_error);
+  // Bounds past int range are rejected, not wrapped: truncated to 32 bits,
+  // [[4294967296,4294967298]] would read as the in-bounds [0,2).
+  EXPECT_THROW(ranges_from_json(Json::parse("[[4294967296,4294967298]]"), 8),
+               std::runtime_error);
+  EXPECT_THROW(ranges_from_json(Json::parse("[[0,4294967297]]"), 8),
+               std::runtime_error);
+  EXPECT_THROW(ranges_from_json(Json::parse("[[-4294967296,2]]")),
+               std::runtime_error);
   // In-bounds ranges decode; max_index is the scenario count, so a range
   // covering the whole campaign is legal.
   const auto ok = ranges_from_json(Json::parse("[[0,8]]"), 8);

@@ -1,34 +1,27 @@
-// Differential fuzz harness for the DES engines (ISSUE 7 / DESIGN.md §12).
+// Differential fuzz harness for the serial DES engine (DESIGN.md §9).
 //
-// Each seed derives a workload -- partition count, lookahead, root
-// timers, and a behavior tree of local timers, cancels, cross-partition
-// messages, and cancel+re-arm "interrupt" patterns -- and replays it
-// through three engines:
+// Each seed derives a workload -- partition count, cross-partition delay,
+// root timers, and a behavior tree of local timers, cancels,
+// cross-partition messages, and cancel+re-arm "interrupt" patterns -- and
+// replays it through two engines:
 //
 //   * sim::ReferenceSimulator  (the pre-rebuild linear-scan oracle)
 //   * sim::Simulator           (the serial tombstone heap)
-//   * sim::ParallelSimulator   at 1, 2, 4, and 8 threads
 //
-// asserting bit-identical event order (time AND marker, in global
-// execution order), final per-partition state hashes, executed-event
-// counts, and final clocks.  Every decision the workload makes is a pure
-// function of (seed, event marker), never of wall-clock, thread
-// interleaving, or shared mutable RNG state -- so any divergence is an
+// asserting bit-identical event order (time AND marker, in execution
+// order), final per-partition state hashes, executed-event counts, and
+// final clocks.  Partitions are emulated on the one shared clock: a
+// cross-partition message is a plain schedule.  Every decision the
+// workload makes is a pure function of (seed, event marker), never of
+// wall-clock or shared mutable RNG state -- so any divergence is an
 // engine-ordering bug, not harness noise.  The failing seed is printed
 // so the exact workload replays under a debugger.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "comm/fabric.hpp"
-#include "sim/parallel_simulator.hpp"
-#include "topo/machines.hpp"
 #include "sim/reference_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -37,7 +30,6 @@
 namespace {
 
 using rr::Duration;
-using rr::TimePoint;
 using rr::splitmix64;
 
 // Pure hash of (a, b): the only randomness source in the workload.
@@ -55,26 +47,18 @@ struct Workload {
   int partitions = 1;
   int roots = 8;
   int depth = 4;
-  std::int64_t lookahead_ps = 64;
+  std::int64_t cross_delay_ps = 64;  ///< floor of every cross-partition delay
 
   static Workload from_seed(std::uint64_t seed) {
     Workload w;
     w.partitions = 1 + static_cast<int>(hash2(seed, 1) % 4);     // 1..4
     w.roots = 12 + static_cast<int>(hash2(seed, 2) % 20);        // 12..31
     w.depth = 3 + static_cast<int>(hash2(seed, 3) % 3);          // 3..5
-    // Small lookahead => many windows; large => few.  Stress both.
-    static constexpr std::int64_t kLookaheads[] = {1, 9, 64, 913};
-    w.lookahead_ps = kLookaheads[hash2(seed, 4) % 4];
+    static constexpr std::int64_t kCrossDelays[] = {1, 9, 64, 913};
+    w.cross_delay_ps = kCrossDelays[hash2(seed, 4) % 4];
     return w;
   }
 };
-
-// ---------------------------------------------------------------------------
-// Engine adapters.  The serial engines emulate P partitions on one shared
-// clock (a cross-partition send is just a schedule with the same absolute
-// firing time); the parallel adapter uses real partitions.  Every adapter
-// produces the run's event log in GLOBAL execution order.
-// ---------------------------------------------------------------------------
 
 struct LogRecord {
   std::int64_t at_ps = 0;
@@ -82,105 +66,23 @@ struct LogRecord {
   bool operator==(const LogRecord&) const = default;
 };
 
+struct EngineResult {
+  std::vector<LogRecord> log;
+  std::uint64_t state_hash = 0;
+  std::uint64_t events_run = 0;
+  std::int64_t final_now_ps = 0;
+};
+
+// One run of one workload on engine `SimT`.
 template <class SimT>
-class SharedClockAdapter {
+class WorkloadRun {
  public:
-  explicit SharedClockAdapter(const Workload&) {}
+  WorkloadRun(std::uint64_t seed, const Workload& w)
+      : seed_(seed), w_(w), parts_(w.partitions) {}
 
-  TimePoint now(int) const { return sim_.now(); }
-  std::uint64_t schedule(int, Duration d, std::function<void()> fn) {
-    return sim_.schedule(d, std::move(fn));
-  }
-  void send(int, int, Duration d, std::function<void()> fn) {
-    sim_.schedule(d, std::move(fn));
-  }
-  void cancel(int, std::uint64_t id) { sim_.cancel(id); }
-  void record(int, std::int64_t at_ps, std::uint64_t marker) {
-    log_.push_back(LogRecord{at_ps, marker});
-  }
-  void run() { sim_.run(); }
-  std::vector<LogRecord> ordered_log() const { return log_; }
-  std::uint64_t events_run() const { return sim_.events_run(); }
-  std::int64_t final_now_ps() const { return sim_.now().ps(); }
-
- private:
-  SimT sim_;
-  std::vector<LogRecord> log_;
-};
-
-class ParallelAdapter {
- public:
-  ParallelAdapter(const Workload& w, int threads)
-      : ParallelAdapter(w, threads, make_graph(w)) {}
-
-  /// Run on an externally derived partition graph (e.g. a machine's
-  /// comm::FabricModel::cu_partition_graph) instead of the synthetic
-  /// all-pairs one.  The workload's lookahead_ps must be >= every link's
-  /// min delay so each cross send stays legal on its link.
-  ParallelAdapter(const Workload& w, int threads, rr::sim::PartitionGraph g)
-      : engine_(std::move(g), threads), marks_(w.partitions) {
-    engine_.set_log_enabled(true);
-  }
-
-  TimePoint now(int part) const { return engine_.partition(part).now(); }
-  std::uint64_t schedule(int part, Duration d, std::function<void()> fn) {
-    return engine_.partition(part).schedule(d, std::move(fn));
-  }
-  void send(int src, int dst, Duration d, std::function<void()> fn) {
-    engine_.partition(src).send(dst, d, std::move(fn));
-  }
-  void cancel(int part, std::uint64_t id) {
-    engine_.partition(part).cancel(id);
-  }
-  void record(int part, std::int64_t, std::uint64_t marker) {
-    // Partition-local, single-threaded within a partition: safe.
-    marks_[static_cast<std::size_t>(part)].push_back(marker);
-  }
-  void run() { engine_.run(); }
-
-  /// Rebuild the global order from the engine's merged log: entry i is
-  /// the i-th event to commit globally, identified by (partition,
-  /// partition-local ordinal); the marker vector indexed by ordinal
-  /// supplies the payload identity.
-  std::vector<LogRecord> ordered_log() const {
-    std::vector<LogRecord> out;
-    out.reserve(engine_.log().size());
-    for (const auto& e : engine_.log()) {
-      const auto& pm = marks_[static_cast<std::size_t>(e.partition)];
-      EXPECT_LT(e.local_ordinal, pm.size());
-      if (e.local_ordinal >= pm.size()) break;
-      out.push_back(LogRecord{e.at_ps, pm[e.local_ordinal]});
-    }
-    return out;
-  }
-  std::uint64_t events_run() const { return engine_.events_run(); }
-  std::int64_t final_now_ps() const { return engine_.now().ps(); }
-  const rr::sim::ParallelSimStats& stats() const { return engine_.stats(); }
-
- private:
-  static rr::sim::PartitionGraph make_graph(const Workload& w) {
-    rr::sim::PartitionGraph g(w.partitions);
-    g.set_all_links(Duration::picoseconds(w.lookahead_ps));
-    return g;
-  }
-
-  rr::sim::ParallelSimulator engine_;
-  std::vector<std::vector<std::uint64_t>> marks_;  // partition -> ordinal -> marker
-};
-
-// ---------------------------------------------------------------------------
-// The workload driver: identical behavior against any adapter.
-// ---------------------------------------------------------------------------
-
-template <class Adapter>
-class Driver {
- public:
-  Driver(std::uint64_t seed, const Workload& w, Adapter& ad)
-      : seed_(seed), w_(w), ad_(ad), parts_(w.partitions) {}
-
-  void schedule_roots() {
-    // One global round-robin pass: the cross-engine contract requires
-    // roots to be issued in the same global order everywhere.
+  EngineResult replay() {
+    // One global round-robin pass schedules the roots in the same order on
+    // every engine.
     for (int r = 0; r < w_.roots; ++r) {
       const int part = r % w_.partitions;
       const std::uint64_t m = hash2(seed_, 0xb007ULL + r);
@@ -188,14 +90,14 @@ class Driver {
       schedule_local(part, Duration::picoseconds(static_cast<std::int64_t>(h % 997)),
                      m, w_.depth);
     }
-  }
-
-  void run() { ad_.run(); }
-
-  std::uint64_t state_hash() const {
-    std::uint64_t acc = 0x12345678ULL;
-    for (const PartState& p : parts_) acc = hash2(acc, p.state);
-    return acc;
+    sim_.run();
+    EngineResult r;
+    r.log = log_;
+    r.state_hash = 0x12345678ULL;
+    for (const PartState& p : parts_) r.state_hash = hash2(r.state_hash, p.state);
+    r.events_run = sim_.events_run();
+    r.final_now_ps = sim_.now().ps();
+    return r;
   }
 
  private:
@@ -206,8 +108,8 @@ class Driver {
   };
 
   void schedule_local(int part, Duration d, std::uint64_t m, int depth) {
-    const std::uint64_t id = ad_.schedule(
-        part, d, [this, part, m, depth] { on_event(part, m, depth); });
+    const std::uint64_t id =
+        sim_.schedule(d, [this, part, m, depth] { on_event(part, m, depth); });
     PartState& st = parts_[static_cast<std::size_t>(part)];
     st.issued.push_back(m);
     st.ids[m] = id;
@@ -215,14 +117,14 @@ class Driver {
 
   void on_event(int part, std::uint64_t m, int depth) {
     PartState& st = parts_[static_cast<std::size_t>(part)];
-    const std::int64_t now_ps = ad_.now(part).ps();
-    ad_.record(part, now_ps, m);
+    const std::int64_t now_ps = sim_.now().ps();
+    log_.push_back(LogRecord{now_ps, m});
     st.state = hash2(st.state ^ m, static_cast<std::uint64_t>(now_ps));
 
     const std::uint64_t h = hash2(seed_, m ^ 0xabcdefULL);
     if (depth > 0) {
       // 0..2 local children, including zero-delay ones (same-time
-      // ordering is exactly what the tie-break key must reproduce).
+      // ordering is exactly what the FIFO tie-break must reproduce).
       const int kids = static_cast<int>(h % 3);
       for (int k = 0; k < kids; ++k) {
         const std::uint64_t cm = child_marker(m, k);
@@ -231,31 +133,30 @@ class Driver {
                        Duration::picoseconds(static_cast<std::int64_t>(hk % 120)),
                        cm, depth - 1);
       }
-      // Cross-partition message; delay >= lookahead by construction.
+      // Cross-partition message: not cancellable, delay >= cross_delay_ps.
       if (w_.partitions > 1 && ((h >> 8) & 3) == 0) {
         int dst = static_cast<int>((h >> 16) %
                                    static_cast<std::uint64_t>(w_.partitions - 1));
         if (dst >= part) ++dst;
         const std::uint64_t cm = child_marker(m, 7);
         const std::uint64_t hk = hash2(seed_, cm);
-        ad_.send(part, dst,
-                 Duration::picoseconds(w_.lookahead_ps +
-                                       static_cast<std::int64_t>(hk % 257)),
-                 [this, dst, cm, depth] { on_event(dst, cm, depth - 1); });
+        sim_.schedule(Duration::picoseconds(w_.cross_delay_ps +
+                                            static_cast<std::int64_t>(hk % 257)),
+                      [this, dst, cm, depth] { on_event(dst, cm, depth - 1); });
       }
     }
     // Cancel an arbitrary earlier local timer (may already have fired or
     // been cancelled -- a no-op then, in every engine).
     if (((h >> 24) % 3) == 0 && !st.issued.empty()) {
       const std::uint64_t victim = st.issued[(h >> 32) % st.issued.size()];
-      ad_.cancel(part, st.ids[victim]);
+      sim_.cancel(st.ids[victim]);
       st.state = hash2(st.state, victim);
     }
     // Interrupt pattern: kill a pending timer and immediately re-arm a
     // replacement (watchdog re-arm), possibly at zero delay.
     if (((h >> 40) % 5) == 0 && depth > 0 && !st.issued.empty()) {
       const std::uint64_t victim = st.issued[(h >> 48) % st.issued.size()];
-      ad_.cancel(part, st.ids[victim]);
+      sim_.cancel(st.ids[victim]);
       const std::uint64_t cm = child_marker(m, 9);
       const std::uint64_t hk = hash2(seed_, cm);
       schedule_local(part,
@@ -266,30 +167,10 @@ class Driver {
 
   std::uint64_t seed_;
   Workload w_;
-  Adapter& ad_;
+  SimT sim_;
+  std::vector<LogRecord> log_;
   std::vector<PartState> parts_;
 };
-
-struct EngineResult {
-  std::vector<LogRecord> log;
-  std::uint64_t state_hash = 0;
-  std::uint64_t events_run = 0;
-  std::int64_t final_now_ps = 0;
-};
-
-template <class Adapter, class... CtorArgs>
-EngineResult replay(std::uint64_t seed, const Workload& w, CtorArgs&&... args) {
-  Adapter ad(w, std::forward<CtorArgs>(args)...);
-  Driver<Adapter> drv(seed, w, ad);
-  drv.schedule_roots();
-  drv.run();
-  EngineResult r;
-  r.log = ad.ordered_log();
-  r.state_hash = drv.state_hash();
-  r.events_run = ad.events_run();
-  r.final_now_ps = ad.final_now_ps();
-  return r;
-}
 
 void expect_identical(const EngineResult& want, const EngineResult& got,
                       std::uint64_t seed, const char* engine) {
@@ -311,9 +192,6 @@ void expect_identical(const EngineResult& want, const EngineResult& got,
       << engine << " diverged on final clock; replay with seed=" << seed;
 }
 
-using RefAdapter = SharedClockAdapter<rr::sim::ReferenceSimulator>;
-using SerialAdapter = SharedClockAdapter<rr::sim::Simulator>;
-
 class DesDiff : public ::testing::TestWithParam<int> {};
 
 TEST_P(DesDiff, AllEnginesBitIdentical) {
@@ -322,94 +200,18 @@ TEST_P(DesDiff, AllEnginesBitIdentical) {
   SCOPED_TRACE(::testing::Message()
                << "seed=" << seed << " partitions=" << w.partitions
                << " roots=" << w.roots << " depth=" << w.depth
-               << " lookahead_ps=" << w.lookahead_ps);
+               << " cross_delay_ps=" << w.cross_delay_ps);
 
-  const EngineResult ref = replay<RefAdapter>(seed, w);
+  const EngineResult ref =
+      WorkloadRun<rr::sim::ReferenceSimulator>(seed, w).replay();
   ASSERT_GT(ref.events_run, 0u);
 
-  const EngineResult serial = replay<SerialAdapter>(seed, w);
+  const EngineResult serial =
+      WorkloadRun<rr::sim::Simulator>(seed, w).replay();
   expect_identical(ref, serial, seed, "serial Simulator");
-
-  for (const int threads : {1, 2, 4, 8}) {
-    const EngineResult par = replay<ParallelAdapter>(seed, w, threads);
-    expect_identical(serial, par, seed,
-                     threads == 1   ? "parallel@1"
-                     : threads == 2 ? "parallel@2"
-                     : threads == 4 ? "parallel@4"
-                                    : "parallel@8");
-  }
 }
 
 // >= 200 seeded workloads (acceptance floor for the corpus).
 INSTANTIATE_TEST_SUITE_P(Corpus, DesDiff, ::testing::Range(0, 200));
-
-// The synchronization counters are simulated-work facts, so they must be
-// identical at every thread count, not merely the event order.
-TEST(DesDiffStats, WindowCountersIndependentOfThreads) {
-  const std::uint64_t seed = 424242;
-  Workload w = Workload::from_seed(seed);
-  w.partitions = 4;
-  w.lookahead_ps = 9;
-
-  std::vector<rr::sim::ParallelSimStats> stats;
-  for (const int threads : {1, 2, 4, 8}) {
-    ParallelAdapter ad(w, threads);
-    Driver<ParallelAdapter> drv(seed, w, ad);
-    drv.schedule_roots();
-    drv.run();
-    stats.push_back(ad.stats());
-  }
-  for (std::size_t i = 1; i < stats.size(); ++i) {
-    EXPECT_EQ(stats[0].windows, stats[i].windows);
-    EXPECT_EQ(stats[0].null_messages, stats[i].null_messages);
-    EXPECT_EQ(stats[0].lookahead_stalls, stats[i].lookahead_stalls);
-    EXPECT_EQ(stats[0].cross_messages, stats[i].cross_messages);
-    EXPECT_EQ(stats[0].events_run, stats[i].events_run);
-    EXPECT_EQ(stats[0].cancelled_run, stats[i].cancelled_run);
-  }
-  EXPECT_GT(stats[0].windows, 1u);
-  EXPECT_GT(stats[0].cross_messages, 0u);
-}
-
-// A real machine's partition graph, not the synthetic all-pairs one: the
-// torus lookahead that comm::FabricModel::cu_partition_graph derives
-// from Topology::min_partition_hops must drive the parallel engine to
-// the same bit-identical merge the serial oracle produces.  The graph is
-// heterogeneous (ring distance varies per slab pair), so this also
-// exercises per-link lookahead rather than one global constant.
-TEST(DesDiffTopology, TorusPartitionGraphBitIdenticalToSerial) {
-  const std::unique_ptr<rr::topo::Topology> t =
-      rr::topo::make_machine("qpace-torus", /*small=*/true);
-  const rr::comm::FabricModel fabric(*t);
-  const rr::sim::PartitionGraph g = fabric.cu_partition_graph();
-  ASSERT_EQ(g.partitions(), t->cu_count());
-  ASSERT_GT(g.partitions(), 1);
-
-  std::int64_t max_link_delay_ps = 0;
-  for (int a = 0; a < g.partitions(); ++a)
-    for (int b = 0; b < g.partitions(); ++b) {
-      if (a == b) continue;
-      ASSERT_TRUE(g.has_link(a, b));
-      ASSERT_GT(g.min_delay_ps(a, b), 0);
-      max_link_delay_ps = std::max(max_link_delay_ps, g.min_delay_ps(a, b));
-    }
-  ASSERT_GT(g.lookahead_ps(), 0);
-
-  Workload w;
-  w.partitions = g.partitions();
-  w.roots = 24;
-  w.depth = 4;
-  // Every cross send's delay is lookahead_ps + jitter, so pinning it to
-  // the slowest link keeps each send legal on whichever link it takes.
-  w.lookahead_ps = max_link_delay_ps;
-
-  const std::uint64_t seed = 0x70905ULL;
-  const EngineResult serial = replay<SerialAdapter>(seed, w);
-  ASSERT_GT(serial.events_run, 0u);
-  for (const int threads : {1, 2, 4, 8}) {
-    const EngineResult par = replay<ParallelAdapter>(seed, w, threads, g);
-    expect_identical(serial, par, seed, "parallel@torus-graph");
-  }
-}
 
 }  // namespace

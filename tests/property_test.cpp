@@ -15,9 +15,7 @@
 #include <utility>
 
 #include "comm/channel.hpp"
-#include "comm/fabric.hpp"
 #include "mem/cache.hpp"
-#include "sim/parallel_simulator.hpp"
 #include "sim/reference_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "spu/pipeline.hpp"
@@ -125,78 +123,6 @@ INSTANTIATE_TEST_SUITE_P(CuCounts, TopologyInvariants,
                          [](const auto& inf) {
                            return "cus" + std::to_string(inf.param);
                          });
-
-// ---------------------------------------------------------------------------
-// Lookahead invariants: what the parallel conservative engine needs from
-// the fabric (DESIGN.md §12).
-// ---------------------------------------------------------------------------
-
-TEST_P(TopologyInvariants, EveryInterCuPathHasStrictlyPositiveMinLatency) {
-  const topo::Topology& t = build();
-  if (t.cu_count() < 2) GTEST_SKIP() << "no inter-CU paths with one CU";
-  const comm::FabricModel fabric(t);
-  if (t.cu_count() <= 8) {
-    // Small machines: the full CU partition graph.
-    const sim::PartitionGraph g = fabric.cu_partition_graph();
-    ASSERT_EQ(g.partitions(), t.cu_count());
-    for (int a = 0; a < g.partitions(); ++a) {
-      for (int b = 0; b < g.partitions(); ++b) {
-        if (a == b) continue;
-        ASSERT_TRUE(g.has_link(a, b)) << a << "->" << b;
-        // Every cross-CU route traverses the source CU's lower crossbar,
-        // at least one inter-CU crossbar, and the destination CU's lower
-        // crossbar: >= 3 hops, so the link latency is at least base +
-        // 3 hops -- strictly positive lookahead with margin.
-        EXPECT_GE(g.min_delay_ps(a, b),
-                  (comm::kMpiBaseLatency + comm::kPerHopLatency * 3).ps())
-            << a << "->" << b;
-      }
-    }
-    EXPECT_GT(g.lookahead_ps(), 0);
-  } else {
-    // Full-size machines: spot-check representative pairs (both fabric
-    // sides and the L1/L3 boundary) instead of all O(cus^2) pairs.
-    const int last = t.cu_count() - 1;
-    const std::pair<int, int> pairs[] = {
-        {0, 1}, {0, last}, {last, 0}, {11, 12}, {12, 11}};
-    for (const auto& [a, b] : pairs) {
-      if (a >= t.cu_count() || b >= t.cu_count() || a == b) continue;
-      EXPECT_GE(fabric.min_cross_cu_hops(a, b), 3) << a << "->" << b;
-    }
-  }
-}
-
-TEST_P(TopologyInvariants, PartitionMapCoversAllCusExactlyOnce) {
-  const topo::FatTree& t = build();
-  // cu_of is total and single-valued by type; show it is also surjective
-  // with the expected population, i.e. the partition map covers every CU
-  // and every node lands in exactly one partition.
-  std::vector<int> per_cu(static_cast<std::size_t>(t.cu_count()), 0);
-  for (int n = 0; n < t.node_count(); ++n) {
-    const int cu = t.cu_of(topo::NodeId{n});
-    ASSERT_GE(cu, 0);
-    ASSERT_LT(cu, t.cu_count());
-    ++per_cu[static_cast<std::size_t>(cu)];
-  }
-  for (int cu = 0; cu < t.cu_count(); ++cu) {
-    EXPECT_EQ(per_cu[static_cast<std::size_t>(cu)],
-              t.params().compute_nodes_per_cu)
-        << "CU " << cu;
-  }
-}
-
-TEST(LookaheadInvariants, ZeroLookaheadIsRejectedWithClearErrorNotDeadlock) {
-  sim::PartitionGraph g(2);
-  g.set_link(0, 1, Duration::zero());
-  g.set_link(1, 0, Duration::picoseconds(100));
-  try {
-    sim::ParallelSimulator engine(g, 1);
-    FAIL() << "zero-lookahead graph must be rejected at construction";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("lookahead"), std::string::npos)
-        << e.what();
-  }
-}
 
 // ---------------------------------------------------------------------------
 // SPU pipeline invariants over random programs

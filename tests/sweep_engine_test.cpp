@@ -229,6 +229,12 @@ TEST(ResultStore, RecordsCarryParamsMetricsSeedAndProvenance) {
   const Json first = Json::parse(os.str().substr(0, os.str().find('\n')));
   EXPECT_EQ(first.at("seed").as_string(),
             std::to_string(fault::study_point_seed(cfg.seed, study_nodes()[0], 0)));
+
+  // A node count past int range is rejected, not wrapped.
+  EXPECT_EQ(engine::resilience_point_from_json(first).nodes, study_nodes()[0]);
+  Json wide = first;
+  wide.set("nodes", Json(std::int64_t{4294967297}));
+  EXPECT_THROW(engine::resilience_point_from_json(wide), JsonError);
 }
 
 TEST(ResultStore, OneThreadEngineRunsStillStampParallel) {
@@ -303,6 +309,15 @@ TEST(SweepJournal, EntryJsonRoundTripsBitExact) {
   EXPECT_EQ(rq.error_class, fault::ErrorClass::kTransient);
   EXPECT_EQ(rq.error, "flaky dependency");
   EXPECT_FALSE(rq.ok());
+
+  // An index or attempt count past int range is rejected, not wrapped:
+  // truncated to 32 bits, index 4294967301 would read as 5.
+  Json wide = engine::to_json(e);
+  wide.set("index", Json(std::int64_t{4294967301}));
+  EXPECT_THROW(engine::journal_entry_from_json(wide), JsonError);
+  wide = engine::to_json(e);
+  wide.set("attempts", Json(std::int64_t{4294967298}));
+  EXPECT_THROW(engine::journal_entry_from_json(wide), JsonError);
 }
 
 TEST(SweepJournal, FreshJournalReopensAndResumes) {

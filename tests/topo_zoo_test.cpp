@@ -8,8 +8,6 @@
 //   * route validator: deterministic, starts at the source's crossbar,
 //     ends at the destination's, every consecutive pair shares a cable,
 //     loop-free, and never shorter than the BFS floor of the fabric
-//   * partition map: total and single-valued over [0, cu_count()), and
-//     the derived cu_partition_graph keeps a strictly positive lookahead
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "comm/fabric.hpp"
-#include "sim/parallel_simulator.hpp"
 #include "topo/machines.hpp"
 #include "topo/topology.hpp"
 
@@ -131,42 +127,6 @@ TEST_P(ZooContract, RoutingIsDeterministic) {
     for (int rep = 0; rep < 3; ++rep)
       EXPECT_EQ(t_->route(src, dst), first) << src.v << "->" << dst.v;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Partition map + derived parallel-DES lookahead.
-// ---------------------------------------------------------------------------
-
-TEST_P(ZooContract, PartitionMapIsTotalAndSingleValued) {
-  const int cus = t_->cu_count();
-  ASSERT_GE(cus, 1);
-  std::vector<int> population(static_cast<std::size_t>(cus), 0);
-  for (int v = 0; v < t_->node_count(); ++v) {
-    const int cu = t_->cu_of(topo::NodeId{v});
-    ASSERT_GE(cu, 0) << "node " << v;
-    ASSERT_LT(cu, cus) << "node " << v;
-    ++population[static_cast<std::size_t>(cu)];
-  }
-  for (int cu = 0; cu < cus; ++cu)
-    EXPECT_GT(population[static_cast<std::size_t>(cu)], 0) << "empty cu " << cu;
-}
-
-TEST_P(ZooContract, PartitionGraphKeepsStrictlyPositiveLookahead) {
-  const comm::FabricModel fabric(*t_);
-  const sim::PartitionGraph g = fabric.cu_partition_graph();
-  ASSERT_EQ(g.partitions(), t_->cu_count());
-  if (g.partitions() == 1) {
-    EXPECT_EQ(g.lookahead_ps(), sim::PartitionGraph::kNoLink);
-    return;
-  }
-  for (int a = 0; a < g.partitions(); ++a)
-    for (int b = 0; b < g.partitions(); ++b) {
-      if (a == b) continue;
-      ASSERT_TRUE(g.has_link(a, b)) << a << "->" << b;
-      EXPECT_GT(g.min_delay_ps(a, b), 0) << a << "->" << b;
-    }
-  EXPECT_GT(g.lookahead_ps(), 0);
-  EXPECT_LT(g.lookahead_ps(), sim::PartitionGraph::kNoLink);
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, ZooContract, ::testing::ValuesIn(zoo_names()),

@@ -3,7 +3,9 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -367,6 +369,23 @@ TEST(Json, NonParseErrorsCarryNoPosition) {
     EXPECT_EQ(e.column(), 0);
     EXPECT_EQ(e.offset(), 0u);
   }
+}
+
+TEST(Json, IntegerAccessRejectsNumbersOutOfRange) {
+  EXPECT_EQ(Json(std::int64_t{-4294967296}).as_int(), -4294967296);
+  EXPECT_EQ(Json(-0x1p63).as_int(), std::numeric_limits<std::int64_t>::min());
+  // Casting these to int64 would be undefined behaviour.
+  EXPECT_THROW(Json(0x1p63).as_int(), JsonError);
+  EXPECT_THROW(Json(1e300).as_int(), JsonError);
+  EXPECT_THROW(Json(-1e300).as_int(), JsonError);
+
+  EXPECT_EQ(Json(std::numeric_limits<int>::max()).as_int32(),
+            std::numeric_limits<int>::max());
+  EXPECT_EQ(Json(std::numeric_limits<int>::min()).as_int32(),
+            std::numeric_limits<int>::min());
+  EXPECT_THROW(Json(std::int64_t{2147483648}).as_int32(), JsonError);
+  EXPECT_THROW(Json(std::int64_t{-2147483649}).as_int32(), JsonError);
+  EXPECT_THROW(Json(1.5).as_int32(), JsonError);
 }
 
 // ---------------------------------------------------------------------------
