@@ -1,6 +1,7 @@
 // Machine-readable DES performance harness (not a paper figure): measures
 // the event-queue hot path that every paper-facing result flows through,
-// and writes BENCH_DES.json so the repo carries a perf trajectory.
+// and writes des_perf.json (the committed Sweep3D DES trajectory is the
+// separate root BENCH_DES.json, which this harness never writes).
 //
 // Workloads:
 //   * schedule-heavy  -- self-rescheduling event chains, no cancels
@@ -25,7 +26,7 @@
 // same checked-in floor, which is how CI enforces the "metrics cost < 5%
 // on the hot path" budget (the floor already allows 20% of noise).
 //
-// Flags: --quick (CI smoke sizes), --out=BENCH_DES.json,
+// Flags: --quick (CI smoke sizes), --out=des_perf.json,
 //        --floor=path (fail if any events/sec falls >20% below the
 //        checked-in floor values), --report=PATH (obs run report).
 #include <chrono>
@@ -220,7 +221,7 @@ bool check_floor(const Json& floor, const char* key, double measured,
 int main(int argc, char** argv) {
   const CliParser cli(argc, argv, {"quick", "out", "floor", "report"});
   const bool quick = cli.get_bool("quick", false);
-  const std::string out_path = cli.get("out", "BENCH_DES.json");
+  const std::string out_path = cli.get("out", "des_perf.json");
 
   const std::uint64_t sched_total = quick ? 200'000 : 1'000'000;
   const std::uint64_t cancel_total = quick ? 200'000 : 1'000'000;

@@ -21,8 +21,7 @@ Duration local_leg(DataSize bytes) {
 }  // namespace
 
 DataSize message_bytes(const std::vector<double>& payload) {
-  // 8 bytes per double plus a 32-byte envelope (rank, tag, length, flags).
-  return DataSize::bytes(static_cast<std::int64_t>(payload.size()) * 8 + 32);
+  return comm::message_bytes(payload.size());
 }
 
 CmlWorld::CmlWorld(sim::Simulator& sim, const topo::Topology& topo, CmlConfig config)
@@ -120,6 +119,11 @@ sim::Task<void> CmlContext::send(Rank dst, int tag, std::vector<double> payload)
   const DataSize bytes = message_bytes(payload);
   co_await world_->transport(rank_, dst, bytes);
   world_->deliver(dst, Message{rank_, tag, std::move(payload)});
+}
+
+sim::Task<void> CmlContext::send_sized(Rank dst, int tag, std::size_t doubles) {
+  co_await world_->transport(rank_, dst, comm::message_bytes(doubles));
+  world_->deliver(dst, Message{rank_, tag, {}});
 }
 
 sim::Task<Message> CmlContext::recv(Rank src, int tag) {

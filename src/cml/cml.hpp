@@ -8,7 +8,10 @@
 // This implementation is *functional*: payloads really move, matching and
 // collectives really synchronize -- on simulated time supplied by the
 // calibrated channel models, with per-link contention from the DES
-// resources in comm::SimNetwork.
+// resources in comm::SimNetwork.  The timed Sweep3D iteration
+// (model::simulate_iteration) is the exception: it never reads what it
+// receives, so it sends sizes only (send_sized), timed exactly like a
+// payload of that many doubles.
 //
 // Supported surface (what Sweep3D needs, Section V.C): point-to-point
 // send/recv with tag matching, barrier, broadcast, sum-reductions, and the
@@ -58,6 +61,11 @@ class CmlContext {
   /// Blocking (simulated-time) tagged send: the message is delivered into
   /// the destination's queue when the last leg completes.
   sim::Task<void> send(Rank dst, int tag, std::vector<double> payload);
+
+  /// send() of a message `doubles` doubles long whose contents nobody
+  /// reads: the transport is charged message_bytes of that size, and the
+  /// receiver gets the envelope with an empty payload.
+  sim::Task<void> send_sized(Rank dst, int tag, std::size_t doubles);
 
   /// Blocking receive with (src, tag) matching; kAnySource/kAnyTag wildcard.
   sim::Task<Message> recv(Rank src = kAnySource, int tag = kAnyTag);
@@ -125,7 +133,7 @@ class CmlWorld {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
 };
 
-/// Payload size in bytes for timing purposes (doubles plus envelope).
+/// Payload size in bytes for timing purposes (comm::message_bytes).
 DataSize message_bytes(const std::vector<double>& payload);
 
 }  // namespace rr::cml

@@ -136,4 +136,8 @@ ChannelParams hypertransport() {
   return p;
 }
 
+DataSize message_bytes(std::size_t doubles) {
+  return DataSize::bytes(static_cast<std::int64_t>(doubles) * 8 + 32);
+}
+
 }  // namespace rr::comm

@@ -13,6 +13,7 @@
 // bandwidth (Fig. 7: 64% on PCIe/DaCS, 70% across nodes).
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "util/units.hpp"
@@ -90,5 +91,10 @@ inline constexpr Duration kPerHopLatency = Duration::nanoseconds(220);
 
 /// Add `hops` crossbar traversals to a channel's zero-byte latency.
 ChannelParams with_hops(ChannelParams p, int hops);
+
+/// Wire size of a CML or DaCS message carrying `doubles` doubles, for
+/// timing: 8 bytes per double plus a 32-byte envelope (rank, tag, length,
+/// flags).
+DataSize message_bytes(std::size_t doubles);
 
 }  // namespace rr::comm

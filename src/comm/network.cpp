@@ -83,8 +83,9 @@ sim::Task<void> SimNetwork::eib_transfer(DataSize n) {
   const auto span = trace_ ? trace_->begin("eib " + std::to_string(n.b()) + "B",
                                            "eib", sim_->now())
                            : sim::TraceRecorder::SpanId{};
-  eib_busy_ = eib_busy_ + eib_time(n);
-  co_await sim::Delay{*sim_, eib_time(n)};
+  const Duration service = eib_time(n);
+  eib_busy_ = eib_busy_ + service;
+  co_await sim::Delay{*sim_, service};
   if (trace_) trace_->end(span, sim_->now());
 }
 
@@ -93,8 +94,8 @@ sim::Task<void> SimNetwork::dacs_transfer(int node, int cell, DataSize n) {
   RR_EXPECTS(cell >= 0 && cell < config_.cells_per_node);
   ++messages_sent_;
   bytes_sent_ += n.b();
-  sim::Resource& link = *pcie_[static_cast<std::size_t>(node) * config_.cells_per_node +
-                              cell];
+  const std::size_t li = static_cast<std::size_t>(node) * config_.cells_per_node + cell;
+  sim::Resource& link = *pcie_[li];
   co_await link.acquire();
   const auto span =
       trace_ ? trace_->begin("dacs " + std::to_string(n.b()) + "B",
@@ -102,11 +103,9 @@ sim::Task<void> SimNetwork::dacs_transfer(int node, int cell, DataSize n) {
                                  std::to_string(cell),
                              sim_->now())
              : sim::TraceRecorder::SpanId{};
-  pcie_busy_[static_cast<std::size_t>(node) * config_.cells_per_node + cell] =
-      pcie_busy_[static_cast<std::size_t>(node) * config_.cells_per_node +
-                 cell] +
-      dacs_time(n);
-  co_await sim::Delay{*sim_, dacs_time(n)};
+  const Duration service = dacs_time(n);
+  pcie_busy_[li] = pcie_busy_[li] + service;
+  co_await sim::Delay{*sim_, service};
   if (trace_) trace_->end(span, sim_->now());
   link.release();
 }
@@ -123,10 +122,10 @@ sim::Task<void> SimNetwork::ib_transfer(int src_node, int dst_node, DataSize n) 
                                            "ib/node" + std::to_string(src_node),
                                            sim_->now())
                            : sim::TraceRecorder::SpanId{};
+  const Duration service = ib_time(src_node, dst_node, n);
   hca_busy_[static_cast<std::size_t>(src_node)] =
-      hca_busy_[static_cast<std::size_t>(src_node)] +
-      ib_time(src_node, dst_node, n);
-  co_await sim::Delay{*sim_, ib_time(src_node, dst_node, n)};
+      hca_busy_[static_cast<std::size_t>(src_node)] + service;
+  co_await sim::Delay{*sim_, service};
   if (trace_) trace_->end(span, sim_->now());
   hca.release();
 }

@@ -76,17 +76,11 @@ const DacsRuntime::Pending& DacsRuntime::pending(Wid wid) const {
 // Element: two-sided messaging
 // ---------------------------------------------------------------------------
 
-namespace {
-DataSize message_bytes(std::size_t doubles) {
-  return DataSize::bytes(static_cast<std::int64_t>(doubles) * 8 + 32);
-}
-}  // namespace
-
 void DacsRuntime::start_transfer(DeId src, DeId dst, std::vector<double> data,
                                  Wid send_wid, Wid recv_wid) {
   auto op = [](DacsRuntime* rt, DeId s, DeId d, std::vector<double> payload,
                Wid sw, Wid rw) -> sim::Task<void> {
-    co_await rt->crossing(s, d, message_bytes(payload.size()));
+    co_await rt->crossing(s, d, comm::message_bytes(payload.size()));
     rt->pending(rw).payload = std::move(payload);
     rt->pending(sw).done->set();
     rt->pending(rw).done->set();
@@ -98,7 +92,8 @@ void DacsRuntime::start_put(DeId src, const RemoteMem& mem, std::size_t offset,
                             std::vector<double> data, Wid wid) {
   auto op = [](DacsRuntime* rt, DeId s, RemoteMem m, std::size_t off,
                std::vector<double> payload, Wid w) -> sim::Task<void> {
-    if (s != m.owner) co_await rt->crossing(s, m.owner, message_bytes(payload.size()));
+    if (s != m.owner)
+      co_await rt->crossing(s, m.owner, comm::message_bytes(payload.size()));
     auto& region = rt->regions_.at(m.handle).data;
     std::copy(payload.begin(), payload.end(),
               region.begin() + static_cast<std::ptrdiff_t>(off));
@@ -111,7 +106,7 @@ void DacsRuntime::start_get(DeId dst, const RemoteMem& mem, std::size_t offset,
                             std::size_t count, Wid wid) {
   auto op = [](DacsRuntime* rt, DeId d, RemoteMem m, std::size_t off,
                std::size_t n, Wid w) -> sim::Task<void> {
-    if (d != m.owner) co_await rt->crossing(m.owner, d, message_bytes(n));
+    if (d != m.owner) co_await rt->crossing(m.owner, d, comm::message_bytes(n));
     const auto& region = rt->regions_.at(m.handle).data;
     rt->pending(w).payload.assign(
         region.begin() + static_cast<std::ptrdiff_t>(off),

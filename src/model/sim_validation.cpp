@@ -59,16 +59,10 @@ SimulatedIteration simulate_iteration(const SweepWorkload& w, int px, int py,
 
         co_await sim::Delay{world.simulator(), block_compute};
 
-        if (dn_x >= 0 && dn_x < px) {
-          std::vector<double> surface(x_doubles, 1.0);
-          co_await ctx.send(pj * px + dn_x, message_tag(oc, b, 0),
-                            std::move(surface));
-        }
-        if (dn_y >= 0 && dn_y < py) {
-          std::vector<double> surface(y_doubles, 1.0);
-          co_await ctx.send(dn_y * px + pi, message_tag(oc, b, 1),
-                            std::move(surface));
-        }
+        if (dn_x >= 0 && dn_x < px)
+          co_await ctx.send_sized(pj * px + dn_x, message_tag(oc, b, 0), x_doubles);
+        if (dn_y >= 0 && dn_y < py)
+          co_await ctx.send_sized(dn_y * px + pi, message_tag(oc, b, 1), y_doubles);
       }
     }
   };

@@ -1,7 +1,7 @@
 // Cross-validation of the analytic wavefront model against the
 // discrete-event simulation: the same Sweep3D iteration is executed as a
-// CML rank program (real messages with tag matching over the contended
-// DES transport; block compute charged as simulated time), and its
+// CML rank program (size-only messages with tag matching over the
+// contended DES transport; block compute charged as simulated time), and its
 // iteration time is compared with estimate_iteration()'s closed form.
 //
 // This mirrors what the paper did at machine scale -- validate the Hoisie

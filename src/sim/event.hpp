@@ -24,7 +24,7 @@ class Event {
     if (set_) return;
     set_ = true;
     for (const std::coroutine_handle<> h : waiters_)
-      sim_->schedule(Duration::zero(), [h] { h.resume(); });
+      sim_->schedule_resume(Duration::zero(), h);
     waiters_.clear();
   }
 

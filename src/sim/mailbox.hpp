@@ -6,18 +6,24 @@
 // sides: messages in arrival order, waiting receivers in wait order.  A
 // message destined for a waiting receiver is handed to it directly, so no
 // later receiver can overtake it.
+//
+// An idle mailbox owns no heap memory: waiting receivers are threaded
+// through their awaiters (sim/waiters.hpp), and queued messages live in a
+// ring that is allocated when the first message has to wait.
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "sim/simulator.hpp"
+#include "sim/waiters.hpp"
 #include "util/expect.hpp"
 
 namespace rr::sim {
 
+/// T must be default-constructible and movable (the ring's empty slots).
 template <typename T>
 class Mailbox {
  public:
@@ -30,66 +36,82 @@ class Mailbox {
   /// event (so wakeups interleave deterministically with other events).
   void send(T msg) {
     if (!waiters_.empty()) {
-      Awaiter* w = waiters_.front();
-      waiters_.pop_front();
-      w->slot = std::move(msg);
-      const std::coroutine_handle<> h = w->handle;
-      sim_->schedule(Duration::zero(), [h] { h.resume(); });
+      auto& w = static_cast<Awaiter&>(waiters_.pop_front());
+      w.slot = std::move(msg);
+      sim_->schedule_resume(Duration::zero(), w.handle);
       return;
     }
-    queue_.push_back(std::move(msg));
+    push(std::move(msg));
   }
 
   /// Awaitable blocking receive.
-  auto receive() { return Awaiter{this, {}, {}}; }
+  auto receive() { return Awaiter{this}; }
 
   /// Non-blocking receive (only sees queued messages, never steals from a
   /// waiting receiver because assigned messages bypass the queue).
   std::optional<T> try_receive() {
-    if (queue_.empty()) return std::nullopt;
-    T v = std::move(queue_.front());
-    queue_.pop_front();
-    return v;
+    if (count_ == 0) return std::nullopt;
+    return pop();
   }
 
-  std::size_t size() const { return queue_.size(); }
+  std::size_t size() const { return count_; }
   bool has_waiters() const { return !waiters_.empty(); }
 
  private:
-  struct Awaiter {
+  struct Awaiter : Waiter {
     Mailbox* box;
-    std::coroutine_handle<> handle;
     std::optional<T> slot;
 
-    Awaiter(Mailbox* b, std::coroutine_handle<> h, std::optional<T> s)
-        : box(b), handle(h), slot(std::move(s)) {}
+    explicit Awaiter(Mailbox* b) : box(b) {}
     Awaiter(Awaiter&&) = delete;
     Awaiter& operator=(Awaiter&&) = delete;
     // If a blocked task is destroyed (e.g. a deadlocked program being torn
     // down), deregister so the mailbox never resumes a dead coroutine.
-    ~Awaiter() { std::erase(box->waiters_, this); }
+    ~Awaiter() { box->waiters_.unlink(*this); }
 
     bool await_ready() {
       // Only take from the queue if no earlier receiver is still waiting
       // (preserves FIFO fairness among receivers).
-      if (!box->waiters_.empty() || box->queue_.empty()) return false;
-      slot = std::move(box->queue_.front());
-      box->queue_.pop_front();
+      if (!box->waiters_.empty() || box->count_ == 0) return false;
+      slot = box->pop();
       return true;
     }
-    void await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      box->waiters_.push_back(this);
-    }
+    void await_suspend(std::coroutine_handle<> h) { box->waiters_.push_back(*this, h); }
     T await_resume() {
       RR_ASSERT(slot.has_value());
       return std::move(*slot);
     }
   };
 
+  void push(T msg) {
+    if (count_ == ring_.size()) grow();
+    ring_[(head_ + count_) & (ring_.size() - 1)] = std::move(msg);
+    ++count_;
+  }
+
+  T pop() {
+    RR_ASSERT(count_ > 0);
+    T v = std::move(ring_[head_]);
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
+    return v;
+  }
+
+  /// Double the ring (a power of two, so slots wrap with a mask), moving
+  /// the queued messages to its front in order.
+  void grow() {
+    std::vector<T> bigger(ring_.empty() ? 4 : 2 * ring_.size());
+    for (std::size_t i = 0; i < count_; ++i)
+      bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+    ring_ = std::move(bigger);
+    head_ = 0;
+  }
+
   Simulator* sim_;
-  std::deque<T> queue_;
-  std::deque<Awaiter*> waiters_;
+  WaiterQueue waiters_;
+  std::vector<T> ring_;  ///< queued messages at head_ .. head_ + count_ (mod size)
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
 };
 
 }  // namespace rr::sim

@@ -5,10 +5,10 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
 
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
+#include "sim/waiters.hpp"
 #include "util/expect.hpp"
 
 namespace rr::sim {
@@ -21,15 +21,14 @@ class Resource {
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
 
-  struct Awaiter {
+  struct Awaiter : Waiter {
     Resource* res;
-    std::coroutine_handle<> handle;
 
     explicit Awaiter(Resource* r) : res(r) {}
     Awaiter(Awaiter&&) = delete;
     Awaiter& operator=(Awaiter&&) = delete;
     // Deregister if a blocked task is destroyed while queued.
-    ~Awaiter() { std::erase(res->waiters_, this); }
+    ~Awaiter() { res->waiters_.unlink(*this); }
 
     bool await_ready() {
       if (res->waiters_.empty() && res->available_ > 0) {
@@ -38,10 +37,7 @@ class Resource {
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      res->waiters_.push_back(this);
-    }
+    void await_suspend(std::coroutine_handle<> h) { res->waiters_.push_back(*this, h); }
     void await_resume() {}
   };
 
@@ -51,11 +47,8 @@ class Resource {
   /// Return one token; wakes the oldest waiter if any.
   void release() {
     if (!waiters_.empty()) {
-      Awaiter* w = waiters_.front();
-      waiters_.pop_front();
       // Token passes directly to the waiter; available_ stays unchanged.
-      const std::coroutine_handle<> h = w->handle;
-      sim_->schedule(Duration::zero(), [h] { h.resume(); });
+      sim_->schedule_resume(Duration::zero(), waiters_.pop_front().handle);
       return;
     }
     ++available_;
@@ -74,7 +67,7 @@ class Resource {
  private:
   Simulator* sim_;
   std::size_t available_;
-  std::deque<Awaiter*> waiters_;
+  WaiterQueue waiters_;
 };
 
 }  // namespace rr::sim

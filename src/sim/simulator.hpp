@@ -10,6 +10,11 @@
 //     inline, so sift-up/down is branch-light sequential memory traffic
 //     and never moves a std::function; only the pool slot owns the
 //     callback;
+//   * a slot holds either a callback or a coroutine handle: coroutine
+//     wake-ups (sim/task.hpp, mailboxes, resources) store the handle and
+//     step() resumes it directly, with no std::function built or called.
+//     Both kinds draw `seq` from one counter, so firing order is the
+//     order of scheduling whichever kind each event is;
 //   * slots are recycled through a free list, so steady-state
 //     schedule/fire cycles allocate nothing (small callbacks live in the
 //     std::function SBO of a reused slot);
@@ -27,6 +32,7 @@
 #pragma once
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -61,15 +67,19 @@ class Simulator {
   std::uint64_t schedule_at(TimePoint when, std::function<void()> fn) {
     RR_EXPECTS(when >= now_);
     const std::uint32_t si = acquire_slot();
-    Slot& s = pool_[si];
-    s.cancelled = false;
-    s.fn = std::move(fn);
-    heap_push(HeapItem{when, next_seq_++, si});
-    ++scheduled_total_;
-    ++live_;
-    if (live_ > max_pending_) max_pending_ = live_;
-    if (trace_) trace_sample();
-    return make_id(s.generation, si);
+    pool_[si].fn = std::move(fn);
+    return enqueue(when, si);
+  }
+
+  /// Resume coroutine `h` `delay` after now.  The event is an ordinary
+  /// one (same ids, cancel(), counters and FIFO among same-time events as
+  /// schedule()), but firing it resumes `h` directly.
+  std::uint64_t schedule_resume(Duration delay, std::coroutine_handle<> h) {
+    RR_EXPECTS(delay >= Duration::zero());
+    RR_EXPECTS(h);
+    const std::uint32_t si = acquire_slot();
+    pool_[si].handle = h;
+    return enqueue(now_ + delay, si);
   }
 
   /// Cancel a pending event in O(1).  Calling it for an id that already
@@ -82,6 +92,7 @@ class Simulator {
     if (!s.in_use || s.generation != generation_of(id) || s.cancelled) return;
     s.cancelled = true;
     s.fn = nullptr;  // release captured state now, not at pop time
+    s.handle = nullptr;
     ++cancelled_total_;
     ++tombstones_;
     --live_;
@@ -109,10 +120,16 @@ class Simulator {
       now_ = top.at;
       ++events_run_;
       --live_;
-      std::function<void()> fn = std::move(s.fn);
       // Release before running: the callback may schedule (growing the
       // pool) and its own id must already read as fired so that a
       // cancel from inside the callback is a no-op.
+      if (const std::coroutine_handle<> h = s.handle) {
+        release_slot(top.slot);
+        if (trace_) trace_sample();
+        h.resume();
+        return true;
+      }
+      std::function<void()> fn = std::move(s.fn);
       release_slot(top.slot);
       if (trace_) trace_sample();
       fn();
@@ -172,7 +189,8 @@ class Simulator {
 
  private:
   struct Slot {
-    std::function<void()> fn;
+    std::function<void()> fn;         // callback event, or
+    std::coroutine_handle<> handle;   // resumption event (fn is empty)
     std::uint32_t generation = 1;  // 0 is never issued: cancel(0) is a no-op
     std::uint32_t next_free = 0;
     bool in_use = false;
@@ -218,8 +236,19 @@ class Simulator {
     s.in_use = false;
     s.cancelled = false;
     s.fn = nullptr;
+    s.handle = nullptr;
     s.next_free = free_head_;
     free_head_ = si;
+  }
+
+  /// Queue the freshly filled slot `si` to fire at `when`.
+  std::uint64_t enqueue(TimePoint when, std::uint32_t si) {
+    heap_push(HeapItem{when, next_seq_++, si});
+    ++scheduled_total_;
+    ++live_;
+    if (live_ > max_pending_) max_pending_ = live_;
+    if (trace_) trace_sample();
+    return make_id(pool_[si].generation, si);
   }
 
   /// Earlier-fires-first ordering: (time, seq) lexicographic.

@@ -13,6 +13,7 @@
 //   co_await other_task           -- join a child task, yielding its value
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <exception>
 #include <memory>
@@ -126,9 +127,10 @@ class Task {
     return *handle_.promise().value;
   }
 
-  void rethrow_if_failed() const {
+  /// The exception the finished coroutine ended with, or null.
+  std::exception_ptr failure() const {
     RR_EXPECTS(done());
-    if (handle_.promise().exception) std::rethrow_exception(handle_.promise().exception);
+    return handle_.promise().exception;
   }
 
  private:
@@ -160,9 +162,7 @@ class Delay {
  public:
   Delay(Simulator& sim, Duration d) : sim_(&sim), d_(d) {}
   bool await_ready() const { return d_ == Duration::zero(); }
-  void await_suspend(std::coroutine_handle<> h) {
-    sim_->schedule(d_, [h] { h.resume(); });
-  }
+  void await_suspend(std::coroutine_handle<> h) { sim_->schedule_resume(d_, h); }
   void await_resume() {}
 
  private:
@@ -177,26 +177,24 @@ class TaskRegistry {
   explicit TaskRegistry(Simulator& sim) : sim_(&sim) {}
 
   /// Launch a top-level task.  The registry keeps it alive; completed tasks
-  /// are reaped lazily on subsequent spawns and on drain().
+  /// are reaped in batches, each time the registry has doubled since the
+  /// last reap, so launching N tasks costs O(N) and a long-lived registry
+  /// holds at most twice its live tasks plus a constant.
   void spawn(Task<void> task) {
-    reap();
+    if (tasks_.size() >= reap_at_) reap();
     tasks_.push_back(std::make_unique<Task<void>>(std::move(task)));
     tasks_.back()->start();
   }
 
   /// Run the simulator until all events fire, then verify every spawned
   /// task completed (i.e. no task deadlocked waiting on a message).
-  /// Returns the number of completed tasks.
+  /// Returns the number of completed tasks; rethrows the first failure of
+  /// any task, reaped or not.
   std::size_t drain() {
     sim_->run();
-    std::size_t done = reaped_;
-    for (const auto& t : tasks_) {
-      if (t->done()) {
-        t->rethrow_if_failed();
-        ++done;
-      }
-    }
-    return done;
+    reap();
+    if (failure_) std::rethrow_exception(failure_);
+    return reaped_;
   }
 
   std::size_t live_count() const {
@@ -210,18 +208,24 @@ class TaskRegistry {
   Simulator& simulator() { return *sim_; }
 
  private:
+  static constexpr std::size_t kMinReapBatch = 64;
+
+  /// Destroy every finished task, keeping the first failure for drain().
   void reap() {
     std::erase_if(tasks_, [this](const std::unique_ptr<Task<void>>& t) {
       if (!t->done()) return false;
-      t->rethrow_if_failed();  // surface failures even from reaped tasks
+      if (!failure_) failure_ = t->failure();
       ++reaped_;
       return true;
     });
+    reap_at_ = std::max(2 * tasks_.size(), kMinReapBatch);
   }
 
   Simulator* sim_;
   std::vector<std::unique_ptr<Task<void>>> tasks_;
   std::size_t reaped_ = 0;
+  std::size_t reap_at_ = kMinReapBatch;
+  std::exception_ptr failure_;
 };
 
 }  // namespace rr::sim

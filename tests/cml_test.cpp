@@ -132,6 +132,60 @@ TEST(CmlPointToPoint, DeadlockIsDetectedNotHung) {
   EXPECT_EQ(done, 1u);  // rank 0 finished; rank 1 is blocked
 }
 
+struct SendOutcome {
+  std::int64_t ps = 0;
+  std::uint64_t legs = 0;
+  std::uint64_t bytes = 0;
+  std::size_t received_doubles = 0;
+};
+
+/// Rank 0 sends one `doubles`-long message to `dst`, as a payload or by
+/// size only, while a second sender on rank 1 contends for the same links.
+SendOutcome one_send(Rank dst, std::size_t doubles, bool sized) {
+  World w(CmlConfig{2, 4, 8});
+  SendOutcome out;
+  w.cml.run([&](CmlContext ctx) -> sim::Task<void> {
+    if (ctx.rank() == 0 || ctx.rank() == 1) {
+      if (sized)
+        co_await ctx.send_sized(dst, ctx.rank(), doubles);
+      else
+        co_await ctx.send(dst, ctx.rank(), std::vector<double>(doubles, 1.0));
+    } else if (ctx.rank() == dst) {
+      const Message m = co_await ctx.recv(0, 0);
+      EXPECT_EQ(m.src, 0);
+      EXPECT_EQ(m.tag, 0);
+      out.received_doubles = m.payload.size();
+      co_await ctx.recv(1, 1);
+    }
+    co_return;
+  });
+  out.ps = (w.sim.now() - TimePoint::origin()).ps();
+  out.legs = w.cml.network().messages_sent();
+  out.bytes = w.cml.network().bytes_sent();
+  return out;
+}
+
+TEST(CmlPointToPoint, SendSizedTimesLikeAPayloadOfThatSize) {
+  struct Path {
+    Rank dst;
+    std::uint64_t legs;  ///< per message
+  };
+  // Same Cell (EIB), same node (DaCS up and down), other node (+ IB).
+  for (const Path path : {Path{7, 1}, Path{15, 2}, Path{63, 3}}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{600}, std::size_t{5000}}) {
+      const SendOutcome full = one_send(path.dst, n, false);
+      const SendOutcome sized = one_send(path.dst, n, true);
+      EXPECT_EQ(sized.ps, full.ps) << "dst " << path.dst << ", " << n << " doubles";
+      EXPECT_EQ(sized.legs, full.legs) << "dst " << path.dst << ", " << n << " doubles";
+      EXPECT_EQ(sized.bytes, full.bytes) << "dst " << path.dst << ", " << n << " doubles";
+      EXPECT_EQ(full.legs, 2 * path.legs);
+      EXPECT_EQ(full.bytes, full.legs * message_bytes(std::vector<double>(n)).b());
+      EXPECT_EQ(full.received_doubles, n);
+      EXPECT_EQ(sized.received_doubles, 0u);  // the envelope only
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Timing tiers: EIB < intranode cross-cell < internode
 // ---------------------------------------------------------------------------

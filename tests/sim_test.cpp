@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -276,6 +278,122 @@ TEST(Task, ExceptionsSurfaceOnDrain) {
   EXPECT_THROW(reg.drain(), std::runtime_error);
 }
 
+Task<void> throws_at_once() {
+  throw std::runtime_error("failed before its first suspension");
+  co_return;
+}
+
+TEST(TaskRegistry, EarlyFailureSurvivesBatchedReaps) {
+  Simulator sim;
+  TaskRegistry reg(sim);
+  reg.spawn(throws_at_once());
+  TimePoint woke;
+  // A mix of tasks that finish inside spawn() and tasks that wait, so
+  // several batched reaps run (and destroy the failed task) before drain.
+  for (int i = 0; i < 10'000; ++i)
+    reg.spawn(sleeper(sim, Duration::nanoseconds(i % 3), woke));
+  EXPECT_EQ(reg.spawned_count(), 10'001u);
+  EXPECT_THROW(reg.drain(), std::runtime_error);
+}
+
+TEST(TaskRegistry, CountsStayExactAcrossBatchedReaps) {
+  // Per batch of 100 spawns: a third finish inside spawn(), a third wait
+  // 1 ns (and finish when the batch's time runs), a third wait past the
+  // end of the loop.
+  Simulator sim;
+  TaskRegistry reg(sim);
+  TimePoint woke;
+  std::size_t spawned = 0;
+  std::size_t long_lived = 0;
+  for (int batch = 0; batch < 20; ++batch) {
+    std::size_t short_lived = 0;
+    for (int i = 0; i < 100; ++i) {
+      Duration d = Duration::zero();
+      if (i % 3 == 1) {
+        d = Duration::nanoseconds(1);
+        ++short_lived;
+      } else if (i % 3 == 2) {
+        d = Duration::seconds(1);
+        ++long_lived;
+      }
+      reg.spawn(sleeper(sim, d, woke));
+      ++spawned;
+      ASSERT_EQ(reg.spawned_count(), spawned);
+      ASSERT_EQ(reg.live_count(), long_lived + short_lived);
+    }
+    sim.run_until(sim.now() + Duration::nanoseconds(1));
+    ASSERT_EQ(reg.live_count(), long_lived);
+  }
+  EXPECT_EQ(reg.drain(), spawned);
+  EXPECT_EQ(reg.live_count(), 0u);
+  EXPECT_EQ(reg.spawned_count(), spawned);
+}
+
+// ---------------------------------------------------------------------------
+// Direct coroutine resumption
+// ---------------------------------------------------------------------------
+
+/// Suspends until a schedule_resume() event fires; exposes its id.
+struct ResumeAfter {
+  Simulator& sim;
+  Duration d;
+  std::uint64_t& id;
+  bool await_ready() const { return false; }
+  void await_suspend(std::coroutine_handle<> h) { id = sim.schedule_resume(d, h); }
+  void await_resume() {}
+};
+
+Task<void> log_on_resume(Simulator& sim, Duration d, std::uint64_t& id,
+                         std::vector<std::string>& log, std::string name) {
+  co_await ResumeAfter{sim, d, id};
+  log.push_back(std::move(name));
+}
+
+TEST(Simulator, CallbacksAndResumptionsShareOneFifo) {
+  const Duration at = Duration::nanoseconds(5);
+  for (const bool callback_first : {true, false}) {
+    Simulator sim;
+    TaskRegistry reg(sim);
+    std::vector<std::string> log;
+    std::uint64_t a = 0, b = 0;
+    const auto callback = [&log](std::string name) {
+      return [&log, name] { log.push_back(name); };
+    };
+    if (callback_first) sim.schedule(at, callback("callback 1"));
+    reg.spawn(log_on_resume(sim, at, a, log, "coroutine 1"));
+    if (!callback_first) sim.schedule(at, callback("callback 1"));
+    reg.spawn(log_on_resume(sim, at, b, log, "coroutine 2"));
+    sim.schedule(at, callback("callback 2"));
+    EXPECT_EQ(reg.drain(), 2u);
+    const std::vector<std::string> expected =
+        callback_first ? std::vector<std::string>{"callback 1", "coroutine 1",
+                                                  "coroutine 2", "callback 2"}
+                       : std::vector<std::string>{"coroutine 1", "callback 1",
+                                                  "coroutine 2", "callback 2"};
+    EXPECT_EQ(log, expected) << "callback_first=" << callback_first;
+    EXPECT_EQ(sim.events_run(), 4u);
+    EXPECT_EQ(sim.now().ps(), at.ps());
+  }
+}
+
+TEST(SimulatorCancel, CancelledResumptionNeverResumes) {
+  Simulator sim;
+  std::vector<std::string> log;
+  std::uint64_t id = 0;
+  {
+    TaskRegistry reg(sim);
+    reg.spawn(log_on_resume(sim, Duration::nanoseconds(5), id, log, "resumed"));
+    EXPECT_EQ(sim.pending(), 1u);
+    sim.cancel(id);
+    EXPECT_EQ(reg.drain(), 0u);  // still suspended: never woken
+    EXPECT_EQ(reg.live_count(), 1u);
+  }  // destroying the registry destroys the suspended frame
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(sim.events_run(), 0u);
+  EXPECT_EQ(sim.cancelled_run(), 1u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Mailboxes
 // ---------------------------------------------------------------------------
@@ -341,6 +459,46 @@ TEST(Mailbox, UndeliveredMessagesStayQueued) {
   EXPECT_EQ(box.size(), 2u);
 }
 
+TEST(Mailbox, DestroyedReceiverIsUnlinkedAndFifoHolds) {
+  Simulator sim;
+  Mailbox<int> box(sim);
+  std::vector<std::pair<int, int>> got;
+  std::vector<Task<void>> receivers;
+  for (int who = 0; who < 5; ++who) {
+    receivers.push_back(tagged_consumer(box, got, who));
+    receivers.back().start();
+  }
+  ASSERT_TRUE(box.has_waiters());
+  // Destroy the head, a middle and the tail waiter while they wait.
+  receivers[0] = Task<void>{};
+  receivers[2] = Task<void>{};
+  receivers[4] = Task<void>{};
+  box.send(100);
+  box.send(200);
+  box.send(300);  // no receiver left: queued
+  sim.run();
+  EXPECT_EQ(got, (std::vector<std::pair<int, int>>{{1, 100}, {3, 200}}));
+  EXPECT_FALSE(box.has_waiters());
+  EXPECT_EQ(box.size(), 1u);
+  EXPECT_EQ(box.try_receive(), std::optional<int>(300));
+}
+
+TEST(Mailbox, QueuedMessagesKeepFifoOrderAcrossRingGrowth) {
+  // Interleave sends and receives so the queue wraps and grows mid-stream.
+  Simulator sim;
+  Mailbox<int> box(sim);
+  std::vector<int> got;
+  int next = 0;
+  for (int round = 1; round <= 40; ++round) {
+    for (int i = 0; i < round % 7 + 1; ++i) box.send(next++);
+    for (int i = 0; i < round % 5; ++i)
+      if (auto v = box.try_receive()) got.push_back(*v);
+  }
+  while (auto v = box.try_receive()) got.push_back(*v);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(next));
+  for (int i = 0; i < next; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+}
+
 // ---------------------------------------------------------------------------
 // Resource
 // ---------------------------------------------------------------------------
@@ -378,6 +536,36 @@ TEST(Resource, CapacityTwoAllowsOverlap) {
   ASSERT_EQ(done_at.size(), 4u);
   EXPECT_DOUBLE_EQ(done_at[1], 10.0);
   EXPECT_DOUBLE_EQ(done_at[3], 20.0);
+}
+
+Task<void> hold_and_log(Simulator& sim, Resource& res, Duration hold,
+                        std::vector<int>& log, int who) {
+  co_await res.acquire();
+  log.push_back(who);
+  co_await Delay{sim, hold};
+  res.release();
+}
+
+TEST(Resource, DestroyedWaiterIsUnlinkedAndFifoHolds) {
+  Simulator sim;
+  Resource link(sim, 1);
+  std::vector<int> log;
+  std::vector<Task<void>> users;
+  for (int who = 0; who < 6; ++who) {
+    users.push_back(hold_and_log(sim, link, Duration::microseconds(10), log, who));
+    users.back().start();
+  }
+  EXPECT_EQ(link.queue_length(), 5u);  // user 0 holds the token
+  // Destroy the head, a middle and the tail waiter while they wait.
+  users[1] = Task<void>{};
+  users[3] = Task<void>{};
+  users[5] = Task<void>{};
+  EXPECT_EQ(link.queue_length(), 2u);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{0, 2, 4}));
+  EXPECT_EQ(sim.now().ps(), Duration::microseconds(30).ps());
+  EXPECT_EQ(link.queue_length(), 0u);
+  EXPECT_EQ(link.available(), 1u);
 }
 
 TEST(Resource, AvailableTracksTokens) {

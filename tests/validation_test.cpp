@@ -125,6 +125,32 @@ TEST(SimValidation, DeterministicAcrossRuns) {
   EXPECT_EQ(a.messages, b.messages);
 }
 
+TEST(SimValidation, SimulatedTimeAndLegsArePinned) {
+  // Exact simulated output of the timed Sweep3D path.  Host-side changes
+  // to the engine, CML or the network must leave every picosecond and
+  // every transport leg where it is.
+  struct Pin {
+    int px, py, kt;
+    bool best_case_pcie;
+    std::int64_t ps;
+    std::uint64_t legs;
+  };
+  const Pin pins[] = {
+      {8, 4, 400, false, 59'098'582'836, 12'160},
+      {16, 8, 400, false, 93'751'262'856, 64'000},
+      {32, 16, 40, false, 35'149'958'656, 31'744},
+      {8, 8, 400, true, 21'749'818'476, 28'160},
+  };
+  const auto pxc = spe_compute(arch::CellVariant::kPowerXCell8i);
+  for (const Pin& p : pins) {
+    SweepWorkload w;
+    w.kt = p.kt;
+    const auto des = simulate_iteration(w, p.px, p.py, pxc, two_cu_topo(), p.best_case_pcie);
+    EXPECT_EQ(des.total.ps(), p.ps) << p.px << "x" << p.py << " kt=" << p.kt;
+    EXPECT_EQ(des.messages, p.legs) << p.px << "x" << p.py << " kt=" << p.kt;
+  }
+}
+
 TEST(SimValidation, MoreRanksNeverFinishFasterPerIteration) {
   // Weak scaling: per-rank work is constant, so adding ranks only adds
   // pipeline fill and communication.
