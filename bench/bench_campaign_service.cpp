@@ -41,6 +41,7 @@
 // degraded run that leaves a postmortem behind; --chaos-seed installs a
 // seeded fault-injecting filesystem for the whole fleet.
 #include <chrono>
+#include <climits>
 #include <iostream>
 #include <memory>
 #include <thread>
@@ -80,11 +81,12 @@ int main(int argc, char** argv) {
     return fault::to_int(fault::ExitCode::kUsage);
   }
 
-  const int scenarios = static_cast<int>(cli.get_int("scenarios", 24));
-  const int replications = static_cast<int>(cli.get_int("replications", 400));
+  const int scenarios = cli.get_int("scenarios", 24, 0, INT_MAX);
+  const int replications = cli.get_int("replications", 400, 1, INT_MAX);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-  const auto slow = std::chrono::milliseconds(cli.get_int("slow-ms", 0));
-  const int slow_first = static_cast<int>(cli.get_int("slow-first", -1));
+  const auto slow =
+      std::chrono::milliseconds(cli.get_int("slow-ms", 0, 0, INT_MAX));
+  const int slow_first = cli.get_int("slow-first", -1, -1, INT_MAX);
 
   // The node grid the scenarios cycle through: partition sizes from the
   // paper's scaling studies.
@@ -108,15 +110,15 @@ int main(int argc, char** argv) {
            }());
 
   campaign::ServiceConfig cfg;
-  cfg.workers = static_cast<int>(cli.get_int("workers", 3));
-  cfg.chunk = static_cast<int>(cli.get_int("chunk", 4));
+  cfg.workers = cli.get_int("workers", 3, 0, INT_MAX);
+  cfg.chunk = cli.get_int("chunk", 4, 1, INT_MAX);
   cfg.work_dir = work_dir;
   cfg.cache_dir = cli.get("cache-dir", "");
-  cfg.resilient.failure_budget = static_cast<int>(cli.get_int("budget", -1));
+  cfg.resilient.failure_budget = cli.get_int("budget", -1, -1, INT_MAX);
   cfg.resilient.deadline =
-      std::chrono::milliseconds(cli.get_int("deadline-ms", 0));
-  cfg.crash_shard = static_cast<int>(cli.get_int("crash-shard", -1));
-  cfg.crash_after = static_cast<int>(cli.get_int("crash-after", 0));
+      std::chrono::milliseconds(cli.get_int("deadline-ms", 0, 0, INT_MAX));
+  cfg.crash_shard = cli.get_int("crash-shard", -1, -1, INT_MAX);
+  cfg.crash_after = cli.get_int("crash-after", 0, 0, INT_MAX);
   cfg.trace_path = cli.get("trace", "");
 
   // Arm the flight recorder before the run so the ring captures campaign
@@ -125,7 +127,7 @@ int main(int argc, char** argv) {
   if (const std::string fr = cli.get("flightrec", ""); !fr.empty())
     FlightRecorder::global().set_dump_path(fr);
 
-  const int fail_index = static_cast<int>(cli.get_int("fail-index", -1));
+  const int fail_index = cli.get_int("fail-index", -1, -1, INT_MAX);
 
   // A nonzero chaos seed puts the whole fleet (workers inherit the
   // installed Env across fork) on a deterministically faulty filesystem.

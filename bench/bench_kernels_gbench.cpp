@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks of the library's real computational
-// kernels: the Sn sweep solver (serial and KBA), the blocked LU, the SPU
+// kernels: the serial Sn sweep solver, the blocked LU, the SPU
 // pipeline simulator, the cache simulator, the DES engine, and routing
 // over the full fabric.  These measure *this host's* execution of the
 // reproduction code (useful for regressions), not Roadrunner timings.
@@ -10,7 +10,6 @@
 #include "model/linpack.hpp"
 #include "sim/simulator.hpp"
 #include "spu/kernels.hpp"
-#include "sweep/kba.hpp"
 #include "sweep/solver.hpp"
 #include "topo/fat_tree.hpp"
 #include "util/rng.hpp"
@@ -31,23 +30,6 @@ void BM_SweepSerial(benchmark::State& state) {
                           48);
 }
 BENCHMARK(BM_SweepSerial)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_SweepKba(benchmark::State& state) {
-  sweep::Problem p;
-  p.nx = p.ny = p.nz = 32;
-  const std::vector<double> emission(p.cells(), 1.0);
-  sweep::KbaConfig cfg;
-  cfg.px = static_cast<int>(state.range(0));
-  cfg.py = static_cast<int>(state.range(1));
-  cfg.mk = 4;
-  for (auto _ : state) {
-    const auto r = sweep::sweep_once_kba(p, emission, cfg);
-    benchmark::DoNotOptimize(r.leakage);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(p.cells()) *
-                          48);
-}
-BENCHMARK(BM_SweepKba)->Args({1, 1})->Args({2, 2})->Args({4, 2});
 
 void BM_LuFactor(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

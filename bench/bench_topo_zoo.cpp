@@ -17,6 +17,7 @@
 // must come back clean (no broken routes, loops, or below-BFS-floor
 // paths), efficiencies must stay in (0, 1], and a --golden comparison
 // must match.
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -122,10 +123,10 @@ int main(int argc, char** argv) {
       parse_machines(cli.get("machines", "all"));
   engine::ZooConfig cfg;
   cfg.small = cli.get_bool("small", false);
-  cfg.sweep_iterations = static_cast<int>(cli.get_int("iterations", 12));
-  cfg.fault.replications = static_cast<int>(cli.get_int("replications", 120));
+  cfg.sweep_iterations = cli.get_int("iterations", 12, 1, INT_MAX);
+  cfg.fault.replications = cli.get_int("replications", 120, 1, INT_MAX);
 
-  engine::SweepEngine eng({static_cast<int>(cli.get_int("threads", 0))});
+  engine::SweepEngine eng({cli.get_int("threads", 0, 0, INT_MAX)});
   const arch::SystemSpec system = arch::make_roadrunner();
 
   const std::vector<engine::MachineStudy> rows =

@@ -34,6 +34,7 @@
 #include <sys/stat.h>
 
 #include <chrono>
+#include <climits>
 #include <iostream>
 #include <string>
 
@@ -84,17 +85,16 @@ int main(int argc, char** argv) {
                  " [--unbounded-every=10]\n";
     return fault::to_int(fault::ExitCode::kUsage);
   }
-  const int schedules = static_cast<int>(cli.get_int("schedules", 100));
+  const int schedules = cli.get_int("schedules", 100, 0, INT_MAX);
   const auto base_seed = static_cast<std::uint64_t>(cli.get_int("seed", 3301));
-  const int scenarios = static_cast<int>(cli.get_int("scenarios", 12));
-  const int fleet_workers = static_cast<int>(cli.get_int("workers", 2));
+  const int scenarios = cli.get_int("scenarios", 12, 1, INT_MAX);
+  const int fleet_workers = cli.get_int("workers", 2, 0, INT_MAX);
   const double fault_rate = cli.get_double("fault-rate", 0.08);
   const double read_corrupt_rate = cli.get_double("read-corrupt-rate", 0.02);
-  const int max_faults = static_cast<int>(cli.get_int("max-faults", 6));
+  const int max_faults = cli.get_int("max-faults", 6, -1, INT_MAX);
   // Every Nth schedule runs with an unlimited fault budget: mostly
   // unrecoverable, exercising the degraded half of the contract hard.
-  const int unbounded_every =
-      static_cast<int>(cli.get_int("unbounded-every", 10));
+  const int unbounded_every = cli.get_int("unbounded-every", 10, 0, INT_MAX);
 
   campaign::CampaignSpec spec;
   spec.name = "chaos_driver";

@@ -5,6 +5,7 @@
 // paper's applications were built on (Sections III-V).
 //
 // Run:  ./accelerator_node [--blocks=16] [--elements=512] [--best]
+#include <climits>
 #include <iostream>
 
 #include "alf/alf.hpp"
@@ -16,8 +17,13 @@
 int main(int argc, char** argv) {
   using namespace rr;
   const CliParser cli(argc, argv, {"blocks", "elements", "best"});
-  const int n_blocks = static_cast<int>(cli.get_int("blocks", 16));
-  const int elements = static_cast<int>(cli.get_int("elements", 512));
+  const int n_blocks = cli.get_int("blocks", 16, 0, INT_MAX);
+  // A block's input, x then y (2 x elements doubles), must end below the
+  // output buffer in the SPE local store.
+  const alf::BlockLayout layout;
+  const int elements = cli.get_int(
+      "elements", 512, 2,
+      static_cast<int>((layout.output_addr - layout.input_addr) / 16));
   const bool best = cli.get_bool("best", false);
 
   // --- DaCS: the host stages data to an accelerator and back -------------

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const topo::FatTree topo = topo::FatTree::build(tp);
 
   cml::CmlConfig config;
-  config.nodes = static_cast<int>(cli.get_int("nodes", 2));
+  config.nodes = cli.get_int("nodes", 2, 1, topo.node_count());
   config.best_case_pcie = cli.get_bool("best", false);
 
   sim::Simulator simulator;

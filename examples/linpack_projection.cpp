@@ -6,6 +6,7 @@
 //
 // Run:  ./linpack_projection [--n=512] [--nb=64]
 #include <chrono>
+#include <climits>
 #include <iostream>
 
 #include "core/roadrunner.hpp"
@@ -17,8 +18,8 @@
 int main(int argc, char** argv) {
   using namespace rr;
   const CliParser cli(argc, argv, {"n", "nb"});
-  const int n = static_cast<int>(cli.get_int("n", 512));
-  const int nb = static_cast<int>(cli.get_int("nb", 64));
+  const int n = cli.get_int("n", 512, 1, 46340);  // n * n must fit an int
+  const int nb = cli.get_int("nb", 64, 1, INT_MAX);
 
   print_banner(std::cout, "Local LU kernel: n=" + std::to_string(n) +
                               ", block=" + std::to_string(nb));

@@ -9,7 +9,7 @@
 int main(int argc, char** argv) {
   using namespace rr;
   const CliParser cli(argc, argv, {"cus"});
-  const int cus = static_cast<int>(cli.get_int("cus", 17));
+  const int cus = cli.get_int("cus", 17, 1, 24);  // the design's limit
 
   const core::RoadrunnerSystem rr = core::RoadrunnerSystem::with_cu_count(cus);
 

@@ -1,27 +1,36 @@
 // Sweep3D end-to-end demo:
 //   1. solve a real Sn transport problem with the serial solver,
-//   2. solve it again with the KBA thread-parallel solver and verify the
-//      fluxes agree bitwise and particles balance,
+//   2. sweep its converged source once more as the paper ran it -- KBA
+//      ranks on SPEs exchanging CML messages on the simulated machine --
+//      and verify the fluxes match the serial sweep bitwise,
 //   3. project the iteration time of the paper's weak-scaled workload on
 //      the modeled Roadrunner (the Fig. 13 experiment).
 //
 // Run:  ./sweep3d_demo [--n=16] [--px=2] [--py=2] [--mk=4]
+#include <climits>
 #include <iostream>
 
 #include "model/sweep_model.hpp"
-#include "sweep/kba.hpp"
+#include "sweep/cml_sweep.hpp"
 #include "sweep/solver.hpp"
+#include "topo/fat_tree.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace rr;
   const CliParser cli(argc, argv, {"n", "px", "py", "mk"});
-  const int n = static_cast<int>(cli.get_int("n", 16));
+  const topo::FatTree topo = topo::FatTree::roadrunner();
+  cml::CmlConfig config;
+  const int spes_per_node = config.cells_per_node * config.spes_per_cell;
+  const int n = cli.get_int("n", 16, 1, INT_MAX);
+  // Every rank is one SPE of the machine.  (A grid that does not divide
+  // the problem is sweep_once_cml's precondition.)
+  const int spes = topo.node_count() * spes_per_node;
   sweep::KbaConfig kba;
-  kba.px = static_cast<int>(cli.get_int("px", 2));
-  kba.py = static_cast<int>(cli.get_int("py", 2));
-  kba.mk = static_cast<int>(cli.get_int("mk", 4));
+  kba.px = cli.get_int("px", 2, 1, spes);
+  kba.py = cli.get_int("py", 2, 1, spes / kba.px);
+  kba.mk = cli.get_int("mk", 4, 1, INT_MAX);
 
   sweep::Problem p;
   p.nx = p.ny = p.nz = n;
@@ -31,12 +40,6 @@ int main(int argc, char** argv) {
 
   print_banner(std::cout, "Functional solve: " + std::to_string(n) + "^3, S6, DD");
   const sweep::SolveResult serial = sweep::solve(p, 1e-8, 300);
-  const sweep::SolveResult parallel = sweep::solve_kba(p, kba, 1e-8, 300);
-
-  std::size_t mismatches = 0;
-  for (std::size_t c = 0; c < p.cells(); ++c)
-    if (serial.scalar_flux[c] != parallel.scalar_flux[c]) ++mismatches;
-
   Table res({"solver", "iterations", "converged", "leakage", "balance residual"});
   res.row()
       .add("serial")
@@ -44,18 +47,47 @@ int main(int argc, char** argv) {
       .add(serial.converged ? "yes" : "no")
       .add(serial.leakage, 6)
       .add(sweep::balance_residual(p, serial), 9);
-  res.row()
-      .add("KBA " + std::to_string(kba.px) + "x" + std::to_string(kba.py) +
-           " (MK blocks: " + std::to_string(kba.mk) + ")")
-      .add(parallel.iterations)
-      .add(parallel.converged ? "yes" : "no")
-      .add(parallel.leakage, 6)
-      .add(sweep::balance_residual(p, parallel), 9);
   res.print(std::cout);
-  std::cout << "\nflux mismatches serial vs KBA (bitwise): " << mismatches << " of "
-            << p.cells() << " cells\n";
   std::cout << "center flux: " << serial.scalar_flux[p.idx(n / 2, n / 2, n / 2)]
             << "\n";
+
+  // One more sweep of the converged source, serially and over CML.
+  std::vector<double> emission(p.cells());
+  for (std::size_t c = 0; c < p.cells(); ++c)
+    emission[c] = p.source_at(c) + p.sigma_s * serial.scalar_flux[c];
+  const sweep::SweepResult reference = sweep::sweep_once(p, emission);
+  sim::Simulator simulator;
+  config.nodes = (kba.ranks() + spes_per_node - 1) / spes_per_node;
+  cml::CmlWorld world(simulator, topo, config);
+  const sweep::CmlSweepResult over_cml = sweep::sweep_once_cml(
+      p, emission, kba, world,
+      model::spe_compute(arch::CellVariant::kPowerXCell8i).per_cell_angle);
+
+  std::size_t mismatches = 0;
+  for (std::size_t c = 0; c < p.cells(); ++c)
+    if (reference.scalar_flux[c] != over_cml.sweep.scalar_flux[c]) ++mismatches;
+
+  print_banner(std::cout, "One sweep of the converged source over CML");
+  Table sw({"sweep", "ranks", "leakage", "fixups", "messages",
+            "simulated time (ms)"});
+  sw.row()
+      .add("serial")
+      .add(1)
+      .add(reference.leakage, 6)
+      .add(static_cast<std::int64_t>(reference.fixups))
+      .add(0)
+      .add("-");
+  sw.row()
+      .add("KBA " + std::to_string(kba.px) + "x" + std::to_string(kba.py) +
+           " (MK blocks: " + std::to_string(kba.mk) + ")")
+      .add(over_cml.ranks)
+      .add(over_cml.sweep.leakage, 6)
+      .add(static_cast<std::int64_t>(over_cml.sweep.fixups))
+      .add(static_cast<std::int64_t>(over_cml.messages))
+      .add(over_cml.simulated_time.ms(), 3);
+  sw.print(std::cout);
+  std::cout << "\nflux mismatches serial vs CML (bitwise): " << mismatches
+            << " of " << p.cells() << " cells\n";
 
   print_banner(std::cout, "Roadrunner projection (paper workload, 5x5x400/SPE)");
   Table proj({"nodes", "Opteron-only (s)", "Cell measured (s)", "Cell best (s)",

@@ -32,16 +32,16 @@ const char* kind_name(rr::topo::XbarKind k) {
 int main(int argc, char** argv) {
   using namespace rr;
   const CliParser cli(argc, argv, {"cus", "src", "dst"});
-  const int cus = static_cast<int>(cli.get_int("cus", 17));
+  const int cus = cli.get_int("cus", 17, 1, 24);  // the design's limit
 
   topo::TopologyParams params;
   params.cu_count = cus;
   const topo::FatTree t = topo::FatTree::build(params);
   const comm::FabricModel fabric(t);
 
-  const int src = static_cast<int>(cli.get_int("src", 0));
-  const int dst =
-      static_cast<int>(cli.get_int("dst", std::min(2600, t.node_count() - 1)));
+  const int last = t.node_count() - 1;
+  const int src = cli.get_int("src", 0, 0, last);
+  const int dst = cli.get_int("dst", std::min(2600, last), 0, last);
 
   print_banner(std::cout, "Route node " + std::to_string(src) + " -> node " +
                               std::to_string(dst));

@@ -114,7 +114,6 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
 
   int code = fault::to_int(fault::ExitCode::kClean);
   try {
-    engine::SweepEngine eng({1});
     // No journal and no failure budget here: the coordinator journals the
     // entries each progress frame carries and counts the campaign's
     // failures itself.
@@ -193,7 +192,7 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
         // when tracing, onto this incarnation's trace row.
         obs::ProfSpan span("chunk x" + std::to_string(chunk.size()),
                            &chunk_hist);
-        return engine::run_resilient_indices(eng, spec.scenarios, chunk, fn,
+        return engine::run_resilient_indices(spec.scenarios, chunk, fn,
                                              nullptr, rcfg);
       }();
       completed += static_cast<int>(chunk.size());
@@ -710,9 +709,8 @@ class Coordinator {
   }
 
   /// The coordinator's own runner: the whole campaign when workers == 0,
-  /// else whatever a dead fleet left.  It is created only after every
-  /// worker has been reaped (its thread pool must never be forked) and
-  /// appends to the campaign journal like the frames do.
+  /// else whatever a dead fleet left.  It appends to the campaign journal
+  /// like the frames do.
   void run_local() {
     std::vector<int> pending;
     for (int i = 0; i < n_; ++i)
@@ -720,8 +718,7 @@ class Coordinator {
     if (cfg_.workers > 0)
       RR_WARN("campaign: no workers left; running " << pending.size()
                                                     << " indices in-process");
-    engine::SweepEngine eng({1});
-    // The engine counts failures of this call only: hand it what is left
+    // The runner counts failures of this call only: hand it what is left
     // of the campaign-wide budget (unlimited stays unlimited).
     engine::ResilientConfig rcfg = shard_resilient_config(spec_, cfg_);
     if (rcfg.failure_budget >= 0) rcfg.failure_budget -= failures_;
@@ -735,8 +732,7 @@ class Coordinator {
     if (tracing_) obs::WallTrace::global().attach(&trace_, "wall/coord");
     const engine::ResilientReport rep = [&] {
       obs::ProfSpan span("campaign x" + std::to_string(pending.size()));
-      return engine::run_resilient_indices(eng, n_, pending, fn_, &journal_,
-                                           rcfg);
+      return engine::run_resilient_indices(n_, pending, fn_, &journal_, rcfg);
     }();
     for (const int i : pending)
       if (const auto& e = rep.entries[static_cast<std::size_t>(i)])

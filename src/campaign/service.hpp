@@ -8,10 +8,11 @@
 // resumes a result journal), then forks one worker process per shard.
 // Workers hold no journal: each drives the indices it
 // owns through engine::run_resilient_indices a chunk at a time, with the
-// configured watchdog/retry settings, and sends the chunk's entries back
+// configured deadline/retry settings, and sends the chunk's entries back
 // in a progress frame.  The coordinator appends each frame's entries to
 // the journal with one write and one fdatasync, and counts the
-// campaign-wide failure budget itself.  It stays single-threaded and
+// campaign-wide failure budget itself.  Neither side starts a thread:
+// the fleet's parallelism is its processes.  The coordinator is
 // event-driven: it polls the workers' frame sockets
 // (campaign/protocol.hpp), scans a fleet deadline, reaps dead workers
 // with waitpid, respawns a crashed shard with its not-done indices (at
@@ -71,7 +72,7 @@ struct ServiceConfig {
   std::chrono::milliseconds heartbeat{50};
   /// No frame from any worker for this long => assume the fleet is
   /// wedged, SIGKILL it, and finish the remainder in-process.  The
-  /// coordinator-side analogue of the scenario watchdog.
+  /// coordinator-side analogue of the scenario deadline.
   std::chrono::milliseconds fleet_deadline{60'000};
   /// Directory for the campaign journal, campaign.jsonl (created if
   /// missing).  Required when scenarios run; reusing it resumes the
@@ -79,7 +80,7 @@ struct ServiceConfig {
   std::string work_dir;
   /// Result-cache root; empty disables caching.
   std::string cache_dir;
-  /// Resilience settings: retry and the watchdog deadline apply to every
+  /// Resilience settings: retry and the scenario deadline apply to every
   /// scenario wherever it runs; the failure budget is campaign-wide,
   /// counted by the coordinator over every journaled entry.
   /// base_seed/seed_of are taken from the spec, not from here.

@@ -1,16 +1,30 @@
-// Sweep3D exactly as the paper built it (Sections V.B-C): each SPE rank
-// owns a static subgrid, boundary angular fluxes travel as CML messages,
-// and the whole thing runs on the simulated machine.  This is the
-// *functional* and *timed* layer in one: the fluxes are real (bitwise
-// identical to the serial solver, tests verify), and the completion time
-// is simulated time over the calibrated transports with link contention.
+// Sweep3D exactly as the paper built it (Sections V.B-C): the KBA
+// (Koch-Baker-Alcouffe) wavefront decomposition of Section V.A over SPE
+// ranks.  The grid is decomposed over a logical 2-D px x py rank array in
+// I and J; the K dimension is split into mk blocks, the unit of
+// pipelined work.  Each rank owns a static subgrid, boundary angular
+// fluxes travel as CML messages, and the whole thing runs on the
+// simulated machine.  This is the *functional* and *timed* layer in one:
+// the fluxes are real, and the completion time is simulated time over
+// the calibrated transports with link contention.
+//
+// The sweep is bitwise-identical to the serial solver: diamond
+// differencing is a pure upstream recurrence, so cell updates see the
+// same operands in the same order regardless of the decomposition.
 #pragma once
 
 #include "cml/cml.hpp"
-#include "sweep/kba.hpp"
 #include "sweep/solver.hpp"
 
 namespace rr::sweep {
+
+struct KbaConfig {
+  int px = 2;   ///< ranks in I
+  int py = 2;   ///< ranks in J
+  int mk = 4;   ///< K-blocking factor: K is processed in blocks of nz/mk
+
+  int ranks() const { return px * py; }
+};
 
 struct CmlSweepResult {
   SweepResult sweep;        ///< real fluxes, leakage, fixups
@@ -21,7 +35,8 @@ struct CmlSweepResult {
 
 /// One full sweep (all octants/angles) with the given emission, on a
 /// px x py rank array inside `world` (ranks are SPE ranks; world.size()
-/// must be >= cfg.ranks()).  `per_cell_angle` is the SPE compute cost
+/// must be >= cfg.ranks()).  Requires nx % px == 0, ny % py == 0 and
+/// nz % mk == 0.  `per_cell_angle` is the SPE compute cost
 /// charged per cell-angle update (e.g. model::spe_compute(...)).
 CmlSweepResult sweep_once_cml(const Problem& p,
                               const std::vector<double>& emission,

@@ -1,4 +1,4 @@
-// The diamond-difference cell update shared by the serial and KBA solvers.
+// The diamond-difference cell update shared by the serial and CML sweeps.
 //
 // Solves, for one cell and one discrete direction, the balance equation
 //   sigma_t * psi * V + sum_d c_d * (psi_out_d - psi_in_d) * V = emission * V

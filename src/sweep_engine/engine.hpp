@@ -61,11 +61,6 @@ class SweepEngine {
 
   int threads() const { return pool_.size(); }
 
-  /// The underlying worker pool.  The resilient runner (resilient.hpp)
-  /// drives it directly so it can journal per-index as work completes and
-  /// abort a batch when the failure budget trips.
-  ThreadPool& pool() { return pool_; }
-
   /// Run scenarios 0..n-1; every scenario runs exactly once and results
   /// come back ordered by index.  `fn` must be safe to call from
   /// multiple threads.  A failed scenario keeps a nullopt slot and its

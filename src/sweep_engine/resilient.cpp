@@ -1,8 +1,6 @@
 #include "sweep_engine/resilient.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <deque>
 #include <ostream>
 #include <thread>
 
@@ -13,14 +11,6 @@
 namespace rr::engine {
 
 namespace {
-
-using SteadyClock = std::chrono::steady_clock;
-
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             SteadyClock::now().time_since_epoch())
-      .count();
-}
 
 // Retry-taxonomy instrumentation (DESIGN.md §10): every terminal status
 // and every retry/backoff is counted.
@@ -46,6 +36,18 @@ struct SweepMetrics {
 };
 
 }  // namespace
+
+CancelToken::CancelToken(std::chrono::milliseconds budget) {
+  if (budget.count() <= 0) return;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  // Compare in milliseconds: converting a huge budget to the clock's
+  // nanoseconds, or adding it to now, would overflow.
+  if (budget >= std::chrono::duration_cast<std::chrono::milliseconds>(
+                    Clock::time_point::max() - now))
+    return;
+  deadline_ = now + budget;
+}
 
 const char* to_string(RunOutcome o) {
   switch (o) {
@@ -86,16 +88,14 @@ void ResilientReport::log() const {
              << timed_out + quarantined << " failures");
 }
 
-ResilientReport run_resilient(SweepEngine& eng, int n,
-                              const ResilientScenario& fn,
+ResilientReport run_resilient(int n, const ResilientScenario& fn,
                               const ResilientConfig& cfg) {
   std::vector<int> indices(static_cast<std::size_t>(std::max(n, 0)));
   for (int i = 0; i < n; ++i) indices[static_cast<std::size_t>(i)] = i;
-  return run_resilient_indices(eng, n, indices, fn, nullptr, cfg);
+  return run_resilient_indices(n, indices, fn, nullptr, cfg);
 }
 
-ResilientReport run_resilient_indices(SweepEngine& eng, int n,
-                                      const std::vector<int>& indices,
+ResilientReport run_resilient_indices(int n, const std::vector<int>& indices,
                                       const ResilientScenario& fn,
                                       SweepJournal* journal,
                                       const ResilientConfig& cfg) {
@@ -119,66 +119,31 @@ ResilientReport run_resilient_indices(SweepEngine& eng, int n,
                                        static_cast<std::uint64_t>(i));
   };
 
-  std::atomic<int> failures{0};
-  std::atomic<bool> abort{false};
   SweepMetrics& sm = SweepMetrics::instance();
   const auto budget_tripped = [&] {
     return cfg.failure_budget >= 0 &&
-           failures.load(std::memory_order_relaxed) > cfg.failure_budget;
+           report.timed_out + report.quarantined > cfg.failure_budget;
   };
 
-  // Watchdog state: per-index cancel tokens plus start/finish stamps the
-  // watchdog thread scans.  deque: CancelToken is not movable.
-  std::deque<CancelToken> tokens(static_cast<std::size_t>(n));
-  std::vector<std::atomic<std::int64_t>> started_ns(
-      static_cast<std::size_t>(n));
-  std::vector<std::atomic<bool>> finished(static_cast<std::size_t>(n));
-  std::atomic<bool> batch_done{false};
-
-  std::thread watchdog;
-  if (cfg.deadline.count() > 0 && n > 0) {
-    const std::int64_t deadline_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(cfg.deadline)
-            .count();
-    const auto poll = std::max<std::chrono::milliseconds>(
-        std::chrono::milliseconds(1), cfg.deadline / 8);
-    watchdog = std::thread([&, deadline_ns, poll] {
-      while (!batch_done.load(std::memory_order_acquire)) {
-        const std::int64_t now = now_ns();
-        for (int i = 0; i < n; ++i) {
-          const auto idx = static_cast<std::size_t>(i);
-          const std::int64_t t0 =
-              started_ns[idx].load(std::memory_order_acquire);
-          if (t0 != 0 && !finished[idx].load(std::memory_order_acquire) &&
-              now - t0 > deadline_ns)
-            tokens[idx].cancel();
-        }
-        std::this_thread::sleep_for(poll);
-      }
-    });
-  }
-
-  std::mutex entries_mu;  // report.entries slots are per-index, but the
-                          // counters below are shared
-  const auto worker = [&](int i) {
-    const auto idx = static_cast<std::size_t>(i);
+  for (const int i : indices) {
+    if (budget_tripped()) break;  // the indices left count as not run
     JournalEntry entry;
     entry.index = i;
     entry.seed = seed_of(i);
 
-    started_ns[idx].store(now_ns(), std::memory_order_release);
+    const CancelToken token(cfg.deadline);  // retries share the deadline
     int attempts = 0;
     while (true) {
       ++attempts;
       try {
-        Json metrics = fn(i, tokens[idx]);
+        Json metrics = fn(i, token);
         entry.status = ScenarioStatus::kOk;
         entry.metrics = std::move(metrics);
         break;
       } catch (...) {
         const std::exception_ptr err = std::current_exception();
-        if (tokens[idx].cancelled()) {
-          // The watchdog fired and the scenario bailed out: record the
+        if (token.cancelled()) {
+          // The deadline passed and the scenario bailed out: record the
           // overrun as such, whatever it happened to throw on the way.
           entry.status = ScenarioStatus::kTimedOut;
           entry.error_class = fault::ErrorClass::kTransient;
@@ -188,8 +153,7 @@ ResilientReport run_resilient_indices(SweepEngine& eng, int n,
         }
         const fault::ErrorClass cls = classify(err);
         if (cls == fault::ErrorClass::kTransient &&
-            attempts < cfg.retry.max_attempts &&
-            !abort.load(std::memory_order_acquire)) {
+            attempts < cfg.retry.max_attempts) {
           const double backoff_us = cfg.retry.backoff_after_us(attempts);
           sm.retries.inc();
           sm.backoff_us.observe(backoff_us);
@@ -205,54 +169,32 @@ ResilientReport run_resilient_indices(SweepEngine& eng, int n,
     }
     entry.attempts = attempts;
     switch (entry.status) {
-      case ScenarioStatus::kOk: sm.ok.inc(); break;
-      case ScenarioStatus::kTimedOut: sm.timeouts.inc(); break;
-      case ScenarioStatus::kQuarantined: sm.quarantined.inc(); break;
+      case ScenarioStatus::kOk:
+        sm.ok.inc();
+        ++report.ok;
+        if (attempts > 1) ++report.retried;
+        break;
+      case ScenarioStatus::kTimedOut:
+        sm.timeouts.inc();
+        ++report.timed_out;
+        break;
+      case ScenarioStatus::kQuarantined:
+        sm.quarantined.inc();
+        ++report.quarantined;
+        break;
     }
-    finished[idx].store(true, std::memory_order_release);
 
-    // Journal before publishing: once append() returns the record is
+    // Journal before moving on: once append() returns the record is
     // durable, so a crash after this point costs nothing.  The process
     // crash hook (RR_CRASH_AFTER_N) fires inside append, right after the
     // fsync -- exactly the boundary a SIGKILL test wants.
     if (journal) journal->append(entry);
-    {
-      std::lock_guard lock(entries_mu);
-      report.entries[idx] = std::move(entry);
-    }
-    if (!report.entries[idx]->ok()) {
-      failures.fetch_add(1, std::memory_order_relaxed);
-      if (budget_tripped()) abort.store(true, std::memory_order_release);
-    }
-  };
-
-  // The pool fans out over the requested indices; slots are keyed by
-  // global index, so the determinism contract (results keyed by index,
-  // seeds derived from index) holds for any subset.
-  if (!indices.empty())
-    eng.pool().for_each_index(
-        static_cast<int>(indices.size()),
-        [&](int j) { worker(indices[static_cast<std::size_t>(j)]); }, &abort);
-
-  batch_done.store(true, std::memory_order_release);
-  if (watchdog.joinable()) watchdog.join();
-
-  for (int i = 0; i < n; ++i) {
-    const auto& e = report.entries[static_cast<std::size_t>(i)];
-    if (!e) {
-      if (requested[static_cast<std::size_t>(i)]) ++report.not_run;
-      continue;
-    }
-    switch (e->status) {
-      case ScenarioStatus::kOk:
-        ++report.ok;
-        if (e->attempts > 1) ++report.retried;
-        break;
-      case ScenarioStatus::kTimedOut: ++report.timed_out; break;
-      case ScenarioStatus::kQuarantined: ++report.quarantined; break;
-    }
+    report.entries[static_cast<std::size_t>(i)] = std::move(entry);
   }
-  if (abort.load(std::memory_order_acquire) && budget_tripped()) {
+
+  report.not_run = static_cast<int>(indices.size()) - report.ok -
+                   report.timed_out - report.quarantined;
+  if (budget_tripped()) {
     report.outcome = RunOutcome::kBudgetExceeded;
     sm.budget_aborts.inc();
   } else if (report.timed_out + report.quarantined > 0) {

@@ -1,17 +1,21 @@
 // Resilient execution of a sweep batch (DESIGN.md §8).
 //
-// run_resilient() wraps the plain SweepEngine fan-out with the three
-// protections long campaigns need:
+// run_resilient() runs a batch of scenarios in order, in the calling
+// thread, with the three protections long campaigns need:
 //
-//   * a per-scenario watchdog -- scenarios run against a CancelToken and
-//     a wall-clock deadline; one that overruns is cancelled cooperatively
-//     and recorded `timed_out` without poisoning the batch;
+//   * a per-scenario deadline -- each scenario polls a CancelToken that
+//     expires a wall-clock deadline after the scenario started; one that
+//     overruns bails out and is recorded `timed_out` without poisoning
+//     the batch;
 //   * a retry taxonomy -- transient failures retry with deterministic
 //     backoff, permanent/poison failures are quarantined and the batch
 //     continues;
 //   * a failure budget -- once too many scenarios of this call have
-//     failed, the pool's abort flag stops new work and the run ends
+//     failed, the indices left are not run and the run ends
 //     kBudgetExceeded.
+//
+// Parallelism is not here: the campaign service (campaign/service.hpp)
+// gets it from worker processes, each running its chunks through this.
 //
 // Durability and resume belong to the campaign coordinator
 // (campaign/service.hpp), which owns the only journal: its local runner
@@ -42,9 +46,28 @@ const char* to_string(RunOutcome o);
 /// budget (see the table in fault/taxonomy.hpp and README).
 int exit_code(RunOutcome o);
 
+/// Cooperative cancellation for one scenario: a wall-clock deadline,
+/// armed when the scenario starts and shared by its retries.  The
+/// scenario polls cancelled() at safe points and bails out by throwing;
+/// nothing preempts a scenario that never polls.
+class CancelToken {
+ public:
+  /// Expires `budget` from now.  A zero or negative budget is no deadline:
+  /// the token never reads the clock.  A budget too large to add to the
+  /// clock never expires.
+  explicit CancelToken(std::chrono::milliseconds budget);
+
+  bool cancelled() const noexcept {
+    return deadline_ && std::chrono::steady_clock::now() > *deadline_;
+  }
+
+ private:
+  std::optional<std::chrono::steady_clock::time_point> deadline_;
+};
+
 struct ResilientConfig {
   RetryPolicy retry{};
-  /// Per-scenario wall-clock deadline; zero disables the watchdog.
+  /// Per-scenario wall-clock deadline; zero disables it.
   std::chrono::milliseconds deadline{0};
   /// Abort once more than this many scenarios of one call have failed
   /// (timed out or quarantined); negative = unlimited.
@@ -79,16 +102,17 @@ struct ResilientReport {
   void log() const;
 };
 
-/// Run scenarios 0..n-1 under the resilience protocol, in memory: the
-/// single-process reference a campaign of any fleet shape must match.
-ResilientReport run_resilient(SweepEngine& eng, int n,
-                              const ResilientScenario& fn,
+/// Run scenarios 0..n-1 in order, in the calling thread, under the
+/// resilience protocol, in memory: the single-process reference a
+/// campaign of any fleet shape must match.
+ResilientReport run_resilient(int n, const ResilientScenario& fn,
                               const ResilientConfig& cfg = {});
 
-/// Shard-range variant: run only `indices` (each unique, in [0, n)) of an
-/// n-scenario campaign; entries land at their global index, and indices
-/// not requested stay nullopt and are not counted.  `not_run` counts the
-/// requested indices a budget abort skipped.
+/// Shard-range variant: run only `indices` (each unique, in [0, n)), in
+/// the order given, of an n-scenario campaign; entries land at their
+/// global index, and indices not requested stay nullopt and are not
+/// counted.  `not_run` counts the requested indices a budget abort
+/// skipped.
 ///
 /// `journal`, when given, is only a sink: each finished entry is appended
 /// to it before the run moves on.  It must be scoped to the whole
@@ -97,8 +121,7 @@ ResilientReport run_resilient(SweepEngine& eng, int n,
 /// The campaign service runs every worker chunk through this with no
 /// journal and no failure budget, and its local runner with the
 /// campaign's one journal and the budget the campaign has left.
-ResilientReport run_resilient_indices(SweepEngine& eng, int n,
-                                      const std::vector<int>& indices,
+ResilientReport run_resilient_indices(int n, const std::vector<int>& indices,
                                       const ResilientScenario& fn,
                                       SweepJournal* journal,
                                       const ResilientConfig& cfg = {});

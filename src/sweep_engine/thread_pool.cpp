@@ -51,14 +51,12 @@ ThreadPool::~ThreadPool() {
 }
 
 std::vector<std::exception_ptr> ThreadPool::for_each_index(
-    int n, const std::function<void(int)>& fn,
-    const std::atomic<bool>* abort) {
+    int n, const std::function<void(int)>& fn) {
   RR_EXPECTS(n >= 0);
   if (n == 0) return {};
   auto batch = std::make_shared<Batch>();
   batch->fn = fn;
   batch->n = n;
-  batch->abort = abort;
   batch->errors.resize(static_cast<std::size_t>(n));
   batch->submitted = std::chrono::steady_clock::now();
   PoolMetrics::instance().batches.inc();
@@ -98,14 +96,6 @@ void ThreadPool::worker_loop() {
     while (true) {
       const int i = batch->next.fetch_add(1, std::memory_order_relaxed);
       if (i >= batch->n) break;
-      if (batch->abort && batch->abort->load(std::memory_order_acquire)) {
-        // Drain without running: the caller distinguishes "never ran"
-        // (BatchAborted) from a scenario's own failure.
-        batch->errors[static_cast<std::size_t>(i)] =
-            std::make_exception_ptr(BatchAborted());
-        ++completed;
-        continue;
-      }
       PoolMetrics& pm = PoolMetrics::instance();
       const auto t0 = std::chrono::steady_clock::now();
       pm.queue_wait_us.observe(

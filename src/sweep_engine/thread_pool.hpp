@@ -1,8 +1,9 @@
-// Fixed-size worker pool used by the scenario-sweep engine.  The only
-// operation is an indexed batch: run fn(i) for every i in [0, n), with
-// workers claiming indices from a shared atomic counter.  Per-index
-// exceptions are captured into their own slot, so one failing scenario
-// never poisons the rest of the batch.
+// Fixed-size worker pool used by the scenario-sweep engine, and the only
+// code in src/ that starts a thread.  The only operation is an indexed
+// batch: run fn(i) for every i in [0, n), with workers claiming indices
+// from a shared atomic counter.  Per-index exceptions are captured into
+// their own slot, so one failing scenario never poisons the rest of the
+// batch.
 #pragma once
 
 #include <atomic>
@@ -12,33 +13,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
 namespace rr::engine {
-
-/// Cooperative cancellation flag for one scenario.  A watchdog (or any
-/// other thread) calls cancel(); the scenario polls cancelled() at safe
-/// points and bails out by throwing.  Nothing here preempts a scenario
-/// that never polls -- cancellation is strictly cooperative.
-class CancelToken {
- public:
-  bool cancelled() const noexcept {
-    return flag_.load(std::memory_order_acquire);
-  }
-  void cancel() noexcept { flag_.store(true, std::memory_order_release); }
-
- private:
-  std::atomic<bool> flag_{false};
-};
-
-/// Captured into the error slot of every index a worker claimed after the
-/// batch's abort flag was raised: the scenario never ran.
-class BatchAborted : public std::runtime_error {
- public:
-  BatchAborted() : std::runtime_error("batch aborted before this index ran") {}
-};
 
 class ThreadPool {
  public:
@@ -54,16 +32,8 @@ class ThreadPool {
   /// Run fn(i) for i = 0..n-1 across the workers; blocks until every
   /// index has run exactly once.  Returns one entry per index: nullptr
   /// on success, the captured exception otherwise.  Not reentrant.
-  ///
-  /// `abort`, if given, is polled before each claim: once it reads true,
-  /// workers stop running scenarios and drain the remaining indices with
-  /// BatchAborted errors instead -- the clean way for a failure-budget
-  /// watchdog to stop a batch without losing the per-index accounting.
-  /// Indices already running are unaffected (cancel them via their
-  /// CancelToken); the call still blocks until they return.
   std::vector<std::exception_ptr> for_each_index(
-      int n, const std::function<void(int)>& fn,
-      const std::atomic<bool>* abort = nullptr);
+      int n, const std::function<void(int)>& fn);
 
  private:
   // Each for_each_index call owns one heap-allocated Batch, shared with
@@ -75,7 +45,6 @@ class ThreadPool {
     std::function<void(int)> fn;
     int n = 0;
     std::atomic<int> next{0};
-    const std::atomic<bool>* abort = nullptr;  ///< optional caller-owned flag
     int done = 0;  ///< completed indices; guarded by the pool mutex
     std::vector<std::exception_ptr> errors;
     /// Submission stamp: each index's queue wait (claim time minus this)

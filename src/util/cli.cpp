@@ -62,6 +62,18 @@ std::int64_t CliParser::get_int(const std::string& name, std::int64_t fallback) 
   return v;
 }
 
+int CliParser::get_int(const std::string& name, int fallback, int lo,
+                       int hi) const {
+  const std::int64_t v = get_int(name, fallback);
+  if (v < lo || v > hi) {
+    const std::string* text = find(name);
+    usage_error(name + "=" + (text ? *text : std::to_string(v)),
+                "out of range [" + std::to_string(lo) + ", " +
+                    std::to_string(hi) + "]");
+  }
+  return static_cast<int>(v);
+}
+
 double CliParser::get_double(const std::string& name, double fallback) const {
   const std::string* text = find(name);
   if (!text) return fallback;
@@ -71,7 +83,8 @@ double CliParser::get_double(const std::string& name, double fallback) const {
   return v;
 }
 
-void CliParser::usage_error(const std::string& flag, const char* what) const {
+void CliParser::usage_error(const std::string& flag,
+                            const std::string& what) const {
   std::cerr << program_ << ": --" << flag << ": " << what << "\n";
   std::exit(kUsageExitCode);
 }

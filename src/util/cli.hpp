@@ -39,6 +39,12 @@ class CliParser {
   /// "<program>: --<name>=<value>: not an integer" to stderr and exits
   /// with kUsageExitCode.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// get_int() held to [lo, hi]: a value outside it -- the one given, or
+  /// the fallback when the flag is absent and the range depends on other
+  /// flags -- prints "<program>: --<name>=<value>: out of range [lo, hi]"
+  /// to stderr and exits with kUsageExitCode.  The bounds are ints, so the
+  /// value narrows without loss.
+  int get_int(const std::string& name, int fallback, int lo, int hi) const;
   /// The flag as a double: one complete finite decimal number ("0.05",
   /// "1e-3", "-1"); anything else exits the same way, "not a number".
   double get_double(const std::string& name, double fallback) const;
@@ -52,7 +58,7 @@ class CliParser {
   /// The given value of declared flag `name`, or null when absent.
   const std::string* find(const std::string& name) const;
   [[noreturn]] void usage_error(const std::string& flag,
-                                const char* what) const;
+                                const std::string& what) const;
 
   std::string program_;
   std::set<std::string> names_;

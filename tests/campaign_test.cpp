@@ -83,10 +83,9 @@ campaign::CampaignSpec make_spec(const std::string& salt, int scenarios) {
 /// The single-process reference bytes for a spec (no journal on disk).
 std::string reference_bytes(const campaign::CampaignSpec& spec,
                             const engine::ResilientScenario& fn) {
-  engine::SweepEngine eng({1});
   engine::ResilientConfig rcfg;
   rcfg.base_seed = spec.base_seed;
-  const auto report = engine::run_resilient(eng, spec.scenarios, fn, rcfg);
+  const auto report = engine::run_resilient(spec.scenarios, fn, rcfg);
   std::ostringstream os;
   engine::write_entries_jsonl(report.entries, os);
   return os.str();
@@ -393,21 +392,35 @@ TEST(CampaignService, IdleWorkersStealFromLoadedShards) {
   GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
 #else
   const auto spec = make_spec("steal", 12);
-  // Asymmetric load: the first shard's half is slow, the second's is
-  // instant, so the fast worker goes idle while the slow shard still
-  // holds unstarted indices -- the steal window.
-  const engine::ResilientScenario fn = [](int i,
-                                          const engine::CancelToken&) {
-    if (i < 6) std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    return scenario_metrics(i);
-  };
-  const std::string golden = reference_bytes(spec, fn);
+  const std::string golden = reference_bytes(spec, plain_fn());
 
   campaign::ServiceConfig cfg;
   cfg.workers = 2;
   cfg.chunk = 1;
   cfg.heartbeat = std::chrono::milliseconds(5);
   cfg.work_dir = tmp_dir("campaign-steal");
+  // Shard 0 owns 0-5 and shard 1 owns 6-11.  The steal window opens on
+  // journal events, not a clock: index 0 waits until the coordinator has
+  // journaled 11, the fast shard's last, and index 1 until it has
+  // journaled 0.  The coordinator journals 11, finds shard 1 idle and
+  // sends shard 0 a steal request before it reads shard 0's frame for
+  // index 0, so the request is waiting when shard 0 next drains its
+  // control frames, after index 1, with four indices still unstarted.
+  // (A wait gives up after 10 s rather than hang.)
+  const std::string journal = cfg.work_dir + "/campaign.jsonl";
+  const auto wait_until_journaled = [journal](int index) {
+    const std::string record = "{\"index\":" + std::to_string(index) + ",";
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (read_file(journal).find(record) == std::string::npos &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  const engine::ResilientScenario fn = [&](int i, const engine::CancelToken&) {
+    if (i == 0) wait_until_journaled(11);
+    if (i == 1) wait_until_journaled(0);
+    return scenario_metrics(i);
+  };
   const auto result = campaign::run_campaign(spec, fn, cfg);
   EXPECT_EQ(result.outcome, engine::RunOutcome::kClean);
   EXPECT_GE(result.stats.steal_requests, 1);
@@ -427,11 +440,10 @@ TEST(CampaignService, ReusedWorkDirResumesInsteadOfRecomputing) {
     const std::string work =
         tmp_dir("campaign-resume-" + std::to_string(workers));
     {
-      engine::SweepEngine eng({1});
       engine::SweepJournal journal(work + "/campaign.jsonl", spec.params, 10);
       engine::ResilientConfig rcfg;
       rcfg.base_seed = spec.base_seed;
-      ASSERT_EQ(engine::run_resilient_indices(eng, 10, {0, 1, 2}, plain_fn(),
+      ASSERT_EQ(engine::run_resilient_indices(10, {0, 1, 2}, plain_fn(),
                                               &journal, rcfg)
                     .ok,
                 3);
@@ -461,11 +473,10 @@ TEST(CampaignService, ResumeReadsJournalsOfShardsThisRunDoesNotSpawn) {
     const std::string work =
         tmp_dir("campaign-resume-shape-" + std::to_string(workers));
     {
-      engine::SweepEngine eng({1});
       engine::SweepJournal journal(work + "/campaign.jsonl", spec.params, 10);
       engine::ResilientConfig rcfg;
       rcfg.base_seed = spec.base_seed;
-      ASSERT_EQ(engine::run_resilient_indices(eng, 10, {7, 8, 9}, plain_fn(),
+      ASSERT_EQ(engine::run_resilient_indices(10, {7, 8, 9}, plain_fn(),
                                               &journal, rcfg)
                     .ok,
                 3);
@@ -612,12 +623,10 @@ TEST(CampaignService, DegradedAndBudgetOutcomesFollowTheExitCodeContract) {
   // in-process runner, handed what is left of it, stops there.
   const std::string work = tmp_dir("campaign-budget-resumed");
   {
-    engine::SweepEngine eng({1});
     engine::SweepJournal journal(work + "/campaign.jsonl", bspec.params, 8);
     engine::ResilientConfig rcfg;
     rcfg.base_seed = bspec.base_seed;
-    ASSERT_EQ(engine::run_resilient_indices(eng, 8, {1}, two_fail, &journal,
-                                            rcfg)
+    ASSERT_EQ(engine::run_resilient_indices(8, {1}, two_fail, &journal, rcfg)
                   .quarantined,
               1);
   }
@@ -804,11 +813,10 @@ TEST(ShardRuns, WorkerJournalResumesBitExactlyInProcess) {
   const std::string work = tmp_dir("campaign-takeover");
   const std::string path = work + "/campaign.jsonl";
   {
-    engine::SweepEngine eng({2});
     engine::SweepJournal journal(path, spec.params, n);
     engine::ResilientConfig rcfg;
     rcfg.base_seed = spec.base_seed;
-    ASSERT_EQ(engine::run_resilient_indices(eng, n, {0, 1, 4}, plain_fn(),
+    ASSERT_EQ(engine::run_resilient_indices(n, {0, 1, 4}, plain_fn(),
                                             &journal, rcfg)
                   .ok,
               3);

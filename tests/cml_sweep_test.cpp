@@ -51,17 +51,6 @@ TEST(CmlSweep, FluxesBitwiseIdenticalToSerial) {
   EXPECT_NEAR(over_cml.sweep.leakage, serial.leakage, 1e-12 * serial.leakage);
 }
 
-TEST(CmlSweep, MatchesThreadedKbaExactly) {
-  const Problem p = tiny_problem();
-  const std::vector<double> emission(p.cells(), 2.5);
-  const KbaConfig cfg{4, 2, 4};
-  const SweepResult threads = sweep_once_kba(p, emission, cfg);
-  CmlSweepFixture f;
-  const CmlSweepResult over_cml = sweep_once_cml(p, emission, cfg, f.world, spe_rate());
-  for (std::size_t c = 0; c < threads.scalar_flux.size(); ++c)
-    ASSERT_EQ(over_cml.sweep.scalar_flux[c], threads.scalar_flux[c]) << c;
-}
-
 TEST(CmlSweep, SimulatedTimeIsPositiveAndDeterministic) {
   const Problem p = tiny_problem();
   const std::vector<double> emission(p.cells(), 1.0);
@@ -123,6 +112,50 @@ TEST(CmlSweep, CrossNodeRanksStillBitwiseCorrect) {
   const SweepResult serial = sweep_once(p, emission);
   for (std::size_t c = 0; c < serial.scalar_flux.size(); ++c)
     ASSERT_EQ(r.sweep.scalar_flux[c], serial.scalar_flux[c]);
+}
+
+// The KBA decomposition is exact: every rank grid that divides the
+// problem sweeps bitwise-identically to the serial solver.
+class KbaDecompositions : public ::testing::TestWithParam<KbaConfig> {};
+
+TEST_P(KbaDecompositions, BitwiseIdenticalToSerial) {
+  const Problem p = tiny_problem();
+  const std::vector<double> emission(p.cells(), 1.0);
+  const SweepResult serial = sweep_once(p, emission);
+  CmlSweepFixture f;
+  const SweepResult par =
+      sweep_once_cml(p, emission, GetParam(), f.world, spe_rate()).sweep;
+  ASSERT_EQ(par.scalar_flux.size(), serial.scalar_flux.size());
+  for (std::size_t c = 0; c < serial.scalar_flux.size(); ++c)
+    ASSERT_EQ(par.scalar_flux[c], serial.scalar_flux[c]) << "cell " << c;
+  EXPECT_EQ(par.fixups, serial.fixups);
+  EXPECT_NEAR(par.leakage, serial.leakage, 1e-12 * serial.leakage);
+}
+
+INSTANTIATE_TEST_SUITE_P(Decompositions, KbaDecompositions,
+                         ::testing::Values(KbaConfig{1, 1, 1},
+                                           KbaConfig{2, 1, 2},
+                                           KbaConfig{1, 2, 4},
+                                           KbaConfig{2, 2, 2},
+                                           KbaConfig{4, 2, 8},
+                                           KbaConfig{2, 4, 1},
+                                           KbaConfig{4, 4, 4}),
+                         [](const auto& inf) {
+                           return "px" + std::to_string(inf.param.px) + "py" +
+                                  std::to_string(inf.param.py) + "mk" +
+                                  std::to_string(inf.param.mk);
+                         });
+
+TEST(KbaSolve, RejectsNonDividingDecomposition) {
+  Problem p = tiny_problem();
+  p.nx = p.ny = p.nz = 7;
+  const std::vector<double> emission(p.cells(), 1.0);
+  EXPECT_DEATH(
+      {
+        CmlSweepFixture f;
+        sweep_once_cml(p, emission, KbaConfig{2, 1, 1}, f.world, spe_rate());
+      },
+      "Precondition");
 }
 
 }  // namespace

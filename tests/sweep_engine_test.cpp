@@ -3,7 +3,7 @@
 // (memcmp over the doubles, not a tolerance), and the result order is
 // keyed by scenario index regardless of completion order.  Plus the
 // resilient runtime (DESIGN.md §8): journal round trips, torn-tail
-// recovery, watchdog timeouts, the retry taxonomy, and the failure
+// recovery, deadline timeouts, the retry taxonomy, and the failure
 // budget.  Resume from a journal is the campaign coordinator's, tested
 // in campaign_test.
 #include <gtest/gtest.h>
@@ -454,35 +454,16 @@ TEST(SweepJournal, GroupAppendIsAllOrNothingAndReopensRecordByRecord) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool abort flag
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, PreArmedAbortDrainsEveryIndexWithoutRunningAny) {
-  engine::ThreadPool pool(3);
-  std::atomic<bool> abort{true};
-  std::atomic<int> ran{0};
-  const auto errors = pool.for_each_index(
-      10, [&](int) { ran.fetch_add(1, std::memory_order_relaxed); }, &abort);
-  EXPECT_EQ(ran.load(), 0);
-  ASSERT_EQ(errors.size(), 10u);
-  for (const auto& err : errors) {
-    ASSERT_NE(err, nullptr);
-    EXPECT_THROW(std::rethrow_exception(err), engine::BatchAborted);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Resilient runner: retry taxonomy, watchdog, failure budget
+// Resilient runner: retry taxonomy, deadline, failure budget
 // ---------------------------------------------------------------------------
 
 TEST(ResilientRun, TransientFailuresRetryToSuccess) {
-  engine::SweepEngine eng({2});
   engine::ResilientConfig rc;
   rc.retry.max_attempts = 3;
   rc.retry.initial_backoff_us = 50.0;
   std::atomic<int> tries{0};
   const auto report = engine::run_resilient(
-      eng, 5,
+      5,
       [&](int i, const engine::CancelToken&) {
         if (i == 2 && tries.fetch_add(1, std::memory_order_acq_rel) < 2)
           throw engine::TransientError("flaky");
@@ -505,18 +486,16 @@ TEST(ResilientRun, MetricsCountRetriesAndOutcomes) {
   const std::uint64_t ok0 = reg.counter("sweep.ok").value();
   const std::uint64_t retries0 = reg.counter("sweep.retries").value();
   const std::uint64_t quarantined0 = reg.counter("sweep.quarantined").value();
-  const std::uint64_t indices0 = reg.counter("pool.indices_run").value();
   auto& backoff = reg.histogram("sweep.backoff_us", obs::latency_bounds_us());
   const std::uint64_t backoff0 = backoff.count();
   const double backoff_sum0 = backoff.sum();
 
-  engine::SweepEngine eng({2});
   engine::ResilientConfig rc;
   rc.retry.max_attempts = 3;
   rc.retry.initial_backoff_us = 10.0;
   std::atomic<int> tries{0};
   const auto report = engine::run_resilient(
-      eng, 5,
+      5,
       [&](int i, const engine::CancelToken&) {
         if (i == 2 && tries.fetch_add(1, std::memory_order_acq_rel) < 2)
           throw engine::TransientError("flaky");
@@ -530,18 +509,14 @@ TEST(ResilientRun, MetricsCountRetriesAndOutcomes) {
   EXPECT_EQ(reg.counter("sweep.ok").value() - ok0, 4u);
   EXPECT_EQ(reg.counter("sweep.retries").value() - retries0, 2u);
   EXPECT_EQ(reg.counter("sweep.quarantined").value() - quarantined0, 1u);
-  // Retries happen inside a single pool dispatch, so the pool sees
-  // exactly one run per scenario index.
-  EXPECT_EQ(reg.counter("pool.indices_run").value() - indices0, 5u);
   // Every retry records its backoff (10us, then 20us doubled).
   EXPECT_EQ(backoff.count() - backoff0, 2u);
   EXPECT_GE(backoff.sum() - backoff_sum0, 10.0);
 }
 
 TEST(ResilientRun, PermanentAndPoisonFailuresAreQuarantinedNotRetried) {
-  engine::SweepEngine eng({2});
   const auto report = engine::run_resilient(
-      eng, 5,
+      5,
       [](int i, const engine::CancelToken&) {
         if (i == 1) throw std::runtime_error("bad input");  // unknown type
         if (i == 3) throw 42;  // not even an exception
@@ -561,11 +536,10 @@ TEST(ResilientRun, PermanentAndPoisonFailuresAreQuarantinedNotRetried) {
 }
 
 TEST(ResilientRun, WatchdogTimesOutOverrunWithoutPoisoningBatch) {
-  engine::SweepEngine eng({2});
   engine::ResilientConfig rc;
   rc.deadline = std::chrono::milliseconds(60);
   const auto report = engine::run_resilient(
-      eng, 4,
+      4,
       [](int i, const engine::CancelToken& cancel) {
         if (i == 1) {
           const auto t0 = std::chrono::steady_clock::now();
@@ -587,13 +561,12 @@ TEST(ResilientRun, WatchdogTimesOutOverrunWithoutPoisoningBatch) {
 }
 
 TEST(ResilientRun, FailureBudgetAbortsCleanly) {
-  // One worker makes the claim order deterministic: scenarios 0 and 1
-  // fail, the budget (1) trips, and the pool drains the rest unrun.
-  engine::SweepEngine eng({1});
+  // Scenarios run in index order: 0 and 1 fail, the budget (1) trips,
+  // and the rest count as not run.
   engine::ResilientConfig rc;
   rc.failure_budget = 1;
   const auto report = engine::run_resilient(
-      eng, 8,
+      8,
       [](int, const engine::CancelToken&) -> Json {
         throw engine::PermanentError("always fails");
       },
@@ -603,6 +576,95 @@ TEST(ResilientRun, FailureBudgetAbortsCleanly) {
   EXPECT_FALSE(report.entries.back().has_value());
   EXPECT_EQ(report.outcome, engine::RunOutcome::kBudgetExceeded);
   EXPECT_EQ(report.exit_code(), 4);
+}
+
+TEST(ResilientRun, ScenariosRunInOrderOnTheCallersThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  const auto report = engine::run_resilient(
+      4,
+      [&](int i, const engine::CancelToken&) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+        return demo_metrics(i);
+      },
+      {});
+  EXPECT_EQ(report.ok, 4);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+
+  // A shard-range run keeps the order it was given.
+  order.clear();
+  const auto subset = engine::run_resilient_indices(
+      6, {4, 1, 5},
+      [&](int i, const engine::CancelToken&) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+        return demo_metrics(i);
+      },
+      nullptr);
+  EXPECT_EQ(subset.ok, 3);
+  EXPECT_EQ(order, (std::vector<int>{4, 1, 5}));
+}
+
+TEST(ResilientRun, DeadlineCostsNoIdleTime) {
+  // A deadline is a clock comparison when a scenario polls, not something
+  // the call waits on: instant scenarios return at once however long it is.
+  engine::ResilientConfig rc;
+  rc.deadline = std::chrono::seconds(60);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto report = engine::run_resilient(
+      4,
+      [](int i, const engine::CancelToken& cancel) {
+        EXPECT_FALSE(cancel.cancelled());
+        return demo_metrics(i);
+      },
+      rc);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  EXPECT_EQ(report.ok, 4);
+  EXPECT_EQ(report.outcome, engine::RunOutcome::kClean);
+}
+
+TEST(ResilientRun, DeadlineTooLargeForTheClockNeverFires) {
+  // milliseconds::max() cannot be added to the steady clock: it means "no
+  // deadline", and arming it must not overflow (UBSan checks).
+  engine::ResilientConfig rc;
+  rc.deadline = std::chrono::milliseconds::max();
+  const auto report = engine::run_resilient(
+      3,
+      [](int i, const engine::CancelToken& cancel) {
+        EXPECT_FALSE(cancel.cancelled());
+        return demo_metrics(i);
+      },
+      rc);
+  EXPECT_EQ(report.ok, 3);
+  EXPECT_EQ(report.outcome, engine::RunOutcome::kClean);
+}
+
+TEST(ResilientRun, BackoffPastTheDeadlineEndsTimedOut) {
+  // Retries share the deadline armed when the scenario started, so a
+  // backoff that outlasts it leaves the next attempt already cancelled.
+  engine::ResilientConfig rc;
+  rc.deadline = std::chrono::milliseconds(200);
+  rc.retry.max_attempts = 5;
+  rc.retry.initial_backoff_us = 250'000.0;
+  rc.retry.max_backoff_us = 250'000.0;
+  int attempts = 0;
+  const auto report = engine::run_resilient(
+      2,
+      [&](int i, const engine::CancelToken& cancel) -> Json {
+        if (i == 1) return demo_metrics(i);
+        ++attempts;
+        if (cancel.cancelled()) throw engine::TransientError("cancelled");
+        throw engine::TransientError("flaky");
+      },
+      rc);
+  EXPECT_EQ(attempts, 2);
+  ASSERT_TRUE(report.entries[0].has_value());
+  EXPECT_EQ(report.entries[0]->status, engine::ScenarioStatus::kTimedOut);
+  EXPECT_EQ(report.entries[0]->attempts, 2);
+  EXPECT_EQ(report.timed_out, 1);
+  EXPECT_EQ(report.ok, 1);
+  EXPECT_EQ(report.outcome, engine::RunOutcome::kDegraded);
 }
 
 // ---------------------------------------------------------------------------
@@ -618,13 +680,12 @@ TEST(ShardRuns, CampaignHexIsStableLowercasePadded) {
 
 TEST(ShardRuns, IndicesSubsetRunsOnlyRequestedSlots) {
   const std::string path = tmp_path("journal-subset");
-  engine::SweepEngine eng({2});
   engine::SweepJournal journal(path, demo_params(), 6);
   const auto fn = [](int i, const engine::CancelToken&) {
     return demo_metrics(i);
   };
   const auto report =
-      engine::run_resilient_indices(eng, 6, {1, 3, 5}, fn, &journal, {});
+      engine::run_resilient_indices(6, {1, 3, 5}, fn, &journal, {});
   EXPECT_EQ(report.ok, 3);
   EXPECT_EQ(report.not_run, 0);
   ASSERT_EQ(report.entries.size(), 6u);

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "sweep/kba.hpp"
 #include "sweep/quadrature.hpp"
 #include "sweep/schedule.hpp"
 #include "sweep/solver.hpp"
@@ -158,63 +157,6 @@ TEST(SerialSweep, SourceLinearity) {
   for (std::size_t c = 0; c < p.cells(); c += 37)
     EXPECT_NEAR(r2.scalar_flux[c], 2.0 * r1.scalar_flux[c],
                 1e-6 * r2.scalar_flux[c]);
-}
-
-// ---------------------------------------------------------------------------
-// KBA parallel solver
-// ---------------------------------------------------------------------------
-
-struct KbaCase {
-  int px, py, mk;
-};
-
-class KbaDecompositions : public ::testing::TestWithParam<KbaCase> {};
-
-TEST_P(KbaDecompositions, BitwiseIdenticalToSerial) {
-  const auto [px, py, mk] = GetParam();
-  const Problem p = small_problem(8);
-  const std::vector<double> emission(p.cells(), 1.0);
-  const SweepResult serial = sweep_once(p, emission);
-  const SweepResult par = sweep_once_kba(p, emission, KbaConfig{px, py, mk});
-  ASSERT_EQ(par.scalar_flux.size(), serial.scalar_flux.size());
-  for (std::size_t c = 0; c < serial.scalar_flux.size(); ++c)
-    ASSERT_EQ(par.scalar_flux[c], serial.scalar_flux[c]) << "cell " << c;
-  EXPECT_EQ(par.fixups, serial.fixups);
-  EXPECT_NEAR(par.leakage, serial.leakage, 1e-12 * serial.leakage);
-}
-
-INSTANTIATE_TEST_SUITE_P(Decompositions, KbaDecompositions,
-                         ::testing::Values(KbaCase{1, 1, 1}, KbaCase{2, 1, 2},
-                                           KbaCase{1, 2, 4}, KbaCase{2, 2, 2},
-                                           KbaCase{4, 2, 8}, KbaCase{2, 4, 1},
-                                           KbaCase{4, 4, 4}),
-                         [](const auto& inf) {
-                           return "px" + std::to_string(inf.param.px) + "py" +
-                                  std::to_string(inf.param.py) + "mk" +
-                                  std::to_string(inf.param.mk);
-                         });
-
-TEST(KbaSolve, ConvergedSolutionMatchesSerial) {
-  const Problem p = small_problem(8);
-  const SolveResult serial = solve(p, 1e-9);
-  const SolveResult par = solve_kba(p, KbaConfig{2, 2, 2}, 1e-9);
-  ASSERT_TRUE(par.converged);
-  EXPECT_EQ(par.iterations, serial.iterations);
-  for (std::size_t c = 0; c < p.cells(); ++c)
-    ASSERT_EQ(par.scalar_flux[c], serial.scalar_flux[c]);
-}
-
-TEST(KbaSolve, BalanceHoldsInParallel) {
-  const Problem p = small_problem(8);
-  const SolveResult r = solve_kba(p, KbaConfig{2, 2, 4}, 1e-10, 500);
-  ASSERT_TRUE(r.converged);
-  EXPECT_LT(balance_residual(p, r), 1e-7);
-}
-
-TEST(KbaSolve, RejectsNonDividingDecomposition) {
-  const Problem p = small_problem(7);
-  const std::vector<double> emission(p.cells(), 1.0);
-  EXPECT_DEATH(sweep_once_kba(p, emission, KbaConfig{2, 1, 1}), "Precondition");
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -242,11 +243,24 @@ TEST(Cli, WellFormedNumbersStillParse) {
   EXPECT_DOUBLE_EQ(cli.get_double("eps", 0.0), 1e-3);
 }
 
+TEST(Cli, RangedIntsAcceptTheirBoundsAndFallback) {
+  const char* argv[] = {"prog", "--lo=-1", "--hi=2147483647"};
+  const CliParser cli(3, argv, {"lo", "hi", "missing"});
+  EXPECT_EQ(cli.get_int("lo", 0, -1, 5), -1);
+  EXPECT_EQ(cli.get_int("hi", 0, 0, INT_MAX), INT_MAX);
+  EXPECT_EQ(cli.get_int("missing", 3, 0, 4), 3);
+}
+
 namespace {
 
 std::int64_t int_flag(const char* arg) {
   const char* argv[] = {"prog", arg};
   return CliParser(2, argv, {"workers"}).get_int("workers", 1);
+}
+
+int ranged_int_flag(const char* arg) {
+  const char* argv[] = {"prog", arg};
+  return CliParser(2, argv, {"workers"}).get_int("workers", 1, 0, INT_MAX);
 }
 
 double double_flag(const char* arg) {
@@ -273,6 +287,30 @@ TEST(CliDeathTest, MalformedNumbersAreUsageErrors) {
   EXPECT_EXIT(double_flag("--rate=0.05x"), usage,
               "prog: --rate=0.05x: not a number");
   EXPECT_EXIT(double_flag("--rate="), usage, "prog: --rate=: not a number");
+}
+
+// A well-formed number outside the range its flag's code needs is a
+// usage error too, never a silent narrowing (4294967298 is not 2).
+TEST(CliDeathTest, OutOfRangeNumbersAreUsageErrors) {
+  const auto usage = ::testing::ExitedWithCode(CliParser::kUsageExitCode);
+  EXPECT_EXIT(ranged_int_flag("--workers=4294967298"), usage,
+              "prog: --workers=4294967298: out of range \\[0, 2147483647\\]");
+  EXPECT_EXIT(ranged_int_flag("--workers=2147483648"), usage,
+              "prog: --workers=2147483648: out of range");
+  EXPECT_EXIT(ranged_int_flag("--workers=-2"), usage,
+              "prog: --workers=-2: out of range");
+  EXPECT_EXIT(ranged_int_flag("--workers=-9223372036854775808"), usage,
+              "prog: --workers=-9223372036854775808: out of range");
+  // Malformed is still malformed, whatever the range.
+  EXPECT_EXIT(ranged_int_flag("--workers=abc"), usage,
+              "prog: --workers=abc: not an integer");
+  EXPECT_EQ(ranged_int_flag("--workers=0"), 0);
+  // A range that depends on other flags can exclude an absent flag's
+  // fallback: the value the program would use is reported the same way.
+  const char* argv[] = {"prog"};
+  const CliParser cli(1, argv, {"workers"});
+  EXPECT_EXIT((void)cli.get_int("workers", 5, 0, 4), usage,
+              "prog: --workers=5: out of range \\[0, 4\\]");
 }
 
 // A flag the binary does not read is a usage error too, never ignored: a
