@@ -10,8 +10,9 @@
 //                        linear-scan ReferenceSimulator;
 //   * cancel-heavy    -- 50% of events cancelled while pending, plus
 //                        cancel-after-fire churn on every prior batch
-//                        (the PR-3 watchdog/ReliableChannel pattern that
-//                        made the old cancel list grow without bound).
+//                        (a failure cancelling sim::InterruptibleProcess's
+//                        pending segment is this pattern; it made the old
+//                        cancel list grow without bound).
 //                        The reference engine runs a scaled-down batch
 //                        count (it is O(events x cancels)) and rates are
 //                        compared; the harness FAILS if the tombstone

@@ -35,6 +35,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using Entries = std::vector<std::optional<engine::JournalEntry>>;
 
+/// Coordinator poll cadence and worker idle-heartbeat period, in ms.
+constexpr int kHeartbeatMs = 50;
+
 // ---------------------------------------------------------------------------
 // Fleet observability plumbing (DESIGN.md §15).
 // ---------------------------------------------------------------------------
@@ -129,9 +132,7 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
       // Drain control frames first: immediately when work is pending,
       // with a heartbeat-long block when idle.
       struct ::pollfd pfd{fd, POLLIN, 0};
-      const int timeout_ms =
-          owned.empty() ? static_cast<int>(cfg.heartbeat.count()) : 0;
-      const int pr = ::poll(&pfd, 1, timeout_ms);
+      const int pr = ::poll(&pfd, 1, owned.empty() ? kHeartbeatMs : 0);
       if (pr > 0 && (pfd.revents & (POLLIN | POLLHUP)) != 0) {
         const std::optional<Json> msg = read_frame(fd);
         if (!msg) break;  // coordinator went away; nothing left to report to
@@ -384,7 +385,7 @@ class Coordinator {
     }
     while (done_count_ < n_ && !abort && any_alive()) {
       rebalance();
-      poll_once(static_cast<int>(cfg_.heartbeat.count()));
+      poll_once(kHeartbeatMs);
       reap();
       if (Clock::now() - last_frame_ > cfg_.fleet_deadline) {
         RR_ERROR("campaign fleet made no progress for "
@@ -699,7 +700,7 @@ class Coordinator {
     }
     const Clock::time_point deadline = Clock::now() + cfg_.fleet_deadline;
     while (any_alive() && Clock::now() < deadline) {
-      poll_once(static_cast<int>(cfg_.heartbeat.count()));
+      poll_once(kHeartbeatMs);
       reap();
     }
     if (any_alive()) {

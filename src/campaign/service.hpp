@@ -68,8 +68,6 @@ struct ServiceConfig {
   /// Indices a worker runs between control-socket polls; also the
   /// minimum remainder worth stealing from.
   int chunk = 4;
-  /// Coordinator poll cadence and worker idle-heartbeat period.
-  std::chrono::milliseconds heartbeat{50};
   /// No frame from any worker for this long => assume the fleet is
   /// wedged, SIGKILL it, and finish the remainder in-process.  The
   /// coordinator-side analogue of the scenario deadline.

@@ -159,21 +159,4 @@ PathModel opteron_mpi_internode(bool sender_near, bool receiver_near, int hops) 
   return PathModel(std::move(stages), RelayMode::kPipelined);
 }
 
-PathModel cell_to_cell_internode(const topo::Topology& t, topo::NodeId src,
-                                 topo::NodeId dst, RelayMode mode) {
-  return cell_to_cell_internode(t.hop_count(src, dst), mode);
-}
-
-PathModel cell_to_cell_allpairs(const topo::Topology& t, topo::NodeId src,
-                                topo::NodeId dst) {
-  return cell_to_cell_allpairs(t.hop_count(src, dst));
-}
-
-PathModel opteron_mpi_internode(bool sender_near, bool receiver_near,
-                                const topo::Topology& t, topo::NodeId src,
-                                topo::NodeId dst) {
-  return opteron_mpi_internode(sender_near, receiver_near,
-                               t.hop_count(src, dst));
-}
-
 }  // namespace rr::comm

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "comm/channel.hpp"
-#include "topo/topology.hpp"
 
 namespace rr::comm {
 
@@ -75,18 +74,5 @@ PathModel cell_to_cell_allpairs(int hops = 3);
 /// Fig. 8 / 9: plain Opteron <-> Opteron MPI over IB.  `sender_near` /
 /// `receiver_near` select HCA proximity of the two cores.
 PathModel opteron_mpi_internode(bool sender_near, bool receiver_near, int hops = 3);
-
-// Topology-aware variants: the MPI leg's crossbar hops come from the
-// machine's own deterministic route between the two endpoints instead of
-// a hardcoded fat-tree hop class, so the same path models price any zoo
-// member (fat tree, torus, dragonfly).
-PathModel cell_to_cell_internode(const topo::Topology& t, topo::NodeId src,
-                                 topo::NodeId dst,
-                                 RelayMode mode = RelayMode::kStoreAndForward);
-PathModel cell_to_cell_allpairs(const topo::Topology& t, topo::NodeId src,
-                                topo::NodeId dst);
-PathModel opteron_mpi_internode(bool sender_near, bool receiver_near,
-                                const topo::Topology& t, topo::NodeId src,
-                                topo::NodeId dst);
 
 }  // namespace rr::comm

@@ -1,7 +1,6 @@
 #include "core/roadrunner.hpp"
 
 #include "arch/calibration.hpp"
-#include "sweep_engine/studies.hpp"
 #include "util/expect.hpp"
 
 namespace rr::core {
@@ -30,38 +29,6 @@ model::LinpackProjection RoadrunnerSystem::linpack() const {
 
 arch::PowerReport RoadrunnerSystem::power() const {
   return arch::estimate_power(spec_, linpack().sustained);
-}
-
-double RoadrunnerSystem::system_mtbf_h(
-    const fault::ReliabilityParams& rel) const {
-  return fault::system_mtbf_h(fault::census(*topo_), rel);
-}
-
-fault::ResiliencePoint RoadrunnerSystem::hpl_resilience(
-    const fault::StudyConfig& cfg) const {
-  return fault::study_point(spec_, *topo_, node_count(),
-                            fault::hpl_fault_free_s(spec_, node_count()), cfg);
-}
-
-std::vector<fault::ResiliencePoint> RoadrunnerSystem::hpl_resilience_sweep(
-    const std::vector<int>& node_counts, const fault::StudyConfig& cfg,
-    int threads) const {
-  engine::SweepEngine eng({threads});
-  return engine::parallel_hpl_study(eng, spec_, *topo_, node_counts, cfg);
-}
-
-std::vector<fault::ResiliencePoint> RoadrunnerSystem::sweep3d_resilience_sweep(
-    const std::vector<int>& node_counts, int iterations,
-    const fault::StudyConfig& cfg, int threads) const {
-  engine::SweepEngine eng({threads});
-  return engine::parallel_sweep_study(eng, spec_, *topo_, node_counts,
-                                      iterations, cfg);
-}
-
-std::vector<model::ScalePoint> RoadrunnerSystem::sweep3d_scaling(
-    const std::vector<int>& node_counts, int threads) const {
-  engine::SweepEngine eng({threads});
-  return engine::parallel_scale_series(eng, node_counts);
 }
 
 }  // namespace rr::core

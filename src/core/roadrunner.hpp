@@ -17,9 +17,7 @@
 #include "arch/power.hpp"
 #include "arch/spec.hpp"
 #include "comm/fabric.hpp"
-#include "fault/resilience_study.hpp"
 #include "model/linpack.hpp"
-#include "model/sweep_model.hpp"
 #include "topo/fat_tree.hpp"
 
 namespace rr::core {
@@ -53,27 +51,6 @@ class RoadrunnerSystem {
   FlopRate peak_dp() const { return spec_.system_peak(arch::Precision::kDouble); }
   model::LinpackProjection linpack() const;
   arch::PowerReport power() const;
-
-  /// Fleet MTBF under the default (or given) per-component failure budget
-  /// (extension; src/fault).
-  double system_mtbf_h(const fault::ReliabilityParams& rel = {}) const;
-
-  /// Expected completion of the full-machine LINPACK run under
-  /// MTBF-driven failures with Young/Daly checkpointing (extension).
-  fault::ResiliencePoint hpl_resilience(const fault::StudyConfig& cfg = {}) const;
-
-  /// Engine-backed parallel sweeps (src/sweep_engine): batches of
-  /// independent scenarios across `threads` workers (0 = hardware
-  /// concurrency), bit-identical to the serial studies for any thread
-  /// count.  The facade is the entry point the benches and examples use.
-  std::vector<fault::ResiliencePoint> hpl_resilience_sweep(
-      const std::vector<int>& node_counts, const fault::StudyConfig& cfg = {},
-      int threads = 0) const;
-  std::vector<fault::ResiliencePoint> sweep3d_resilience_sweep(
-      const std::vector<int>& node_counts, int iterations,
-      const fault::StudyConfig& cfg = {}, int threads = 0) const;
-  std::vector<model::ScalePoint> sweep3d_scaling(
-      const std::vector<int>& node_counts, int threads = 0) const;
 
  private:
   RoadrunnerSystem(arch::SystemSpec spec, topo::FatTree topo);

@@ -12,42 +12,10 @@ namespace {
 
 constexpr double kSecondsPerHour = 3600.0;
 
-/// Weibull scale for a target mean: mean = scale * Gamma(1 + 1/shape).
-double weibull_scale_h(double mtbf_h, double shape) {
-  return mtbf_h / std::tgamma(1.0 + 1.0 / shape);
-}
-
-/// One draw of a Weibull(shape, scale) inter-arrival, in hours.
-double draw_interarrival_h(Rng& rng, double scale_h, double shape) {
+/// One exponential inter-arrival with mean `mtbf_h`, in hours.
+double draw_interarrival_h(Rng& rng, double mtbf_h) {
   const double u = rng.next_double();  // [0, 1)
-  return scale_h * std::pow(-std::log1p(-u), 1.0 / shape);
-}
-
-/// Independent per-component stream: mixes (seed, kind, index) through
-/// SplitMix64 so streams never collide or depend on generation order.
-Rng component_rng(std::uint64_t seed, Component kind, int index) {
-  std::uint64_t s = seed;
-  std::uint64_t h = splitmix64(s);
-  s = h ^ (static_cast<std::uint64_t>(kind) << 32) ^
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(index));
-  h = splitmix64(s);
-  return Rng{h};
-}
-
-void append_component_failures(std::vector<FailureEvent>& out,
-                               Component kind, int index, double mtbf_h,
-                               double shape, double horizon_h,
-                               std::uint64_t seed) {
-  RR_EXPECTS(mtbf_h > 0.0);
-  Rng rng = component_rng(seed, kind, index);
-  const double scale_h = weibull_scale_h(mtbf_h, shape);
-  double t_h = 0.0;
-  while (true) {
-    t_h += draw_interarrival_h(rng, scale_h, shape);
-    if (t_h >= horizon_h) break;
-    out.push_back(FailureEvent{
-        Duration::seconds(t_h * kSecondsPerHour), kind, index});
-  }
+  return mtbf_h * -std::log1p(-u);
 }
 
 }  // namespace
@@ -115,30 +83,6 @@ double system_mtbf_h(const ComponentCounts& counts, const ReliabilityParams& p) 
   return 1.0 / rate;
 }
 
-std::vector<FailureEvent> generate_schedule(const ComponentCounts& counts,
-                                            const ReliabilityParams& p,
-                                            Duration horizon,
-                                            std::uint64_t seed) {
-  RR_EXPECTS(horizon > Duration::zero());
-  RR_EXPECTS(p.weibull_shape > 0.0);
-  const double horizon_h = horizon.sec() / kSecondsPerHour;
-  std::vector<FailureEvent> events;
-  for (int i = 0; i < counts.nodes; ++i)
-    append_component_failures(events, Component::kNode, i, p.node_mtbf_h,
-                              p.weibull_shape, horizon_h, seed);
-  for (int i = 0; i < counts.links; ++i)
-    append_component_failures(events, Component::kIbLink, i, p.link_mtbf_h,
-                              p.weibull_shape, horizon_h, seed);
-  for (int i = 0; i < counts.crossbars; ++i)
-    append_component_failures(events, Component::kCrossbar, i, p.crossbar_mtbf_h,
-                              p.weibull_shape, horizon_h, seed);
-  for (int i = 0; i < counts.switches; ++i)
-    append_component_failures(events, Component::kInterCuSwitch, i,
-                              p.switch_mtbf_h, p.weibull_shape, horizon_h, seed);
-  std::sort(events.begin(), events.end());
-  return events;
-}
-
 std::vector<Duration> generate_system_schedule(double mtbf_h, Duration horizon,
                                                std::uint64_t seed) {
   RR_EXPECTS(mtbf_h > 0.0);
@@ -149,7 +93,7 @@ std::vector<Duration> generate_system_schedule(double mtbf_h, Duration horizon,
   const double horizon_h = horizon.sec() / kSecondsPerHour;
   double t_h = 0.0;
   while (true) {
-    t_h += draw_interarrival_h(rng, mtbf_h, 1.0);
+    t_h += draw_interarrival_h(rng, mtbf_h);
     if (t_h >= horizon_h) break;
     out.push_back(Duration::seconds(t_h * kSecondsPerHour));
   }

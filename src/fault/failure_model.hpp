@@ -4,11 +4,10 @@
 // BlueGene/L treated MTBF as a first-order architectural constraint).
 //
 // Every component class (triblade node, IB cable, crossbar, inter-CU
-// switch) gets a Weibull(shape, scale) renewal process; shape 1.0 is the
-// memoryless exponential.  Each component owns an independent stream
-// seeded from (seed, kind, index) via SplitMix64, so a schedule is
-// bitwise-reproducible, independent of generation order, and stable under
-// horizon extension (a longer horizon appends events, never reshuffles).
+// switch) fails as a memoryless exponential process with its own MTBF.
+// Their superposition is one Poisson stream at the aggregate rate, so a
+// study draws system-level failure times from a single SplitMix64-seeded
+// stream, bitwise-reproducible for a given seed.
 //
 // MTBFs are double hours, not Duration: a 5-year MTBF overflows the
 // int64 picosecond grid.  Event times inside a run horizon fit easily.
@@ -35,9 +34,6 @@ struct ReliabilityParams {
   double link_mtbf_h = 120.0 * 8760.0;      ///< per IB cable
   double crossbar_mtbf_h = 250.0 * 8760.0;  ///< per 24-port crossbar
   double switch_mtbf_h = 25.0 * 8760.0;     ///< per inter-CU ISR 9288
-  /// Weibull shape for every class; 1.0 = exponential, <1 infant
-  /// mortality, >1 wear-out.
-  double weibull_shape = 1.0;
 };
 
 struct ComponentCounts {
@@ -71,17 +67,10 @@ struct FailureEvent {
   friend constexpr auto operator<=>(const FailureEvent&, const FailureEvent&) = default;
 };
 
-/// Every failure in [0, horizon), time-sorted (component/index break ties).
-std::vector<FailureEvent> generate_schedule(const ComponentCounts& counts,
-                                            const ReliabilityParams& p,
-                                            Duration horizon,
-                                            std::uint64_t seed);
-
 /// System-level failure times in [0, horizon): the superposition of all
 /// exponential component processes collapsed into one Poisson stream with
-/// the aggregate rate.  Statistically identical to generate_schedule for
-/// shape 1.0 and O(events) instead of O(components) -- what the
-/// Monte-Carlo studies use.
+/// the aggregate rate (mean inter-arrival `mtbf_h`, see system_mtbf_h)
+/// -- what the Monte-Carlo studies use.
 std::vector<Duration> generate_system_schedule(double mtbf_h, Duration horizon,
                                                std::uint64_t seed);
 

@@ -1,12 +1,9 @@
-// Shared failure taxonomy and deterministic backoff shape.
+// Shared failure taxonomy and exit-code contract.
 //
-// Two retry loops in this codebase face the same problem at different
-// scales: comm::ReliableChannel replays a lost message on the DES clock,
-// and the sweep runtime (src/sweep_engine) replays a failed scenario on
-// the wall clock.  Both classify failures the same way and back off with
-// the same truncated exponential, so the policy shape lives here --
-// header-only, no dependencies, usable from either layer without a link
-// edge.
+// The sweep runtime (src/sweep_engine), the campaign service and the
+// bench drivers classify failures and report outcomes the same way, so
+// the vocabulary lives here -- header-only, no dependencies, usable from
+// any layer without a link edge.
 #pragma once
 
 #include <cerrno>
@@ -118,22 +115,6 @@ constexpr std::optional<ExitCode> exit_code_from_int(int v) {
     case 137: return ExitCode::kCrash;
     default: return std::nullopt;
   }
-}
-
-/// Truncated exponential backoff before retry `losses` (>= 1 after the
-/// first loss): initial * multiplier^(losses-1), clamped to `max`.  The
-/// iterative form (multiply, then clamp) is the contract: integer time
-/// types round per step, and comm::ReliableChannel's DES timelines are
-/// bit-exact against exactly this sequence.  Works for any D supporting
-/// D * double and ordering (Duration, double seconds, double microseconds).
-template <typename D>
-constexpr D backoff_after(D initial, double multiplier, D max, int losses) {
-  D b = initial;
-  for (int i = 1; i < losses; ++i) {
-    b = b * multiplier;
-    if (b >= max) return max;
-  }
-  return b >= max ? max : b;
 }
 
 }  // namespace rr::fault

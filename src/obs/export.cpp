@@ -1,10 +1,5 @@
 #include "obs/export.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <sstream>
-
-#include "obs/fleet.hpp"
 #include "sim/simulator.hpp"
 
 namespace rr::obs {
@@ -52,82 +47,6 @@ Json to_json(const Snapshot& s) {
     }
   }
   return out;
-}
-
-std::string prometheus_name(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (const char c : name) {
-    const bool ok = std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-                    c == ':';
-    out += ok ? c : '_';
-  }
-  if (!out.empty() && std::isdigit(static_cast<unsigned char>(out[0])))
-    out.insert(out.begin(), '_');
-  return out;
-}
-
-namespace {
-
-/// One metric's samples (and, when `header`, its HELP/TYPE block).
-/// `labels` render as {k="v",...} on plain samples and after `le` on
-/// bucket samples.
-void prometheus_block(std::ostream& os, const MetricSnapshot& m,
-                      const PrometheusLabels& labels, bool header) {
-  const std::string name = prometheus_name(m.name);
-  std::string lab;
-  for (const auto& [k, v] : labels) {
-    if (!lab.empty()) lab += ',';
-    lab += k + "=\"" + v + "\"";
-  }
-  const std::string plain = lab.empty() ? "" : "{" + lab + "}";
-  if (header) {
-    os << "# HELP " << name << ' ' << m.name << '\n';
-    os << "# TYPE " << name << ' ' << to_string(m.kind) << '\n';
-  }
-  switch (m.kind) {
-    case MetricKind::kCounter:
-      os << name << plain << ' ' << m.ivalue << '\n';
-      break;
-    case MetricKind::kGauge:
-      os << name << plain << ' ' << format_json_number(m.value) << '\n';
-      break;
-    case MetricKind::kHistogram: {
-      const std::string more = lab.empty() ? "" : "," + lab;
-      std::uint64_t cum = 0;
-      for (std::size_t b = 0; b < m.bounds.size(); ++b) {
-        cum += m.buckets[b];
-        os << name << "_bucket{le=\"" << format_json_number(m.bounds[b])
-           << "\"" << more << "} " << cum << '\n';
-      }
-      cum += m.buckets.back();
-      os << name << "_bucket{le=\"+Inf\"" << more << "} " << cum << '\n';
-      os << name << "_sum" << plain << ' ' << format_json_number(m.sum)
-         << '\n';
-      os << name << "_count" << plain << ' ' << m.count << '\n';
-      break;
-    }
-  }
-}
-
-}  // namespace
-
-std::string to_prometheus(const Snapshot& s, const PrometheusLabels& labels) {
-  std::ostringstream os;
-  for (const auto& m : s.metrics)
-    prometheus_block(os, m, labels, /*header=*/true);
-  return os.str();
-}
-
-std::string to_prometheus(const FleetSnapshot& fleet) {
-  std::ostringstream os;
-  for (const auto& m : fleet.merged.metrics) {
-    prometheus_block(os, m, {}, /*header=*/true);
-    for (const auto& [label, snap] : fleet.parts)
-      if (const MetricSnapshot* pm = snap.find(m.name))
-        prometheus_block(os, *pm, {{"shard", label}}, /*header=*/false);
-  }
-  return os.str();
 }
 
 void export_counters(const Snapshot& s, sim::TraceRecorder& trace,

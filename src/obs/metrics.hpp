@@ -171,7 +171,7 @@ class MetricsRegistry {
   std::size_t size() const;
 
   /// The process-wide default registry that library instrumentation
-  /// (thread pool, journal, reliable channel, ...) writes into.
+  /// (thread pool, journal, fabric, ...) writes into.
   static MetricsRegistry& global();
 
  private:

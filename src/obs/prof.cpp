@@ -38,12 +38,6 @@ void WallTrace::record(const std::string& name, TimePoint t0, TimePoint t1) {
   trace_->end(id, t1 < t0 ? t0 : t1);
 }
 
-void WallTrace::instant(const std::string& name, TimePoint at) {
-  std::lock_guard lock(mu_);
-  if (!trace_) return;
-  trace_->instant(name, track_, at);
-}
-
 WallTrace& WallTrace::global() {
   static WallTrace sink;
   return sink;

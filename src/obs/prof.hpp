@@ -44,8 +44,6 @@ class WallTrace {
 
   /// Record one completed span [t0, t1] on the wall track.
   void record(const std::string& name, TimePoint t0, TimePoint t1);
-  /// Record an instantaneous wall-time marker.
-  void instant(const std::string& name, TimePoint at);
 
   static WallTrace& global();
 

@@ -7,7 +7,6 @@
 #include <coroutine>
 
 #include "sim/simulator.hpp"
-#include "sim/task.hpp"
 #include "sim/waiters.hpp"
 #include "util/expect.hpp"
 
@@ -52,13 +51,6 @@ class Resource {
       return;
     }
     ++available_;
-  }
-
-  /// Convenience: acquire, hold for `hold_time`, release.
-  Task<void> use_for(Duration hold_time) {
-    co_await acquire();
-    co_await Delay{*sim_, hold_time};
-    release();
   }
 
   std::size_t available() const { return available_; }

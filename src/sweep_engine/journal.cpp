@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -27,8 +28,17 @@ namespace {
 constexpr const char* kMagic = "rr-sweep";
 constexpr int kVersion = 2;
 
-std::uint64_t parse_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 10);
+/// A journaled seed: 1-20 ASCII digits whose value fits in uint64.
+/// Anything else (empty, signs, spaces, trailing junk, overflow) is a
+/// corrupt record, never a seed to guess at, so it throws JsonError.
+std::uint64_t parse_seed(const std::string& s) {
+  const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+  std::uint64_t v = 0;
+  if (s.empty() || s.size() > 20 ||
+      !std::all_of(s.begin(), s.end(), is_digit) ||
+      std::from_chars(s.data(), s.data() + s.size(), v).ec != std::errc{})
+    throw JsonError("journal: malformed seed '" + s + "'");
+  return v;
 }
 
 /// Contract violations -- wrong campaign, wrong scenario count, wrong
@@ -211,7 +221,7 @@ JournalEntry journal_entry_from_json(const Json& j) {
                     "'");
   e.status = *status;
   e.attempts = j.at("attempts").as_int32();
-  e.seed = parse_u64(j.at("seed").as_string());
+  e.seed = parse_seed(j.at("seed").as_string());
   if (e.ok()) {
     e.metrics = j.at("metrics");
   } else {

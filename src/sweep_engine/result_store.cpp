@@ -78,13 +78,6 @@ bool ResultStore::write_file(const std::string& path) const {
   return write_file_atomic(path, out.str());
 }
 
-std::vector<Json> ResultStore::read_file(const std::string& path,
-                                         bool* torn_tail) {
-  JsonlData data = read_jsonl_file(path);
-  if (torn_tail) *torn_tail = data.torn_tail;
-  return std::move(data.records);
-}
-
 fault::ResiliencePoint resilience_point_from_json(const Json& j) {
   fault::ResiliencePoint pt;
   pt.nodes = j.at("nodes").as_int32();
@@ -98,15 +91,6 @@ fault::ResiliencePoint resilience_point_from_json(const Json& j) {
   pt.overhead_analytic = j.at("overhead_analytic").as_double();
   pt.overhead_simulated = j.at("overhead_simulated").as_double();
   pt.efficiency = j.at("efficiency").as_double();
-  return pt;
-}
-
-model::ScalePoint scale_point_from_json(const Json& j) {
-  model::ScalePoint pt;
-  pt.nodes = j.at("nodes").as_int32();
-  pt.opteron_s = j.at("opteron_s").as_double();
-  pt.cell_measured_s = j.at("cell_measured_s").as_double();
-  pt.cell_best_s = j.at("cell_best_s").as_double();
   return pt;
 }
 

@@ -30,11 +30,11 @@ Json to_json(const fault::ResiliencePoint& pt);
 Json to_json(const fault::IntervalPoint& pt);
 Json to_json(const model::ScalePoint& pt);
 
-/// Inverse decoders.  %.17g serialization round-trips every finite double
-/// bit-exactly, so decode(encode(pt)) == pt down to the last bit -- the
-/// property that lets a resumed sweep serve journaled points unchanged.
+/// Inverse of to_json(ResiliencePoint).  %.17g serialization round-trips
+/// every finite double bit-exactly, so decode(encode(pt)) == pt down to the
+/// last bit -- the property that lets a resumed sweep serve journaled
+/// points unchanged.
 fault::ResiliencePoint resilience_point_from_json(const Json& j);
-model::ScalePoint scale_point_from_json(const Json& j);
 
 /// Thread-safe, append-only record collection; writes JSON lines.
 class ResultStore {
@@ -49,12 +49,6 @@ class ResultStore {
   /// never leave a truncated or interleaved store on disk.  Returns false
   /// on I/O failure (the previous file, if any, survives intact).
   bool write_file(const std::string& path) const;
-
-  /// Read a JSONL store back.  A torn last line (crash mid-append by some
-  /// other writer) is recovered over rather than thrown; `torn_tail`, if
-  /// given, reports whether that happened.  Corruption elsewhere throws.
-  static std::vector<Json> read_file(const std::string& path,
-                                     bool* torn_tail = nullptr);
 
  private:
   mutable std::mutex mu_;

@@ -1,12 +1,12 @@
 // Error taxonomy and retry policy for sweep scenarios.
 //
 // A scenario that throws is classified (fault::ErrorClass) and handled by
-// kind: transient failures get a bounded number of retries with the same
-// deterministic truncated-exponential backoff shape comm::ReliableChannel
-// uses on the DES clock; permanent and poison failures are quarantined --
-// journaled with their class, seed, and message -- and the rest of the
-// batch continues.  A run-level failure budget turns "too many
-// quarantines" into a clean abort instead of a mostly-dead campaign.
+// kind: transient failures get a bounded number of retries with a
+// deterministic truncated-exponential backoff; permanent and poison
+// failures are quarantined -- journaled with their class, seed, and
+// message -- and the rest of the batch continues.  A run-level failure
+// budget turns "too many quarantines" into a clean abort instead of a
+// mostly-dead campaign.
 #pragma once
 
 #include <exception>
@@ -60,9 +60,7 @@ fault::ErrorClass classify(const std::exception_ptr& e);
 /// Human-readable message for a captured failure.
 std::string describe(const std::exception_ptr& e);
 
-/// Bounded retry with deterministic backoff for transient failures.  The
-/// backoff sequence is fault::backoff_after -- the same truncated
-/// exponential comm::ReliableChannel replays on the DES clock -- so a
+/// Bounded retry with deterministic backoff for transient failures: a
 /// given policy always produces the same waits in the same order.
 struct RetryPolicy {
   int max_attempts = 3;  ///< total tries, including the first
@@ -70,10 +68,17 @@ struct RetryPolicy {
   double backoff_multiplier = 2.0;
   double max_backoff_us = 10'000.0;
 
-  /// Wait before retry `losses` (>= 1 after the first failure), in us.
+  /// Truncated exponential wait before retry `losses` (>= 1 after the
+  /// first failure), in us: initial * multiplier^(losses-1), clamped to
+  /// the cap.  The iterative form (multiply, then clamp) is the contract,
+  /// so the waits are the same bits on every run.
   double backoff_after_us(int losses) const {
-    return fault::backoff_after(initial_backoff_us, backoff_multiplier,
-                                max_backoff_us, losses);
+    double b = initial_backoff_us;
+    for (int i = 1; i < losses; ++i) {
+      b = b * backoff_multiplier;
+      if (b >= max_backoff_us) return max_backoff_us;
+    }
+    return b >= max_backoff_us ? max_backoff_us : b;
   }
 };
 

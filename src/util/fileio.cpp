@@ -197,10 +197,6 @@ JsonlData read_jsonl(std::string_view text) {
   return out;
 }
 
-JsonlData read_jsonl_file(const std::string& path) {
-  return read_jsonl(read_file(path));
-}
-
 std::string read_file(const std::string& path) {
   Env& env = Env::current();
   const int fd = env.open(path, O_RDONLY, 0);

@@ -91,10 +91,6 @@ struct JsonlData {
 /// JsonError with the jsonl line number.
 JsonlData read_jsonl(std::string_view text);
 
-/// read_jsonl over a file's contents; throws std::runtime_error if the
-/// file cannot be read.
-JsonlData read_jsonl_file(const std::string& path);
-
 /// Entire file as a string; throws std::runtime_error with the errno,
 /// strerror text, and offending path on failure.
 std::string read_file(const std::string& path);

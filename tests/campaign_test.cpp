@@ -39,14 +39,6 @@
 
 #include "tmp_dir.hpp"
 
-#if defined(__SANITIZE_THREAD__)
-#define RR_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define RR_TSAN 1
-#endif
-#endif
-
 namespace rr {
 namespace {
 
@@ -341,9 +333,6 @@ TEST(CampaignService, InProcessModeMatchesSingleProcessBytes) {
 }
 
 TEST(CampaignService, ShardedFleetMergesByteIdenticallyToSingleProcess) {
-#ifdef RR_TSAN
-  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
-#else
   const auto spec = make_spec("sharded", 13);  // uneven split on purpose
   const std::string golden = reference_bytes(spec, plain_fn());
 
@@ -357,13 +346,9 @@ TEST(CampaignService, ShardedFleetMergesByteIdenticallyToSingleProcess) {
   EXPECT_EQ(result.stats.workers_spawned, 3);
   EXPECT_EQ(result.stats.executed, 13);
   EXPECT_EQ(result.result_bytes, golden);
-#endif
 }
 
 TEST(CampaignService, CrashedWorkerIsRespawnedAndResultStaysByteIdentical) {
-#ifdef RR_TSAN
-  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
-#else
   const auto spec = make_spec("crash", 12);
   const std::string golden = reference_bytes(spec, plain_fn());
 
@@ -384,20 +369,15 @@ TEST(CampaignService, CrashedWorkerIsRespawnedAndResultStaysByteIdentical) {
   EXPECT_EQ(result.stats.resumed, 0);
   EXPECT_EQ(result.stats.executed, 12);
   EXPECT_EQ(result.result_bytes, golden);
-#endif
 }
 
 TEST(CampaignService, IdleWorkersStealFromLoadedShards) {
-#ifdef RR_TSAN
-  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
-#else
   const auto spec = make_spec("steal", 12);
   const std::string golden = reference_bytes(spec, plain_fn());
 
   campaign::ServiceConfig cfg;
   cfg.workers = 2;
   cfg.chunk = 1;
-  cfg.heartbeat = std::chrono::milliseconds(5);
   cfg.work_dir = tmp_dir("campaign-steal");
   // Shard 0 owns 0-5 and shard 1 owns 6-11.  The steal window opens on
   // journal events, not a clock: index 0 waits until the coordinator has
@@ -426,16 +406,12 @@ TEST(CampaignService, IdleWorkersStealFromLoadedShards) {
   EXPECT_GE(result.stats.steal_requests, 1);
   EXPECT_GE(result.stats.stolen_indices, 1);
   EXPECT_EQ(result.result_bytes, golden);
-#endif
 }
 
 TEST(CampaignService, ReusedWorkDirResumesInsteadOfRecomputing) {
   const auto spec = make_spec("resume", 10);
   const std::string golden = reference_bytes(spec, plain_fn());
   for (const int workers : {2, 0}) {
-#ifdef RR_TSAN
-    if (workers > 0) continue;  // fork + threads trips TSan's die_after_fork
-#endif
     // A previous incarnation of this campaign journaled indices 0-2.
     const std::string work =
         tmp_dir("campaign-resume-" + std::to_string(workers));
@@ -464,9 +440,6 @@ TEST(CampaignService, ResumeReadsJournalsOfShardsThisRunDoesNotSpawn) {
   const auto spec = make_spec("resume-shape", 10);
   const std::string golden = reference_bytes(spec, plain_fn());
   for (const int workers : {2, 0}) {
-#ifdef RR_TSAN
-    if (workers > 0) continue;  // fork + threads trips TSan's die_after_fork
-#endif
     // A previous run with more workers journaled indices 7-9, the range
     // of its shard 3, a shard this run does not spawn.  The one campaign
     // journal keeps them whatever the fleet shape.
@@ -501,9 +474,6 @@ TEST(CampaignService, ResumeRefusesAnEntryJournaledUnderAnotherSeed) {
   // before anything runs.
   const auto spec = make_spec("stale-seed", 6);
   for (const int workers : {0, 2}) {
-#ifdef RR_TSAN
-    if (workers > 0) continue;  // fork + threads trips TSan's die_after_fork
-#endif
     const std::string work =
         tmp_dir("campaign-stale-seed-" + std::to_string(workers));
     {
@@ -538,9 +508,6 @@ TEST(CampaignService, ResumeRefusesAnEntryJournaledUnderAnotherSeed) {
 
 TEST(CampaignService,
      WorkersThatAlwaysDieExhaustRespawnsThenTheCoordinatorFinishes) {
-#ifdef RR_TSAN
-  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
-#else
   const auto spec = make_spec("always-die", 10);
   const std::string golden = reference_bytes(spec, plain_fn());
   // Scenario 5 kills any worker process that runs it; only the
@@ -565,13 +532,9 @@ TEST(CampaignService,
   // with no worker left, the coordinator runs it in-process.
   EXPECT_EQ(result.stats.crashes, 2 * (1 + campaign::kMaxRespawns));
   EXPECT_EQ(result.stats.respawns, 2 * campaign::kMaxRespawns);
-#endif
 }
 
 TEST(CampaignService, DegradedAndBudgetOutcomesFollowTheExitCodeContract) {
-#ifdef RR_TSAN
-  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
-#else
   const engine::ResilientScenario fn = [](int i,
                                           const engine::CancelToken&) {
     if (i == 3) throw engine::PermanentError("injected permanent fault");
@@ -638,7 +601,6 @@ TEST(CampaignService, DegradedAndBudgetOutcomesFollowTheExitCodeContract) {
   EXPECT_EQ(rresult.outcome, engine::RunOutcome::kBudgetExceeded);
   EXPECT_EQ(rresult.stats.resumed, 1);
   EXPECT_EQ(rresult.not_run, 1);  // index 7, after the failure at 6
-#endif
 }
 
 /// The environment of a full disk: every write fails with ENOSPC.
@@ -654,9 +616,6 @@ TEST(CampaignService, FullDiskCostsDurabilityNeverResults) {
   const auto spec = make_spec("full-disk", 12);
   const std::string golden = reference_bytes(spec, plain_fn());
   for (const int workers : {0, 2}) {
-#ifdef RR_TSAN
-    if (workers > 0) continue;  // fork + threads trips TSan's die_after_fork
-#endif
     campaign::ServiceConfig cfg;
     cfg.workers = workers;
     cfg.work_dir = tmp_dir("campaign-full-disk-" + std::to_string(workers));
@@ -764,9 +723,6 @@ TEST(ResilientRun, ResumableScaleSeriesMatchesSerial) {
 // after a journal fsync -- the moral equivalent of SIGKILL); the resumed
 // campaign's result is byte-identical to an uninterrupted run's.
 TEST(ResilientRun, KillAndResumeProducesByteIdenticalResults) {
-#ifdef RR_TSAN
-  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
-#else
   const auto spec = make_spec("kill-and-resume", 6);
   const std::string golden = reference_bytes(spec, plain_fn());
   campaign::ServiceConfig cfg;
@@ -801,7 +757,6 @@ TEST(ResilientRun, KillAndResumeProducesByteIdenticalResults) {
   ASSERT_TRUE(result.write_results(out));
   EXPECT_EQ(read_file(out), golden);
   std::remove(out.c_str());
-#endif
 }
 
 TEST(ShardRuns, WorkerJournalResumesBitExactlyInProcess) {
@@ -849,9 +804,6 @@ TEST(ShardRuns, WorkerJournalResumesBitExactlyInProcess) {
 /// executed scenario count -- counters that used to be invisible to the
 /// coordinator's own snapshot.
 TEST(CampaignFleet, WorkerCountersLandInTheFleetReport) {
-#ifdef RR_TSAN
-  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
-#else
   const int n = 10;
   const auto spec = make_spec("fleet-metrics", n);
   campaign::ServiceConfig cfg;
@@ -902,7 +854,6 @@ TEST(CampaignFleet, WorkerCountersLandInTheFleetReport) {
   EXPECT_GE(doc.at("metrics").at("journal.appends").at("value").as_int(),
             static_cast<std::int64_t>(n));
   EXPECT_EQ(campaign::campaign_report(spec, cfg, result).json, rep.json);
-#endif
 }
 
 /// A campaign trace file, read back: process rows by name, and the
@@ -951,9 +902,6 @@ std::vector<std::string> trace_files_in(const std::string& dir) {
 /// receive across rows -- each receive at or after its send, because the
 /// whole fleet shares one wall-clock origin.
 TEST(CampaignFleet, MergedTraceCarriesShardTracksAndFlowEvents) {
-#ifdef RR_TSAN
-  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
-#else
   const auto spec = make_spec("fleet-trace", 8);
   campaign::ServiceConfig cfg;
   cfg.workers = 2;
@@ -978,15 +926,11 @@ TEST(CampaignFleet, MergedTraceCarriesShardTracksAndFlowEvents) {
     ASSERT_EQ(trace.flow_end.count(id), 1u) << "flow " << id << " unpaired";
     EXPECT_GE(trace.flow_end.at(id), ts) << "flow " << id << " runs backwards";
   }
-#endif
 }
 
 /// A crashed incarnation keeps what it shipped before it died: its row
 /// carries the chunk it reported, and the respawn gets a row of its own.
 TEST(CampaignFleet, CrashedIncarnationKeepsTheSpansItSent) {
-#ifdef RR_TSAN
-  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
-#else
   const auto spec = make_spec("fleet-trace-crash", 8);
   campaign::ServiceConfig cfg;
   cfg.workers = 2;
@@ -1003,16 +947,12 @@ TEST(CampaignFleet, CrashedIncarnationKeepsTheSpansItSent) {
   const auto first = trace.spans_on("shard1");
   EXPECT_NE(std::find(first.begin(), first.end(), "chunk x1"), first.end());
   EXPECT_EQ(trace.rows.count("shard1.1"), 1u);
-#endif
 }
 
 /// The coordinator writes the only trace: no per-process trace file is
 /// left in the work dir, whatever the fleet shape.
 TEST(CampaignFleet, TracingLeavesNoFilesInTheWorkDir) {
   for (const int workers : {0, 2}) {
-#ifdef RR_TSAN
-    if (workers > 0) continue;  // fork + threads trips TSan's die_after_fork
-#endif
     const auto spec = make_spec("fleet-trace-files", 8);
     campaign::ServiceConfig cfg;
     cfg.workers = workers;
@@ -1033,9 +973,6 @@ TEST(CampaignFleet, TracingLeavesNoFilesInTheWorkDir) {
 
 /// A degraded campaign leaves a flight-recorder postmortem behind.
 TEST(CampaignFleet, DegradedRunDumpsTheFlightRecorder) {
-#ifdef RR_TSAN
-  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
-#else
   const engine::ResilientScenario fn = [](int i,
                                           const engine::CancelToken&) {
     if (i == 2) throw engine::PermanentError("injected permanent fault");
@@ -1063,7 +1000,6 @@ TEST(CampaignFleet, DegradedRunDumpsTheFlightRecorder) {
   }
   EXPECT_TRUE(saw_mark);
   EXPECT_TRUE(saw_frame);
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -1071,9 +1007,6 @@ TEST(CampaignFleet, DegradedRunDumpsTheFlightRecorder) {
 // ---------------------------------------------------------------------------
 
 TEST(CampaignCache, RepeatQueryServesVerbatimBytesAndCountsOneHitPerScenario) {
-#ifdef RR_TSAN
-  GTEST_SKIP() << "fork + threads trips TSan's die_after_fork";
-#else
   const int n = 9;
   const auto spec = make_spec("cache", n);
   campaign::ServiceConfig cfg;
@@ -1108,7 +1041,6 @@ TEST(CampaignCache, RepeatQueryServesVerbatimBytesAndCountsOneHitPerScenario) {
   EXPECT_EQ(second.ok, n);
   ASSERT_EQ(second.entries.size(), static_cast<std::size_t>(n));
   EXPECT_TRUE(second.entries[0].has_value());
-#endif
 }
 
 TEST(CampaignCache, TamperedEntryDegradesToAMissNotWrongBytes) {

@@ -139,21 +139,6 @@ TEST(Hybrid, AchievedRateNeverExceedsSustained) {
   }
 }
 
-TEST(Facade, ResilienceSummary) {
-  const RoadrunnerSystem& rr = rr_full();
-  const double mtbf = rr.system_mtbf_h();
-  EXPECT_GT(mtbf, 1.0);
-  EXPECT_LT(mtbf, 200.0);
-  fault::StudyConfig cfg;
-  cfg.replications = 50;
-  const fault::ResiliencePoint pt = rr.hpl_resilience(cfg);
-  EXPECT_EQ(pt.nodes, rr.node_count());
-  EXPECT_DOUBLE_EQ(pt.system_mtbf_h, mtbf);
-  EXPECT_GT(pt.analytic_s, pt.fault_free_s);
-  EXPECT_GT(pt.efficiency, 0.5);
-  EXPECT_LE(pt.efficiency, 1.0);
-}
-
 TEST(Hybrid, ModeNamesAreStable) {
   EXPECT_STREQ(usage_mode_name(UsageMode::kHostOnly), "host-only (Opterons)");
   EXPECT_NE(std::string(usage_mode_name(UsageMode::kSpeCentric)).find("SPE"),

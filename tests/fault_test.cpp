@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <set>
 
 #include "topo/fat_tree.hpp"
 #include "arch/spec.hpp"
-#include "comm/reliable.hpp"
 #include "fault/checkpoint_policy.hpp"
 #include "fault/failure_model.hpp"
 #include "fault/injector.hpp"
@@ -14,6 +12,7 @@
 #include "fault/taxonomy.hpp"
 #include "io/io_model.hpp"
 #include "sim/interrupt.hpp"
+#include "sweep_engine/retry.hpp"
 #include "topo/degraded.hpp"
 #include "util/cli.hpp"
 
@@ -49,61 +48,6 @@ TEST(Census, CuLevelCrossbarsOccupyTheLowIds) {
                 kind == topo::XbarKind::kCuUpper);
   }
   EXPECT_EQ(t.crossbar(cu_level).kind, topo::XbarKind::kInterCuL1);
-}
-
-TEST(FailureSchedule, SameSeedIsBitwiseIdentical) {
-  const ComponentCounts c{64, 128, 36, 2};
-  const ReliabilityParams p{100.0, 400.0, 800.0, 300.0, 1.0};
-  const Duration horizon = Duration::seconds(500 * 3600.0);
-  const auto a = generate_schedule(c, p, horizon, 42);
-  const auto b = generate_schedule(c, p, horizon, 42);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
-  const auto other = generate_schedule(c, p, horizon, 43);
-  EXPECT_NE(a, other);
-}
-
-TEST(FailureSchedule, LongerHorizonOnlyAppends) {
-  // Per-component sub-seeded streams: extending the horizon must not
-  // reshuffle the earlier events.
-  const ComponentCounts c{16, 0, 8, 1};
-  const ReliabilityParams p{50.0, 100.0, 100.0, 75.0, 1.0};
-  const auto shorter =
-      generate_schedule(c, p, Duration::seconds(100 * 3600.0), 7);
-  auto longer = generate_schedule(c, p, Duration::seconds(200 * 3600.0), 7);
-  longer.erase(std::remove_if(longer.begin(), longer.end(),
-                              [](const FailureEvent& e) {
-                                return e.at >= Duration::seconds(100 * 3600.0);
-                              }),
-               longer.end());
-  EXPECT_EQ(shorter, longer);
-}
-
-TEST(FailureSchedule, ExponentialInterarrivalMeanMatchesMtbf) {
-  ComponentCounts c;
-  c.nodes = 1;
-  ReliabilityParams p;
-  p.node_mtbf_h = 1.0;
-  const auto events =
-      generate_schedule(c, p, Duration::seconds(2000 * 3600.0), 99);
-  ASSERT_GT(events.size(), 1000u);
-  const double mean_h = 2000.0 / static_cast<double>(events.size());
-  EXPECT_NEAR(mean_h, 1.0, 0.1);
-}
-
-TEST(FailureSchedule, SortedAndWithinHorizon) {
-  const ComponentCounts c{32, 64, 16, 4};
-  ReliabilityParams p{10.0, 20.0, 20.0, 15.0, 1.4};  // wear-out Weibull
-  const Duration horizon = Duration::seconds(100 * 3600.0);
-  const auto events = generate_schedule(c, p, horizon, 5);
-  ASSERT_FALSE(events.empty());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_LT(events[i].at, horizon);
-    EXPECT_GE(events[i].at, Duration::zero());
-    if (i > 0) {
-      EXPECT_LE(events[i - 1].at, events[i].at);
-    }
-  }
 }
 
 TEST(FailureSchedule, SystemScheduleMatchesAggregateRate) {
@@ -383,102 +327,6 @@ TEST(DegradedRouting, ScheduleAppliedThroughInjectorDegradesFabric) {
 }
 
 // ---------------------------------------------------------------------------
-// Reliable channel retry/backoff (deterministic DES)
-// ---------------------------------------------------------------------------
-
-comm::ChannelParams unit_latency_channel() {
-  comm::ChannelParams p;
-  p.name = "test link";
-  p.latency = Duration::milliseconds(1);
-  p.eager_bandwidth = Bandwidth::gb_per_sec(1);
-  p.rendezvous_bandwidth = Bandwidth::gb_per_sec(1);
-  return p;
-}
-
-TEST(ReliableChannel, RetriesThroughAnOutageAtExactTimes) {
-  comm::RetryPolicy policy;
-  policy.ack_timeout = Duration::milliseconds(1);
-  policy.initial_backoff = Duration::milliseconds(1);
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff = Duration::milliseconds(50);
-  policy.max_attempts = 12;
-  const comm::ReliableChannel ch(comm::ChannelModel{unit_latency_channel()},
-                                 policy);
-
-  sim::Simulator sim;
-  comm::LinkState link;
-  // Outage [0.5 ms, 10.5 ms], injected as DES events.
-  sim.schedule(Duration::microseconds(500),
-               [&] { link.set_up(sim.now(), false); });
-  sim.schedule(Duration::microseconds(10500),
-               [&] { link.set_up(sim.now(), true); });
-
-  comm::DeliveryReport report;
-  ch.send(sim, link, DataSize::zero(),
-          [&report](const comm::DeliveryReport& r) { report = r; });
-  sim.run();
-
-  // Attempts fly [0,1], [3,4], [7,8] (lost: detect at +1 ms, back off 1,
-  // 2, 4 ms), then [13,14] succeeds.
-  ASSERT_TRUE(report.delivered);
-  EXPECT_EQ(report.attempts, 4);
-  EXPECT_EQ(report.completed_at.ps(),
-            (TimePoint::origin() + Duration::milliseconds(14)).ps());
-  EXPECT_EQ(report.backoff_total.ps(), Duration::milliseconds(7).ps());
-}
-
-TEST(ReliableChannel, GivesUpAfterMaxAttempts) {
-  comm::RetryPolicy policy;
-  policy.ack_timeout = Duration::milliseconds(1);
-  policy.initial_backoff = Duration::milliseconds(1);
-  policy.backoff_multiplier = 2.0;
-  policy.max_attempts = 3;
-  const comm::ReliableChannel ch(comm::ChannelModel{unit_latency_channel()},
-                                 policy);
-
-  sim::Simulator sim;
-  comm::LinkState link;
-  link.set_up(TimePoint::origin(), false);  // down for good
-
-  comm::DeliveryReport report;
-  ch.send(sim, link, DataSize::zero(),
-          [&report](const comm::DeliveryReport& r) { report = r; });
-  sim.run();
-
-  // [0,1] detect 2, +1 back off; [3,4] detect 5, +2; [7,8] detect 9: out
-  // of attempts.
-  EXPECT_FALSE(report.delivered);
-  EXPECT_EQ(report.attempts, 3);
-  EXPECT_EQ(report.completed_at.ps(),
-            (TimePoint::origin() + Duration::milliseconds(9)).ps());
-}
-
-TEST(ReliableChannel, CleanLinkDeliversFirstTry) {
-  const comm::ReliableChannel ch(comm::ChannelModel{unit_latency_channel()});
-  sim::Simulator sim;
-  comm::LinkState link;
-  comm::DeliveryReport report;
-  ch.send(sim, link, DataSize::kib(1),
-          [&report](const comm::DeliveryReport& r) { report = r; });
-  sim.run();
-  EXPECT_TRUE(report.delivered);
-  EXPECT_EQ(report.attempts, 1);
-  EXPECT_EQ(report.backoff_total.ps(), 0);
-}
-
-TEST(ReliableChannel, BackoffCapsAtMaxBackoff) {
-  comm::RetryPolicy policy;
-  policy.initial_backoff = Duration::milliseconds(1);
-  policy.backoff_multiplier = 10.0;
-  policy.max_backoff = Duration::milliseconds(5);
-  const comm::ReliableChannel ch(comm::ChannelModel{unit_latency_channel()},
-                                 policy);
-  EXPECT_EQ(ch.backoff_after(1).ps(), Duration::milliseconds(1).ps());
-  EXPECT_EQ(ch.backoff_after(2).ps(), Duration::milliseconds(5).ps());
-  EXPECT_EQ(ch.backoff_after(7).ps(), Duration::milliseconds(5).ps());
-}
-
-// ---------------------------------------------------------------------------
 // io checkpoint-cost sharing and end-to-end study
 // ---------------------------------------------------------------------------
 
@@ -537,7 +385,7 @@ TEST(ResilienceStudy, DeterministicTables) {
 }
 
 // ---------------------------------------------------------------------------
-// Error taxonomy and the shared backoff shape
+// Error taxonomy and the retry backoff
 // ---------------------------------------------------------------------------
 
 TEST(Taxonomy, ErrorClassStringsRoundTrip) {
@@ -552,28 +400,16 @@ TEST(Taxonomy, ErrorClassStringsRoundTrip) {
 }
 
 TEST(Taxonomy, BackoffIsTruncatedExponentialAndDeterministic) {
-  // 100, 200, 400, ... doubling per loss, clamped at the cap.
-  EXPECT_EQ(backoff_after(100.0, 2.0, 10'000.0, 1), 100.0);
-  EXPECT_EQ(backoff_after(100.0, 2.0, 10'000.0, 2), 200.0);
-  EXPECT_EQ(backoff_after(100.0, 2.0, 10'000.0, 5), 1'600.0);
-  EXPECT_EQ(backoff_after(100.0, 2.0, 10'000.0, 8), 10'000.0);  // clamped
-  EXPECT_EQ(backoff_after(100.0, 2.0, 10'000.0, 50), 10'000.0);
+  // 100, 200, 400, ... doubling per loss, clamped at the cap (the default
+  // policy: 100 us, x2, 10,000 us).
+  const engine::RetryPolicy rp{};
+  EXPECT_EQ(rp.backoff_after_us(1), 100.0);
+  EXPECT_EQ(rp.backoff_after_us(2), 200.0);
+  EXPECT_EQ(rp.backoff_after_us(5), 1'600.0);
+  EXPECT_EQ(rp.backoff_after_us(8), 10'000.0);  // clamped
+  EXPECT_EQ(rp.backoff_after_us(50), 10'000.0);
   // Same inputs, same wait -- every time (the retry loop relies on it).
-  EXPECT_EQ(backoff_after(100.0, 2.0, 10'000.0, 7),
-            backoff_after(100.0, 2.0, 10'000.0, 7));
-}
-
-TEST(Taxonomy, BackoffMatchesReliableChannelTimeline) {
-  // The sweep retry policy replays the exact sequence ReliableChannel
-  // schedules on the DES clock: same template, bit-identical waits.
-  const comm::ReliableChannel ch{comm::ChannelModel(unit_latency_channel())};
-  const comm::RetryPolicy& rp = ch.policy();
-  for (int losses = 1; losses <= rp.max_attempts; ++losses)
-    EXPECT_EQ(ch.backoff_after(losses).ps(),
-              backoff_after(rp.initial_backoff, rp.backoff_multiplier,
-                            rp.max_backoff, losses)
-                  .ps())
-        << losses;
+  EXPECT_EQ(rp.backoff_after_us(7), engine::RetryPolicy{}.backoff_after_us(7));
 }
 
 TEST(Taxonomy, ExitCodeContractIsStable) {

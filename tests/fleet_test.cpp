@@ -1,8 +1,8 @@
 // Fleet observability tests (DESIGN.md §15): exact snapshot wire
 // round-trips, the cross-process merge algebra (K worker snapshots merge
-// to exactly what one registry observing every sample would hold),
-// labeled Prometheus exposition, the crash flight recorder's ring/dump
-// behavior, and the shard-tagged JSONL log field the workers emit.  The
+// to exactly what one registry observing every sample would hold), the
+// crash flight recorder's ring/dump behavior, and the shard-tagged JSONL
+// log field the workers emit.  The
 // fleet trace is one coordinator-side recorder: its process rows and
 // flows are tested in trace_test, the campaign's use of them in
 // campaign_test.
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/export.hpp"
 #include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "util/fileio.hpp"
@@ -191,22 +190,6 @@ TEST(FleetMerge, FleetSnapshotFoldsDuplicateLabels) {
   ASSERT_NE(parts.find("0"), nullptr);
   const Snapshot back = snapshot_from_wire(parts.at("0"));
   EXPECT_EQ(back.find("done")->ivalue, 7u);
-}
-
-TEST(FleetMerge, PrometheusExpositionLabelsParts) {
-  MetricsRegistry w0;
-  w0.counter("work.done").add(3);
-  MetricsRegistry w1;
-  w1.counter("work.done").add(4);
-  FleetSnapshot fleet;
-  fleet.add_part("0", w0.snapshot());
-  fleet.add_part("1", w1.snapshot());
-  const std::string text = to_prometheus(fleet);
-  EXPECT_NE(text.find("# HELP work_done work.done\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE work_done counter\n"), std::string::npos);
-  EXPECT_NE(text.find("\nwork_done{shard=\"0\"} 3\n"), std::string::npos);
-  EXPECT_NE(text.find("\nwork_done{shard=\"1\"} 4\n"), std::string::npos);
-  EXPECT_NE(text.find("work_done 7\n"), std::string::npos);  // merged total
 }
 
 // ---------------------------------------------------------------------------

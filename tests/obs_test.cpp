@@ -1,8 +1,8 @@
 // Tests for the observability layer (src/obs, DESIGN.md §10): metric
 // semantics (bucket edges, percentile interpolation, exact cross-thread
-// merges), exporter formats (JSON, Prometheus golden text, Chrome
-// counters), wall-clock profiling spans sharing a trace with sim-time
-// spans, and the run-report schema.
+// merges), exporter formats (JSON, Chrome counters), wall-clock
+// profiling spans sharing a trace with sim-time spans, and the run-report
+// schema.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -206,56 +206,6 @@ TEST(Export, JsonSnapshotShape) {
   EXPECT_TRUE(lat.find("p50") != nullptr);
   // Round-trips through the parser (numbers are %.17g bit-exact).
   EXPECT_EQ(Json::parse(j.dump()).at("lat").at("sum").as_double(), 4.5);
-}
-
-TEST(Export, PrometheusGoldenFormat) {
-  MetricsRegistry reg;
-  reg.counter("req.count").add(3);
-  reg.gauge("queue.depth").set(2.5);
-  Histogram& h = reg.histogram("lat.us", {1.0, 2.0, 5.0});
-  h.observe(0.5);
-  h.observe(1.5);
-  h.observe(7.0);
-  const std::string expected =
-      "# HELP lat_us lat.us\n"
-      "# TYPE lat_us histogram\n"
-      "lat_us_bucket{le=\"1\"} 1\n"
-      "lat_us_bucket{le=\"2\"} 2\n"
-      "lat_us_bucket{le=\"5\"} 2\n"
-      "lat_us_bucket{le=\"+Inf\"} 3\n"
-      "lat_us_sum 9\n"
-      "lat_us_count 3\n"
-      "# HELP queue_depth queue.depth\n"
-      "# TYPE queue_depth gauge\n"
-      "queue_depth 2.5\n"
-      "# HELP req_count req.count\n"
-      "# TYPE req_count counter\n"
-      "req_count 3\n";
-  EXPECT_EQ(to_prometheus(reg.snapshot()), expected);
-}
-
-TEST(Export, PrometheusLabelsRenderOnEverySample) {
-  MetricsRegistry reg;
-  reg.counter("req.count").add(3);
-  Histogram& h = reg.histogram("lat.us", {1.0});
-  h.observe(0.5);
-  const std::string expected =
-      "# HELP lat_us lat.us\n"
-      "# TYPE lat_us histogram\n"
-      "lat_us_bucket{le=\"1\",shard=\"3\"} 1\n"
-      "lat_us_bucket{le=\"+Inf\",shard=\"3\"} 1\n"
-      "lat_us_sum{shard=\"3\"} 0.5\n"
-      "lat_us_count{shard=\"3\"} 1\n"
-      "# HELP req_count req.count\n"
-      "# TYPE req_count counter\n"
-      "req_count{shard=\"3\"} 3\n";
-  EXPECT_EQ(to_prometheus(reg.snapshot(), {{"shard", "3"}}), expected);
-}
-
-TEST(Export, PrometheusNameSanitization) {
-  EXPECT_EQ(prometheus_name("pool.queue-wait_us"), "pool_queue_wait_us");
-  EXPECT_EQ(prometheus_name("a:b"), "a:b");
-  EXPECT_EQ(prometheus_name("9lives"), "_9lives");
 }
 
 TEST(Export, CounterEventsLandOnWallTrack) {

@@ -320,6 +320,25 @@ TEST(SweepJournal, EntryJsonRoundTripsBitExact) {
   EXPECT_THROW(engine::journal_entry_from_json(wide), JsonError);
 }
 
+TEST(SweepJournal, MalformedSeedsFailClosed) {
+  // A seed decodes only from 1-20 ASCII digits that fit in uint64; any
+  // other string is a corrupt record, not a seed to guess at.
+  engine::JournalEntry e;
+  e.metrics = demo_metrics(0);
+  Json rec = engine::to_json(e);
+  for (const char* bad :
+       {"", "abc", "12abc", " 7", "-1", "99999999999999999999"}) {
+    rec.set("seed", bad);
+    EXPECT_THROW(engine::journal_entry_from_json(rec), JsonError) << bad;
+  }
+  for (const char* good : {"0", "18446744073709551615"}) {
+    rec.set("seed", good);
+    const engine::JournalEntry r = engine::journal_entry_from_json(rec);
+    EXPECT_EQ(std::to_string(r.seed), good);
+    EXPECT_EQ(engine::to_json(r).at("seed").as_string(), good);
+  }
+}
+
 TEST(SweepJournal, FreshJournalReopensAndResumes) {
   const std::string path = tmp_path("journal-resume");
 
