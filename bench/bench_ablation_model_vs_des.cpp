@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   print_banner(std::cout, "Ablation: analytic model vs discrete-event simulation");
   Table t({"ranks (px x py)", "DES iteration (s)", "analytic model (s)",
-           "DES/model", "CML messages"});
+           "DES/model", "transport legs"});
   struct Grid {
     int px, py;
   };

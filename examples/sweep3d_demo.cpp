@@ -7,8 +7,11 @@
 //      the modeled Roadrunner (the Fig. 13 experiment).
 //
 // Run:  ./sweep3d_demo [--n=16] [--px=2] [--py=2] [--mk=4]
+// --px and --py are the KBA rank grid, --mk the K planes per block (the
+// paper's MK); each must divide --n, or the demo exits 2 before solving.
 #include <climits>
 #include <iostream>
+#include <utility>
 
 #include "model/sweep_model.hpp"
 #include "sweep/cml_sweep.hpp"
@@ -24,13 +27,23 @@ int main(int argc, char** argv) {
   cml::CmlConfig config;
   const int spes_per_node = config.cells_per_node * config.spes_per_cell;
   const int n = cli.get_int("n", 16, 1, INT_MAX);
-  // Every rank is one SPE of the machine.  (A grid that does not divide
-  // the problem is sweep_once_cml's precondition.)
+  // Every rank is one SPE of the machine.
   const int spes = topo.node_count() * spes_per_node;
   sweep::KbaConfig kba;
   kba.px = cli.get_int("px", 2, 1, spes);
   kba.py = cli.get_int("py", 2, 1, spes / kba.px);
   kba.mk = cli.get_int("mk", 4, 1, INT_MAX);
+  // sweep_once_cml requires the grid and the blocks to divide the
+  // problem: name the conflicting flags before the serial solve.
+  using Flag = std::pair<const char*, int>;
+  bool divides = true;
+  for (const auto& [flag, value] : {Flag{"px", kba.px}, Flag{"py", kba.py}, Flag{"mk", kba.mk}}) {
+    if (n % value == 0) continue;
+    std::cerr << cli.program() << ": --" << flag << "=" << value
+              << ": does not divide --n=" << n << "\n";
+    divides = false;
+  }
+  if (!divides) return CliParser::kUsageExitCode;
 
   sweep::Problem p;
   p.nx = p.ny = p.nz = n;
@@ -68,7 +81,7 @@ int main(int argc, char** argv) {
     if (reference.scalar_flux[c] != over_cml.sweep.scalar_flux[c]) ++mismatches;
 
   print_banner(std::cout, "One sweep of the converged source over CML");
-  Table sw({"sweep", "ranks", "leakage", "fixups", "messages",
+  Table sw({"sweep", "ranks", "leakage", "fixups", "legs",
             "simulated time (ms)"});
   sw.row()
       .add("serial")
@@ -79,7 +92,7 @@ int main(int argc, char** argv) {
       .add("-");
   sw.row()
       .add("KBA " + std::to_string(kba.px) + "x" + std::to_string(kba.py) +
-           " (MK blocks: " + std::to_string(kba.mk) + ")")
+           " (MK " + std::to_string(kba.mk) + " planes per block)")
       .add(over_cml.ranks)
       .add(over_cml.sweep.leakage, 6)
       .add(static_cast<std::int64_t>(over_cml.sweep.fixups))

@@ -8,10 +8,10 @@
 // This implementation is *functional*: payloads really move, matching and
 // collectives really synchronize -- on simulated time supplied by the
 // calibrated channel models, with per-link contention from the DES
-// resources in comm::SimNetwork.  The timed Sweep3D iteration
-// (model::simulate_iteration) is the exception: it never reads what it
-// receives, so it sends sizes only (send_sized), timed exactly like a
-// payload of that many doubles.
+// resources in comm::SimNetwork.  The size-only Sweep3D run
+// (sweep::sweep_once_cml_sized, behind model::simulate_iteration) is the
+// exception: it never reads what it receives, so it sends sizes only
+// (send_sized), timed exactly like a payload of that many doubles.
 //
 // Supported surface (what Sweep3D needs, Section V.C): point-to-point
 // send/recv with tag matching, barrier, broadcast, sum-reductions, and the

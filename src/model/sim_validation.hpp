@@ -1,8 +1,10 @@
 // Cross-validation of the analytic wavefront model against the
 // discrete-event simulation: the same Sweep3D iteration is executed as a
-// CML rank program (size-only messages with tag matching over the
-// contended DES transport; block compute charged as simulated time), and its
-// iteration time is compared with estimate_iteration()'s closed form.
+// CML rank program -- sweep::sweep_once_cml_sized, the KBA program whose
+// fluxes sweep_once_cml checks bitwise against the serial solver, run
+// with size-only messages over the contended DES transport and block
+// compute charged as simulated time -- and its iteration time is
+// compared with estimate_iteration()'s closed form.
 //
 // This mirrors what the paper did at machine scale -- validate the Hoisie
 // model against measurements -- except our "measurement" is the DES.
@@ -15,7 +17,7 @@ namespace rr::model {
 
 struct SimulatedIteration {
   Duration total;             ///< simulated wall time of one iteration
-  std::uint64_t messages = 0; ///< CML messages exchanged
+  std::uint64_t messages = 0; ///< transport legs (SimNetwork::messages_sent)
   std::size_t ranks = 0;
 };
 

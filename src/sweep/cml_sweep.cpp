@@ -1,6 +1,6 @@
 #include "sweep/cml_sweep.hpp"
 
-#include <algorithm>
+#include <array>
 
 #include "sweep/diamond.hpp"
 #include "sweep/quadrature.hpp"
@@ -9,146 +9,217 @@
 namespace rr::sweep {
 
 namespace {
-int plane_tag(int octant, int angle, int block, int axis) {
-  return ((octant * 8 + angle) * 4096 + block) * 2 + axis;
+
+/// What every rank of one sweep shares: the rank grid, the subgrid each
+/// rank owns, and the K blocking.
+struct KbaShape {
+  KbaConfig cfg;
+  int bx = 0;      ///< cells per rank in I
+  int by = 0;      ///< cells per rank in J
+  int blocks = 0;  ///< K blocks of cfg.mk planes
+
+  KbaShape(int nx, int ny, int nz, const KbaConfig& c) : cfg(c) {
+    RR_EXPECTS(c.px >= 1 && c.py >= 1 && c.mk >= 1);
+    RR_EXPECTS(nx % c.px == 0);
+    RR_EXPECTS(ny % c.py == 0);
+    RR_EXPECTS(nz % c.mk == 0);
+    bx = nx / c.px;
+    by = ny / c.py;
+    blocks = nz / c.mk;
+  }
+
+  // Row-major placement: rank r sits at (i, j) = (r % px, r / px).
+  std::array<int, 2> place(int r) const { return {r % cfg.px, r / cfg.px}; }
+  int rank_at(int i, int j) const { return j * cfg.px + i; }
+
+  /// The rank one place from r along `axis` (0 = I, 1 = J) in direction
+  /// `step` (+1 or -1), or -1 past the grid's edge.  Octant o's upstream
+  /// neighbour in I is step -o.sx, its downstream one +o.sx.
+  int neighbour(int r, int axis, int step) const {
+    std::array<int, 2> at = place(r);
+    at[axis] += step;
+    if (at[0] < 0 || at[0] >= cfg.px || at[1] < 0 || at[1] >= cfg.py) return -1;
+    return rank_at(at[0], at[1]);
+  }
+
+  /// Tag of the message through face `axis` in block b of octant oc.
+  int tag(int oc, int b, int axis) const { return (oc * blocks + b) * 2 + axis; }
+
+  /// Doubles in one message through face `axis`: the face's cells in one
+  /// block, for all six angles.
+  std::size_t surface(int axis) const {
+    return static_cast<std::size_t>(axis == 0 ? by : bx) * cfg.mk * kAnglesPerOctant;
+  }
+};
+
+/// The KBA rank program, written once.  Each block receives its upstream
+/// faces, computes (charged as simulated time), then sends its downstream
+/// faces.  `Kernel` decides what a block computes and what a message
+/// carries; its state lives outside the rank coroutines' frames.
+template <typename Kernel>
+CmlSweepResult run_ranks(const KbaShape& s, Kernel& kernel, cml::CmlWorld& world,
+                         Duration per_cell_angle) {
+  RR_EXPECTS(world.size() >= s.cfg.ranks());
+  const Duration block_time =
+      per_cell_angle *
+      (static_cast<std::int64_t>(s.bx) * s.by * s.cfg.mk * kAnglesPerOctant);
+
+  // Each received Message goes to the kernel in the expression that
+  // awaits it: one held across a later co_await would sit in every
+  // rank's frame.
+  auto program = [&](cml::CmlContext ctx) -> sim::Task<void> {
+    const int r = ctx.rank();
+    if (r >= s.cfg.ranks()) co_return;
+    for (int oc = 0; oc < kOctants; ++oc) {
+      const Octant o = octant(oc);
+      const int up_x = s.neighbour(r, 0, -o.sx);
+      const int up_y = s.neighbour(r, 1, -o.sy);
+      const int dn_x = s.neighbour(r, 0, o.sx);
+      const int dn_y = s.neighbour(r, 1, o.sy);
+      for (int b = 0; b < s.blocks; ++b) {
+        if (up_x >= 0) kernel.inflow(r, 0, co_await ctx.recv(up_x, s.tag(oc, b, 0)));
+        if (up_y >= 0) kernel.inflow(r, 1, co_await ctx.recv(up_y, s.tag(oc, b, 1)));
+        kernel.block(r, oc, b);
+        co_await sim::Delay{world.simulator(), block_time};
+        if (dn_x >= 0) co_await kernel.outflow(ctx, dn_x, s.tag(oc, b, 0), r, 0);
+        if (dn_y >= 0) co_await kernel.outflow(ctx, dn_y, s.tag(oc, b, 1), r, 1);
+      }
+    }
+  };
+
+  CmlSweepResult result;
+  result.ranks = s.cfg.ranks();
+  const TimePoint t0 = world.simulator().now();
+  const std::uint64_t legs_before = world.network().messages_sent();
+  const std::size_t done = world.run(program);
+  RR_ENSURES(done == static_cast<std::size_t>(world.size()));  // no deadlock
+  result.simulated_time = world.simulator().now() - t0;
+  result.messages = world.network().messages_sent() - legs_before;
+  return result;
 }
+
+/// Sizes only: a block computes nothing, and a message is its length,
+/// timed like a payload of that many doubles.
+struct SizedKernel {
+  const KbaShape& shape;
+
+  void inflow(int, int, cml::Message&&) {}
+  void block(int, int, int) {}
+  sim::Task<void> outflow(cml::CmlContext& ctx, int dst, int tag, int, int axis) {
+    return ctx.send_sized(dst, tag, shape.surface(axis));
+  }
+};
+
+/// Real angular fluxes.  Each rank holds its inflow planes through the I,
+/// J and K faces of its subgrid, for all six angles (angle-major); the I
+/// and J planes travel downstream as message payloads.
+class FluxKernel {
+ public:
+  FluxKernel(const KbaShape& s, const Problem& p, const std::vector<double>& emission,
+             SweepResult& out)
+      : s_(s),
+        p_(p),
+        emission_(emission),
+        out_(out),
+        angles_(s6_octant_angles()),
+        planes_(static_cast<std::size_t>(s.cfg.ranks())) {}
+
+  void inflow(int r, int axis, cml::Message&& m) {
+    RR_ASSERT(m.payload.size() == s_.surface(axis));
+    planes_[r][axis] = std::move(m.payload);
+  }
+
+  void block(int r, int oc, int b) {
+    const Octant o = octant(oc);
+    const int kb = s_.cfg.mk;
+    const std::size_t x_len = static_cast<std::size_t>(s_.by) * kb;  // per angle
+    const std::size_t y_len = static_cast<std::size_t>(s_.bx) * kb;
+    const std::size_t z_len = static_cast<std::size_t>(s_.bx) * s_.by;
+    std::array<std::vector<double>, 3>& pl = planes_[r];
+    // Vacuum boundaries: nothing flows in from outside the grid.
+    if (s_.neighbour(r, 0, -o.sx) < 0) pl[0].assign(s_.surface(0), 0.0);
+    if (s_.neighbour(r, 1, -o.sy) < 0) pl[1].assign(s_.surface(1), 0.0);
+    if (b == 0) pl[2].assign(z_len * kAnglesPerOctant, 0.0);
+
+    const auto [pi, pj] = s_.place(r);
+    const int ib = pi * s_.bx;
+    const int jb = pj * s_.by;
+    const int kblock = o.sz > 0 ? b : s_.blocks - 1 - b;
+    const int kfirst = o.sz > 0 ? kblock * kb : kblock * kb + kb - 1;
+    for (int a = 0; a < kAnglesPerOctant; ++a) {
+      const Direction& d = angles_[a];
+      const double cx = d.mu / p_.dx;
+      const double cy = d.eta / p_.dy;
+      const double cz = d.xi / p_.dz;
+      double* const x_in = pl[0].data() + a * x_len;
+      double* const y_in = pl[1].data() + a * y_len;
+      double* const z_in = pl[2].data() + a * z_len;
+      for (int kk = 0; kk < kb; ++kk) {
+        const int k = kfirst + o.sz * kk;
+        for (int jj = 0; jj < s_.by; ++jj) {
+          const int j = o.sy > 0 ? jb + jj : jb + s_.by - 1 - jj;
+          for (int ii = 0; ii < s_.bx; ++ii) {
+            const int i = o.sx > 0 ? ib + ii : ib + s_.bx - 1 - ii;
+            const std::size_t cell = p_.idx(i, j, k);
+            double& ixf = x_in[static_cast<std::size_t>(kk) * s_.by + (j - jb)];
+            double& iyf = y_in[static_cast<std::size_t>(kk) * s_.bx + (i - ib)];
+            double& izf = z_in[static_cast<std::size_t>(j - jb) * s_.bx + (i - ib)];
+            const detail::CellUpdate u = detail::diamond_cell(
+                emission_[cell], p_.sigma_t, cx, cy, cz, ixf, iyf, izf, p_.flux_fixup);
+            out_.scalar_flux[cell] += d.weight * u.psi;
+            out_.fixups += u.fixups;
+            ixf = u.out_x;
+            iyf = u.out_y;
+            izf = u.out_z;
+          }
+        }
+      }
+      // Outflow through the grid's own faces leaks.
+      if (s_.neighbour(r, 0, o.sx) < 0) leak(x_in, x_len, d.mu * (p_.dy * p_.dz), d.weight);
+      if (s_.neighbour(r, 1, o.sy) < 0) leak(y_in, y_len, d.eta * (p_.dx * p_.dz), d.weight);
+      if (b == s_.blocks - 1) leak(z_in, z_len, d.xi * (p_.dx * p_.dy), d.weight);
+    }
+  }
+
+  sim::Task<void> outflow(cml::CmlContext& ctx, int dst, int tag, int r, int axis) {
+    return ctx.send(dst, tag, std::move(planes_[r][axis]));
+  }
+
+ private:
+  void leak(const double* plane, std::size_t n, double cosine_area, double weight) {
+    double sum = 0.0;
+    for (std::size_t v = 0; v < n; ++v) sum += cosine_area * plane[v];
+    out_.leakage += weight * sum;
+  }
+
+  const KbaShape& s_;
+  const Problem& p_;
+  const std::vector<double>& emission_;
+  SweepResult& out_;
+  std::array<Direction, kAnglesPerOctant> angles_;
+  std::vector<std::array<std::vector<double>, 3>> planes_;
+};
+
 }  // namespace
 
 CmlSweepResult sweep_once_cml(const Problem& p, const std::vector<double>& emission,
                               const KbaConfig& cfg, cml::CmlWorld& world,
                               Duration per_cell_angle) {
-  RR_EXPECTS(cfg.px >= 1 && cfg.py >= 1 && cfg.mk >= 1);
-  RR_EXPECTS(p.nx % cfg.px == 0);
-  RR_EXPECTS(p.ny % cfg.py == 0);
-  RR_EXPECTS(p.nz % cfg.mk == 0);
   RR_EXPECTS(emission.size() == p.cells());
-  RR_EXPECTS(world.size() >= cfg.ranks());
-
-  const int bx = p.nx / cfg.px;
-  const int by = p.ny / cfg.py;
-  const int kb = p.nz / cfg.mk;
-
-  CmlSweepResult result;
-  result.ranks = cfg.ranks();
-  result.sweep.scalar_flux.assign(p.cells(), 0.0);
-
-  const auto angles = s6_octant_angles();
-  const double ax = p.dy * p.dz;
-  const double ay = p.dx * p.dz;
-  const double az = p.dx * p.dy;
-  const std::uint64_t messages_before = world.network().messages_sent();
-
-  auto program = [&](cml::CmlContext ctx) -> sim::Task<void> {
-    const int r = ctx.rank();
-    if (r >= cfg.ranks()) co_return;
-    const int pi = r % cfg.px;
-    const int pj = r / cfg.px;
-    const int ib = pi * bx;
-    const int jb = pj * by;
-
-    std::vector<double> x_in(static_cast<std::size_t>(by) * kb);
-    std::vector<double> y_in(static_cast<std::size_t>(bx) * kb);
-    std::vector<double> z_in(static_cast<std::size_t>(bx) * by);
-
-    for (int oc = 0; oc < kOctants; ++oc) {
-      const Octant o = octant(oc);
-      const int up_pi = pi - o.sx;
-      const int up_pj = pj - o.sy;
-      const int dn_pi = pi + o.sx;
-      const int dn_pj = pj + o.sy;
-      const bool has_up_x = up_pi >= 0 && up_pi < cfg.px;
-      const bool has_up_y = up_pj >= 0 && up_pj < cfg.py;
-      const bool has_dn_x = dn_pi >= 0 && dn_pi < cfg.px;
-      const bool has_dn_y = dn_pj >= 0 && dn_pj < cfg.py;
-
-      for (int a = 0; a < kAnglesPerOctant; ++a) {
-        const Direction& d = angles[a];
-        const double cx = d.mu / p.dx;
-        const double cy = d.eta / p.dy;
-        const double cz = d.xi / p.dz;
-        std::fill(z_in.begin(), z_in.end(), 0.0);
-
-        for (int b = 0; b < cfg.mk; ++b) {
-          const int kblock = o.sz > 0 ? b : cfg.mk - 1 - b;
-          const int kfirst = o.sz > 0 ? kblock * kb : kblock * kb + kb - 1;
-
-          if (has_up_x) {
-            const cml::Message m =
-                co_await ctx.recv(pj * cfg.px + up_pi, plane_tag(oc, a, b, 0));
-            RR_ASSERT(m.payload.size() == x_in.size());
-            x_in = m.payload;
-          } else {
-            std::fill(x_in.begin(), x_in.end(), 0.0);
-          }
-          if (has_up_y) {
-            const cml::Message m =
-                co_await ctx.recv(up_pj * cfg.px + pi, plane_tag(oc, a, b, 1));
-            RR_ASSERT(m.payload.size() == y_in.size());
-            y_in = m.payload;
-          } else {
-            std::fill(y_in.begin(), y_in.end(), 0.0);
-          }
-
-          // Real diamond-difference block computation, charged to the SPE
-          // at the calibrated per-(cell,angle) rate.
-          std::uint64_t block_fixups = 0;
-          for (int kk = 0; kk < kb; ++kk) {
-            const int k = kfirst + o.sz * kk;
-            for (int jj = 0; jj < by; ++jj) {
-              const int j = o.sy > 0 ? jb + jj : jb + by - 1 - jj;
-              for (int ii = 0; ii < bx; ++ii) {
-                const int i = o.sx > 0 ? ib + ii : ib + bx - 1 - ii;
-                const std::size_t cell = p.idx(i, j, k);
-                double& ixf = x_in[static_cast<std::size_t>(kk) * by + (j - jb)];
-                double& iyf = y_in[static_cast<std::size_t>(kk) * bx + (i - ib)];
-                double& izf = z_in[static_cast<std::size_t>(j - jb) * bx + (i - ib)];
-                const detail::CellUpdate u = detail::diamond_cell(
-                    emission[cell], p.sigma_t, cx, cy, cz, ixf, iyf, izf,
-                    p.flux_fixup);
-                result.sweep.scalar_flux[cell] += d.weight * u.psi;
-                block_fixups += u.fixups;
-                ixf = u.out_x;
-                iyf = u.out_y;
-                izf = u.out_z;
-              }
-            }
-          }
-          result.sweep.fixups += block_fixups;
-          co_await sim::Delay{world.simulator(),
-                              per_cell_angle * (static_cast<std::int64_t>(bx) * by * kb)};
-
-          if (has_dn_x) {
-            std::vector<double> plane = x_in;
-            co_await ctx.send(pj * cfg.px + dn_pi, plane_tag(oc, a, b, 0),
-                              std::move(plane));
-          } else {
-            double leak = 0.0;
-            for (const double v : x_in) leak += d.mu * ax * v;
-            result.sweep.leakage += d.weight * leak;
-          }
-          if (has_dn_y) {
-            std::vector<double> plane = y_in;
-            co_await ctx.send(dn_pj * cfg.px + pi, plane_tag(oc, a, b, 1),
-                              std::move(plane));
-          } else {
-            double leak = 0.0;
-            for (const double v : y_in) leak += d.eta * ay * v;
-            result.sweep.leakage += d.weight * leak;
-          }
-        }
-        double leak = 0.0;
-        for (const double v : z_in) leak += d.xi * az * v;
-        result.sweep.leakage += d.weight * leak;
-      }
-    }
-  };
-
-  const TimePoint t0 = world.simulator().now();
-  const std::size_t done = world.run(program);
-  RR_ENSURES(done == static_cast<std::size_t>(world.size()));
-  result.simulated_time = world.simulator().now() - t0;
-  result.messages = world.network().messages_sent() - messages_before;
+  const KbaShape s(p.nx, p.ny, p.nz, cfg);
+  SweepResult sweep;
+  sweep.scalar_flux.assign(p.cells(), 0.0);
+  FluxKernel kernel(s, p, emission, sweep);
+  CmlSweepResult result = run_ranks(s, kernel, world, per_cell_angle);
+  result.sweep = std::move(sweep);
   return result;
+}
+
+CmlSweepResult sweep_once_cml_sized(int nx, int ny, int nz, const KbaConfig& cfg,
+                                    cml::CmlWorld& world, Duration per_cell_angle) {
+  const KbaShape s(nx, ny, nz, cfg);
+  SizedKernel kernel{s};
+  return run_ranks(s, kernel, world, per_cell_angle);
 }
 
 }  // namespace rr::sweep

@@ -4,6 +4,7 @@
 #include "model/apps.hpp"
 #include "model/sim_validation.hpp"
 #include "spu/pipeline.hpp"
+#include "sweep/cml_sweep.hpp"
 
 namespace rr::model {
 namespace {
@@ -94,8 +95,8 @@ TEST(SimValidation, ContentionMakesDesSlowerThanModelAtScale) {
 }
 
 TEST(SimValidation, MessageCountMatchesTheSchedule) {
-  // Messages = sum over octants/blocks of internal surface crossings:
-  // 8 octants x k_blocks x [(px-1)*py + px*(py-1)] sends.
+  // CML sends = sum over octants/blocks of internal surface crossings:
+  // 8 octants x k_blocks x [(px-1)*py + px*(py-1)].
   const auto pxc = spe_compute(arch::CellVariant::kPowerXCell8i);
   SweepWorkload w;
   w.kt = 40;  // keep it quick: 2 blocks of MK=20
@@ -103,8 +104,9 @@ TEST(SimValidation, MessageCountMatchesTheSchedule) {
   const auto des = simulate_iteration(w, px, py, pxc, two_cu_topo());
   const std::uint64_t expected_sends =
       8ull * (w.kt / w.mk) * ((px - 1) * py + px * (py - 1));
-  // Each CML send crosses >= 1 transport leg; same-cell sends cross
-  // exactly one (EIB), so messages_sent >= logical sends.
+  // des.messages counts transport legs: a send within a Cell is one EIB
+  // leg, between Cells two DaCS legs (plus an IB leg between nodes), so
+  // legs >= sends.
   EXPECT_GE(des.messages, expected_sends);
 }
 
@@ -149,6 +151,29 @@ TEST(SimValidation, SimulatedTimeAndLegsArePinned) {
     EXPECT_EQ(des.total.ps(), p.ps) << p.px << "x" << p.py << " kt=" << p.kt;
     EXPECT_EQ(des.messages, p.legs) << p.px << "x" << p.py << " kt=" << p.kt;
   }
+}
+
+TEST(SimValidation, FluxRunReproducesThePinnedIteration) {
+  // The timed iteration is the flux-checked program: the pinned 8x4,
+  // kt = 400 row run with real fluxes on its 40x20x400 grid takes the
+  // same picoseconds over the same legs, and sweeps bitwise like serial.
+  const auto pxc = spe_compute(arch::CellVariant::kPowerXCell8i);
+  const SweepWorkload w;
+  sweep::Problem p;
+  p.nx = w.it * 8;
+  p.ny = w.jt * 4;
+  p.nz = w.kt;
+  const std::vector<double> emission(p.cells(), 1.0);
+  sim::Simulator simulator;
+  cml::CmlWorld world(simulator, two_cu_topo(), cml::CmlConfig{});
+  const sweep::CmlSweepResult run = sweep::sweep_once_cml(
+      p, emission, sweep::KbaConfig{8, 4, w.mk}, world, pxc.per_cell_angle);
+  EXPECT_EQ(run.simulated_time.ps(), 59'098'582'836);
+  EXPECT_EQ(run.messages, 12'160u);
+  const sweep::SweepResult serial = sweep::sweep_once(p, emission);
+  ASSERT_EQ(run.sweep.scalar_flux.size(), serial.scalar_flux.size());
+  for (std::size_t c = 0; c < serial.scalar_flux.size(); ++c)
+    ASSERT_EQ(run.sweep.scalar_flux[c], serial.scalar_flux[c]) << c;
 }
 
 TEST(SimValidation, MoreRanksNeverFinishFasterPerIteration) {
