@@ -10,6 +10,7 @@
 
 #include "alf/alf.hpp"
 #include "dacs/dacs.hpp"
+#include "topo/fat_tree.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -29,7 +30,11 @@ int main(int argc, char** argv) {
   // --- DaCS: the host stages data to an accelerator and back -------------
   print_banner(std::cout, "DaCS: host element <-> accelerator elements");
   sim::Simulator sim;
-  dacs::DacsRuntime dacs_rt(sim, dacs::DacsConfig{4, best});
+  topo::TopologyParams tp;
+  tp.cu_count = 1;
+  const topo::FatTree node_tree = topo::FatTree::build(tp);
+  comm::SimNetwork net(sim, node_tree, comm::NetworkConfig{4, best});
+  dacs::DacsRuntime dacs_rt(net);
   std::vector<double> echoed;
   auto he_prog = [](dacs::Element he, std::vector<double>* out) -> sim::Task<void> {
     std::vector<double> staged{3.0, 1.0, 4.0, 1.0, 5.0, 9.0};

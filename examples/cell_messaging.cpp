@@ -7,6 +7,8 @@
 // Run:  ./cell_messaging [--nodes=2] [--best] [--trace=out.json]
 //       (--trace writes a Chrome trace-event JSON of every link transfer;
 //        open it at chrome://tracing or ui.perfetto.dev)
+#include <cerrno>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <numeric>
@@ -14,6 +16,7 @@
 #include "topo/fat_tree.hpp"
 #include "cml/cml.hpp"
 #include "comm/collectives.hpp"
+#include "fault/taxonomy.hpp"
 #include "sim/trace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -104,6 +107,12 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) {
     std::ofstream out(trace_path);
     trace.write_json(out);
+    out.close();
+    if (!out) {
+      std::cerr << "cell_messaging: cannot write trace " << trace_path << ": "
+                << std::strerror(errno) << "\n";
+      return fault::to_int(fault::ExitCode::kError);
+    }
     std::cout << "\nwrote " << trace.size() << " trace events to " << trace_path
               << " (open at chrome://tracing)\n";
   }

@@ -56,7 +56,7 @@ Bandwidth ChannelModel::bidir_bandwidth_sum(DataSize n) const {
 
 ChannelParams with_hops(ChannelParams p, int hops) {
   RR_EXPECTS(hops >= 0);
-  p.latency += kPerHopLatency * hops;
+  p.latency += cal::kSwitchHopLatency * hops;
   return p;
 }
 
@@ -122,6 +122,10 @@ ChannelParams pcie_raw() {
   p.rendezvous_bandwidth = cal::kPcieAchievableBw;   // 1.6 GB/s
   p.duplex_efficiency = 0.75;
   return p;
+}
+
+ChannelParams cell_pcie(bool best_case) {
+  return best_case ? pcie_raw() : dacs_pcie();
 }
 
 ChannelParams hypertransport() {

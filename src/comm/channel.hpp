@@ -80,14 +80,17 @@ ChannelParams cml_eib();
 /// are the "best achievable" parameters used for the Fig. 13/14 model.
 ChannelParams pcie_raw();
 
+/// A Cell's PCIe link to its Opteron as the models price it: early DaCS,
+/// or raw PCIe when `best_case` (the mature software stack).
+ChannelParams cell_pcie(bool best_case);
+
 /// HyperTransport x16 between the two Opteron sockets of the LS21.
 ChannelParams hypertransport();
 
 /// MPI software overhead excluding switch hops; one crossbar hop adds
-/// 220 ns (Section II.B).  kMpiBaseLatency + 1 hop = the 2.5 us floor of
-/// Fig. 10.
+/// arch::cal::kSwitchHopLatency (220 ns, Section II.B).  kMpiBaseLatency +
+/// 1 hop = the 2.5 us floor of Fig. 10.
 inline constexpr Duration kMpiBaseLatency = Duration::microseconds(2.28);
-inline constexpr Duration kPerHopLatency = Duration::nanoseconds(220);
 
 /// Add `hops` crossbar traversals to a channel's zero-byte latency.
 ChannelParams with_hops(ChannelParams p, int hops);

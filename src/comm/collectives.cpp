@@ -13,7 +13,7 @@ CollectiveLegs CollectiveLegs::roadrunner(DataSize payload, bool best_case_pcie)
   const ChannelModel eib{cml_eib()};
   legs.intra_socket = eib.one_way(payload);
 
-  const ChannelModel pcie{best_case_pcie ? pcie_raw() : dacs_pcie()};
+  const ChannelModel pcie{cell_pcie(best_case_pcie)};
   // SPE -> PPE -> Opteron -> PPE -> SPE within one node: two local legs
   // plus two PCIe crossings.
   legs.cross_socket = cal::kAnchorSpeLocalLeg * 2 + pcie.one_way(payload) * 2;

@@ -38,16 +38,14 @@ ChannelParams mpi_infiniband_default_params() {
   return p;
 }
 
-FabricModel::FabricModel(const topo::Topology& topo, Duration base, Duration per_hop)
+FabricModel::FabricModel(const topo::Topology& topo)
     : topo_(&topo),
-      base_(base),
-      per_hop_(per_hop),
       default_mpi_(mpi_infiniband_default_params()),
       pinned_mpi_(mpi_infiniband_pinned()) {}
 
 Duration FabricModel::zero_byte_latency(topo::NodeId src, topo::NodeId dst) const {
   if (src == dst) return Duration::zero();
-  return base_ + per_hop_ * topo_->hop_count(src, dst);
+  return kMpiBaseLatency + cal::kSwitchHopLatency * topo_->hop_count(src, dst);
 }
 
 std::vector<LatencySweepPoint> FabricModel::latency_sweep(topo::NodeId src) const {
@@ -58,7 +56,7 @@ std::vector<LatencySweepPoint> FabricModel::latency_sweep(topo::NodeId src) cons
     LatencySweepPoint pt;
     pt.node = d;
     pt.hops = topo_->hop_count(src, topo::NodeId{d});
-    pt.latency = base_ + per_hop_ * pt.hops;
+    pt.latency = kMpiBaseLatency + cal::kSwitchHopLatency * pt.hops;
     FabricMetrics& fm = FabricMetrics::instance();
     fm.pings.inc();
     fm.hops.observe(pt.hops);
@@ -73,7 +71,7 @@ Bandwidth FabricModel::large_message_bandwidth(topo::NodeId src, topo::NodeId ds
   RR_EXPECTS(!(src == dst));
   const ChannelModel& ch = pinned ? pinned_mpi_ : default_mpi_;
   const Duration t =
-      ch.one_way(n) + per_hop_ * topo_->hop_count(src, dst);
+      ch.one_way(n) + cal::kSwitchHopLatency * topo_->hop_count(src, dst);
   return achieved_bandwidth(n, t);
 }
 

@@ -19,9 +19,7 @@ struct LatencySweepPoint {
 
 class FabricModel {
  public:
-  explicit FabricModel(const topo::Topology& topo,
-                       Duration base = kMpiBaseLatency,
-                       Duration per_hop = kPerHopLatency);
+  explicit FabricModel(const topo::Topology& topo);
 
   /// Zero-byte MPI latency between two compute nodes.
   Duration zero_byte_latency(topo::NodeId src, topo::NodeId dst) const;
@@ -42,8 +40,6 @@ class FabricModel {
 
  private:
   const topo::Topology* topo_;
-  Duration base_;
-  Duration per_hop_;
   ChannelModel default_mpi_;
   ChannelModel pinned_mpi_;
 };

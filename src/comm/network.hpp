@@ -1,19 +1,18 @@
-// Discrete-event transport for functional message-passing (used by the
-// Cell Messaging Layer in src/cml).
+// Discrete-event transport for functional message-passing: the Cell
+// Messaging Layer (src/cml) and DaCS (src/dacs) both cross its links.
 //
 // Timing comes from the calibrated channel models; contention comes from
-// per-resource serialization: each node has one InfiniBand send engine,
-// each Cell one PCIe/DaCS link, each Cell socket one EIB slice.  Transfers
-// are coroutine tasks that hold the relevant resource for the message's
-// serialization time.
+// per-link serialization.  SimNetwork owns every contended link of the
+// DES: one InfiniBand send engine (HCA) per node and one PCIe link per
+// Cell, each a one-holder FIFO token plus its busy time, and every leg
+// over either crosses it in one place (`cross`).  The EIB within a Cell
+// socket is modeled as uncontended and has no token.
 #pragma once
 
-#include <memory>
+#include <deque>
 #include <string>
-#include <vector>
 
 #include "comm/channel.hpp"
-#include "comm/fabric.hpp"
 #include "sim/resource.hpp"
 #include "sim/trace.hpp"
 #include "sim/simulator.hpp"
@@ -49,7 +48,8 @@ class SimNetwork {
   // -- contended transfers (awaitable) --------------------------------------
   /// SPE-to-SPE within one Cell socket: EIB, effectively uncontended.
   sim::Task<void> eib_transfer(DataSize n);
-  /// Cell <-> Opteron over the Cell's dedicated PCIe link.
+  /// Cell <-> Opteron over the Cell's dedicated PCIe link (CML relays and
+  /// DaCS transfers alike).
   sim::Task<void> dacs_transfer(int node, int cell, DataSize n);
   /// Opteron <-> Opteron over InfiniBand; serializes on the sender's HCA.
   sim::Task<void> ib_transfer(int src_node, int dst_node, DataSize n);
@@ -67,25 +67,45 @@ class SimNetwork {
   Duration pcie_busy(int node, int cell) const;
   Duration eib_busy() const { return eib_busy_; }
 
-  /// Publish per-link utilization gauges (busy time / sim.now(), so 1.0 =
-  /// saturated since t=0) under `<prefix>.link.*`, plus message/byte
-  /// totals.  Only links that carried traffic get a gauge, keeping the
-  /// family bounded on big topologies.
+  /// Publish per-link utilization gauges for the HCAs and PCIe links
+  /// (busy time / sim.now(), so 1.0 = saturated since t=0) under
+  /// `<prefix>.link.*`, the machine-wide EIB service time in seconds
+  /// (`<prefix>.link.eib.busy_s`: every Cell's EIB summed, so no
+  /// utilization), plus message/byte totals.  Only links that carried
+  /// traffic get a gauge, keeping the family bounded on big topologies.
   void export_metrics(obs::MetricsRegistry& reg,
                       const std::string& prefix = "net") const;
 
  private:
+  /// One contended link: a one-holder FIFO token plus the simulated time
+  /// it spent serializing data.
+  struct Link {
+    explicit Link(sim::Simulator& sim) : token(sim, 1) {}
+    sim::Resource token;
+    Duration busy;
+  };
+  /// Which link a leg crosses, for its trace span: node `node`'s HCA
+  /// sending to node `other`, or the PCIe link of cell `other` on `node`.
+  struct Leg {
+    bool ib;
+    int node;
+    int other;
+  };
+
+  /// The one crossing of a contended link: queue for its token, hold it
+  /// for `service`, release.
+  sim::Task<void> cross(Link& link, Duration service, DataSize n, Leg leg);
+  /// Open the leg's trace span (formatted here, outside the coroutine).
+  sim::TraceRecorder::SpanId open_span(Leg leg, DataSize n) const;
+
   sim::Simulator* sim_;
   const topo::Topology* topo_;
   NetworkConfig config_;
   ChannelModel eib_;
   ChannelModel dacs_;
   ChannelModel mpi_;
-  FabricModel fabric_;
-  std::vector<std::unique_ptr<sim::Resource>> hca_tx_;    // one per node
-  std::vector<std::unique_ptr<sim::Resource>> pcie_;      // one per (node, cell)
-  std::vector<Duration> hca_busy_;    // serialization time per HCA
-  std::vector<Duration> pcie_busy_;   // per (node, cell) link
+  std::deque<Link> hca_;    // one per node
+  std::deque<Link> pcie_;   // one per (node, cell)
   Duration eib_busy_;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;

@@ -35,8 +35,7 @@ HybridExecution HybridRuntime::run(UsageMode mode, const KernelProfile& kernel,
   RR_EXPECTS(kernel.flops_per_byte > 0);
 
   const double flops = kernel.flops_per_byte * static_cast<double>(data.b());
-  const comm::ChannelModel pcie{best_case_pcie_ ? comm::pcie_raw()
-                                                : comm::dacs_pcie()};
+  const comm::ChannelModel pcie{comm::cell_pcie(best_case_pcie_)};
 
   HybridExecution e;
   e.mode = mode;

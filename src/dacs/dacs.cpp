@@ -1,6 +1,5 @@
 #include "dacs/dacs.hpp"
 
-#include "arch/calibration.hpp"
 #include "util/expect.hpp"
 
 namespace rr::dacs {
@@ -9,17 +8,10 @@ ElementKind Element::kind() const {
   return id_.v == 0 ? ElementKind::kHostElement : ElementKind::kAcceleratorElement;
 }
 
-DacsRuntime::DacsRuntime(sim::Simulator& sim, DacsConfig config)
-    : sim_(&sim),
-      config_(config),
-      channel_(config.best_case_pcie ? comm::pcie_raw() : comm::dacs_pcie()),
-      ops_(std::make_unique<sim::TaskRegistry>(sim)),
-      barrier_event_(std::make_shared<sim::Event>(sim)) {
-  RR_EXPECTS(config_.accelerator_children >= 1);
-  links_.reserve(config_.accelerator_children);
-  for (int i = 0; i < config_.accelerator_children; ++i)
-    links_.push_back(std::make_unique<sim::Resource>(sim, 1));
-}
+DacsRuntime::DacsRuntime(comm::SimNetwork& net)
+    : net_(&net),
+      ops_(std::make_unique<sim::TaskRegistry>(net.simulator())),
+      barrier_event_(std::make_shared<sim::Event>(net.simulator())) {}
 
 Element DacsRuntime::element(DeId id) {
   RR_EXPECTS(id.v >= 0 && id.v < num_elements());
@@ -27,36 +19,29 @@ Element DacsRuntime::element(DeId id) {
 }
 
 Element DacsRuntime::accelerator(int i) {
-  RR_EXPECTS(i >= 0 && i < config_.accelerator_children);
+  RR_EXPECTS(i >= 0 && i < net_->config().cells_per_node);
   return element(DeId{i + 1});
 }
 
 std::size_t DacsRuntime::run(std::vector<sim::Task<void>> programs) {
-  sim::TaskRegistry reg(*sim_);
+  sim::TaskRegistry reg(simulator());
   for (auto& t : programs) reg.spawn(std::move(t));
   return reg.drain();
 }
 
-sim::Resource& DacsRuntime::link_of(DeId a, DeId b) {
+sim::Task<void> DacsRuntime::crossing(DeId a, DeId b, DataSize bytes) {
   // DaCS is strictly parent-child: one endpoint must be the HE.  (On
   // Roadrunner the PPEs are not directly connected -- Section IV.C.)
   RR_EXPECTS(a.v == 0 || b.v == 0);
   RR_EXPECTS(a.v != b.v);
   const int ae = a.v == 0 ? b.v : a.v;
-  return *links_[ae - 1];
-}
-
-sim::Task<void> DacsRuntime::crossing(DeId a, DeId b, DataSize bytes) {
-  sim::Resource& link = link_of(a, b);
-  co_await link.acquire();
-  co_await sim::Delay{*sim_, channel_.one_way(bytes)};
-  link.release();
+  return net_->dacs_transfer(0, ae - 1, bytes);
 }
 
 Wid DacsRuntime::new_wid() {
   const Wid wid{next_wid_++};
   Pending p;
-  p.done = std::make_unique<sim::Event>(*sim_);
+  p.done = std::make_unique<sim::Event>(simulator());
   pending_.emplace(wid.v, std::move(p));
   return wid;
 }
@@ -213,7 +198,7 @@ sim::Task<void> Element::barrier() {
   if (++rt.barrier_arrived_ == rt.num_elements()) {
     rt.barrier_arrived_ = 0;
     ++rt.barrier_generation_;
-    rt.barrier_event_ = std::make_shared<sim::Event>(*rt.sim_);
+    rt.barrier_event_ = std::make_shared<sim::Event>(rt.simulator());
     ev->set();
   }
   co_await ev->wait();

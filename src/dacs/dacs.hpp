@@ -14,9 +14,11 @@
 //   * group barrier across the HE and its AEs.
 //
 // Functionally real: payload bytes actually move between element-owned
-// buffers.  Temporally modeled: every crossing is charged the calibrated
-// DaCS/PCIe channel time (early stack) or raw-PCIe time (mature stack),
-// serialized per Cell link through the DES resources.
+// buffers.  Temporally modeled: the runtime is node 0 of a
+// comm::SimNetwork, and every HE <-> AE crossing is that network's
+// dacs_transfer over the AE's Cell PCIe link -- the same link, token and
+// busy time a CML message leaving that Cell uses.  Its timing (early DaCS
+// or raw PCIe) is the network's.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +28,9 @@
 #include <optional>
 #include <vector>
 
-#include "comm/channel.hpp"
+#include "comm/network.hpp"
 #include "sim/event.hpp"
 #include "sim/mailbox.hpp"
-#include "sim/resource.hpp"
 #include "sim/task.hpp"
 
 namespace rr::dacs {
@@ -96,18 +97,14 @@ class Element {
   DeId id_;
 };
 
-struct DacsConfig {
-  int accelerator_children = 4;  ///< AEs the HE reserves (4 Cells/node)
-  bool best_case_pcie = false;   ///< mature-stack timing
-};
-
-/// One node's DaCS universe: the HE plus its reserved AEs.
+/// Node 0's DaCS universe: the HE (node 0's Opteron) plus one AE per Cell
+/// (`net.config().cells_per_node`).  The network must outlive the runtime.
 class DacsRuntime {
  public:
-  DacsRuntime(sim::Simulator& sim, DacsConfig config = {});
+  explicit DacsRuntime(comm::SimNetwork& net);
 
-  sim::Simulator& simulator() { return *sim_; }
-  int num_elements() const { return config_.accelerator_children + 1; }
+  sim::Simulator& simulator() { return net_->simulator(); }
+  int num_elements() const { return net_->config().cells_per_node + 1; }
   Element element(DeId id);
   Element host_element() { return element(DeId{0}); }
   Element accelerator(int i);
@@ -131,9 +128,8 @@ class DacsRuntime {
     friend auto operator<=>(const MatchKey&, const MatchKey&) = default;
   };
 
-  /// Transfer time + link serialization between two elements.
+  /// The network leg between the HE and an AE: its Cell's PCIe link.
   sim::Task<void> crossing(DeId a, DeId b, DataSize bytes);
-  sim::Resource& link_of(DeId a, DeId b);
   Wid new_wid();
   Pending& pending(Wid wid);
   const Pending& pending(Wid wid) const;
@@ -144,10 +140,7 @@ class DacsRuntime {
   void start_get(DeId dst, const RemoteMem& mem, std::size_t offset,
                  std::size_t count, Wid wid);
 
-  sim::Simulator* sim_;
-  DacsConfig config_;
-  comm::ChannelModel channel_;
-  std::vector<std::unique_ptr<sim::Resource>> links_;  // one per AE
+  comm::SimNetwork* net_;
   std::unique_ptr<sim::TaskRegistry> ops_;             // in-flight operations
   std::uint64_t next_wid_ = 1;
   std::map<std::uint64_t, Pending> pending_;

@@ -6,6 +6,7 @@
 #include "comm/fabric.hpp"
 #include "comm/network.hpp"
 #include "comm/path.hpp"
+#include "obs/metrics.hpp"
 #include "sim/task.hpp"
 
 namespace rr::comm {
@@ -302,6 +303,68 @@ TEST(SimNetwork, BestCasePcieIsFasterThanDacs) {
   SimNetwork best(sim, t, NetworkConfig{4, true});
   EXPECT_LT(best.dacs_time(k1MB).ps(), early.dacs_time(k1MB).ps());
   EXPECT_LT(best.dacs_time(DataSize::zero()).ps(), early.dacs_time(DataSize::zero()).ps());
+}
+
+TEST(SimNetwork, IbLegMatchesFig10Latency) {
+  // The DES's zero-byte IB leg is Fig. 10's MPI latency, for one
+  // destination in each Table I hop class from node 0.
+  sim::Simulator sim;
+  const topo::FatTree t = topo::FatTree::roadrunner();
+  const SimNetwork net(sim, t);
+  const FabricModel fabric(t);
+  for (const int hops : {1, 3, 5, 7}) {
+    int d = 1;
+    while (d < t.node_count() && t.hop_count(topo::NodeId{0}, topo::NodeId{d}) != hops) ++d;
+    ASSERT_LT(d, t.node_count()) << hops << " hops";
+    EXPECT_EQ(net.ib_time(0, d, DataSize::zero()).ps(),
+              fabric.zero_byte_latency(topo::NodeId{0}, topo::NodeId{d}).ps())
+        << hops << " hops";
+  }
+}
+
+TEST(SimNetwork, BusyTimeIsTheSumOfServiceTimes) {
+  sim::Simulator sim;
+  sim::TaskRegistry reg(sim);
+  topo::TopologyParams p;
+  p.cu_count = 2;
+  const topo::FatTree t = topo::FatTree::build(p);
+  SimNetwork net(sim, t);
+  const DataSize n = DataSize::kib(4);
+  constexpr int k = 5;
+  for (int i = 0; i < k; ++i) {
+    reg.spawn(net.ib_transfer(0, 100, n));
+    reg.spawn(net.dacs_transfer(1, 2, n));
+    reg.spawn(net.eib_transfer(n));
+  }
+  reg.drain();
+  EXPECT_EQ(net.ib_busy(0).ps(), (net.ib_time(0, 100, n) * k).ps());
+  EXPECT_EQ(net.pcie_busy(1, 2).ps(), (net.dacs_time(n) * k).ps());
+  EXPECT_EQ(net.eib_busy().ps(), (net.eib_time(n) * k).ps());
+  EXPECT_EQ(net.ib_busy(1).ps(), 0);
+  EXPECT_EQ(net.pcie_busy(1, 0).ps(), 0);
+  EXPECT_EQ(net.messages_sent(), 3u * k);
+}
+
+TEST(SimNetwork, EibGaugeIsTheMachineWideBusyTime) {
+  // Two Cells' EIBs busy at once: their summed service time is twice the
+  // elapsed time, so the EIB is exported in seconds, not as a utilization.
+  sim::Simulator sim;
+  sim::TaskRegistry reg(sim);
+  topo::TopologyParams p;
+  p.cu_count = 1;
+  const topo::FatTree t = topo::FatTree::build(p);
+  SimNetwork net(sim, t);
+  const DataSize n = DataSize::kib(16);
+  reg.spawn(net.eib_transfer(n));
+  reg.spawn(net.eib_transfer(n));
+  reg.drain();
+  obs::MetricsRegistry metrics;
+  net.export_metrics(metrics);
+  const obs::Snapshot snap = metrics.snapshot();
+  const obs::MetricSnapshot* busy = snap.find("net.link.eib.busy_s");
+  ASSERT_NE(busy, nullptr);
+  EXPECT_DOUBLE_EQ(busy->value, (net.eib_time(n) * 2).sec());
+  EXPECT_EQ(snap.find("net.link.eib.utilization"), nullptr);
 }
 
 }  // namespace

@@ -1,17 +1,30 @@
 #include <gtest/gtest.h>
 
 #include "arch/calibration.hpp"
+#include "cml/cml.hpp"
 #include "dacs/dacs.hpp"
+#include "topo/fat_tree.hpp"
 
 namespace rr::dacs {
 namespace {
 
 namespace cal = rr::arch::cal;
 
+const topo::FatTree& one_cu() {
+  static const topo::FatTree tree = [] {
+    topo::TopologyParams p;
+    p.cu_count = 1;
+    return topo::FatTree::build(p);
+  }();
+  return tree;
+}
+
 struct Fixture {
   sim::Simulator sim;
+  comm::SimNetwork net;
   DacsRuntime rt;
-  explicit Fixture(DacsConfig cfg = {}) : rt(sim, cfg) {}
+  explicit Fixture(comm::NetworkConfig cfg = {})
+      : net(sim, one_cu(), cfg), rt(net) {}
 };
 
 // ---------------------------------------------------------------------------
@@ -150,6 +163,51 @@ TEST(Dacs, PerLinkSerializationUnderContention) {
   EXPECT_GT(same_link_us, diff_link_us * 1.7);
 }
 
+TEST(Dacs, SharesTheCellPcieLinkWithCml) {
+  // A DaCS HE -> AE1 send and a CML message leaving node 0's Cell 0 (rank
+  // 0 -> rank 8 on Cell 1) start together.  The DaCS send takes Cell 0's
+  // PCIe link at once; the CML message asks for it after its SPE -> PPE
+  // local leg and waits for the rest of the DaCS send.
+  const std::size_t staged = 1000;
+  // Returns when rank 8 got the message, and Cell 0's PCIe busy time.
+  const auto run = [&](bool with_dacs) {
+    sim::Simulator sim;
+    cml::CmlWorld world(sim, one_cu(), cml::CmlConfig{});
+    DacsRuntime rt(world.network());
+    auto he_prog = [](Element he, std::size_t n) -> sim::Task<void> {
+      co_await he.wait(he.send(DeId{1}, 0, std::vector<double>(n, 1.0)));
+    };
+    auto ae_prog = [](Element ae) -> sim::Task<void> {
+      co_await ae.wait(ae.recv(DeId{0}, 0));
+    };
+    sim::TaskRegistry dacs_progs(sim);
+    if (with_dacs) {
+      dacs_progs.spawn(he_prog(rt.host_element(), staged));
+      dacs_progs.spawn(ae_prog(rt.accelerator(0)));
+    }
+    Duration delivered;
+    world.run([&](cml::CmlContext ctx) -> sim::Task<void> {
+      if (ctx.rank() == 0) co_await ctx.send(8, 0, std::vector<double>(1, 1.0));
+      if (ctx.rank() == 8) {
+        co_await ctx.recv(0, 0);
+        delivered = sim.now() - TimePoint::origin();
+      }
+    });
+    EXPECT_EQ(dacs_progs.drain(), with_dacs ? 2u : 0u);
+    return std::pair{delivered, world.network().pcie_busy(0, 0)};
+  };
+  const auto [alone, alone_busy] = run(false);
+  const auto [shared, shared_busy] = run(true);
+
+  const comm::ChannelModel pcie{comm::cell_pcie(false)};
+  const Duration dacs_hold = pcie.one_way(comm::message_bytes(staged));
+  // Alone, the message crosses two local legs and two PCIe legs.
+  const Duration local_leg = Duration::picoseconds(
+      (alone - pcie.one_way(comm::message_bytes(1)) * 2).ps() / 2);
+  EXPECT_EQ((shared - alone).ps(), (dacs_hold - local_leg).ps());
+  EXPECT_EQ(shared_busy.ps(), (alone_busy + dacs_hold).ps());
+}
+
 // ---------------------------------------------------------------------------
 // One-sided remote memory
 // ---------------------------------------------------------------------------
@@ -226,7 +284,7 @@ TEST(Dacs, BarrierHoldsEveryoneForTheLastArrival) {
 }
 
 TEST(Dacs, BackToBackBarriersWork) {
-  Fixture f(DacsConfig{2, false});
+  Fixture f(comm::NetworkConfig{2, false});
   int completions = 0;
   std::vector<sim::Task<void>> progs;
   auto prog = [](Element e, int* done) -> sim::Task<void> {
@@ -242,7 +300,7 @@ TEST(Dacs, BackToBackBarriersWork) {
 TEST(Dacs, BestCasePcieIsFaster) {
   double early_us = 0.0, best_us = 0.0;
   for (const bool best : {false, true}) {
-    Fixture f(DacsConfig{4, best});
+    Fixture f(comm::NetworkConfig{4, best});
     double* out = best ? &best_us : &early_us;
     auto he_prog = [](Element he, sim::Simulator* sim, double* o) -> sim::Task<void> {
       const Wid rw = he.recv(DeId{1}, 0);

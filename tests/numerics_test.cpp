@@ -10,6 +10,7 @@
 #include "sim/event.hpp"
 #include "sim/task.hpp"
 #include "sweep/solver.hpp"
+#include "topo/fat_tree.hpp"
 
 namespace rr {
 namespace {
@@ -129,11 +130,19 @@ TEST(Event, DoubleSetIsIdempotent) {
 // DaCS contract enforcement
 // ---------------------------------------------------------------------------
 
+topo::FatTree one_cu_tree() {
+  topo::TopologyParams p;
+  p.cu_count = 1;
+  return topo::FatTree::build(p);
+}
+
 TEST(DacsContracts, AcceleratorToAcceleratorIsRejected) {
   // DaCS is parent-child only; the PPEs are not directly connected on
   // Roadrunner (Section IV.C).
   sim::Simulator simulator;
-  dacs::DacsRuntime rt(simulator);
+  const topo::FatTree tree = one_cu_tree();
+  comm::SimNetwork net(simulator, tree);
+  dacs::DacsRuntime rt(net);
   auto prog = [](dacs::Element ae) -> sim::Task<void> {
     const dacs::Wid w = ae.send(dacs::DeId{2}, 0, std::vector<double>{1.0});
     co_await ae.wait(w);
@@ -154,7 +163,9 @@ TEST(DacsContracts, AcceleratorToAcceleratorIsRejected) {
 
 TEST(DacsContracts, OutOfRangePutIsRejected) {
   sim::Simulator simulator;
-  dacs::DacsRuntime rt(simulator);
+  const topo::FatTree tree = one_cu_tree();
+  comm::SimNetwork net(simulator, tree);
+  dacs::DacsRuntime rt(net);
   dacs::Element he = rt.host_element();
   const dacs::RemoteMem mem = he.create_remote_mem(4);
   EXPECT_DEATH(he.put(mem, 3, std::vector<double>{1.0, 2.0}), "Precondition");
