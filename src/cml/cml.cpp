@@ -1,23 +1,14 @@
 #include "cml/cml.hpp"
 
-#include "arch/calibration.hpp"
 #include "util/expect.hpp"
 
 namespace rr::cml {
-
-namespace cal = rr::arch::cal;
 
 namespace {
 // Internal tag spaces (user tags are >= 0).
 constexpr int kBarrierTagBase = -1000;  // minus the round number
 constexpr int kBcastTag = -2000;
 constexpr int kReduceTag = -3000;
-
-/// SPE<->PPE handoff: 0.12 us plus payload over the EIB (Fig. 6).
-Duration local_leg(DataSize bytes) {
-  return cal::kAnchorSpeLocalLeg +
-         transfer_time(bytes, Bandwidth::gb_per_sec(23.5));
-}
 }  // namespace
 
 DataSize message_bytes(const std::vector<double>& payload) {
@@ -31,8 +22,7 @@ CmlWorld::CmlWorld(sim::Simulator& sim, const topo::Topology& topo, CmlConfig co
       net_(sim, topo, comm::NetworkConfig{config.cells_per_node, config.best_case_pcie}) {
   RR_EXPECTS(config.nodes >= 1 && config.nodes <= topo.node_count());
   RR_EXPECTS(config.cells_per_node >= 1 && config.spes_per_cell >= 1);
-  endpoints_.reserve(size_);
-  for (int i = 0; i < size_; ++i) endpoints_.push_back(std::make_unique<Endpoint>(sim));
+  for (int i = 0; i < size_; ++i) endpoints_.emplace_back(sim);
 }
 
 int CmlWorld::node_of(Rank r) const {
@@ -52,37 +42,19 @@ int CmlWorld::spe_of(Rank r) const {
 
 sim::Task<void> CmlWorld::transport(Rank src, Rank dst, DataSize bytes) {
   RR_EXPECTS(src >= 0 && src < size_);
-  RR_EXPECTS(dst >= 0 && dst < size_);
-  if (src == dst) co_return;
-
-  const int src_node = node_of(src);
-  const int dst_node = node_of(dst);
-  const int src_cell = cell_of(src);
-  const int dst_cell = cell_of(dst);
-
-  if (src_cell == dst_cell) {
-    // Same socket: pure EIB, no PPE involvement (Section V.C).
-    co_await net_.eib_transfer(bytes);
-    co_return;
-  }
-
-  // The message is DMAed to the PPE, forwarded over DaCS to the Opteron
-  // (PPEs are not directly connected on Roadrunner), and descends
-  // symmetrically on the destination side.
-  co_await sim::Delay{*sim_, local_leg(bytes)};
-  co_await net_.dacs_transfer(src_node, src_cell % config_.cells_per_node, bytes);
-  if (src_node != dst_node) co_await net_.ib_transfer(src_node, dst_node, bytes);
-  co_await net_.dacs_transfer(dst_node, dst_cell % config_.cells_per_node, bytes);
-  co_await sim::Delay{*sim_, local_leg(bytes)};
+  RR_EXPECTS(dst >= 0 && dst < size_ && dst != src);
+  const int cells = config_.cells_per_node;
+  return net_.spe_transfer(node_of(src), cell_of(src) % cells, node_of(dst),
+                           cell_of(dst) % cells, bytes);
 }
 
 void CmlWorld::deliver(Rank dst, Message msg) {
   RR_EXPECTS(dst >= 0 && dst < size_);
-  endpoints_[dst]->box.send(std::move(msg));
+  endpoints_[static_cast<std::size_t>(dst)].box.send(std::move(msg));
 }
 
 sim::Task<Message> CmlWorld::match(Rank dst, Rank src, int tag) {
-  Endpoint& ep = *endpoints_[dst];
+  Endpoint& ep = endpoints_[static_cast<std::size_t>(dst)];
   auto matches = [src, tag](const Message& m) {
     return (src == kAnySource || m.src == src) && (tag == kAnyTag || m.tag == tag);
   };
@@ -116,13 +88,14 @@ int CmlContext::node() const { return world_->node_of(rank_); }
 int CmlContext::cell() const { return world_->cell_of(rank_); }
 
 sim::Task<void> CmlContext::send(Rank dst, int tag, std::vector<double> payload) {
-  const DataSize bytes = message_bytes(payload);
-  co_await world_->transport(rank_, dst, bytes);
+  // A message to oneself crosses nothing.
+  if (dst != rank_) co_await world_->transport(rank_, dst, message_bytes(payload));
   world_->deliver(dst, Message{rank_, tag, std::move(payload)});
 }
 
 sim::Task<void> CmlContext::send_sized(Rank dst, int tag, std::size_t doubles) {
-  co_await world_->transport(rank_, dst, comm::message_bytes(doubles));
+  if (dst != rank_)
+    co_await world_->transport(rank_, dst, comm::message_bytes(doubles));
   world_->deliver(dst, Message{rank_, tag, {}});
 }
 
@@ -192,10 +165,11 @@ sim::Task<std::vector<double>> CmlContext::allreduce_sum(
 sim::Task<std::vector<double>> CmlContext::rpc_ppe(
     std::function<std::vector<double>()> fn, Duration host_time) {
   // Request and response each cross the SPE<->PPE mailbox/DMA path.
-  co_await sim::Delay{world_->simulator(), local_leg(DataSize::bytes(64))};
+  const comm::SimNetwork& net = world_->network();
+  co_await sim::Delay{world_->simulator(), net.local_time(DataSize::bytes(64))};
   co_await sim::Delay{world_->simulator(), host_time};
   std::vector<double> result = fn();
-  co_await sim::Delay{world_->simulator(), local_leg(message_bytes(result))};
+  co_await sim::Delay{world_->simulator(), net.local_time(message_bytes(result))};
   co_return result;
 }
 
@@ -204,12 +178,12 @@ sim::Task<std::vector<double>> CmlContext::rpc_opteron(
   comm::SimNetwork& net = world_->network();
   const int node_id = node();
   const int local_cell = cell() % world_->config().cells_per_node;
-  co_await sim::Delay{world_->simulator(), local_leg(DataSize::bytes(64))};
+  co_await sim::Delay{world_->simulator(), net.local_time(DataSize::bytes(64))};
   co_await net.dacs_transfer(node_id, local_cell, DataSize::bytes(64));
   co_await sim::Delay{world_->simulator(), host_time};
   std::vector<double> result = fn();
   co_await net.dacs_transfer(node_id, local_cell, message_bytes(result));
-  co_await sim::Delay{world_->simulator(), local_leg(message_bytes(result))};
+  co_await sim::Delay{world_->simulator(), net.local_time(message_bytes(result))};
   co_return result;
 }
 

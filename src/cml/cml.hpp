@@ -18,9 +18,9 @@
 // RPC mechanism for invoking PPE/Opteron services (e.g. malloc, file I/O).
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "comm/network.hpp"
@@ -115,6 +115,8 @@ class CmlWorld {
   std::size_t run(const std::function<sim::Task<void>(CmlContext)>& program);
 
   // -- used by CmlContext ----------------------------------------------------
+  /// The network's one route coroutine for a message from `src` to `dst`
+  /// (two different ranks).
   sim::Task<void> transport(Rank src, Rank dst, DataSize bytes);
   void deliver(Rank dst, Message msg);
   sim::Task<Message> match(Rank dst, Rank src, int tag);
@@ -130,7 +132,7 @@ class CmlWorld {
   CmlConfig config_;
   int size_;
   comm::SimNetwork net_;
-  std::vector<std::unique_ptr<Endpoint>> endpoints_;
+  std::deque<Endpoint> endpoints_;  ///< one per rank, never moved
 };
 
 /// Payload size in bytes for timing purposes (comm::message_bytes).

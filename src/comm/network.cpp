@@ -61,6 +61,12 @@ void SimNetwork::export_metrics(obs::MetricsRegistry& reg,
   reg.gauge(prefix + ".bytes_sent").set(static_cast<double>(bytes_sent_));
 }
 
+Duration SimNetwork::local_time(DataSize n) const {
+  // SPE<->PPE handoff: 0.12 us plus payload over the EIB (Fig. 6).
+  return arch::cal::kAnchorSpeLocalLeg +
+         transfer_time(n, Bandwidth::gb_per_sec(23.5));
+}
+
 Duration SimNetwork::eib_time(DataSize n) const { return eib_.one_way(n); }
 
 Duration SimNetwork::dacs_time(DataSize n) const { return dacs_.one_way(n); }
@@ -71,36 +77,64 @@ Duration SimNetwork::ib_time(int src_node, int dst_node, DataSize n) const {
   return mpi_.one_way(n) + hops;
 }
 
+sim::Task<void> SimNetwork::spe_transfer(int src_node, int src_cell, int dst_node,
+                                         int dst_cell, DataSize n) {
+  RR_EXPECTS(src_node >= 0 && src_node < topo_->node_count());
+  RR_EXPECTS(dst_node >= 0 && dst_node < topo_->node_count());
+  RR_EXPECTS(src_cell >= 0 && src_cell < config_.cells_per_node);
+  RR_EXPECTS(dst_cell >= 0 && dst_cell < config_.cells_per_node);
+  using Kind = Leg::Kind;
+  Route r;
+  if (src_node == dst_node && src_cell == dst_cell) {
+    // Same socket: pure EIB, no PPE involvement (Section V.C).
+    r.add({Kind::kEib});
+    return route(r, n);
+  }
+  // The message is DMAed to the PPE, forwarded over DaCS to the Opteron
+  // (PPEs are not directly connected on Roadrunner), and descends
+  // symmetrically on the destination side.
+  r.add({Kind::kLocal});
+  r.add({Kind::kPcie, src_node, src_cell});
+  if (src_node != dst_node) r.add({Kind::kIb, src_node, dst_node});
+  r.add({Kind::kPcie, dst_node, dst_cell});
+  r.add({Kind::kLocal});
+  return route(r, n);
+}
+
 sim::Task<void> SimNetwork::eib_transfer(DataSize n) {
-  ++messages_sent_;
-  bytes_sent_ += n.b();
-  const auto span = trace_ ? trace_->begin("eib " + std::to_string(n.b()) + "B",
-                                           "eib", sim_->now())
-                           : sim::TraceRecorder::SpanId{};
-  const Duration service = eib_time(n);
-  eib_busy_ = eib_busy_ + service;
-  co_await sim::Delay{*sim_, service};
-  if (trace_) trace_->end(span, sim_->now());
+  return hop({Leg::Kind::kEib}, n);
 }
 
 sim::Task<void> SimNetwork::dacs_transfer(int node, int cell, DataSize n) {
   RR_EXPECTS(node >= 0 && node < topo_->node_count());
   RR_EXPECTS(cell >= 0 && cell < config_.cells_per_node);
-  return cross(pcie_[static_cast<std::size_t>(node) * config_.cells_per_node + cell],
-               dacs_time(n), n, Leg{false, node, cell});
+  return hop({Leg::Kind::kPcie, node, cell}, n);
 }
 
 sim::Task<void> SimNetwork::ib_transfer(int src_node, int dst_node, DataSize n) {
   RR_EXPECTS(src_node >= 0 && src_node < topo_->node_count());
   RR_EXPECTS(dst_node >= 0 && dst_node < topo_->node_count());
-  return cross(hca_[static_cast<std::size_t>(src_node)],
-               ib_time(src_node, dst_node, n), n, Leg{true, src_node, dst_node});
+  return hop({Leg::Kind::kIb, src_node, dst_node}, n);
+}
+
+sim::Task<void> SimNetwork::hop(Leg leg, DataSize n) {
+  Route r;
+  r.add(leg);
+  return route(r, n);
+}
+
+SimNetwork::Link& SimNetwork::link_of(Leg leg) {
+  if (leg.kind == Leg::Kind::kIb) return hca_[static_cast<std::size_t>(leg.node)];
+  return pcie_[static_cast<std::size_t>(leg.node) * config_.cells_per_node +
+               static_cast<std::size_t>(leg.other)];
 }
 
 sim::TraceRecorder::SpanId SimNetwork::open_span(Leg leg, DataSize n) const {
   if (!trace_) return {};
+  if (leg.kind == Leg::Kind::kEib)
+    return trace_->begin("eib " + std::to_string(n.b()) + "B", "eib", sim_->now());
   const std::string node = "node" + std::to_string(leg.node);
-  if (leg.ib)
+  if (leg.kind == Leg::Kind::kIb)
     return trace_->begin("ib " + std::to_string(n.b()) + "B to n" +
                              std::to_string(leg.other),
                          "ib/" + node, sim_->now());
@@ -109,16 +143,34 @@ sim::TraceRecorder::SpanId SimNetwork::open_span(Leg leg, DataSize n) const {
                        sim_->now());
 }
 
-sim::Task<void> SimNetwork::cross(Link& link, Duration service, DataSize n,
-                                  Leg leg) {
-  ++messages_sent_;
-  bytes_sent_ += n.b();
-  co_await link.token.acquire();
-  const auto span = open_span(leg, n);
-  link.busy += service;
-  co_await sim::Delay{*sim_, service};
-  if (trace_) trace_->end(span, sim_->now());
-  link.token.release();
+sim::Task<void> SimNetwork::route(Route r, DataSize n) {
+  for (std::size_t i = 0; i < r.size; ++i) {
+    const Leg leg = r.legs[i];
+    if (leg.kind == Leg::Kind::kLocal) {
+      co_await sim::Delay{*sim_, local_time(n)};
+      continue;
+    }
+    ++messages_sent_;
+    bytes_sent_ += n.b();
+    if (leg.kind == Leg::Kind::kEib) {
+      const auto span = open_span(leg, n);
+      const Duration service = eib_time(n);
+      eib_busy_ += service;
+      co_await sim::Delay{*sim_, service};
+      if (trace_) trace_->end(span, sim_->now());
+      continue;
+    }
+    Link& link = link_of(leg);
+    co_await link.token.acquire();
+    const auto span = open_span(leg, n);
+    const Duration service = leg.kind == Leg::Kind::kIb
+                                 ? ib_time(leg.node, leg.other, n)
+                                 : dacs_time(n);
+    link.busy += service;
+    co_await sim::Delay{*sim_, service};
+    if (trace_) trace_->end(span, sim_->now());
+    link.token.release();
+  }
 }
 
 }  // namespace rr::comm

@@ -4,11 +4,17 @@
 // Timing comes from the calibrated channel models; contention comes from
 // per-link serialization.  SimNetwork owns every contended link of the
 // DES: one InfiniBand send engine (HCA) per node and one PCIe link per
-// Cell, each a one-holder FIFO token plus its busy time, and every leg
-// over either crosses it in one place (`cross`).  The EIB within a Cell
-// socket is modeled as uncontended and has no token.
+// Cell, each a one-holder FIFO token plus its busy time.  One coroutine
+// (`route`) walks a transfer's whole route, leg by leg, and is the only
+// code that takes a token or adds busy time: an SPE-to-SPE message
+// (spe_transfer) is one frame however many legs it crosses, and the
+// one-link transfers (eib_transfer, dacs_transfer, ib_transfer) are
+// one-leg routes.  The EIB within a Cell socket and the SPE<->PPE local
+// legs are modeled as uncontended and have no token.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <deque>
 #include <string>
 
@@ -41,11 +47,20 @@ class SimNetwork {
   const NetworkConfig& config() const { return config_; }
 
   // -- analytic timing ------------------------------------------------------
+  Duration local_time(DataSize n) const;                  ///< SPE<->PPE, one Cell
   Duration eib_time(DataSize n) const;                    ///< SPE<->SPE, same Cell
   Duration dacs_time(DataSize n) const;                   ///< Cell<->Opteron
   Duration ib_time(int src_node, int dst_node, DataSize n) const;
 
   // -- contended transfers (awaitable) --------------------------------------
+  /// SPE to SPE, from Cell `src_cell` of node `src_node` to Cell
+  /// `dst_cell` of node `dst_node` (cells numbered within their node).
+  /// Within one Cell the message crosses the EIB.  Otherwise the PPE
+  /// relays it (Section V.C): SPE->PPE local leg, the source Cell's PCIe
+  /// link, the source node's HCA (between nodes only), the destination
+  /// Cell's PCIe link, PPE->SPE local leg.
+  sim::Task<void> spe_transfer(int src_node, int src_cell, int dst_node,
+                               int dst_cell, DataSize n);
   /// SPE-to-SPE within one Cell socket: EIB, effectively uncontended.
   sim::Task<void> eib_transfer(DataSize n);
   /// Cell <-> Opteron over the Cell's dedicated PCIe link (CML relays and
@@ -84,17 +99,29 @@ class SimNetwork {
     sim::Resource token;
     Duration busy;
   };
-  /// Which link a leg crosses, for its trace span: node `node`'s HCA
-  /// sending to node `other`, or the PCIe link of cell `other` on `node`.
+  /// One leg of a route: an SPE<->PPE local leg, the EIB, the PCIe link
+  /// of Cell `other` on node `node`, or node `node`'s HCA sending to node
+  /// `other`.
   struct Leg {
-    bool ib;
-    int node;
-    int other;
+    enum class Kind : std::uint8_t { kLocal, kEib, kPcie, kIb };
+    Kind kind = Kind::kLocal;
+    int node = 0;
+    int other = 0;
+  };
+  /// The legs a transfer crosses, in order (at most the five of a relay).
+  struct Route {
+    std::array<Leg, 5> legs;
+    std::uint8_t size = 0;
+    void add(Leg leg) { legs[size++] = leg; }
   };
 
-  /// The one crossing of a contended link: queue for its token, hold it
-  /// for `service`, release.
-  sim::Task<void> cross(Link& link, Duration service, DataSize n, Leg leg);
+  /// Cross every leg of `r` with `n` bytes.  A link leg queues for the
+  /// link's token, holds it for its service time and releases it.
+  sim::Task<void> route(Route r, DataSize n);
+  /// A one-leg route.
+  sim::Task<void> hop(Leg leg, DataSize n);
+  /// The contended link a PCIe or IB leg crosses.
+  Link& link_of(Leg leg);
   /// Open the leg's trace span (formatted here, outside the coroutine).
   sim::TraceRecorder::SpanId open_span(Leg leg, DataSize n) const;
 

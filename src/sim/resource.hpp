@@ -14,7 +14,8 @@ namespace rr::sim {
 
 class Resource {
  public:
-  Resource(Simulator& sim, std::size_t capacity) : sim_(&sim), available_(capacity) {
+  Resource(Simulator& sim, std::size_t capacity)
+      : sim_(&sim), capacity_(capacity), available_(capacity) {
     RR_EXPECTS(capacity > 0);
   }
   Resource(const Resource&) = delete;
@@ -43,8 +44,11 @@ class Resource {
   /// Awaitable acquire of one token (FIFO among waiters).
   auto acquire() { return Awaiter{this}; }
 
-  /// Return one token; wakes the oldest waiter if any.
+  /// Return one token; wakes the oldest waiter if any.  Returning more
+  /// tokens than are held is a contract violation: a second release of a
+  /// one-holder link would otherwise let two transfers hold it at once.
   void release() {
+    RR_EXPECTS(available_ < capacity_);
     if (!waiters_.empty()) {
       // Token passes directly to the waiter; available_ stays unchanged.
       sim_->schedule_resume(Duration::zero(), waiters_.pop_front().handle);
@@ -58,6 +62,7 @@ class Resource {
 
  private:
   Simulator* sim_;
+  std::size_t capacity_;
   std::size_t available_;
   WaiterQueue waiters_;
 };

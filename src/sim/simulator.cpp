@@ -6,7 +6,7 @@
 namespace rr::sim {
 
 const char* engine_name() {
-  return "rr-des (integer-picosecond indexed tombstone heap)";
+  return "rr-des (integer-picosecond indexed tombstone heap + ready FIFO)";
 }
 
 }  // namespace rr::sim

@@ -11,15 +11,30 @@
 //   co_await Delay{sim, d}        -- sleep for simulated duration d
 //   co_await mailbox.receive()    -- blocking receive (sim/mailbox.hpp)
 //   co_await other_task           -- join a child task, yielding its value
+//
+// Frames are recycled.  A DES message costs a few short-lived coroutine
+// frames, so each thread keeps a LIFO free list per 16-byte size class up
+// to 1 KiB (FrameCache): the next frame of a class is the one freed last,
+// still hot in cache.  Every cached block came from ::operator new and
+// goes back to ::operator delete -- when a TaskRegistry drains, when its
+// thread exits, or at once if it is freed after that thread's cache is
+// gone -- so a frame may be freed on any thread.  Under AddressSanitizer
+// a cached frame is poisoned, so a use after free is still reported.
 #pragma once
 
 #include <algorithm>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <memory>
+#include <new>
 #include <optional>
 #include <utility>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "sim/simulator.hpp"
 #include "util/expect.hpp"
@@ -31,7 +46,88 @@ class Task;
 
 namespace detail {
 
+/// The calling thread's free lists of coroutine frames, one per 16-byte
+/// size class up to kMaxBytes; larger frames bypass it.  Trivially
+/// destructible and constant-initialized, so the hot path reads it with
+/// no thread-local guard; the first cached frame registers the thread-exit
+/// release (adopt(), in task.cpp).
+class FrameCache {
+ public:
+  static constexpr std::size_t kGranule = 16;
+  static constexpr std::size_t kMaxBytes = 1024;
+
+  static void* allocate(std::size_t n) {
+    if (n > kMaxBytes) return ::operator new(n);
+    Node*& head = local_.heads_[class_of(n)];
+    if (Node* frame = head) {
+      unpoison(frame, n);
+      head = frame->next;
+      return frame;
+    }
+    return ::operator new(class_bytes(n));
+  }
+
+  static void deallocate(void* p, std::size_t n) noexcept {
+    if (n > kMaxBytes) return ::operator delete(p, n);
+    if (local_.state_ != State::kLive) {
+      if (local_.state_ == State::kReleased)
+        return ::operator delete(p, class_bytes(n));
+      adopt();
+    }
+    Node*& head = local_.heads_[class_of(n)];
+    Node* frame = static_cast<Node*>(p);
+    frame->next = head;
+    head = frame;
+    poison(frame, n);
+  }
+
+  /// Hand the calling thread's cached frames back to ::operator delete.
+  static void trim() noexcept;
+
+  /// Frames the calling thread holds cached (walks every list).
+  static std::size_t cached_frames();
+
+ private:
+  struct Node {
+    Node* next;
+  };
+  enum class State : unsigned char { kUnused, kLive, kReleased };
+  static constexpr std::size_t kClasses = kMaxBytes / kGranule;
+
+  static std::size_t class_of(std::size_t n) { return (n - 1) / kGranule; }
+  static std::size_t class_bytes(std::size_t n) {
+    return (class_of(n) + 1) * kGranule;
+  }
+  static void poison([[maybe_unused]] Node* frame, [[maybe_unused]] std::size_t n) {
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_POISON_MEMORY_REGION(frame, class_bytes(n));
+#endif
+  }
+  static void unpoison([[maybe_unused]] Node* frame, [[maybe_unused]] std::size_t n) {
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_UNPOISON_MEMORY_REGION(frame, class_bytes(n));
+#endif
+  }
+
+  /// Arm the release of this thread's frames at thread exit.
+  static void adopt() noexcept;
+  /// trim(), and later frees on this thread bypass the cache.
+  static void release() noexcept;
+
+  Node* heads_[kClasses] = {};
+  State state_ = State::kUnused;
+
+  static constinit thread_local FrameCache local_;
+};
+
+inline constinit thread_local FrameCache FrameCache::local_{};
+
 struct PromiseBase {
+  static void* operator new(std::size_t n) { return FrameCache::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FrameCache::deallocate(p, n);
+  }
+
   std::coroutine_handle<> continuation;  // resumed at final_suspend
   std::exception_ptr exception;
 
@@ -189,10 +285,12 @@ class TaskRegistry {
   /// Run the simulator until all events fire, then verify every spawned
   /// task completed (i.e. no task deadlocked waiting on a message).
   /// Returns the number of completed tasks; rethrows the first failure of
-  /// any task, reaped or not.
+  /// any task, reaped or not.  The run's cached frames go back to the
+  /// heap: a finished simulation keeps no frame memory.
   std::size_t drain() {
     sim_->run();
     reap();
+    detail::FrameCache::trim();
     if (failure_) std::rethrow_exception(failure_);
     return reaped_;
   }

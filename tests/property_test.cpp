@@ -362,8 +362,12 @@ struct DesDriver {
   std::uint64_t next_marker = 0;
 
   void schedule_marked(Duration d, int depth) {
+    schedule_marked_at(sim.now() + d, depth);
+  }
+
+  void schedule_marked_at(TimePoint when, int depth) {
     const std::uint64_t m = next_marker++;
-    const std::uint64_t id = sim.schedule(d, [this, m, depth] {
+    const std::uint64_t id = sim.schedule_at(when, [this, m, depth] {
       log.emplace_back(sim.now().ps(), m);
       if (depth > 0) {
         // Deterministic child delay derived from the marker, so both
@@ -414,6 +418,64 @@ TEST_P(DesQueueEquivalence, RandomInterleavingsFireIdentically) {
   EXPECT_EQ(heap.sim.events_run(), ref.sim.events_run());
   EXPECT_EQ(heap.sim.pending(), 0u);
   EXPECT_EQ(heap.sim.tombstones(), 0u);
+}
+
+TEST_P(DesQueueEquivalence, RunUntilSlicesFireIdentically) {
+  // The same oracle, with the engine under test also advanced by
+  // run_until in random slices, and zero delays frequent, so the ready
+  // queue, clock jumps to empty deadlines, and zero-delay events queued
+  // beside heap events due at the same time (after a step) all run.  The
+  // oracle has no run_until: it steps over as many events as the slice
+  // fired, and both engines schedule at the same absolute times.
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 0x2545f491ULL + 7);
+  DesDriver<sim::Simulator> heap;
+  DesDriver<sim::ReferenceSimulator> ref;
+  for (int op = 0; op < 3000; ++op) {
+    const double r = rng.next_double();
+    if (r < 0.45) {
+      const auto d = Duration::picoseconds(
+          rng.next_double() < 0.4 ? 0 : static_cast<std::int64_t>(rng.next_below(64)));
+      const TimePoint when = heap.sim.now() + d;
+      const int depth = rng.next_double() < 0.3 ? 1 : 0;
+      heap.schedule_marked_at(when, depth);
+      ref.schedule_marked_at(when, depth);
+    } else if (r < 0.65 && heap.next_marker > 0) {
+      const auto m = static_cast<std::size_t>(rng.next_below(heap.next_marker));
+      if (m < heap.ids.size() && m < ref.ids.size()) {
+        heap.sim.cancel(heap.ids[m]);
+        ref.sim.cancel(ref.ids[m]);
+      }
+    } else if (r < 0.85) {
+      const bool fired = heap.sim.step();
+      ASSERT_EQ(ref.sim.step(), fired) << "op " << op;
+      if (fired) {
+        ASSERT_EQ(heap.sim.now().ps(), ref.sim.now().ps()) << "op " << op;
+      }
+    } else {
+      const TimePoint deadline =
+          heap.sim.now() +
+          Duration::picoseconds(static_cast<std::int64_t>(rng.next_below(40)));
+      const std::uint64_t before = heap.sim.events_run();
+      heap.sim.run_until(deadline);
+      ASSERT_EQ(heap.sim.now().ps(), deadline.ps()) << "op " << op;
+      for (std::uint64_t k = heap.sim.events_run() - before; k > 0; --k)
+        ASSERT_TRUE(ref.sim.step()) << "op " << op;
+      if (!heap.log.empty()) {
+        ASSERT_LE(heap.log.back().first, deadline.ps());
+      }
+    }
+    ASSERT_EQ(heap.log, ref.log) << "op " << op;
+  }
+  while (heap.sim.step()) {
+  }
+  while (ref.sim.step()) {
+  }
+  EXPECT_EQ(heap.log, ref.log);
+  EXPECT_EQ(heap.sim.events_run(), ref.sim.events_run());
+  EXPECT_GT(heap.sim.events_run(), 1000u);
+  EXPECT_EQ(heap.sim.pending(), 0u);
+  EXPECT_EQ(heap.sim.tombstones(), 0u);
+  EXPECT_EQ(heap.sim.ready_size(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DesQueueEquivalence, ::testing::Range(1, 13),

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <coroutine>
 #include <optional>
 #include <string>
@@ -10,6 +11,7 @@
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 #include "sim/trace.hpp"
+#include "sweep_engine/thread_pool.hpp"
 
 namespace rr::sim {
 namespace {
@@ -88,6 +90,71 @@ TEST(Simulator, ZeroDelayRunsAtCurrentTime) {
 }
 
 // ---------------------------------------------------------------------------
+// Ready queue: events due now skip the heap
+// ---------------------------------------------------------------------------
+
+Task<void> log_received(Mailbox<int>& box, std::vector<std::string>& log) {
+  co_await box.receive();
+  log.push_back("received");
+}
+
+TEST(Simulator, DueHeapEventsFireBeforeZeroDelayEventsQueuedAtTheirTime) {
+  // a and b were queued at 0 for 10 ns.  Everything a queues at 10 ns --
+  // zero-delay callbacks and the mailbox wake-up of a waiting receiver --
+  // was scheduled after b, so it fires after b, as in one (time, seq)
+  // heap.
+  Simulator sim;
+  TaskRegistry reg(sim);
+  Mailbox<int> box(sim);
+  std::vector<std::string> log;
+  reg.spawn(log_received(box, log));
+  sim.schedule(Duration::nanoseconds(10), [&] {
+    log.push_back("a");
+    sim.schedule(Duration::zero(), [&] { log.push_back("a+0"); });
+    box.send(1);
+    sim.schedule_at(sim.now(), [&] { log.push_back("a@now"); });
+  });
+  sim.schedule(Duration::nanoseconds(10), [&] { log.push_back("b"); });
+  sim.schedule(Duration::nanoseconds(11), [&] { log.push_back("c"); });
+  EXPECT_EQ(reg.drain(), 1u);
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "b", "a+0", "received",
+                                           "a@now", "c"}));
+  EXPECT_EQ(sim.events_run(), 6u);
+}
+
+TEST(Simulator, RunUntilFiresReadyEventsAtTheDeadline) {
+  Simulator sim;
+  std::vector<std::string> log;
+  const TimePoint deadline = TimePoint::origin() + Duration::nanoseconds(5);
+  sim.schedule(Duration::nanoseconds(5), [&] {
+    log.push_back("due");
+    sim.schedule(Duration::zero(), [&] {
+      log.push_back("child");
+      sim.schedule(Duration::zero(), [&] { log.push_back("grandchild"); });
+    });
+  });
+  sim.schedule(Duration::nanoseconds(6), [&] { log.push_back("late"); });
+  sim.run_until(deadline);
+  EXPECT_EQ(log, (std::vector<std::string>{"due", "child", "grandchild"}));
+  EXPECT_EQ(sim.now(), deadline);
+  EXPECT_EQ(sim.ready_size(), 0u);
+  // Queued at the deadline from outside the loop: the next call fires it.
+  sim.schedule(Duration::zero(), [&] { log.push_back("queued at deadline"); });
+  sim.run_until(deadline);
+  EXPECT_EQ(log.back(), "queued at deadline");
+  EXPECT_EQ(sim.pending(), 1u);
+  // A ready queue holding only tombstones lets the clock move on.
+  sim.cancel(sim.schedule(Duration::zero(), [&] { log.push_back("cancelled"); }));
+  sim.run_until(deadline + Duration::picoseconds(500));
+  EXPECT_EQ(sim.now(), deadline + Duration::picoseconds(500));
+  EXPECT_EQ(sim.ready_size(), 0u);
+  EXPECT_EQ(sim.cancelled_run(), 1u);
+  sim.run();
+  EXPECT_EQ(log.back(), "late");
+  EXPECT_EQ(sim.events_run(), 5u);
+}
+
+// ---------------------------------------------------------------------------
 // Cancellation semantics (tombstone heap)
 // ---------------------------------------------------------------------------
 
@@ -153,6 +220,28 @@ TEST(SimulatorCancel, CancelHeavyBacklogStaysFlat) {
   sim.run();  // sweeps the residual tombstones
   EXPECT_EQ(sim.events_run(), 0u);
   EXPECT_EQ(sim.cancelled_run(), 100'000u);
+}
+
+TEST(SimulatorCancel, ZeroDelayCancelBacklogStaysFlat) {
+  // The same with every event due now: all of them wait in the ready
+  // queue, and the compaction must sweep it as well.
+  Simulator sim;
+  for (int i = 0; i < 100'000; ++i) {
+    const auto id = sim.schedule(Duration::zero(), [] {});
+    sim.cancel(id);
+  }
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.heap_size(), 0u);
+  EXPECT_LE(sim.ready_size(), 128u);
+  EXPECT_LE(sim.pool_capacity(), 128u);
+  EXPECT_EQ(sim.cancelled_total(), 100'000u);
+  EXPECT_EQ(sim.cancelled_run() + sim.tombstones(), 100'000u);
+  sim.run();
+  EXPECT_EQ(sim.events_run(), 0u);
+  EXPECT_EQ(sim.cancelled_run(), 100'000u);
+  EXPECT_EQ(sim.ready_size(), 0u);
+  EXPECT_EQ(sim.now(), TimePoint::origin());
 }
 
 TEST(SimulatorCancel, SlotReuseDoesNotCrossCancel) {
@@ -395,6 +484,170 @@ TEST(SimulatorCancel, CancelledResumptionNeverResumes) {
 }
 
 // ---------------------------------------------------------------------------
+// Frame cache (sim/task.hpp)
+// ---------------------------------------------------------------------------
+
+using detail::FrameCache;
+
+/// Completes without suspending, noting the address of its frame.
+struct FrameAddress {
+  void*& out;
+  bool await_ready() const { return false; }
+  bool await_suspend(std::coroutine_handle<> h) {
+    out = h.address();
+    return false;
+  }
+  void await_resume() {}
+};
+
+Task<void> note_frame(void*& out) { co_await FrameAddress{out}; }
+
+/// A frame at least 256 B larger than note_frame's: another size class.
+Task<void> note_big_frame(void*& out) {
+  std::array<char, 256> pad{};  // used after the await, so in the frame
+  co_await FrameAddress{out};
+  pad[0] = 1;
+}
+
+TEST(FrameCache, NextSameClassFrameIsTheLastFreed) {
+  void* first = nullptr;
+  void* second = nullptr;
+  {
+    Task<void> a = note_frame(first);
+    Task<void> b = note_frame(second);
+    a.start();
+    b.start();
+  }  // b's frame is freed, then a's
+  ASSERT_NE(first, second);
+  void* big = nullptr;
+  Task<void> other_class = note_big_frame(big);
+  other_class.start();
+  EXPECT_NE(big, first);
+  EXPECT_NE(big, second);
+  void* next = nullptr;
+  void* after = nullptr;
+  Task<void> c = note_frame(next);
+  Task<void> d = note_frame(after);
+  c.start();
+  d.start();
+  EXPECT_EQ(next, first);    // the last frame freed comes back first
+  EXPECT_EQ(after, second);  // then the one freed before it
+}
+
+TEST(FrameCache, DrainHandsTheRunsFramesBackToTheHeap) {
+  Simulator sim;
+  TaskRegistry reg(sim);
+  TimePoint woke;
+  for (int i = 0; i < 8; ++i) reg.spawn(sleeper(sim, Duration::nanoseconds(i), woke));
+  {
+    void* where = nullptr;
+    Task<void> done = note_frame(where);
+    done.start();
+  }
+  EXPECT_GE(FrameCache::cached_frames(), 1u);
+  EXPECT_EQ(reg.drain(), 8u);
+  EXPECT_EQ(FrameCache::cached_frames(), 0u);
+  // The cache still recycles after a trim.
+  void* first = nullptr;
+  void* again = nullptr;
+  {
+    Task<void> a = note_frame(first);
+    a.start();
+  }
+  Task<void> b = note_frame(again);
+  b.start();
+  EXPECT_EQ(again, first);
+}
+
+Task<int> square_later(Simulator& sim, int i) {
+  co_await Delay{sim, Duration::nanoseconds(i)};
+  co_return i * i;
+}
+
+Task<void> sum_all(std::vector<Task<int>>& tasks, int& sum) {
+  for (Task<int>& t : tasks) sum += co_await std::move(t);
+}
+
+TEST(FrameCache, TaskMadeOnAPoolWorkerIsDestroyedOnTheCaller) {
+  constexpr int kTasks = 16;
+  Simulator sim;
+  std::vector<Task<int>> tasks(kTasks);
+  {
+    engine::ThreadPool pool(2);
+    // Frames allocated on the workers (from their caches or the heap)...
+    pool.for_each_index(kTasks, [&](int i) {
+      tasks[static_cast<std::size_t>(i)] = square_later(sim, i);
+    });
+    // ...and frames made here, freed on the workers: each exits with
+    // them cached when the pool is destroyed.
+    std::vector<Task<int>> freed_there;
+    for (int i = 0; i < kTasks; ++i) freed_there.push_back(square_later(sim, i));
+    pool.for_each_index(kTasks, [&](int i) {
+      freed_there[static_cast<std::size_t>(i)] = Task<int>{};
+    });
+  }
+  int sum = 0;
+  {
+    TaskRegistry reg(sim);
+    reg.spawn(sum_all(tasks, sum));
+    EXPECT_EQ(reg.drain(), 1u);
+  }
+  EXPECT_EQ(sum, 1240);  // 0^2 + ... + 15^2
+  EXPECT_EQ(sim.now().ps(), Duration::nanoseconds(120).ps());
+  const std::size_t cached = FrameCache::cached_frames();
+  tasks.clear();  // the workers' frames go into this thread's cache
+  EXPECT_EQ(FrameCache::cached_frames(), cached + kTasks);
+  // And they serve this thread's next tasks.
+  int again = 0;
+  std::vector<Task<int>> reused;
+  for (int i = 0; i < kTasks; ++i) reused.push_back(square_later(sim, i));
+  EXPECT_EQ(FrameCache::cached_frames(), cached);
+  TaskRegistry reg(sim);
+  reg.spawn(sum_all(reused, again));
+  EXPECT_EQ(reg.drain(), 1u);
+  EXPECT_EQ(again, 1240);
+}
+
+TEST(FrameCache, ExitingWorkerReleasesItsFrames) {
+  // Watches the worker's exit from a thread-local constructed before the
+  // worker caches its first frame, so destroyed after the cache releases.
+  struct ExitWatch {
+    std::size_t* after_release = nullptr;
+    std::size_t* after_late_free = nullptr;
+    ~ExitWatch() {
+      *after_release = FrameCache::cached_frames();
+      void* where = nullptr;
+      Task<void> late = note_frame(where);
+      late.start();
+      late = Task<void>{};  // freed after the release: straight to the heap
+      *after_late_free = FrameCache::cached_frames();
+    }
+  };
+  std::size_t before_exit = 0;
+  std::size_t after_release = 1;
+  std::size_t after_late_free = 1;
+  {
+    engine::ThreadPool pool(1);
+    pool.for_each_index(1, [&](int) {
+      thread_local ExitWatch watch;
+      watch.after_release = &after_release;
+      watch.after_late_free = &after_late_free;
+      std::vector<void*> seen(8);
+      std::vector<Task<void>> frames;
+      for (void*& where : seen) {
+        frames.push_back(note_frame(where));
+        frames.back().start();
+      }
+      frames.clear();
+      before_exit = FrameCache::cached_frames();
+    });
+  }  // joins the worker
+  EXPECT_GE(before_exit, 8u);
+  EXPECT_EQ(after_release, 0u);
+  EXPECT_EQ(after_late_free, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Mailboxes
 // ---------------------------------------------------------------------------
 
@@ -568,12 +821,35 @@ TEST(Resource, DestroyedWaiterIsUnlinkedAndFifoHolds) {
   EXPECT_EQ(link.available(), 1u);
 }
 
+Task<void> acquire_one(Resource& res) { co_await res.acquire(); }
+
 TEST(Resource, AvailableTracksTokens) {
   Simulator sim;
   Resource res(sim, 3);
   EXPECT_EQ(res.available(), 3u);
-  res.release();  // returning an extra token grows capacity view
-  EXPECT_EQ(res.available(), 4u);
+  std::vector<Task<void>> holders;
+  for (int i = 0; i < 2; ++i) {
+    holders.push_back(acquire_one(res));
+    holders.back().start();
+  }
+  EXPECT_EQ(res.available(), 1u);
+  res.release();
+  res.release();
+  EXPECT_EQ(res.available(), 3u);
+}
+
+TEST(ResourceDeath, ReleasingATokenNobodyHoldsAborts) {
+  // A double release of a one-holder link must not hand a second
+  // transfer the link: it breaks the release precondition.
+  Simulator sim;
+  Resource link(sim, 1);
+  auto holder = acquire_one(link);
+  holder.start();
+  link.release();
+  EXPECT_EQ(link.available(), 1u);
+  EXPECT_DEATH(link.release(), "available_ < capacity_");
+  Resource fresh(sim, 2);
+  EXPECT_DEATH(fresh.release(), "available_ < capacity_");
 }
 
 }  // namespace
