@@ -5,11 +5,22 @@
 // order.  Simulated time is integer picoseconds (rr::TimePoint), which
 // makes runs bit-reproducible.
 //
-// Pending events wait in one of two queues over a generational event pool:
-//   * events due after now() wait in an indexed binary min-heap of 24-byte
-//     (time, seq, slot) PODs -- the sort key is inline, so sift-up/down is
-//     branch-light sequential memory traffic and never moves a
-//     std::function; only the pool slot owns the callback;
+// Pending events wait in one of three places over a generational event
+// pool:
+//   * events due after now() join the delay lane for their delay (when -
+//     now()): a FIFO ring of 24-byte (time, seq, slot) PODs.  A lane is
+//     sorted by construction -- now() never decreases and seq only grows,
+//     so entries pushed with one delay come out in (time, seq) order --
+//     and only its front sits in an indexed 4-ary min-heap.  A push into
+//     a busy lane is O(1) with no sift, and popping a lane front replaces
+//     the heap top with the lane's next entry in one sift.  A lane is
+//     reassigned to another delay only once it is empty; a delay that
+//     finds no lane of its own and no free one goes into the heap as a
+//     one-off entry.  The heap top is still the earliest pending event,
+//     so the firing order is exactly what one heap would give.  The sort
+//     key is inline, so sifting is branch-light sequential memory traffic
+//     that never moves a std::function; only the pool slot owns the
+//     callback;
 //   * events due at now() -- schedule(0, ...), and the zero-delay
 //     schedule_resume() calls with which Mailbox::send, Resource::release
 //     and Event::set wake their waiters -- skip the heap and join a FIFO
@@ -29,9 +40,10 @@
 //     generation means the event already fired (or never existed) and the
 //     cancel is a true no-op.  A live cancel marks the slot a tombstone
 //     and drops the callback immediately; tombstones are swept lazily off
-//     the heap top and the ready front, with a bulk compaction of both
-//     queues once they outnumber live events, so cancel-heavy workloads
-//     stay O(log n) per event with flat memory.
+//     the heap top and the ready front, with a bulk compaction of the
+//     heap, the lanes and the ready queue once they outnumber live
+//     events, so cancel-heavy workloads stay O(log n) per event with flat
+//     memory.
 //
 // Two programming styles are supported:
 //   * callback style: sim.schedule(delay, fn)
@@ -39,6 +51,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -105,10 +118,11 @@ class Simulator {
     ++cancelled_total_;
     ++tombstones_;
     --live_;
-    // Lazy sweep: once tombstones dominate the queues, rebuild both
+    // Lazy sweep: once tombstones dominate the queues, rebuild them
     // without them (amortized O(1) per cancel) so memory stays flat even
     // if the caller never steps the simulator again.
-    if (tombstones_ > live_ && heap_.size() + ready_count_ > kCompactionFloor)
+    if (tombstones_ > live_ &&
+        heap_.size() + lane_size() + ready_.size() > kCompactionFloor)
       compact();
     if (trace_) trace_sample();
   }
@@ -120,7 +134,7 @@ class Simulator {
       std::uint32_t si = 0;
       // The clock only moves on once the ready queue is empty, and a
       // heap entry due now goes first (see the header comment).
-      if (!heap_.empty() && (ready_count_ == 0 || heap_[0].at == now_)) {
+      if (!heap_.empty() && (ready_.empty() || heap_[0].at == now_)) {
         const HeapItem top = heap_pop_top();
         si = top.slot;
         if (pool_[si].cancelled) {
@@ -129,8 +143,8 @@ class Simulator {
         }
         RR_ASSERT(top.at >= now_);
         now_ = top.at;
-      } else if (ready_count_ != 0) {
-        si = ready_pop();
+      } else if (!ready_.empty()) {
+        si = ready_.pop_front();
         if (pool_[si].cancelled) {
           drop_tombstone(si);
           continue;
@@ -158,7 +172,7 @@ class Simulator {
   void run_until(TimePoint deadline) {
     while (true) {
       sweep_tombstones_at_fronts();
-      const bool ready_due = ready_count_ != 0 && now_ <= deadline;
+      const bool ready_due = !ready_.empty() && now_ <= deadline;
       if (!ready_due && (heap_.empty() || heap_[0].at > deadline)) break;
       step();
     }
@@ -184,10 +198,22 @@ class Simulator {
   /// Event-pool capacity: bounded by the high-water mark of in-flight
   /// events, independent of how many events ever ran.
   std::size_t pool_capacity() const { return pool_.size(); }
-  /// Entries, tombstones included, in the heap (events due after the
-  /// time they were scheduled at) and in the ready queue (due then).
+  /// Entries, tombstones included, in the heap (each busy lane's front
+  /// and the one-off delays), queued behind the lane fronts, and in the
+  /// ready queue (events due at the time they were scheduled at).
   std::size_t heap_size() const { return heap_.size(); }
-  std::size_t ready_size() const { return ready_count_; }
+  std::size_t lane_size() const {
+    std::size_t n = 0;
+    for (const Ring<HeapItem>& lane : lanes_) n += lane.size();
+    return n;
+  }
+  std::size_t ready_size() const { return ready_.size(); }
+  /// Delay lanes holding at least one entry (their front in the heap).
+  std::size_t lanes_in_use() const {
+    return static_cast<std::size_t>(std::count_if(
+        lane_delay_.begin(), lane_delay_.end(),
+        [](std::int64_t d) { return d != kFreeLane; }));
+  }
 
   /// Stream queue-depth/tombstone/cancelled-run counter samples into
   /// `trace` (Chrome counter events on `track`) on every queue state
@@ -209,16 +235,77 @@ class Simulator {
     bool cancelled = false;
   };
 
-  /// Heap entry: the full (time, seq) sort key lives inline so heap
-  /// maintenance never dereferences the pool.
+  /// Delay lanes.  16 covers a Sweep3D iteration at paper scale: its
+  /// timed events carry 8 distinct delays when the x and y faces are
+  /// square (block compute, and the SPE<->PPE leg, PCIe, EIB and IB at
+  /// 1/3/5/7 hops for the one message size) and 15 when the two faces
+  /// differ in size (those seven legs for each size).
+  static constexpr std::uint32_t kLanes = 16;
+  static constexpr std::uint32_t kNoLane = kLanes;
+  /// A free lane's delay: every lane delay is positive (delay 0 joins
+  /// the ready queue).
+  static constexpr std::int64_t kFreeLane = 0;
+  static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;
+  static constexpr std::size_t kCompactionFloor = 64;
+
+  /// Heap and lane entry: the full (time, seq) sort key lives inline so
+  /// queue maintenance never dereferences the pool.  `lane` (kNoLane for
+  /// a one-off delay) rides in what would be padding.
   struct HeapItem {
     TimePoint at;
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
+    std::uint32_t lane = kNoLane;
   };
+  static_assert(sizeof(HeapItem) == 24);
 
-  static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;
-  static constexpr std::size_t kCompactionFloor = 64;
+  /// A FIFO over a power-of-two ring that doubles when full: the ready
+  /// queue (slot indices) and each delay lane (the entries behind its
+  /// front).  A ring allocates nothing until its first push.
+  template <typename T>
+  class Ring {
+   public:
+    bool empty() const { return count_ == 0; }
+    std::size_t size() const { return count_; }
+    const T& front() const { return buf_[head_]; }
+
+    void push_back(const T& v) {
+      if (count_ == buf_.size()) grow();
+      at(count_++) = v;
+    }
+
+    /// Remove and return the oldest entry (the ring must not be empty).
+    T pop_front() {
+      const T v = buf_[head_];
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      --count_;
+      return v;
+    }
+
+    /// Keep the entries `keep` accepts, in order.
+    template <typename Keep>
+    void retain(Keep keep) {
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < count_; ++i)
+        if (keep(at(i))) at(kept++) = at(i);
+      count_ = kept;
+    }
+
+   private:
+    T& at(std::size_t i) { return buf_[(head_ + i) & (buf_.size() - 1)]; }
+
+    /// Double the ring, moving its entries to the front in order.
+    void grow() {
+      std::vector<T> bigger(buf_.empty() ? 16 : 2 * buf_.size());
+      for (std::size_t i = 0; i < count_; ++i) bigger[i] = at(i);
+      buf_ = std::move(bigger);
+      head_ = 0;
+    }
+
+    std::vector<T> buf_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+  };
 
   static std::uint64_t make_id(std::uint32_t generation, std::uint32_t slot) {
     return (static_cast<std::uint64_t>(generation) << 32) | slot;
@@ -256,9 +343,9 @@ class Simulator {
   /// Queue the freshly filled slot `si` to fire at `when`.
   std::uint64_t enqueue(TimePoint when, std::uint32_t si) {
     if (when == now_)
-      ready_push(si);
+      ready_.push_back(si);
     else
-      heap_push(HeapItem{when, next_seq_++, si});
+      timed_push(HeapItem{when, next_seq_++, si});
     ++scheduled_total_;
     ++live_;
     if (live_ > max_pending_) max_pending_ = live_;
@@ -271,12 +358,6 @@ class Simulator {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;  // FIFO among same-time events
   }
-  /// std::*_heap comparator (max-heap under `later` == min-heap on before).
-  struct Later {
-    bool operator()(const HeapItem& a, const HeapItem& b) const {
-      return before(b, a);
-    }
-  };
 
   /// Run the live event in slot `si` (already off its queue) at now().
   void fire(std::uint32_t si) {
@@ -305,69 +386,102 @@ class Simulator {
     release_slot(si);
   }
 
-  void heap_push(HeapItem item) {
+  /// Queue a timed entry: behind its delay's lane, at the front of a
+  /// free lane, or in the heap as a one-off.
+  void timed_push(HeapItem item) {
+    const std::int64_t delay = (item.at - now_).ps();
+    std::uint32_t free_lane = kNoLane;
+    for (std::uint32_t i = 0; i < kLanes; ++i) {
+      if (lane_delay_[i] == delay) {
+        item.lane = i;
+        lanes_[i].push_back(item);
+        return;
+      }
+      if (lane_delay_[i] == kFreeLane && free_lane == kNoLane) free_lane = i;
+    }
+    if (free_lane != kNoLane) {
+      lane_delay_[free_lane] = delay;
+      item.lane = free_lane;
+    }
     heap_.push_back(item);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    sift_up(heap_.size() - 1, item);
   }
 
-  /// Remove and return the heap top (must be non-empty).
+  /// Remove and return the heap top (the heap must not be empty).  A
+  /// lane front gives way to its lane's next entry; a lane left empty is
+  /// free again.
   HeapItem heap_pop_top() {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const HeapItem top = heap_.back();
+    const HeapItem top = heap_[0];
+    if (top.lane != kNoLane) {
+      Ring<HeapItem>& lane = lanes_[top.lane];
+      if (!lane.empty()) {
+        sift_down(0, lane.pop_front());
+        return top;
+      }
+      lane_delay_[top.lane] = kFreeLane;
+    }
+    const HeapItem last = heap_.back();
     heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
     return top;
   }
 
-  /// The ready queue is a power-of-two ring of slot indices:
-  /// ready_count_ of them, oldest at ready_head_.
-  std::uint32_t& ready_at(std::size_t i) {
-    return ready_[(ready_head_ + i) & (ready_.size() - 1)];
+  /// Move `item` up from the hole at `i` to its place.
+  void sift_up(std::size_t i, HeapItem item) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 4;
+      if (!before(item, heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = item;
   }
 
-  void ready_push(std::uint32_t si) {
-    if (ready_count_ == ready_.size()) ready_grow();
-    ready_at(ready_count_++) = si;
+  /// Move `item` down from the hole at `i` to its place.
+  void sift_down(std::size_t i, HeapItem item) {
+    const std::size_t n = heap_.size();
+    for (;;) {
+      const std::size_t first = 4 * i + 1;
+      if (first >= n) break;
+      const std::size_t end = std::min(first + 4, n);
+      std::size_t child = first;
+      for (std::size_t c = first + 1; c < end; ++c)
+        if (before(heap_[c], heap_[child])) child = c;
+      if (!before(heap_[child], item)) break;
+      heap_[i] = heap_[child];
+      i = child;
+    }
+    heap_[i] = item;
   }
 
-  /// Remove and return the oldest ready entry (the queue must not be
-  /// empty).
-  std::uint32_t ready_pop() {
-    const std::uint32_t si = ready_at(0);
-    ready_head_ = (ready_head_ + 1) & (ready_.size() - 1);
-    --ready_count_;
-    return si;
-  }
-
-  /// Double the ring, moving its entries to the front in order.
-  void ready_grow() {
-    std::vector<std::uint32_t> bigger(ready_.empty() ? 16 : 2 * ready_.size());
-    for (std::size_t i = 0; i < ready_count_; ++i) bigger[i] = ready_at(i);
-    ready_ = std::move(bigger);
-    ready_head_ = 0;
-  }
-
-  /// Drop every tombstone from both queues: re-heapify the heap's
-  /// survivors in place, and close up the ready queue, keeping its order.
+  /// Drop every tombstone from the lanes, the heap and the ready queue.
+  /// Lanes and the ready queue keep their order; a dropped lane front
+  /// gives way to its lane's next (live) entry, and the heap is rebuilt.
   void compact() {
+    const auto live = [this](std::uint32_t si) {
+      if (!pool_[si].cancelled) return true;
+      drop_tombstone(si);
+      return false;
+    };
+    for (Ring<HeapItem>& lane : lanes_)
+      lane.retain([&](const HeapItem& item) { return live(item.slot); });
     std::size_t out = 0;
     for (std::size_t i = 0; i < heap_.size(); ++i) {
-      const HeapItem item = heap_[i];
-      if (pool_[item.slot].cancelled)
-        drop_tombstone(item.slot);
-      else
-        heap_[out++] = item;
+      HeapItem item = heap_[i];
+      if (!live(item.slot)) {
+        if (item.lane == kNoLane) continue;
+        if (lanes_[item.lane].empty()) {
+          lane_delay_[item.lane] = kFreeLane;
+          continue;
+        }
+        item = lanes_[item.lane].pop_front();
+      }
+      heap_[out++] = item;
     }
     heap_.resize(out);
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < ready_count_; ++i) {
-      const std::uint32_t si = ready_at(i);
-      if (pool_[si].cancelled)
-        drop_tombstone(si);
-      else
-        ready_at(kept++) = si;
-    }
-    ready_count_ = kept;
+    if (out > 1)
+      for (std::size_t i = (out - 2) / 4 + 1; i-- > 0;) sift_down(i, heap_[i]);
+    ready_.retain(live);
   }
 
   /// Pop tombstones sitting on the heap top and at the ready front (no
@@ -375,8 +489,8 @@ class Simulator {
   void sweep_tombstones_at_fronts() {
     while (!heap_.empty() && pool_[heap_[0].slot].cancelled)
       drop_tombstone(heap_pop_top().slot);
-    while (ready_count_ != 0 && pool_[ready_at(0)].cancelled)
-      drop_tombstone(ready_pop());
+    while (!ready_.empty() && pool_[ready_.front()].cancelled)
+      drop_tombstone(ready_.pop_front());
   }
 
   void trace_sample() {
@@ -399,9 +513,9 @@ class Simulator {
   std::size_t max_pending_ = 0;
   std::vector<Slot> pool_;
   std::vector<HeapItem> heap_;
-  std::vector<std::uint32_t> ready_;
-  std::size_t ready_head_ = 0;
-  std::size_t ready_count_ = 0;
+  std::array<std::int64_t, kLanes> lane_delay_{};  ///< ps, or kFreeLane
+  std::array<Ring<HeapItem>, kLanes> lanes_;        ///< behind each front
+  Ring<std::uint32_t> ready_;
   std::uint32_t free_head_ = kNoFreeSlot;
   TraceRecorder* trace_ = nullptr;
   std::string trace_track_;

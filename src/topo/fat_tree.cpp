@@ -175,22 +175,22 @@ std::vector<int> FatTree::uplink_switches(int j) const {
   return out;
 }
 
-std::vector<int> FatTree::route(NodeId src, NodeId dst) const {
+template <typename Visit>
+void FatTree::walk(NodeId src, NodeId dst, Visit&& visit) const {
   RR_EXPECTS(src.v >= 0 && src.v < node_count());
   RR_EXPECTS(dst.v >= 0 && dst.v < node_count());
-  std::vector<int> path;
-  if (src == dst) return path;
+  if (src == dst) return;
 
   const Attachment& a = attachments_[src.v];
   const Attachment& b = attachments_[dst.v];
 
-  path.push_back(cu_lower_id(a.cu, a.lower_xbar));
+  visit(cu_lower_id(a.cu, a.lower_xbar));
   if (a.cu == b.cu) {
     if (a.lower_xbar != b.lower_xbar) {
-      path.push_back(cu_upper_id(a.cu, b.lower_xbar % params_.upper_xbars_per_cu));
-      path.push_back(cu_lower_id(a.cu, b.lower_xbar));
+      visit(cu_upper_id(a.cu, b.lower_xbar % params_.upper_xbars_per_cu));
+      visit(cu_lower_id(a.cu, b.lower_xbar));
     }
-    return path;
+    return;
   }
 
   // Cross-CU: enter the inter-CU fabric through lower crossbar b.lower_xbar
@@ -198,8 +198,8 @@ std::vector<int> FatTree::route(NodeId src, NodeId dst) const {
   // crossbar -- destination-indexed deterministic routing).
   const int j = b.lower_xbar;
   if (a.lower_xbar != j) {
-    path.push_back(cu_upper_id(a.cu, j % params_.upper_xbars_per_cu));
-    path.push_back(cu_lower_id(a.cu, j));
+    visit(cu_upper_id(a.cu, j % params_.upper_xbars_per_cu));
+    visit(cu_lower_id(a.cu, j));
   }
   const int stride = switch_stride(params_);
   const int sw = j % stride + stride * (b.cu % params_.uplinks_per_lower_xbar);
@@ -207,20 +207,31 @@ std::vector<int> FatTree::route(NodeId src, NodeId dst) const {
   const bool src_first = a.cu < params_.first_level_cus;
   const bool dst_first = b.cu < params_.first_level_cus;
   if (src_first && dst_first) {
-    path.push_back(l1_id(sw, entry));
+    visit(l1_id(sw, entry));
   } else if (src_first && !dst_first) {
-    path.push_back(l1_id(sw, entry));
-    path.push_back(mid_id(sw, entry));
-    path.push_back(l3_id(sw, entry));
+    visit(l1_id(sw, entry));
+    visit(mid_id(sw, entry));
+    visit(l3_id(sw, entry));
   } else if (!src_first && dst_first) {
-    path.push_back(l3_id(sw, entry));
-    path.push_back(mid_id(sw, entry));
-    path.push_back(l1_id(sw, entry));
+    visit(l3_id(sw, entry));
+    visit(mid_id(sw, entry));
+    visit(l1_id(sw, entry));
   } else {
-    path.push_back(l3_id(sw, entry));
+    visit(l3_id(sw, entry));
   }
-  path.push_back(cu_lower_id(b.cu, j));
+  visit(cu_lower_id(b.cu, j));
+}
+
+std::vector<int> FatTree::route(NodeId src, NodeId dst) const {
+  std::vector<int> path;
+  walk(src, dst, [&](int xbar) { path.push_back(xbar); });
   return path;
+}
+
+int FatTree::hop_count(NodeId src, NodeId dst) const {
+  int hops = 0;
+  walk(src, dst, [&](int) { ++hops; });
+  return hops;
 }
 
 /// First surviving upper crossbar of `cu` cabled to both lower crossbars,

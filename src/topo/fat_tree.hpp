@@ -72,6 +72,9 @@ class FatTree final : public Topology {
   int l3_id(int sw, int y) const;
 
   std::vector<int> route(NodeId src, NodeId dst) const override;
+  /// The length of route(src, dst), counted along the same walk without
+  /// building the vector.
+  int hop_count(NodeId src, NodeId dst) const override;
 
   /// Up*/down* rerouting around failures: at each decision point of the
   /// healthy route (intra-CU upper crossbar, inter-CU switch choice,
@@ -90,6 +93,11 @@ class FatTree final : public Topology {
 
  private:
   FatTree() = default;
+  /// The deterministic route from `src` to `dst`, handed to `visit` one
+  /// crossbar id at a time: route() stores the ids, hop_count() counts
+  /// them, so the destination-indexed rule is written once.
+  template <typename Visit>
+  void walk(NodeId src, NodeId dst, Visit&& visit) const;
   std::optional<int> pick_upper(const DegradedTopology& d, int cu,
                                 int from_lower, int to_lower) const;
 

@@ -101,8 +101,10 @@ class Topology {
 
   /// Number of crossbar hops on the deterministic route (Table I metric).
   /// Zero for src == dst (the route is empty -- the self convention every
-  /// implementation shares).
-  int hop_count(NodeId src, NodeId dst) const {
+  /// implementation shares).  The default builds the route and counts it;
+  /// a family whose routes sit on a hot path (the fat tree: every IB leg
+  /// of the DES asks) counts without building.
+  virtual int hop_count(NodeId src, NodeId dst) const {
     return static_cast<int>(route(src, dst).size());
   }
 

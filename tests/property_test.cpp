@@ -360,6 +360,8 @@ struct DesDriver {
   std::vector<std::pair<std::int64_t, std::uint64_t>> log;
   std::vector<std::uint64_t> ids;  // engine-specific event id, by marker
   std::uint64_t next_marker = 0;
+  /// Delays children draw from; empty means any delay in [0, 97) ps.
+  std::vector<std::int64_t> child_delays_ps;
 
   void schedule_marked(Duration d, int depth) {
     schedule_marked_at(sim.now() + d, depth);
@@ -372,7 +374,13 @@ struct DesDriver {
       if (depth > 0) {
         // Deterministic child delay derived from the marker, so both
         // engines grow identical event trees from their callbacks.
-        schedule_marked(Duration::picoseconds((m * 7919 + 13) % 97), depth - 1);
+        const std::uint64_t pick = m * 7919 + 13;
+        schedule_marked(
+            Duration::picoseconds(
+                child_delays_ps.empty()
+                    ? static_cast<std::int64_t>(pick % 97)
+                    : child_delays_ps[pick % child_delays_ps.size()]),
+            depth - 1);
       }
     });
     ids.resize(static_cast<std::size_t>(next_marker));
@@ -476,6 +484,107 @@ TEST_P(DesQueueEquivalence, RunUntilSlicesFireIdentically) {
   EXPECT_EQ(heap.sim.pending(), 0u);
   EXPECT_EQ(heap.sim.tombstones(), 0u);
   EXPECT_EQ(heap.sim.ready_size(), 0u);
+}
+
+TEST_P(DesQueueEquivalence, DelayLanesFireIdentically) {
+  // The same oracle with delays drawn from a small fixed set, as in the
+  // Sweep3D DES, so nearly every timed event joins a delay lane.  The
+  // set holds 20 delays, 0 among them, so with all of them pending four
+  // overflow the 16 lanes into the heap as one-offs.  Filling phases
+  // alternate with draining ones, in which lanes empty and are then
+  // reassigned, and a cancel burst at each peak leaves tombstones in the
+  // lanes and sets off compactions.  Children, single cancels and
+  // run_until slices run as in the cases above.
+  static constexpr std::int64_t kDelays[] = {0,   4,   9,   15,  22,  30,  39,
+                                             49,  60,  72,  85,  99,  114, 130,
+                                             147, 165, 184, 204, 225, 247};
+  constexpr std::uint64_t kCommon = 6;  // most events carry one of these
+  constexpr std::size_t kLanes = 16;
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 0x6a09e667ULL + 11);
+  DesDriver<sim::Simulator> heap;
+  DesDriver<sim::ReferenceSimulator> ref;
+  heap.child_delays_ps.assign(std::begin(kDelays), std::end(kDelays));
+  ref.child_delays_ps = heap.child_delays_ps;
+  bool filled = false, overflowed = false, drained = false, reassigned = false;
+  bool compacted_lanes = false;
+  for (int op = 0; op < 3000; ++op) {
+    // Alternate filling and draining phases of 300 operations each.
+    const bool filling = (op / 300) % 2 == 0;
+    const double r = rng.next_double();
+    if (op % 600 == 299) {
+      // End of a filling phase: queue a wave of 64 events over the whole
+      // set, then cancel the 128 newest markers -- lane fronts and the
+      // entries behind them, fired events and repeats alike -- so that
+      // tombstones come to outnumber live events.
+      for (std::size_t i = 0; i < 64; ++i) {
+        const auto d = Duration::picoseconds(kDelays[i % std::size(kDelays)]);
+        heap.schedule_marked(d, 0);
+        ref.schedule_marked(d, 0);
+      }
+      const std::uint64_t from = heap.next_marker - 128;
+      for (std::uint64_t m = from; m < heap.next_marker; ++m) {
+        const std::size_t lane_before = heap.sim.lane_size();
+        const std::size_t tombstones_before = heap.sim.tombstones();
+        heap.sim.cancel(heap.ids[m]);
+        ref.sim.cancel(ref.ids[m]);
+        // Only a compaction lowers the tombstone count inside cancel();
+        // a lane that shrank gave up a tombstone or moved an entry up
+        // to replace a dropped front.
+        if (heap.sim.tombstones() < tombstones_before &&
+            heap.sim.lane_size() < lane_before)
+          compacted_lanes = true;
+      }
+    } else if (r < (filling ? 0.70 : 0.25)) {
+      const std::uint64_t k = rng.next_double() < 0.7
+                                  ? rng.next_below(kCommon)
+                                  : rng.next_below(std::size(kDelays));
+      const TimePoint when = heap.sim.now() + Duration::picoseconds(kDelays[k]);
+      const int depth = rng.next_double() < 0.3 ? 1 : 0;
+      heap.schedule_marked_at(when, depth);
+      ref.schedule_marked_at(when, depth);
+    } else if (r < (filling ? 0.76 : 0.40) && heap.next_marker > 0) {
+      const auto m = static_cast<std::size_t>(rng.next_below(heap.next_marker));
+      heap.sim.cancel(heap.ids[m]);
+      ref.sim.cancel(ref.ids[m]);
+    } else if (r < (filling ? 0.95 : 0.85)) {
+      const bool fired = heap.sim.step();
+      ASSERT_EQ(ref.sim.step(), fired) << "op " << op;
+      if (fired) {
+        ASSERT_EQ(heap.sim.now().ps(), ref.sim.now().ps()) << "op " << op;
+      }
+    } else {
+      const TimePoint deadline =
+          heap.sim.now() +
+          Duration::picoseconds(static_cast<std::int64_t>(rng.next_below(40)));
+      const std::uint64_t before = heap.sim.events_run();
+      heap.sim.run_until(deadline);
+      ASSERT_EQ(heap.sim.now().ps(), deadline.ps()) << "op " << op;
+      for (std::uint64_t k = heap.sim.events_run() - before; k > 0; --k)
+        ASSERT_TRUE(ref.sim.step()) << "op " << op;
+    }
+    ASSERT_EQ(heap.log, ref.log) << "op " << op;
+    const std::size_t lanes = heap.sim.lanes_in_use();
+    if (lanes == kLanes && heap.sim.heap_size() > kLanes) overflowed = true;
+    if (filled && lanes < kLanes) drained = true;
+    if (drained && lanes == kLanes) reassigned = true;
+    if (lanes == kLanes) filled = true;
+  }
+  while (heap.sim.step()) {
+  }
+  while (ref.sim.step()) {
+  }
+  EXPECT_EQ(heap.log, ref.log);
+  EXPECT_EQ(heap.sim.events_run(), ref.sim.events_run());
+  EXPECT_GT(heap.sim.events_run(), 1000u);
+  EXPECT_EQ(heap.sim.pending(), 0u);
+  EXPECT_EQ(heap.sim.tombstones(), 0u);
+  EXPECT_EQ(heap.sim.lanes_in_use(), 0u);
+  EXPECT_EQ(heap.sim.lane_size(), 0u);
+  // Every lane path ran: all 16 lanes busy with delays left over for the
+  // heap, a lane freed and taken again, and a compaction through lanes.
+  EXPECT_TRUE(overflowed);
+  EXPECT_TRUE(reassigned);
+  EXPECT_TRUE(compacted_lanes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DesQueueEquivalence, ::testing::Range(1, 13),

@@ -8,6 +8,8 @@
 //   * route validator: deterministic, starts at the source's crossbar,
 //     ends at the destination's, every consecutive pair shares a cable,
 //     loop-free, and never shorter than the BFS floor of the fabric
+//   * hop_count is the route's length, whether a family counts it from
+//     the route or walks its routing rule without building one
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "topo/fat_tree.hpp"
 #include "topo/machines.hpp"
 #include "topo/topology.hpp"
 
@@ -118,6 +121,14 @@ TEST_P(ZooContract, RoutesAreValidWalksOfTheFabric) {
   }
 }
 
+TEST_P(ZooContract, HopCountIsRouteLength) {
+  for (const topo::NodeId src : probes())
+    for (const topo::NodeId dst : probes())
+      EXPECT_EQ(t_->hop_count(src, dst),
+                static_cast<int>(t_->route(src, dst).size()))
+          << src.v << "->" << dst.v;
+}
+
 TEST_P(ZooContract, RoutingIsDeterministic) {
   const int n = t_->node_count();
   for (const topo::NodeId src : probes()) {
@@ -126,6 +137,23 @@ TEST_P(ZooContract, RoutingIsDeterministic) {
     const std::vector<int> first = t_->route(src, dst);
     for (int rep = 0; rep < 3; ++rep)
       EXPECT_EQ(t_->route(src, dst), first) << src.v << "->" << dst.v;
+  }
+}
+
+TEST(TopologyHopCount, FatTreeCountMatchesTheRouteFromEveryCu) {
+  // The fat tree counts hops by walking its routing rule without
+  // building the route.  Check every destination of the full machine
+  // from one source per CU (a different lower crossbar and port each).
+  const topo::FatTree t = topo::FatTree::roadrunner();
+  ASSERT_EQ(t.node_count(), 3060);
+  const int per_cu = t.params().compute_nodes_per_cu;
+  for (int cu = 0; cu < t.cu_count(); ++cu) {
+    const topo::NodeId src{cu * per_cu + (cu * 11) % per_cu};
+    for (int d = 0; d < t.node_count(); ++d) {
+      const topo::NodeId dst{d};
+      ASSERT_EQ(t.hop_count(src, dst), static_cast<int>(t.route(src, dst).size()))
+          << src.v << "->" << d;
+    }
   }
 }
 

@@ -18,6 +18,19 @@ const topo::Topology& two_cu_topo() {
   return t;
 }
 
+/// All 17 CUs with 16 compute nodes and no I/O nodes each (272 nodes):
+/// small enough for a quick iteration whose IB legs cross CUs, so they
+/// take every hop class of Table I.
+const topo::Topology& seventeen_cu_topo() {
+  static const topo::FatTree t = [] {
+    topo::TopologyParams p;
+    p.compute_nodes_per_cu = 16;
+    p.io_nodes_per_cu = 0;
+    return topo::FatTree::build(p);
+  }();
+  return t;
+}
+
 // ---------------------------------------------------------------------------
 // Application speedup factors (Section IV.A)
 // ---------------------------------------------------------------------------
@@ -130,24 +143,30 @@ TEST(SimValidation, DeterministicAcrossRuns) {
 TEST(SimValidation, SimulatedTimeAndLegsArePinned) {
   // Exact simulated output of the timed Sweep3D path.  Host-side changes
   // to the engine, CML or the network must leave every picosecond and
-  // every transport leg where it is.
+  // every transport leg where it is.  The 2-CU rows stay inside one CU
+  // (IB legs of 1 and 3 hops); the 96x90 row fills 270 of the 17-CU
+  // tree's 272 nodes, so its IB legs take 1, 3, 5 and 7 hops.
+  ASSERT_EQ(seventeen_cu_topo().hop_histogram(topo::NodeId{0}),
+            (std::vector<int>{1, 7, 0, 96, 0, 128, 0, 40}));
   struct Pin {
     int px, py, kt;
     bool best_case_pcie;
+    const topo::Topology& topo;
     std::int64_t ps;
     std::uint64_t legs;
   };
   const Pin pins[] = {
-      {8, 4, 400, false, 59'098'582'836, 12'160},
-      {16, 8, 400, false, 93'751'262'856, 64'000},
-      {32, 16, 40, false, 35'149'958'656, 31'744},
-      {8, 8, 400, true, 21'749'818'476, 28'160},
+      {8, 4, 400, false, two_cu_topo(), 59'098'582'836, 12'160},
+      {16, 8, 400, false, two_cu_topo(), 93'751'262'856, 64'000},
+      {32, 16, 40, false, two_cu_topo(), 35'149'958'656, 31'744},
+      {8, 8, 400, true, two_cu_topo(), 21'749'818'476, 28'160},
+      {96, 90, 20, false, seventeen_cu_topo(), 118'306'582'708, 282'816},
   };
   const auto pxc = spe_compute(arch::CellVariant::kPowerXCell8i);
   for (const Pin& p : pins) {
     SweepWorkload w;
     w.kt = p.kt;
-    const auto des = simulate_iteration(w, p.px, p.py, pxc, two_cu_topo(), p.best_case_pcie);
+    const auto des = simulate_iteration(w, p.px, p.py, pxc, p.topo, p.best_case_pcie);
     EXPECT_EQ(des.total.ps(), p.ps) << p.px << "x" << p.py << " kt=" << p.kt;
     EXPECT_EQ(des.messages, p.legs) << p.px << "x" << p.py << " kt=" << p.kt;
   }
