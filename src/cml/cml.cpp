@@ -19,10 +19,10 @@ CmlWorld::CmlWorld(sim::Simulator& sim, const topo::Topology& topo, CmlConfig co
     : sim_(&sim),
       config_(config),
       size_(config.nodes * config.cells_per_node * config.spes_per_cell),
-      net_(sim, topo, comm::NetworkConfig{config.cells_per_node, config.best_case_pcie}) {
+      net_(sim, topo, comm::NetworkConfig{config.cells_per_node, config.best_case_pcie}),
+      endpoints_(static_cast<std::size_t>(size_)) {
   RR_EXPECTS(config.nodes >= 1 && config.nodes <= topo.node_count());
   RR_EXPECTS(config.cells_per_node >= 1 && config.spes_per_cell >= 1);
-  for (int i = 0; i < size_; ++i) endpoints_.emplace_back(sim);
 }
 
 int CmlWorld::node_of(Rank r) const {
@@ -50,33 +50,82 @@ sim::Task<void> CmlWorld::transport(Rank src, Rank dst, DataSize bytes) {
 
 void CmlWorld::deliver(Rank dst, Message msg) {
   RR_EXPECTS(dst >= 0 && dst < size_);
-  endpoints_[static_cast<std::size_t>(dst)].box.send(std::move(msg));
+  Endpoint& ep = endpoints_[static_cast<std::size_t>(dst)];
+  RecvAwaiter* const w = ep.waiter;
+  if (w == nullptr) {
+    ep.arrived.push_back(std::move(msg));
+    return;
+  }
+  ep.waiter = nullptr;
+  w->waiting_ = false;
+  if (w->matches(msg)) {
+    w->slot_ = std::move(msg);
+    sim_->schedule_resume(Duration::zero(), w->handle_);
+    return;
+  }
+  ep.arrived.push_back(std::move(msg));
+  sim_->schedule(Duration::zero(), [this, w] { retry(*w); });
 }
 
-sim::Task<Message> CmlWorld::match(Rank dst, Rank src, int tag) {
-  Endpoint& ep = endpoints_[static_cast<std::size_t>(dst)];
-  auto matches = [src, tag](const Message& m) {
-    return (src == kAnySource || m.src == src) && (tag == kAnyTag || m.tag == tag);
-  };
-  // Check messages that arrived earlier but were not matched.
-  for (std::size_t i = 0; i < ep.stash.size(); ++i) {
-    if (matches(ep.stash[i])) {
-      Message m = std::move(ep.stash[i]);
-      ep.stash.erase(ep.stash.begin() + static_cast<std::ptrdiff_t>(i));
-      co_return m;
+bool CmlWorld::take(RecvAwaiter& w) {
+  std::vector<Message>& arrived = endpoints_[static_cast<std::size_t>(w.dst_)].arrived;
+  for (auto it = arrived.begin(); it != arrived.end(); ++it) {
+    if (w.matches(*it)) {
+      w.slot_ = std::move(*it);
+      arrived.erase(it);
+      return true;
     }
   }
-  for (;;) {
-    Message m = co_await ep.box.receive();
-    if (matches(m)) co_return m;
-    ep.stash.push_back(std::move(m));
-  }
+  return false;
+}
+
+void CmlWorld::wait(RecvAwaiter& w) {
+  Endpoint& ep = endpoints_[static_cast<std::size_t>(w.dst_)];
+  RR_EXPECTS(ep.waiter == nullptr);  // one waiting receive per rank
+  ep.waiter = &w;
+  w.waiting_ = true;
+}
+
+void CmlWorld::retry(RecvAwaiter& w) {
+  if (take(w))
+    w.handle_.resume();
+  else
+    wait(w);
 }
 
 std::size_t CmlWorld::run(const std::function<sim::Task<void>(CmlContext)>& program) {
   sim::TaskRegistry reg(*sim_);
   for (Rank r = 0; r < size_; ++r) reg.spawn(program(CmlContext(*this, r)));
   return reg.drain();
+}
+
+// ---------------------------------------------------------------------------
+// Awaiters
+// ---------------------------------------------------------------------------
+
+SendAwaiter::SendAwaiter(CmlWorld& world, Rank src, Rank dst, int tag,
+                         std::vector<double> payload, DataSize bytes)
+    : world_(&world),
+      route_(dst != src ? world.transport(src, dst, bytes) : sim::Task<void>{}),
+      msg_{src, tag, std::move(payload)},
+      dst_(dst) {}
+
+void SendAwaiter::await_resume() {
+  if (route_.valid())
+    if (const std::exception_ptr failure = route_.failure())
+      std::rethrow_exception(failure);
+  world_->deliver(dst_, std::move(msg_));
+}
+
+void RecvAwaiter::stop_waiting() {
+  world_->endpoints_[static_cast<std::size_t>(dst_)].waiter = nullptr;
+}
+
+bool RecvAwaiter::await_ready() { return world_->take(*this); }
+
+void RecvAwaiter::await_suspend(std::coroutine_handle<> h) {
+  handle_ = h;
+  world_->wait(*this);
 }
 
 // ---------------------------------------------------------------------------
@@ -87,20 +136,29 @@ int CmlContext::size() const { return world_->size(); }
 int CmlContext::node() const { return world_->node_of(rank_); }
 int CmlContext::cell() const { return world_->cell_of(rank_); }
 
-sim::Task<void> CmlContext::send(Rank dst, int tag, std::vector<double> payload) {
-  // A message to oneself crosses nothing.
-  if (dst != rank_) co_await world_->transport(rank_, dst, message_bytes(payload));
-  world_->deliver(dst, Message{rank_, tag, std::move(payload)});
+SendAwaiter CmlContext::send(Rank dst, int tag, std::vector<double> payload) {
+  RR_EXPECTS(tag >= 0);  // negative tags are the collectives'
+  return send_any_tag(dst, tag, std::move(payload));
 }
 
-sim::Task<void> CmlContext::send_sized(Rank dst, int tag, std::size_t doubles) {
-  if (dst != rank_)
-    co_await world_->transport(rank_, dst, comm::message_bytes(doubles));
-  world_->deliver(dst, Message{rank_, tag, {}});
+SendAwaiter CmlContext::send_any_tag(Rank dst, int tag, std::vector<double> payload) {
+  const DataSize bytes = message_bytes(payload);
+  return SendAwaiter(*world_, rank_, dst, tag, std::move(payload), bytes);
 }
 
-sim::Task<Message> CmlContext::recv(Rank src, int tag) {
-  return world_->match(rank_, src, tag);
+SendAwaiter CmlContext::send_sized(Rank dst, int tag, std::size_t doubles) {
+  RR_EXPECTS(tag >= 0);
+  return SendAwaiter(*world_, rank_, dst, tag, {}, comm::message_bytes(doubles));
+}
+
+RecvAwaiter CmlContext::recv(Rank src, int tag) {
+  RR_EXPECTS(src == kAnySource || (src >= 0 && src < size()));
+  RR_EXPECTS(tag >= kAnyTag);
+  return recv_any_tag(src, tag);
+}
+
+RecvAwaiter CmlContext::recv_any_tag(Rank src, int tag) {
+  return RecvAwaiter(*world_, rank_, src, tag);
 }
 
 sim::Task<void> CmlContext::barrier() {
@@ -110,8 +168,8 @@ sim::Task<void> CmlContext::barrier() {
   for (int dist = 1; dist < n; dist *= 2, ++round) {
     const Rank to = (rank_ + dist) % n;
     const Rank from = (rank_ - dist % n + n) % n;
-    co_await send(to, kBarrierTagBase - round, {});
-    co_await recv(from, kBarrierTagBase - round);
+    co_await send_any_tag(to, kBarrierTagBase - round, {});
+    co_await recv_any_tag(from, kBarrierTagBase - round);
   }
 }
 
@@ -123,7 +181,7 @@ sim::Task<std::vector<double>> CmlContext::broadcast(Rank root,
   while (mask < n) {
     if (vrank & mask) {
       const Rank from = ((vrank - mask) + root) % n;
-      Message m = co_await recv(from, kBcastTag);
+      Message m = co_await recv_any_tag(from, kBcastTag);
       data = std::move(m.payload);
       break;
     }
@@ -133,7 +191,7 @@ sim::Task<std::vector<double>> CmlContext::broadcast(Rank root,
   while (mask > 0) {
     if (vrank + mask < n) {
       const Rank to = ((vrank + mask) + root) % n;
-      co_await send(to, kBcastTag, data);
+      co_await send_any_tag(to, kBcastTag, data);
     }
     mask >>= 1;
   }
@@ -148,11 +206,11 @@ sim::Task<std::vector<double>> CmlContext::allreduce_sum(
   int mask = 1;
   while (mask < n) {
     if (vrank & mask) {
-      co_await send(vrank - mask, kReduceTag, contribution);
+      co_await send_any_tag(vrank - mask, kReduceTag, contribution);
       break;
     }
     if (vrank + mask < n) {
-      Message m = co_await recv(vrank + mask, kReduceTag);
+      Message m = co_await recv_any_tag(vrank + mask, kReduceTag);
       RR_ASSERT(m.payload.size() == contribution.size());
       for (std::size_t i = 0; i < contribution.size(); ++i)
         contribution[i] += m.payload[i];

@@ -72,9 +72,21 @@ Duration SimNetwork::eib_time(DataSize n) const { return eib_.one_way(n); }
 Duration SimNetwork::dacs_time(DataSize n) const { return dacs_.one_way(n); }
 
 Duration SimNetwork::ib_time(int src_node, int dst_node, DataSize n) const {
-  const Duration hops = arch::cal::kSwitchHopLatency *
-                        topo_->hop_count(topo::NodeId{src_node}, topo::NodeId{dst_node});
-  return mpi_.one_way(n) + hops;
+  return mpi_.one_way(n) + hop_time(src_node, dst_node);
+}
+
+Duration SimNetwork::hop_time(int src_node, int dst_node) const {
+  return arch::cal::kSwitchHopLatency *
+         topo_->hop_count(topo::NodeId{src_node}, topo::NodeId{dst_node});
+}
+
+const SimNetwork::Prices& SimNetwork::prices(DataSize n) {
+  if (prices_[0].n == n) return prices_[0];
+  if (prices_[1].n == n) return prices_[1];
+  Prices& p = prices_[next_price_];
+  next_price_ ^= 1;
+  p = Prices{n, local_time(n), eib_time(n), dacs_time(n), mpi_.one_way(n)};
+  return p;
 }
 
 sim::Task<void> SimNetwork::spe_transfer(int src_node, int src_cell, int dst_node,
@@ -147,14 +159,14 @@ sim::Task<void> SimNetwork::route(Route r, DataSize n) {
   for (std::size_t i = 0; i < r.size; ++i) {
     const Leg leg = r.legs[i];
     if (leg.kind == Leg::Kind::kLocal) {
-      co_await sim::Delay{*sim_, local_time(n)};
+      co_await sim::Delay{*sim_, prices(n).local};
       continue;
     }
     ++messages_sent_;
     bytes_sent_ += n.b();
     if (leg.kind == Leg::Kind::kEib) {
       const auto span = open_span(leg, n);
-      const Duration service = eib_time(n);
+      const Duration service = prices(n).eib;
       eib_busy_ += service;
       co_await sim::Delay{*sim_, service};
       if (trace_) trace_->end(span, sim_->now());
@@ -164,8 +176,8 @@ sim::Task<void> SimNetwork::route(Route r, DataSize n) {
     co_await link.token.acquire();
     const auto span = open_span(leg, n);
     const Duration service = leg.kind == Leg::Kind::kIb
-                                 ? ib_time(leg.node, leg.other, n)
-                                 : dacs_time(n);
+                                 ? prices(n).mpi + hop_time(leg.node, leg.other)
+                                 : prices(n).dacs;
     link.busy += service;
     co_await sim::Delay{*sim_, service};
     if (trace_) trace_->end(span, sim_->now());

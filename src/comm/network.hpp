@@ -115,9 +115,26 @@ class SimNetwork {
     void add(Leg leg) { legs[size++] = leg; }
   };
 
+  /// One-way times of one message size: the SPE<->PPE local leg, the
+  /// EIB, DaCS over PCIe, and MPI over InfiniBand before its hop term.
+  struct Prices {
+    DataSize n = DataSize::bytes(-1);  ///< no message has this size
+    Duration local;
+    Duration eib;
+    Duration dacs;
+    Duration mpi;
+  };
+
   /// Cross every leg of `r` with `n` bytes.  A link leg queues for the
   /// link's token, holds it for its service time and releases it.
   sim::Task<void> route(Route r, DataSize n);
+  /// The one-way times of size `n`, from a two-entry memo: a Sweep3D run
+  /// sends at most two message sizes (its x and y faces), so each is
+  /// priced once.  Read the entry before the next co_await; another
+  /// route may replace it.
+  const Prices& prices(DataSize n);
+  /// The switch-hop term of an IB leg.
+  Duration hop_time(int src_node, int dst_node) const;
   /// A one-leg route.
   sim::Task<void> hop(Leg leg, DataSize n);
   /// The contended link a PCIe or IB leg crosses.
@@ -133,6 +150,8 @@ class SimNetwork {
   ChannelModel mpi_;
   std::deque<Link> hca_;    // one per node
   std::deque<Link> pcie_;   // one per (node, cell)
+  std::array<Prices, 2> prices_;
+  std::uint8_t next_price_ = 0;  ///< the memo entry the next new size replaces
   Duration eib_busy_;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;

@@ -25,7 +25,7 @@ SimulatedIteration simulate_iteration(const SweepWorkload& w, int px, int py,
   const sweep::CmlSweepResult run = sweep::sweep_once_cml_sized(
       w.it * px, w.jt * py, w.kt, sweep::KbaConfig{px, py, w.mk}, world,
       compute.per_cell_angle);
-  return {run.simulated_time, run.messages, static_cast<std::size_t>(run.ranks)};
+  return {run.simulated_time, run.messages, run.events, static_cast<std::size_t>(run.ranks)};
 }
 
 double model_vs_des_gap(const SweepWorkload& w, int px, int py,

@@ -18,6 +18,7 @@ namespace rr::model {
 struct SimulatedIteration {
   Duration total;             ///< simulated wall time of one iteration
   std::uint64_t messages = 0; ///< transport legs (SimNetwork::messages_sent)
+  std::uint64_t events = 0;   ///< simulator events fired (Simulator::events_run)
   std::size_t ranks = 0;
 };
 

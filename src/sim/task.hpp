@@ -12,8 +12,8 @@
 //   co_await mailbox.receive()    -- blocking receive (sim/mailbox.hpp)
 //   co_await other_task           -- join a child task, yielding its value
 //
-// Frames are recycled.  A DES message costs a few short-lived coroutine
-// frames, so each thread keeps a LIFO free list per 16-byte size class up
+// Frames are recycled.  A DES message costs a short-lived coroutine frame
+// (its route), so each thread keeps a LIFO free list per 16-byte size class up
 // to 1 KiB (FrameCache): the next frame of a class is the one freed last,
 // still hot in cache.  Every cached block came from ::operator new and
 // goes back to ::operator delete -- when a TaskRegistry drains, when its

@@ -66,23 +66,24 @@ CmlSweepResult run_ranks(const KbaShape& s, Kernel& kernel, cml::CmlWorld& world
 
   // Each received Message goes to the kernel in the expression that
   // awaits it: one held across a later co_await would sit in every
-  // rank's frame.
+  // rank's frame.  The receives are awaited from one site and the sends
+  // from another (a loop over the axis), since each co_await site keeps
+  // its own awaiter in the frame.
   auto program = [&](cml::CmlContext ctx) -> sim::Task<void> {
     const int r = ctx.rank();
     if (r >= s.cfg.ranks()) co_return;
     for (int oc = 0; oc < kOctants; ++oc) {
       const Octant o = octant(oc);
-      const int up_x = s.neighbour(r, 0, -o.sx);
-      const int up_y = s.neighbour(r, 1, -o.sy);
-      const int dn_x = s.neighbour(r, 0, o.sx);
-      const int dn_y = s.neighbour(r, 1, o.sy);
+      const std::array<int, 2> up = {s.neighbour(r, 0, -o.sx), s.neighbour(r, 1, -o.sy)};
+      const std::array<int, 2> dn = {s.neighbour(r, 0, o.sx), s.neighbour(r, 1, o.sy)};
       for (int b = 0; b < s.blocks; ++b) {
-        if (up_x >= 0) kernel.inflow(r, 0, co_await ctx.recv(up_x, s.tag(oc, b, 0)));
-        if (up_y >= 0) kernel.inflow(r, 1, co_await ctx.recv(up_y, s.tag(oc, b, 1)));
+        for (int axis = 0; axis < 2; ++axis)
+          if (up[axis] >= 0)
+            kernel.inflow(r, axis, co_await ctx.recv(up[axis], s.tag(oc, b, axis)));
         kernel.block(r, oc, b);
         co_await sim::Delay{world.simulator(), block_time};
-        if (dn_x >= 0) co_await kernel.outflow(ctx, dn_x, s.tag(oc, b, 0), r, 0);
-        if (dn_y >= 0) co_await kernel.outflow(ctx, dn_y, s.tag(oc, b, 1), r, 1);
+        for (int axis = 0; axis < 2; ++axis)
+          if (dn[axis] >= 0) co_await kernel.outflow(ctx, dn[axis], s.tag(oc, b, axis), r, axis);
       }
     }
   };
@@ -91,10 +92,12 @@ CmlSweepResult run_ranks(const KbaShape& s, Kernel& kernel, cml::CmlWorld& world
   result.ranks = s.cfg.ranks();
   const TimePoint t0 = world.simulator().now();
   const std::uint64_t legs_before = world.network().messages_sent();
+  const std::uint64_t events_before = world.simulator().events_run();
   const std::size_t done = world.run(program);
   RR_ENSURES(done == static_cast<std::size_t>(world.size()));  // no deadlock
   result.simulated_time = world.simulator().now() - t0;
   result.messages = world.network().messages_sent() - legs_before;
+  result.events = world.simulator().events_run() - events_before;
   return result;
 }
 
@@ -105,7 +108,7 @@ struct SizedKernel {
 
   void inflow(int, int, cml::Message&&) {}
   void block(int, int, int) {}
-  sim::Task<void> outflow(cml::CmlContext& ctx, int dst, int tag, int, int axis) {
+  cml::SendAwaiter outflow(cml::CmlContext& ctx, int dst, int tag, int, int axis) {
     return ctx.send_sized(dst, tag, shape.surface(axis));
   }
 };
@@ -181,7 +184,7 @@ class FluxKernel {
     }
   }
 
-  sim::Task<void> outflow(cml::CmlContext& ctx, int dst, int tag, int r, int axis) {
+  cml::SendAwaiter outflow(cml::CmlContext& ctx, int dst, int tag, int r, int axis) {
     return ctx.send(dst, tag, std::move(planes_[r][axis]));
   }
 

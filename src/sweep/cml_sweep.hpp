@@ -40,6 +40,7 @@ struct CmlSweepResult {
   /// EIB leg within a Cell, two DaCS legs between Cells, plus an IB leg
   /// between nodes.
   std::uint64_t messages = 0;
+  std::uint64_t events = 0;  ///< simulator events fired (Simulator::events_run)
   int ranks = 0;
 };
 

@@ -122,6 +122,27 @@ TEST(CmlPointToPoint, WildcardReceivesAnything) {
   EXPECT_EQ(sources, (std::set<int>{0, 1}));
 }
 
+TEST(CmlPointToPoint, NonMatchingWakeKeepsItsPlace) {
+  // Three equal EIB messages arrive at the same picosecond, in send
+  // order: one rank 2 is not waiting for, the one rank 4 waits for, the
+  // one rank 2 waits for.  The first still wakes rank 2 in a zero-delay
+  // event, queued before rank 4's, in which rank 2 finds its message.
+  // Matching at delivery would drop that event and wake rank 4 first.
+  World w(CmlConfig{1, 1, 5});
+  std::vector<Rank> log;
+  const auto done = w.cml.run([&](CmlContext ctx) -> sim::Task<void> {
+    switch (ctx.rank()) {
+      case 0: co_await ctx.send(2, 9, std::vector<double>(1, 1.0)); break;
+      case 1: co_await ctx.send(4, 1, std::vector<double>(1, 1.0)); break;
+      case 3: co_await ctx.send(2, 1, std::vector<double>(1, 1.0)); break;
+      case 2: co_await ctx.recv(3, 1); log.push_back(2); break;
+      case 4: co_await ctx.recv(1, 1); log.push_back(4); break;
+    }
+  });
+  EXPECT_EQ(done, 5u);
+  EXPECT_EQ(log, (std::vector<Rank>{2, 4}));
+}
+
 TEST(CmlPointToPoint, DeadlockIsDetectedNotHung) {
   World w(CmlConfig{1, 1, 2});
   // Rank 1 waits for a message nobody sends.
@@ -184,6 +205,71 @@ TEST(CmlPointToPoint, SendSizedTimesLikeAPayloadOfThatSize) {
       EXPECT_EQ(sized.received_doubles, 0u);  // the envelope only
     }
   }
+}
+
+// Negative tags are the collectives' (barrier -1000 - round, broadcast
+// -2000, reduce -3000): a user message with one could be consumed by a
+// collective.  Sources outside the world would wait forever.
+TEST(CmlPointToPointDeath, UserSendWithANegativeTagIsRejected) {
+  EXPECT_DEATH(
+      {
+        World w(CmlConfig{1, 1, 2});
+        w.cml.run([&](CmlContext ctx) -> sim::Task<void> {
+          if (ctx.rank() == 0) co_await ctx.send(1, -2000, {});
+        });
+      },
+      "Precondition violation: \\(tag >= 0\\)");
+}
+
+TEST(CmlPointToPointDeath, SizedSendWithANegativeTagIsRejected) {
+  EXPECT_DEATH(
+      {
+        World w(CmlConfig{1, 1, 2});
+        w.cml.run([&](CmlContext ctx) -> sim::Task<void> {
+          if (ctx.rank() == 0) co_await ctx.send_sized(1, -1, 8);
+        });
+      },
+      "Precondition violation: \\(tag >= 0\\)");
+}
+
+TEST(CmlPointToPointDeath, ReceiveWithATagBelowAnyTagIsRejected) {
+  EXPECT_DEATH(
+      {
+        World w(CmlConfig{1, 1, 2});
+        w.cml.run([&](CmlContext ctx) -> sim::Task<void> {
+          if (ctx.rank() == 1) co_await ctx.recv(0, -1000);
+        });
+      },
+      "Precondition violation: \\(tag >= kAnyTag\\)");
+}
+
+TEST(CmlPointToPointDeath, ReceiveFromOutsideTheWorldIsRejected) {
+  for (const Rank src : {2, -2}) {
+    EXPECT_DEATH(
+        {
+          World w(CmlConfig{1, 1, 2});
+          w.cml.run([&](CmlContext ctx) -> sim::Task<void> {
+            if (ctx.rank() == 1) co_await ctx.recv(src, 0);
+          });
+        },
+        "Precondition violation: \\(src == kAnySource")
+        << src;
+  }
+}
+
+TEST(CmlPointToPointDeath, SecondWaitingReceiveOnOneRankIsRejected) {
+  // Two receives can wait on one rank at once only if two tasks share
+  // one CmlContext.
+  EXPECT_DEATH(
+      {
+        World w(CmlConfig{1, 1, 2});
+        const CmlContext ctx(w.cml, 1);
+        const auto receive = [](CmlContext c) -> sim::Task<void> { co_await c.recv(0, 0); };
+        sim::TaskRegistry reg(w.sim);
+        reg.spawn(receive(ctx));
+        reg.spawn(receive(ctx));
+      },
+      "Precondition violation: \\(ep.waiter == nullptr\\)");
 }
 
 // ---------------------------------------------------------------------------

@@ -142,10 +142,10 @@ TEST(SimValidation, DeterministicAcrossRuns) {
 
 TEST(SimValidation, SimulatedTimeAndLegsArePinned) {
   // Exact simulated output of the timed Sweep3D path.  Host-side changes
-  // to the engine, CML or the network must leave every picosecond and
-  // every transport leg where it is.  The 2-CU rows stay inside one CU
-  // (IB legs of 1 and 3 hops); the 96x90 row fills 270 of the 17-CU
-  // tree's 272 nodes, so its IB legs take 1, 3, 5 and 7 hops.
+  // to the engine, CML or the network must leave every picosecond, every
+  // transport leg and every simulator event where it is.  The 2-CU rows
+  // stay inside one CU (IB legs of 1 and 3 hops); the 96x90 row fills 270
+  // of the 17-CU tree's 272 nodes, so its IB legs take 1, 3, 5 and 7 hops.
   ASSERT_EQ(seventeen_cu_topo().hop_histogram(topo::NodeId{0}),
             (std::vector<int>{1, 7, 0, 96, 0, 128, 0, 40}));
   struct Pin {
@@ -154,13 +154,14 @@ TEST(SimValidation, SimulatedTimeAndLegsArePinned) {
     const topo::Topology& topo;
     std::int64_t ps;
     std::uint64_t legs;
+    std::uint64_t events;
   };
   const Pin pins[] = {
-      {8, 4, 400, false, two_cu_topo(), 59'098'582'836, 12'160},
-      {16, 8, 400, false, two_cu_topo(), 93'751'262'856, 64'000},
-      {32, 16, 40, false, two_cu_topo(), 35'149'958'656, 31'744},
-      {8, 8, 400, true, two_cu_topo(), 21'749'818'476, 28'160},
-      {96, 90, 20, false, seventeen_cu_topo(), 118'306'582'708, 282'816},
+      {8, 4, 400, false, two_cu_topo(), 59'098'582'836, 12'160, 34'696},
+      {16, 8, 400, false, two_cu_topo(), 93'751'262'856, 64'000, 178'124},
+      {32, 16, 40, false, two_cu_topo(), 35'149'958'656, 31'744, 81'188},
+      {8, 8, 400, true, two_cu_topo(), 21'749'818'476, 28'160, 79'588},
+      {96, 90, 20, false, seventeen_cu_topo(), 118'306'582'708, 282'816, 684'196},
   };
   const auto pxc = spe_compute(arch::CellVariant::kPowerXCell8i);
   for (const Pin& p : pins) {
@@ -169,13 +170,15 @@ TEST(SimValidation, SimulatedTimeAndLegsArePinned) {
     const auto des = simulate_iteration(w, p.px, p.py, pxc, p.topo, p.best_case_pcie);
     EXPECT_EQ(des.total.ps(), p.ps) << p.px << "x" << p.py << " kt=" << p.kt;
     EXPECT_EQ(des.messages, p.legs) << p.px << "x" << p.py << " kt=" << p.kt;
+    EXPECT_EQ(des.events, p.events) << p.px << "x" << p.py << " kt=" << p.kt;
   }
 }
 
 TEST(SimValidation, FluxRunReproducesThePinnedIteration) {
   // The timed iteration is the flux-checked program: the pinned 8x4,
   // kt = 400 row run with real fluxes on its 40x20x400 grid takes the
-  // same picoseconds over the same legs, and sweeps bitwise like serial.
+  // same picoseconds over the same legs, fires as many events as the
+  // sized run, and sweeps bitwise like serial.
   const auto pxc = spe_compute(arch::CellVariant::kPowerXCell8i);
   const SweepWorkload w;
   sweep::Problem p;
@@ -189,6 +192,7 @@ TEST(SimValidation, FluxRunReproducesThePinnedIteration) {
       p, emission, sweep::KbaConfig{8, 4, w.mk}, world, pxc.per_cell_angle);
   EXPECT_EQ(run.simulated_time.ps(), 59'098'582'836);
   EXPECT_EQ(run.messages, 12'160u);
+  EXPECT_EQ(run.events, simulate_iteration(w, 8, 4, pxc, two_cu_topo()).events);
   const sweep::SweepResult serial = sweep::sweep_once(p, emission);
   ASSERT_EQ(run.sweep.scalar_flux.size(), serial.scalar_flux.size());
   for (std::size_t c = 0; c < serial.scalar_flux.size(); ++c)
