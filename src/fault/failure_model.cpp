@@ -40,7 +40,11 @@ ComponentCounts census(const topo::Topology& t) {
   for (int sw = 0; sw < t.switch_count(); ++sw)
     in_switches += static_cast<int>(t.switch_members(sw).size());
   c.crossbars = t.crossbar_count() - in_switches;
-  c.links = static_cast<int>(cable_list(t).size());
+  // One cable per adjacency with a < b: cable_list's pairs, counted in one
+  // pass with no list and no sort (a scenario prices its MTBF from this).
+  for (int a = 0; a < t.crossbar_count(); ++a)
+    for (int b : t.crossbar(a).links)
+      if (a < b) ++c.links;
   return c;
 }
 

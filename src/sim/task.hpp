@@ -26,7 +26,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <exception>
-#include <memory>
 #include <new>
 #include <optional>
 #include <utility>
@@ -170,11 +169,14 @@ class Task {
 
   Task() = default;
   explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
-  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, nullptr)) {}
+  Task(Task&& other) noexcept
+      : handle_(std::exchange(other.handle_, nullptr)),
+        started_(std::exchange(other.started_, false)) {}
   Task& operator=(Task&& other) noexcept {
     if (this != &other) {
       destroy();
       handle_ = std::exchange(other.handle_, nullptr);
+      started_ = std::exchange(other.started_, false);
     }
     return *this;
   }
@@ -186,10 +188,13 @@ class Task {
   bool done() const { return handle_ && handle_.done(); }
 
   /// Start the coroutine immediately (used by spawn and by co_await).
+  /// Touches nothing of *this once the coroutine runs: a task it spawns
+  /// may grow the registry's vector and move this Task.
   void start() {
     RR_EXPECTS(handle_ && !started_);
     started_ = true;
-    handle_.resume();
+    const std::coroutine_handle<> h = handle_;
+    h.resume();
   }
 
   /// Awaiting a task starts it and suspends the awaiter until completion.
@@ -278,8 +283,8 @@ class TaskRegistry {
   /// holds at most twice its live tasks plus a constant.
   void spawn(Task<void> task) {
     if (tasks_.size() >= reap_at_) reap();
-    tasks_.push_back(std::make_unique<Task<void>>(std::move(task)));
-    tasks_.back()->start();
+    tasks_.push_back(std::move(task));
+    tasks_.back().start();
   }
 
   /// Run the simulator until all events fire, then verify every spawned
@@ -297,8 +302,8 @@ class TaskRegistry {
 
   std::size_t live_count() const {
     std::size_t n = 0;
-    for (const auto& t : tasks_)
-      if (!t->done()) ++n;
+    for (const Task<void>& t : tasks_)
+      if (!t.done()) ++n;
     return n;
   }
   std::size_t spawned_count() const { return tasks_.size() + reaped_; }
@@ -310,9 +315,9 @@ class TaskRegistry {
 
   /// Destroy every finished task, keeping the first failure for drain().
   void reap() {
-    std::erase_if(tasks_, [this](const std::unique_ptr<Task<void>>& t) {
-      if (!t->done()) return false;
-      if (!failure_) failure_ = t->failure();
+    std::erase_if(tasks_, [this](const Task<void>& t) {
+      if (!t.done()) return false;
+      if (!failure_) failure_ = t.failure();
       ++reaped_;
       return true;
     });
@@ -320,7 +325,7 @@ class TaskRegistry {
   }
 
   Simulator* sim_;
-  std::vector<std::unique_ptr<Task<void>>> tasks_;
+  std::vector<Task<void>> tasks_;  // by value: a task is its 16 B handle
   std::size_t reaped_ = 0;
   std::size_t reap_at_ = kMinReapBatch;
   std::exception_ptr failure_;

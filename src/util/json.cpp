@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <string>
 
 namespace rr {
@@ -250,35 +249,63 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
+/// Append `v` as the bytes printf's %.17g gives: std::to_chars with the
+/// general format and a precision is defined as that conversion, without
+/// printf's format parsing and locale lookup.
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) fail("json: non-finite number");
+  char buf[32];
+  const auto r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
+/// Append `s` quoted, copying the runs between escapes whole.
+void append_string(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  std::size_t run = 0;  // first byte not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(u, sizeof u);
+      }
+    }
+  }
+  out.append(s, run);
+  out += '"';
+}
+
+/// A line break and the indent of `depth` levels; nothing when compact.
+void append_break(std::string& out, int indent, int depth) {
+  if (indent < 0) return;
+  out += '\n';
+  out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth),
+             ' ');
+}
+
 }  // namespace
 
 std::string format_json_number(double v) {
-  if (!std::isfinite(v)) fail("json: non-finite number");
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  std::string out;
+  append_number(out, v);
+  return out;
 }
 
 void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
+  std::string out;
+  append_string(out, s);
+  os << out;
 }
 
 bool Json::as_bool() const {
@@ -363,55 +390,45 @@ void Json::push_back(Json v) {
   arr_.push_back(std::move(v));
 }
 
-void Json::write(std::ostream& os, int indent, int depth) const {
-  // Built by append: GCC 12 flags `"\n" + std::string(...)` with a false
-  // -Wrestrict.
-  std::string pad, closing;
-  if (indent >= 0) {
-    const auto width = static_cast<std::size_t>(indent);
-    closing.append(1, '\n').append(width * static_cast<std::size_t>(depth), ' ');
-    pad = closing;
-    pad.append(width, ' ');
-  }
-  const char* sep = indent >= 0 ? ": " : ":";
+void Json::write(std::string& out, int indent, int depth) const {
   switch (kind_) {
-    case Kind::kNull: os << "null"; break;
-    case Kind::kBool: os << (bool_ ? "true" : "false"); break;
-    case Kind::kNumber: os << format_json_number(num_); break;
-    case Kind::kString: write_json_string(os, str_); break;
+    case Kind::kNull: out += "null"; break;
+    case Kind::kBool: out += bool_ ? "true" : "false"; break;
+    case Kind::kNumber: append_number(out, num_); break;
+    case Kind::kString: append_string(out, str_); break;
     case Kind::kArray: {
-      os << '[';
+      out += '[';
       for (std::size_t i = 0; i < arr_.size(); ++i) {
-        if (i) os << ',';
-        os << pad;
-        arr_[i].write(os, indent, depth + 1);
+        if (i) out += ',';
+        append_break(out, indent, depth + 1);
+        arr_[i].write(out, indent, depth + 1);
       }
-      if (!arr_.empty()) os << closing;
-      os << ']';
+      if (!arr_.empty()) append_break(out, indent, depth);
+      out += ']';
       break;
     }
     case Kind::kObject: {
-      os << '{';
+      out += '{';
       for (std::size_t i = 0; i < obj_.size(); ++i) {
-        if (i) os << ',';
-        os << pad;
-        write_json_string(os, obj_[i].first);
-        os << sep;
-        obj_[i].second.write(os, indent, depth + 1);
+        if (i) out += ',';
+        append_break(out, indent, depth + 1);
+        append_string(out, obj_[i].first);
+        out += indent >= 0 ? ": " : ":";
+        obj_[i].second.write(out, indent, depth + 1);
       }
-      if (!obj_.empty()) os << closing;
-      os << '}';
+      if (!obj_.empty()) append_break(out, indent, depth);
+      out += '}';
       break;
     }
   }
 }
 
-void Json::dump_to(std::ostream& os, int indent) const { write(os, indent, 0); }
+void Json::dump_to(std::ostream& os, int indent) const { os << dump(indent); }
 
 std::string Json::dump(int indent) const {
-  std::ostringstream os;
-  write(os, indent, 0);
-  return os.str();
+  std::string out;
+  write(out, indent, 0);
+  return out;
 }
 
 Json Json::parse(std::string_view text) { return Parser(text).document(); }

@@ -1,10 +1,13 @@
 // Minimal JSON value, parser, and writer for machine-readable result
 // stores (JSON lines) and the golden regression files.
 //
-// Numbers are IEEE doubles serialized with %.17g, which round-trips every
-// finite double bit-exactly (max_digits10); golden comparisons can
-// therefore assert bitwise equality across a dump/parse cycle.  Objects
-// preserve insertion order so serialization is deterministic.
+// Numbers are IEEE doubles serialized as printf's %.17g would print them
+// (the bytes come from std::to_chars), which round-trips every finite
+// double bit-exactly (max_digits10); golden comparisons can therefore
+// assert bitwise equality across a dump/parse cycle.  Objects preserve
+// insertion order so serialization is deterministic.  A document is
+// written by appending to one string, through one number formatter and
+// one string escaper that every entry point below shares.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +99,7 @@ class Json {
   friend bool operator==(const Json& a, const Json& b);
 
  private:
-  void write(std::ostream& os, int indent, int depth) const;
+  void write(std::string& out, int indent, int depth) const;
 
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
@@ -106,7 +109,8 @@ class Json {
   Object obj_;
 };
 
-/// %.17g formatting used for every JSON number (bit-exact round trip).
+/// The %.17g bytes of every JSON number (bit-exact round trip); throws
+/// JsonError on a non-finite value.
 std::string format_json_number(double v);
 
 /// Write `s` as a quoted JSON string literal, escaping quotes,

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "topo/fat_tree.hpp"
 #include "arch/spec.hpp"
@@ -14,6 +15,7 @@
 #include "sim/interrupt.hpp"
 #include "sweep_engine/retry.hpp"
 #include "topo/degraded.hpp"
+#include "topo/machines.hpp"
 #include "util/cli.hpp"
 
 namespace rr::fault {
@@ -35,6 +37,40 @@ TEST(Census, FullMachineComponentCounts) {
   EXPECT_EQ(c.switches, 8);
   // 17 CUs x (24x12 intra-CU + 24x4 uplinks) + 8 switches x 2x12x12.
   EXPECT_EQ(c.links, 17 * (24 * 12 + 24 * 4) + 8 * 2 * 12 * 12);
+}
+
+TEST(Census, LinkCountIsTheCableListLength) {
+  const auto check = [](const topo::Topology& t, const std::string& what) {
+    EXPECT_EQ(static_cast<std::size_t>(census(t).links), cable_list(t).size())
+        << what;
+  };
+  check(full_topo(), "roadrunner");
+  topo::FatTreeParams one_cu;
+  one_cu.cu_count = 1;
+  check(topo::FatTree::build(one_cu), "one-CU fat tree");
+  int others = 0;
+  for (const topo::MachineSpec& m : topo::machine_zoo()) {
+    if (m.family == "fat-tree") continue;
+    for (const bool small : {false, true})
+      check(*topo::make_machine(m.name, small), m.name + (small ? " (small)" : ""));
+    ++others;
+  }
+  EXPECT_EQ(others, 4);  // three tori and the dragonfly
+}
+
+TEST(Census, PartitionLinksScaleTheCableList) {
+  // The campaign's partition sizes: each pro-rates the full machine's
+  // cables by its share of the nodes, rounding up.
+  const topo::FatTree& t = full_topo();
+  const double cables = static_cast<double>(cable_list(t).size());
+  for (const int nodes : {256, 512, 768, 1020, 1536, 2040, 2304, 2610, 3060}) {
+    const double share = static_cast<double>(nodes) / t.node_count();
+    const ComponentCounts c = census_for_nodes(t, nodes);
+    EXPECT_EQ(c.nodes, nodes);
+    EXPECT_EQ(c.links, static_cast<int>(std::ceil(cables * share))) << nodes;
+  }
+  EXPECT_EQ(census_for_nodes(t, t.node_count()).links,
+            static_cast<int>(cables));
 }
 
 TEST(Census, CuLevelCrossbarsOccupyTheLowIds) {

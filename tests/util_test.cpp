@@ -2,12 +2,15 @@
 
 #include <unistd.h>
 
+#include <bit>
+#include <cfloat>
 #include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -424,6 +427,126 @@ TEST(Json, IntegerAccessRejectsNumbersOutOfRange) {
   EXPECT_THROW(Json(std::int64_t{2147483648}).as_int32(), JsonError);
   EXPECT_THROW(Json(std::int64_t{-2147483649}).as_int32(), JsonError);
   EXPECT_THROW(Json(1.5).as_int32(), JsonError);
+}
+
+// ---------------------------------------------------------------------------
+// JSON output bytes: numbers are printf's %.17g, strings escape one way
+// ---------------------------------------------------------------------------
+
+std::string printf_17g(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+TEST(JsonBytes, NumbersAreThePrintfBytes) {
+  // Random bit patterns cover every exponent, subnormals included.
+  Rng rng{2008};
+  int checked = 0;
+  while (checked < 1'000'000) {
+    const double v = std::bit_cast<double>(rng.next_u64());
+    if (!std::isfinite(v)) continue;
+    ASSERT_EQ(Json(v).dump(), printf_17g(v)) << std::hexfloat << v;
+    ++checked;
+  }
+  // The edges of the format: signed zero, the subnormal and normal
+  // limits, the last exactly representable integers, the switch to
+  // exponent form and a decimal with no exact binary form.
+  const double edges[] = {0.0,
+                          -0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          DBL_MIN,
+                          DBL_MAX,
+                          -DBL_MAX,
+                          0x1p53 - 1.0,
+                          0x1p53,
+                          0x1p53 + 2.0,
+                          1e21,
+                          1e22,
+                          0.1};
+  for (const double v : edges) {
+    EXPECT_EQ(Json(v).dump(), printf_17g(v)) << std::hexfloat << v;
+    EXPECT_EQ(format_json_number(v), printf_17g(v)) << std::hexfloat << v;
+  }
+  // 2^53 + 1 is not a double: it rounds to 2^53 before it is printed.
+  EXPECT_EQ(Json(static_cast<double>((std::int64_t{1} << 53) + 1)).dump(),
+            "9007199254740992");
+  EXPECT_EQ(Json(-0.0).dump(), "-0");
+  EXPECT_EQ(Json(0.1).dump(), "0.10000000000000001");
+  EXPECT_EQ(Json(1e22).dump(), "1e+22");
+}
+
+TEST(JsonBytes, NonFiniteNumbersThrow) {
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(Json(v).dump(), JsonError);
+    EXPECT_THROW(format_json_number(v), JsonError);
+    Json nested = Json::array();
+    nested.push_back(v);
+    Json doc = Json::object();
+    doc.set("ok", 1).set("bad", std::move(nested));
+    EXPECT_THROW(doc.dump(2), JsonError);
+  }
+}
+
+TEST(JsonBytes, StringsEscapeAlikeEverywhereAndRoundTrip) {
+  std::string ascii;
+  for (int c = 0; c < 0x80; ++c) ascii += static_cast<char>(c);
+  const std::string utf8 = "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80";
+  for (const std::string& s : {ascii, utf8, std::string(1, '\0')}) {
+    const std::string dumped = Json(s).dump();
+    std::ostringstream os;
+    write_json_string(os, s);
+    EXPECT_EQ(os.str(), dumped);
+    EXPECT_EQ(Json::parse(dumped).as_string(), s);
+    // A key escapes as a string value does.
+    Json doc = Json::object();
+    doc.set(s, 1);
+    EXPECT_EQ(doc.dump(), "{" + dumped + ":1}");
+  }
+  // Control bytes without a short escape are \u00XX in lower-case hex;
+  // DEL and UTF-8 bytes pass through.
+  EXPECT_EQ(Json(std::string("\x01\x1f\"\\\n\t\r\x7f")).dump(),
+            "\"\\u0001\\u001f\\\"\\\\\\n\\t\\r\x7f\"");
+  EXPECT_EQ(Json(std::string("\b\f")).dump(), "\"\\u0008\\u000c\"");
+  EXPECT_EQ(Json(utf8).dump(), "\"" + utf8 + "\"");
+}
+
+TEST(JsonBytes, IndentedDocumentMatchesLiteral) {
+  Json inner = Json::object();
+  inner.set("empty_obj", Json::object())
+      .set("empty_arr", Json::array())
+      .set("flag", false);
+  Json arr = Json::array();
+  arr.push_back(1);
+  arr.push_back(2.5);
+  arr.push_back(std::move(inner));
+  arr.push_back(Json());
+  Json doc = Json::object();
+  doc.set("name", "rr").set("values", std::move(arr)).set("n", -3);
+  EXPECT_EQ(doc.dump(2),
+            "{\n"
+            "  \"name\": \"rr\",\n"
+            "  \"values\": [\n"
+            "    1,\n"
+            "    2.5,\n"
+            "    {\n"
+            "      \"empty_obj\": {},\n"
+            "      \"empty_arr\": [],\n"
+            "      \"flag\": false\n"
+            "    },\n"
+            "    null\n"
+            "  ],\n"
+            "  \"n\": -3\n"
+            "}");
+  EXPECT_EQ(doc.dump(),
+            "{\"name\":\"rr\",\"values\":[1,2.5,{\"empty_obj\":{},"
+            "\"empty_arr\":[],\"flag\":false},null],\"n\":-3}");
+  std::ostringstream os;
+  doc.dump_to(os, 2);
+  EXPECT_EQ(os.str(), doc.dump(2));
+  EXPECT_EQ(Json::parse(doc.dump(2)), doc);
 }
 
 // ---------------------------------------------------------------------------
