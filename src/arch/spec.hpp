@@ -22,6 +22,7 @@ struct CoreMemory {
   DataSize local_store;
 
   DataSize on_chip_total() const { return l1d + l1i + l2 + local_store; }
+  bool operator==(const CoreMemory&) const = default;
 };
 
 /// A homogeneous group of cores within one processor (e.g. "8 SPEs").
@@ -38,6 +39,7 @@ struct CoreGroup {
     return FlopRate::flops(per_cycle * clock.in_hz() * count);
   }
   DataSize on_chip_total() const { return memory.on_chip_total() * count; }
+  bool operator==(const CoreGroup&) const = default;
 };
 
 /// A processor socket: one or more core groups plus its memory system.
@@ -50,6 +52,7 @@ struct ProcessorSpec {
   FlopRate peak(Precision p) const;
   DataSize on_chip_total() const;
   int core_count() const;
+  bool operator==(const ProcessorSpec&) const = default;
 };
 
 /// Which implementation of the Cell Broadband Engine Architecture.
@@ -69,6 +72,7 @@ struct BladeSpec {
   FlopRate peak(Precision p) const;
   DataSize total_memory() const;
   DataSize on_chip_total() const;
+  bool operator==(const BladeSpec&) const = default;
 };
 
 BladeSpec make_ls21();                       // 2x Opteron 2210
@@ -91,6 +95,7 @@ struct TribladeSpec {
   int opteron_cores() const;
   int cell_processors() const;
   int spe_count() const;
+  bool operator==(const TribladeSpec&) const = default;
 };
 
 TribladeSpec make_triblade(CellVariant variant = CellVariant::kPowerXCell8i);
@@ -108,6 +113,8 @@ struct SystemSpec {
   FlopRate system_peak(Precision p) const;
   /// Fraction of system peak contributed by the Cell processors (~0.95).
   double cell_peak_fraction(Precision p) const;
+  /// Memberwise: two specs are equal when every field of every part is.
+  bool operator==(const SystemSpec&) const = default;
 };
 
 SystemSpec make_roadrunner();

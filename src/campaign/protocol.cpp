@@ -95,6 +95,15 @@ bool valid_utf8(std::string_view bytes) {
   std::size_t i = 0;
   const std::size_t n = bytes.size();
   while (i < n) {
+    // Skip 8 ASCII bytes at once: a word with no high bit set.
+    if (n - i >= 8) {
+      std::uint64_t word;
+      std::memcpy(&word, bytes.data() + i, sizeof word);
+      if ((word & 0x8080808080808080ULL) == 0) {
+        i += 8;
+        continue;
+      }
+    }
     const auto b0 = static_cast<unsigned char>(bytes[i]);
     std::size_t need;
     std::uint32_t cp;

@@ -266,7 +266,7 @@ class Coordinator {
     for (int i = 0; i < n_; ++i)
       if (const auto e = journal_.entry(i)) {
         check_seed(*e);
-        mark_done(*e);
+        mark_done(e->index, e->ok());
       }
     stats.resumed = done_count_;
     if (stats.resumed > 0)
@@ -275,10 +275,7 @@ class Coordinator {
     if (cfg_.workers > 0 && done_count_ < n_ && !abort) run_fleet();
     if (!abort && done_count_ < n_) run_local();
     stats.executed = done_count_ - stats.resumed;
-    Entries out(static_cast<std::size_t>(n_));
-    for (int i = 0; i < n_; ++i)
-      out[static_cast<std::size_t>(i)] = journal_.entry(i);
-    return out;
+    return journal_.take_entries();
   }
 
   /// The fleet snapshot after run(): the coordinator's own registry as
@@ -329,12 +326,12 @@ class Coordinator {
           " but the campaign derives " + std::to_string(want));
   }
 
-  /// Mark a journaled entry's index done and count it against the
-  /// campaign-wide failure budget.
-  void mark_done(const engine::JournalEntry& e) {
-    set_owner(e.index, kDone);
+  /// Mark a journaled entry's index done and count a failed one against
+  /// the campaign-wide failure budget.
+  void mark_done(int index, bool ok) {
+    set_owner(index, kDone);
     const int budget = cfg_.resilient.failure_budget;
-    if (!e.ok() && ++failures_ > budget && budget >= 0) abort = true;
+    if (!ok && ++failures_ > budget && budget >= 0) abort = true;
   }
 
   /// The counter that tracks how many indices `who` holds.
@@ -450,7 +447,7 @@ class Coordinator {
   /// caller (poll_once / finish_exit) treats that as a corrupt stream
   /// and retires the worker; a hostile child cannot crash or corrupt
   /// the coordinator.
-  void handle_frame(WorkerState& w, const Json& msg) {
+  void handle_frame(WorkerState& w, Json msg) {
     last_frame_ = Clock::now();
     const MsgType t = frame_type(msg);
     const std::string label =
@@ -465,21 +462,27 @@ class Coordinator {
     if (const Json* m = msg.find("metrics"))
       w.metrics = obs::snapshot_from_wire(*m);
     if (t == MsgType::kProgress) {
-      // Decode and bounds-check the whole frame before acting on any of it.
+      // Decode and bounds-check the whole frame before acting on any of
+      // it, moving each entry's metrics out of the frame.
+      Json& records = msg.at("entries");
       std::vector<engine::JournalEntry> fresh;
-      for (const Json& j : msg.at("entries").as_array()) {
-        engine::JournalEntry e = engine::journal_entry_from_json(j);
+      std::vector<std::pair<int, bool>> done;  // index, ok: outlives the move
+      for (std::size_t k = 0; k < records.size(); ++k) {
+        engine::JournalEntry e =
+            engine::journal_entry_from_json(std::move(records.at(k)));
         if (e.index < 0 || e.index >= n_)
           throw std::runtime_error("progress frame carries scenario " +
                                    std::to_string(e.index) +
                                    " outside campaign of " +
                                    std::to_string(n_));
-        if (owner(e.index) != kDone) fresh.push_back(std::move(e));
+        if (owner(e.index) == kDone) continue;
+        done.emplace_back(e.index, e.ok());
+        fresh.push_back(std::move(e));
       }
       // One write(2) and one fdatasync for the chunk.  An index the frame
       // repeats throws here, before a byte is written.
-      journal_.append(fresh);
-      for (const engine::JournalEntry& e : fresh) mark_done(e);
+      journal_.append(std::move(fresh));
+      for (const auto& [index, ok] : done) mark_done(index, ok);
     } else if (t == MsgType::kReleased) {
       w.steal_outstanding = false;
       int granted = 0;
@@ -578,8 +581,8 @@ class Coordinator {
       if ((pfds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       WorkerState& w = *who[k];
       try {
-        if (const std::optional<Json> msg = read_frame(w.fd))
-          handle_frame(w, *msg);
+        if (std::optional<Json> msg = read_frame(w.fd))
+          handle_frame(w, std::move(*msg));
         else
           handle_exit(w);  // clean EOF: the worker is gone
       } catch (const std::exception& e) {
@@ -614,8 +617,8 @@ class Coordinator {
     // The child may have written frames we have not read yet (its final
     // progress, its done).  EOF is guaranteed now, so drain fully.
     try {
-      while (const std::optional<Json> msg = read_frame(w.fd))
-        handle_frame(w, *msg);
+      while (std::optional<Json> msg = read_frame(w.fd))
+        handle_frame(w, std::move(*msg));
     } catch (const std::exception&) {
       // A frame torn by the death itself; everything before it was applied.
     }
@@ -737,7 +740,7 @@ class Coordinator {
     }();
     for (const int i : pending)
       if (const auto& e = rep.entries[static_cast<std::size_t>(i)])
-        mark_done(*e);
+        mark_done(e->index, e->ok());
   }
 
   const CampaignSpec& spec_;
@@ -816,14 +819,14 @@ CampaignResult serve_from_cache(const CampaignSpec& spec,
   result.cached_report_md = hit.report_md;
   result.entries.assign(static_cast<std::size_t>(spec.scenarios),
                         std::nullopt);
-  for (const Json& rec : read_jsonl(result.result_bytes).records) {
-    const engine::JournalEntry e = engine::journal_entry_from_json(rec);
+  for (Json& rec : read_jsonl(result.result_bytes).records) {
+    engine::JournalEntry e = engine::journal_entry_from_json(std::move(rec));
     if (e.index < 0 || e.index >= spec.scenarios)
       throw std::runtime_error("cached entry index " +
                                std::to_string(e.index) +
                                " outside campaign of " +
                                std::to_string(spec.scenarios));
-    result.entries[static_cast<std::size_t>(e.index)] = e;
+    result.entries[static_cast<std::size_t>(e.index)] = std::move(e);
   }
   fill_counts(result);
   result.outcome = engine::RunOutcome::kClean;  // only clean runs are cached

@@ -1,7 +1,9 @@
 #include "fault/resilience_study.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 
 #include "fault/checkpoint_policy.hpp"
 #include "fault/injector.hpp"
@@ -27,18 +29,8 @@ arch::SystemSpec scaled_system(const arch::SystemSpec& full, int nodes) {
   return s;
 }
 
-}  // namespace
-
-std::uint64_t study_point_seed(std::uint64_t base, int nodes, int salt) {
-  std::uint64_t s = base;
-  std::uint64_t h = splitmix64(s);
-  s = h ^ (static_cast<std::uint64_t>(nodes) << 20) ^
-      static_cast<std::uint64_t>(salt);
-  return splitmix64(s);
-}
-
-double hpl_fault_free_s(const arch::SystemSpec& system, int nodes) {
-  RR_EXPECTS(nodes >= 1 && nodes <= system.node_count());
+/// The HPL walk itself: memory-proportional problem at `nodes`.
+double walk_hpl_s(const arch::SystemSpec& system, int nodes) {
   model::HplSimParams p;
   const auto [px, py] = model::choose_grid(nodes);
   p.grid_p = py;
@@ -52,6 +44,44 @@ double hpl_fault_free_s(const arch::SystemSpec& system, int nodes) {
   p.n = blocks * p.nb;
   const arch::SystemSpec machine = scaled_system(system, nodes);
   return model::simulate_hpl(machine, p).total.sec();
+}
+
+/// Fault-free times this thread has priced, all against one machine:
+/// the walk is a pure function of (spec, nodes), and a campaign cycles
+/// a handful of partition sizes over thousands of scenarios.  Bounded:
+/// past kCapacity sizes the oldest entry is overwritten.
+struct FaultFreeTable {
+  static constexpr std::size_t kCapacity = 16;
+  arch::SystemSpec system;  ///< the spec every entry was priced against
+  std::size_t filled = 0;   ///< misses since `system` was set
+  std::array<std::pair<int, double>, kCapacity> entries{};  ///< nodes, s
+};
+
+}  // namespace
+
+std::uint64_t study_point_seed(std::uint64_t base, int nodes, int salt) {
+  std::uint64_t s = base;
+  std::uint64_t h = splitmix64(s);
+  s = h ^ (static_cast<std::uint64_t>(nodes) << 20) ^
+      static_cast<std::uint64_t>(salt);
+  return splitmix64(s);
+}
+
+double hpl_fault_free_s(const arch::SystemSpec& system, int nodes) {
+  RR_EXPECTS(nodes >= 1 && nodes <= system.node_count());
+  thread_local FaultFreeTable table;
+  // Any difference in any field of the machine is a miss: a stale time
+  // is never served for another spec.
+  if (!(table.system == system)) {
+    table.system = system;
+    table.filled = 0;
+  }
+  const std::size_t live = std::min(table.filled, FaultFreeTable::kCapacity);
+  for (std::size_t k = 0; k < live; ++k)
+    if (table.entries[k].first == nodes) return table.entries[k].second;
+  const double s = walk_hpl_s(system, nodes);
+  table.entries[table.filled++ % FaultFreeTable::kCapacity] = {nodes, s};
+  return s;
 }
 
 double sweep_fault_free_s(int nodes, int iterations) {

@@ -57,7 +57,10 @@ struct ResiliencePoint {
 std::uint64_t study_point_seed(std::uint64_t base, int nodes, int salt);
 
 /// Fault-free HPL walk time at `nodes`, memory-proportional problem size
-/// (N scales with sqrt(nodes) off the full machine's N = 2.3M).
+/// (N scales with sqrt(nodes) off the full machine's N = 2.3M).  Each
+/// thread keeps the last 16 times it walked against the last spec it was
+/// given, so a repeated (spec, nodes) returns the same bits without
+/// walking again; a spec that differs in any field is walked afresh.
 double hpl_fault_free_s(const arch::SystemSpec& system, int nodes);
 
 /// Fault-free timed Sweep3D run: `iterations` of the Fig. 13 weak-scaled

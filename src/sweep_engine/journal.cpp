@@ -212,7 +212,7 @@ Json to_json(const JournalEntry& e) {
   return o;
 }
 
-JournalEntry journal_entry_from_json(const Json& j) {
+JournalEntry journal_entry_from_json(Json j) {
   JournalEntry e;
   e.index = j.at("index").as_int32();
   const auto status = scenario_status_from_string(j.at("status").as_string());
@@ -223,7 +223,7 @@ JournalEntry journal_entry_from_json(const Json& j) {
   e.attempts = j.at("attempts").as_int32();
   e.seed = parse_seed(j.at("seed").as_string());
   if (e.ok()) {
-    e.metrics = j.at("metrics");
+    e.metrics = std::move(j.at("metrics"));
   } else {
     const auto cls = fault::error_class_from_string(j.at("class").as_string());
     if (!cls)
@@ -262,15 +262,15 @@ std::vector<std::optional<JournalEntry>> read_journal_entries(
       static_cast<std::size_t>(scenarios));
   struct ::stat st{};
   if (::stat(path.c_str(), &st) != 0 || st.st_size == 0) return entries;
-  const JsonlData data = load_verified(path);
+  JsonlData data = load_verified(path);
   if (data.records.empty()) return entries;
   check_header(path, data.records.front(), campaign_hash(params), scenarios);
   for (std::size_t i = 1; i < data.records.size(); ++i) {
-    const JournalEntry e = journal_entry_from_json(data.records[i]);
+    JournalEntry e = journal_entry_from_json(std::move(data.records[i]));
     if (e.index < 0 || e.index >= scenarios)
       journal_fail(path,
                    "entry index " + std::to_string(e.index) + " out of range");
-    entries[static_cast<std::size_t>(e.index)] = e;
+    entries[static_cast<std::size_t>(e.index)] = std::move(e);
   }
   return entries;
 }
@@ -288,20 +288,21 @@ SweepJournal::SweepJournal(std::string path, const Json& params, int scenarios)
   bool truncate_on_open = false;
   if (exists) {
     try {
-      const JsonlData data = load_verified(path_);
+      JsonlData data = load_verified(path_);
       if (data.records.empty()) {
         // Only a torn header made it to disk: treat as a fresh journal.
         tail_recovered_ = data.torn_tail;
       } else {
         check_header(path_, data.records.front(), campaign_, scenarios_);
         for (std::size_t i = 1; i < data.records.size(); ++i) {
-          const JournalEntry e = journal_entry_from_json(data.records[i]);
+          JournalEntry e = journal_entry_from_json(std::move(data.records[i]));
           if (e.index < 0 || e.index >= scenarios_)
             throw JsonError("journal " + path_ + ": entry index " +
                             std::to_string(e.index) + " out of range");
           auto& slot = entries_[static_cast<std::size_t>(e.index)];
           if (!slot) ++completed_;
-          slot = e;  // last record wins, though the protocol never duplicates
+          // Last record wins, though the protocol never duplicates.
+          slot = std::move(e);
         }
         resumed_ = true;
         tail_recovered_ = data.torn_tail;
@@ -444,7 +445,15 @@ std::vector<JournalEntry> SweepJournal::entries() const {
   return out;
 }
 
-void SweepJournal::append(std::span<const JournalEntry> group) {
+std::vector<std::optional<JournalEntry>> SweepJournal::take_entries() {
+  std::lock_guard lock(mu_);
+  std::vector<std::optional<JournalEntry>> out(entries_.size());
+  out.swap(entries_);
+  completed_ = 0;
+  return out;
+}
+
+void SweepJournal::append(std::vector<JournalEntry>&& group) {
   std::lock_guard lock(mu_);
   std::vector<int> indices;
   indices.reserve(group.size());
@@ -517,8 +526,8 @@ void SweepJournal::append(std::span<const JournalEntry> group) {
       degrade("append failed: " + err.detail);
     }
   }
-  for (const JournalEntry& e : group)
-    entries_[static_cast<std::size_t>(e.index)] = e;
+  for (JournalEntry& e : group)
+    entries_[static_cast<std::size_t>(e.index)] = std::move(e);
   completed_ += group.size();
   if (durable) {
     appended_ += static_cast<int>(group.size());

@@ -74,7 +74,9 @@ struct JournalEntry {
 };
 
 Json to_json(const JournalEntry& e);
-JournalEntry journal_entry_from_json(const Json& j);
+/// Decode a record the caller hands over: its metrics are moved into the
+/// entry, not copied.
+JournalEntry journal_entry_from_json(Json j);
 
 /// 64-bit FNV-1a over arbitrary bytes: the hash behind campaign ids,
 /// journal record checksums, and cache content validation.
@@ -135,6 +137,10 @@ class SweepJournal {
   std::optional<JournalEntry> entry(int index) const;
   /// All journaled entries, in index order.
   std::vector<JournalEntry> entries() const;
+  /// Every slot, in index order, moved out for an owner that is done
+  /// with the journal: the journal is left holding no entries (its file
+  /// is untouched).
+  std::vector<std::optional<JournalEntry>> take_entries();
 
   /// Durably append one completed scenario: a single write(2) of the
   /// checksummed record line into the O_APPEND fd, then fdatasync.
@@ -151,7 +157,11 @@ class SweepJournal {
   /// byte is written (an index repeated within it is a duplicate too), so
   /// a rejected group leaves the journal untouched.  An empty group is a
   /// no-op.
-  void append(std::span<const JournalEntry> group);
+  void append(std::span<const JournalEntry> group) {
+    append(std::vector<JournalEntry>(group.begin(), group.end()));
+  }
+  /// The same, moving the group's entries into the journal's table.
+  void append(std::vector<JournalEntry>&& group);
 
   /// Crash hook for kill-and-resume testing: after the Nth successful
   /// record append of this journal object (1-based), the process exits

@@ -7,6 +7,7 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <utility>
 
 namespace rr {
 
@@ -79,10 +80,12 @@ class Parser {
 
   [[noreturn]] void fail_here(const std::string& what) { fail_at(what, pos_); }
 
+  // The C locale's std::isspace and std::isdigit sets, tested inline.
+  static bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
   void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
+    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
   }
 
   char peek() {
@@ -171,59 +174,61 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run of plain bytes before the next quote or escape whole.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\')
+        ++pos_;
+      out.append(text_, run, pos_ - run);
       const char c = peek();
       ++pos_;
       if (c == '"') break;
-      if (c == '\\') {
-        const char esc = peek();
-        ++pos_;
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            unsigned code = parse_hex4();
-            if (code >= 0xd800 && code <= 0xdbff) {
-              // High surrogate: a \uDC00-\uDFFF low half must follow;
-              // combine into the supplementary code point.
-              if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
-                  text_[pos_ + 1] != 'u')
-                fail_here("unpaired surrogate in \\u escape");
-              pos_ += 2;
-              const std::size_t low_at = pos_;
-              const unsigned low = parse_hex4();
-              if (low < 0xdc00 || low > 0xdfff)
-                fail_at("unpaired surrogate in \\u escape", low_at);
-              code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-            } else if (code >= 0xdc00 && code <= 0xdfff) {
-              fail_at("unpaired surrogate in \\u escape", pos_ - 4);
-            }
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xc0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3f));
-            } else if (code < 0x10000) {
-              out += static_cast<char>(0xe0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-              out += static_cast<char>(0x80 | (code & 0x3f));
-            } else {
-              out += static_cast<char>(0xf0 | (code >> 18));
-              out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-              out += static_cast<char>(0x80 | (code & 0x3f));
-            }
-            break;
+      // An escape: c was its backslash.
+      const char esc = peek();
+      ++pos_;
+      switch (esc) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'u': {
+          unsigned code = parse_hex4();
+          if (code >= 0xd800 && code <= 0xdbff) {
+            // High surrogate: a \uDC00-\uDFFF low half must follow;
+            // combine into the supplementary code point.
+            if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
+                text_[pos_ + 1] != 'u')
+              fail_here("unpaired surrogate in \\u escape");
+            pos_ += 2;
+            const std::size_t low_at = pos_;
+            const unsigned low = parse_hex4();
+            if (low < 0xdc00 || low > 0xdfff)
+              fail_at("unpaired surrogate in \\u escape", low_at);
+            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+          } else if (code >= 0xdc00 && code <= 0xdfff) {
+            fail_at("unpaired surrogate in \\u escape", pos_ - 4);
           }
-          default: fail_at("bad escape", pos_ - 1);
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xc0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3f));
+          } else if (code < 0x10000) {
+            out += static_cast<char>(0xe0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+            out += static_cast<char>(0x80 | (code & 0x3f));
+          } else {
+            out += static_cast<char>(0xf0 | (code >> 18));
+            out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+            out += static_cast<char>(0x80 | (code & 0x3f));
+          }
+          break;
         }
-      } else {
-        out += c;
+        default: fail_at("bad escape", pos_ - 1);
       }
     }
     return out;
@@ -233,9 +238,8 @@ class Parser {
     const std::size_t start = pos_;
     if (consume('-')) {}
     while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
+           (is_digit(text_[pos_]) || text_[pos_] == '.' || text_[pos_] == 'e' ||
+            text_[pos_] == 'E' || text_[pos_] == '+' || text_[pos_] == '-'))
       ++pos_;
     double v = 0.0;
     const auto [ptr, ec] =
@@ -309,13 +313,15 @@ void write_json_string(std::ostream& os, std::string_view s) {
 }
 
 bool Json::as_bool() const {
-  require(kind_ == Kind::kBool, Kind::kBool, kind_);
-  return bool_;
+  const bool* b = std::get_if<bool>(&v_);
+  require(b != nullptr, Kind::kBool, kind());
+  return *b;
 }
 
 double Json::as_double() const {
-  require(kind_ == Kind::kNumber, Kind::kNumber, kind_);
-  return num_;
+  const double* v = std::get_if<double>(&v_);
+  require(v != nullptr, Kind::kNumber, kind());
+  return *v;
 }
 
 std::int64_t Json::as_int() const {
@@ -335,34 +341,37 @@ int Json::as_int32() const {
 }
 
 const std::string& Json::as_string() const {
-  require(kind_ == Kind::kString, Kind::kString, kind_);
-  return str_;
+  const std::string* s = std::get_if<std::string>(&v_);
+  require(s != nullptr, Kind::kString, kind());
+  return *s;
 }
 
 const Json::Array& Json::as_array() const {
-  require(kind_ == Kind::kArray, Kind::kArray, kind_);
-  return arr_;
+  const Array* a = std::get_if<Array>(&v_);
+  require(a != nullptr, Kind::kArray, kind());
+  return *a;
 }
 
 const Json::Object& Json::as_object() const {
-  require(kind_ == Kind::kObject, Kind::kObject, kind_);
-  return obj_;
+  const Object* o = std::get_if<Object>(&v_);
+  require(o != nullptr, Kind::kObject, kind());
+  return *o;
 }
 
 Json& Json::set(std::string key, Json value) {
-  require(kind_ == Kind::kObject, Kind::kObject, kind_);
-  for (auto& [k, v] : obj_)
+  Object* obj = std::get_if<Object>(&v_);
+  require(obj != nullptr, Kind::kObject, kind());
+  for (auto& [k, v] : *obj)
     if (k == key) {
       v = std::move(value);
       return *this;
     }
-  obj_.emplace_back(std::move(key), std::move(value));
+  obj->emplace_back(std::move(key), std::move(value));
   return *this;
 }
 
 const Json* Json::find(std::string_view key) const {
-  require(kind_ == Kind::kObject, Kind::kObject, kind_);
-  for (const auto& [k, v] : obj_)
+  for (const auto& [k, v] : as_object())
     if (k == key) return &v;
   return nullptr;
 }
@@ -373,50 +382,61 @@ const Json& Json::at(std::string_view key) const {
   return *v;
 }
 
+Json& Json::at(std::string_view key) {
+  return const_cast<Json&>(std::as_const(*this).at(key));
+}
+
 const Json& Json::at(std::size_t index) const {
-  require(kind_ == Kind::kArray, Kind::kArray, kind_);
-  if (index >= arr_.size()) fail("json: index out of range");
-  return arr_[index];
+  const Array& arr = as_array();
+  if (index >= arr.size()) fail("json: index out of range");
+  return arr[index];
+}
+
+Json& Json::at(std::size_t index) {
+  return const_cast<Json&>(std::as_const(*this).at(index));
 }
 
 std::size_t Json::size() const {
-  if (kind_ == Kind::kArray) return arr_.size();
-  if (kind_ == Kind::kObject) return obj_.size();
+  if (const Array* a = std::get_if<Array>(&v_)) return a->size();
+  if (const Object* o = std::get_if<Object>(&v_)) return o->size();
   fail("json: size() on a scalar");
 }
 
 void Json::push_back(Json v) {
-  require(kind_ == Kind::kArray, Kind::kArray, kind_);
-  arr_.push_back(std::move(v));
+  Array* arr = std::get_if<Array>(&v_);
+  require(arr != nullptr, Kind::kArray, kind());
+  arr->push_back(std::move(v));
 }
 
 void Json::write(std::string& out, int indent, int depth) const {
-  switch (kind_) {
+  switch (kind()) {
     case Kind::kNull: out += "null"; break;
-    case Kind::kBool: out += bool_ ? "true" : "false"; break;
-    case Kind::kNumber: append_number(out, num_); break;
-    case Kind::kString: append_string(out, str_); break;
+    case Kind::kBool: out += std::get<bool>(v_) ? "true" : "false"; break;
+    case Kind::kNumber: append_number(out, std::get<double>(v_)); break;
+    case Kind::kString: append_string(out, std::get<std::string>(v_)); break;
     case Kind::kArray: {
+      const Array& arr = std::get<Array>(v_);
       out += '[';
-      for (std::size_t i = 0; i < arr_.size(); ++i) {
+      for (std::size_t i = 0; i < arr.size(); ++i) {
         if (i) out += ',';
         append_break(out, indent, depth + 1);
-        arr_[i].write(out, indent, depth + 1);
+        arr[i].write(out, indent, depth + 1);
       }
-      if (!arr_.empty()) append_break(out, indent, depth);
+      if (!arr.empty()) append_break(out, indent, depth);
       out += ']';
       break;
     }
     case Kind::kObject: {
+      const Object& obj = std::get<Object>(v_);
       out += '{';
-      for (std::size_t i = 0; i < obj_.size(); ++i) {
+      for (std::size_t i = 0; i < obj.size(); ++i) {
         if (i) out += ',';
         append_break(out, indent, depth + 1);
-        append_string(out, obj_[i].first);
+        append_string(out, obj[i].first);
         out += indent >= 0 ? ": " : ":";
-        obj_[i].second.write(out, indent, depth + 1);
+        obj[i].second.write(out, indent, depth + 1);
       }
-      if (!obj_.empty()) append_break(out, indent, depth);
+      if (!obj.empty()) append_break(out, indent, depth);
       out += '}';
       break;
     }
@@ -433,17 +453,6 @@ std::string Json::dump(int indent) const {
 
 Json Json::parse(std::string_view text) { return Parser(text).document(); }
 
-bool operator==(const Json& a, const Json& b) {
-  if (a.kind_ != b.kind_) return false;
-  switch (a.kind_) {
-    case Json::Kind::kNull: return true;
-    case Json::Kind::kBool: return a.bool_ == b.bool_;
-    case Json::Kind::kNumber: return a.num_ == b.num_;
-    case Json::Kind::kString: return a.str_ == b.str_;
-    case Json::Kind::kArray: return a.arr_ == b.arr_;
-    case Json::Kind::kObject: return a.obj_ == b.obj_;
-  }
-  return false;
-}
+bool operator==(const Json& a, const Json& b) { return a.v_ == b.v_; }
 
 }  // namespace rr

@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace rr {
@@ -43,32 +44,36 @@ class JsonError : public std::runtime_error {
   std::size_t offset_ = 0;
 };
 
+/// A JSON value holds only its own kind's payload: one variant of the
+/// six kinds, 40 bytes (a std::string and a tag), so an object member
+/// is 72.
 class Json {
  public:
   using Array = std::vector<Json>;
   using Object = std::vector<std::pair<std::string, Json>>;
 
+  /// In the variant's alternative order: kind() is its index.
   enum class Kind : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
 
   Json() = default;  // null
-  Json(bool b) : kind_(Kind::kBool), bool_(b) {}
-  Json(double v) : kind_(Kind::kNumber), num_(v) {}
-  Json(int v) : kind_(Kind::kNumber), num_(v) {}
-  Json(std::int64_t v) : kind_(Kind::kNumber), num_(static_cast<double>(v)) {}
-  Json(std::uint64_t v) : kind_(Kind::kNumber), num_(static_cast<double>(v)) {}
-  Json(const char* s) : kind_(Kind::kString), str_(s) {}
-  Json(std::string s) : kind_(Kind::kString), str_(std::move(s)) {}
-  Json(Array a) : kind_(Kind::kArray), arr_(std::move(a)) {}
-  Json(Object o) : kind_(Kind::kObject), obj_(std::move(o)) {}
+  Json(bool b) : v_(b) {}
+  Json(double v) : v_(v) {}
+  Json(int v) : v_(static_cast<double>(v)) {}
+  Json(std::int64_t v) : v_(static_cast<double>(v)) {}
+  Json(std::uint64_t v) : v_(static_cast<double>(v)) {}
+  Json(const char* s) : v_(std::string(s)) {}
+  Json(std::string s) : v_(std::move(s)) {}
+  Json(Array a) : v_(std::move(a)) {}
+  Json(Object o) : v_(std::move(o)) {}
 
   static Json object() { return Json(Object{}); }
   static Json array() { return Json(Array{}); }
 
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
+  Kind kind() const { return static_cast<Kind>(v_.index()); }
+  bool is_null() const { return kind() == Kind::kNull; }
+  bool is_number() const { return kind() == Kind::kNumber; }
+  bool is_object() const { return kind() == Kind::kObject; }
+  bool is_array() const { return kind() == Kind::kArray; }
 
   bool as_bool() const;
   double as_double() const;
@@ -82,8 +87,10 @@ class Json {
   Json& set(std::string key, Json value);  ///< append or overwrite; returns *this
   const Json* find(std::string_view key) const;
   const Json& at(std::string_view key) const;
+  Json& at(std::string_view key);  ///< for an owner moving a field out
   /// Array element access.
   const Json& at(std::size_t index) const;
+  Json& at(std::size_t index);
   std::size_t size() const;
 
   void push_back(Json v);
@@ -101,12 +108,7 @@ class Json {
  private:
   void write(std::string& out, int indent, int depth) const;
 
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double num_ = 0.0;
-  std::string str_;
-  Array arr_;
-  Object obj_;
+  std::variant<std::monostate, bool, double, std::string, Array, Object> v_;
 };
 
 /// The %.17g bytes of every JSON number (bit-exact round trip); throws

@@ -21,6 +21,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -200,6 +201,80 @@ TEST(CampaignProtocol, HostileFramesAreRejectedWithDiagnostics) {
   const auto ok = frame_from_bytes(framed("{\"t\":\"stop\"}"));
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(campaign::frame_type(*ok), campaign::MsgType::kStop);
+}
+
+namespace {
+
+/// valid_utf8 as it was before it skipped ASCII words: one byte at a
+/// time, the reference its fast path must agree with.
+bool utf8_byte_by_byte(std::string_view bytes) {
+  std::size_t i = 0;
+  while (i < bytes.size()) {
+    const auto b0 = static_cast<unsigned char>(bytes[i]);
+    std::size_t need = 0;
+    std::uint32_t cp = 0;
+    if (b0 < 0x80) {
+      ++i;
+      continue;
+    } else if ((b0 & 0xe0) == 0xc0) {
+      need = 1;
+      cp = b0 & 0x1fu;
+    } else if ((b0 & 0xf0) == 0xe0) {
+      need = 2;
+      cp = b0 & 0x0fu;
+    } else if ((b0 & 0xf8) == 0xf0) {
+      need = 3;
+      cp = b0 & 0x07u;
+    } else {
+      return false;
+    }
+    if (i + need >= bytes.size()) return false;
+    for (std::size_t k = 1; k <= need; ++k) {
+      const auto bk = static_cast<unsigned char>(bytes[i + k]);
+      if ((bk & 0xc0) != 0x80) return false;
+      cp = (cp << 6) | (bk & 0x3fu);
+    }
+    if ((need == 1 && cp < 0x80) || (need == 2 && cp < 0x800) ||
+        (need == 3 && cp < 0x10000))
+      return false;
+    if ((cp >= 0xd800 && cp <= 0xdfff) || cp > 0x10ffff) return false;
+    i += need + 1;
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(CampaignProtocol, Utf8CheckAgreesWithAByteByByteReference) {
+  // An invalid byte at every offset of all-ASCII buffers of 1-24 bytes:
+  // wherever the 8-byte ASCII skip stands, it must stop for that byte.
+  for (std::size_t len = 1; len <= 24; ++len) {
+    const std::string ascii(len, 'a');
+    EXPECT_TRUE(campaign::valid_utf8(ascii)) << len;
+    for (std::size_t at = 0; at < len; ++at)
+      for (const char bad : {'\x80', '\xbf', '\xc3', '\xe2', '\xf0', '\xff'}) {
+        std::string buf = ascii;
+        buf[at] = bad;
+        EXPECT_FALSE(campaign::valid_utf8(buf)) << len << " at " << at;
+        EXPECT_EQ(campaign::valid_utf8(buf), utf8_byte_by_byte(buf))
+            << len << " at " << at;
+      }
+  }
+  // Valid 2-, 3- and 4-byte sequences at every offset of a 24-byte ASCII
+  // buffer, so each straddles both 8-byte boundaries in turn; and the same
+  // buffers cut off inside the sequence.
+  for (const std::string seq :
+       {"\xc3\xa9", "\xe2\x82\xac", "\xf0\x9f\x98\x80"}) {
+    for (std::size_t at = 0; at + seq.size() <= 24; ++at) {
+      std::string buf(24, 'a');
+      buf.replace(at, seq.size(), seq);
+      EXPECT_TRUE(campaign::valid_utf8(buf)) << seq.size() << " at " << at;
+      EXPECT_EQ(campaign::valid_utf8(buf), utf8_byte_by_byte(buf));
+      const std::string cut = buf.substr(0, at + seq.size() - 1);
+      EXPECT_FALSE(campaign::valid_utf8(cut)) << seq.size() << " at " << at;
+      EXPECT_EQ(campaign::valid_utf8(cut), utf8_byte_by_byte(cut));
+    }
+  }
 }
 
 TEST(CampaignProtocol, UnknownAndMalformedMessageTypesThrow) {

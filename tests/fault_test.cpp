@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
 
@@ -418,6 +419,47 @@ TEST(ResilienceStudy, DeterministicTables) {
   EXPECT_EQ(a.simulated_s, b.simulated_s);
   EXPECT_EQ(a.mean_failures, b.mean_failures);
   EXPECT_EQ(a.interval_s, b.interval_s);
+}
+
+// hpl_fault_free_s keeps, per thread, the walks it priced against the
+// last spec it saw.  Every call, first or repeated, returns the walk's
+// own bits: the literals are what the function returned before it kept
+// a table.
+TEST(ResilienceStudy, FaultFreeTimesAreTheWalksOwnBitsInAnyOrder) {
+  const arch::SystemSpec system = arch::make_roadrunner();
+  const std::map<int, double> walked = {
+      {256, 0x1.1bb735f94d61fp+11},  {512, 0x1.91e65ecc7dea8p+11},
+      {768, 0x1.eb99b970e7cefp+11},  {1020, 0x1.1b45df24d8a96p+12},
+      {1536, 0x1.5bc41972b03e4p+12}, {2040, 0x1.90b1af311419dp+12},
+      {2304, 0x1.a9a7333501307p+12}, {2610, 0x1.c5481cdc7e308p+12},
+      {3060, 0x1.eaacc10e7461fp+12}};
+  // The campaign's nine partition sizes, each twice, shuffled.
+  for (const int nodes : {1536, 256, 3060, 768, 2304, 512, 2610, 1020, 2040,
+                          256, 2304, 1536, 512, 3060, 2040, 768, 1020, 2610})
+    EXPECT_EQ(hpl_fault_free_s(system, nodes), walked.at(nodes)) << nodes;
+}
+
+TEST(ResilienceStudy, FaultFreeTimeIsNeverServedToAnotherSpec) {
+  // Specs that differ from Roadrunner in one field the walk reads: the
+  // Cell BE triblade, and Opteron clocks 1% higher.  Alternating between
+  // them at one size, each call returns its own spec's walk.
+  const arch::SystemSpec roadrunner = arch::make_roadrunner();
+  arch::SystemSpec cell_be = roadrunner;
+  cell_be.node = arch::make_triblade(arch::CellVariant::kCellBe);
+  arch::SystemSpec faster = roadrunner;
+  for (arch::ProcessorSpec& socket : faster.node.opteron_blade.sockets)
+    for (arch::CoreGroup& group : socket.core_groups)
+      group.clock = Frequency::hz(group.clock.in_hz() * 1.01);
+  EXPECT_TRUE(roadrunner == arch::make_roadrunner());
+  EXPECT_FALSE(cell_be == roadrunner);
+  EXPECT_FALSE(faster == roadrunner);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(hpl_fault_free_s(roadrunner, 1536), 0x1.5bc41972b03e4p+12);
+    EXPECT_EQ(hpl_fault_free_s(cell_be, 1536), 0x1.8f189bb5279eap+14);
+    EXPECT_EQ(hpl_fault_free_s(roadrunner, 1536), 0x1.5bc41972b03e4p+12);
+    EXPECT_EQ(hpl_fault_free_s(faster, 1536), 0x1.5ba387a1fcdd3p+12);
+    EXPECT_EQ(hpl_fault_free_s(faster, 1536), 0x1.5ba387a1fcdd3p+12);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -366,6 +367,81 @@ TEST(Json, UnpairedSurrogatesAreRejected) {
 }
 
 // ---------------------------------------------------------------------------
+// JSON values: one payload per kind
+// ---------------------------------------------------------------------------
+
+/// One value of each kind, plus near neighbours that must still differ.
+std::vector<Json> one_of_each_kind() {
+  Json obj = Json::object();
+  obj.set("a", 1).set("b", Json::Array{Json("x"), Json()});
+  return {Json(),
+          Json(false),
+          Json(true),
+          Json(0.0),
+          Json(1),
+          Json(""),
+          Json("1"),
+          Json::array(),
+          Json(Json::Array{Json()}),
+          Json(Json::Array{Json(1), Json("x")}),
+          Json::object(),
+          obj};
+}
+
+TEST(JsonValue, HoldsOnlyItsOwnKindsPayload) {
+  // A tagged union of the six kinds, not six fields side by side: a
+  // std::string and the tag.
+  EXPECT_LE(sizeof(Json), 40u);
+}
+
+TEST(JsonValue, SetOverwritesAValueWithOneOfAnotherKind) {
+  const std::vector<Json> kinds = one_of_each_kind();
+  Json o = Json::object();
+  o.set("k", Json());
+  for (const Json& from : kinds)
+    for (const Json& to : kinds) {
+      o.set("k", from);
+      o.set("k", to);
+      ASSERT_EQ(o.size(), 1u);
+      EXPECT_EQ(o.at("k"), to) << from.dump() << " -> " << to.dump();
+      EXPECT_EQ(Json::parse(o.dump()).at("k"), to) << to.dump();
+    }
+}
+
+TEST(JsonValue, EveryKindSurvivesCopyAndMove) {
+  const std::vector<Json> kinds = one_of_each_kind();
+  for (const Json& k : kinds) {
+    Json copy = k;
+    EXPECT_EQ(copy, k) << k.dump();
+    EXPECT_EQ(copy.dump(), k.dump());
+    Json moved = std::move(copy);
+    EXPECT_EQ(moved, k) << k.dump();
+    EXPECT_EQ(moved.kind(), k.kind());
+    for (const Json& other : kinds) {
+      Json assigned = other;
+      assigned = k;
+      EXPECT_EQ(assigned, k) << other.dump() << " = " << k.dump();
+      Json move_assigned = other;
+      move_assigned = Json(k);
+      EXPECT_EQ(move_assigned, k) << other.dump() << " = " << k.dump();
+    }
+  }
+}
+
+TEST(JsonValue, EqualityComparesAcrossKinds) {
+  const std::vector<Json> kinds = one_of_each_kind();
+  for (std::size_t i = 0; i < kinds.size(); ++i)
+    for (std::size_t j = 0; j < kinds.size(); ++j)
+      EXPECT_EQ(kinds[i] == kinds[j], i == j)
+          << kinds[i].dump() << " vs " << kinds[j].dump();
+  // Numbers compare by value whatever C++ type built them, and objects
+  // in member order.
+  EXPECT_EQ(Json(1), Json(1.0));
+  EXPECT_EQ(Json(std::int64_t{3}), Json(std::uint64_t{3}));
+  EXPECT_NE(Json::parse(R"({"a":1,"b":2})"), Json::parse(R"({"b":2,"a":1})"));
+}
+
+// ---------------------------------------------------------------------------
 // JSON parse diagnostics: line, column, offset, offending byte
 // ---------------------------------------------------------------------------
 
@@ -385,6 +461,91 @@ TEST(Json, ParseErrorsReportLineColumnAndOffendingByte) {
         << e.what();
     EXPECT_NE(std::string(e.what()).find("'2'"), std::string::npos)
         << e.what();
+  }
+
+  // More malformed documents, each with the message, line, column and
+  // offset the byte-at-a-time parser gave: strings cut off mid-run,
+  // escapes at the start and end of a run, and \v and \f used as
+  // whitespace (the C locale's isspace set).
+  struct Case {
+    std::string text;
+    std::string what;
+    int line;
+    int column;
+    std::size_t offset;
+  };
+  const std::vector<Case> cases = {
+      {"\"abc",
+       "json: unexpected end of input at line 1, column 5 (offset 4, end of "
+       "input)",
+       1, 5, 4},
+      {"{\"key\": \"value",
+       "json: unexpected end of input at line 1, column 15 (offset 14, end of "
+       "input)",
+       1, 15, 14},
+      {"[\"ab\\",
+       "json: unexpected end of input at line 1, column 6 (offset 5, end of "
+       "input)",
+       1, 6, 5},
+      {"\"\\qabc\"",
+       "json: bad escape at line 1, column 3 (offset 2, byte 0x71 'q')", 1, 3,
+       2},
+      {"\"abc\\q\"",
+       "json: bad escape at line 1, column 6 (offset 5, byte 0x71 'q')", 1, 6,
+       5},
+      {"\"ab\\ncd\\",
+       "json: unexpected end of input at line 1, column 9 (offset 8, end of "
+       "input)",
+       1, 9, 8},
+      {"\"\\u12\"",
+       "json: bad \\u escape at line 1, column 4 (offset 3, byte 0x31 '1')", 1,
+       4, 3},
+      {"\"\\u12zz\"",
+       "json: bad \\u escape at line 1, column 6 (offset 5, byte 0x7a 'z')", 1,
+       6, 5},
+      {"\"abc\\u00e9def",
+       "json: unexpected end of input at line 1, column 14 (offset 13, end of "
+       "input)",
+       1, 14, 13},
+      {"\v[1,\f2,\v\fx]",
+       "json: bad number at line 1, column 10 (offset 9, byte 0x78 'x')", 1, 10,
+       9},
+      {"\f{\"a\"\v:\f1\v,\n\v\"b\"\f2}",
+       "json: expected ':' at line 2, column 6 (offset 17, byte 0x32 '2')", 2,
+       6, 17},
+      {"{\"a\":1}\v\fx",
+       "json: trailing characters at line 1, column 10 (offset 9, byte 0x78 "
+       "'x')",
+       1, 10, 9},
+      {"\"\\\\\"x",
+       "json: trailing characters at line 1, column 5 (offset 4, byte 0x78 "
+       "'x')",
+       1, 5, 4},
+      {"[\"a\" \"b\"]",
+       "json: expected ',' at line 1, column 6 (offset 5, byte 0x22 '\"')", 1,
+       6, 5},
+      {"[1.2.3]", "json: bad number at line 1, column 2 (offset 1, byte 0x31 '1')",
+       1, 2, 1},
+      {"[-]", "json: bad number at line 1, column 2 (offset 1, byte 0x2d '-')",
+       1, 2, 1},
+      {"{\"a\\\"b\" 1}",
+       "json: expected ':' at line 1, column 9 (offset 8, byte 0x31 '1')", 1, 9,
+       8},
+      {"\"\\t\\\"run\\\\\"\v,",
+       "json: trailing characters at line 1, column 13 (offset 12, byte 0x2c "
+       "',')",
+       1, 13, 12},
+  };
+  for (const Case& c : cases) {
+    try {
+      Json::parse(c.text);
+      ADD_FAILURE() << "expected JsonError for " << c.text;
+    } catch (const JsonError& e) {
+      EXPECT_EQ(e.what(), c.what) << c.text;
+      EXPECT_EQ(e.line(), c.line) << c.text;
+      EXPECT_EQ(e.column(), c.column) << c.text;
+      EXPECT_EQ(e.offset(), c.offset) << c.text;
+    }
   }
 }
 
