@@ -17,8 +17,10 @@
 //                        count (it is O(events x cancels)) and rates are
 //                        compared; the harness FAILS if the tombstone
 //                        heap is not >= 5x faster or its pool grows;
-//   * mailbox         -- coroutine producer/consumer ping through
-//                        sim::Mailbox (the task/mailbox interop path);
+//   * cml-ping        -- two SPE ranks on two nodes ping-pong a
+//                        checksummed message through CmlContext::send/
+//                        recv: the awaiters, matching and
+//                        SimNetwork::route every CML program runs;
 //   * sweep3d-scale   -- end-to-end model::figure13_series scenarios/sec.
 //
 // The schedule-heavy workload also runs an *instrumented* variant (one
@@ -35,14 +37,15 @@
 #include <string>
 #include <vector>
 
+#include "cml/cml.hpp"
 #include "model/sweep_model.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "sim/mailbox.hpp"
 #include "sim/reference_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
+#include "topo/fat_tree.hpp"
 #include "util/cli.hpp"
 #include "util/fileio.hpp"
 #include "util/json.hpp"
@@ -161,30 +164,34 @@ CancelHeavyResult cancel_heavy(std::uint64_t total, std::uint64_t batch) {
   return r;
 }
 
-// --- mailbox: coroutine producer/consumer through sim::Mailbox. ---
-sim::Task<void> mb_producer(sim::Simulator& s, sim::Mailbox<int>& box, int n) {
-  for (int i = 0; i < n; ++i) {
-    co_await sim::Delay{s, Duration::nanoseconds(1)};
-    box.send(i);
-  }
-}
-
-sim::Task<void> mb_consumer(sim::Mailbox<int>& box, int n, std::uint64_t& sum) {
-  for (int i = 0; i < n; ++i) sum += static_cast<std::uint64_t>(co_await box.receive());
-}
-
-double mailbox_rate(int messages) {
+// --- cml-ping: rank 0 sends i to rank 1, on another node, which sends
+// it back; every message crosses SPE->PPE, PCIe, InfiniBand, PCIe and
+// PPE->SPE. ---
+double cml_ping_rate(int round_trips, std::uint64_t* events) {
+  topo::FatTreeParams tp;
+  tp.cu_count = 1;
+  const topo::FatTree topo = topo::FatTree::build(tp);
   sim::Simulator s;
-  sim::TaskRegistry reg(s);
-  sim::Mailbox<int> box(s);
+  cml::CmlWorld world(s, topo, cml::CmlConfig{2, 1, 1});
   std::uint64_t sum = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  reg.spawn(mb_consumer(box, messages, sum));
-  reg.spawn(mb_producer(s, box, messages));
-  reg.drain();
+  const std::size_t finished = world.run([&](cml::CmlContext ctx) -> sim::Task<void> {
+    const cml::Rank peer = 1 - ctx.rank();
+    for (int i = 0; i < round_trips; ++i) {
+      if (ctx.rank() == 0) {
+        co_await ctx.send(peer, 0, std::vector<double>(1, static_cast<double>(i)));
+        sum += static_cast<std::uint64_t>((co_await ctx.recv(peer, 1)).payload[0]);
+      } else {
+        cml::Message m = co_await ctx.recv(peer, 0);
+        co_await ctx.send(peer, 1, std::move(m.payload));
+      }
+    }
+  });
   const double rate = static_cast<double>(s.events_run()) / seconds_since(t0);
-  if (sum != static_cast<std::uint64_t>(messages) * (messages - 1) / 2) {
-    std::cerr << "mailbox checksum mismatch\n";
+  *events = s.events_run();
+  if (finished != 2 ||
+      sum != static_cast<std::uint64_t>(round_trips) * (round_trips - 1) / 2) {
+    std::cerr << "cml ping checksum mismatch\n";
     std::exit(1);
   }
   return rate;
@@ -231,7 +238,7 @@ int main(int argc, char** argv) {
   // smaller event count (the per-event rate only flatters it).
   const std::uint64_t ref_cancel_total = quick ? 20'000 : 50'000;
   const std::uint64_t batch = 1'000;
-  const int mailbox_msgs = quick ? 50'000 : 200'000;
+  const int ping_round_trips = quick ? 25'000 : 100'000;
   std::vector<int> counts{1, 2, 4, 8, 16, 32, 64};
   if (!quick) counts.insert(counts.end(), {128, 256, 512});
 
@@ -248,7 +255,8 @@ int main(int argc, char** argv) {
   const auto cancel_ref =
       cancel_heavy<sim::ReferenceSimulator>(ref_cancel_total, batch);
   const double speedup = cancel_new.events_per_sec / cancel_ref.events_per_sec;
-  const double mailbox = mailbox_rate(mailbox_msgs);
+  std::uint64_t ping_events = 0;
+  const double cml_ping = cml_ping_rate(ping_round_trips, &ping_events);
   int scenarios = 0;
   const double sweep3d = sweep3d_rate(counts, quick ? 1 : 3, &scenarios);
 
@@ -263,7 +271,7 @@ int main(int argc, char** argv) {
       .add(cancel_new.events_per_sec, 0).add(speedup, 2);
   t.row().add("cancel-heavy 50% (legacy linear scan)").add(cancel_ref.events)
       .add(cancel_ref.events_per_sec, 0).add(1.0, 2);
-  t.row().add("coroutine mailbox ping").add(mailbox_msgs).add(mailbox, 0).add("-");
+  t.row().add("CML ping-pong (2 nodes)").add(ping_events).add(cml_ping, 0).add("-");
   t.row().add("sweep3d scaling (scenarios/sec)").add(scenarios).add(sweep3d, 2)
       .add("-");
   t.print(std::cout);
@@ -289,8 +297,9 @@ int main(int argc, char** argv) {
   j.set("cancel_heavy_speedup", speedup);
   j.set("cancel_heavy_pool_capacity_early", cancel_new.pool_capacity_early);
   j.set("cancel_heavy_pool_capacity_final", cancel_new.pool_capacity_final);
-  j.set("mailbox_messages", mailbox_msgs);
-  j.set("mailbox_events_per_sec", mailbox);
+  j.set("cml_ping_round_trips", ping_round_trips);
+  j.set("cml_ping_events", ping_events);
+  j.set("cml_ping_events_per_sec", cml_ping);
   j.set("sweep3d_scenarios", scenarios);
   j.set("sweep3d_scenarios_per_sec", sweep3d);
   if (!write_file_atomic(out_path, j.dump(2) + "\n")) {
@@ -321,7 +330,7 @@ int main(int argc, char** argv) {
     check_floor(floor, "schedule_heavy_events_per_sec", sched_instr, &ok);
     check_floor(floor, "cancel_heavy_events_per_sec",
                 cancel_new.events_per_sec, &ok);
-    check_floor(floor, "mailbox_events_per_sec", mailbox, &ok);
+    check_floor(floor, "cml_ping_events_per_sec", cml_ping, &ok);
     check_floor(floor, "sweep3d_scenarios_per_sec", sweep3d, &ok);
   }
 
@@ -332,7 +341,7 @@ int main(int argc, char** argv) {
     info.params.set("quick", quick)
         .set("schedule_heavy_events", sched_total)
         .set("cancel_heavy_events", cancel_total)
-        .set("mailbox_messages", mailbox_msgs);
+        .set("cml_ping_round_trips", ping_round_trips);
     obs::RunReport rep(std::move(info));
     rep.add_snapshot(obs::MetricsRegistry::global().snapshot());
     rep.set_extra("bench", j);

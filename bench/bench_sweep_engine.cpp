@@ -86,12 +86,15 @@ void traced_network_demo(const rr::topo::Topology& topo,
   net.attach_trace(&trace);
   sim::TaskRegistry reg(sim);
   const int nodes = topo.node_count();
+  const int cells = net.config().cells_per_node;
   for (int i = 0; i < 4; ++i) {
-    reg.spawn(net.ib_transfer(0, 1 + i % (nodes - 1), DataSize::mib(1)));
-    reg.spawn(net.dacs_transfer(0, i % net.config().cells_per_node,
-                                DataSize::kib(64)));
+    // SPE messages to another node, relayed over PCIe and InfiniBand.
+    reg.spawn(net.spe_transfer(0, i % cells, 1 + i % (nodes - 1), i % cells,
+                               DataSize::mib(1)));
+    reg.spawn(net.dacs_transfer(0, i % cells, DataSize::kib(64)));
   }
-  reg.spawn(net.eib_transfer(DataSize::kib(16)));
+  reg.spawn(net.spe_transfer(0, 0, 0, 1, DataSize::kib(64)));  // another Cell
+  reg.spawn(net.spe_transfer(0, 0, 0, 0, DataSize::kib(16)));  // same Cell: EIB
   reg.drain();
   net.export_metrics(obs::MetricsRegistry::global());
 }

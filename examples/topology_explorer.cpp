@@ -21,8 +21,6 @@ const char* kind_name(rr::topo::XbarKind k) {
     case XbarKind::kInterCuL1: return "inter-CU L1";
     case XbarKind::kInterCuMid: return "inter-CU mid";
     case XbarKind::kInterCuL3: return "inter-CU L3";
-    case XbarKind::kTorusRouter: return "torus router";
-    case XbarKind::kDflyRouter: return "dragonfly router";
   }
   return "?";
 }

@@ -113,25 +113,11 @@ sim::Task<void> SimNetwork::spe_transfer(int src_node, int src_cell, int dst_nod
   return route(r, n);
 }
 
-sim::Task<void> SimNetwork::eib_transfer(DataSize n) {
-  return hop({Leg::Kind::kEib}, n);
-}
-
 sim::Task<void> SimNetwork::dacs_transfer(int node, int cell, DataSize n) {
   RR_EXPECTS(node >= 0 && node < topo_->node_count());
   RR_EXPECTS(cell >= 0 && cell < config_.cells_per_node);
-  return hop({Leg::Kind::kPcie, node, cell}, n);
-}
-
-sim::Task<void> SimNetwork::ib_transfer(int src_node, int dst_node, DataSize n) {
-  RR_EXPECTS(src_node >= 0 && src_node < topo_->node_count());
-  RR_EXPECTS(dst_node >= 0 && dst_node < topo_->node_count());
-  return hop({Leg::Kind::kIb, src_node, dst_node}, n);
-}
-
-sim::Task<void> SimNetwork::hop(Leg leg, DataSize n) {
   Route r;
-  r.add(leg);
+  r.add({Leg::Kind::kPcie, node, cell});
   return route(r, n);
 }
 

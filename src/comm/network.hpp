@@ -7,10 +7,10 @@
 // Cell, each a one-holder FIFO token plus its busy time.  One coroutine
 // (`route`) walks a transfer's whole route, leg by leg, and is the only
 // code that takes a token or adds busy time: an SPE-to-SPE message
-// (spe_transfer) is one frame however many legs it crosses, and the
-// one-link transfers (eib_transfer, dacs_transfer, ib_transfer) are
-// one-leg routes.  The EIB within a Cell socket and the SPE<->PPE local
-// legs are modeled as uncontended and have no token.
+// (spe_transfer) is one frame however many legs it crosses, and a DaCS
+// crossing (dacs_transfer) is a one-leg route.  The EIB within a Cell
+// socket and the SPE<->PPE local legs are modeled as uncontended and have
+// no token.
 #pragma once
 
 #include <array>
@@ -61,13 +61,9 @@ class SimNetwork {
   /// Cell's PCIe link, PPE->SPE local leg.
   sim::Task<void> spe_transfer(int src_node, int src_cell, int dst_node,
                                int dst_cell, DataSize n);
-  /// SPE-to-SPE within one Cell socket: EIB, effectively uncontended.
-  sim::Task<void> eib_transfer(DataSize n);
-  /// Cell <-> Opteron over the Cell's dedicated PCIe link (CML relays and
-  /// DaCS transfers alike).
+  /// Cell <-> Opteron over the Cell's dedicated PCIe link (DaCS transfers
+  /// and CML's Opteron RPCs).
   sim::Task<void> dacs_transfer(int node, int cell, DataSize n);
-  /// Opteron <-> Opteron over InfiniBand; serializes on the sender's HCA.
-  sim::Task<void> ib_transfer(int src_node, int dst_node, DataSize n);
 
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -135,8 +131,6 @@ class SimNetwork {
   const Prices& prices(DataSize n);
   /// The switch-hop term of an IB leg.
   Duration hop_time(int src_node, int dst_node) const;
-  /// A one-leg route.
-  sim::Task<void> hop(Leg leg, DataSize n);
   /// The contended link a PCIe or IB leg crosses.
   Link& link_of(Leg leg);
   /// Open the leg's trace span (formatted here, outside the coroutine).

@@ -30,7 +30,6 @@
 
 #include "comm/network.hpp"
 #include "sim/event.hpp"
-#include "sim/mailbox.hpp"
 #include "sim/task.hpp"
 
 namespace rr::dacs {

@@ -53,8 +53,8 @@ ComponentCounts census_for_nodes(const topo::Topology& full, int nodes) {
   const ComponentCounts whole = census(full);
   const double share =
       static_cast<double>(nodes) / static_cast<double>(full.node_count());
-  // A class the machine does not have (e.g. switch chassis on a torus)
-  // stays empty; any populated class keeps at least one member.
+  // An empty class stays empty; any populated class keeps at least one
+  // member.
   const auto scaled = [share](int count) {
     if (count == 0) return 0;
     return std::max(1, static_cast<int>(std::ceil(count * share)));

@@ -22,14 +22,14 @@
 //     that never moves a std::function; only the pool slot owns the
 //     callback;
 //   * events due at now() -- schedule(0, ...), and the zero-delay
-//     schedule_resume() calls with which Mailbox::send, Resource::release
-//     and Event::set wake their waiters -- skip the heap and join a FIFO
-//     ring of slots, the ready queue.  step() fires heap entries due at
+//     schedule_resume() calls with which Resource::release, Event::set
+//     and CML's deliver wake their waiters -- skip the heap and join a
+//     FIFO ring of slots, the ready queue.  step() fires heap entries due at
 //     now() before the ready queue: each was queued before the clock
 //     reached now(), so its seq is below that of every ready entry, and
 //     the (time, seq) firing order is exactly what one heap would give;
 //   * a slot holds either a callback or a coroutine handle: coroutine
-//     wake-ups (sim/task.hpp, mailboxes, resources) store the handle and
+//     wake-ups (sim/task.hpp, resources, events) store the handle and
 //     step() resumes it directly, with no std::function built or called.
 //     Both kinds share one queue discipline, so firing order is the
 //     order of scheduling whichever kind each event is;
@@ -47,7 +47,8 @@
 //
 // Two programming styles are supported:
 //   * callback style: sim.schedule(delay, fn)
-//   * coroutine style (sim/task.hpp): co_await Delay{sim, d}, mailboxes, ...
+//   * coroutine style (sim/task.hpp): co_await Delay{sim, d}, resources,
+//     events, ...
 #pragma once
 
 #include <algorithm>

@@ -9,7 +9,7 @@
 //
 // Awaitables:
 //   co_await Delay{sim, d}        -- sleep for simulated duration d
-//   co_await mailbox.receive()    -- blocking receive (sim/mailbox.hpp)
+//   co_await event.wait()         -- wait for Event::set (sim/event.hpp)
 //   co_await other_task           -- join a child task, yielding its value
 //
 // Frames are recycled.  A DES message costs a short-lived coroutine frame

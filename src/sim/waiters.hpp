@@ -1,5 +1,5 @@
-// Intrusive FIFO of suspended coroutines, shared by the DES's blocking
-// primitives (Resource, Mailbox).  A waiter is the awaiter object itself,
+// Intrusive FIFO of suspended coroutines, the wait queue of the DES's
+// blocking primitive (Resource).  A waiter is the awaiter object itself,
 // which lives in the suspended coroutine's frame for as long as it waits,
 // so queueing allocates nothing and an idle primitive owns no heap memory.
 #pragma once

@@ -3,9 +3,8 @@
 // them.  The rerouting discipline is the topology's own
 // (Topology::route_degraded): the fat tree preserves its deterministic
 // destination-indexed up*/down* structure instead of falling back to
-// shortest paths; tori and dragonflies walk a deterministic BFS over the
-// surviving crossbar graph.  Either way routes stay loop-free and are a
-// pure function of the fault set.
+// shortest paths, so routes stay loop-free and are a pure function of
+// the fault set.
 //
 // This is the `src/topo` half of the fault subsystem (src/fault); the
 // MTBF machinery that decides *what* fails lives over there.

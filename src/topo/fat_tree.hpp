@@ -55,7 +55,6 @@ class FatTree final : public Topology {
   /// of the Topology interface.
   static FatTree build(const FatTreeParams& params);
 
-  const char* family() const override { return "fat-tree"; }
   int cu_count() const { return params_.cu_count; }
   const FatTreeParams& params() const { return params_; }
 

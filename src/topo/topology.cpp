@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "topo/degraded.hpp"
-
 namespace rr::topo {
 
 void Topology::add_link(int a, int b) {
@@ -81,37 +79,6 @@ std::vector<int> Topology::bfs_crossbar_distance(
     }
   }
   return dist;
-}
-
-std::optional<std::vector<int>> Topology::route_degraded(
-    NodeId src, NodeId dst, const DegradedTopology& d) const {
-  // Deterministic BFS over the surviving crossbar graph: adjacency lists
-  // are sorted and the queue is FIFO, so the parent of every crossbar --
-  // and therefore the whole path -- is a pure function of the fault set.
-  const int from = node_xbar(src);
-  const int to = node_xbar(dst);
-  if (from == to) return std::vector<int>{from};
-  if (d.crossbar_failed(from) || d.crossbar_failed(to)) return std::nullopt;
-  std::vector<int> parent(xbars_.size(), -1);
-  std::queue<int> q;
-  parent[from] = from;
-  q.push(from);
-  while (!q.empty() && parent[to] == -1) {
-    const int x = q.front();
-    q.pop();
-    for (int nb : xbars_[x].links) {
-      if (parent[nb] == -1 && !d.crossbar_failed(nb) && d.link_usable(x, nb)) {
-        parent[nb] = x;
-        q.push(nb);
-      }
-    }
-  }
-  if (parent[to] == -1) return std::nullopt;
-  std::vector<int> path;
-  for (int x = to; x != from; x = parent[x]) path.push_back(x);
-  path.push_back(from);
-  std::reverse(path.begin(), path.end());
-  return path;
 }
 
 }  // namespace rr::topo

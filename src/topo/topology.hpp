@@ -1,13 +1,11 @@
-// Abstract machine interconnect: the crossbar/router graph, deterministic
+// Abstract machine interconnect: the crossbar graph, deterministic
 // routing, and the hop/latency queries every consumer (comm/fabric,
 // topo/degraded, fault, sweep_engine) asks of a fabric.
 //
-// The paper's machine is one point in a design space the related work
-// maps out: Roadrunner's fat tree of 24-port crossbars (fat_tree.hpp),
-// BlueGene/L- and QPACE-style k-ary n-cube tori (torus.hpp), and a
-// dragonfly (dragonfly.hpp).  Every implementation shares one contract:
+// The one implementation is Roadrunner's fat tree of 24-port crossbars
+// (fat_tree.hpp).  The contract it keeps:
 //
-//   * a route is the sequence of crossbar/router ids a message traverses,
+//   * a route is the sequence of crossbar ids a message traverses,
 //     starting at the source's own crossbar; empty for src == dst
 //   * hop_count = route length, so hop_count(n, n) == 0
 //   * hop_histogram(src) covers every node including self, so
@@ -42,16 +40,14 @@ enum class XbarKind : std::uint8_t {
   kInterCuL1,    ///< fat tree: inter-CU switch, first level (CUs 1-12)
   kInterCuMid,   ///< fat tree: inter-CU switch, middle level
   kInterCuL3,    ///< fat tree: inter-CU switch, last level (CUs 13-17)
-  kTorusRouter,  ///< torus: one router per lattice point
-  kDflyRouter,   ///< dragonfly: group-local router
 };
 
-/// One crossbar / router of the fabric.
+/// One crossbar of the fabric.
 struct Crossbar {
   XbarKind kind{};
-  int cu = -1;      ///< owning CU (fat tree) or group (dragonfly), else -1
-  int sw = -1;      ///< owning inter-CU switch (fat tree) or group, else -1
-  int index = -1;   ///< index within its level / group
+  int cu = -1;      ///< owning CU, else -1
+  int sw = -1;      ///< owning inter-CU switch, else -1
+  int index = -1;   ///< index within its level
   std::vector<int> links;           ///< adjacent crossbar ids (sorted)
   std::vector<int> compute_nodes;   ///< attached compute NodeId values
   int io_nodes = 0;                 ///< attached I/O node count
@@ -61,29 +57,21 @@ class Topology {
  public:
   virtual ~Topology() = default;
 
-  /// Machine family tag: "fat-tree", "torus", "dragonfly".
-  virtual const char* family() const = 0;
-
   /// The deterministic route: the sequence of crossbars a message from
   /// `src` to `dst` traverses.  Empty for src == dst.
   virtual std::vector<int> route(NodeId src, NodeId dst) const = 0;
 
   /// The degraded route from `src` to `dst` on the surviving fabric, or
   /// nullopt when nothing survives.  Endpoints are already known alive
-  /// and distinct (DegradedTopology::route checks).  The default walks a
-  /// deterministic BFS over the surviving crossbar graph; the fat tree
-  /// overrides it with the up*/down* rerouting discipline.
+  /// and distinct (DegradedTopology::route checks).
   virtual std::optional<std::vector<int>> route_degraded(
-      NodeId src, NodeId dst, const DegradedTopology& d) const;
+      NodeId src, NodeId dst, const DegradedTopology& d) const = 0;
 
   /// Multi-crossbar switch chassis that fail as one unit (shared power
-  /// and management plane).  Families without such chassis report zero.
-  virtual int switch_count() const { return 0; }
+  /// and management plane).
+  virtual int switch_count() const = 0;
   /// Crossbar ids belonging to switch chassis `sw`.
-  virtual std::vector<int> switch_members(int sw) const {
-    (void)sw;
-    return {};
-  }
+  virtual std::vector<int> switch_members(int sw) const = 0;
 
   int node_count() const { return static_cast<int>(node_xbar_.size()); }
   int crossbar_count() const { return static_cast<int>(xbars_.size()); }
@@ -93,20 +81,16 @@ class Topology {
     return xbars_[id];
   }
 
-  /// The crossbar/router a compute node attaches to.
+  /// The crossbar a compute node attaches to.
   int node_xbar(NodeId n) const {
     RR_EXPECTS(n.v >= 0 && n.v < node_count());
     return node_xbar_[n.v];
   }
 
   /// Number of crossbar hops on the deterministic route (Table I metric).
-  /// Zero for src == dst (the route is empty -- the self convention every
-  /// implementation shares).  The default builds the route and counts it;
-  /// a family whose routes sit on a hot path (the fat tree: every IB leg
-  /// of the DES asks) counts without building.
-  virtual int hop_count(NodeId src, NodeId dst) const {
-    return static_cast<int>(route(src, dst).size());
-  }
+  /// Zero for src == dst (the route is empty).  Every IB leg of the DES
+  /// asks, so the fat tree counts without building the route.
+  virtual int hop_count(NodeId src, NodeId dst) const = 0;
 
   /// Histogram of hop counts from `src` to every compute node (incl. self,
   /// so histogram[0] == 1).  Index = hop count, value = destinations.

@@ -259,9 +259,18 @@ TEST_F(Fig10Test, OneMegabyteBandwidthDefaultVsPinned) {
 // DES transport
 // ---------------------------------------------------------------------------
 
-sim::Task<void> do_ib(SimNetwork& net, int src, int dst, DataSize n, double& done_us) {
-  co_await net.ib_transfer(src, dst, n);
-  done_us = net.simulator().now().us();
+/// An SPE message from Cell `src_cell` of node `src` to Cell 0 of node
+/// `dst`: SPE->PPE, the source Cell's PCIe link, InfiniBand, the
+/// destination Cell's PCIe link, PPE->SPE.
+sim::Task<void> do_relay(SimNetwork& net, int src, int src_cell, int dst,
+                         DataSize n, TimePoint& done) {
+  co_await net.spe_transfer(src, src_cell, dst, 0, n);
+  done = net.simulator().now();
+}
+
+/// The uncontended time of do_relay's message.
+Duration relay_time(const SimNetwork& net, int src, int dst, DataSize n) {
+  return net.local_time(n) * 2 + net.dacs_time(n) * 2 + net.ib_time(src, dst, n);
 }
 
 TEST(SimNetwork, IbTransferTakesModelTime) {
@@ -271,11 +280,12 @@ TEST(SimNetwork, IbTransferTakesModelTime) {
   p.cu_count = 2;
   const topo::FatTree t = topo::FatTree::build(p);
   SimNetwork net(sim, t);
-  double done = 0.0;
-  reg.spawn(do_ib(net, 0, 100, DataSize::kib(4), done));
+  TimePoint done;
+  reg.spawn(do_relay(net, 0, 0, 100, DataSize::kib(4), done));
   reg.drain();
-  EXPECT_NEAR(done, net.ib_time(0, 100, DataSize::kib(4)).us(), 1e-6);
-  EXPECT_EQ(net.messages_sent(), 1u);
+  EXPECT_EQ((done - TimePoint::origin()).ps(),
+            relay_time(net, 0, 100, DataSize::kib(4)).ps());
+  EXPECT_EQ(net.messages_sent(), 3u);  // two PCIe legs and the IB leg
 }
 
 TEST(SimNetwork, SenderHcaSerializesConcurrentSends) {
@@ -285,13 +295,15 @@ TEST(SimNetwork, SenderHcaSerializesConcurrentSends) {
   p.cu_count = 2;
   const topo::FatTree t = topo::FatTree::build(p);
   SimNetwork net(sim, t);
-  double done1 = 0.0, done2 = 0.0;
-  reg.spawn(do_ib(net, 0, 100, k1MB, done1));
-  reg.spawn(do_ib(net, 0, 200, k1MB, done2));
+  // From two Cells of node 0: their PCIe legs overlap, and both messages
+  // reach node 0's HCA at once.
+  TimePoint done1, done2;
+  reg.spawn(do_relay(net, 0, 0, 100, k1MB, done1));
+  reg.spawn(do_relay(net, 0, 1, 200, k1MB, done2));
   reg.drain();
-  const double single = net.ib_time(0, 100, k1MB).us();
-  EXPECT_NEAR(done1, single, single * 0.01);
-  EXPECT_GT(done2, 1.9 * single);  // waited for the first to release the HCA
+  EXPECT_EQ((done1 - TimePoint::origin()).ps(), relay_time(net, 0, 100, k1MB).ps());
+  // The second waited for the first to release the HCA.
+  EXPECT_EQ((done2 - done1).ps(), net.ib_time(0, 200, k1MB).ps());
 }
 
 TEST(SimNetwork, BestCasePcieIsFasterThanDacs) {
@@ -332,17 +344,19 @@ TEST(SimNetwork, BusyTimeIsTheSumOfServiceTimes) {
   const DataSize n = DataSize::kib(4);
   constexpr int k = 5;
   for (int i = 0; i < k; ++i) {
-    reg.spawn(net.ib_transfer(0, 100, n));
+    reg.spawn(net.spe_transfer(0, 0, 100, 0, n));  // PCIe, IB, PCIe
     reg.spawn(net.dacs_transfer(1, 2, n));
-    reg.spawn(net.eib_transfer(n));
+    reg.spawn(net.spe_transfer(1, 3, 1, 3, n));  // one Cell: the EIB
   }
   reg.drain();
   EXPECT_EQ(net.ib_busy(0).ps(), (net.ib_time(0, 100, n) * k).ps());
+  EXPECT_EQ(net.pcie_busy(0, 0).ps(), (net.dacs_time(n) * k).ps());
+  EXPECT_EQ(net.pcie_busy(100, 0).ps(), (net.dacs_time(n) * k).ps());
   EXPECT_EQ(net.pcie_busy(1, 2).ps(), (net.dacs_time(n) * k).ps());
   EXPECT_EQ(net.eib_busy().ps(), (net.eib_time(n) * k).ps());
   EXPECT_EQ(net.ib_busy(1).ps(), 0);
   EXPECT_EQ(net.pcie_busy(1, 0).ps(), 0);
-  EXPECT_EQ(net.messages_sent(), 3u * k);
+  EXPECT_EQ(net.messages_sent(), 5u * k);
 }
 
 TEST(SimNetwork, EibGaugeIsTheMachineWideBusyTime) {
@@ -355,8 +369,8 @@ TEST(SimNetwork, EibGaugeIsTheMachineWideBusyTime) {
   const topo::FatTree t = topo::FatTree::build(p);
   SimNetwork net(sim, t);
   const DataSize n = DataSize::kib(16);
-  reg.spawn(net.eib_transfer(n));
-  reg.spawn(net.eib_transfer(n));
+  reg.spawn(net.spe_transfer(0, 0, 0, 0, n));
+  reg.spawn(net.spe_transfer(0, 1, 0, 1, n));
   reg.drain();
   obs::MetricsRegistry metrics;
   net.export_metrics(metrics);

@@ -2,11 +2,10 @@
 
 #include <array>
 #include <coroutine>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "sim/mailbox.hpp"
+#include "sim/event.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
@@ -93,25 +92,25 @@ TEST(Simulator, ZeroDelayRunsAtCurrentTime) {
 // Ready queue: events due now skip the heap
 // ---------------------------------------------------------------------------
 
-Task<void> log_received(Mailbox<int>& box, std::vector<std::string>& log) {
-  co_await box.receive();
+Task<void> log_received(Event& ev, std::vector<std::string>& log) {
+  co_await ev.wait();
   log.push_back("received");
 }
 
 TEST(Simulator, DueHeapEventsFireBeforeZeroDelayEventsQueuedAtTheirTime) {
   // a and b were queued at 0 for 10 ns.  Everything a queues at 10 ns --
-  // zero-delay callbacks and the mailbox wake-up of a waiting receiver --
+  // zero-delay callbacks and the wake-up of a task waiting on an Event --
   // was scheduled after b, so it fires after b, as in one (time, seq)
   // heap.
   Simulator sim;
   TaskRegistry reg(sim);
-  Mailbox<int> box(sim);
+  Event ev(sim);
   std::vector<std::string> log;
-  reg.spawn(log_received(box, log));
+  reg.spawn(log_received(ev, log));
   sim.schedule(Duration::nanoseconds(10), [&] {
     log.push_back("a");
     sim.schedule(Duration::zero(), [&] { log.push_back("a+0"); });
-    box.send(1);
+    ev.set();
     sim.schedule_at(sim.now(), [&] { log.push_back("a@now"); });
   });
   sim.schedule(Duration::nanoseconds(10), [&] { log.push_back("b"); });
@@ -645,111 +644,6 @@ TEST(FrameCache, ExitingWorkerReleasesItsFrames) {
   EXPECT_GE(before_exit, 8u);
   EXPECT_EQ(after_release, 0u);
   EXPECT_EQ(after_late_free, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Mailboxes
-// ---------------------------------------------------------------------------
-
-Task<void> producer(Simulator& sim, Mailbox<int>& box, int n) {
-  for (int i = 0; i < n; ++i) {
-    co_await Delay{sim, Duration::nanoseconds(10)};
-    box.send(i);
-  }
-}
-
-Task<void> consumer(Mailbox<int>& box, int n, std::vector<int>& got) {
-  for (int i = 0; i < n; ++i) got.push_back(co_await box.receive());
-}
-
-TEST(Mailbox, FifoDelivery) {
-  Simulator sim;
-  TaskRegistry reg(sim);
-  Mailbox<int> box(sim);
-  std::vector<int> got;
-  reg.spawn(consumer(box, 5, got));
-  reg.spawn(producer(sim, box, 5));
-  EXPECT_EQ(reg.drain(), 2u);
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Mailbox, TryReceiveSeesQueued) {
-  Simulator sim;
-  Mailbox<std::string> box(sim);
-  EXPECT_FALSE(box.try_receive().has_value());
-  box.send("hello");
-  const auto msg = box.try_receive();
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(*msg, "hello");
-}
-
-Task<void> tagged_consumer(Mailbox<int>& box, std::vector<std::pair<int, int>>& got,
-                           int who) {
-  const int v = co_await box.receive();
-  got.emplace_back(who, v);
-}
-
-TEST(Mailbox, WaitingReceiversServedFifo) {
-  Simulator sim;
-  TaskRegistry reg(sim);
-  Mailbox<int> box(sim);
-  std::vector<std::pair<int, int>> got;
-  reg.spawn(tagged_consumer(box, got, 1));
-  reg.spawn(tagged_consumer(box, got, 2));
-  box.send(100);
-  box.send(200);
-  reg.drain();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], (std::pair<int, int>{1, 100}));
-  EXPECT_EQ(got[1], (std::pair<int, int>{2, 200}));
-}
-
-TEST(Mailbox, UndeliveredMessagesStayQueued) {
-  Simulator sim;
-  Mailbox<int> box(sim);
-  box.send(1);
-  box.send(2);
-  EXPECT_EQ(box.size(), 2u);
-}
-
-TEST(Mailbox, DestroyedReceiverIsUnlinkedAndFifoHolds) {
-  Simulator sim;
-  Mailbox<int> box(sim);
-  std::vector<std::pair<int, int>> got;
-  std::vector<Task<void>> receivers;
-  for (int who = 0; who < 5; ++who) {
-    receivers.push_back(tagged_consumer(box, got, who));
-    receivers.back().start();
-  }
-  ASSERT_TRUE(box.has_waiters());
-  // Destroy the head, a middle and the tail waiter while they wait.
-  receivers[0] = Task<void>{};
-  receivers[2] = Task<void>{};
-  receivers[4] = Task<void>{};
-  box.send(100);
-  box.send(200);
-  box.send(300);  // no receiver left: queued
-  sim.run();
-  EXPECT_EQ(got, (std::vector<std::pair<int, int>>{{1, 100}, {3, 200}}));
-  EXPECT_FALSE(box.has_waiters());
-  EXPECT_EQ(box.size(), 1u);
-  EXPECT_EQ(box.try_receive(), std::optional<int>(300));
-}
-
-TEST(Mailbox, QueuedMessagesKeepFifoOrderAcrossRingGrowth) {
-  // Interleave sends and receives so the queue wraps and grows mid-stream.
-  Simulator sim;
-  Mailbox<int> box(sim);
-  std::vector<int> got;
-  int next = 0;
-  for (int round = 1; round <= 40; ++round) {
-    for (int i = 0; i < round % 7 + 1; ++i) box.send(next++);
-    for (int i = 0; i < round % 5; ++i)
-      if (auto v = box.try_receive()) got.push_back(*v);
-  }
-  while (auto v = box.try_receive()) got.push_back(*v);
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(next));
-  for (int i = 0; i < next; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "topo/degraded.hpp"
-#include "topo/dragonfly.hpp"
 #include "topo/fat_tree.hpp"
-#include "topo/torus.hpp"
 
 namespace rr::topo {
 namespace {
@@ -154,6 +156,164 @@ TEST(Routing, DeterministicRouteNeverBeatsBfs) {
 }
 
 // ---------------------------------------------------------------------------
+// Routing contract on three trees: 3 CUs (first inter-CU level only),
+// 13 CUs (both sides of the inter-CU level) and the full machine
+//
+//   * self-destination contract: route(n, n) is empty, hop_count is 0,
+//     hop_histogram[0] == 1, and the mean recomputed from the histogram
+//     equals average_hops bit-exactly
+//   * route validator: deterministic, starts at the source's crossbar,
+//     ends at the destination's, every consecutive pair shares a cable,
+//     loop-free, and never shorter than the BFS floor of the fabric
+//   * hop_count, which walks the routing rule without building a route,
+//     is the route's length
+// ---------------------------------------------------------------------------
+
+/// The parameter is the tree's CU count; 17 CUs is FatTree::roadrunner().
+constexpr int kFullMachineCus = 17;
+
+class FatTreeContract : public ::testing::TestWithParam<int> {
+ protected:
+  FatTreeContract() : t_(build(GetParam())) {}
+
+  static FatTree build(int cus) {
+    if (cus == kFullMachineCus) return FatTree::roadrunner();
+    FatTreeParams p;
+    p.cu_count = cus;
+    return FatTree::build(p);
+  }
+
+  /// A handful of deterministic probe nodes spread over the machine.
+  std::vector<NodeId> probes() const {
+    const int n = t_.node_count();
+    std::vector<NodeId> out;
+    for (int v : {0, 1, n / 3, n / 2, n - 2, n - 1}) out.push_back(NodeId{v});
+    return out;
+  }
+
+  /// Every `n / parts`-th node.
+  std::vector<NodeId> strided(int parts) const {
+    const int n = t_.node_count();
+    std::vector<NodeId> out;
+    for (int v = 0; v < n; v += std::max(1, n / parts)) out.push_back(NodeId{v});
+    return out;
+  }
+
+  const FatTree t_;
+};
+
+TEST_P(FatTreeContract, SelfDestinationIsEmptyRouteZeroHops) {
+  for (const NodeId n : probes()) {
+    EXPECT_TRUE(t_.route(n, n).empty()) << "node " << n.v;
+    EXPECT_EQ(t_.hop_count(n, n), 0) << "node " << n.v;
+  }
+}
+
+TEST_P(FatTreeContract, HistogramCountsSelfExactlyOnce) {
+  for (const NodeId n : probes()) {
+    const std::vector<int> hist = t_.hop_histogram(n);
+    ASSERT_FALSE(hist.empty()) << "node " << n.v;
+    EXPECT_EQ(hist[0], 1) << "node " << n.v;
+  }
+}
+
+TEST_P(FatTreeContract, MeanFromHistogramMatchesAverageHopsBitExactly) {
+  for (const NodeId n : probes()) {
+    const std::vector<int> hist = t_.hop_histogram(n);
+    std::int64_t total = 0;
+    std::int64_t count = 0;
+    for (std::size_t h = 0; h < hist.size(); ++h) {
+      total += static_cast<std::int64_t>(h) * hist[h];
+      count += hist[h];
+    }
+    EXPECT_EQ(count, t_.node_count()) << "node " << n.v;
+    const double from_hist =
+        static_cast<double>(total) / static_cast<double>(count);
+    const double reported = t_.average_hops(n);
+    EXPECT_EQ(std::memcmp(&from_hist, &reported, sizeof(double)), 0)
+        << "node " << n.v << ": histogram mean " << from_hist
+        << " vs average_hops " << reported;
+  }
+}
+
+TEST_P(FatTreeContract, RoutesAreValidWalksOfTheFabric) {
+  // A sweep of sources and destinations on the reduced trees; the probe
+  // pairs on the full machine, which the Routing tests above cover.
+  const bool full_machine = GetParam() == kFullMachineCus;
+  const std::vector<NodeId> srcs = full_machine ? probes() : strided(6);
+  const std::vector<NodeId> dsts = full_machine ? probes() : strided(48);
+  for (const NodeId src : srcs) {
+    const std::vector<int> bfs = t_.bfs_crossbar_distance(t_.node_xbar(src));
+    for (const NodeId dst : dsts) {
+      if (dst == src) continue;
+      const int s = src.v;
+      const int d = dst.v;
+      const std::vector<int> route = t_.route(src, dst);
+      ASSERT_FALSE(route.empty()) << s << "->" << d;
+      EXPECT_EQ(route.front(), t_.node_xbar(src)) << s << "->" << d;
+      EXPECT_EQ(route.back(), t_.node_xbar(dst)) << s << "->" << d;
+      std::vector<int> seen = route;
+      std::sort(seen.begin(), seen.end());
+      EXPECT_TRUE(std::adjacent_find(seen.begin(), seen.end()) == seen.end())
+          << s << "->" << d << ": crossbar repeats (loop)";
+      for (std::size_t i = 0; i + 1 < route.size(); ++i)
+        ASSERT_TRUE(t_.adjacent(route[i], route[i + 1]))
+            << s << "->" << d << ": no cable " << route[i] << "-"
+            << route[i + 1];
+      // Never beat physics: the BFS floor counts crossbars visited, with
+      // the start counting as one, exactly like the route's length.
+      const int floor = bfs[static_cast<std::size_t>(t_.node_xbar(dst))];
+      ASSERT_GT(floor, 0) << s << "->" << d;
+      EXPECT_GE(static_cast<int>(route.size()), floor) << s << "->" << d;
+    }
+  }
+}
+
+TEST_P(FatTreeContract, HopCountIsRouteLength) {
+  for (const NodeId src : probes())
+    for (const NodeId dst : probes())
+      EXPECT_EQ(t_.hop_count(src, dst),
+                static_cast<int>(t_.route(src, dst).size()))
+          << src.v << "->" << dst.v;
+}
+
+TEST_P(FatTreeContract, RoutingIsDeterministic) {
+  const int n = t_.node_count();
+  for (const NodeId src : probes()) {
+    const NodeId dst{(src.v + n / 2 + 1) % n};
+    if (dst == src) continue;
+    const std::vector<int> first = t_.route(src, dst);
+    for (int rep = 0; rep < 3; ++rep)
+      EXPECT_EQ(t_.route(src, dst), first) << src.v << "->" << dst.v;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FatTrees, FatTreeContract,
+                         ::testing::Values(3, 13, kFullMachineCus),
+                         [](const auto& param_info) {
+                           return param_info.param == kFullMachineCus
+                                      ? std::string("roadrunner")
+                                      : "cu" + std::to_string(param_info.param);
+                         });
+
+TEST(TopologyHopCount, FatTreeCountMatchesTheRouteFromEveryCu) {
+  // The fat tree counts hops by walking its routing rule without
+  // building the route.  Check every destination of the full machine
+  // from one source per CU (a different lower crossbar and port each).
+  const FatTree& t = full();
+  ASSERT_EQ(t.node_count(), 3060);
+  const int per_cu = t.params().compute_nodes_per_cu;
+  for (int cu = 0; cu < t.cu_count(); ++cu) {
+    const NodeId src{cu * per_cu + (cu * 11) % per_cu};
+    for (int d = 0; d < t.node_count(); ++d) {
+      const NodeId dst{d};
+      ASSERT_EQ(t.hop_count(src, dst), static_cast<int>(t.route(src, dst).size()))
+          << src.v << "->" << d;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Table I reproduction
 // ---------------------------------------------------------------------------
 
@@ -256,9 +416,7 @@ TEST(MaskedBfs, FailedCrossbarsAreNotTraversed) {
 }
 
 // ---------------------------------------------------------------------------
-// Builder invariants are per-family (the fat-tree wiring preconditions
-// used to sit on the shared build path, where any torus/dragonfly
-// parameterization would have tripped them)
+// Builder invariants: the fat-tree wiring preconditions
 // ---------------------------------------------------------------------------
 
 using BuilderDeath = ::testing::Test;
@@ -275,43 +433,10 @@ TEST(BuilderDeath, FatTreeRejectsMismatchedLevelSize) {
   EXPECT_DEATH((void)FatTree::build(p), "level_size");
 }
 
-TEST(BuilderDeath, TorusRejectsEmptyDimsAndZeroNodes) {
-  EXPECT_DEATH((void)Torus::build(TorusParams{}), "dims");
-  TorusParams p;
-  p.dims = {4, 4};
-  p.nodes_per_router = 0;
-  EXPECT_DEATH((void)Torus::build(p), "nodes_per_router");
-}
-
-TEST(BuilderDeath, DragonflyRejectsTooManyGroups) {
-  DragonflyParams p;
-  p.routers_per_group = 4;
-  p.global_links_per_router = 2;
-  p.groups = 10;  // a*h + 1 = 9
-  EXPECT_DEATH((void)Dragonfly::build(p), "groups");
-}
-
-TEST(BuilderInvariants, NonFatTreeParamsDoNotTripFatTreeChecks) {
-  // Shapes no fat tree could have: odd prime rings, an unbalanced
-  // dragonfly.  Before the refactor these would have aborted in the
-  // shared builder's switch-stride / level-size preconditions.
-  TorusParams tp;
-  tp.dims = {5, 3, 7};
-  const Torus torus = Torus::build(tp);
-  EXPECT_EQ(torus.node_count(), 105);
-  DragonflyParams dp;
-  dp.nodes_per_router = 3;
-  dp.routers_per_group = 5;
-  dp.global_links_per_router = 1;
-  dp.groups = 6;
-  const Dragonfly dfly = Dragonfly::build(dp);
-  EXPECT_EQ(dfly.node_count(), 90);
-}
-
 // ---------------------------------------------------------------------------
-// Degraded-fabric contracts (fat tree and torus): a failed start crossbar
-// BFS-resolves to -1 everywhere, and the route audit rejects paths whose
-// first or last crossbar is failed
+// Degraded-fabric contracts: a failed start crossbar BFS-resolves to -1
+// everywhere, and the route audit rejects paths whose first or last
+// crossbar is failed
 // ---------------------------------------------------------------------------
 
 TEST(DegradedContract, FailedBfsStartKeepsMinusOneOnFatTree) {
@@ -322,17 +447,6 @@ TEST(DegradedContract, FailedBfsStartKeepsMinusOneOnFatTree) {
   const std::vector<int> dist = t.bfs_crossbar_distance(start, failed, {});
   EXPECT_EQ(dist[static_cast<std::size_t>(start)], -1);  // never 0
   for (int d : dist) EXPECT_EQ(d, -1);
-}
-
-TEST(DegradedContract, FailedBfsStartKeepsMinusOneOnTorus) {
-  TorusParams p;
-  p.dims = {4, 4, 4};
-  const Torus t = Torus::build(p);
-  DegradedTopology d(t);
-  d.fail_crossbar(9);
-  const std::vector<int> dist = d.bfs_crossbar_distance(9);
-  EXPECT_EQ(dist[9], -1);
-  for (int v : dist) EXPECT_EQ(v, -1);
 }
 
 TEST(DegradedContract, AuditRejectsFailedFirstOrLastCrossbarOnFatTree) {
@@ -361,34 +475,6 @@ TEST(DegradedContract, AuditRejectsFailedFirstOrLastCrossbarOnFatTree) {
     d.fail_crossbar(self_path.front());
     EXPECT_FALSE(path_valid(d, src, NodeId{1}, self_path));
   }
-}
-
-TEST(DegradedContract, AuditRejectsFailedFirstOrLastCrossbarOnTorus) {
-  TorusParams p;
-  p.dims = {4, 4, 4};
-  p.nodes_per_router = 2;
-  const Torus t = Torus::build(p);
-  const NodeId src{0};
-  const NodeId dst{2 * 63 + 1};  // opposite corner
-  const std::vector<int> healthy = t.route(src, dst);
-  ASSERT_GE(healthy.size(), 2u);
-  DegradedTopology d(t);
-  EXPECT_TRUE(path_valid(d, src, dst, healthy));
-  d.fail_crossbar(healthy.front());
-  EXPECT_FALSE(path_valid(d, src, dst, healthy));
-  d.reset();
-  d.fail_crossbar(healthy.back());
-  EXPECT_FALSE(path_valid(d, src, dst, healthy));
-  d.reset();
-  // The degraded router itself never emits such a path: reroute around a
-  // failed interior router and re-audit.
-  d.fail_crossbar(healthy[1]);
-  const auto rerouted = d.route(src, dst);
-  ASSERT_TRUE(rerouted.has_value());
-  EXPECT_TRUE(path_valid(d, src, dst, *rerouted));
-  const RouteAudit audit = audit_routes(d, 7, 5);
-  EXPECT_TRUE(audit.clean());
-  EXPECT_EQ(audit.unreachable, 0);
 }
 
 TEST(CustomTopology, AverageHopsGrowsWithCuCount) {
