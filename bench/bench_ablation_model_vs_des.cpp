@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   using namespace rr;
   const CliParser cli(argc, argv, {});  // no flags: any --flag exits 2
-  topo::TopologyParams tp;
+  topo::FatTreeParams tp;
   tp.cu_count = 2;
   const topo::FatTree topo = topo::FatTree::build(tp);
   const auto pxc = model::spe_compute(arch::CellVariant::kPowerXCell8i);

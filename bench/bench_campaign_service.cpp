@@ -53,6 +53,7 @@
 #include "obs/report.hpp"
 #include "fault/taxonomy.hpp"
 #include "sweep_engine/context.hpp"
+#include "sweep_engine/result_store.hpp"
 #include "sweep_engine/studies.hpp"
 #include "util/cli.hpp"
 #include "util/env.hpp"

@@ -31,10 +31,16 @@
 //
 // Flags: --quick (CI smoke sizes), --out=des_perf.json,
 //        --floor=path (fail if any events/sec falls >20% below the
-//        checked-in floor values), --report=PATH (obs run report).
+//        checked-in floor values; a floor file that lacks a gated key or
+//        names one nothing gates exits 2 before any workload runs),
+//        --report=PATH (obs run report).
+#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cml/cml.hpp"
@@ -211,17 +217,52 @@ double sweep3d_rate(const std::vector<int>& counts, int reps, int* scenarios) {
   return rate;
 }
 
-bool check_floor(const Json& floor, const char* key, double measured,
+// The keys a floor file holds: the floors check_floor holds the rates to.
+constexpr std::string_view kGatedFloors[] = {
+    "schedule_heavy_events_per_sec", "cancel_heavy_events_per_sec",
+    "cml_ping_events_per_sec", "sweep3d_scenarios_per_sec"};
+
+[[noreturn]] void floor_error(const CliParser& cli, const std::string& what) {
+  std::cerr << cli.program() << ": --floor=" << cli.get("floor", "") << ": "
+            << what << "\n";
+  std::exit(CliParser::kUsageExitCode);
+}
+
+/// The --floor file, read and checked before any workload runs: it must
+/// give a number for every gated key and name no other key but "_note",
+/// so a renamed workload or a misspelt key fails the run instead of
+/// silently dropping its gate.
+Json read_floor(const CliParser& cli) {
+  Json floor;
+  try {
+    floor = Json::parse(read_file(cli.get("floor", "")));
+  } catch (const std::exception& e) {
+    floor_error(cli, e.what());
+  }
+  if (!floor.is_object()) floor_error(cli, "not a JSON object");
+  for (const std::string_view key : kGatedFloors) {
+    const Json* f = floor.find(key);
+    if (f == nullptr || !f->is_number())
+      floor_error(cli, "no number for gated key " + std::string(key));
+  }
+  for (const auto& member : floor.as_object()) {
+    const std::string& key = member.first;
+    if (key != "_note" &&
+        std::ranges::find(kGatedFloors, key) == std::end(kGatedFloors))
+      floor_error(cli, "key " + key + " gates nothing");
+  }
+  return floor;
+}
+
+void check_floor(const Json& floor, const char* key, double measured,
                  bool* ok) {
-  const Json* f = floor.find(key);
-  if (f == nullptr) return false;
-  const double min_allowed = f->as_double() * 0.8;  // >20% regression fails
+  const double f = floor.at(key).as_double();
+  const double min_allowed = f * 0.8;  // >20% regression fails
   if (measured < min_allowed) {
     std::cerr << "FLOOR REGRESSION: " << key << " = " << measured << " < "
-              << min_allowed << " (floor " << f->as_double() << " - 20%)\n";
+              << min_allowed << " (floor " << f << " - 20%)\n";
     *ok = false;
   }
-  return true;
 }
 
 }  // namespace
@@ -230,6 +271,8 @@ int main(int argc, char** argv) {
   const CliParser cli(argc, argv, {"quick", "out", "floor", "report"});
   const bool quick = cli.get_bool("quick", false);
   const std::string out_path = cli.get("out", "des_perf.json");
+  const std::optional<Json> floor =
+      cli.has("floor") ? std::optional<Json>(read_floor(cli)) : std::nullopt;
 
   const std::uint64_t sched_total = quick ? 200'000 : 1'000'000;
   const std::uint64_t cancel_total = quick ? 200'000 : 1'000'000;
@@ -321,17 +364,15 @@ int main(int argc, char** argv) {
               << cancel_new.pool_capacity_final << "\n";
     ok = false;
   }
-  if (cli.has("floor")) {
-    const auto floor_text = read_file(cli.get("floor", ""));
-    const Json floor = Json::parse(floor_text);
-    check_floor(floor, "schedule_heavy_events_per_sec", sched_new, &ok);
+  if (floor) {
+    check_floor(*floor, "schedule_heavy_events_per_sec", sched_new, &ok);
     // The instrumented variant must clear the *same* floor: metrics that
     // cost more than the floor's 20% noise margin fail the smoke run.
-    check_floor(floor, "schedule_heavy_events_per_sec", sched_instr, &ok);
-    check_floor(floor, "cancel_heavy_events_per_sec",
+    check_floor(*floor, "schedule_heavy_events_per_sec", sched_instr, &ok);
+    check_floor(*floor, "cancel_heavy_events_per_sec",
                 cancel_new.events_per_sec, &ok);
-    check_floor(floor, "cml_ping_events_per_sec", cml_ping, &ok);
-    check_floor(floor, "sweep3d_scenarios_per_sec", sweep3d, &ok);
+    check_floor(*floor, "cml_ping_events_per_sec", cml_ping, &ok);
+    check_floor(*floor, "sweep3d_scenarios_per_sec", sweep3d, &ok);
   }
 
   if (const std::string rpath = cli.get("report", ""); !rpath.empty()) {

@@ -8,9 +8,8 @@
 // discrete-event replay with restart.  Everything is seeded, so every run
 // of this binary prints bit-identical tables.  The 1 -> 3,060 node
 // studies and the interval sweep run on the parallel sweep engine
-// (src/sweep_engine) -- same seeds, same numbers, N-way faster; pass a
-// path argument to also dump the scenario records as JSON lines.  Takes
-// no flags.
+// (src/sweep_engine) -- same seeds, same numbers, N-way faster.  Takes
+// no flags or arguments.
 #include <cmath>
 #include <iostream>
 #include <vector>
@@ -54,7 +53,6 @@ int main(int argc, char** argv) {
   const topo::FatTree topo = topo::FatTree::roadrunner();
   const fault::StudyConfig cfg;  // defaults: 4 GiB/node state, seeded
   engine::SweepEngine eng;       // hardware-concurrency workers
-  engine::ResultStore store;
 
   // ---- component census and fleet MTBF ------------------------------------
   print_banner(std::cout, "Failure budget: component census at 3,060 nodes");
@@ -128,7 +126,7 @@ int main(int argc, char** argv) {
   Table hpl({"nodes", "fault-free (h)", "MTBF (h)", "C (s)", "tau (min)",
              "expected (h)", "overhead (%)", "interrupts", "efficiency (%)"});
   add_study_rows(hpl, engine::parallel_hpl_study(eng, system, topo,
-                                                 node_counts, cfg, &store));
+                                                 node_counts, cfg));
   hpl.print(std::cout);
 
   // ---- interrupted timed Sweep3D run --------------------------------------
@@ -142,7 +140,7 @@ int main(int argc, char** argv) {
                "expected (h)", "overhead (%)", "interrupts", "efficiency (%)"});
   add_study_rows(sweep, engine::parallel_sweep_study(eng, system, topo,
                                                      node_counts, sweep_iters,
-                                                     cfg, &store));
+                                                     cfg));
   sweep.print(std::cout);
 
   // ---- checkpoint-interval sensitivity at full scale ----------------------
@@ -152,7 +150,7 @@ int main(int argc, char** argv) {
             "DES mean (h)", "overhead (%)"});
   for (const auto& p : engine::parallel_interval_sweep(
            eng, system, topo, topo.node_count(), hpl_s,
-           {0.25, 0.5, 1.0, 2.0, 4.0}, cfg, &store)) {
+           {0.25, 0.5, 1.0, 2.0, 4.0}, cfg)) {
     iv.row()
         .add(p.relative_to_optimal, 2)
         .add(p.interval_s / 60.0, 1)
@@ -213,13 +211,5 @@ int main(int argc, char** argv) {
          "interval the expected completion stays within a few percent of\n"
          "fault-free, and the fat tree routes around any single switch or\n"
          "crossbar loss without losing connectivity.\n";
-  if (!cli.positional().empty()) {
-    const std::string& path = cli.positional().front();
-    if (store.write_file(path))
-      std::cout << "\nwrote " << store.size() << " scenario records to "
-                << path << " (JSON lines)\n";
-    else
-      std::cout << "\nfailed to write " << path << "\n";
-  }
   return agrees ? 0 : 1;
 }

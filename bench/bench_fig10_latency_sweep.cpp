@@ -9,7 +9,7 @@
 #include "arch/calibration.hpp"
 #include "comm/fabric.hpp"
 #include "sweep_engine/studies.hpp"
-#include "topo/topology.hpp"
+#include "topo/fat_tree.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

@@ -5,11 +5,10 @@
 // vectors (memcmp over every double, not a tolerance).  The exit code is
 // the bit-identity gate; the speedup is reported honestly and the >= 3x
 // expectation is only scored when the host actually has >= 4 cores.
-// Pass a path argument to dump the parallel run's scenario records as
-// JSON lines.  Pass --work-dir=DIR to additionally run the sweep as a
-// journaled campaign (campaign/service.hpp, in-process): its results
-// must reproduce the engine results bit for bit (also part of the exit
-// gate), and a rerun of the same work dir resumes from its journal.
+// Pass --work-dir=DIR to additionally run the sweep as a journaled
+// campaign (campaign/service.hpp, in-process): its results must reproduce
+// the engine results bit for bit (also part of the exit gate), and a
+// rerun of the same work dir resumes from its journal.
 //
 // Observability (DESIGN.md §10): pass --report=PATH to emit a run-report
 // JSON (+ Markdown sibling) carrying the campaign identity, provenance,
@@ -35,8 +34,9 @@
 #include "obs/report.hpp"
 #include "sim/task.hpp"
 #include "sim/trace.hpp"
+#include "sweep_engine/result_store.hpp"
 #include "sweep_engine/studies.hpp"
-#include "topo/topology.hpp"
+#include "topo/fat_tree.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -77,7 +77,7 @@ bool bit_identical(const std::vector<rr::fault::ResiliencePoint>& a,
 // A short traced SimNetwork exchange: spans land on sim-time tracks
 // ("ib/node0", "pcie/node0.cell2", "eib") in the same recorder the wall
 // spans use, so the exported file demonstrates the unified timeline.
-void traced_network_demo(const rr::topo::Topology& topo,
+void traced_network_demo(const rr::topo::FatTree& topo,
                          rr::sim::TraceRecorder& trace) {
   using namespace rr;
   sim::Simulator sim;
@@ -104,7 +104,7 @@ void traced_network_demo(const rr::topo::Topology& topo,
 int main(int argc, char** argv) {
   using namespace rr;
   const arch::SystemSpec system = arch::make_roadrunner();
-  const topo::Topology& topo = engine::SharedContext::instance().topology();
+  const topo::FatTree& topo = engine::SharedContext::instance().topology();
 
   const CliParser cli(argc, argv, {"report", "trace", "work-dir"});
   const std::string report_path = cli.get("report", "");
@@ -153,12 +153,11 @@ int main(int argc, char** argv) {
   }
 
   engine::SweepEngine engN({n_threads});
-  engine::ResultStore store;
   {
     obs::ProfSpan span("phase/engine_all_workers", &phase_us);
     t_n = time_s([&] {
-      n_thread = engine::parallel_hpl_study(engN, system, topo, node_counts,
-                                            cfg, &store);
+      n_thread =
+          engine::parallel_hpl_study(engN, system, topo, node_counts, cfg);
     });
   }
 
@@ -228,15 +227,6 @@ int main(int argc, char** argv) {
               << " resumed=" << result.stats.resumed << "\n"
               << "bit-identical metrics, engine vs journaled campaign: "
               << (resumable_ok ? "yes" : "NO") << "\n";
-  }
-
-  if (!cli.positional().empty()) {
-    const std::string& path = cli.positional().front();
-    if (store.write_file(path))
-      std::cout << "\nwrote " << store.size() << " scenario records to "
-                << path << " (JSON lines)\n";
-    else
-      std::cout << "\nfailed to write " << path << "\n";
   }
 
   if (!trace_path.empty()) {

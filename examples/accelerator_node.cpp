@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   // --- DaCS: the host stages data to an accelerator and back -------------
   print_banner(std::cout, "DaCS: host element <-> accelerator elements");
   sim::Simulator sim;
-  topo::TopologyParams tp;
+  topo::FatTreeParams tp;
   tp.cu_count = 1;
   const topo::FatTree node_tree = topo::FatTree::build(tp);
   comm::SimNetwork net(sim, node_tree, comm::NetworkConfig{4, best});

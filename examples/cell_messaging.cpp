@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   using namespace rr;
   const CliParser cli(argc, argv, {"nodes", "best", "trace"});
 
-  topo::TopologyParams tp;
+  topo::FatTreeParams tp;
   tp.cu_count = 1;
   const topo::FatTree topo = topo::FatTree::build(tp);
 

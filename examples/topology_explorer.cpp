@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   const CliParser cli(argc, argv, {"cus", "src", "dst"});
   const int cus = cli.get_int("cus", 17, 1, 24);  // the design's limit
 
-  topo::TopologyParams params;
+  topo::FatTreeParams params;
   params.cu_count = cus;
   const topo::FatTree t = topo::FatTree::build(params);
   const comm::FabricModel fabric(t);

@@ -15,7 +15,7 @@ DataSize message_bytes(const std::vector<double>& payload) {
   return comm::message_bytes(payload.size());
 }
 
-CmlWorld::CmlWorld(sim::Simulator& sim, const topo::Topology& topo, CmlConfig config)
+CmlWorld::CmlWorld(sim::Simulator& sim, const topo::FatTree& topo, CmlConfig config)
     : sim_(&sim),
       config_(config),
       size_(config.nodes * config.cells_per_node * config.spes_per_cell),

@@ -171,7 +171,7 @@ class CmlContext {
 /// The world: rank/topology mapping, endpoints, and the program runner.
 class CmlWorld {
  public:
-  CmlWorld(sim::Simulator& sim, const topo::Topology& topo, CmlConfig config);
+  CmlWorld(sim::Simulator& sim, const topo::FatTree& topo, CmlConfig config);
 
   int size() const { return size_; }
   const CmlConfig& config() const { return config_; }

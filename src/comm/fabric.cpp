@@ -38,7 +38,7 @@ ChannelParams mpi_infiniband_default_params() {
   return p;
 }
 
-FabricModel::FabricModel(const topo::Topology& topo)
+FabricModel::FabricModel(const topo::FatTree& topo)
     : topo_(&topo),
       default_mpi_(mpi_infiniband_default_params()),
       pinned_mpi_(mpi_infiniband_pinned()) {}

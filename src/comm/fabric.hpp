@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "comm/channel.hpp"
-#include "topo/topology.hpp"
+#include "topo/fat_tree.hpp"
 
 namespace rr::comm {
 
@@ -19,7 +19,7 @@ struct LatencySweepPoint {
 
 class FabricModel {
  public:
-  explicit FabricModel(const topo::Topology& topo);
+  explicit FabricModel(const topo::FatTree& topo);
 
   /// Zero-byte MPI latency between two compute nodes.
   Duration zero_byte_latency(topo::NodeId src, topo::NodeId dst) const;
@@ -36,10 +36,10 @@ class FabricModel {
   /// Mean large-message bandwidth from `src` to every other node.
   Bandwidth average_bandwidth(topo::NodeId src, DataSize n, bool pinned) const;
 
-  const topo::Topology& topology() const { return *topo_; }
+  const topo::FatTree& topology() const { return *topo_; }
 
  private:
-  const topo::Topology* topo_;
+  const topo::FatTree* topo_;
   ChannelModel default_mpi_;
   ChannelModel pinned_mpi_;
 };

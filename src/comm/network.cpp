@@ -6,7 +6,7 @@
 
 namespace rr::comm {
 
-SimNetwork::SimNetwork(sim::Simulator& sim, const topo::Topology& topo,
+SimNetwork::SimNetwork(sim::Simulator& sim, const topo::FatTree& topo,
                        NetworkConfig config)
     : sim_(&sim),
       topo_(&topo),

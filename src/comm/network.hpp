@@ -23,7 +23,7 @@
 #include "sim/trace.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
-#include "topo/topology.hpp"
+#include "topo/fat_tree.hpp"
 
 namespace rr::obs {
 class MetricsRegistry;
@@ -39,11 +39,11 @@ struct NetworkConfig {
 
 class SimNetwork {
  public:
-  SimNetwork(sim::Simulator& sim, const topo::Topology& topo,
+  SimNetwork(sim::Simulator& sim, const topo::FatTree& topo,
              NetworkConfig config = {});
 
   sim::Simulator& simulator() { return *sim_; }
-  const topo::Topology& topology() const { return *topo_; }
+  const topo::FatTree& topology() const { return *topo_; }
   const NetworkConfig& config() const { return config_; }
 
   // -- analytic timing ------------------------------------------------------
@@ -137,7 +137,7 @@ class SimNetwork {
   sim::TraceRecorder::SpanId open_span(Leg leg, DataSize n) const;
 
   sim::Simulator* sim_;
-  const topo::Topology* topo_;
+  const topo::FatTree* topo_;
   NetworkConfig config_;
   ChannelModel eib_;
   ChannelModel dacs_;

@@ -103,36 +103,35 @@ ChannelParams relay_copy() {
 
 PathModel cell_to_cell_internode(int hops, RelayMode mode) {
   std::vector<Stage> stages;
-  stages.push_back(Stage{"SPE to PPE (local)", ChannelModel(spe_ppe_local()), 1.0});
+  stages.push_back(Stage{"SPE to PPE (local)", ChannelModel(spe_ppe_local())});
   stages.push_back(Stage{"Cell to Opteron (DaCS over PCIe)",
-                         ChannelModel(dacs_pcie()), 1.0});
+                         ChannelModel(dacs_pcie())});
   stages.push_back(Stage{"Opteron to Opteron (MPI over InfiniBand)",
-                         ChannelModel(with_hops(mpi_infiniband(true), hops)), 1.0});
+                         ChannelModel(with_hops(mpi_infiniband(true), hops))});
   stages.push_back(Stage{"Opteron to Cell (DaCS over PCIe)",
-                         ChannelModel(dacs_pcie()), 1.0});
-  stages.push_back(Stage{"PPE to SPE (local)", ChannelModel(spe_ppe_local()), 1.0});
+                         ChannelModel(dacs_pcie())});
+  stages.push_back(Stage{"PPE to SPE (local)", ChannelModel(spe_ppe_local())});
   return PathModel(std::move(stages), mode);
 }
 
 PathModel ppe_opteron_intranode() {
   std::vector<Stage> stages;
   stages.push_back(Stage{"PPE<->Opteron (DaCS over PCIe)",
-                         ChannelModel(dacs_pcie()), 1.0});
+                         ChannelModel(dacs_pcie())});
   return PathModel(std::move(stages), RelayMode::kPipelined);
 }
 
 PathModel cell_to_cell_allpairs(int hops) {
   std::vector<Stage> stages;
   stages.push_back(Stage{"Cell to Opteron (DaCS over PCIe)",
-                         ChannelModel(contended(dacs_pcie(), 1.0)), 1.0});
-  stages.push_back(Stage{"Opteron relay copy", ChannelModel(contended(relay_copy(), 4.0)),
-                         4.0});
+                         ChannelModel(contended(dacs_pcie(), 1.0))});
+  stages.push_back(Stage{"Opteron relay copy",
+                         ChannelModel(contended(relay_copy(), 4.0))});
   stages.push_back(Stage{"Opteron to Opteron (MPI over InfiniBand)",
                          ChannelModel(contended(with_hops(mpi_infiniband(true), hops),
-                                                4.0)),
-                         4.0});
+                                                4.0))});
   stages.push_back(Stage{"Opteron to Cell (DaCS over PCIe)",
-                         ChannelModel(contended(dacs_pcie(), 1.0)), 1.0});
+                         ChannelModel(contended(dacs_pcie(), 1.0))});
   return PathModel(std::move(stages), RelayMode::kPipelined);
 }
 
@@ -142,10 +141,10 @@ PathModel opteron_mpi_internode(bool sender_near, bool receiver_near, int hops) 
   std::vector<Stage> stages;
   if (sender_near && receiver_near) {
     stages.push_back(Stage{"MPI/IB (cores 1,3)",
-                           ChannelModel(with_hops(mpi_infiniband(true), hops)), 1.0});
+                           ChannelModel(with_hops(mpi_infiniband(true), hops))});
   } else if (!sender_near && !receiver_near) {
     stages.push_back(Stage{"MPI/IB (cores 0,2)",
-                           ChannelModel(with_hops(mpi_infiniband(false), hops)), 1.0});
+                           ChannelModel(with_hops(mpi_infiniband(false), hops))});
   } else {
     ChannelParams mixed = mpi_infiniband(true);
     mixed.name = "MPI/IB (mixed core pair)";
@@ -154,7 +153,7 @@ PathModel opteron_mpi_internode(bool sender_near, bool receiver_near, int hops) 
     mixed.rendezvous_bandwidth =
         Bandwidth::mb_per_sec(2.0 / (1.0 / near_bw + 1.0 / far_bw));
     stages.push_back(Stage{"MPI/IB (core 0 to core 1)",
-                           ChannelModel(with_hops(mixed, hops)), 1.0});
+                           ChannelModel(with_hops(mixed, hops))});
   }
   return PathModel(std::move(stages), RelayMode::kPipelined);
 }

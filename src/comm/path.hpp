@@ -18,10 +18,9 @@ namespace rr::comm {
 
 struct Stage {
   std::string name;
+  /// Already contended where flows share the stage (e.g. 4 Cell flows
+  /// share one IB HCA): its bandwidths are divided at construction.
   ChannelModel channel;
-  /// How many concurrent flows share this stage's bandwidth in the
-  /// scenario being modeled (e.g. 4 Cell flows share one IB HCA).
-  double contention_divisor = 1.0;
 
   Duration serialization_uni(DataSize n) const;
   Duration serialization_bidir(DataSize n) const;

@@ -18,7 +18,7 @@ RoadrunnerSystem RoadrunnerSystem::with_cu_count(int cu_count) {
   RR_EXPECTS(cu_count >= 1 && cu_count <= 24);  // the design's limit (II.C)
   arch::SystemSpec spec = arch::make_roadrunner();
   spec.cu_count = cu_count;
-  topo::TopologyParams params;
+  topo::FatTreeParams params;
   params.cu_count = cu_count;
   return RoadrunnerSystem(std::move(spec), topo::FatTree::build(params));
 }

@@ -31,7 +31,7 @@ class RoadrunnerSystem {
   static RoadrunnerSystem with_cu_count(int cu_count);
 
   const arch::SystemSpec& spec() const { return spec_; }
-  const topo::Topology& topology() const { return *topo_; }
+  const topo::FatTree& topology() const { return *topo_; }
   const comm::FabricModel& fabric() const { return *fabric_; }
 
   int node_count() const { return topo_->node_count(); }

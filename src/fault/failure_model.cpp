@@ -30,7 +30,7 @@ const char* component_name(Component c) {
   return "?";
 }
 
-ComponentCounts census(const topo::Topology& t) {
+ComponentCounts census(const topo::FatTree& t) {
   ComponentCounts c;
   c.nodes = t.node_count();
   // Switch-chassis members (the fat tree's inter-CU L1/mid/L3 crossbars)
@@ -48,7 +48,7 @@ ComponentCounts census(const topo::Topology& t) {
   return c;
 }
 
-ComponentCounts census_for_nodes(const topo::Topology& full, int nodes) {
+ComponentCounts census_for_nodes(const topo::FatTree& full, int nodes) {
   RR_EXPECTS(nodes >= 1 && nodes <= full.node_count());
   const ComponentCounts whole = census(full);
   const double share =
@@ -67,7 +67,7 @@ ComponentCounts census_for_nodes(const topo::Topology& full, int nodes) {
   return c;
 }
 
-std::vector<std::pair<int, int>> cable_list(const topo::Topology& t) {
+std::vector<std::pair<int, int>> cable_list(const topo::FatTree& t) {
   std::vector<std::pair<int, int>> cables;
   for (int a = 0; a < t.crossbar_count(); ++a)
     for (int b : t.crossbar(a).links)

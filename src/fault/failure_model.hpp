@@ -17,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "topo/topology.hpp"
+#include "topo/fat_tree.hpp"
 #include "util/units.hpp"
 
 namespace rr::fault {
@@ -46,15 +46,15 @@ struct ComponentCounts {
 /// Count the topology's failable components.  Inter-CU crossbars are
 /// folded into their owning switch (they fail together), so `crossbars`
 /// counts only the CU-level ones.
-ComponentCounts census(const topo::Topology& t);
+ComponentCounts census(const topo::FatTree& t);
 
 /// Pro-rated census for a partial machine of `nodes` triblades (used by
 /// the 1 -> 3,060 scaling studies).
-ComponentCounts census_for_nodes(const topo::Topology& full, int nodes);
+ComponentCounts census_for_nodes(const topo::FatTree& full, int nodes);
 
 /// All cables of the fabric as sorted (a, b) crossbar-id pairs; the
 /// kIbLink event index points into this list.
-std::vector<std::pair<int, int>> cable_list(const topo::Topology& t);
+std::vector<std::pair<int, int>> cable_list(const topo::FatTree& t);
 
 /// Aggregate failure rate of the fleet => system MTBF in hours.
 double system_mtbf_h(const ComponentCounts& counts, const ReliabilityParams& p);

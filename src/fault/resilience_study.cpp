@@ -90,7 +90,7 @@ double sweep_fault_free_s(int nodes, int iterations) {
 }
 
 ResiliencePoint study_point(const arch::SystemSpec& system,
-                            const topo::Topology& full_topo, int nodes,
+                            const topo::FatTree& full_topo, int nodes,
                             double fault_free_s, const StudyConfig& cfg) {
   RR_EXPECTS(fault_free_s > 0.0);
   ResiliencePoint pt;
@@ -128,7 +128,7 @@ ResiliencePoint study_point(const arch::SystemSpec& system,
 }
 
 std::vector<ResiliencePoint> hpl_study(const arch::SystemSpec& system,
-                                       const topo::Topology& full_topo,
+                                       const topo::FatTree& full_topo,
                                        const std::vector<int>& node_counts,
                                        const StudyConfig& cfg) {
   std::vector<ResiliencePoint> out;
@@ -140,7 +140,7 @@ std::vector<ResiliencePoint> hpl_study(const arch::SystemSpec& system,
 }
 
 std::vector<ResiliencePoint> sweep_study(const arch::SystemSpec& system,
-                                         const topo::Topology& full_topo,
+                                         const topo::FatTree& full_topo,
                                          const std::vector<int>& node_counts,
                                          int iterations,
                                          const StudyConfig& cfg) {
@@ -153,7 +153,7 @@ std::vector<ResiliencePoint> sweep_study(const arch::SystemSpec& system,
 }
 
 IntervalPoint interval_point(const arch::SystemSpec& system,
-                             const topo::Topology& full_topo, int nodes,
+                             const topo::FatTree& full_topo, int nodes,
                              double fault_free_s, double multiple, int salt,
                              const StudyConfig& cfg) {
   RR_EXPECTS(fault_free_s > 0.0);
@@ -181,7 +181,7 @@ IntervalPoint interval_point(const arch::SystemSpec& system,
 }
 
 std::vector<IntervalPoint> interval_sweep(const arch::SystemSpec& system,
-                                          const topo::Topology& full_topo,
+                                          const topo::FatTree& full_topo,
                                           int nodes, double fault_free_s,
                                           const std::vector<double>& multiples,
                                           const StudyConfig& cfg) {

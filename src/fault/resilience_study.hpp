@@ -69,18 +69,18 @@ double sweep_fault_free_s(int nodes, int iterations);
 
 /// Evaluate one (node count, fault-free time) point end to end.
 ResiliencePoint study_point(const arch::SystemSpec& system,
-                            const topo::Topology& full_topo, int nodes,
+                            const topo::FatTree& full_topo, int nodes,
                             double fault_free_s, const StudyConfig& cfg);
 
 /// Interrupted-HPL study over `node_counts`.
 std::vector<ResiliencePoint> hpl_study(const arch::SystemSpec& system,
-                                       const topo::Topology& full_topo,
+                                       const topo::FatTree& full_topo,
                                        const std::vector<int>& node_counts,
                                        const StudyConfig& cfg = {});
 
 /// Interrupted timed Sweep3D study over `node_counts`.
 std::vector<ResiliencePoint> sweep_study(const arch::SystemSpec& system,
-                                         const topo::Topology& full_topo,
+                                         const topo::FatTree& full_topo,
                                          const std::vector<int>& node_counts,
                                          int iterations,
                                          const StudyConfig& cfg = {});
@@ -94,7 +94,7 @@ struct IntervalPoint {
   double simulated_s = 0.0;
 };
 std::vector<IntervalPoint> interval_sweep(const arch::SystemSpec& system,
-                                          const topo::Topology& full_topo,
+                                          const topo::FatTree& full_topo,
                                           int nodes, double fault_free_s,
                                           const std::vector<double>& multiples,
                                           const StudyConfig& cfg = {});
@@ -103,7 +103,7 @@ std::vector<IntervalPoint> interval_sweep(const arch::SystemSpec& system,
 /// fault_free).  `salt` feeds the Monte-Carlo seed; the serial sweep uses
 /// salt = point index + 1, and the parallel engine must match it.
 IntervalPoint interval_point(const arch::SystemSpec& system,
-                             const topo::Topology& full_topo, int nodes,
+                             const topo::FatTree& full_topo, int nodes,
                              double fault_free_s, double multiple, int salt,
                              const StudyConfig& cfg = {});
 

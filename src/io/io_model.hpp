@@ -7,7 +7,6 @@
 #pragma once
 
 #include "arch/spec.hpp"
-#include "topo/topology.hpp"
 #include "util/units.hpp"
 
 namespace rr::io {

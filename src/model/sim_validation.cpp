@@ -10,7 +10,7 @@ namespace rr::model {
 
 SimulatedIteration simulate_iteration(const SweepWorkload& w, int px, int py,
                                       const SweepCompute& compute,
-                                      const topo::Topology& topo,
+                                      const topo::FatTree& topo,
                                       bool best_case_pcie) {
   RR_EXPECTS(px >= 1 && py >= 1);
   RR_EXPECTS(w.angles == sweep::kAnglesPerOctant);
@@ -29,7 +29,7 @@ SimulatedIteration simulate_iteration(const SweepWorkload& w, int px, int py,
 }
 
 double model_vs_des_gap(const SweepWorkload& w, int px, int py,
-                        const SweepCompute& compute, const topo::Topology& topo) {
+                        const SweepCompute& compute, const topo::FatTree& topo) {
   const SimulatedIteration des = simulate_iteration(w, px, py, compute, topo);
   const CommMode mode = px * py <= 8 ? CommMode::kIntraSocketEib
                                      : CommMode::kMeasuredEarly;

@@ -28,12 +28,12 @@ struct SimulatedIteration {
 /// PCIe).  Requires px*py <= 32 * topology node count.
 SimulatedIteration simulate_iteration(const SweepWorkload& w, int px, int py,
                                       const SweepCompute& compute,
-                                      const topo::Topology& topo,
+                                      const topo::FatTree& topo,
                                       bool best_case_pcie = false);
 
 /// Convenience: relative gap between the DES result and the analytic
 /// estimate, |des - model| / des.
 double model_vs_des_gap(const SweepWorkload& w, int px, int py,
-                        const SweepCompute& compute, const topo::Topology& topo);
+                        const SweepCompute& compute, const topo::FatTree& topo);
 
 }  // namespace rr::model

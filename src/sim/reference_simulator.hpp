@@ -64,8 +64,6 @@ class ReferenceSimulator {
   std::uint64_t events_run() const { return events_run_; }
   bool empty() const { return queue_.empty(); }
   std::size_t pending() const { return queue_.size(); }
-  /// Cancel-list residency (the unbounded-growth symptom under test).
-  std::size_t cancel_backlog() const { return cancelled_.size(); }
 
  private:
   struct Event {

@@ -163,13 +163,12 @@ class SweepJournal {
   /// The same, moving the group's entries into the journal's table.
   void append(std::vector<JournalEntry>&& group);
 
-  /// Crash hook for kill-and-resume testing: after the Nth successful
-  /// record append of this journal object (1-based), the process exits
-  /// immediately with kCrashExitCode -- no destructors, no flushes --
-  /// mimicking a SIGKILL at a scenario boundary.  Also armed by the
-  /// RR_CRASH_AFTER_N environment variable at construction.
-  void set_crash_after(int n) { crash_after_ = n; }
-  /// fault::ExitCode::kCrash -- what a SIGKILLed child reports too.
+  /// Crash hook for kill-and-resume testing (RR_CRASH_AFTER_N=N, read at
+  /// construction): after the Nth successful record append of this
+  /// journal object (1-based), the process exits at once with this code
+  /// -- fault::ExitCode::kCrash, what a SIGKILLed child reports too --
+  /// running no destructors and flushing nothing, like a SIGKILL at a
+  /// scenario boundary.
   static constexpr int kCrashExitCode = fault::to_int(fault::ExitCode::kCrash);
 
  private:

@@ -6,59 +6,29 @@
 
 namespace rr::engine {
 
-namespace {
-
-Provenance provenance_of(SweepEngine& eng, std::uint64_t base_seed) {
-  Provenance p;
-  // Engine-produced records are always "parallel", even with one worker:
-  // "serial" is reserved for the legacy serial loops, and the thread
-  // count field distinguishes 1-thread engine runs.
-  p.engine = "parallel";
-  p.threads = eng.threads();
-  p.base_seed = base_seed;
-  return p;
-}
-
-void record_points(ResultStore* store, const Provenance& prov,
-                   const std::vector<fault::ResiliencePoint>& pts,
-                   const fault::StudyConfig& cfg) {
-  if (!store) return;
-  for (const auto& pt : pts) {
-    Json r = to_json(pt);
-    // Decimal string: a 64-bit seed does not survive a double round trip.
-    r.set("seed",
-          std::to_string(fault::study_point_seed(cfg.seed, pt.nodes, 0)));
-    store->append(std::move(r), prov);
-  }
-}
-
-}  // namespace
-
 std::vector<fault::ResiliencePoint> parallel_hpl_study(
     SweepEngine& eng, const arch::SystemSpec& system,
-    const topo::Topology& full_topo, const std::vector<int>& node_counts,
-    const fault::StudyConfig& cfg, ResultStore* store) {
-  const auto out = eng.map<fault::ResiliencePoint>(
+    const topo::FatTree& full_topo, const std::vector<int>& node_counts,
+    const fault::StudyConfig& cfg) {
+  return eng.map<fault::ResiliencePoint>(
       static_cast<int>(node_counts.size()), [&](int i) {
         const int nodes = node_counts[static_cast<std::size_t>(i)];
         return fault::study_point(system, full_topo, nodes,
                                   fault::hpl_fault_free_s(system, nodes), cfg);
       });
-  record_points(store, provenance_of(eng, cfg.seed), out, cfg);
-  return out;
 }
 
 std::vector<fault::ResiliencePoint> parallel_sweep_study(
     SweepEngine& eng, const arch::SystemSpec& system,
-    const topo::Topology& full_topo, const std::vector<int>& node_counts,
-    int iterations, const fault::StudyConfig& cfg, ResultStore* store) {
+    const topo::FatTree& full_topo, const std::vector<int>& node_counts,
+    int iterations, const fault::StudyConfig& cfg) {
   RR_EXPECTS(iterations >= 1);
   // The fault-free time is scale_point().cell_measured_s * iterations,
   // exactly as fault::sweep_fault_free_s computes it -- but with the SPE
   // rate tables from the shared context instead of a fresh SPU pipeline
   // simulation per point.
   const SharedContext& ctx = SharedContext::instance();
-  const auto out = eng.map<fault::ResiliencePoint>(
+  return eng.map<fault::ResiliencePoint>(
       static_cast<int>(node_counts.size()), [&](int i) {
         const int nodes = node_counts[static_cast<std::size_t>(i)];
         const double fault_free_s =
@@ -67,16 +37,13 @@ std::vector<fault::ResiliencePoint> parallel_sweep_study(
             iterations;
         return fault::study_point(system, full_topo, nodes, fault_free_s, cfg);
       });
-  record_points(store, provenance_of(eng, cfg.seed), out, cfg);
-  return out;
 }
 
 std::vector<fault::IntervalPoint> parallel_interval_sweep(
     SweepEngine& eng, const arch::SystemSpec& system,
-    const topo::Topology& full_topo, int nodes, double fault_free_s,
-    const std::vector<double>& multiples, const fault::StudyConfig& cfg,
-    ResultStore* store) {
-  const auto out = eng.map<fault::IntervalPoint>(
+    const topo::FatTree& full_topo, int nodes, double fault_free_s,
+    const std::vector<double>& multiples, const fault::StudyConfig& cfg) {
+  return eng.map<fault::IntervalPoint>(
       static_cast<int>(multiples.size()), [&](int i) {
         // Serial interval_sweep salts the Monte-Carlo seed with the point
         // index + 1; replay the same salt so streams line up.
@@ -84,33 +51,17 @@ std::vector<fault::IntervalPoint> parallel_interval_sweep(
                                      multiples[static_cast<std::size_t>(i)],
                                      i + 1, cfg);
       });
-  if (store) {
-    const Provenance prov = provenance_of(eng, cfg.seed);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      Json r = to_json(out[i]);
-      r.set("nodes", nodes)
-          .set("seed", std::to_string(fault::study_point_seed(
-                           cfg.seed, nodes, static_cast<int>(i) + 1)));
-      store->append(std::move(r), prov);
-    }
-  }
-  return out;
 }
 
 std::vector<model::ScalePoint> parallel_scale_series(
     SweepEngine& eng, const std::vector<int>& node_counts,
-    const model::SweepWorkload& w, ResultStore* store) {
+    const model::SweepWorkload& w) {
   const SharedContext& ctx = SharedContext::instance();
-  const auto out = eng.map<model::ScalePoint>(
+  return eng.map<model::ScalePoint>(
       static_cast<int>(node_counts.size()), [&](int i) {
         return model::scale_point(node_counts[static_cast<std::size_t>(i)], w,
                                   ctx.spe_pxc(), ctx.opteron_1800());
       });
-  if (store) {
-    const Provenance prov = provenance_of(eng, 0);
-    for (const auto& pt : out) store->append(to_json(pt), prov);
-  }
-  return out;
 }
 
 Json hpl_campaign_params(const std::vector<int>& node_counts,

@@ -17,35 +17,33 @@
 #include "model/sweep_model.hpp"
 #include "sweep_engine/context.hpp"
 #include "sweep_engine/engine.hpp"
-#include "sweep_engine/result_store.hpp"
+#include "util/json.hpp"
 
 namespace rr::engine {
 
 /// Parallel fault::hpl_study: one scenario per node count.
 std::vector<fault::ResiliencePoint> parallel_hpl_study(
     SweepEngine& eng, const arch::SystemSpec& system,
-    const topo::Topology& full_topo, const std::vector<int>& node_counts,
-    const fault::StudyConfig& cfg = {}, ResultStore* store = nullptr);
+    const topo::FatTree& full_topo, const std::vector<int>& node_counts,
+    const fault::StudyConfig& cfg = {});
 
 /// Parallel fault::sweep_study (timed Sweep3D under failures).  Uses the
 /// memoized SPE rate tables; identical numbers to the serial study.
 std::vector<fault::ResiliencePoint> parallel_sweep_study(
     SweepEngine& eng, const arch::SystemSpec& system,
-    const topo::Topology& full_topo, const std::vector<int>& node_counts,
-    int iterations, const fault::StudyConfig& cfg = {},
-    ResultStore* store = nullptr);
+    const topo::FatTree& full_topo, const std::vector<int>& node_counts,
+    int iterations, const fault::StudyConfig& cfg = {});
 
 /// Parallel fault::interval_sweep at a fixed node count.
 std::vector<fault::IntervalPoint> parallel_interval_sweep(
     SweepEngine& eng, const arch::SystemSpec& system,
-    const topo::Topology& full_topo, int nodes, double fault_free_s,
-    const std::vector<double>& multiples, const fault::StudyConfig& cfg = {},
-    ResultStore* store = nullptr);
+    const topo::FatTree& full_topo, int nodes, double fault_free_s,
+    const std::vector<double>& multiples, const fault::StudyConfig& cfg = {});
 
 /// Parallel model::figure13_series, SPU rate tables computed once.
 std::vector<model::ScalePoint> parallel_scale_series(
     SweepEngine& eng, const std::vector<int>& node_counts,
-    const model::SweepWorkload& w = {}, ResultStore* store = nullptr);
+    const model::SweepWorkload& w = {});
 
 /// Parallel comm::FabricModel::latency_sweep: destinations are chunked
 /// across scenarios and reassembled in node order.

@@ -11,7 +11,7 @@ std::pair<int, int> ordered(int a, int b) {
 }
 }  // namespace
 
-DegradedTopology::DegradedTopology(const Topology& base)
+DegradedTopology::DegradedTopology(const FatTree& base)
     : base_(&base),
       xbar_failed_(static_cast<std::size_t>(base.crossbar_count()), 0),
       node_failed_(static_cast<std::size_t>(base.node_count()), 0) {}
@@ -107,7 +107,7 @@ bool path_valid(const DegradedTopology& d, NodeId src, NodeId dst,
 RouteAudit audit_routes(const DegradedTopology& d, int src_stride,
                         int dst_stride) {
   RR_EXPECTS(src_stride >= 1 && dst_stride >= 1);
-  const Topology& t = d.base();
+  const FatTree& t = d.base();
   RouteAudit audit;
   for (int s = 0; s < t.node_count(); s += src_stride) {
     const NodeId src{s};

@@ -1,7 +1,7 @@
-// Degraded operation of a fabric: an overlay on an immutable Topology
+// Degraded operation of a fabric: an overlay on an immutable FatTree
 // that marks crossbars, cables, and nodes as failed and reroutes around
-// them.  The rerouting discipline is the topology's own
-// (Topology::route_degraded): the fat tree preserves its deterministic
+// them.  The rerouting discipline is the fat tree's own
+// (FatTree::route_degraded): it preserves its deterministic
 // destination-indexed up*/down* structure instead of falling back to
 // shortest paths, so routes stay loop-free and are a pure function of
 // the fault set.
@@ -14,15 +14,15 @@
 #include <utility>
 #include <vector>
 
-#include "topo/topology.hpp"
+#include "topo/fat_tree.hpp"
 
 namespace rr::topo {
 
 class DegradedTopology {
  public:
-  explicit DegradedTopology(const Topology& base);
+  explicit DegradedTopology(const FatTree& base);
 
-  const Topology& base() const { return *base_; }
+  const FatTree& base() const { return *base_; }
 
   // ---- fault injection ----------------------------------------------------
   void fail_crossbar(int id);
@@ -30,7 +30,7 @@ class DegradedTopology {
   void fail_link(int a, int b);
   void fail_node(NodeId n);
   /// A whole switch chassis: all of its member crossbars at once (shared
-  /// chassis, power, and management plane; Topology::switch_members).
+  /// chassis, power, and management plane; FatTree::switch_members).
   void fail_inter_cu_switch(int sw);
   /// Back to the pristine fabric.
   void reset();
@@ -55,12 +55,12 @@ class DegradedTopology {
   std::optional<int> hop_count(NodeId src, NodeId dst) const;
 
   /// BFS crossbar distance on the *surviving* fabric (same convention as
-  /// Topology::bfs_crossbar_distance: the start crossbar counts as one).
+  /// FatTree::bfs_crossbar_distance: the start crossbar counts as one).
   /// Failed crossbars keep distance -1 -- including the start itself.
   std::vector<int> bfs_crossbar_distance(int xbar_id) const;
 
  private:
-  const Topology* base_;
+  const FatTree* base_;
   std::vector<char> xbar_failed_;
   std::vector<char> node_failed_;
   std::vector<std::pair<int, int>> cut_links_;  // sorted pairs (a < b)

@@ -15,14 +15,11 @@ CliParser::CliParser(int argc, const char* const* argv,
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
-    }
+    if (arg.rfind("--", 0) != 0) usage_error(arg, "unexpected argument");
     arg.erase(0, 2);
     const auto eq = arg.find('=');
     std::string name = arg.substr(0, eq);
-    if (!names_.contains(name)) usage_error(name, "unknown flag");
+    if (!names_.contains(name)) usage_error("--" + name, "unknown flag");
     // A bare --name is a boolean switch.
     flags_[std::move(name)] =
         eq == std::string::npos ? "true" : arg.substr(eq + 1);
@@ -58,7 +55,8 @@ std::int64_t CliParser::get_int(const std::string& name, std::int64_t fallback) 
   const std::string* text = find(name);
   if (!text) return fallback;
   std::int64_t v = 0;
-  if (!parse_whole(*text, v)) usage_error(name + "=" + *text, "not an integer");
+  if (!parse_whole(*text, v))
+    usage_error("--" + name + "=" + *text, "not an integer");
   return v;
 }
 
@@ -67,7 +65,7 @@ int CliParser::get_int(const std::string& name, int fallback, int lo,
   const std::int64_t v = get_int(name, fallback);
   if (v < lo || v > hi) {
     const std::string* text = find(name);
-    usage_error(name + "=" + (text ? *text : std::to_string(v)),
+    usage_error("--" + name + "=" + (text ? *text : std::to_string(v)),
                 "out of range [" + std::to_string(lo) + ", " +
                     std::to_string(hi) + "]");
   }
@@ -79,13 +77,13 @@ double CliParser::get_double(const std::string& name, double fallback) const {
   if (!text) return fallback;
   double v = 0.0;
   if (!parse_whole(*text, v) || !std::isfinite(v))
-    usage_error(name + "=" + *text, "not a number");
+    usage_error("--" + name + "=" + *text, "not a number");
   return v;
 }
 
-void CliParser::usage_error(const std::string& flag,
+void CliParser::usage_error(const std::string& arg,
                             const std::string& what) const {
-  std::cerr << program_ << ": --" << flag << ": " << what << "\n";
+  std::cerr << program_ << ": " << arg << ": " << what << "\n";
   std::exit(kUsageExitCode);
 }
 

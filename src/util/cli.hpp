@@ -1,9 +1,10 @@
 // Tiny command-line flag parser for examples and bench binaries.
-// Supports --name=value plus bare --name boolean switches; everything else
-// is positional.  (No "--name value" form: it is ambiguous with positional
-// arguments.)  Flags are validated at the edge: a binary declares the
-// names it reads, a flag outside them is a usage error, and numeric
-// getters accept only one complete number of the requested type.
+// Supports --name=value plus bare --name boolean switches, and nothing
+// else: no binary takes a positional argument, so one is a usage error
+// (and so is the value of a "--name value" form).  Flags are validated at
+// the edge: a binary declares the names it reads, a flag outside them is
+// a usage error, and numeric getters accept only one complete number of
+// the requested type.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace rr {
 
@@ -21,7 +21,8 @@ class CliParser {
   /// Parse argv against `names`, the flags this binary reads.  A --name
   /// or --name=value whose name is not among them prints
   /// "<program>: --<name>: unknown flag" to stderr and exits with
-  /// kUsageExitCode.
+  /// kUsageExitCode; an argument that is not a flag prints
+  /// "<program>: <arg>: unexpected argument" and exits the same way.
   CliParser(int argc, const char* const* argv,
             std::initializer_list<std::string_view> names);
 
@@ -50,20 +51,18 @@ class CliParser {
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 
-  /// Positional (non-flag) arguments in order.
-  const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 
  private:
   /// The given value of declared flag `name`, or null when absent.
   const std::string* find(const std::string& name) const;
-  [[noreturn]] void usage_error(const std::string& flag,
+  /// Print "<program>: <arg>: <what>" to stderr, exit kUsageExitCode.
+  [[noreturn]] void usage_error(const std::string& arg,
                                 const std::string& what) const;
 
   std::string program_;
   std::set<std::string> names_;
   std::map<std::string, std::string> flags_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace rr

@@ -32,6 +32,7 @@
 #include "model/sweep_model.hpp"
 #include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
+#include "sweep_engine/result_store.hpp"
 #include "sweep_engine/studies.hpp"
 #include "util/env.hpp"
 #include "util/fileio.hpp"

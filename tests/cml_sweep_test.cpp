@@ -7,9 +7,9 @@
 namespace rr::sweep {
 namespace {
 
-const topo::Topology& one_cu_topo() {
+const topo::FatTree& one_cu_topo() {
   static const topo::FatTree t = [] {
-    topo::TopologyParams p;
+    topo::FatTreeParams p;
     p.cu_count = 1;
     return topo::FatTree::build(p);
   }();

@@ -11,9 +11,9 @@ namespace {
 
 namespace cal = rr::arch::cal;
 
-const topo::Topology& small_topo() {
+const topo::FatTree& small_topo() {
   static const topo::FatTree t = [] {
-    topo::TopologyParams p;
+    topo::FatTreeParams p;
     p.cu_count = 2;
     return topo::FatTree::build(p);
   }();

@@ -191,7 +191,7 @@ TEST(Fig9, RatioApproachesOneAtLargeSizes) {
 
 class Fig10Test : public ::testing::Test {
  protected:
-  static const topo::Topology& topo() {
+  static const topo::FatTree& topo() {
     static const topo::FatTree t = topo::FatTree::roadrunner();
     return t;
   }
@@ -276,7 +276,7 @@ Duration relay_time(const SimNetwork& net, int src, int dst, DataSize n) {
 TEST(SimNetwork, IbTransferTakesModelTime) {
   sim::Simulator sim;
   sim::TaskRegistry reg(sim);
-  topo::TopologyParams p;
+  topo::FatTreeParams p;
   p.cu_count = 2;
   const topo::FatTree t = topo::FatTree::build(p);
   SimNetwork net(sim, t);
@@ -291,7 +291,7 @@ TEST(SimNetwork, IbTransferTakesModelTime) {
 TEST(SimNetwork, SenderHcaSerializesConcurrentSends) {
   sim::Simulator sim;
   sim::TaskRegistry reg(sim);
-  topo::TopologyParams p;
+  topo::FatTreeParams p;
   p.cu_count = 2;
   const topo::FatTree t = topo::FatTree::build(p);
   SimNetwork net(sim, t);
@@ -308,7 +308,7 @@ TEST(SimNetwork, SenderHcaSerializesConcurrentSends) {
 
 TEST(SimNetwork, BestCasePcieIsFasterThanDacs) {
   sim::Simulator sim;
-  topo::TopologyParams p;
+  topo::FatTreeParams p;
   p.cu_count = 1;
   const topo::FatTree t = topo::FatTree::build(p);
   SimNetwork early(sim, t, NetworkConfig{4, false});
@@ -337,7 +337,7 @@ TEST(SimNetwork, IbLegMatchesFig10Latency) {
 TEST(SimNetwork, BusyTimeIsTheSumOfServiceTimes) {
   sim::Simulator sim;
   sim::TaskRegistry reg(sim);
-  topo::TopologyParams p;
+  topo::FatTreeParams p;
   p.cu_count = 2;
   const topo::FatTree t = topo::FatTree::build(p);
   SimNetwork net(sim, t);
@@ -364,7 +364,7 @@ TEST(SimNetwork, EibGaugeIsTheMachineWideBusyTime) {
   // elapsed time, so the EIB is exported in seconds, not as a utilization.
   sim::Simulator sim;
   sim::TaskRegistry reg(sim);
-  topo::TopologyParams p;
+  topo::FatTreeParams p;
   p.cu_count = 1;
   const topo::FatTree t = topo::FatTree::build(p);
   SimNetwork net(sim, t);

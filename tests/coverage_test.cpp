@@ -103,7 +103,7 @@ TEST(PowerModel, NodePowerIsComponentSum) {
 
 TEST(FabricEdges, SelfLatencyIsZero) {
   static const topo::FatTree t = [] {
-    topo::TopologyParams p;
+    topo::FatTreeParams p;
     p.cu_count = 1;
     return topo::FatTree::build(p);
   }();
@@ -112,7 +112,7 @@ TEST(FabricEdges, SelfLatencyIsZero) {
 }
 
 TEST(FabricEdges, SweepSkipsTheSource) {
-  topo::TopologyParams p;
+  topo::FatTreeParams p;
   p.cu_count = 1;
   const topo::FatTree t = topo::FatTree::build(p);
   const comm::FabricModel fabric(t);
@@ -122,7 +122,7 @@ TEST(FabricEdges, SweepSkipsTheSource) {
 }
 
 TEST(FabricEdges, PinnedAlwaysBeatsDefaultAtLargeSizes) {
-  topo::TopologyParams p;
+  topo::FatTreeParams p;
   p.cu_count = 2;
   const topo::FatTree t = topo::FatTree::build(p);
   const comm::FabricModel fabric(t);

@@ -12,7 +12,7 @@ namespace cal = rr::arch::cal;
 
 const topo::FatTree& one_cu() {
   static const topo::FatTree tree = [] {
-    topo::TopologyParams p;
+    topo::FatTreeParams p;
     p.cu_count = 1;
     return topo::FatTree::build(p);
   }();

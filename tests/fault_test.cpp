@@ -40,7 +40,7 @@ TEST(Census, FullMachineComponentCounts) {
 }
 
 TEST(Census, LinkCountIsTheCableListLength) {
-  const auto check = [](const topo::Topology& t, const std::string& what) {
+  const auto check = [](const topo::FatTree& t, const std::string& what) {
     EXPECT_EQ(static_cast<std::size_t>(census(t).links), cable_list(t).size())
         << what;
   };

@@ -65,7 +65,7 @@ TEST(Collectives, AllreduceIsTwiceBroadcast) {
 
 // Cross-validation: the analytic barrier bound vs the CML DES execution.
 TEST(Collectives, AnalyticBarrierBoundsTheDesWithinSocket) {
-  topo::TopologyParams tp;
+  topo::FatTreeParams tp;
   tp.cu_count = 1;
   const topo::FatTree topo = topo::FatTree::build(tp);
   sim::Simulator simulator;

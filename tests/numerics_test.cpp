@@ -131,7 +131,7 @@ TEST(Event, DoubleSetIsIdempotent) {
 // ---------------------------------------------------------------------------
 
 topo::FatTree one_cu_tree() {
-  topo::TopologyParams p;
+  topo::FatTreeParams p;
   p.cu_count = 1;
   return topo::FatTree::build(p);
 }

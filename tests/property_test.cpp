@@ -53,7 +53,7 @@ class TopologyInvariants : public ::testing::TestWithParam<int> {
     const std::lock_guard<std::mutex> lock(mu);
     auto it = cache.find(cu_count);
     if (it == cache.end()) {
-      topo::TopologyParams p;
+      topo::FatTreeParams p;
       p.cu_count = cu_count;
       it = cache.emplace(cu_count, topo::FatTree::build(p)).first;
     }
@@ -63,7 +63,7 @@ class TopologyInvariants : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(TopologyInvariants, HistogramAccountsForEveryNode) {
-  const topo::Topology& t = build();
+  const topo::FatTree& t = build();
   const auto hist = t.hop_histogram(topo::NodeId{0});
   int total = 0;
   for (const int c : hist) total += c;
@@ -73,7 +73,7 @@ TEST_P(TopologyInvariants, HistogramAccountsForEveryNode) {
 TEST_P(TopologyInvariants, HopCountsAreOddOrZero) {
   // Every route visits alternating levels, so crossbar counts are odd
   // (source and destination crossbars included) except self = 0.
-  const topo::Topology& t = build();
+  const topo::FatTree& t = build();
   const auto hist = t.hop_histogram(topo::NodeId{0});
   for (std::size_t h = 0; h < hist.size(); ++h) {
     if (h == 0) continue;
@@ -84,12 +84,12 @@ TEST_P(TopologyInvariants, HopCountsAreOddOrZero) {
 }
 
 TEST_P(TopologyInvariants, MaxHopsIsSeven) {
-  const topo::Topology& t = build();
+  const topo::FatTree& t = build();
   EXPECT_LE(t.hop_histogram(topo::NodeId{0}).size(), 8u);
 }
 
 TEST_P(TopologyInvariants, RandomRoutesAreValidAndSymmetricInLength) {
-  const topo::Topology& t = build();
+  const topo::FatTree& t = build();
   Rng rng(GetParam() * 1000 + 7);
   for (int trial = 0; trial < 50; ++trial) {
     const int a = static_cast<int>(rng.next_below(t.node_count()));

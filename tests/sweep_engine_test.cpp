@@ -196,68 +196,23 @@ TEST(SweepEngine, ResultsIndependentOfCompletionOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Result store records and provenance
+// The JSON form of a resilience point (campaign scenario metrics)
 // ---------------------------------------------------------------------------
 
-TEST(ResultStore, RecordsCarryParamsMetricsSeedAndProvenance) {
-  const auto& ctx = engine::SharedContext::instance();
-  engine::SweepEngine eng({2});
-  engine::ResultStore store;
-  const auto cfg = quick_config();
-  engine::parallel_hpl_study(eng, ctx.system(), ctx.topology(), study_nodes(),
-                             cfg, &store);
-  ASSERT_EQ(store.size(), study_nodes().size());
-
-  std::ostringstream os;
-  store.write(os);
-  std::istringstream is(os.str());
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(is, line)) {
-    const Json rec = Json::parse(line);
-    ASSERT_EQ(rec.kind(), Json::Kind::kObject) << line;
-    ASSERT_NE(rec.find("nodes"), nullptr);
-    ASSERT_NE(rec.find("seed"), nullptr);
-    ASSERT_NE(rec.find("simulated_s"), nullptr);
-    const Json* prov = rec.find("provenance");
-    ASSERT_NE(prov, nullptr);
-    EXPECT_EQ(prov->at("engine").as_string(), "parallel");
-    EXPECT_EQ(prov->at("threads").as_double(), 2.0);
-    EXPECT_EQ(prov->at("base_seed").as_string(), std::to_string(cfg.seed));
-    ++lines;
-  }
-  EXPECT_EQ(lines, store.size());
-
-  // The stored seed is exactly the serial derivation for that scenario
-  // (a decimal string: 64-bit seeds don't fit in a JSON double).
-  const Json first = Json::parse(os.str().substr(0, os.str().find('\n')));
-  EXPECT_EQ(first.at("seed").as_string(),
-            std::to_string(fault::study_point_seed(cfg.seed, study_nodes()[0], 0)));
-
-  // A node count past int range is rejected, not wrapped.
-  EXPECT_EQ(engine::resilience_point_from_json(first).nodes, study_nodes()[0]);
-  Json wide = first;
-  wide.set("nodes", Json(std::int64_t{4294967297}));
-  EXPECT_THROW(engine::resilience_point_from_json(wide), JsonError);
-}
-
-TEST(ResultStore, OneThreadEngineRunsStillStampParallel) {
-  // "serial" provenance is reserved for the legacy serial loops; an
-  // engine run with one worker is distinguished by threads=1, not by
-  // pretending it came from the serial code path.
+TEST(ResiliencePointJson, RoundTripsBitExactlyAndRejectsNodesPastIntRange) {
   const auto& ctx = engine::SharedContext::instance();
   engine::SweepEngine eng({1});
-  engine::ResultStore store;
-  engine::parallel_hpl_study(eng, ctx.system(), ctx.topology(), {180},
-                             quick_config(), &store);
-  ASSERT_EQ(store.size(), 1u);
-  std::ostringstream os;
-  store.write(os);
-  const Json rec = Json::parse(os.str().substr(0, os.str().find('\n')));
-  const Json* prov = rec.find("provenance");
-  ASSERT_NE(prov, nullptr);
-  EXPECT_EQ(prov->at("engine").as_string(), "parallel");
-  EXPECT_EQ(prov->at("threads").as_double(), 1.0);
+  const auto pts = engine::parallel_hpl_study(eng, ctx.system(), ctx.topology(),
+                                              {180}, quick_config());
+  ASSERT_EQ(pts.size(), 1u);
+  const Json rec = Json::parse(engine::to_json(pts[0]).dump());
+  expect_identical({engine::resilience_point_from_json(rec)}, pts,
+                   "decoded point");
+
+  // A node count past int range is rejected, not wrapped.
+  Json wide = rec;
+  wide.set("nodes", Json(std::int64_t{4294967297}));
+  EXPECT_THROW(engine::resilience_point_from_json(wide), JsonError);
 }
 
 // ---------------------------------------------------------------------------

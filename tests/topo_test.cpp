@@ -5,6 +5,8 @@
 #include <map>
 #include <set>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "topo/degraded.hpp"
@@ -28,6 +30,20 @@ TEST(Topology, SizesMatchPaper) {
   EXPECT_EQ(t.cu_count(), 17);
   // 17 CUs x 36 crossbars + 8 switches x 36 crossbars = 900.
   EXPECT_EQ(t.crossbar_count(), 900);
+}
+
+// A FatTree moves its crossbar graph instead of copying it: a base class
+// or a user-declared destructor or copy would silently bring the copy
+// back (every RoadrunnerSystem and benchmark set-up moves one).
+static_assert(std::is_nothrow_move_constructible_v<FatTree>);
+
+TEST(Topology, MoveKeepsTheCrossbarStorage) {
+  FatTree t = FatTree::roadrunner();
+  const Crossbar* first = &t.crossbar(0);
+  const FatTree moved = std::move(t);
+  EXPECT_EQ(&moved.crossbar(0), first);
+  EXPECT_EQ(moved.crossbar_count(), 900);
+  EXPECT_EQ(moved.hop_count(NodeId{0}, NodeId{3059}), 7);
 }
 
 TEST(Topology, LowerCrossbarPopulation) {
@@ -364,7 +380,7 @@ TEST(TableI, LastFiveCuSourceSeesMirroredClasses) {
 // ---------------------------------------------------------------------------
 
 TEST(CustomTopology, TwoCuSystemHasNoSevenHopRoutes) {
-  TopologyParams p;
+  FatTreeParams p;
   p.cu_count = 2;
   const FatTree t = FatTree::build(p);
   EXPECT_EQ(t.node_count(), 360);
@@ -375,7 +391,7 @@ TEST(CustomTopology, TwoCuSystemHasNoSevenHopRoutes) {
 }
 
 TEST(CustomTopology, ThirteenCuSystemHasBothSides) {
-  TopologyParams p;
+  FatTreeParams p;
   p.cu_count = 13;
   const FatTree t = FatTree::build(p);
   const std::vector<int> hist = t.hop_histogram(NodeId{0});
@@ -478,9 +494,9 @@ TEST(DegradedContract, AuditRejectsFailedFirstOrLastCrossbarOnFatTree) {
 }
 
 TEST(CustomTopology, AverageHopsGrowsWithCuCount) {
-  TopologyParams small;
+  FatTreeParams small;
   small.cu_count = 4;
-  TopologyParams big;
+  FatTreeParams big;
   big.cu_count = 17;
   const double avg_small = FatTree::build(small).average_hops(NodeId{0});
   const double avg_big = FatTree::build(big).average_hops(NodeId{0});

@@ -212,7 +212,7 @@ TEST(TraceRecorder, EscapedOutputIsParseableJson) {
 }
 
 TEST(TraceRecorder, CmlRunProducesLinkSpans) {
-  topo::TopologyParams tp;
+  topo::FatTreeParams tp;
   tp.cu_count = 1;
   const topo::FatTree topo = topo::FatTree::build(tp);
   Simulator simulator;

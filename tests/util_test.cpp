@@ -222,12 +222,15 @@ TEST(Table, CsvQuotesSpecials) {
 
 TEST(Cli, ParsesEqualsFormAndSwitches) {
   const char* argv[] = {"prog", "--alpha=3", "--beta=4.5", "--flag", "pos"};
-  const CliParser cli(5, argv, {"alpha", "beta", "flag"});
+  const CliParser cli(4, argv, {"alpha", "beta", "flag"});
   EXPECT_EQ(cli.get_int("alpha", 0), 3);
   EXPECT_DOUBLE_EQ(cli.get_double("beta", 0.0), 4.5);
   EXPECT_TRUE(cli.get_bool("flag", false));
-  ASSERT_EQ(cli.positional().size(), 1u);
-  EXPECT_EQ(cli.positional()[0], "pos");
+  // No binary takes a positional argument: one after the flags is a
+  // usage error, not silently kept.
+  EXPECT_EXIT(CliParser(5, argv, {"alpha", "beta", "flag"}),
+              ::testing::ExitedWithCode(CliParser::kUsageExitCode),
+              "prog: pos: unexpected argument");
 }
 
 TEST(Cli, FallbacksWhenAbsent) {
@@ -324,12 +327,18 @@ TEST(CliDeathTest, UnknownFlagsAreUsageErrors) {
   EXPECT_EXIT(int_flag("--wokers=3"), usage, "prog: --wokers: unknown flag");
   EXPECT_EXIT(int_flag("--verbose"), usage, "prog: --verbose: unknown flag");
   EXPECT_EXIT(int_flag("--=3"), usage, "prog: --: unknown flag");
-  // Declared flags and positional arguments still parse.
-  const char* argv[] = {"prog", "--workers=3", "input.txt"};
-  const CliParser cli(3, argv, {"workers", "rate"});
+  // So is an argument that is not a flag -- a stale output path, or the
+  // value of a "--name value" form -- wherever it stands.
+  EXPECT_EXIT(int_flag("input.txt"), usage, "prog: input.txt: unexpected argument");
+  EXPECT_EXIT(int_flag("-w"), usage, "prog: -w: unexpected argument");
+  const char* spaced[] = {"prog", "--workers", "3"};
+  EXPECT_EXIT(CliParser(3, spaced, {"workers"}), usage,
+              "prog: 3: unexpected argument");
+  // Declared flags still parse.
+  const char* argv[] = {"prog", "--workers=3"};
+  const CliParser cli(2, argv, {"workers", "rate"});
   EXPECT_EQ(cli.get_int("workers", 1), 3);
   EXPECT_FALSE(cli.has("rate"));
-  ASSERT_EQ(cli.positional().size(), 1u);
   // Reading a name the binary never declared is a programming error.
   EXPECT_DEATH((void)cli.get("wokers", ""), "Precondition violation");
 }

@@ -9,9 +9,9 @@
 namespace rr::model {
 namespace {
 
-const topo::Topology& two_cu_topo() {
+const topo::FatTree& two_cu_topo() {
   static const topo::FatTree t = [] {
-    topo::TopologyParams p;
+    topo::FatTreeParams p;
     p.cu_count = 2;
     return topo::FatTree::build(p);
   }();
@@ -21,9 +21,9 @@ const topo::Topology& two_cu_topo() {
 /// All 17 CUs with 16 compute nodes and no I/O nodes each (272 nodes):
 /// small enough for a quick iteration whose IB legs cross CUs, so they
 /// take every hop class of Table I.
-const topo::Topology& seventeen_cu_topo() {
+const topo::FatTree& seventeen_cu_topo() {
   static const topo::FatTree t = [] {
-    topo::TopologyParams p;
+    topo::FatTreeParams p;
     p.compute_nodes_per_cu = 16;
     p.io_nodes_per_cu = 0;
     return topo::FatTree::build(p);
@@ -151,7 +151,7 @@ TEST(SimValidation, SimulatedTimeAndLegsArePinned) {
   struct Pin {
     int px, py, kt;
     bool best_case_pcie;
-    const topo::Topology& topo;
+    const topo::FatTree& topo;
     std::int64_t ps;
     std::uint64_t legs;
     std::uint64_t events;
