@@ -34,6 +34,11 @@
 //        checked-in floor values; a floor file that lacks a gated key or
 //        names one nothing gates exits 2 before any workload runs),
 //        --report=PATH (obs run report).
+//
+// Exit codes (fault::ExitCode): 0 when every gate holds; 1 when a gate
+// fails (a floor regression, the cancel-heavy speedup or pool growth) or
+// an output cannot be written; 2 for a usage error or a rejected floor
+// file.
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -44,6 +49,7 @@
 #include <vector>
 
 #include "cml/cml.hpp"
+#include "fault/taxonomy.hpp"
 #include "model/sweep_model.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -394,5 +400,5 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  return ok ? 0 : 2;
+  return fault::to_int(ok ? fault::ExitCode::kClean : fault::ExitCode::kError);
 }

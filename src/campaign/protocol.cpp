@@ -277,4 +277,12 @@ FrameTrace trace_from_json(const Json& j) {
   return {spans_from_json(j.at("spans")), spans_from_json(j.at("recvs"))};
 }
 
+std::optional<std::string> take_metrics_text(Json& msg) {
+  if (!msg.find("metrics")) return std::nullopt;
+  Json& field = msg.at("metrics");
+  if (field.kind() != Json::Kind::kString)
+    throw std::runtime_error("frame metrics field is not snapshot text");
+  return std::move(field.as_string());
+}
+
 }  // namespace rr::campaign

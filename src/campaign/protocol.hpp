@@ -27,8 +27,11 @@
 // "entries" are the chunk's results, one journal record each
 // (engine::to_json of a JournalEntry, without the checksum): the
 // coordinator appends them to the campaign's only journal.  "metrics" is
-// the worker incarnation's cumulative absolute metrics snapshot in the
-// obs fleet wire form (obs/fleet.hpp).
+// the worker incarnation's cumulative absolute metrics snapshot as text:
+// a JSON string holding the compact rr-metrics v1 document
+// (obs::snapshot_to_wire(...).dump(), obs/fleet.hpp).  The coordinator
+// keeps only each incarnation's latest text, undecoded, and decodes it
+// once, when the incarnation retires.
 //
 // When the campaign traces, every frame also carries "sent", its send
 // time, and progress and done carry "trace" (FrameTrace below): what the
@@ -39,6 +42,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -134,5 +138,10 @@ struct FrameTrace {
 /// a bad time, or an end before its start throws std::runtime_error.
 Json trace_to_json(const FrameTrace& trace);
 FrameTrace trace_from_json(const Json& j);
+
+/// The "metrics" text of a progress or done frame, moved out of `msg`
+/// undecoded; nullopt when the frame carries none.  Throws
+/// std::runtime_error when the field is not a string: a corrupt frame.
+std::optional<std::string> take_metrics_text(Json& msg);
 
 }  // namespace rr::campaign

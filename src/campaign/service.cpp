@@ -97,13 +97,15 @@ engine::ResilientConfig shard_resilient_config(const CampaignSpec& spec,
                                            std::to_string(shard) + ".json");
 
   // Progress and done frames carry this incarnation's cumulative metrics
-  // snapshot, so a crash loses at most one chunk of counters, and, when
-  // tracing, the spans closed and frames received since the last report.
+  // snapshot as text (the coordinator decodes only the last one), so a
+  // crash loses at most one chunk of counters, and, when tracing, the
+  // spans closed and frames received since the last report.
   std::vector<sim::TraceRecorder::Span> recvs;
   const auto report = [&](const char* type, Json msg) {
     msg.set("t", type).set(
         "metrics",
-        obs::snapshot_to_wire(obs::MetricsRegistry::global().snapshot()));
+        obs::snapshot_to_wire(obs::MetricsRegistry::global().snapshot())
+            .dump());
     if (tracing)
       msg.set("trace", trace_to_json({spans.take_spans(),
                                       std::exchange(recvs, {})}));
@@ -237,8 +239,9 @@ struct WorkerState {
   int respawns = 0;
   int owned = 0;           ///< indices the owner table gives this shard
   std::string row;         ///< trace row of the current incarnation
-  /// Latest absolute metrics snapshot of the current incarnation.
-  std::optional<obs::Snapshot> metrics;
+  /// Latest absolute metrics snapshot of the current incarnation, as the
+  /// text its frame carried: decoded once, when the incarnation retires.
+  std::optional<std::string> metrics;
 };
 
 class Coordinator {
@@ -456,11 +459,10 @@ class Coordinator {
                                     static_cast<double>(w.shard));
     if (tracing_) record_trace(w, label, msg);
     // An absolute cumulative snapshot for this incarnation: keep only the
-    // latest (it is folded into the shard's part at retirement).
-    // snapshot_from_wire throws on garbage, retiring the worker like any
-    // other corrupt frame.
-    if (const Json* m = msg.find("metrics"))
-      w.metrics = obs::snapshot_from_wire(*m);
+    // latest text, undecoded (finish_exit decodes it).  A field that is
+    // not text throws, retiring the worker like any other corrupt frame.
+    if (std::optional<std::string> text = take_metrics_text(msg))
+      w.metrics = std::move(text);
     if (t == MsgType::kProgress) {
       // Decode and bounds-check the whole frame before acting on any of
       // it, moving each entry's metrics out of the frame.
@@ -627,12 +629,15 @@ class Coordinator {
     w.alive = false;
     w.steal_outstanding = false;
 
-    // Fold the incarnation's final absolute snapshot into the shard's
-    // fleet part; incarnations of one shard sum.  A crash loses at most
-    // the counters since its last progress frame (one chunk).
+    // Decode the incarnation's final absolute snapshot and fold it into
+    // the shard's fleet part; incarnations of one shard sum.  A crash
+    // loses at most the counters since its last progress frame (one
+    // chunk).  A text that does not decode is dropped with a warning.
     if (w.metrics) {
       try {
-        obs::merge_into(shard_stats_[w.shard], *w.metrics);
+        const obs::Snapshot snap =
+            obs::snapshot_from_wire(Json::parse(*w.metrics));
+        obs::merge_into(shard_stats_[w.shard], snap);
       } catch (const std::exception& e) {
         RR_WARN("campaign: shard " << w.shard
                                    << " metrics unmergeable: " << e.what());
@@ -799,10 +804,18 @@ void fill_counts(CampaignResult& result) {
   }
 }
 
+/// The result bytes: one compact JSON line per entry in index order.
+/// Entries hold no wall-clock state and numbers round-trip bit-exactly,
+/// so they are byte-identical between an uninterrupted run and any
+/// kill-and-resume chain of the same campaign.
 std::string entries_bytes(const Entries& entries) {
-  std::ostringstream os;
-  engine::write_entries_jsonl(entries, os);
-  return os.str();
+  std::string out;
+  for (const auto& e : entries) {
+    if (!e) continue;
+    engine::append_json(out, *e);
+    out += '\n';
+  }
+  return out;
 }
 
 /// Build a result from a verified cache hit.  The entry's bytes were read

@@ -19,7 +19,7 @@
 //                   percentiles are identical to a single registry that
 //                   observed every sample.
 // A kind or bounds mismatch throws std::runtime_error -- the campaign
-// coordinator treats that like any other corrupt frame.
+// coordinator drops that incarnation's snapshot with a warning.
 #pragma once
 
 #include <string>
@@ -33,8 +33,8 @@
 namespace rr::obs {
 
 /// {"snapshot":"rr-metrics","version":1,"metrics":[...]} -- the exact,
-/// self-identifying wire form a campaign worker ships in the `metrics`
-/// field of its `progress`/`done` frames.
+/// self-identifying wire form whose compact dump a campaign worker ships,
+/// as text, in the `metrics` field of its `progress`/`done` frames.
 Json snapshot_to_wire(const Snapshot& s);
 
 /// Parse and validate a wire snapshot.  Throws std::runtime_error on a

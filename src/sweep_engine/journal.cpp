@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -54,15 +53,40 @@ class JournalContractError : public std::runtime_error {
   throw JournalContractError("journal " + path + ": " + what);
 }
 
-/// Serialize `o` with its own FNV-1a hash spliced in as a trailing "c"
-/// field: hash the compact dump first, then insert `,"c":"<hex16>"`
-/// before the closing '}'.  The reader reverses this by re-dumping the
-/// parsed object minus "c" -- sound because Json objects preserve
-/// insertion order and our own writer's output round-trips byte-exactly.
+/// Append `v` as 16 lowercase hex digits.
+void append_hex16(std::string& out, std::uint64_t v) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  char digits[16];
+  for (int i = 15; i >= 0; --i, v >>= 4) digits[i] = kHex[v & 0xf];
+  out.append(digits, sizeof digits);
+}
+
+/// Append `v`'s decimal digits: for an int, the bytes Json's %.17g
+/// writes too.
+template <typename Int>
+void append_decimal(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// Splice the FNV-1a hash of out[from, end) -- one compact JSON object --
+/// into it as a trailing "c" field: `,"c":"<hex16>"` before its closing
+/// '}'.  The reader reverses this by re-dumping the parsed object minus
+/// "c" -- sound because Json objects preserve insertion order and our
+/// own writer's output round-trips byte-exactly.
+void splice_checksum(std::string& out, std::size_t from) {
+  const std::uint64_t hash = fnv1a_hash(std::string_view(out).substr(from));
+  out.pop_back();  // the object's '}'
+  out += ",\"c\":\"";
+  append_hex16(out, hash);
+  out += "\"}";
+}
+
+/// Serialize `o` with its own checksum spliced in (the header line).
 std::string checksummed_line(const Json& o) {
-  std::string line = o.dump();
-  const std::string tag = ",\"c\":\"" + campaign_hex(fnv1a_hash(line)) + "\"";
-  line.insert(line.size() - 1, tag);
+  std::string line;
+  o.append_to(line);
+  splice_checksum(line, 0);
   return line;
 }
 
@@ -212,6 +236,28 @@ Json to_json(const JournalEntry& e) {
   return o;
 }
 
+void append_json(std::string& out, const JournalEntry& e) {
+  out += "{\"index\":";
+  append_decimal(out, e.index);
+  out += ",\"status\":";
+  append_json_string(out, to_string(e.status));
+  out += ",\"attempts\":";
+  append_decimal(out, e.attempts);
+  out += ",\"seed\":\"";
+  append_decimal(out, e.seed);
+  out += '"';
+  if (e.ok()) {
+    out += ",\"metrics\":";
+    e.metrics.append_to(out);
+  } else {
+    out += ",\"class\":";
+    append_json_string(out, fault::to_string(e.error_class));
+    out += ",\"error\":";
+    append_json_string(out, e.error);
+  }
+  out += '}';
+}
+
 JournalEntry journal_entry_from_json(Json j) {
   JournalEntry e;
   e.index = j.at("index").as_int32();
@@ -249,10 +295,9 @@ std::uint64_t campaign_hash(const Json& params) {
 }
 
 std::string campaign_hex(std::uint64_t campaign) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(campaign));
-  return buf;
+  std::string hex;
+  append_hex16(hex, campaign);
+  return hex;
 }
 
 std::vector<std::optional<JournalEntry>> read_journal_entries(
@@ -475,12 +520,15 @@ void SweepJournal::append(std::vector<JournalEntry>&& group) {
   bool durable = false;
   if (!degraded_.load(std::memory_order_relaxed) && fd_ >= 0) {
     JournalMetrics& jm = JournalMetrics::instance();
-    // The group's record lines, newline-joined; append_line_fsync adds
-    // the final terminator and writes them all with one write(2).
+    // The group's record lines, newline-joined and each written straight
+    // from its entry; append_line_fsync adds the final terminator and
+    // writes them all with one write(2).
     std::string lines;
     for (const JournalEntry& e : group) {
       if (!lines.empty()) lines.push_back('\n');
-      lines += checksummed_line(to_json(e));
+      const std::size_t start = lines.size();
+      append_json(lines, e);
+      splice_checksum(lines, start);
     }
     // Remember where this append starts so a failed attempt's partial
     // bytes can be truncated away before the retry -- otherwise the

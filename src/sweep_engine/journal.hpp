@@ -74,6 +74,11 @@ struct JournalEntry {
 };
 
 Json to_json(const JournalEntry& e);
+/// Append the bytes of to_json(e).dump() to `out`, written straight from
+/// the entry: no tree is built and the metrics are not copied.  The
+/// journal's record lines and the campaign's result bytes are written
+/// with it.
+void append_json(std::string& out, const JournalEntry& e);
 /// Decode a record the caller hands over: its metrics are moved into the
 /// entry, not copied.
 JournalEntry journal_entry_from_json(Json j);

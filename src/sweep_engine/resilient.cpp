@@ -1,7 +1,6 @@
 #include "sweep_engine/resilient.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -204,15 +203,6 @@ ResilientReport run_resilient_indices(int n, const std::vector<int>& indices,
   }
   report.log();
   return report;
-}
-
-void write_entries_jsonl(
-    const std::vector<std::optional<JournalEntry>>& entries, std::ostream& os) {
-  for (const auto& e : entries) {
-    if (!e) continue;
-    to_json(*e).dump_to(os);
-    os << '\n';
-  }
 }
 
 }  // namespace rr::engine

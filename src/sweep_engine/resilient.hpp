@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <optional>
 #include <vector>
 
@@ -125,12 +124,5 @@ ResilientReport run_resilient_indices(int n, const std::vector<int>& indices,
                                       const ResilientScenario& fn,
                                       SweepJournal* journal,
                                       const ResilientConfig& cfg = {});
-
-/// The campaign's final artifact: one compact JSON line per completed
-/// entry in index order.  Because entries hold no wall-clock state and
-/// numbers round-trip bit-exactly, this is byte-identical between an
-/// uninterrupted run and any kill-and-resume chain of the same campaign.
-void write_entries_jsonl(const std::vector<std::optional<JournalEntry>>& entries,
-                         std::ostream& os);
 
 }  // namespace rr::engine

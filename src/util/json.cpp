@@ -312,6 +312,10 @@ void write_json_string(std::ostream& os, std::string_view s) {
   os << out;
 }
 
+void append_json_string(std::string& out, std::string_view s) {
+  append_string(out, s);
+}
+
 bool Json::as_bool() const {
   const bool* b = std::get_if<bool>(&v_);
   require(b != nullptr, Kind::kBool, kind());
@@ -344,6 +348,10 @@ const std::string& Json::as_string() const {
   const std::string* s = std::get_if<std::string>(&v_);
   require(s != nullptr, Kind::kString, kind());
   return *s;
+}
+
+std::string& Json::as_string() {
+  return const_cast<std::string&>(std::as_const(*this).as_string());
 }
 
 const Json::Array& Json::as_array() const {
@@ -443,13 +451,13 @@ void Json::write(std::string& out, int indent, int depth) const {
   }
 }
 
-void Json::dump_to(std::ostream& os, int indent) const { os << dump(indent); }
-
 std::string Json::dump(int indent) const {
   std::string out;
   write(out, indent, 0);
   return out;
 }
+
+void Json::append_to(std::string& out) const { write(out, -1, 0); }
 
 Json Json::parse(std::string_view text) { return Parser(text).document(); }
 

@@ -80,6 +80,7 @@ class Json {
   std::int64_t as_int() const;  ///< number checked to be an integral int64
   int as_int32() const;         ///< as_int, checked to fit an int
   const std::string& as_string() const;
+  std::string& as_string();  ///< for an owner moving the text out
   const Array& as_array() const;
   const Object& as_object() const;
 
@@ -98,7 +99,9 @@ class Json {
   /// Compact single-line serialization (JSONL-friendly); `indent >= 0`
   /// pretty-prints with that many spaces per level.
   std::string dump(int indent = -1) const;
-  void dump_to(std::ostream& os, int indent = -1) const;
+  /// Append the compact dump to `out`: dump()'s bytes, with no string of
+  /// their own.
+  void append_to(std::string& out) const;
 
   /// Parse one JSON document (throws JsonError; trailing garbage rejected).
   static Json parse(std::string_view text);
@@ -120,5 +123,8 @@ std::string format_json_number(double v);
 /// the Chrome-trace emitter (sim/trace), so every JSON artifact escapes
 /// identically.
 void write_json_string(std::ostream& os, std::string_view s);
+/// The same literal appended to `out`: for writers that build a document
+/// in one string without a Json tree (engine::append_json).
+void append_json_string(std::string& out, std::string_view s);
 
 }  // namespace rr

@@ -19,7 +19,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -80,9 +79,13 @@ std::string reference_bytes(const campaign::CampaignSpec& spec,
   engine::ResilientConfig rcfg;
   rcfg.base_seed = spec.base_seed;
   const auto report = engine::run_resilient(spec.scenarios, fn, rcfg);
-  std::ostringstream os;
-  engine::write_entries_jsonl(report.entries, os);
-  return os.str();
+  std::string out;
+  for (const auto& e : report.entries) {
+    if (!e) continue;
+    engine::append_json(out, *e);
+    out += '\n';
+  }
+  return out;
 }
 
 std::uint64_t hit_count() {
@@ -335,19 +338,38 @@ TEST(CampaignProtocol, RandomGarbageNeverCrashesTheReader) {
 }
 
 TEST(CampaignProtocol, ProgressFramesCarryMetricsSnapshots) {
-  // A progress frame round-trips its wire snapshot bit-exactly.
+  // A progress frame carries its snapshot as text, which survives the
+  // frame's round trip byte for byte and then decodes bit-exactly.
   obs::MetricsRegistry reg;
   reg.counter("journal.appends").add(5);
   reg.gauge("queue.depth").set(1.0 / 3.0);
+  reg.histogram("campaign.chunk_us", {1.0, 10.0, 100.0}).observe(0.1 + 0.2);
+  const std::string sent = obs::snapshot_to_wire(reg.snapshot()).dump();
   Json msg = Json::object();
-  msg.set("t", "progress").set("entries", Json::array())
-      .set("metrics", obs::snapshot_to_wire(reg.snapshot()));
-  const auto got = frame_from_bytes(framed(msg.dump()));
+  msg.set("t", "progress").set("entries", Json::array()).set("metrics", sent);
+  auto got = frame_from_bytes(framed(msg.dump()));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(campaign::frame_type(*got), campaign::MsgType::kProgress);
-  const obs::Snapshot back = obs::snapshot_from_wire(got->at("metrics"));
+  const std::optional<std::string> text = campaign::take_metrics_text(*got);
+  ASSERT_TRUE(text.has_value());
+  EXPECT_EQ(*text, sent);
+  const obs::Snapshot back = obs::snapshot_from_wire(Json::parse(*text));
   EXPECT_EQ(back.find("journal.appends")->ivalue, 5u);
   EXPECT_EQ(back.find("queue.depth")->value, 1.0 / 3.0);
+  EXPECT_EQ(back.find("campaign.chunk_us")->sum, 0.1 + 0.2);
+  EXPECT_EQ(obs::snapshot_to_wire(back).dump(), sent);  // %.17g: every bit
+
+  // A frame without the field carries no snapshot; a field that is not
+  // text -- the tree itself included -- is a corrupt frame.
+  Json bare = Json::object();
+  bare.set("t", "progress").set("entries", Json::array());
+  EXPECT_FALSE(campaign::take_metrics_text(bare).has_value());
+  for (Json bad : {obs::snapshot_to_wire(reg.snapshot()), Json(5), Json(),
+                   Json::array()}) {
+    Json m = msg;
+    m.set("metrics", std::move(bad));
+    EXPECT_THROW(campaign::take_metrics_text(m), std::runtime_error);
+  }
   // Metrics ride on progress and done; there is no separate stats frame.
   EXPECT_FALSE(campaign::msg_type_from_string("stats").has_value());
 }
@@ -1002,6 +1024,39 @@ TEST(CampaignFleet, MergedTraceCarriesShardTracksAndFlowEvents) {
     ASSERT_EQ(trace.flow_end.count(id), 1u) << "flow " << id << " unpaired";
     EXPECT_GE(trace.flow_end.at(id), ts) << "flow " << id << " runs backwards";
   }
+}
+
+/// A crashed incarnation's counters still count: the snapshot text it
+/// shipped with its last report is decoded when it retires and sums with
+/// its respawn's, so the shard parts' `sweep.ok` is one per scenario.
+/// Shard 1 reports two chunks of 2 and dies inside its third, so a
+/// coordinator that kept only the snapshot of a `done` frame would count
+/// 4 fewer.
+TEST(CampaignFleet, CrashedIncarnationsCountersSumWithItsRespawns) {
+  const int n = 24;
+  const auto spec = make_spec("fleet-crash-counters", n);
+  campaign::ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.chunk = 2;
+  cfg.crash_shard = 1;
+  cfg.crash_after = 5;
+  cfg.work_dir = tmp_dir("campaign-crash-counters");
+  const auto result = campaign::run_campaign(spec, plain_fn(), cfg);
+  ASSERT_EQ(result.outcome, engine::RunOutcome::kClean);
+  ASSERT_GE(result.stats.crashes, 1);
+
+  campaign::ServiceConfig local;
+  local.workers = 0;
+  local.work_dir = tmp_dir("campaign-crash-counters-ref");
+  EXPECT_EQ(result.result_bytes,
+            campaign::run_campaign(spec, plain_fn(), local).result_bytes);
+
+  std::uint64_t worker_ok = 0;
+  for (const auto& [label, snap] : result.fleet.parts)
+    if (label != "coord")
+      if (const obs::MetricSnapshot* m = snap.find("sweep.ok"))
+        worker_ok += m->ivalue;
+  EXPECT_EQ(worker_ok, static_cast<std::uint64_t>(n));
 }
 
 /// A crashed incarnation keeps what it shipped before it died: its row

@@ -1,6 +1,9 @@
 // bench_des_perf --floor fails closed: a floor file that lacks a gated
 // key, or names a key that gates nothing, is a usage error (exit 2)
 // reported before any workload runs -- never a gate silently dropped.
+// A floor the run misses is a failed gate (exit 1), reported after every
+// workload ran and des_perf.json was written, so CI can tell a slow
+// engine from a broken invocation.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -8,6 +11,7 @@
 #include <string>
 
 #include "util/fileio.hpp"
+#include "util/json.hpp"
 
 #include "tmp_dir.hpp"
 
@@ -56,6 +60,16 @@ TEST(DesPerfFloor, KeyThatGatesNothingExitsTwoBeforeAnyWorkload) {
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.err.find("mailbox_events_per_sec"), std::string::npos) << r.err;
   EXPECT_EQ(r.out, "");
+}
+
+TEST(DesPerfFloor, FloorNoEngineReachesExitsOneAfterWritingResults) {
+  const std::string dir = tmp_dir("des_perf_floor_unreachable");
+  const Outcome r =
+      run_des_perf(dir, RR_FIXTURE_DIR "/des_perf_floor_unreachable.json");
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("FLOOR REGRESSION"), std::string::npos) << r.err;
+  const Json results = Json::parse(read_file(dir + "/des_perf.json"));
+  EXPECT_GT(results.at("cml_ping_events_per_sec").as_double(), 0.0);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -25,6 +26,7 @@
 #include "sweep_engine/resilient.hpp"
 #include "sweep_engine/result_store.hpp"
 #include "sweep_engine/studies.hpp"
+#include "util/fileio.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -431,6 +433,79 @@ TEST(SweepJournal, GroupAppendIsAllOrNothingAndReopensRecordByRecord) {
   std::remove(path.c_str());
 }
 
+/// Entries of every status whose bytes exercise the writers: errors that
+/// need every kind of escape, both extreme seeds, and metrics holding a
+/// signed zero, the smallest subnormal, the switch to exponent form, a
+/// decimal with no exact binary form, and nested arrays.
+std::vector<engine::JournalEntry> writer_entries() {
+  Json metrics = Json::object();
+  metrics.set("neg_zero", -0.0)
+      .set("denorm_min", 5e-324)
+      .set("big", 1e21)
+      .set("tenth", 0.1)
+      .set("nested", Json::Array{Json::Array{Json(1), Json::Array{}},
+                                 Json::object(), Json(), Json(true)})
+      .set("name", "caf\xc3\xa9 \"q\"");
+  const std::string nasty = std::string("quote \" backslash \\ newline \n") +
+                            " tab \t cr \r nul " + '\0' + " bell \x07 del " +
+                            "\x7f utf-8 \xc3\xa9 \xe2\x82\xac \xf0\x9f\x9a\x80";
+  std::vector<engine::JournalEntry> out(4);
+  out[0].index = 0;
+  out[0].seed = 0;
+  out[0].metrics = metrics;
+  out[1].index = 1;
+  out[1].attempts = 3;
+  out[1].seed = std::numeric_limits<std::uint64_t>::max();
+  out[1].metrics = Json::object();
+  out[2].index = 2;
+  out[2].status = engine::ScenarioStatus::kTimedOut;
+  out[2].seed = std::numeric_limits<std::uint64_t>::max();
+  out[2].error_class = fault::ErrorClass::kTransient;
+  out[2].error = nasty;
+  out[3].index = 3;
+  out[3].status = engine::ScenarioStatus::kQuarantined;
+  out[3].attempts = 2;
+  out[3].seed = 0;
+  out[3].error_class = fault::ErrorClass::kPoison;
+  out[3].error = nasty + "\x1f\b\f";
+  return out;
+}
+
+TEST(JournalEntryWriter, BytesAreTheTreeDump) {
+  for (const engine::JournalEntry& e : writer_entries()) {
+    std::string out = "kept ";
+    engine::append_json(out, e);
+    EXPECT_EQ(out, "kept " + engine::to_json(e).dump()) << "index " << e.index;
+  }
+}
+
+TEST(SweepJournal, GroupAppendWritesTheChecksummedTreeDumps) {
+  const std::string path = tmp_path("journal-bytes");
+  const std::vector<engine::JournalEntry> group = writer_entries();
+  const int n = static_cast<int>(group.size());
+  { engine::SweepJournal(path, demo_params(), n).append(group); }
+  // The reference line: the record's tree dump with the FNV-1a hash of
+  // those bytes spliced in before its closing brace.
+  std::string want;
+  for (const engine::JournalEntry& e : group) {
+    std::string line = engine::to_json(e).dump();
+    const std::string hex = engine::campaign_hex(engine::fnv1a_hash(line));
+    line.insert(line.size() - 1, ",\"c\":\"" + hex + "\"");
+    want += line + "\n";
+  }
+  const std::string text = read_file(path);
+  EXPECT_EQ(text.substr(text.find('\n') + 1), want);  // past the header
+
+  const auto back = engine::read_journal_entries(path, demo_params(), n);
+  for (const engine::JournalEntry& e : group) {
+    const auto& r = back[static_cast<std::size_t>(e.index)];
+    ASSERT_TRUE(r.has_value()) << e.index;
+    EXPECT_EQ(engine::to_json(*r).dump(), engine::to_json(e).dump());
+    EXPECT_EQ(r->error, e.error);
+  }
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Resilient runner: retry taxonomy, deadline, failure budget
 // ---------------------------------------------------------------------------
@@ -654,6 +729,8 @@ TEST(ResilientRun, BackoffPastTheDeadlineEndsTimedOut) {
 TEST(ShardRuns, CampaignHexIsStableLowercasePadded) {
   EXPECT_EQ(engine::campaign_hex(0x1fULL), "000000000000001f");
   EXPECT_EQ(engine::campaign_hex(0xDEADBEEFCAFE1234ULL), "deadbeefcafe1234");
+  EXPECT_EQ(engine::campaign_hex(0), "0000000000000000");
+  EXPECT_EQ(engine::campaign_hex(~0ULL), "ffffffffffffffff");
 }
 
 TEST(ShardRuns, IndicesSubsetRunsOnlyRequestedSlots) {

@@ -669,6 +669,9 @@ TEST(JsonBytes, StringsEscapeAlikeEverywhereAndRoundTrip) {
     std::ostringstream os;
     write_json_string(os, s);
     EXPECT_EQ(os.str(), dumped);
+    std::string appended = "kept ";
+    append_json_string(appended, s);
+    EXPECT_EQ(appended, "kept " + dumped);
     EXPECT_EQ(Json::parse(dumped).as_string(), s);
     // A key escapes as a string value does.
     Json doc = Json::object();
@@ -713,9 +716,9 @@ TEST(JsonBytes, IndentedDocumentMatchesLiteral) {
   EXPECT_EQ(doc.dump(),
             "{\"name\":\"rr\",\"values\":[1,2.5,{\"empty_obj\":{},"
             "\"empty_arr\":[],\"flag\":false},null],\"n\":-3}");
-  std::ostringstream os;
-  doc.dump_to(os, 2);
-  EXPECT_EQ(os.str(), doc.dump(2));
+  std::string appended = "kept ";
+  doc.append_to(appended);
+  EXPECT_EQ(appended, "kept " + doc.dump());
   EXPECT_EQ(Json::parse(doc.dump(2)), doc);
 }
 
