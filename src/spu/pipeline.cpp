@@ -42,52 +42,54 @@ RunStats SpuPipeline::run(std::span<const Instr> body, int iterations) const {
   std::array<std::uint64_t, kNumIClasses> unit_free{};   // next legal issue cycle
   std::uint64_t global_free = 0;  // next cycle any instruction may issue
 
+  // The first cycle the scoreboard lets `in` issue in.
+  const auto ready_at = [&](const Instr& in) {
+    std::uint64_t first = std::max(global_free, unit_free[static_cast<int>(in.cls)]);
+    for (const std::int16_t s : in.src)
+      if (s >= 0) first = std::max(first, reg_ready[s]);
+    return first;
+  };
+  const auto issue = [&](const Instr& in, std::uint64_t cycle) {
+    const ClassTiming& t = spec_.of(in.cls);
+    if (in.dst >= 0) reg_ready[in.dst] = cycle + static_cast<std::uint64_t>(t.latency);
+    unit_free[static_cast<int>(in.cls)] =
+        cycle + 1 + static_cast<std::uint64_t>(t.local_stall);
+    if (t.global_stall > 0)
+      global_free = std::max(global_free,
+                             cycle + 1 + static_cast<std::uint64_t>(t.global_stall));
+  };
+
   RunStats stats;
-  std::uint64_t cycle = 0;
-  std::size_t pc = 0;  // index into the conceptually unrolled stream
+  std::uint64_t cycle = 0;  // the first cycle the head may issue in
+  std::size_t at = 0;       // the head's index in `body`
+  const auto advance = [&] {
+    if (++at == body.size()) at = 0;
+  };
   const std::size_t total = body.size() * static_cast<std::size_t>(iterations);
 
-  while (pc < total) {
-    bool even_used = false;
-    bool odd_used = false;
-    int issued_this_cycle = 0;
-
-    // In-order issue: attempt the next instruction; on success, attempt one
-    // more if it targets the other pipe.  Stop at the first stall.
-    while (pc < total && issued_this_cycle < 2) {
-      const Instr& in = body[pc % body.size()];
-      const Pipe pipe = pipe_of(in.cls);
-      if (pipe == Pipe::kEven && even_used) break;
-      if (pipe == Pipe::kOdd && odd_used) break;
-      if (cycle < global_free) break;
-      if (cycle < unit_free[static_cast<int>(in.cls)]) break;
-      bool operands_ready = true;
-      for (const std::int16_t s : in.src)
-        if (s >= 0 && reg_ready[s] > cycle) {
-          operands_ready = false;
-          break;
-        }
-      if (!operands_ready) break;
-
-      // Issue.
-      const ClassTiming& t = spec_.of(in.cls);
-      if (in.dst >= 0) reg_ready[in.dst] = cycle + static_cast<std::uint64_t>(t.latency);
-      unit_free[static_cast<int>(in.cls)] =
-          cycle + 1 + static_cast<std::uint64_t>(t.local_stall);
-      if (t.global_stall > 0)
-        global_free = std::max(global_free,
-                               cycle + 1 + static_cast<std::uint64_t>(t.global_stall));
-      if (pipe == Pipe::kEven) even_used = true;
-      else odd_used = true;
-      ++issued_this_cycle;
+  // In-order issue, one step per issue cycle: the head issues in the first
+  // cycle its unit, its operands and the global stall allow, and every
+  // cycle skipped to get there is idle (the scoreboard only changes when
+  // something issues, so nothing could have issued in them).  The next
+  // instruction pairs with it when it targets the other pipe and is ready
+  // in the same cycle.
+  for (std::size_t pc = 0; pc < total; ++cycle) {
+    const Instr& head = body[at];
+    const std::uint64_t issue_cycle = std::max(cycle, ready_at(head));
+    stats.idle_cycles += issue_cycle - cycle;
+    cycle = issue_cycle;
+    issue(head, cycle);
+    advance();
+    ++pc;
+    const Instr& next = body[at];
+    if (pc < total && pipe_of(next.cls) != pipe_of(head.cls) && ready_at(next) <= cycle) {
+      issue(next, cycle);
+      advance();
       ++pc;
-      ++stats.instructions;
+      ++stats.dual_issue_cycles;
     }
-
-    if (issued_this_cycle == 2) ++stats.dual_issue_cycles;
-    if (issued_this_cycle == 0) ++stats.idle_cycles;
-    ++cycle;
   }
+  stats.instructions = total;
 
   // Drain: account the latency of the last value produced so that a single
   // dependent chain reports its full length.

@@ -1,4 +1,4 @@
-// Cycle-level SPU pipeline timing simulator.
+// Cycle-exact SPU pipeline timing simulator.
 //
 // Models exactly the three properties the paper's assembly microbenchmarks
 // measure per execution group (Section IV.A):
@@ -6,6 +6,16 @@
 //   local stall  -- minimum cycles between two issues to the same unit,
 //   global stall -- cycles the whole processor stalls before ANY further
 //                   instruction may issue.
+//
+// The scoreboard is issue-stepped: each step jumps straight to the next
+// cycle in which the in-order head may issue, instead of walking every
+// stall cycle.  That is exact, not an approximation: the scoreboard only
+// changes when an instruction issues, and issue is in order, so every
+// skipped cycle is one in which nothing could issue -- an idle cycle a
+// cycle-by-cycle walk would count the same.  A run therefore costs time
+// in proportion to its instructions, not its cycles (a Cell BE FPD chain
+// is 13 cycles per instruction).  tests/property_test.cpp keeps the
+// cycle-by-cycle walk as the oracle the issue-stepped run must match.
 //
 // The only timing difference between the Cell BE and the PowerXCell 8i is
 // the FPD group: latency 13 -> 9 and the unit becomes fully pipelined
@@ -70,7 +80,10 @@ class SpuPipeline {
   /// Simulate `iterations` back-to-back executions of `body` (a loop with
   /// its own branch included in the body, perfectly predicted) and return
   /// timing statistics.  Register state carries across iterations, so
-  /// loop-carried dependences are honored.
+  /// loop-carried dependences are honored.  Issue-stepped: one step per
+  /// cycle that issues, skipping (and counting as idle) the stall cycles
+  /// in between, so the cost grows with body.size() * iterations and not
+  /// with the cycles simulated; the statistics equal a cycle-by-cycle walk.
   RunStats run(std::span<const Instr> body, int iterations = 1) const;
 
   /// Cycles per iteration in steady state: runs a warm-up, then measures

@@ -138,6 +138,7 @@ void FatTree::add_link(int a, int b) {
   RR_EXPECTS(a != b);
   xbars_[a].links.push_back(b);
   xbars_[b].links.push_back(a);
+  ++link_count_;
 }
 
 void FatTree::finalize_links(int max_ports) {

@@ -73,6 +73,9 @@ class FatTree {
 
   int node_count() const { return static_cast<int>(node_xbar_.size()); }
   int crossbar_count() const { return static_cast<int>(xbars_.size()); }
+  /// Cables between crossbars, counted as build() wires them: the number
+  /// of adjacencies a < b, with no walk over the link lists.
+  int link_count() const { return link_count_; }
 
   const Crossbar& crossbar(int id) const {
     RR_EXPECTS(id >= 0 && id < crossbar_count());
@@ -120,6 +123,11 @@ class FatTree {
   int switch_count() const { return params_.inter_cu_switches; }
   /// Crossbar ids belonging to switch chassis `sw`.
   std::vector<int> switch_members(int sw) const;
+  /// Crossbars in any switch chassis: the sum of switch_members(sw).size()
+  /// over every chassis, with no list built.
+  int switch_member_count() const {
+    return switch_count() * 3 * params_.upper_xbars_per_cu;
+  }
 
   /// Which inter-CU switches a given lower crossbar index uplinks to.
   std::vector<int> uplink_switches(int lower_xbar_index) const;
@@ -170,6 +178,7 @@ class FatTree {
   std::vector<Crossbar> xbars_;
   std::vector<int> node_xbar_;  ///< NodeId.v -> crossbar id
   std::vector<Attachment> attachments_;
+  int link_count_ = 0;  ///< add_link calls
   // id layout offsets
   int cu_lower_base_ = 0;
   int cu_upper_base_ = 0;

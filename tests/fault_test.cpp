@@ -43,11 +43,18 @@ TEST(Census, LinkCountIsTheCableListLength) {
   const auto check = [](const topo::FatTree& t, const std::string& what) {
     EXPECT_EQ(static_cast<std::size_t>(census(t).links), cable_list(t).size())
         << what;
+    // Switch-chassis crossbars fail with their chassis, not one by one.
+    int in_switches = 0;
+    for (int sw = 0; sw < t.switch_count(); ++sw)
+      in_switches += static_cast<int>(t.switch_members(sw).size());
+    EXPECT_EQ(census(t).crossbars, t.crossbar_count() - in_switches) << what;
   };
   check(full_topo(), "roadrunner");
-  topo::FatTreeParams one_cu;
-  one_cu.cu_count = 1;
-  check(topo::FatTree::build(one_cu), "one-CU fat tree");
+  for (const int cus : {1, 3, 13}) {
+    topo::FatTreeParams p;
+    p.cu_count = cus;
+    check(topo::FatTree::build(p), std::to_string(cus) + "-CU fat tree");
+  }
 }
 
 TEST(Census, PartitionLinksScaleTheCableList) {

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <ostream>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -181,6 +182,127 @@ TEST_P(SpuRandomPrograms, MoreIterationsNeverCheaper) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpuRandomPrograms, ::testing::Range(1, 11));
+
+// ---------------------------------------------------------------------------
+// SPU pipeline: the issue-stepped run against the cycle-by-cycle walk
+// ---------------------------------------------------------------------------
+
+// SpuPipeline::run before it became issue-stepped: one loop iteration per
+// cycle, attempting up to two issues in each.  Its body is copied verbatim
+// (`spec_` became `spec`); it is the oracle the issue-stepped run must
+// match in every RunStats field.
+spu::RunStats cycle_stepped_run(const spu::PipelineSpec& spec,
+                                std::span<const spu::Instr> body, int iterations) {
+  using namespace spu;
+  RR_EXPECTS(iterations >= 1);
+  RR_EXPECTS(!body.empty());
+
+  // Scoreboard state.
+  std::array<std::uint64_t, kNumRegisters> reg_ready{};  // cycle result is usable
+  std::array<std::uint64_t, kNumIClasses> unit_free{};   // next legal issue cycle
+  std::uint64_t global_free = 0;  // next cycle any instruction may issue
+
+  RunStats stats;
+  std::uint64_t cycle = 0;
+  std::size_t pc = 0;  // index into the conceptually unrolled stream
+  const std::size_t total = body.size() * static_cast<std::size_t>(iterations);
+
+  while (pc < total) {
+    bool even_used = false;
+    bool odd_used = false;
+    int issued_this_cycle = 0;
+
+    // In-order issue: attempt the next instruction; on success, attempt one
+    // more if it targets the other pipe.  Stop at the first stall.
+    while (pc < total && issued_this_cycle < 2) {
+      const Instr& in = body[pc % body.size()];
+      const Pipe pipe = pipe_of(in.cls);
+      if (pipe == Pipe::kEven && even_used) break;
+      if (pipe == Pipe::kOdd && odd_used) break;
+      if (cycle < global_free) break;
+      if (cycle < unit_free[static_cast<int>(in.cls)]) break;
+      bool operands_ready = true;
+      for (const std::int16_t s : in.src)
+        if (s >= 0 && reg_ready[s] > cycle) {
+          operands_ready = false;
+          break;
+        }
+      if (!operands_ready) break;
+
+      // Issue.
+      const ClassTiming& t = spec.of(in.cls);
+      if (in.dst >= 0) reg_ready[in.dst] = cycle + static_cast<std::uint64_t>(t.latency);
+      unit_free[static_cast<int>(in.cls)] =
+          cycle + 1 + static_cast<std::uint64_t>(t.local_stall);
+      if (t.global_stall > 0)
+        global_free = std::max(global_free,
+                               cycle + 1 + static_cast<std::uint64_t>(t.global_stall));
+      if (pipe == Pipe::kEven) even_used = true;
+      else odd_used = true;
+      ++issued_this_cycle;
+      ++pc;
+      ++stats.instructions;
+    }
+
+    if (issued_this_cycle == 2) ++stats.dual_issue_cycles;
+    if (issued_this_cycle == 0) ++stats.idle_cycles;
+    ++cycle;
+  }
+
+  // Drain: account the latency of the last value produced so that a single
+  // dependent chain reports its full length.
+  std::uint64_t last_ready = cycle;
+  for (const std::uint64_t r : reg_ready) last_ready = std::max(last_ready, r);
+  stats.cycles = last_ready;
+  return stats;
+}
+
+// Either preset, or a random table: latency 1-15, local stall 0-3, and a
+// global stall of 0-6 on about a quarter of the classes.
+spu::PipelineSpec random_spec(Rng& rng) {
+  switch (rng.next_below(3)) {
+    case 0: return spu::PipelineSpec::cell_be();
+    case 1: return spu::PipelineSpec::powerxcell_8i();
+    default: break;
+  }
+  spu::PipelineSpec spec;
+  for (spu::ClassTiming& t : spec.timing) {
+    t.latency = 1 + static_cast<int>(rng.next_below(15));
+    t.local_stall = static_cast<int>(rng.next_below(4));
+    t.global_stall = rng.next_below(4) == 0 ? static_cast<int>(rng.next_below(7)) : 0;
+  }
+  return spec;
+}
+
+TEST(SpuPipelineProperty, IssueSteppedRunMatchesCycleSteppedReference) {
+  Rng rng(31);
+  for (int c = 0; c < 20000; ++c) {
+    const spu::PipelineSpec spec = random_spec(rng);
+    // 1-40 instructions over 1-24 registers; a quarter of the destinations
+    // and operands are -1 (none), so programs mix chains and free issues.
+    const int regs = 1 + static_cast<int>(rng.next_below(24));
+    const auto reg = [&] {
+      return rng.next_below(4) == 0 ? -1 : static_cast<int>(rng.next_below(regs));
+    };
+    spu::Program p(1 + rng.next_below(40));
+    for (spu::Instr& in : p) {
+      const auto cls = static_cast<spu::IClass>(rng.next_below(spu::kNumIClasses));
+      const int dst = reg();
+      const int s0 = reg();
+      const int s1 = reg();
+      const int s2 = reg();
+      in = spu::op(cls, dst, s0, s1, s2);
+    }
+    const int iterations = 1 + static_cast<int>(rng.next_below(12));
+
+    const spu::RunStats want = cycle_stepped_run(spec, p, iterations);
+    const spu::RunStats got = spu::SpuPipeline(spec).run(p, iterations);
+    ASSERT_EQ(got.cycles, want.cycles) << "case " << c;
+    ASSERT_EQ(got.instructions, want.instructions) << "case " << c;
+    ASSERT_EQ(got.dual_issue_cycles, want.dual_issue_cycles) << "case " << c;
+    ASSERT_EQ(got.idle_cycles, want.idle_cycles) << "case " << c;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Channel model invariants over all presets

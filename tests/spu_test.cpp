@@ -33,8 +33,11 @@ TEST(Pipeline, SingleInstructionTakesItsLatency) {
 
 TEST(Pipeline, DependentPairSerializes) {
   const Program p = {op(IClass::kFP6, 1, 8), op(IClass::kFP6, 2, 1)};
-  // Second issues at cycle 6, result at 12.
-  EXPECT_EQ(pxc().run(p).cycles, 12u);
+  // Second issues at cycle 6, result at 12; cycles 1-5 issue nothing.
+  const RunStats s = pxc().run(p);
+  EXPECT_EQ(s.cycles, 12u);
+  EXPECT_EQ(s.idle_cycles, 5u);
+  EXPECT_EQ(s.dual_issue_cycles, 0u);
 }
 
 TEST(Pipeline, IndependentSamePipeIssueOnePerCycle) {
@@ -57,8 +60,10 @@ TEST(Pipeline, InOrderBlocksBehindStall) {
                      op(IClass::kLS, 3, 8)};
   const RunStats s = pxc().run(p);
   // FP6 at 0; FX2 waits until 6 (result 8); LS pairs with FX2 at 6 (odd pipe),
-  // result at 12.
+  // result at 12.  Cycles 1-5 are idle: the LS is ready but may not pass.
   EXPECT_EQ(s.cycles, 12u);
+  EXPECT_EQ(s.idle_cycles, 5u);
+  EXPECT_EQ(s.dual_issue_cycles, 1u);
 }
 
 TEST(Pipeline, CellBeFpdGlobalStallBlocksEverything) {
@@ -66,9 +71,11 @@ TEST(Pipeline, CellBeFpdGlobalStallBlocksEverything) {
   const RunStats s = cbe().run(p);
   // FPD at 0 stalls all issue through cycle 6; FX2 at 7, result 9; FPD result 13.
   EXPECT_EQ(s.cycles, 13u);
+  EXPECT_EQ(s.idle_cycles, 6u);  // cycles 1-6
   const RunStats s2 = cbe().run(Program{op(IClass::kFPD, 1, 8), op(IClass::kFX2, 2, 8),
                                         op(IClass::kFX2, 3, 8)});
   EXPECT_EQ(s2.cycles, 13u);  // FX2s at 7 and 8; FPD latency still dominates
+  EXPECT_EQ(s2.idle_cycles, 6u);
 }
 
 TEST(Pipeline, PowerXCellFpdIsFullyPipelined) {
