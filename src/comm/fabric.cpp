@@ -45,7 +45,11 @@ FabricModel::FabricModel(const topo::FatTree& topo)
 
 Duration FabricModel::zero_byte_latency(topo::NodeId src, topo::NodeId dst) const {
   if (src == dst) return Duration::zero();
-  return kMpiBaseLatency + cal::kSwitchHopLatency * topo_->hop_count(src, dst);
+  return zero_byte_latency(topo_->hop_count(src, dst));
+}
+
+Duration FabricModel::zero_byte_latency(int hops) {
+  return kMpiBaseLatency + cal::kSwitchHopLatency * hops;
 }
 
 std::vector<LatencySweepPoint> FabricModel::latency_sweep(topo::NodeId src) const {
@@ -56,7 +60,7 @@ std::vector<LatencySweepPoint> FabricModel::latency_sweep(topo::NodeId src) cons
     LatencySweepPoint pt;
     pt.node = d;
     pt.hops = topo_->hop_count(src, topo::NodeId{d});
-    pt.latency = kMpiBaseLatency + cal::kSwitchHopLatency * pt.hops;
+    pt.latency = zero_byte_latency(pt.hops);
     FabricMetrics& fm = FabricMetrics::instance();
     fm.pings.inc();
     fm.hops.observe(pt.hops);
@@ -65,23 +69,28 @@ std::vector<LatencySweepPoint> FabricModel::latency_sweep(topo::NodeId src) cons
   return out;
 }
 
+Bandwidth FabricModel::bandwidth_over(DataSize n, Duration one_way, int hops) {
+  return achieved_bandwidth(n, one_way + cal::kSwitchHopLatency * hops);
+}
+
 Bandwidth FabricModel::large_message_bandwidth(topo::NodeId src, topo::NodeId dst,
                                                DataSize n, bool pinned) const {
   RR_EXPECTS(n.b() > 0);
   RR_EXPECTS(!(src == dst));
   const ChannelModel& ch = pinned ? pinned_mpi_ : default_mpi_;
-  const Duration t =
-      ch.one_way(n) + cal::kSwitchHopLatency * topo_->hop_count(src, dst);
-  return achieved_bandwidth(n, t);
+  return bandwidth_over(n, ch.one_way(n), topo_->hop_count(src, dst));
 }
 
 Bandwidth FabricModel::average_bandwidth(topo::NodeId src, DataSize n,
                                          bool pinned) const {
+  RR_EXPECTS(n.b() > 0);
+  // The channel time is the same to every node; only the hops differ.
+  const Duration one_way = (pinned ? pinned_mpi_ : default_mpi_).one_way(n);
   double sum = 0.0;
   int count = 0;
   for (int d = 0; d < topo_->node_count(); ++d) {
     if (d == src.v) continue;
-    sum += large_message_bandwidth(src, topo::NodeId{d}, n, pinned).bps();
+    sum += bandwidth_over(n, one_way, topo_->hop_count(src, topo::NodeId{d})).bps();
     ++count;
   }
   RR_ENSURES(count > 0);

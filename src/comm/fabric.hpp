@@ -24,6 +24,10 @@ class FabricModel {
   /// Zero-byte MPI latency between two compute nodes.
   Duration zero_byte_latency(topo::NodeId src, topo::NodeId dst) const;
 
+  /// Zero-byte MPI latency over a route of `hops` crossbar hops: the
+  /// software base plus 220 ns per hop.
+  static Duration zero_byte_latency(int hops);
+
   /// The Fig. 10 experiment: rank 0 pings every other node in sequence.
   std::vector<LatencySweepPoint> latency_sweep(topo::NodeId src) const;
 
@@ -39,6 +43,10 @@ class FabricModel {
   const topo::FatTree& topology() const { return *topo_; }
 
  private:
+  /// Achieved bandwidth of an n-byte message that takes `one_way` on the
+  /// channel and crosses `hops` crossbar hops.
+  static Bandwidth bandwidth_over(DataSize n, Duration one_way, int hops);
+
   const topo::FatTree* topo_;
   ChannelModel default_mpi_;
   ChannelModel pinned_mpi_;

@@ -14,10 +14,8 @@ HplSimResult simulate_hpl(const arch::SystemSpec& system, const HplSimParams& p)
   RR_EXPECTS(p.grid_p * p.grid_q == system.node_count());
 
   // Per-node sustained DGEMM rate: all four Cells at the SPU-simulator
-  // kernel efficiency, discounted for PCIe operand staging.  The
-  // efficiency is a pure function of the constant PowerXCell 8i pipeline,
-  // so the pipeline runs once per process, not once per call.
-  static const double kernel_eff = spu::dgemm_kernel_efficiency(
+  // kernel efficiency, discounted for PCIe operand staging.
+  const double kernel_eff = spu::dgemm_kernel_efficiency(
       spu::SpuPipeline{spu::PipelineSpec::powerxcell_8i()});
   // Cells carry the bulk; the Opterons and PPEs work the update
   // concurrently (Section III's description of IBM's hybrid LINPACK).

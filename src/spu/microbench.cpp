@@ -6,52 +6,48 @@ namespace rr::spu {
 
 namespace {
 
+// The slope method's N, and the register rotation an N-long program
+// repeats: an N-long chain or stream is its 32-instruction rotation run
+// N/32 times.
+constexpr int kN = 256;
+constexpr int kRotation = 32;
+
 /// Dependent chain: instruction i reads the register written by i-1.
-/// The chain wraps around a handful of registers; the loop-carried
-/// dependence makes back-to-back iterations equivalent to one long chain.
-Program make_chain(IClass cls, int length) {
+/// The chain wraps around 32 registers; the loop-carried dependence makes
+/// back-to-back iterations equivalent to one long chain.
+Program make_chain(IClass cls) {
   Program p;
-  p.reserve(length);
-  for (int i = 0; i < length; ++i) {
-    const int dst = (i + 1) % 32;
-    const int src = i % 32;
-    p.push_back(op(cls, dst, src));
-  }
+  p.reserve(kRotation);
+  for (int i = 0; i < kRotation; ++i) p.push_back(op(cls, (i + 1) % kRotation, i));
   return p;
 }
 
 /// Independent stream: every instruction reads an always-ready register
 /// and writes a register nobody reads soon (32-deep rotation).
-Program make_independent(IClass cls, int length) {
+Program make_independent(IClass cls) {
   Program p;
-  p.reserve(length);
-  for (int i = 0; i < length; ++i) {
-    const int dst = 64 + (i % 32);
-    p.push_back(op(cls, dst, 8));  // r8 is never written: always ready
-  }
+  p.reserve(kRotation);
+  for (int i = 0; i < kRotation; ++i)
+    p.push_back(op(cls, 64 + i, 8));  // r8 is never written: always ready
   return p;
+}
+
+/// Slope method: (cycles(2N) - cycles(N)) / N removes fixed overheads,
+/// exactly as the paper's assembly microbenchmarks do.
+double slope(const SpuPipeline& pipe, const Program& rotation) {
+  const auto c_n = pipe.run(rotation, kN / kRotation).cycles;
+  const auto c_2n = pipe.run(rotation, 2 * kN / kRotation).cycles;
+  return static_cast<double>(c_2n - c_n) / kN;
 }
 
 }  // namespace
 
 double measure_latency(const SpuPipeline& pipe, IClass cls) {
-  // Slope method: (cycles(2N) - cycles(N)) / N removes fixed overheads,
-  // exactly as the paper's assembly microbenchmarks do.
-  const int n = 256;
-  const Program chain_n = make_chain(cls, n);
-  const Program chain_2n = make_chain(cls, 2 * n);
-  const auto c_n = pipe.run(chain_n).cycles;
-  const auto c_2n = pipe.run(chain_2n).cycles;
-  return static_cast<double>(c_2n - c_n) / n;
+  return slope(pipe, make_chain(cls));
 }
 
 double measure_repetition(const SpuPipeline& pipe, IClass cls) {
-  const int n = 256;
-  const Program s_n = make_independent(cls, n);
-  const Program s_2n = make_independent(cls, 2 * n);
-  const auto c_n = pipe.run(s_n).cycles;
-  const auto c_2n = pipe.run(s_2n).cycles;
-  return static_cast<double>(c_2n - c_n) / n;
+  return slope(pipe, make_independent(cls));
 }
 
 std::vector<GroupMeasurement> measure_all_groups(const SpuPipeline& pipe) {

@@ -21,11 +21,14 @@ struct GroupMeasurement {
 /// Measure one group's latency: a chain of N dependent instructions issues
 /// once per `latency` cycles, so the marginal cost per instruction is the
 /// latency.  (Assembly-equivalent: each instruction consumes the previous
-/// result.)
+/// result.)  The N-long chain is a 32-instruction register rotation run
+/// N/32 times (N = 256 and 2N).
 double measure_latency(const SpuPipeline& pipe, IClass cls);
 
 /// Measure one group's repetition distance: a stream of independent
 /// instructions to the same unit issues once per repetition distance.
+/// Like the chain, the N-long stream is its 32-instruction rotation run
+/// N/32 times.
 double measure_repetition(const SpuPipeline& pipe, IClass cls);
 
 /// Run the full Fig. 4 / Fig. 5 sweep over all nine groups.

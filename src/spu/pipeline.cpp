@@ -67,6 +67,27 @@ RunStats SpuPipeline::run(std::span<const Instr> body, int iterations) const {
   };
   const std::size_t total = body.size() * static_cast<std::size_t>(iterations);
 
+  // The state a step starts in: every scoreboard entry relative to the
+  // cycle (0 once it is past, since the loop reads entries only through
+  // max() with the cycle) and the head's body index.  Equal states have
+  // equal futures.
+  using State = std::array<std::uint64_t, kNumRegisters + kNumIClasses + 2>;
+  const auto state = [&] {
+    State s;
+    std::size_t i = 0;
+    const auto ahead = [&](std::uint64_t e) { return std::max(e, cycle) - cycle; };
+    for (const std::uint64_t r : reg_ready) s[i++] = ahead(r);
+    for (const std::uint64_t u : unit_free) s[i++] = ahead(u);
+    s[i++] = ahead(global_free);
+    s[i] = at;
+    return s;
+  };
+  // The state, clock and counters at the first step of the last iteration
+  // checked; iteration 0 starts at cycle 0 on an empty scoreboard.
+  State mark_state{};
+  std::uint64_t mark_cycle = 0, mark_idle = 0, mark_dual = 0;
+  std::size_t next_iteration = body.size();  // pc the next iteration starts at
+
   // In-order issue, one step per issue cycle: the head issues in the first
   // cycle its unit, its operands and the global stall allow, and every
   // cycle skipped to get there is idle (the scoreboard only changes when
@@ -74,6 +95,35 @@ RunStats SpuPipeline::run(std::span<const Instr> body, int iterations) const {
   // instruction pairs with it when it targets the other pipe and is ready
   // in the same cycle.
   for (std::size_t pc = 0; pc < total; ++cycle) {
+    // Steady state: an iteration that starts in the state the previous one
+    // started in repeats it, and so does every later one, so the remaining
+    // whole periods are added instead of stepped.
+    if (pc >= next_iteration) {
+      next_iteration += body.size();
+      const State now = state();
+      if (now == mark_state) {
+        const std::size_t periods = (total - pc) / body.size();
+        const std::uint64_t skipped = periods * (cycle - mark_cycle);
+        for (std::uint64_t& r : reg_ready)
+          if (r > cycle) r += skipped;
+        for (std::uint64_t& u : unit_free)
+          if (u > cycle) u += skipped;
+        if (global_free > cycle) global_free += skipped;
+        stats.idle_cycles += periods * (stats.idle_cycles - mark_idle);
+        stats.dual_issue_cycles += periods * (stats.dual_issue_cycles - mark_dual);
+        cycle += skipped;
+        pc += periods * body.size();
+        next_iteration += periods * body.size();
+        // A skip that ends the run ends it where the last step would have:
+        // at the step boundary, before the next cycle.
+        if (pc == total) break;
+      }
+      mark_state = now;
+      mark_cycle = cycle;
+      mark_idle = stats.idle_cycles;
+      mark_dual = stats.dual_issue_cycles;
+    }
+
     const Instr& head = body[at];
     const std::uint64_t issue_cycle = std::max(cycle, ready_at(head));
     stats.idle_cycles += issue_cycle - cycle;

@@ -12,10 +12,25 @@
 // stall cycle.  That is exact, not an approximation: the scoreboard only
 // changes when an instruction issues, and issue is in order, so every
 // skipped cycle is one in which nothing could issue -- an idle cycle a
-// cycle-by-cycle walk would count the same.  A run therefore costs time
-// in proportion to its instructions, not its cycles (a Cell BE FPD chain
-// is 13 cycles per instruction).  tests/property_test.cpp keeps the
-// cycle-by-cycle walk as the oracle the issue-stepped run must match.
+// cycle-by-cycle walk would count the same.  A step therefore costs time
+// per instruction, not per cycle (a Cell BE FPD chain is 13 cycles per
+// instruction).
+//
+// A run also skips its steady state.  The loop reads the scoreboard only
+// through max() with the current cycle (the head issues at the latest of
+// the cycle and its ready time, the pair check compares the next
+// instruction's ready time with that cycle, and an issue overwrites its
+// entries or raises them past the cycle), so from any step the run
+// depends only on the scoreboard relative to the cycle, with entries
+// already past read as 0, and on the head's body index.  When an
+// iteration starts in the state the previous one started in, every later
+// iteration repeats that one: the remaining whole periods are added (their
+// instructions, cycles, idle and dual-issue cycles, and every entry still
+// ahead of the clock moved forward) and only the remainder is stepped.  A
+// run's cost grows with the iterations it steps until its state repeats,
+// a few for every kernel here, not with the iterations it asks for.
+// tests/property_test.cpp keeps the cycle-by-cycle walk as the oracle both
+// shortcuts must match.
 //
 // The only timing difference between the Cell BE and the PowerXCell 8i is
 // the FPD group: latency 13 -> 9 and the unit becomes fully pipelined
@@ -82,8 +97,12 @@ class SpuPipeline {
   /// timing statistics.  Register state carries across iterations, so
   /// loop-carried dependences are honored.  Issue-stepped: one step per
   /// cycle that issues, skipping (and counting as idle) the stall cycles
-  /// in between, so the cost grows with body.size() * iterations and not
-  /// with the cycles simulated; the statistics equal a cycle-by-cycle walk.
+  /// in between.  Steady-state skipping: once an iteration starts in the
+  /// relative scoreboard state and body index the previous one started
+  /// in, the remaining whole iterations are added, not stepped.  The cost
+  /// grows with body.size() times the iterations stepped before the state
+  /// repeats, not with `iterations` or the cycles simulated; the
+  /// statistics equal a cycle-by-cycle walk.
   RunStats run(std::span<const Instr> body, int iterations = 1) const;
 
   /// Cycles per iteration in steady state: runs a warm-up, then measures

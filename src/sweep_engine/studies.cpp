@@ -97,7 +97,7 @@ std::vector<comm::LatencySweepPoint> parallel_latency_sweep(
           comm::LatencySweepPoint pt;
           pt.node = d;
           pt.hops = fabric.topology().hop_count(src, topo::NodeId{d});
-          pt.latency = fabric.zero_byte_latency(src, topo::NodeId{d});
+          pt.latency = comm::FabricModel::zero_byte_latency(pt.hops);
           pts.push_back(pt);
         }
         return pts;

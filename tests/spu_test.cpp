@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "arch/calibration.hpp"
 #include "spu/dma.hpp"
 #include "spu/kernels.hpp"
@@ -147,6 +150,50 @@ TEST(Microbench, MeasurementsMatchSpecTables) {
     EXPECT_DOUBLE_EQ(m.latency_cycles, e.latency_cycles);
     EXPECT_DOUBLE_EQ(m.repetition_cycles, e.repetition_cycles);
   }
+}
+
+// The microbenchmarks' N-long programs built out in full: a dependent
+// chain over a 32-register rotation, or a stream of independent issues.
+Program unrolled(IClass cls, int n, bool chain) {
+  Program p;
+  for (int i = 0; i < n; ++i)
+    p.push_back(chain ? op(cls, (i + 1) % 32, i % 32) : op(cls, 64 + i % 32, 8));
+  return p;
+}
+
+TEST(Microbench, RotationRunEqualsTheUnrolledProgram) {
+  // measure_latency and measure_repetition run the 32-instruction rotation
+  // N/32 times instead of building the N-long program: the same stream.
+  for (const SpuPipeline* pipe : {&cbe(), &pxc()})
+    for (int c = 0; c < kNumIClasses; ++c)
+      for (const bool chain : {true, false}) {
+        const auto cls = static_cast<IClass>(c);
+        const Program rotation = unrolled(cls, 32, chain);
+        for (const int n : {256, 512}) {
+          SCOPED_TRACE(std::string(kIClassNames[c]) + (chain ? " chain " : " stream ") +
+                       std::to_string(n));
+          const RunStats want = pipe->run(unrolled(cls, n, chain));
+          const RunStats got = pipe->run(rotation, n / 32);
+          EXPECT_EQ(got.cycles, want.cycles);
+          EXPECT_EQ(got.instructions, want.instructions);
+          EXPECT_EQ(got.dual_issue_cycles, want.dual_issue_cycles);
+          EXPECT_EQ(got.idle_cycles, want.idle_cycles);
+        }
+      }
+}
+
+TEST(Pipeline, SteadyStateSkipTimesAHugeRunExactly) {
+  // The Cell BE FPD chain issues once per 13-cycle latency: 416 cycles per
+  // 32-instruction iteration, 12 idle cycles between issues, no pairs.
+  // Stepping 2^31 - 1 iterations would take minutes; the run reaches its
+  // steady state in the first few and adds the rest.
+  const int iterations = std::numeric_limits<int>::max();
+  const std::uint64_t n = iterations;
+  const RunStats s = cbe().run(unrolled(IClass::kFPD, 32, true), iterations);
+  EXPECT_EQ(s.instructions, 32 * n);
+  EXPECT_EQ(s.cycles, 416 * n);
+  EXPECT_EQ(s.idle_cycles, 12 * (32 * n - 1));
+  EXPECT_EQ(s.dual_issue_cycles, 0u);
 }
 
 // ---------------------------------------------------------------------------
