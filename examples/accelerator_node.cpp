@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "alf/alf.hpp"
+#include "arch/mapping.hpp"
 #include "dacs/dacs.hpp"
 #include "topo/fat_tree.hpp"
 #include "util/cli.hpp"
@@ -33,7 +34,8 @@ int main(int argc, char** argv) {
   topo::FatTreeParams tp;
   tp.cu_count = 1;
   const topo::FatTree node_tree = topo::FatTree::build(tp);
-  comm::SimNetwork net(sim, node_tree, comm::NetworkConfig{4, best});
+  comm::SimNetwork net(sim, node_tree,
+                       comm::NetworkConfig{arch::kSpeCentric.sockets_per_node, best});
   dacs::DacsRuntime dacs_rt(net);
   std::vector<double> echoed;
   auto he_prog = [](dacs::Element he, std::vector<double>* out) -> sim::Task<void> {

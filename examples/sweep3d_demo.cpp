@@ -13,6 +13,7 @@
 #include <iostream>
 #include <utility>
 
+#include "arch/mapping.hpp"
 #include "model/sweep_model.hpp"
 #include "sweep/cml_sweep.hpp"
 #include "sweep/solver.hpp"
@@ -24,11 +25,9 @@ int main(int argc, char** argv) {
   using namespace rr;
   const CliParser cli(argc, argv, {"n", "px", "py", "mk"});
   const topo::FatTree topo = topo::FatTree::roadrunner();
-  cml::CmlConfig config;
-  const int spes_per_node = config.cells_per_node * config.spes_per_cell;
   const int n = cli.get_int("n", 16, 1, INT_MAX);
   // Every rank is one SPE of the machine.
-  const int spes = topo.node_count() * spes_per_node;
+  const int spes = topo.node_count() * arch::kSpeCentric.ranks_per_node();
   sweep::KbaConfig kba;
   kba.px = cli.get_int("px", 2, 1, spes);
   kba.py = cli.get_int("py", 2, 1, spes / kba.px);
@@ -70,7 +69,8 @@ int main(int argc, char** argv) {
     emission[c] = p.source_at(c) + p.sigma_s * serial.scalar_flux[c];
   const sweep::SweepResult reference = sweep::sweep_once(p, emission);
   sim::Simulator simulator;
-  config.nodes = (kba.ranks() + spes_per_node - 1) / spes_per_node;
+  cml::CmlConfig config;
+  config.nodes = arch::kSpeCentric.nodes_for(kba.ranks());
   cml::CmlWorld world(simulator, topo, config);
   const sweep::CmlSweepResult over_cml = sweep::sweep_once_cml(
       p, emission, kba, world,

@@ -25,27 +25,12 @@ CmlWorld::CmlWorld(sim::Simulator& sim, const topo::FatTree& topo, CmlConfig con
   RR_EXPECTS(config.cells_per_node >= 1 && config.spes_per_cell >= 1);
 }
 
-int CmlWorld::node_of(Rank r) const {
-  RR_EXPECTS(r >= 0 && r < size_);
-  return r / (config_.cells_per_node * config_.spes_per_cell);
-}
-
-int CmlWorld::cell_of(Rank r) const {
-  RR_EXPECTS(r >= 0 && r < size_);
-  return r / config_.spes_per_cell;
-}
-
-int CmlWorld::spe_of(Rank r) const {
-  RR_EXPECTS(r >= 0 && r < size_);
-  return r % config_.spes_per_cell;
-}
-
 sim::Task<void> CmlWorld::transport(Rank src, Rank dst, DataSize bytes) {
   RR_EXPECTS(src >= 0 && src < size_);
   RR_EXPECTS(dst >= 0 && dst < size_ && dst != src);
-  const int cells = config_.cells_per_node;
-  return net_.spe_transfer(node_of(src), cell_of(src) % cells, node_of(dst),
-                           cell_of(dst) % cells, bytes);
+  const arch::Mapping m = mapping();
+  return net_.spe_transfer(m.node_of(src), m.socket_of(src), m.node_of(dst),
+                           m.socket_of(dst), bytes);
 }
 
 void CmlWorld::deliver(Rank dst, Message msg) {
@@ -133,8 +118,6 @@ void RecvAwaiter::await_suspend(std::coroutine_handle<> h) {
 // ---------------------------------------------------------------------------
 
 int CmlContext::size() const { return world_->size(); }
-int CmlContext::node() const { return world_->node_of(rank_); }
-int CmlContext::cell() const { return world_->cell_of(rank_); }
 
 SendAwaiter CmlContext::send(Rank dst, int tag, std::vector<double> payload) {
   RR_EXPECTS(tag >= 0);  // negative tags are the collectives'
@@ -234,8 +217,9 @@ sim::Task<std::vector<double>> CmlContext::rpc_ppe(
 sim::Task<std::vector<double>> CmlContext::rpc_opteron(
     std::function<std::vector<double>()> fn, Duration host_time) {
   comm::SimNetwork& net = world_->network();
-  const int node_id = node();
-  const int local_cell = cell() % world_->config().cells_per_node;
+  const arch::Mapping m = world_->mapping();
+  const int node_id = m.node_of(rank_);
+  const int local_cell = m.socket_of(rank_);
   co_await sim::Delay{world_->simulator(), net.local_time(DataSize::bytes(64))};
   co_await net.dacs_transfer(node_id, local_cell, DataSize::bytes(64));
   co_await sim::Delay{world_->simulator(), host_time};

@@ -22,6 +22,7 @@
 #include <functional>
 #include <vector>
 
+#include "arch/mapping.hpp"
 #include "comm/network.hpp"
 #include "sim/task.hpp"
 
@@ -39,8 +40,8 @@ struct Message {
 
 struct CmlConfig {
   int nodes = 1;
-  int cells_per_node = 4;  ///< two QS22 blades x two PowerXCell 8i
-  int spes_per_cell = 8;
+  int cells_per_node = arch::kSpeCentric.sockets_per_node;
+  int spes_per_cell = arch::kSpeCentric.ranks_per_socket;
   bool best_case_pcie = false;  ///< mature-software PCIe parameters
 };
 
@@ -120,8 +121,6 @@ class CmlContext {
 
   Rank rank() const { return rank_; }
   int size() const;
-  int node() const;
-  int cell() const;  ///< global cell index: node * cells_per_node + local
 
   /// Blocking (simulated-time) tagged send: the message is delivered into
   /// the destination's queue when the last leg completes.  User tags are
@@ -177,10 +176,9 @@ class CmlWorld {
   const CmlConfig& config() const { return config_; }
   comm::SimNetwork& network() { return net_; }
   sim::Simulator& simulator() { return *sim_; }
-
-  int node_of(Rank r) const;
-  int cell_of(Rank r) const;   ///< global cell index
-  int spe_of(Rank r) const;    ///< SPE slot within its cell
+  /// Where each rank runs: spes_per_cell ranks per Cell socket and
+  /// cells_per_node sockets per node, row-major.
+  arch::Mapping mapping() const { return {config_.cells_per_node, config_.spes_per_cell}; }
 
   /// Launch `program(ctx)` for every rank and run the simulation to
   /// completion.  Returns the number of rank programs that finished;

@@ -1,6 +1,7 @@
 #include "comm/collectives.hpp"
 
 #include "arch/calibration.hpp"
+#include "arch/mapping.hpp"
 #include "comm/path.hpp"
 #include "util/expect.hpp"
 
@@ -37,39 +38,25 @@ int barrier_rounds(int n) {
 
 int binomial_rounds(int n) { return barrier_rounds(n); }
 
-namespace {
-/// Worst leg a round of distance `dist` can cross, given the rank layout.
-Duration leg_for_distance(int dist, const CollectiveLegs& legs, int ranks_per_socket,
-                          int ranks_per_node) {
-  if (dist < ranks_per_socket) return legs.intra_socket;
-  if (dist < ranks_per_node) return legs.cross_socket;
-  return legs.internode;
-}
-}  // namespace
-
-Duration barrier_time(int n, const CollectiveLegs& legs, int ranks_per_socket,
-                      int ranks_per_node) {
+Duration barrier_time(int n, const CollectiveLegs& legs) {
   RR_EXPECTS(n >= 1);
+  constexpr arch::Mapping m = arch::kSpeCentric;
   Duration total = Duration::zero();
   for (int dist = 1; dist < n; dist *= 2)
-    total += leg_for_distance(dist, legs, ranks_per_socket, ranks_per_node);
+    total += dist < m.ranks_per_socket  ? legs.intra_socket
+             : dist < m.ranks_per_node() ? legs.cross_socket
+                                         : legs.internode;
   return total;
 }
 
-Duration broadcast_time(int n, const CollectiveLegs& legs, int ranks_per_socket,
-                        int ranks_per_node) {
-  RR_EXPECTS(n >= 1);
+Duration broadcast_time(int n, const CollectiveLegs& legs) {
   // Binomial tree: the critical path takes the widest leg at each level;
   // the first level spans the largest distance.
-  Duration total = Duration::zero();
-  for (int dist = 1; dist < n; dist *= 2)
-    total += leg_for_distance(dist, legs, ranks_per_socket, ranks_per_node);
-  return total;
+  return barrier_time(n, legs);
 }
 
-Duration allreduce_time(int n, const CollectiveLegs& legs, int ranks_per_socket,
-                        int ranks_per_node) {
-  return broadcast_time(n, legs, ranks_per_socket, ranks_per_node) * 2;
+Duration allreduce_time(int n, const CollectiveLegs& legs) {
+  return broadcast_time(n, legs) * 2;
 }
 
 }  // namespace rr::comm

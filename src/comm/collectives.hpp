@@ -26,18 +26,17 @@ int barrier_rounds(int n);
 /// Rounds (tree depth) of a binomial broadcast/reduction over n ranks.
 int binomial_rounds(int n);
 
-/// Worst-case completion time of a dissemination barrier where each round
-/// may cross the widest leg.  `ranks_per_socket` bounds which rounds stay
-/// on the EIB: round k's partner is 2^k ranks away.
-Duration barrier_time(int n, const CollectiveLegs& legs, int ranks_per_socket = 8,
-                      int ranks_per_node = 32);
+/// Worst-case completion time of a dissemination barrier over n SPE ranks
+/// placed by arch::kSpeCentric, where each round may cross the widest leg:
+/// round k's partner is 2^k ranks away, so the rounds shorter than a
+/// socket stay on the EIB and those shorter than a node stay in it.
+Duration barrier_time(int n, const CollectiveLegs& legs);
 
-/// Binomial broadcast completion time (depth x widest active leg).
-Duration broadcast_time(int n, const CollectiveLegs& legs, int ranks_per_socket = 8,
-                        int ranks_per_node = 32);
+/// Binomial broadcast completion time (depth x widest active leg): the
+/// same rounds as the barrier.
+Duration broadcast_time(int n, const CollectiveLegs& legs);
 
 /// Allreduce = reduce + broadcast over the same tree.
-Duration allreduce_time(int n, const CollectiveLegs& legs, int ranks_per_socket = 8,
-                        int ranks_per_node = 32);
+Duration allreduce_time(int n, const CollectiveLegs& legs);
 
 }  // namespace rr::comm

@@ -1,32 +1,11 @@
 #include "comm/fabric.hpp"
 
 #include "arch/calibration.hpp"
-#include "obs/metrics.hpp"
 #include "util/expect.hpp"
 
 namespace rr::comm {
 
 namespace cal = rr::arch::cal;
-
-namespace {
-
-// Fabric instrumentation (DESIGN.md §10): the Fig. 10 sweep counts its
-// pings and the hop-distance distribution they saw.  The tree is three
-// crossbar levels deep, so hop counts are tiny integers; exact buckets.
-struct FabricMetrics {
-  obs::Counter& pings;
-  obs::Histogram& hops;
-
-  static FabricMetrics& instance() {
-    auto& reg = obs::MetricsRegistry::global();
-    static FabricMetrics m{
-        reg.counter("fabric.pings"),
-        reg.histogram("fabric.hops", {0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0})};
-    return m;
-  }
-};
-
-}  // namespace
 
 ChannelParams mpi_infiniband_default_params() {
   ChannelParams p = mpi_infiniband(true);
@@ -61,9 +40,6 @@ std::vector<LatencySweepPoint> FabricModel::latency_sweep(topo::NodeId src) cons
     pt.node = d;
     pt.hops = topo_->hop_count(src, topo::NodeId{d});
     pt.latency = zero_byte_latency(pt.hops);
-    FabricMetrics& fm = FabricMetrics::instance();
-    fm.pings.inc();
-    fm.hops.observe(pt.hops);
     out.push_back(pt);
   }
   return out;

@@ -18,6 +18,7 @@
 #include <deque>
 #include <string>
 
+#include "arch/mapping.hpp"
 #include "comm/channel.hpp"
 #include "sim/resource.hpp"
 #include "sim/trace.hpp"
@@ -32,7 +33,7 @@ class MetricsRegistry;
 namespace rr::comm {
 
 struct NetworkConfig {
-  int cells_per_node = 4;
+  int cells_per_node = arch::kSpeCentric.sockets_per_node;
   /// Use the mature-software parameters (raw PCIe instead of early DaCS).
   bool best_case_pcie = false;
 };

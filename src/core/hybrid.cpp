@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "arch/mapping.hpp"
 #include "comm/channel.hpp"
 #include "util/expect.hpp"
 
@@ -47,9 +48,10 @@ HybridExecution HybridRuntime::run(UsageMode mode, const KernelProfile& kernel,
       break;
     }
     case UsageMode::kAccelerator: {
-      // Four Cells per node, each fed by its own PCIe link: the data is
+      // Every Cell of the node is fed by its own PCIe link: the data is
       // striped, crosses down before and up after the kernel.
-      const DataSize per_link = DataSize::bytes(data.b() / 4);
+      const DataSize per_link =
+          DataSize::bytes(data.b() / arch::kSpeCentric.sockets_per_node);
       e.compute = Duration::seconds(flops / cell_rate(kernel).in_flops());
       e.transfer = pcie.one_way(per_link) * 2;
       e.overhead = kernel.offload_call_overhead;

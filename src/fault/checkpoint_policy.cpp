@@ -33,12 +33,4 @@ double expected_makespan_s(double work_s, double interval_s,
          std::expm1((interval_s + checkpoint_s) / mtbf_s) * segments;
 }
 
-double overhead_fraction(double work_s, double interval_s, double checkpoint_s,
-                         double restart_s, double mtbf_s) {
-  return expected_makespan_s(work_s, interval_s, checkpoint_s, restart_s,
-                             mtbf_s) /
-             work_s -
-         1.0;
-}
-
 }  // namespace rr::fault

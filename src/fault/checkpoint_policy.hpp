@@ -26,8 +26,4 @@ double expected_makespan_s(double work_s, double interval_s,
                            double checkpoint_s, double restart_s,
                            double mtbf_s);
 
-/// Expected overhead fraction: expected_makespan / work - 1.
-double overhead_fraction(double work_s, double interval_s, double checkpoint_s,
-                         double restart_s, double mtbf_s);
-
 }  // namespace rr::fault

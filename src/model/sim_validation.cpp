@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "arch/mapping.hpp"
 #include "sweep/cml_sweep.hpp"
 #include "sweep/quadrature.hpp"
 #include "util/expect.hpp"
@@ -14,7 +15,7 @@ SimulatedIteration simulate_iteration(const SweepWorkload& w, int px, int py,
                                       bool best_case_pcie) {
   RR_EXPECTS(px >= 1 && py >= 1);
   RR_EXPECTS(w.angles == sweep::kAnglesPerOctant);
-  const int nodes = (px * py + 31) / 32;
+  const int nodes = arch::kSpeCentric.nodes_for(px * py);
   RR_EXPECTS(nodes <= topo.node_count());
 
   sim::Simulator simulator;
@@ -31,8 +32,9 @@ SimulatedIteration simulate_iteration(const SweepWorkload& w, int px, int py,
 double model_vs_des_gap(const SweepWorkload& w, int px, int py,
                         const SweepCompute& compute, const topo::FatTree& topo) {
   const SimulatedIteration des = simulate_iteration(w, px, py, compute, topo);
-  const CommMode mode = px * py <= 8 ? CommMode::kIntraSocketEib
-                                     : CommMode::kMeasuredEarly;
+  const CommMode mode = px * py <= arch::kSpeCentric.ranks_per_socket
+                            ? CommMode::kIntraSocketEib
+                            : CommMode::kMeasuredEarly;
   const IterationEstimate model = estimate_iteration(w, px, py, compute, mode);
   return std::abs(des.total.sec() - model.total.sec()) / des.total.sec();
 }

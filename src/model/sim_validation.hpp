@@ -23,9 +23,10 @@ struct SimulatedIteration {
 };
 
 /// Execute one Sweep3D iteration on a px x py rank array inside the DES.
-/// Ranks are mapped onto triblade nodes 32-per-node in rank order; the
-/// communication mode follows from the CML transport (early or best-case
-/// PCIe).  Requires px*py <= 32 * topology node count.
+/// Ranks are placed on triblade nodes by arch::kSpeCentric, one per SPE in
+/// rank order; the communication mode follows from the CML transport
+/// (early or best-case PCIe).  Requires the px*py ranks to fit on the
+/// topology's nodes.
 SimulatedIteration simulate_iteration(const SweepWorkload& w, int px, int py,
                                       const SweepCompute& compute,
                                       const topo::FatTree& topo,

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "arch/calibration.hpp"
+#include "arch/mapping.hpp"
 #include "comm/channel.hpp"
 #include "comm/fabric.hpp"
 #include "comm/path.hpp"
@@ -168,7 +169,8 @@ TableIvResult table_iv() {
   w.it = w.jt = w.kt = 50;
   w.mk = 10;
 
-  const auto [px, py] = choose_grid(8);  // one full socket: 8 SPEs
+  // One full socket: a PowerXCell 8i's SPEs.
+  const auto [px, py] = choose_grid(arch::kSpeCentric.ranks_per_socket);
   TableIvResult r;
   r.ours_pxc_s = estimate_iteration(w, px, py,
                                     spe_compute(arch::CellVariant::kPowerXCell8i),
@@ -186,7 +188,7 @@ TableIvResult table_iv() {
   const std::int64_t ca_per_spe =
       static_cast<std::int64_t>(w.it) * w.jt * w.kt * w.angles * 8;  // 8 octants
   const Duration compute = prev.per_cell_angle * ca_per_spe;
-  r.prev_cbe_s = (compute + master_worker_overhead(w, 8)).sec();
+  r.prev_cbe_s = (compute + master_worker_overhead(w, px * py)).sec();
   return r;
 }
 
@@ -250,8 +252,8 @@ ScalePoint scale_point(int nodes, const SweepWorkload& w,
   ScalePoint pt;
   pt.nodes = nodes;
 
-  // Accelerated runs: one rank per SPE, 32 per node.
-  const int cell_ranks = 32 * nodes;
+  // Accelerated runs: one rank per SPE.
+  const int cell_ranks = arch::kSpeCentric.ranks_per_node() * nodes;
   const auto [cpx, cpy] = choose_grid(cell_ranks);
   const SweepCompute& pxc = spe_pxc;
   const CommMode cell_measured =
@@ -261,12 +263,14 @@ ScalePoint scale_point(int nodes, const SweepWorkload& w,
   pt.cell_measured_s = estimate_iteration(w, cpx, cpy, pxc, cell_measured).total.sec();
   pt.cell_best_s = estimate_iteration(w, cpx, cpy, pxc, cell_best).total.sec();
 
-  // Non-accelerated runs: same global problem, one rank per Opteron core
-  // (4 per node), so each rank holds 8x the cells (2x in I, 4x in J).
+  // Non-accelerated runs: same global problem, one rank per Opteron core,
+  // so each rank holds 8x the cells (2x in I, 4x in J).
+  static_assert(arch::kSpeCentric.ranks_per_node() ==
+                2 * 4 * arch::kHostOnly.ranks_per_node());
   SweepWorkload wo = w;
   wo.it = w.it * 2;
   wo.jt = w.jt * 4;
-  const int opteron_ranks = 4 * nodes;
+  const int opteron_ranks = arch::kHostOnly.ranks_per_node() * nodes;
   const auto [opx, opy] = choose_grid(opteron_ranks);
   const CommMode opteron_mode =
       nodes == 1 ? CommMode::kSharedMemory : CommMode::kOpteronMpi;

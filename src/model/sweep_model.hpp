@@ -112,9 +112,9 @@ struct Fig12Row {
 };
 std::vector<Fig12Row> figure12_rows();
 
-/// Fig. 13 / 14: iteration time vs node count, 5x5x400 per SPE (32 SPE
-/// ranks per node) vs the same global problem on the Opterons (4 ranks
-/// per node, 8x the cells each).
+/// Fig. 13 / 14: iteration time vs node count, 5x5x400 per SPE (a rank
+/// per SPE, placed by arch::kSpeCentric) vs the same global problem on
+/// the Opterons (a rank per core, arch::kHostOnly, 8x the cells each).
 struct ScalePoint {
   int nodes = 0;
   double opteron_s = 0.0;

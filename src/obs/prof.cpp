@@ -26,11 +26,6 @@ void WallTrace::attach(sim::TraceRecorder* trace, std::string track) {
   track_ = std::move(track);
 }
 
-bool WallTrace::enabled() const {
-  std::lock_guard lock(mu_);
-  return trace_ != nullptr;
-}
-
 void WallTrace::record(const std::string& name, TimePoint t0, TimePoint t1) {
   std::lock_guard lock(mu_);
   if (!trace_) return;

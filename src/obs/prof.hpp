@@ -40,7 +40,6 @@ class WallTrace {
   /// Attach (or detach with nullptr).  The recorder must outlive the
   /// attachment; the track name should keep the "wall/" prefix.
   void attach(sim::TraceRecorder* trace, std::string track = "wall/prof");
-  bool enabled() const;
 
   /// Record one completed span [t0, t1] on the wall track.
   void record(const std::string& name, TimePoint t0, TimePoint t1);

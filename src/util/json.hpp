@@ -70,7 +70,6 @@ class Json {
   static Json array() { return Json(Array{}); }
 
   Kind kind() const { return static_cast<Kind>(v_.index()); }
-  bool is_null() const { return kind() == Kind::kNull; }
   bool is_number() const { return kind() == Kind::kNumber; }
   bool is_object() const { return kind() == Kind::kObject; }
   bool is_array() const { return kind() == Kind::kArray; }

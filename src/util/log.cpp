@@ -111,16 +111,9 @@ void set_log_prefix(const std::string& prefix) {
   g_prefix = prefix;
 }
 
-std::string log_prefix() {
-  std::lock_guard lock(g_mu);
-  return g_prefix;
-}
-
 void set_log_shard(int shard) {
   g_shard.store(shard, std::memory_order_relaxed);
 }
-
-int log_shard() { return g_shard.load(std::memory_order_relaxed); }
 
 void log_init_from_env() {
   ensure_env_init();  // make sure the once-flag cannot fire after us

@@ -42,14 +42,12 @@ std::string log_json_path();
 /// "shard <k>" after fork so interleaved coordinator/worker output is
 /// attributable; empty (the default) disables.
 void set_log_prefix(const std::string& prefix);
-std::string log_prefix();
 
 /// Structured shard id recorded as a "shard" field in every JSONL
 /// record, so merged fleet logs are machine-filterable (the text prefix
 /// above is for humans; this field is for tools).  Negative (the
 /// default) disables the field.  Campaign workers set it after fork.
 void set_log_shard(int shard);
-int log_shard();
 
 /// Re-read RR_LOG_LEVEL / RR_LOG_JSON now (tests; normal code relies on
 /// the automatic first-use initialization).

@@ -165,7 +165,6 @@ class Frequency {
  public:
   constexpr Frequency() = default;
   static constexpr Frequency hz(double v) { return Frequency{v}; }
-  static constexpr Frequency mhz(double v) { return Frequency{v * 1e6}; }
   static constexpr Frequency ghz(double v) { return Frequency{v * 1e9}; }
 
   constexpr double in_hz() const { return v_; }
@@ -187,7 +186,6 @@ class FlopRate {
   constexpr FlopRate() = default;
   static constexpr FlopRate flops(double v) { return FlopRate{v}; }
   static constexpr FlopRate gflops(double v) { return FlopRate{v * 1e9}; }
-  static constexpr FlopRate tflops(double v) { return FlopRate{v * 1e12}; }
   static constexpr FlopRate pflops(double v) { return FlopRate{v * 1e15}; }
 
   constexpr double in_flops() const { return v_; }

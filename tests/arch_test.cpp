@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/calibration.hpp"
+#include "arch/mapping.hpp"
 #include "arch/power.hpp"
 #include "arch/spec.hpp"
 
@@ -79,6 +80,41 @@ TEST(Triblade, CoreCounts) {
   EXPECT_EQ(node.opteron_cores(), 4);
   EXPECT_EQ(node.cell_processors(), 4);
   EXPECT_EQ(node.spe_count(), 32);
+}
+
+// ---------------------------------------------------------------------------
+// Rank mapping (Sections II.A and III)
+// ---------------------------------------------------------------------------
+
+TEST(Mapping, PresetsMatchTheTriblade) {
+  const TribladeSpec node = make_triblade();
+  EXPECT_EQ(kSpeCentric.sockets_per_node, node.cell_processors());
+  EXPECT_EQ(kSpeCentric.ranks_per_node(), node.spe_count());
+  EXPECT_EQ(kHostOnly.sockets_per_node,
+            static_cast<int>(node.opteron_blade.sockets.size()));
+  EXPECT_EQ(kHostOnly.ranks_per_node(), node.opteron_cores());
+}
+
+TEST(Mapping, RanksFillSocketsThenNodesRowMajor) {
+  for (int r = 0; r < 3 * 32; ++r) {
+    EXPECT_EQ(kSpeCentric.node_of(r), r / 32) << r;
+    EXPECT_EQ(kSpeCentric.socket_of(r), r / 8 % 4) << r;
+  }
+  for (int r = 0; r < 3 * 4; ++r) {
+    EXPECT_EQ(kHostOnly.node_of(r), r / 4) << r;
+    EXPECT_EQ(kHostOnly.socket_of(r), r / 2 % 2) << r;
+  }
+}
+
+TEST(Mapping, NodesForRoundsUpToWholeNodes) {
+  EXPECT_EQ(kSpeCentric.nodes_for(1), 1);
+  EXPECT_EQ(kSpeCentric.nodes_for(32), 1);
+  EXPECT_EQ(kSpeCentric.nodes_for(33), 2);
+  EXPECT_EQ(kSpeCentric.nodes_for(97920), 3060);
+  EXPECT_EQ(kHostOnly.nodes_for(1), 1);
+  EXPECT_EQ(kHostOnly.nodes_for(32), 8);
+  EXPECT_EQ(kHostOnly.nodes_for(33), 9);
+  EXPECT_EQ(kHostOnly.nodes_for(97920), 24480);
 }
 
 // ---------------------------------------------------------------------------

@@ -32,13 +32,14 @@ struct World {
 
 TEST(CmlWorld, RankLayoutMatchesRoadrunnerNode) {
   World w(CmlConfig{2, 4, 8});
+  const arch::Mapping m = w.cml.mapping();
   EXPECT_EQ(w.cml.size(), 64);
-  EXPECT_EQ(w.cml.node_of(0), 0);
-  EXPECT_EQ(w.cml.node_of(31), 0);
-  EXPECT_EQ(w.cml.node_of(32), 1);
-  EXPECT_EQ(w.cml.cell_of(7), 0);
-  EXPECT_EQ(w.cml.cell_of(8), 1);
-  EXPECT_EQ(w.cml.spe_of(13), 5);
+  EXPECT_EQ(m.node_of(0), 0);
+  EXPECT_EQ(m.node_of(31), 0);
+  EXPECT_EQ(m.node_of(32), 1);
+  EXPECT_EQ(m.socket_of(7), 0);
+  EXPECT_EQ(m.socket_of(8), 1);
+  EXPECT_EQ(m.socket_of(40), 1);  // Cell 1 of node 1
 }
 
 // ---------------------------------------------------------------------------
