@@ -4,19 +4,12 @@
 // separate root BENCH_DES.json, which this harness never writes).
 //
 // Workloads:
-//   * schedule-heavy  -- self-rescheduling event chains, no cancels
-//                        (pure heap + pool throughput), measured on both
-//                        the tombstone-heap Simulator and the legacy
-//                        linear-scan ReferenceSimulator;
-//   * cancel-heavy    -- 50% of events cancelled while pending, plus
-//                        cancel-after-fire churn on every prior batch
-//                        (a failure cancelling sim::InterruptibleProcess's
-//                        pending segment is this pattern; it made the old
-//                        cancel list grow without bound).
-//                        The reference engine runs a scaled-down batch
-//                        count (it is O(events x cancels)) and rates are
-//                        compared; the harness FAILS if the tombstone
-//                        heap is not >= 5x faster or its pool grows;
+//   * schedule-heavy  -- self-rescheduling event chains (pure heap + pool
+//                        throughput), measured on both the laned-heap
+//                        Simulator and the legacy priority-queue
+//                        ReferenceSimulator; the harness FAILS if the
+//                        Simulator's event pool grows once the first
+//                        window of chains is armed;
 //   * cml-ping        -- two SPE ranks on two nodes ping-pong a
 //                        checksummed message through CmlContext::send/
 //                        recv: the awaiters, matching and
@@ -36,9 +29,8 @@
 //        --report=PATH (obs run report).
 //
 // Exit codes (fault::ExitCode): 0 when every gate holds; 1 when a gate
-// fails (a floor regression, the cancel-heavy speedup or pool growth) or
-// an output cannot be written; 2 for a usage error or a rejected floor
-// file.
+// fails (a floor regression or pool growth) or an output cannot be
+// written; 2 for a usage error or a rejected floor file.
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -92,15 +84,25 @@ struct ChainDriver {
   }
 };
 
+struct ScheduleHeavyResult {
+  double events_per_sec = 0.0;
+  std::size_t pool_capacity_early = 0;  ///< once the first window is armed
+  std::size_t pool_capacity_final = 0;
+};
+
 template <typename Sim>
-double schedule_heavy_rate(std::uint64_t total, std::uint64_t window) {
+ScheduleHeavyResult schedule_heavy(std::uint64_t total, std::uint64_t window) {
   ChainDriver<Sim> d;
   d.total = total;
+  ScheduleHeavyResult r;
+  constexpr bool pooled = requires { d.sim.pool_capacity(); };
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t w = 0; w < window && d.scheduled < total; ++w) d.arm();
+  if constexpr (pooled) r.pool_capacity_early = d.sim.pool_capacity();
   d.sim.run();
-  const double s = seconds_since(t0);
-  return static_cast<double>(d.sim.events_run()) / s;
+  r.events_per_sec = static_cast<double>(d.sim.events_run()) / seconds_since(t0);
+  if constexpr (pooled) r.pool_capacity_final = d.sim.pool_capacity();
+  return r;
 }
 
 // Same chain workload with one relaxed counter increment per event --
@@ -135,45 +137,6 @@ double schedule_heavy_rate_instrumented(std::uint64_t total,
   const double s = seconds_since(t0);
   obs::snapshot_simulator(d.sim, obs::MetricsRegistry::global(), "des", s);
   return static_cast<double>(d.sim.events_run()) / s;
-}
-
-// --- cancel-heavy: per batch, schedule B events, cancel half of them
-// while pending, re-cancel the previous batch's survivors (all fired:
-// must be no-ops), then drain. ---
-struct CancelHeavyResult {
-  std::uint64_t events = 0;
-  double events_per_sec = 0.0;
-  std::size_t pool_capacity_early = 0;
-  std::size_t pool_capacity_final = 0;
-};
-
-template <typename Sim>
-CancelHeavyResult cancel_heavy(std::uint64_t total, std::uint64_t batch) {
-  Sim sim;
-  Rng rng(7);
-  CancelHeavyResult r;
-  std::vector<std::uint64_t> ids, prev_survivors;
-  const auto t0 = std::chrono::steady_clock::now();
-  while (r.events < total) {
-    ids.clear();
-    for (std::uint64_t b = 0; b < batch; ++b) {
-      ids.push_back(sim.schedule(
-          Duration::picoseconds(static_cast<std::int64_t>(rng.next_below(100'000))),
-          [] {}));
-      ++r.events;
-    }
-    for (std::uint64_t b = 0; b < batch; b += 2) sim.cancel(ids[b]);  // pending
-    for (const std::uint64_t id : prev_survivors) sim.cancel(id);  // after fire
-    sim.run();
-    prev_survivors.clear();
-    for (std::uint64_t b = 1; b < batch; b += 2) prev_survivors.push_back(ids[b]);
-    if constexpr (requires { sim.pool_capacity(); }) {
-      if (r.pool_capacity_early == 0) r.pool_capacity_early = sim.pool_capacity();
-      r.pool_capacity_final = sim.pool_capacity();
-    }
-  }
-  r.events_per_sec = static_cast<double>(r.events) / seconds_since(t0);
-  return r;
 }
 
 // --- cml-ping: rank 0 sends i to rank 1, on another node, which sends
@@ -225,8 +188,8 @@ double sweep3d_rate(const std::vector<int>& counts, int reps, int* scenarios) {
 
 // The keys a floor file holds: the floors check_floor holds the rates to.
 constexpr std::string_view kGatedFloors[] = {
-    "schedule_heavy_events_per_sec", "cancel_heavy_events_per_sec",
-    "cml_ping_events_per_sec", "sweep3d_scenarios_per_sec"};
+    "schedule_heavy_events_per_sec", "cml_ping_events_per_sec",
+    "sweep3d_scenarios_per_sec"};
 
 [[noreturn]] void floor_error(const CliParser& cli, const std::string& what) {
   std::cerr << cli.program() << ": --floor=" << cli.get("floor", "") << ": "
@@ -281,51 +244,38 @@ int main(int argc, char** argv) {
       cli.has("floor") ? std::optional<Json>(read_floor(cli)) : std::nullopt;
 
   const std::uint64_t sched_total = quick ? 200'000 : 1'000'000;
-  const std::uint64_t cancel_total = quick ? 200'000 : 1'000'000;
-  // The reference engine is O(events x cancel-list) on this workload: a
-  // full-size run would take minutes, so its rate is measured at a
-  // smaller event count (the per-event rate only flatters it).
-  const std::uint64_t ref_cancel_total = quick ? 20'000 : 50'000;
-  const std::uint64_t batch = 1'000;
   const int ping_round_trips = quick ? 25'000 : 100'000;
   std::vector<int> counts{1, 2, 4, 8, 16, 32, 64};
   if (!quick) counts.insert(counts.end(), {128, 256, 512});
 
   print_banner(std::cout, "DES event-queue performance (bench_des_perf)");
 
-  const double sched_new =
-      schedule_heavy_rate<sim::Simulator>(sched_total, 10'000);
+  const ScheduleHeavyResult sched =
+      schedule_heavy<sim::Simulator>(sched_total, 10'000);
+  const double sched_new = sched.events_per_sec;
   const double sched_instr =
       schedule_heavy_rate_instrumented(sched_total, 10'000);
   const double overhead_pct = (1.0 - sched_instr / sched_new) * 100.0;
   const double sched_ref =
-      schedule_heavy_rate<sim::ReferenceSimulator>(sched_total, 10'000);
-  const auto cancel_new = cancel_heavy<sim::Simulator>(cancel_total, batch);
-  const auto cancel_ref =
-      cancel_heavy<sim::ReferenceSimulator>(ref_cancel_total, batch);
-  const double speedup = cancel_new.events_per_sec / cancel_ref.events_per_sec;
+      schedule_heavy<sim::ReferenceSimulator>(sched_total, 10'000).events_per_sec;
   std::uint64_t ping_events = 0;
   const double cml_ping = cml_ping_rate(ping_round_trips, &ping_events);
   int scenarios = 0;
   const double sweep3d = sweep3d_rate(counts, quick ? 1 : 3, &scenarios);
 
   Table t({"workload", "events", "events/sec", "vs legacy"});
-  t.row().add("schedule-heavy (tombstone heap)").add(sched_total).add(sched_new, 0)
+  t.row().add("schedule-heavy (laned heap)").add(sched_total).add(sched_new, 0)
       .add(sched_new / sched_ref, 2);
   t.row().add("schedule-heavy (with obs metrics)").add(sched_total)
       .add(sched_instr, 0).add(sched_instr / sched_ref, 2);
-  t.row().add("schedule-heavy (legacy linear scan)").add(sched_total)
+  t.row().add("schedule-heavy (legacy priority queue)").add(sched_total)
       .add(sched_ref, 0).add(1.0, 2);
-  t.row().add("cancel-heavy 50% (tombstone heap)").add(cancel_new.events)
-      .add(cancel_new.events_per_sec, 0).add(speedup, 2);
-  t.row().add("cancel-heavy 50% (legacy linear scan)").add(cancel_ref.events)
-      .add(cancel_ref.events_per_sec, 0).add(1.0, 2);
   t.row().add("CML ping-pong (2 nodes)").add(ping_events).add(cml_ping, 0).add("-");
   t.row().add("sweep3d scaling (scenarios/sec)").add(scenarios).add(sweep3d, 2)
       .add("-");
   t.print(std::cout);
-  std::cout << "cancel-heavy pool capacity: " << cancel_new.pool_capacity_early
-            << " after first batch, " << cancel_new.pool_capacity_final
+  std::cout << "schedule-heavy pool capacity: " << sched.pool_capacity_early
+            << " once the first window was armed, " << sched.pool_capacity_final
             << " at end (flat => pooled slots recycled)\n"
             << "metrics overhead on schedule-heavy: "
             << format_double(overhead_pct, 1)
@@ -339,13 +289,8 @@ int main(int argc, char** argv) {
   j.set("schedule_heavy_instrumented_events_per_sec", sched_instr);
   j.set("metrics_overhead_pct", overhead_pct);
   j.set("schedule_heavy_baseline_events_per_sec", sched_ref);
-  j.set("cancel_heavy_events", cancel_new.events);
-  j.set("cancel_heavy_events_per_sec", cancel_new.events_per_sec);
-  j.set("cancel_heavy_baseline_events", cancel_ref.events);
-  j.set("cancel_heavy_baseline_events_per_sec", cancel_ref.events_per_sec);
-  j.set("cancel_heavy_speedup", speedup);
-  j.set("cancel_heavy_pool_capacity_early", cancel_new.pool_capacity_early);
-  j.set("cancel_heavy_pool_capacity_final", cancel_new.pool_capacity_final);
+  j.set("schedule_heavy_pool_capacity_early", sched.pool_capacity_early);
+  j.set("schedule_heavy_pool_capacity_final", sched.pool_capacity_final);
   j.set("cml_ping_round_trips", ping_round_trips);
   j.set("cml_ping_events", ping_events);
   j.set("cml_ping_events_per_sec", cml_ping);
@@ -357,17 +302,12 @@ int main(int argc, char** argv) {
   }
   std::cout << "wrote " << out_path << "\n";
 
-  // Hard gates: the rebuild's acceptance criteria, enforced on every run.
+  // Hard gate, enforced on every run.  Flat memory: the pool must not
+  // grow once the first window of chains sized it.
   bool ok = true;
-  if (speedup < 5.0) {
-    std::cerr << "FAIL: cancel-heavy speedup " << speedup << " < 5x\n";
-    ok = false;
-  }
-  // Flat memory: the pool must not grow once the first batch sized it.
-  if (cancel_new.pool_capacity_final > cancel_new.pool_capacity_early) {
-    std::cerr << "FAIL: cancel-heavy pool grew "
-              << cancel_new.pool_capacity_early << " -> "
-              << cancel_new.pool_capacity_final << "\n";
+  if (sched.pool_capacity_final != sched.pool_capacity_early) {
+    std::cerr << "FAIL: schedule-heavy pool grew " << sched.pool_capacity_early
+              << " -> " << sched.pool_capacity_final << "\n";
     ok = false;
   }
   if (floor) {
@@ -375,8 +315,6 @@ int main(int argc, char** argv) {
     // The instrumented variant must clear the *same* floor: metrics that
     // cost more than the floor's 20% noise margin fail the smoke run.
     check_floor(*floor, "schedule_heavy_events_per_sec", sched_instr, &ok);
-    check_floor(*floor, "cancel_heavy_events_per_sec",
-                cancel_new.events_per_sec, &ok);
     check_floor(*floor, "cml_ping_events_per_sec", cml_ping, &ok);
     check_floor(*floor, "sweep3d_scenarios_per_sec", sweep3d, &ok);
   }
@@ -387,7 +325,6 @@ int main(int argc, char** argv) {
     info.params = Json::object();
     info.params.set("quick", quick)
         .set("schedule_heavy_events", sched_total)
-        .set("cancel_heavy_events", cancel_total)
         .set("cml_ping_round_trips", ping_round_trips);
     obs::RunReport rep(std::move(info));
     rep.add_snapshot(obs::MetricsRegistry::global().snapshot());

@@ -2,8 +2,8 @@
 // (src/fault).  Scripts a morning of faults against the full fabric,
 // shows the up*/down* router steering around a dead inter-CU switch,
 // derives the Young/Daly defensive-checkpoint interval from the Panasas
-// I/O model, and replays one interrupted LINPACK run on the simulator,
-// restart by restart.
+// I/O model, and replays one interrupted LINPACK run, restart by
+// restart.
 //
 // Run:  ./resilience_demo [--seed=6] [--state-gib=4]
 #include <iostream>
@@ -16,7 +16,6 @@
 #include "fault/injector.hpp"
 #include "fault/resilience_study.hpp"
 #include "io/io_model.hpp"
-#include "sim/interrupt.hpp"
 #include "sim/simulator.hpp"
 #include "topo/degraded.hpp"
 #include "util/cli.hpp"
@@ -88,9 +87,9 @@ int main(int argc, char** argv) {
   // --- one interrupted LINPACK run, blow by blow ---------------------------
   print_banner(std::cout, "One interrupted full-machine LINPACK run");
   const double work_s = fault::hpl_fault_free_s(system, topo.node_count());
-  const sim::RestartPlan plan{Duration::seconds(work_s),
-                              Duration::seconds(tau_s), Duration::seconds(c_s),
-                              Duration::seconds(420)};
+  const fault::RestartPlan plan{Duration::seconds(work_s),
+                                Duration::seconds(tau_s), Duration::seconds(c_s),
+                                Duration::seconds(420)};
   const std::vector<Duration> failures = fault::generate_system_schedule(
       mtbf_h, Duration::seconds(4.0 * work_s), seed);
   std::cout << "  fault-free run: " << format_double(work_s / 3600.0, 2)
@@ -99,7 +98,7 @@ int main(int argc, char** argv) {
     std::cout << " " << format_double(f.sec() / 3600.0, 2) << "h";
   std::cout << "\n";
 
-  const sim::RestartStats stats = fault::run_interrupted(plan, failures);
+  const fault::RestartStats stats = fault::run_interrupted(plan, failures);
   Table r({"outcome", "value"});
   r.row().add("makespan").add(format_double(stats.makespan.sec() / 3600.0, 2) +
                               " h");

@@ -1,5 +1,8 @@
 #include "cml/cml.hpp"
 
+#include <cstdint>
+#include <limits>
+
 #include "util/expect.hpp"
 
 namespace rr::cml {
@@ -9,6 +12,18 @@ namespace {
 constexpr int kBarrierTagBase = -1000;  // minus the round number
 constexpr int kBcastTag = -2000;
 constexpr int kReduceTag = -3000;
+
+/// The world's rank count, checked before any member is sized from it.
+/// The product is bounded by INT_MAX in 64-bit arithmetic, so no config
+/// wraps it.
+int checked_size(const topo::FatTree& topo, const CmlConfig& config) {
+  RR_EXPECTS(config.nodes >= 1 && config.nodes <= topo.node_count());
+  RR_EXPECTS(config.cells_per_node >= 1 && config.spes_per_cell >= 1);
+  const std::int64_t per_node =
+      std::int64_t{config.cells_per_node} * config.spes_per_cell;
+  RR_EXPECTS(per_node <= std::numeric_limits<int>::max() / config.nodes);
+  return static_cast<int>(per_node * config.nodes);
+}
 }  // namespace
 
 DataSize message_bytes(const std::vector<double>& payload) {
@@ -18,12 +33,9 @@ DataSize message_bytes(const std::vector<double>& payload) {
 CmlWorld::CmlWorld(sim::Simulator& sim, const topo::FatTree& topo, CmlConfig config)
     : sim_(&sim),
       config_(config),
-      size_(config.nodes * config.cells_per_node * config.spes_per_cell),
+      size_(checked_size(topo, config)),
       net_(sim, topo, comm::NetworkConfig{config.cells_per_node, config.best_case_pcie}),
-      endpoints_(static_cast<std::size_t>(size_)) {
-  RR_EXPECTS(config.nodes >= 1 && config.nodes <= topo.node_count());
-  RR_EXPECTS(config.cells_per_node >= 1 && config.spes_per_cell >= 1);
-}
+      endpoints_(static_cast<std::size_t>(size_)) {}
 
 sim::Task<void> CmlWorld::transport(Rank src, Rank dst, DataSize bytes) {
   RR_EXPECTS(src >= 0 && src < size_);

@@ -112,7 +112,7 @@ ResiliencePoint study_point(const arch::SystemSpec& system,
   pt.analytic_s = expected_makespan_s(fault_free_s, pt.interval_s,
                                       pt.checkpoint_s, cfg.restart_s, mtbf_s);
 
-  const sim::RestartPlan plan{
+  const RestartPlan plan{
       Duration::seconds(fault_free_s), Duration::seconds(pt.interval_s),
       Duration::seconds(pt.checkpoint_s), Duration::seconds(cfg.restart_s)};
   const MonteCarloResult mc = expected_interrupted_makespan(
@@ -171,7 +171,7 @@ IntervalPoint interval_point(const arch::SystemSpec& system,
   p.interval_s = std::min(optimal_s * multiple, fault_free_s);
   p.analytic_s = expected_makespan_s(fault_free_s, p.interval_s, checkpoint_s,
                                      cfg.restart_s, mtbf_s);
-  const sim::RestartPlan plan{
+  const RestartPlan plan{
       Duration::seconds(fault_free_s), Duration::seconds(p.interval_s),
       Duration::seconds(checkpoint_s), Duration::seconds(cfg.restart_s)};
   const MonteCarloResult mc = expected_interrupted_makespan(

@@ -71,11 +71,8 @@ void snapshot_simulator(const sim::Simulator& sim, MetricsRegistry& reg,
                         const std::string& prefix, double wall_seconds) {
   reg.gauge(prefix + ".events_run")
       .set(static_cast<double>(sim.events_run()));
-  reg.gauge(prefix + ".cancelled_run")
-      .set(static_cast<double>(sim.cancelled_run()));
   reg.gauge(prefix + ".scheduled_total")
       .set(static_cast<double>(sim.scheduled_total()));
-  reg.gauge(prefix + ".tombstones").set(static_cast<double>(sim.tombstones()));
   reg.gauge(prefix + ".pending").set(static_cast<double>(sim.pending()));
   reg.gauge(prefix + ".max_pending")
       .set(static_cast<double>(sim.max_pending()));

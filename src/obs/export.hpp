@@ -31,8 +31,8 @@ void export_counters(const Snapshot& s, sim::TraceRecorder& trace,
                      TimePoint at, const std::string& track = "wall/metrics");
 
 /// Publish a Simulator's queue statistics as gauges under `prefix`
-/// (events_run, cancelled_run, tombstones, pending, max_pending,
-/// pool_capacity), plus events_per_sec when `wall_seconds > 0`.
+/// (events_run, scheduled_total, pending, max_pending, pool_capacity),
+/// plus events_per_sec when `wall_seconds > 0`.
 void snapshot_simulator(const sim::Simulator& sim, MetricsRegistry& reg,
                         const std::string& prefix, double wall_seconds = 0.0);
 

@@ -1,14 +1,13 @@
-// The pre-rebuild DES engine, kept verbatim as a differential-testing
-// oracle and performance baseline.
+// The pre-rebuild DES engine, kept as a differential-testing oracle and
+// performance baseline.
 //
-// This is the linear-scan calendar queue the tombstone-heap Simulator
-// (sim/simulator.hpp) replaced: cancel() pushes the id into a vector that
-// is_cancelled() scans on every pop, so cancel-heavy workloads degrade to
-// O(events x cancels), and an id cancelled after its event fired stays in
-// the list forever.  It is deliberately NOT fixed -- the property tests
-// prove the new queue fires bit-identically to this one, and
-// bench_des_perf uses it as the speedup denominator.  Do not use it in
-// models; use sim::Simulator.
+// This is the std::priority_queue the pooled, laned Simulator
+// (sim/simulator.hpp) replaced.  Its linear-scan cancel list went when
+// the last canceller left the DES; the rest is deliberately NOT fixed
+// (it still moves events out of top() through a const_cast) -- the
+// property tests prove the new queue fires bit-identically to this one,
+// and bench_des_perf uses it as the speedup denominator.  Do not use it
+// in models; use sim::Simulator.
 #pragma once
 
 #include <cstdint>
@@ -29,31 +28,24 @@ class ReferenceSimulator {
 
   TimePoint now() const { return now_; }
 
-  std::uint64_t schedule(Duration delay, std::function<void()> fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+  void schedule(Duration delay, std::function<void()> fn) {
+    schedule_at(now_ + delay, std::move(fn));
   }
 
-  std::uint64_t schedule_at(TimePoint when, std::function<void()> fn) {
+  void schedule_at(TimePoint when, std::function<void()> fn) {
     RR_EXPECTS(when >= now_);
-    const std::uint64_t id = next_seq_++;
-    queue_.push(Event{when, id, std::move(fn)});
-    return id;
+    queue_.push(Event{when, next_seq_++, std::move(fn)});
   }
-
-  void cancel(std::uint64_t id) { cancelled_.push_back(id); }
 
   bool step() {
-    while (!queue_.empty()) {
-      Event ev = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      if (is_cancelled(ev.seq)) continue;
-      RR_ASSERT(ev.at >= now_);
-      now_ = ev.at;
-      ++events_run_;
-      ev.fn();
-      return true;
-    }
-    return false;
+    if (queue_.empty()) return false;
+    Event ev = std::move(const_cast<Event&>(queue_.top()));
+    queue_.pop();
+    RR_ASSERT(ev.at >= now_);
+    now_ = ev.at;
+    ++events_run_;
+    ev.fn();
+    return true;
   }
 
   void run() {
@@ -78,22 +70,10 @@ class ReferenceSimulator {
     }
   };
 
-  bool is_cancelled(std::uint64_t id) {
-    for (std::size_t i = 0; i < cancelled_.size(); ++i) {
-      if (cancelled_[i] == id) {
-        cancelled_[i] = cancelled_.back();
-        cancelled_.pop_back();
-        return true;
-      }
-    }
-    return false;
-  }
-
   TimePoint now_ = TimePoint::origin();
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_run_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::vector<std::uint64_t> cancelled_;
 };
 
 }  // namespace rr::sim

@@ -6,7 +6,7 @@
 namespace rr::sim {
 
 const char* engine_name() {
-  return "rr-des (integer-picosecond indexed tombstone heap + ready FIFO)";
+  return "rr-des (integer-picosecond 4-ary heap + delay lanes + ready FIFO)";
 }
 
 }  // namespace rr::sim

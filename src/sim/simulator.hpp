@@ -5,8 +5,8 @@
 // order.  Simulated time is integer picoseconds (rr::TimePoint), which
 // makes runs bit-reproducible.
 //
-// Pending events wait in one of three places over a generational event
-// pool:
+// Pending events wait in one of three places over a pool of event
+// slots:
 //   * events due after now() join the delay lane for their delay (when -
 //     now()): a FIFO ring of 24-byte (time, seq, slot) PODs.  A lane is
 //     sorted by construction -- now() never decreases and seq only grows,
@@ -35,15 +35,10 @@
 //     order of scheduling whichever kind each event is;
 //   * slots are recycled through a free list, so steady-state
 //     schedule/fire cycles allocate nothing (small callbacks live in the
-//     std::function SBO of a reused slot);
-//   * cancel() is O(1): the event id encodes (generation, slot), a stale
-//     generation means the event already fired (or never existed) and the
-//     cancel is a true no-op.  A live cancel marks the slot a tombstone
-//     and drops the callback immediately; tombstones are swept lazily off
-//     the heap top and the ready front, with a bulk compaction of the
-//     heap, the lanes and the ready queue once they outnumber live
-//     events, so cancel-heavy workloads stay O(log n) per event with flat
-//     memory.
+//     std::function SBO of a reused slot).
+//
+// A scheduled event always fires: nothing removes a pending event
+// (DESIGN.md §9 records why).
 //
 // Two programming styles are supported:
 //   * callback style: sim.schedule(delay, fn)
@@ -78,84 +73,49 @@ class Simulator {
   /// Current simulated time.
   TimePoint now() const { return now_; }
 
-  /// Schedule `fn` to run `delay` after now.  Returns an event id usable
-  /// with cancel().
-  std::uint64_t schedule(Duration delay, std::function<void()> fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+  /// Schedule `fn` to run `delay` after now.
+  void schedule(Duration delay, std::function<void()> fn) {
+    schedule_at(now_ + delay, std::move(fn));
   }
 
   /// Schedule `fn` at absolute time `when` (must not be in the past).
   /// An event due now joins the ready queue behind every other event due
   /// now.
-  std::uint64_t schedule_at(TimePoint when, std::function<void()> fn) {
+  void schedule_at(TimePoint when, std::function<void()> fn) {
     RR_EXPECTS(when >= now_);
     const std::uint32_t si = acquire_slot();
     pool_[si].fn = std::move(fn);
-    return enqueue(when, si);
+    enqueue(when, si);
   }
 
   /// Resume coroutine `h` `delay` after now.  The event is an ordinary
-  /// one (same ids, cancel(), counters and FIFO among same-time events as
-  /// schedule()), but firing it resumes `h` directly.
-  std::uint64_t schedule_resume(Duration delay, std::coroutine_handle<> h) {
+  /// one (same counters and FIFO among same-time events as schedule()),
+  /// but firing it resumes `h` directly.
+  void schedule_resume(Duration delay, std::coroutine_handle<> h) {
     RR_EXPECTS(delay >= Duration::zero());
     RR_EXPECTS(h);
     const std::uint32_t si = acquire_slot();
     pool_[si].handle = h;
-    return enqueue(now_ + delay, si);
+    enqueue(now_ + delay, si);
   }
 
-  /// Cancel a pending event in O(1).  Calling it for an id that already
-  /// fired, was already cancelled, or was never issued is a true no-op:
-  /// nothing is retained, so cancel-after-fire loops cannot grow state.
-  void cancel(std::uint64_t id) {
-    const std::uint32_t si = slot_of(id);
-    if (si >= pool_.size()) return;
-    Slot& s = pool_[si];
-    if (!s.in_use || s.generation != generation_of(id) || s.cancelled) return;
-    s.cancelled = true;
-    s.fn = nullptr;  // release captured state now, not at pop time
-    s.handle = nullptr;
-    ++cancelled_total_;
-    ++tombstones_;
-    --live_;
-    // Lazy sweep: once tombstones dominate the queues, rebuild them
-    // without them (amortized O(1) per cancel) so memory stays flat even
-    // if the caller never steps the simulator again.
-    if (tombstones_ > live_ &&
-        heap_.size() + lane_size() + ready_.size() > kCompactionFloor)
-      compact();
-    if (trace_) trace_sample();
-  }
-
-  /// Run one event.  Returns false if no live events remain (tombstones
-  /// encountered on the way are swept and counted in cancelled_run()).
+  /// Run one event.  Returns false if none is pending.
   bool step() {
-    for (;;) {
-      std::uint32_t si = 0;
-      // The clock only moves on once the ready queue is empty, and a
-      // heap entry due now goes first (see the header comment).
-      if (!heap_.empty() && (ready_.empty() || heap_[0].at == now_)) {
-        const HeapItem top = heap_pop_top();
-        si = top.slot;
-        if (pool_[si].cancelled) {
-          drop_tombstone(si);
-          continue;
-        }
-        RR_ASSERT(top.at >= now_);
-        now_ = top.at;
-      } else if (!ready_.empty()) {
-        si = ready_.pop_front();
-        if (pool_[si].cancelled) {
-          drop_tombstone(si);
-          continue;
-        }
-      } else {
-        return false;
-      }
-      fire(si);
-      return true;
+    std::uint32_t si = 0;
+    // The clock only moves on once the ready queue is empty, and a heap
+    // entry due now goes first (see the header comment).
+    if (!heap_.empty() && (ready_.empty() || heap_[0].at == now_)) {
+      const HeapItem top = heap_pop_top();
+      RR_ASSERT(top.at >= now_);
+      now_ = top.at;
+      si = top.slot;
+    } else if (!ready_.empty()) {
+      si = ready_.pop_front();
+    } else {
+      return false;
     }
+    fire(si);
+    return true;
   }
 
   /// Run until the event queue drains.
@@ -164,44 +124,22 @@ class Simulator {
     }
   }
 
-  /// Run until simulated time would exceed `deadline`; events at exactly
-  /// `deadline` still fire, including those they queue at `deadline`.
-  /// Cancelled events are swept without advancing time and never unlock
-  /// events beyond the deadline.  On return no live event is due at or
-  /// before `deadline`, and now() has advanced to `deadline` unless it
-  /// was already later.
-  void run_until(TimePoint deadline) {
-    while (true) {
-      sweep_tombstones_at_fronts();
-      const bool ready_due = !ready_.empty() && now_ <= deadline;
-      if (!ready_due && (heap_.empty() || heap_[0].at > deadline)) break;
-      step();
-    }
-    if (now_ < deadline) now_ = deadline;
-  }
-
-  /// Callbacks actually executed (cancelled pops are never counted).
+  /// Events fired so far.
   std::uint64_t events_run() const { return events_run_; }
-  /// Cancelled events disposed of (swept off a queue or compacted away).
-  std::uint64_t cancelled_run() const { return cancelled_run_; }
 
-  bool empty() const { return live_ == 0; }
-  /// Live (non-cancelled) pending events.
+  /// Events scheduled and not yet fired.
   std::size_t pending() const { return live_; }
 
   // --- queue statistics (bench/trace introspection) ---
   std::uint64_t scheduled_total() const { return scheduled_total_; }
-  std::uint64_t cancelled_total() const { return cancelled_total_; }
-  /// Cancelled events still occupying queue entries (awaiting lazy sweep).
-  std::size_t tombstones() const { return tombstones_; }
-  /// High-water mark of live pending events.
+  /// High-water mark of pending events.
   std::size_t max_pending() const { return max_pending_; }
   /// Event-pool capacity: bounded by the high-water mark of in-flight
   /// events, independent of how many events ever ran.
   std::size_t pool_capacity() const { return pool_.size(); }
-  /// Entries, tombstones included, in the heap (each busy lane's front
-  /// and the one-off delays), queued behind the lane fronts, and in the
-  /// ready queue (events due at the time they were scheduled at).
+  /// Entries in the heap (each busy lane's front and the one-off
+  /// delays), queued behind the lane fronts, and in the ready queue
+  /// (events due at the time they were scheduled at).
   std::size_t heap_size() const { return heap_.size(); }
   std::size_t lane_size() const {
     std::size_t n = 0;
@@ -216,10 +154,9 @@ class Simulator {
         [](std::int64_t d) { return d != kFreeLane; }));
   }
 
-  /// Stream queue-depth/tombstone/cancelled-run counter samples into
-  /// `trace` (Chrome counter events on `track`) on every queue state
-  /// change.  Pass nullptr to detach.  The recorder must outlive the
-  /// simulator or a later detach.
+  /// Stream queue-depth counter samples into `trace` (Chrome counter
+  /// events on `track`) on every queue state change.  Pass nullptr to
+  /// detach.  The recorder must outlive the simulator or a later detach.
   void attach_trace(TraceRecorder* trace, std::string track = "sim.queue") {
     trace_ = trace;
     trace_track_ = std::move(track);
@@ -230,10 +167,7 @@ class Simulator {
   struct Slot {
     std::function<void()> fn;         // callback event, or
     std::coroutine_handle<> handle;   // resumption event (fn is empty)
-    std::uint32_t generation = 1;  // 0 is never issued: cancel(0) is a no-op
     std::uint32_t next_free = 0;
-    bool in_use = false;
-    bool cancelled = false;
   };
 
   /// Delay lanes.  16 covers a Sweep3D iteration at paper scale: its
@@ -247,7 +181,6 @@ class Simulator {
   /// the ready queue).
   static constexpr std::int64_t kFreeLane = 0;
   static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;
-  static constexpr std::size_t kCompactionFloor = 64;
 
   /// Heap and lane entry: the full (time, seq) sort key lives inline so
   /// queue maintenance never dereferences the pool.  `lane` (kNoLane for
@@ -268,7 +201,6 @@ class Simulator {
    public:
     bool empty() const { return count_ == 0; }
     std::size_t size() const { return count_; }
-    const T& front() const { return buf_[head_]; }
 
     void push_back(const T& v) {
       if (count_ == buf_.size()) grow();
@@ -281,15 +213,6 @@ class Simulator {
       head_ = (head_ + 1) & (buf_.size() - 1);
       --count_;
       return v;
-    }
-
-    /// Keep the entries `keep` accepts, in order.
-    template <typename Keep>
-    void retain(Keep keep) {
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < count_; ++i)
-        if (keep(at(i))) at(kept++) = at(i);
-      count_ = kept;
     }
 
    private:
@@ -308,33 +231,18 @@ class Simulator {
     std::size_t count_ = 0;
   };
 
-  static std::uint64_t make_id(std::uint32_t generation, std::uint32_t slot) {
-    return (static_cast<std::uint64_t>(generation) << 32) | slot;
-  }
-  static std::uint32_t slot_of(std::uint64_t id) {
-    return static_cast<std::uint32_t>(id & 0xffffffffu);
-  }
-  static std::uint32_t generation_of(std::uint64_t id) {
-    return static_cast<std::uint32_t>(id >> 32);
-  }
-
   std::uint32_t acquire_slot() {
     if (free_head_ != kNoFreeSlot) {
       const std::uint32_t si = free_head_;
       free_head_ = pool_[si].next_free;
-      pool_[si].in_use = true;
       return si;
     }
     pool_.emplace_back();
-    pool_.back().in_use = true;
     return static_cast<std::uint32_t>(pool_.size() - 1);
   }
 
   void release_slot(std::uint32_t si) {
     Slot& s = pool_[si];
-    ++s.generation;  // invalidates every outstanding id for this slot
-    s.in_use = false;
-    s.cancelled = false;
     s.fn = nullptr;
     s.handle = nullptr;
     s.next_free = free_head_;
@@ -342,7 +250,7 @@ class Simulator {
   }
 
   /// Queue the freshly filled slot `si` to fire at `when`.
-  std::uint64_t enqueue(TimePoint when, std::uint32_t si) {
+  void enqueue(TimePoint when, std::uint32_t si) {
     if (when == now_)
       ready_.push_back(si);
     else
@@ -351,7 +259,6 @@ class Simulator {
     ++live_;
     if (live_ > max_pending_) max_pending_ = live_;
     if (trace_) trace_sample();
-    return make_id(pool_[si].generation, si);
   }
 
   /// Earlier-fires-first ordering: (time, seq) lexicographic.
@@ -360,14 +267,13 @@ class Simulator {
     return a.seq < b.seq;  // FIFO among same-time events
   }
 
-  /// Run the live event in slot `si` (already off its queue) at now().
+  /// Run the event in slot `si` (already off its queue) at now().
   void fire(std::uint32_t si) {
     Slot& s = pool_[si];
     ++events_run_;
     --live_;
-    // Release before running: the callback may schedule (growing the
-    // pool) and its own id must already read as fired so that a cancel
-    // from inside the callback is a no-op.
+    // Release before running: the callback may schedule, and growing the
+    // pool would move `s`.
     if (const std::coroutine_handle<> h = s.handle) {
       release_slot(si);
       if (trace_) trace_sample();
@@ -378,13 +284,6 @@ class Simulator {
     release_slot(si);
     if (trace_) trace_sample();
     fn();
-  }
-
-  /// Dispose of tombstone `si`, already off its queue.
-  void drop_tombstone(std::uint32_t si) {
-    ++cancelled_run_;
-    --tombstones_;
-    release_slot(si);
   }
 
   /// Queue a timed entry: behind its delay's lane, at the front of a
@@ -455,62 +354,16 @@ class Simulator {
     heap_[i] = item;
   }
 
-  /// Drop every tombstone from the lanes, the heap and the ready queue.
-  /// Lanes and the ready queue keep their order; a dropped lane front
-  /// gives way to its lane's next (live) entry, and the heap is rebuilt.
-  void compact() {
-    const auto live = [this](std::uint32_t si) {
-      if (!pool_[si].cancelled) return true;
-      drop_tombstone(si);
-      return false;
-    };
-    for (Ring<HeapItem>& lane : lanes_)
-      lane.retain([&](const HeapItem& item) { return live(item.slot); });
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-      HeapItem item = heap_[i];
-      if (!live(item.slot)) {
-        if (item.lane == kNoLane) continue;
-        if (lanes_[item.lane].empty()) {
-          lane_delay_[item.lane] = kFreeLane;
-          continue;
-        }
-        item = lanes_[item.lane].pop_front();
-      }
-      heap_[out++] = item;
-    }
-    heap_.resize(out);
-    if (out > 1)
-      for (std::size_t i = (out - 2) / 4 + 1; i-- > 0;) sift_down(i, heap_[i]);
-    ready_.retain(live);
-  }
-
-  /// Pop tombstones sitting on the heap top and at the ready front (no
-  /// time advance).
-  void sweep_tombstones_at_fronts() {
-    while (!heap_.empty() && pool_[heap_[0].slot].cancelled)
-      drop_tombstone(heap_pop_top().slot);
-    while (!ready_.empty() && pool_[ready_.front()].cancelled)
-      drop_tombstone(ready_.pop_front());
-  }
-
   void trace_sample() {
     trace_->counter("queue_depth", trace_track_, now_,
                     static_cast<double>(live_));
-    trace_->counter("tombstones", trace_track_, now_,
-                    static_cast<double>(tombstones_));
-    trace_->counter("cancelled_run", trace_track_, now_,
-                    static_cast<double>(cancelled_run_));
   }
 
   TimePoint now_ = TimePoint::origin();
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_run_ = 0;
-  std::uint64_t cancelled_run_ = 0;
   std::uint64_t scheduled_total_ = 0;
-  std::uint64_t cancelled_total_ = 0;
   std::size_t live_ = 0;
-  std::size_t tombstones_ = 0;
   std::size_t max_pending_ = 0;
   std::vector<Slot> pool_;
   std::vector<HeapItem> heap_;

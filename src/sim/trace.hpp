@@ -38,7 +38,7 @@ class TraceRecorder {
 
   /// Record a counter sample (Chrome "C" event): the value of a named
   /// metric at simulated time `at`.  Used by the Simulator to expose
-  /// queue-depth / tombstone / cancelled-run statistics over time.
+  /// its queue depth over time.
   void counter(std::string name, std::string track, TimePoint at, double value);
 
   /// Record a message that left `from_track` at `t0` and arrived on

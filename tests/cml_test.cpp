@@ -42,6 +42,20 @@ TEST(CmlWorld, RankLayoutMatchesRoadrunnerNode) {
   EXPECT_EQ(m.socket_of(40), 1);  // Cell 1 of node 1
 }
 
+// A bad config is a precondition failure before any member is sized from
+// it: a negative SPE count does not reach the endpoint vector, and a rank
+// count past INT_MAX (2 x 4 x 2^29 = 2^32) does not wrap to an empty world.
+TEST(CmlWorldDeath, NegativeSpeCountIsRejected) {
+  EXPECT_DEATH({ World w(CmlConfig{1, 4, -1}); },
+               "Precondition violation: \\(config.cells_per_node >= 1 && "
+               "config.spes_per_cell >= 1\\)");
+}
+
+TEST(CmlWorldDeath, RankCountPastIntMaxIsRejected) {
+  EXPECT_DEATH({ World w(CmlConfig{2, 4, 1 << 29}); },
+               "Precondition violation: \\(per_node <=");
+}
+
 // ---------------------------------------------------------------------------
 // Point-to-point
 // ---------------------------------------------------------------------------

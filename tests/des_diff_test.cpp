@@ -1,12 +1,12 @@
 // Differential fuzz harness for the serial DES engine (DESIGN.md §9).
 //
 // Each seed derives a workload -- partition count, cross-partition delay,
-// root timers, and a behavior tree of local timers, cancels,
-// cross-partition messages, and cancel+re-arm "interrupt" patterns -- and
-// replays it through two engines:
+// root timers, and a behavior tree of local timers, cross-partition
+// messages, and "re-arm" patterns (a replacement timer, possibly at zero
+// delay) -- and replays it through two engines:
 //
-//   * sim::ReferenceSimulator  (the pre-rebuild linear-scan oracle)
-//   * sim::Simulator           (the serial tombstone heap)
+//   * sim::ReferenceSimulator  (the pre-rebuild priority-queue oracle)
+//   * sim::Simulator           (the serial laned heap)
 //
 // asserting bit-identical event order (time AND marker, in execution
 // order), final per-partition state hashes, executed-event counts, and
@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/reference_simulator.hpp"
@@ -103,16 +102,10 @@ class WorkloadRun {
  private:
   struct PartState {
     std::uint64_t state = 0;
-    std::vector<std::uint64_t> issued;  // markers of cancellable events
-    std::unordered_map<std::uint64_t, std::uint64_t> ids;  // marker -> id
   };
 
   void schedule_local(int part, Duration d, std::uint64_t m, int depth) {
-    const std::uint64_t id =
-        sim_.schedule(d, [this, part, m, depth] { on_event(part, m, depth); });
-    PartState& st = parts_[static_cast<std::size_t>(part)];
-    st.issued.push_back(m);
-    st.ids[m] = id;
+    sim_.schedule(d, [this, part, m, depth] { on_event(part, m, depth); });
   }
 
   void on_event(int part, std::uint64_t m, int depth) {
@@ -133,7 +126,7 @@ class WorkloadRun {
                        Duration::picoseconds(static_cast<std::int64_t>(hk % 120)),
                        cm, depth - 1);
       }
-      // Cross-partition message: not cancellable, delay >= cross_delay_ps.
+      // Cross-partition message: delay >= cross_delay_ps.
       if (w_.partitions > 1 && ((h >> 8) & 3) == 0) {
         int dst = static_cast<int>((h >> 16) %
                                    static_cast<std::uint64_t>(w_.partitions - 1));
@@ -145,18 +138,9 @@ class WorkloadRun {
                       [this, dst, cm, depth] { on_event(dst, cm, depth - 1); });
       }
     }
-    // Cancel an arbitrary earlier local timer (may already have fired or
-    // been cancelled -- a no-op then, in every engine).
-    if (((h >> 24) % 3) == 0 && !st.issued.empty()) {
-      const std::uint64_t victim = st.issued[(h >> 32) % st.issued.size()];
-      sim_.cancel(st.ids[victim]);
-      st.state = hash2(st.state, victim);
-    }
-    // Interrupt pattern: kill a pending timer and immediately re-arm a
-    // replacement (watchdog re-arm), possibly at zero delay.
-    if (((h >> 40) % 5) == 0 && depth > 0 && !st.issued.empty()) {
-      const std::uint64_t victim = st.issued[(h >> 48) % st.issued.size()];
-      sim_.cancel(st.ids[victim]);
+    // Re-arm pattern: queue a replacement timer (watchdog re-arm),
+    // possibly at zero delay.
+    if (((h >> 40) % 5) == 0 && depth > 0) {
       const std::uint64_t cm = child_marker(m, 9);
       const std::uint64_t hk = hash2(seed_, cm);
       schedule_local(part,

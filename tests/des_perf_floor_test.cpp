@@ -51,7 +51,6 @@ TEST(DesPerfFloor, KeyThatGatesNothingExitsTwoBeforeAnyWorkload) {
   ASSERT_TRUE(write_file_atomic(floor, R"({
     "_note": "every gated key, plus a stale one",
     "schedule_heavy_events_per_sec": 1,
-    "cancel_heavy_events_per_sec": 1,
     "cml_ping_events_per_sec": 1,
     "sweep3d_scenarios_per_sec": 1,
     "mailbox_events_per_sec": 1

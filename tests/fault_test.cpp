@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "topo/fat_tree.hpp"
 #include "arch/spec.hpp"
@@ -13,10 +18,11 @@
 #include "fault/resilience_study.hpp"
 #include "fault/taxonomy.hpp"
 #include "io/io_model.hpp"
-#include "sim/interrupt.hpp"
+#include "sim/simulator.hpp"
 #include "sweep_engine/retry.hpp"
 #include "topo/degraded.hpp"
 #include "util/cli.hpp"
+#include "util/rng.hpp"
 
 namespace rr::fault {
 namespace {
@@ -152,74 +158,205 @@ TEST(CheckpointPolicy, NoFailureLimitIsPureCheckpointOverhead) {
 }
 
 // ---------------------------------------------------------------------------
-// Interruptible process on the DES
+// Interrupted runs: run_interrupted's walk against a DES replay
 // ---------------------------------------------------------------------------
 
-TEST(InterruptibleProcess, FaultFreeRunPaysOneCheckpointPerSegment) {
+/// Same-time coincidences a replay ran into, so the property test can show
+/// it covered each tie rule.
+struct Ties {
+  int at_time_zero = 0;        ///< a failure at t = 0
+  int at_segment_end = 0;      ///< a failure exactly at a segment's end
+  int at_restart_end = 0;      ///< a failure exactly at a restart's end
+  int after_first_commit = 0;  ///< a failure at the end of the first segment
+};
+
+/// The DES replay the walk replaced, kept as its oracle: a restartable
+/// process on sim::Simulator, with its failures queued after its first
+/// segment.  A failure starts a new epoch instead of removing the pending
+/// completion, so a stale completion does nothing.
+class DesRestartProcess {
+ public:
+  DesRestartProcess(sim::Simulator& sim, const RestartPlan& plan)
+      : sim_(sim), plan_(plan) {}
+
+  void start() { begin_segment(); }
+
+  void interrupt() {
+    if (done_) return;
+    const TimePoint now = sim_.now();
+    if (now == TimePoint::origin()) ++ties_.at_time_zero;
+    if (now == due_) ++(restarting_ ? ties_.at_restart_end : ties_.at_segment_end);
+    if (!restarting_ && now == phase_started_ && now > TimePoint::origin())
+      ++ties_.after_first_commit;  // only the first segment wins at its end
+    ++epoch_;
+    ++stats_.failures;
+    (restarting_ ? stats_.restart_time : stats_.lost_work) += now - phase_started_;
+    restarting_ = true;
+    phase_started_ = now;
+    due_ = now + plan_.restart;
+    sim_.schedule(plan_.restart, [this, epoch = epoch_] {
+      if (epoch != epoch_) return;
+      stats_.restart_time += sim_.now() - phase_started_;
+      begin_segment();
+    });
+  }
+
+  bool done() const { return done_; }
+  const RestartStats& stats() const { return stats_; }
+  const Ties& ties() const { return ties_; }
+
+ private:
+  void begin_segment() {
+    const Duration seg = std::min(plan_.interval, plan_.work - committed_);
+    restarting_ = false;
+    phase_started_ = sim_.now();
+    due_ = phase_started_ + seg + plan_.checkpoint;
+    sim_.schedule(seg + plan_.checkpoint, [this, seg, epoch = epoch_] {
+      if (epoch != epoch_) return;
+      committed_ += seg;
+      ++stats_.checkpoints;
+      stats_.checkpoint_time += plan_.checkpoint;
+      if (committed_ >= plan_.work) {
+        done_ = true;
+        stats_.makespan = sim_.now() - TimePoint::origin();
+      } else {
+        begin_segment();
+      }
+    });
+  }
+
+  sim::Simulator& sim_;
+  RestartPlan plan_;
+  RestartStats stats_;
+  Ties ties_;
+  Duration committed_ = Duration::zero();
+  TimePoint phase_started_ = TimePoint::origin();
+  TimePoint due_ = TimePoint::origin();
+  std::uint64_t epoch_ = 0;
+  bool restarting_ = false;
+  bool done_ = false;
+};
+
+/// Replay `plan` under `failures` on the DES, adding its ties to `ties`.
+RestartStats des_replay(const RestartPlan& plan,
+                        const std::vector<Duration>& failures,
+                        Ties* ties = nullptr) {
   sim::Simulator sim;
-  const sim::RestartPlan plan{Duration::seconds(100), Duration::seconds(30),
-                              Duration::seconds(5), Duration::seconds(10)};
-  sim::InterruptibleProcess proc(sim, plan);
+  DesRestartProcess proc(sim, plan);
   proc.start();
+  for (const Duration at : failures)
+    sim.schedule_at(TimePoint::origin() + at, [&proc] { proc.interrupt(); });
   sim.run();
-  ASSERT_TRUE(proc.done());
-  // Segments 30+30+30+10, each +5 checkpoint.
-  EXPECT_EQ(proc.stats().makespan.ps(), Duration::seconds(120).ps());
-  EXPECT_EQ(proc.stats().checkpoints, 4);
-  EXPECT_EQ(proc.stats().failures, 0);
+  EXPECT_TRUE(proc.done());
+  if (ties != nullptr) {
+    ties->at_time_zero += proc.ties().at_time_zero;
+    ties->at_segment_end += proc.ties().at_segment_end;
+    ties->at_restart_end += proc.ties().at_restart_end;
+    ties->after_first_commit += proc.ties().after_first_commit;
+  }
+  return proc.stats();
+}
+
+/// Every RestartStats field, comparable and printable in one assertion.
+auto fields(const RestartStats& s) {
+  return std::tuple(s.makespan.ps(), s.lost_work.ps(), s.checkpoint_time.ps(),
+                    s.restart_time.ps(), s.failures, s.checkpoints);
+}
+
+/// The walk's result and the DES replay's, each with its name.
+std::vector<std::pair<const char*, RestartStats>> both(
+    const RestartPlan& plan, const std::vector<Duration>& failures) {
+  return {{"walk", run_interrupted(plan, failures)},
+          {"des", des_replay(plan, failures)}};
+}
+
+std::vector<Duration> seconds(std::initializer_list<double> at) {
+  std::vector<Duration> out;
+  for (const double s : at) out.push_back(Duration::seconds(s));
+  return out;
+}
+
+TEST(InterruptibleProcess, FaultFreeRunPaysOneCheckpointPerSegment) {
+  const RestartPlan plan{Duration::seconds(100), Duration::seconds(30),
+                         Duration::seconds(5), Duration::seconds(10)};
+  for (const auto& [name, stats] : both(plan, {})) {
+    SCOPED_TRACE(name);
+    // Segments 30+30+30+10, each +5 checkpoint.
+    EXPECT_EQ(stats.makespan.ps(), Duration::seconds(120).ps());
+    EXPECT_EQ(stats.checkpoints, 4);
+    EXPECT_EQ(stats.failures, 0);
+  }
 }
 
 TEST(InterruptibleProcess, MidSegmentFaultRollsBackToLastCheckpoint) {
-  sim::Simulator sim;
-  const sim::RestartPlan plan{Duration::seconds(100), Duration::seconds(30),
-                              Duration::seconds(5), Duration::seconds(10)};
-  sim::InterruptibleProcess proc(sim, plan);
-  proc.start();
-  sim.schedule_at(TimePoint::origin() + Duration::seconds(50),
-                  [&proc] { proc.interrupt(); });
-  sim.run();
-  ASSERT_TRUE(proc.done());
-  // Segment 2 (35..70) dies at 50: 15 s lost, 10 s restart, then the
-  // remaining 70 s of work + 3 checkpoints replay cleanly.
-  EXPECT_EQ(proc.stats().makespan.ps(), Duration::seconds(145).ps());
-  EXPECT_EQ(proc.stats().failures, 1);
-  EXPECT_EQ(proc.stats().lost_work.ps(), Duration::seconds(15).ps());
-  EXPECT_EQ(proc.stats().restart_time.ps(), Duration::seconds(10).ps());
-  EXPECT_EQ(proc.stats().checkpoints, 4);
+  const RestartPlan plan{Duration::seconds(100), Duration::seconds(30),
+                         Duration::seconds(5), Duration::seconds(10)};
+  for (const auto& [name, stats] : both(plan, seconds({50}))) {
+    SCOPED_TRACE(name);
+    // Segment 2 (35..70) dies at 50: 15 s lost, 10 s restart, then the
+    // remaining 70 s of work + 3 checkpoints replay cleanly.
+    EXPECT_EQ(stats.makespan.ps(), Duration::seconds(145).ps());
+    EXPECT_EQ(stats.failures, 1);
+    EXPECT_EQ(stats.lost_work.ps(), Duration::seconds(15).ps());
+    EXPECT_EQ(stats.restart_time.ps(), Duration::seconds(10).ps());
+    EXPECT_EQ(stats.checkpoints, 4);
+  }
 }
 
 TEST(InterruptibleProcess, FaultDuringRestartRestartsTheRestart) {
-  sim::Simulator sim;
-  const sim::RestartPlan plan{Duration::seconds(100), Duration::seconds(30),
-                              Duration::seconds(5), Duration::seconds(10)};
-  sim::InterruptibleProcess proc(sim, plan);
-  proc.start();
-  for (const double at : {50.0, 55.0})
-    sim.schedule_at(TimePoint::origin() + Duration::seconds(at),
-                    [&proc] { proc.interrupt(); });
-  sim.run();
-  ASSERT_TRUE(proc.done());
-  // Fault at 50 (15 s into segment 2), second fault at 55 mid-reboot:
-  // reboot restarts and completes at 65; remaining 70 s work + 3
-  // checkpoints => 65 + 85 = 150.
-  EXPECT_EQ(proc.stats().makespan.ps(), Duration::seconds(150).ps());
-  EXPECT_EQ(proc.stats().failures, 2);
-  EXPECT_EQ(proc.stats().lost_work.ps(), Duration::seconds(15).ps());
-  EXPECT_EQ(proc.stats().restart_time.ps(), Duration::seconds(15).ps());
+  const RestartPlan plan{Duration::seconds(100), Duration::seconds(30),
+                         Duration::seconds(5), Duration::seconds(10)};
+  for (const auto& [name, stats] : both(plan, seconds({50, 55}))) {
+    SCOPED_TRACE(name);
+    // Fault at 50 (15 s into segment 2), second fault at 55 mid-reboot:
+    // reboot restarts and completes at 65; remaining 70 s work + 3
+    // checkpoints => 65 + 85 = 150.
+    EXPECT_EQ(stats.makespan.ps(), Duration::seconds(150).ps());
+    EXPECT_EQ(stats.failures, 2);
+    EXPECT_EQ(stats.lost_work.ps(), Duration::seconds(15).ps());
+    EXPECT_EQ(stats.restart_time.ps(), Duration::seconds(15).ps());
+  }
 }
 
 TEST(InterruptibleProcess, FaultsAfterCompletionAreIgnored) {
-  sim::Simulator sim;
-  const sim::RestartPlan plan{Duration::seconds(10), Duration::seconds(10),
-                              Duration::seconds(1), Duration::seconds(5)};
-  sim::InterruptibleProcess proc(sim, plan);
-  proc.start();
-  sim.schedule_at(TimePoint::origin() + Duration::seconds(500),
-                  [&proc] { proc.interrupt(); });
-  sim.run();
-  EXPECT_TRUE(proc.done());
-  EXPECT_EQ(proc.stats().failures, 0);
-  EXPECT_EQ(proc.stats().makespan.ps(), Duration::seconds(11).ps());
+  const RestartPlan plan{Duration::seconds(10), Duration::seconds(10),
+                         Duration::seconds(1), Duration::seconds(5)};
+  for (const auto& [name, stats] : both(plan, seconds({500}))) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(stats.failures, 0);
+    EXPECT_EQ(stats.makespan.ps(), Duration::seconds(11).ps());
+  }
+}
+
+TEST(InterruptedRun, WalkMatchesTheDesReplayOnTieHeavyPlans) {
+  // Whole seconds throughout, so failures land on segment ends, restart
+  // ends and t = 0 (C = 0 and R = 0 included), and repeat one another.
+  Rng rng(35);
+  const auto whole_s = [&rng](std::uint64_t lo, std::uint64_t hi) {
+    return Duration::seconds(static_cast<double>(lo + rng.next_below(hi - lo + 1)));
+  };
+  Ties ties;
+  for (int c = 0; c < 100'000; ++c) {
+    const RestartPlan plan{whole_s(1, 40), whole_s(1, 15), whole_s(0, 3),
+                           whole_s(0, 3)};
+    std::vector<Duration> failures(rng.next_below(7));
+    for (Duration& f : failures) f = whole_s(0, 60);
+    std::ranges::sort(failures);
+    ASSERT_EQ(fields(run_interrupted(plan, failures)),
+              fields(des_replay(plan, failures, &ties)))
+        << "case " << c;
+  }
+  EXPECT_GT(ties.at_time_zero, 1000);
+  EXPECT_GT(ties.at_segment_end, 1000);
+  EXPECT_GT(ties.at_restart_end, 1000);
+  EXPECT_GT(ties.after_first_commit, 1000);
+}
+
+TEST(InterruptedRunDeath, UnsortedFailureTimesAreAPreconditionFailure) {
+  const RestartPlan plan{Duration::seconds(100), Duration::seconds(30),
+                         Duration::seconds(5), Duration::seconds(10)};
+  EXPECT_DEATH(run_interrupted(plan, seconds({55, 50})),
+               "Precondition violation: \\(std::ranges::is_sorted\\(failures\\)\\)");
 }
 
 TEST(MonteCarlo, DesMeanMatchesYoungDalyAnalytic) {
@@ -227,19 +364,18 @@ TEST(MonteCarlo, DesMeanMatchesYoungDalyAnalytic) {
   // on the closed form.
   const double w = 10000.0, c = 100.0, r = 300.0, m = 5000.0;
   const double tau = daly_interval_s(c, m);
-  const sim::RestartPlan plan{Duration::seconds(w), Duration::seconds(tau),
-                              Duration::seconds(c), Duration::seconds(r)};
+  const RestartPlan plan{Duration::seconds(w), Duration::seconds(tau),
+                         Duration::seconds(c), Duration::seconds(r)};
   const MonteCarloResult mc =
       expected_interrupted_makespan(plan, m / 3600.0, 1500, 2024);
   const double analytic = expected_makespan_s(w, tau, c, r, m);
   EXPECT_NEAR(mc.mean_makespan_s / analytic, 1.0, 0.03);
   EXPECT_GT(mc.mean_failures, 1.0);
-  EXPECT_EQ(mc.completion_rate, 1.0);
 }
 
 TEST(MonteCarlo, DeterministicForAGivenSeed) {
-  const sim::RestartPlan plan{Duration::seconds(5000), Duration::seconds(800),
-                              Duration::seconds(50), Duration::seconds(200)};
+  const RestartPlan plan{Duration::seconds(5000), Duration::seconds(800),
+                         Duration::seconds(50), Duration::seconds(200)};
   const MonteCarloResult a = expected_interrupted_makespan(plan, 1.5, 200, 9);
   const MonteCarloResult b = expected_interrupted_makespan(plan, 1.5, 200, 9);
   EXPECT_EQ(a.mean_makespan_s, b.mean_makespan_s);

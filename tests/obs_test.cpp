@@ -224,15 +224,16 @@ TEST(Export, CounterEventsLandOnWallTrack) {
 TEST(Export, SnapshotSimulatorPublishesQueueGauges) {
   sim::Simulator sim;
   sim.schedule(Duration::nanoseconds(1), [] {});
-  const auto id = sim.schedule(Duration::nanoseconds(2), [] {});
-  sim.cancel(id);
-  sim.run();
+  sim.schedule(Duration::nanoseconds(2), [] {});
+  ASSERT_TRUE(sim.step());
   MetricsRegistry reg;
   snapshot_simulator(sim, reg, "des", 2.0);
   const Snapshot s = reg.snapshot();
   EXPECT_EQ(s.find("des.events_run")->value, 1.0);
   EXPECT_EQ(s.find("des.scheduled_total")->value, 2.0);
-  EXPECT_EQ(s.find("des.pending")->value, 0.0);
+  EXPECT_EQ(s.find("des.pending")->value, 1.0);
+  EXPECT_EQ(s.find("des.max_pending")->value, 2.0);
+  EXPECT_EQ(s.find("des.pool_capacity")->value, 2.0);
   EXPECT_EQ(s.find("des.events_per_sec")->value, 0.5);
 }
 

@@ -472,10 +472,10 @@ TEST(SolverProperties, SourceIncreaseRaisesFluxGloballyDespiteDdRinging) {
 }
 
 // ---------------------------------------------------------------------------
-// DES queue equivalence: the tombstone-heap Simulator must fire events in
-// exactly the order the legacy linear-scan ReferenceSimulator does, for
-// random interleavings of schedule / cancel / step (including events that
-// schedule children from their callbacks).
+// DES queue equivalence: the laned-heap Simulator must fire events in
+// exactly the order the legacy priority-queue ReferenceSimulator does, for
+// random interleavings of schedule / step (including events that schedule
+// children from their callbacks).
 // ---------------------------------------------------------------------------
 
 template <typename Sim>
@@ -483,7 +483,6 @@ struct DesDriver {
   Sim sim;
   /// (now_ps, marker) per executed callback: the full firing trajectory.
   std::vector<std::pair<std::int64_t, std::uint64_t>> log;
-  std::vector<std::uint64_t> ids;  // engine-specific event id, by marker
   std::uint64_t next_marker = 0;
   /// Delays children draw from; empty means any delay in [0, 97) ps.
   std::vector<std::int64_t> child_delays_ps;
@@ -494,7 +493,7 @@ struct DesDriver {
 
   void schedule_marked_at(TimePoint when, int depth) {
     const std::uint64_t m = next_marker++;
-    const std::uint64_t id = sim.schedule_at(when, [this, m, depth] {
+    sim.schedule_at(when, [this, m, depth] {
       log.emplace_back(sim.now().ps(), m);
       if (depth > 0) {
         // Deterministic child delay derived from the marker, so both
@@ -508,37 +507,28 @@ struct DesDriver {
             depth - 1);
       }
     });
-    ids.resize(static_cast<std::size_t>(next_marker));
-    ids[static_cast<std::size_t>(m)] = id;
   }
 };
 
 class DesQueueEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(DesQueueEquivalence, RandomInterleavingsFireIdentically) {
+  // Small delays, 40% of them zero, so same-time ties are common: FIFO
+  // among heap entries, and zero-delay events queued in the ready queue
+  // beside heap events due at the same time (after a step moved the
+  // clock there).
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 0x9e3779b9ULL + 1);
   DesDriver<sim::Simulator> heap;
   DesDriver<sim::ReferenceSimulator> ref;
   for (int op = 0; op < 3000; ++op) {
-    const double r = rng.next_double();
-    if (r < 0.50) {
-      // Small delay range so same-time ties are common (FIFO tiebreak).
+    if (rng.next_double() < 0.50) {
       const auto d = Duration::picoseconds(
-          static_cast<std::int64_t>(rng.next_below(64)));
+          rng.next_double() < 0.4 ? 0 : static_cast<std::int64_t>(rng.next_below(64)));
       const int depth = rng.next_double() < 0.3 ? 1 : 0;
       heap.schedule_marked(d, depth);
       ref.schedule_marked(d, depth);
-    } else if (r < 0.75 && heap.next_marker > 0) {
-      // Cancel any previously issued marker: pending, fired, or already
-      // cancelled -- every case must leave the two engines in agreement.
-      const auto m = static_cast<std::size_t>(rng.next_below(heap.next_marker));
-      if (m < heap.ids.size() && m < ref.ids.size()) {
-        heap.sim.cancel(heap.ids[m]);
-        ref.sim.cancel(ref.ids[m]);
-      }
     } else {
-      heap.sim.step();
-      ref.sim.step();
+      ASSERT_EQ(heap.sim.step(), ref.sim.step()) << "op " << op;
     }
     ASSERT_EQ(heap.sim.now().ps(), ref.sim.now().ps()) << "op " << op;
   }
@@ -549,65 +539,8 @@ TEST_P(DesQueueEquivalence, RandomInterleavingsFireIdentically) {
   EXPECT_EQ(heap.log, ref.log);  // bit-identical firing order and times
   EXPECT_EQ(heap.sim.now().ps(), ref.sim.now().ps());
   EXPECT_EQ(heap.sim.events_run(), ref.sim.events_run());
-  EXPECT_EQ(heap.sim.pending(), 0u);
-  EXPECT_EQ(heap.sim.tombstones(), 0u);
-}
-
-TEST_P(DesQueueEquivalence, RunUntilSlicesFireIdentically) {
-  // The same oracle, with the engine under test also advanced by
-  // run_until in random slices, and zero delays frequent, so the ready
-  // queue, clock jumps to empty deadlines, and zero-delay events queued
-  // beside heap events due at the same time (after a step) all run.  The
-  // oracle has no run_until: it steps over as many events as the slice
-  // fired, and both engines schedule at the same absolute times.
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 0x2545f491ULL + 7);
-  DesDriver<sim::Simulator> heap;
-  DesDriver<sim::ReferenceSimulator> ref;
-  for (int op = 0; op < 3000; ++op) {
-    const double r = rng.next_double();
-    if (r < 0.45) {
-      const auto d = Duration::picoseconds(
-          rng.next_double() < 0.4 ? 0 : static_cast<std::int64_t>(rng.next_below(64)));
-      const TimePoint when = heap.sim.now() + d;
-      const int depth = rng.next_double() < 0.3 ? 1 : 0;
-      heap.schedule_marked_at(when, depth);
-      ref.schedule_marked_at(when, depth);
-    } else if (r < 0.65 && heap.next_marker > 0) {
-      const auto m = static_cast<std::size_t>(rng.next_below(heap.next_marker));
-      if (m < heap.ids.size() && m < ref.ids.size()) {
-        heap.sim.cancel(heap.ids[m]);
-        ref.sim.cancel(ref.ids[m]);
-      }
-    } else if (r < 0.85) {
-      const bool fired = heap.sim.step();
-      ASSERT_EQ(ref.sim.step(), fired) << "op " << op;
-      if (fired) {
-        ASSERT_EQ(heap.sim.now().ps(), ref.sim.now().ps()) << "op " << op;
-      }
-    } else {
-      const TimePoint deadline =
-          heap.sim.now() +
-          Duration::picoseconds(static_cast<std::int64_t>(rng.next_below(40)));
-      const std::uint64_t before = heap.sim.events_run();
-      heap.sim.run_until(deadline);
-      ASSERT_EQ(heap.sim.now().ps(), deadline.ps()) << "op " << op;
-      for (std::uint64_t k = heap.sim.events_run() - before; k > 0; --k)
-        ASSERT_TRUE(ref.sim.step()) << "op " << op;
-      if (!heap.log.empty()) {
-        ASSERT_LE(heap.log.back().first, deadline.ps());
-      }
-    }
-    ASSERT_EQ(heap.log, ref.log) << "op " << op;
-  }
-  while (heap.sim.step()) {
-  }
-  while (ref.sim.step()) {
-  }
-  EXPECT_EQ(heap.log, ref.log);
-  EXPECT_EQ(heap.sim.events_run(), ref.sim.events_run());
   EXPECT_GT(heap.sim.events_run(), 1000u);
   EXPECT_EQ(heap.sim.pending(), 0u);
-  EXPECT_EQ(heap.sim.tombstones(), 0u);
   EXPECT_EQ(heap.sim.ready_size(), 0u);
 }
 
@@ -617,9 +550,8 @@ TEST_P(DesQueueEquivalence, DelayLanesFireIdentically) {
   // set holds 20 delays, 0 among them, so with all of them pending four
   // overflow the 16 lanes into the heap as one-offs.  Filling phases
   // alternate with draining ones, in which lanes empty and are then
-  // reassigned, and a cancel burst at each peak leaves tombstones in the
-  // lanes and sets off compactions.  Children, single cancels and
-  // run_until slices run as in the cases above.
+  // reassigned.  Children run as in the case above, and bursts of steps
+  // drain the queue in runs.
   static constexpr std::int64_t kDelays[] = {0,   4,   9,   15,  22,  30,  39,
                                              49,  60,  72,  85,  99,  114, 130,
                                              147, 165, 184, 204, 225, 247};
@@ -631,33 +563,17 @@ TEST_P(DesQueueEquivalence, DelayLanesFireIdentically) {
   heap.child_delays_ps.assign(std::begin(kDelays), std::end(kDelays));
   ref.child_delays_ps = heap.child_delays_ps;
   bool filled = false, overflowed = false, drained = false, reassigned = false;
-  bool compacted_lanes = false;
   for (int op = 0; op < 3000; ++op) {
     // Alternate filling and draining phases of 300 operations each.
     const bool filling = (op / 300) % 2 == 0;
     const double r = rng.next_double();
     if (op % 600 == 299) {
       // End of a filling phase: queue a wave of 64 events over the whole
-      // set, then cancel the 128 newest markers -- lane fronts and the
-      // entries behind them, fired events and repeats alike -- so that
-      // tombstones come to outnumber live events.
+      // set.
       for (std::size_t i = 0; i < 64; ++i) {
         const auto d = Duration::picoseconds(kDelays[i % std::size(kDelays)]);
         heap.schedule_marked(d, 0);
         ref.schedule_marked(d, 0);
-      }
-      const std::uint64_t from = heap.next_marker - 128;
-      for (std::uint64_t m = from; m < heap.next_marker; ++m) {
-        const std::size_t lane_before = heap.sim.lane_size();
-        const std::size_t tombstones_before = heap.sim.tombstones();
-        heap.sim.cancel(heap.ids[m]);
-        ref.sim.cancel(ref.ids[m]);
-        // Only a compaction lowers the tombstone count inside cancel();
-        // a lane that shrank gave up a tombstone or moved an entry up
-        // to replace a dropped front.
-        if (heap.sim.tombstones() < tombstones_before &&
-            heap.sim.lane_size() < lane_before)
-          compacted_lanes = true;
       }
     } else if (r < (filling ? 0.70 : 0.25)) {
       const std::uint64_t k = rng.next_double() < 0.7
@@ -667,25 +583,16 @@ TEST_P(DesQueueEquivalence, DelayLanesFireIdentically) {
       const int depth = rng.next_double() < 0.3 ? 1 : 0;
       heap.schedule_marked_at(when, depth);
       ref.schedule_marked_at(when, depth);
-    } else if (r < (filling ? 0.76 : 0.40) && heap.next_marker > 0) {
-      const auto m = static_cast<std::size_t>(rng.next_below(heap.next_marker));
-      heap.sim.cancel(heap.ids[m]);
-      ref.sim.cancel(ref.ids[m]);
-    } else if (r < (filling ? 0.95 : 0.85)) {
-      const bool fired = heap.sim.step();
-      ASSERT_EQ(ref.sim.step(), fired) << "op " << op;
-      if (fired) {
+    } else {
+      // One step, or a burst of 1 to 40.
+      const std::uint64_t steps =
+          r < (filling ? 0.95 : 0.85) ? 1 : 1 + rng.next_below(40);
+      for (std::uint64_t k = 0; k < steps; ++k) {
+        const bool fired = heap.sim.step();
+        ASSERT_EQ(ref.sim.step(), fired) << "op " << op;
+        if (!fired) break;
         ASSERT_EQ(heap.sim.now().ps(), ref.sim.now().ps()) << "op " << op;
       }
-    } else {
-      const TimePoint deadline =
-          heap.sim.now() +
-          Duration::picoseconds(static_cast<std::int64_t>(rng.next_below(40)));
-      const std::uint64_t before = heap.sim.events_run();
-      heap.sim.run_until(deadline);
-      ASSERT_EQ(heap.sim.now().ps(), deadline.ps()) << "op " << op;
-      for (std::uint64_t k = heap.sim.events_run() - before; k > 0; --k)
-        ASSERT_TRUE(ref.sim.step()) << "op " << op;
     }
     ASSERT_EQ(heap.log, ref.log) << "op " << op;
     const std::size_t lanes = heap.sim.lanes_in_use();
@@ -702,14 +609,12 @@ TEST_P(DesQueueEquivalence, DelayLanesFireIdentically) {
   EXPECT_EQ(heap.sim.events_run(), ref.sim.events_run());
   EXPECT_GT(heap.sim.events_run(), 1000u);
   EXPECT_EQ(heap.sim.pending(), 0u);
-  EXPECT_EQ(heap.sim.tombstones(), 0u);
   EXPECT_EQ(heap.sim.lanes_in_use(), 0u);
   EXPECT_EQ(heap.sim.lane_size(), 0u);
   // Every lane path ran: all 16 lanes busy with delays left over for the
-  // heap, a lane freed and taken again, and a compaction through lanes.
+  // heap, and a lane freed and taken again.
   EXPECT_TRUE(overflowed);
   EXPECT_TRUE(reassigned);
-  EXPECT_TRUE(compacted_lanes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DesQueueEquivalence, ::testing::Range(1, 13),

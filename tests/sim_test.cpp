@@ -50,27 +50,6 @@ TEST(Simulator, NestedSchedulingAdvancesTime) {
   EXPECT_EQ(inner_fired.us(), 3.0);
 }
 
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator sim;
-  bool fired = false;
-  const auto id = sim.schedule(Duration::nanoseconds(10), [&] { fired = true; });
-  sim.cancel(id);
-  sim.run();
-  EXPECT_FALSE(fired);
-}
-
-TEST(Simulator, RunUntilStopsAtDeadline) {
-  Simulator sim;
-  int count = 0;
-  for (int i = 1; i <= 10; ++i)
-    sim.schedule(Duration::microseconds(i), [&] { ++count; });
-  sim.run_until(TimePoint::origin() + Duration::microseconds(5));
-  EXPECT_EQ(count, 5);
-  EXPECT_EQ(sim.now().us(), 5.0);
-  sim.run();
-  EXPECT_EQ(count, 10);
-}
-
 TEST(Simulator, EventCountTracksSteps) {
   Simulator sim;
   for (int i = 0; i < 7; ++i) sim.schedule(Duration::zero(), [] {});
@@ -121,182 +100,44 @@ TEST(Simulator, DueHeapEventsFireBeforeZeroDelayEventsQueuedAtTheirTime) {
   EXPECT_EQ(sim.events_run(), 6u);
 }
 
-TEST(Simulator, RunUntilFiresReadyEventsAtTheDeadline) {
-  Simulator sim;
-  std::vector<std::string> log;
-  const TimePoint deadline = TimePoint::origin() + Duration::nanoseconds(5);
-  sim.schedule(Duration::nanoseconds(5), [&] {
-    log.push_back("due");
-    sim.schedule(Duration::zero(), [&] {
-      log.push_back("child");
-      sim.schedule(Duration::zero(), [&] { log.push_back("grandchild"); });
-    });
-  });
-  sim.schedule(Duration::nanoseconds(6), [&] { log.push_back("late"); });
-  sim.run_until(deadline);
-  EXPECT_EQ(log, (std::vector<std::string>{"due", "child", "grandchild"}));
-  EXPECT_EQ(sim.now(), deadline);
-  EXPECT_EQ(sim.ready_size(), 0u);
-  // Queued at the deadline from outside the loop: the next call fires it.
-  sim.schedule(Duration::zero(), [&] { log.push_back("queued at deadline"); });
-  sim.run_until(deadline);
-  EXPECT_EQ(log.back(), "queued at deadline");
-  EXPECT_EQ(sim.pending(), 1u);
-  // A ready queue holding only tombstones lets the clock move on.
-  sim.cancel(sim.schedule(Duration::zero(), [&] { log.push_back("cancelled"); }));
-  sim.run_until(deadline + Duration::picoseconds(500));
-  EXPECT_EQ(sim.now(), deadline + Duration::picoseconds(500));
-  EXPECT_EQ(sim.ready_size(), 0u);
-  EXPECT_EQ(sim.cancelled_run(), 1u);
-  sim.run();
-  EXPECT_EQ(log.back(), "late");
-  EXPECT_EQ(sim.events_run(), 5u);
-}
-
 // ---------------------------------------------------------------------------
-// Cancellation semantics (tombstone heap)
+// Pool and trace statistics (the suite name dates from when the engine
+// could withdraw a pending event)
 // ---------------------------------------------------------------------------
 
 TEST(SimulatorCancel, AfterFireIsTrueNoOpWithBoundedState) {
-  // Regression for the unbounded cancel-list bug: cancelling an id whose
-  // event already fired must retain nothing.  100k schedule->fire->cancel
-  // cycles must leave the queue empty and the pool at its 1-event
-  // high-water mark.
+  // 100k schedule->fire cycles, three events in flight every tenth cycle
+  // and one otherwise, must leave the queue empty and the pool at the
+  // in-flight high-water mark: fired slots are recycled, not accumulated.
   Simulator sim;
   std::uint64_t fired = 0;
   for (int i = 0; i < 100'000; ++i) {
-    const auto id = sim.schedule(Duration::nanoseconds(1), [&] { ++fired; });
-    ASSERT_TRUE(sim.step());
-    sim.cancel(id);  // event already ran: must be a no-op
+    const int in_flight = i % 10 == 0 ? 3 : 1;
+    for (int k = 1; k <= in_flight; ++k)
+      sim.schedule(Duration::nanoseconds(k), [&] { ++fired; });
+    for (int k = 1; k <= in_flight; ++k) ASSERT_TRUE(sim.step());
   }
-  EXPECT_EQ(fired, 100'000u);
-  EXPECT_EQ(sim.events_run(), 100'000u);
-  EXPECT_EQ(sim.cancelled_run(), 0u);  // no-op cancels never become tombstones
-  EXPECT_EQ(sim.tombstones(), 0u);
+  EXPECT_EQ(fired, 120'000u);
+  EXPECT_EQ(sim.events_run(), 120'000u);
   EXPECT_EQ(sim.pending(), 0u);
   EXPECT_EQ(sim.heap_size(), 0u);
-  EXPECT_LE(sim.pool_capacity(), 2u);  // slots recycled, not accumulated
-  EXPECT_EQ(sim.max_pending(), 1u);
-}
-
-TEST(SimulatorCancel, UnknownIdIsNoOp) {
-  Simulator sim;
-  sim.cancel(0);                    // never issued (generation 0)
-  sim.cancel(0xdeadbeefdeadbeefULL);  // arbitrary garbage
-  bool fired = false;
-  sim.schedule(Duration::nanoseconds(5), [&] { fired = true; });
-  sim.run();
-  EXPECT_TRUE(fired);  // old engine would have poisoned a future seq
-  EXPECT_EQ(sim.cancelled_run(), 0u);
-}
-
-TEST(SimulatorCancel, DoubleCancelCountsOnce) {
-  Simulator sim;
-  const auto id = sim.schedule(Duration::nanoseconds(3), [] { FAIL(); });
-  sim.cancel(id);
-  sim.cancel(id);
-  sim.run();
-  EXPECT_EQ(sim.cancelled_total(), 1u);
-  EXPECT_EQ(sim.cancelled_run(), 1u);
-  EXPECT_EQ(sim.events_run(), 0u);
-}
-
-TEST(SimulatorCancel, CancelHeavyBacklogStaysFlat) {
-  // schedule+cancel without ever stepping: the lazy compaction must keep
-  // both the heap and the pool bounded instead of accreting 100k
-  // tombstones.
-  Simulator sim;
-  for (int i = 0; i < 100'000; ++i) {
-    const auto id = sim.schedule(Duration::nanoseconds(i), [] {});
-    sim.cancel(id);
-  }
-  EXPECT_EQ(sim.pending(), 0u);
-  EXPECT_TRUE(sim.empty());
-  EXPECT_LE(sim.heap_size(), 128u);
-  EXPECT_LE(sim.pool_capacity(), 128u);
-  EXPECT_EQ(sim.cancelled_total(), 100'000u);
-  EXPECT_EQ(sim.cancelled_run() + sim.tombstones(), 100'000u);
-  sim.run();  // sweeps the residual tombstones
-  EXPECT_EQ(sim.events_run(), 0u);
-  EXPECT_EQ(sim.cancelled_run(), 100'000u);
-}
-
-TEST(SimulatorCancel, ZeroDelayCancelBacklogStaysFlat) {
-  // The same with every event due now: all of them wait in the ready
-  // queue, and the compaction must sweep it as well.
-  Simulator sim;
-  for (int i = 0; i < 100'000; ++i) {
-    const auto id = sim.schedule(Duration::zero(), [] {});
-    sim.cancel(id);
-  }
-  EXPECT_EQ(sim.pending(), 0u);
-  EXPECT_TRUE(sim.empty());
-  EXPECT_EQ(sim.heap_size(), 0u);
-  EXPECT_LE(sim.ready_size(), 128u);
-  EXPECT_LE(sim.pool_capacity(), 128u);
-  EXPECT_EQ(sim.cancelled_total(), 100'000u);
-  EXPECT_EQ(sim.cancelled_run() + sim.tombstones(), 100'000u);
-  sim.run();
-  EXPECT_EQ(sim.events_run(), 0u);
-  EXPECT_EQ(sim.cancelled_run(), 100'000u);
-  EXPECT_EQ(sim.ready_size(), 0u);
-  EXPECT_EQ(sim.now(), TimePoint::origin());
-}
-
-TEST(SimulatorCancel, SlotReuseDoesNotCrossCancel) {
-  // After an event fires its pool slot is recycled; cancelling the stale
-  // id must not kill the new occupant (generation check).
-  Simulator sim;
-  const auto old_id = sim.schedule(Duration::nanoseconds(1), [] {});
-  ASSERT_TRUE(sim.step());
-  bool fired = false;
-  sim.schedule(Duration::nanoseconds(1), [&] { fired = true; });
-  sim.cancel(old_id);  // stale generation: no-op
-  sim.run();
-  EXPECT_TRUE(fired);
-}
-
-TEST(SimulatorCancel, CancelOwnEventFromItsCallbackIsNoOp) {
-  Simulator sim;
-  std::uint64_t id = 0;
-  id = sim.schedule(Duration::nanoseconds(1), [&] { sim.cancel(id); });
-  sim.run();
-  EXPECT_EQ(sim.events_run(), 1u);
-  EXPECT_EQ(sim.cancelled_total(), 0u);
-}
-
-TEST(SimulatorCancel, RunUntilCountsCancelledPopsSeparately) {
-  Simulator sim;
-  int fired = 0;
-  const auto a = sim.schedule(Duration::nanoseconds(5), [&] { ++fired; });
-  sim.schedule(Duration::nanoseconds(15), [&] { ++fired; });
-  sim.cancel(a);
-  sim.run_until(TimePoint::origin() + Duration::nanoseconds(10));
-  // The cancelled pop at t=5 is swept without advancing time, is not an
-  // executed event, and must not unlock the t=15 event early.
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(sim.events_run(), 0u);
-  EXPECT_EQ(sim.cancelled_run(), 1u);
-  EXPECT_EQ(sim.now().ps(), Duration::nanoseconds(10).ps());
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.events_run(), 1u);
+  EXPECT_EQ(sim.max_pending(), 3u);
+  EXPECT_EQ(sim.pool_capacity(), sim.max_pending());
 }
 
 TEST(SimulatorCancel, TraceCountersSurfaceQueueStats) {
   Simulator sim;
   TraceRecorder trace;
   sim.attach_trace(&trace, "des");
-  const auto a = sim.schedule(Duration::nanoseconds(1), [] {});
+  sim.schedule(Duration::nanoseconds(1), [] {});
   sim.schedule(Duration::nanoseconds(2), [] {});
   EXPECT_EQ(trace.last_counter("queue_depth", "des"), 2.0);
-  sim.cancel(a);
-  EXPECT_EQ(trace.last_counter("tombstones", "des"), 1.0);
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(trace.last_counter("queue_depth", "des"), 1.0);
   sim.run();
   EXPECT_EQ(trace.last_counter("queue_depth", "des"), 0.0);
-  EXPECT_EQ(trace.last_counter("tombstones", "des"), 0.0);
-  EXPECT_EQ(trace.last_counter("cancelled_run", "des"), 1.0);
-  EXPECT_GT(trace.counter_samples(), 0u);
+  // One sample on attach and one per schedule and per fire.
+  EXPECT_EQ(trace.counter_samples(), 5u);
   sim.attach_trace(nullptr);
 }
 
@@ -409,7 +250,10 @@ TEST(TaskRegistry, CountsStayExactAcrossBatchedReaps) {
       ASSERT_EQ(reg.spawned_count(), spawned);
       ASSERT_EQ(reg.live_count(), long_lived + short_lived);
     }
-    sim.run_until(sim.now() + Duration::nanoseconds(1));
+    // The batch's 1 ns sleepers are the earliest events: one wake-up each.
+    const TimePoint woken_at = sim.now() + Duration::nanoseconds(1);
+    for (std::size_t k = 0; k < short_lived; ++k) ASSERT_TRUE(sim.step());
+    ASSERT_EQ(sim.now(), woken_at);
     ASSERT_EQ(reg.live_count(), long_lived);
   }
   EXPECT_EQ(reg.drain(), spawned);
@@ -421,19 +265,18 @@ TEST(TaskRegistry, CountsStayExactAcrossBatchedReaps) {
 // Direct coroutine resumption
 // ---------------------------------------------------------------------------
 
-/// Suspends until a schedule_resume() event fires; exposes its id.
+/// Suspends until a schedule_resume() event fires.
 struct ResumeAfter {
   Simulator& sim;
   Duration d;
-  std::uint64_t& id;
   bool await_ready() const { return false; }
-  void await_suspend(std::coroutine_handle<> h) { id = sim.schedule_resume(d, h); }
+  void await_suspend(std::coroutine_handle<> h) { sim.schedule_resume(d, h); }
   void await_resume() {}
 };
 
-Task<void> log_on_resume(Simulator& sim, Duration d, std::uint64_t& id,
+Task<void> log_on_resume(Simulator& sim, Duration d,
                          std::vector<std::string>& log, std::string name) {
-  co_await ResumeAfter{sim, d, id};
+  co_await ResumeAfter{sim, d};
   log.push_back(std::move(name));
 }
 
@@ -443,14 +286,13 @@ TEST(Simulator, CallbacksAndResumptionsShareOneFifo) {
     Simulator sim;
     TaskRegistry reg(sim);
     std::vector<std::string> log;
-    std::uint64_t a = 0, b = 0;
     const auto callback = [&log](std::string name) {
       return [&log, name] { log.push_back(name); };
     };
     if (callback_first) sim.schedule(at, callback("callback 1"));
-    reg.spawn(log_on_resume(sim, at, a, log, "coroutine 1"));
+    reg.spawn(log_on_resume(sim, at, log, "coroutine 1"));
     if (!callback_first) sim.schedule(at, callback("callback 1"));
-    reg.spawn(log_on_resume(sim, at, b, log, "coroutine 2"));
+    reg.spawn(log_on_resume(sim, at, log, "coroutine 2"));
     sim.schedule(at, callback("callback 2"));
     EXPECT_EQ(reg.drain(), 2u);
     const std::vector<std::string> expected =
@@ -462,24 +304,6 @@ TEST(Simulator, CallbacksAndResumptionsShareOneFifo) {
     EXPECT_EQ(sim.events_run(), 4u);
     EXPECT_EQ(sim.now().ps(), at.ps());
   }
-}
-
-TEST(SimulatorCancel, CancelledResumptionNeverResumes) {
-  Simulator sim;
-  std::vector<std::string> log;
-  std::uint64_t id = 0;
-  {
-    TaskRegistry reg(sim);
-    reg.spawn(log_on_resume(sim, Duration::nanoseconds(5), id, log, "resumed"));
-    EXPECT_EQ(sim.pending(), 1u);
-    sim.cancel(id);
-    EXPECT_EQ(reg.drain(), 0u);  // still suspended: never woken
-    EXPECT_EQ(reg.live_count(), 1u);
-  }  // destroying the registry destroys the suspended frame
-  EXPECT_TRUE(log.empty());
-  EXPECT_EQ(sim.events_run(), 0u);
-  EXPECT_EQ(sim.cancelled_run(), 1u);
-  EXPECT_EQ(sim.pending(), 0u);
 }
 
 // ---------------------------------------------------------------------------
