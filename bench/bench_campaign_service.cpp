@@ -6,7 +6,7 @@
 // with the fault::ExitCode of the outcome (0 clean / 3 degraded /
 // 4 failure-budget-exceeded; 2 for a malformed or unknown flag).
 //
-// CI drives it five ways (see .github/workflows/ci.yml, campaign-smoke):
+// CI drives it six ways (see .github/workflows/ci.yml, campaign-smoke):
 //   * N workers with --crash-shard armed: that worker exits 137 once it
 //     has run --crash-after scenarios, before reporting them; it is
 //     respawned, and the result must be byte-identical to a 1-worker run
@@ -17,6 +17,8 @@
 //     or kill -9) and its work dir resumed under another worker count;
 //   * a repeat invocation with --cache-dir: served entirely from the
 //     cache ("cache=hit ..."), bytes verbatim;
+//   * a --work-dir under a regular file: the journal cannot be created,
+//     so the run degrades (exit 3) and still writes the reference bytes;
 //   * the same campaign under --workers=0 (in-process, sanitizer-safe).
 //
 //   bench_campaign_service --work-dir=PATH [--cache-dir=PATH]
@@ -25,7 +27,6 @@
 //       [--slow-first=-1] [--crash-shard=-1] [--crash-after=0]
 //       [--out=PATH] [--report=PATH]
 //       [--trace=PATH] [--flightrec=PATH] [--fail-index=-1]
-//       [--chaos-seed=0] [--chaos-rate=0.05]
 //
 // --slow-ms pads every scenario; --slow-first=K restricts the padding to
 // scenarios with index < K, which piles the work onto the first shard and
@@ -38,12 +39,10 @@
 // pins the crash flight recorder's dump path (defaults to
 // work_dir/flightrec.json);
 // --fail-index=K makes scenario K permanently fail, a deterministic
-// degraded run that leaves a postmortem behind; --chaos-seed installs a
-// seeded fault-injecting filesystem for the whole fleet.
+// degraded run that leaves a postmortem behind.
 #include <chrono>
 #include <climits>
 #include <iostream>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -56,7 +55,6 @@
 #include "sweep_engine/result_store.hpp"
 #include "sweep_engine/studies.hpp"
 #include "util/cli.hpp"
-#include "util/env.hpp"
 #include "util/fileio.hpp"
 #include "util/flightrec.hpp"
 #include "util/table.hpp"
@@ -67,8 +65,8 @@ int main(int argc, char** argv) {
                       {"work-dir", "scenarios", "replications", "seed",
                        "slow-ms", "slow-first", "workers", "chunk", "cache-dir",
                        "budget", "deadline-ms", "crash-shard", "crash-after",
-                       "trace", "flightrec", "fail-index", "chaos-seed",
-                       "chaos-rate", "out", "report"});
+                       "trace", "flightrec", "fail-index", "out",
+                       "report"});
   const std::string work_dir = cli.get("work-dir", "");
   if (work_dir.empty()) {
     std::cerr << "usage: " << cli.program()
@@ -77,8 +75,7 @@ int main(int argc, char** argv) {
                  " [--budget=N] [--deadline-ms=N] [--slow-ms=N]"
                  " [--slow-first=K] [--crash-shard=K]"
                  " [--crash-after=N] [--out=PATH] [--report=PATH]"
-                 " [--trace=PATH] [--flightrec=PATH] [--fail-index=K]"
-                 " [--chaos-seed=N] [--chaos-rate=R]\n";
+                 " [--trace=PATH] [--flightrec=PATH] [--fail-index=K]\n";
     return fault::to_int(fault::ExitCode::kUsage);
   }
 
@@ -129,19 +126,6 @@ int main(int argc, char** argv) {
     FlightRecorder::global().set_dump_path(fr);
 
   const int fail_index = cli.get_int("fail-index", -1, -1, INT_MAX);
-
-  // A nonzero chaos seed puts the whole fleet (workers inherit the
-  // installed Env across fork) on a deterministically faulty filesystem.
-  std::unique_ptr<ChaosEnv> chaos;
-  const auto chaos_seed =
-      static_cast<std::uint64_t>(cli.get_int("chaos-seed", 0));
-  if (chaos_seed != 0) {
-    ChaosConfig ccfg;
-    ccfg.seed = chaos_seed;
-    ccfg.fault_rate = cli.get_double("chaos-rate", 0.05);
-    chaos = std::make_unique<ChaosEnv>(ccfg);
-  }
-  const ScopedEnv scoped_env(chaos.get());
 
   const auto& ctx = engine::SharedContext::instance();
   const campaign::CampaignResult result = campaign::run_campaign(

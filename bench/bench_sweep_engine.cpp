@@ -2,13 +2,14 @@
 // resilience sweep three ways -- the legacy serial loop, the engine with
 // one worker, and the engine with all available workers -- and verifies
 // the determinism contract: all three produce bit-identical metric
-// vectors (memcmp over every double, not a tolerance).  The exit code is
-// the bit-identity gate; the speedup is reported honestly and the >= 3x
-// expectation is only scored when the host actually has >= 4 cores.
-// Pass --work-dir=DIR to additionally run the sweep as a journaled
-// campaign (campaign/service.hpp, in-process): its results must reproduce
-// the engine results bit for bit (also part of the exit gate), and a
-// rerun of the same work dir resumes from its journal.
+// vectors (memcmp over every double, not a tolerance).  Pass
+// --work-dir=DIR to additionally run the sweep as a journaled campaign
+// (campaign/service.hpp, in-process): its results must reproduce the
+// engine results bit for bit, and a rerun of the same work dir resumes
+// from its journal.  The exit code covers only those bit-identity and
+// resume checks (it is also 1 when a --trace or --report file cannot be
+// written); the speed-up is printed next to its >= 3x target at 4
+// threads and enforced nowhere.
 //
 // Observability (DESIGN.md §10): pass --report=PATH to emit a run-report
 // JSON (+ Markdown sibling) carrying the campaign identity, provenance,
@@ -179,17 +180,9 @@ int main(int argc, char** argv) {
             << engN.threads() << "):       " << (one_vs_n ? "yes" : "NO")
             << "\n";
 
-  const double speedup = t_serial / t_n;
-  if (engN.threads() >= 4) {
-    std::cout << "\nspeedup gate (>= 3x at " << engN.threads()
-              << " threads): " << (speedup >= 3.0 ? "pass" : "FAIL") << " ("
-              << format_double(speedup, 2) << "x)\n";
-  } else {
-    std::cout << "\nspeedup gate skipped: host reports "
-              << engN.threads()
-              << " hardware thread(s); the >= 3x target needs >= 4 cores.\n"
-                 "The determinism gate above is the binding check here.\n";
-  }
+  std::cout << "\nspeed-up, engine(" << engN.threads()
+            << ") vs serial: " << format_double(t_serial / t_n, 2)
+            << "x (target >= 3x at 4 threads; not enforced)\n";
 
   bool resumable_ok = true;
   if (const std::string work_dir = cli.get("work-dir", ""); !work_dir.empty()) {

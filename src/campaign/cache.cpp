@@ -132,10 +132,9 @@ bool ResultCache::publish(std::uint64_t campaign, const Json& meta,
                               << err.detail << "); no partial entry left");
     // Best-effort cleanup of the stage directory; the final rename never
     // happened, so readers cannot observe a half-written entry.
-    Env& env = Env::real();
     for (const char* f :
          {"/meta.json", "/result.jsonl", "/report.json", "/report.md"})
-      env.unlink(stage + f);
+      ::unlink((stage + f).c_str());
     ::rmdir(stage.c_str());
     return false;
   }

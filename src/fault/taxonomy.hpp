@@ -6,7 +6,6 @@
 // any layer without a link edge.
 #pragma once
 
-#include <cerrno>
 #include <optional>
 #include <string_view>
 
@@ -15,7 +14,7 @@ namespace rr::fault {
 /// What a failure means for the work that hit it.
 ///
 ///   kTransient  -- environmental; the same work may succeed if retried
-///                  (lost ack, EINTR, a flaky resource).
+///                  (a lost ack, a flaky resource).
 ///   kPermanent  -- deterministic; retrying reproduces the failure
 ///                  (bad parameters, a contract violation in the model).
 ///   kPoison     -- the failure itself is suspect: an unknown foreign
@@ -40,37 +39,6 @@ constexpr std::optional<ErrorClass> error_class_from_string(
   return std::nullopt;
 }
 
-/// Classify a failed syscall's errno for the I/O retry loops (journal
-/// append, cache publish).  Transient errors are worth a bounded retry:
-/// interruptions, momentary resource exhaustion a reaped fd or freed
-/// buffer can relieve, and EIO, which on flaky media is famously
-/// intermittent.  Hard environmental states (disk full, quota, read-only
-/// mount) and anything permission- or existence-shaped retry to the same
-/// answer, so they classify permanent and the caller degrades instead.
-/// Unknown errnos default to permanent: guessing "retry" at a failure we
-/// cannot name just delays the degradation the caller must do anyway.
-constexpr ErrorClass classify_errno(int errnum) {
-  switch (errnum) {
-    case EINTR:
-    case EAGAIN:
-    case EIO:
-    case EMFILE:
-    case ENFILE:
-    case EBUSY:
-    case ENOMEM:
-      return ErrorClass::kTransient;
-    case ENOSPC:
-    case EDQUOT:
-    case EROFS:
-    case EACCES:
-    case EPERM:
-    case ENOENT:
-      return ErrorClass::kPermanent;
-    default:
-      return ErrorClass::kPermanent;
-  }
-}
-
 /// Process exit-code contract shared by every sweep/campaign binary.
 /// One table, one meaning per code, across the resilient runner, the
 /// campaign service, the bench drivers, and CI's assertions:
@@ -78,7 +46,8 @@ constexpr ErrorClass classify_errno(int errnum) {
 ///   0   kClean           every scenario ok
 ///   1   kError           the binary itself failed (I/O, internal gate)
 ///   2   kUsage           bad command line
-///   3   kDegraded        completed, but with timeouts and/or quarantines
+///   3   kDegraded        completed, but with timeouts, quarantines or a
+///                        journal that lost durability
 ///   4   kBudgetExceeded  aborted on the run-level failure budget
 ///   137 kCrash           the crash hook fired (std::_Exit after a journal
 ///                        fsync) -- the same code a SIGKILLed child reports

@@ -11,10 +11,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/metrics.hpp"
-#include "sweep_engine/retry.hpp"
 #include "util/env.hpp"
 #include "util/expect.hpp"
 #include "util/fileio.hpp"
@@ -159,17 +157,14 @@ void check_header(const std::string& path, const Json& header,
 }
 
 // Journal instrumentation (DESIGN.md §10/§13): fsync latency is the cost
-// every durable append pays, so it gets a histogram; resume hits are
-// credited by the resilient runner as it serves entries from here.  The
-// `io.fault.*` counters are the chaos harness's ground truth: every
-// transient retry and every drop to memory-only mode is counted where it
-// happens, so CI can assert the fault paths actually ran.
+// every durable append pays, so it gets a histogram.  Torn tails,
+// quarantines and drops to memory-only mode (`io.fault.degraded`) are
+// counted where they happen.
 struct JournalMetrics {
   obs::Histogram& fsync_us;
   obs::Counter& appends;
   obs::Counter& torn_tails;
   obs::Counter& corrupt;
-  obs::Counter& retried;
   obs::Counter& degraded;
 
   static JournalMetrics& instance() {
@@ -179,29 +174,10 @@ struct JournalMetrics {
         obs::MetricsRegistry::global().counter("journal.appends"),
         obs::MetricsRegistry::global().counter("journal.torn_tails"),
         obs::MetricsRegistry::global().counter("journal.corrupt"),
-        obs::MetricsRegistry::global().counter("io.fault.retried"),
         obs::MetricsRegistry::global().counter("io.fault.degraded")};
     return m;
   }
 };
-
-/// Run `op` (a bool-returning I/O attempt filling `err`) under the shared
-/// transient-retry policy.  Returns true on success; false once a
-/// permanent errno is seen or attempts are exhausted, with `err` holding
-/// the final failure.
-template <typename Op>
-bool with_io_retries(Op&& op, IoError* err) {
-  const RetryPolicy policy;
-  for (int attempt = 1;; ++attempt) {
-    if (op(err)) return true;
-    if (attempt >= policy.max_attempts ||
-        fault::classify_errno(err->errnum) != fault::ErrorClass::kTransient)
-      return false;
-    JournalMetrics::instance().retried.inc();
-    std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(
-        policy.backoff_after_us(attempt)));
-  }
-}
 
 }  // namespace
 
@@ -354,7 +330,8 @@ SweepJournal::SweepJournal(std::string path, const Json& params, int scenarios)
       }
       if (tail_recovered_) {
         // Truncate the torn tail so the next append starts on a clean line.
-        if (env.truncate(path_, static_cast<long long>(data.clean_bytes)) != 0)
+        if (::truncate(path_.c_str(),
+                       static_cast<off_t>(data.clean_bytes)) != 0)
           throw JsonError(
               format_io_error("truncate torn tail of", path_, errno));
         JournalMetrics::instance().torn_tails.inc();
@@ -385,8 +362,8 @@ SweepJournal::SweepJournal(std::string path, const Json& params, int scenarios)
                            << ", starting fresh in place");
       }
     } catch (const std::exception& e) {
-      // Unreadable (injected EIO, permissions...): without the file's
-      // contents we can neither resume nor safely append; run memory-only.
+      // Unreadable (EIO, permissions...): without the file's contents we
+      // can neither resume nor safely append; run memory-only.
       entries_.assign(static_cast<std::size_t>(scenarios_), std::nullopt);
       completed_ = 0;
       load_failed = true;
@@ -395,19 +372,10 @@ SweepJournal::SweepJournal(std::string path, const Json& params, int scenarios)
   }
 
   if (!load_failed) {
-    IoError err;
     const int flags =
         O_WRONLY | O_CREAT | O_APPEND | (truncate_on_open ? O_TRUNC : 0);
-    const bool opened = with_io_retries(
-        [&](IoError* io) {
-          fd_ = env.open(path_, flags, 0644);
-          if (fd_ >= 0) return true;
-          io->errnum = errno;
-          io->detail = format_io_error("open", path_, errno);
-          return false;
-        },
-        &err);
-    if (!opened) degrade(err.detail);
+    fd_ = env.open(path_, flags, 0644);
+    if (fd_ < 0) degrade(format_io_error("open", path_, errno));
   }
 
   if (!resumed_ && fd_ >= 0) {
@@ -417,26 +385,10 @@ SweepJournal::SweepJournal(std::string path, const Json& params, int scenarios)
         .set("campaign", campaign_hex(campaign_))
         .set("scenarios", scenarios_)
         .set("params", params);
-    const std::string line = checksummed_line(header);
+    // A failed write leaves at most a torn header, which the next open
+    // truncates away: nothing is written after a degrade.
     IoError err;
-    bool needs_repair = false;
-    if (!with_io_retries(
-            [&](IoError* io) {
-              // A failed attempt may have torn a header prefix into the
-              // file; start the retry from empty so the file never holds
-              // two headers.
-              if (needs_repair && env.truncate(path_, 0) != 0) {
-                io->errnum = errno;
-                io->detail = format_io_error("truncate", path_, errno);
-                return false;
-              }
-              if (!append_line_fsync(fd_, line, io)) {
-                needs_repair = true;
-                return false;
-              }
-              return true;
-            },
-            &err))
+    if (!append_line_fsync(fd_, checksummed_line(header), &err))
       degrade("header write failed: " + err.detail);
   }
 
@@ -450,13 +402,13 @@ SweepJournal::SweepJournal(std::string path, const Json& params, int scenarios)
 }
 
 SweepJournal::~SweepJournal() {
-  if (fd_ >= 0) Env::current().close(fd_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 void SweepJournal::degrade(const std::string& why) {
   if (degraded_.exchange(true, std::memory_order_relaxed)) return;
   if (fd_ >= 0) {
-    Env::current().close(fd_);
+    ::close(fd_);
     fd_ = -1;
   }
   JournalMetrics::instance().degraded.inc();
@@ -517,8 +469,11 @@ void SweepJournal::append(std::vector<JournalEntry>&& group) {
     journal_fail(path_, "index " + std::to_string(*dup) + " journaled twice");
   if (group.empty()) return;
 
+  // A degrade closes the fd, so a degraded journal writes nothing more:
+  // a failed append's partial bytes stay the file's tail, which the next
+  // open truncates away.
   bool durable = false;
-  if (!degraded_.load(std::memory_order_relaxed) && fd_ >= 0) {
+  if (fd_ >= 0) {
     JournalMetrics& jm = JournalMetrics::instance();
     // The group's record lines, newline-joined and each written straight
     // from its entry; append_line_fsync adds the final terminator and
@@ -530,41 +485,9 @@ void SweepJournal::append(std::vector<JournalEntry>&& group) {
       append_json(lines, e);
       splice_checksum(lines, start);
     }
-    // Remember where this append starts so a failed attempt's partial
-    // bytes can be truncated away before the retry -- otherwise the
-    // retried records would land after a torn fragment and poison the
-    // file for every future reader.
-    struct ::stat st{};
-    const long long good =
-        ::fstat(fd_, &st) == 0 ? static_cast<long long>(st.st_size) : -1;
     const auto t0 = std::chrono::steady_clock::now();
     IoError err;
-    bool needs_repair = false;
-    durable = with_io_retries(
-        [&](IoError* io) {
-          if (needs_repair) {
-            if (good < 0) {
-              // No known-good length to roll back to: retrying could
-              // leave a torn fragment mid-file.  errnum 0 classifies
-              // permanent, so the retry loop stops here and degrades.
-              io->errnum = 0;
-              io->detail = "cannot repair partial append (fstat failed): " +
-                           io->detail;
-              return false;
-            }
-            if (Env::current().truncate(path_, good) != 0) {
-              io->errnum = errno;
-              io->detail = format_io_error("truncate", path_, errno);
-              return false;
-            }
-          }
-          if (!append_line_fsync(fd_, lines, io)) {
-            needs_repair = true;
-            return false;
-          }
-          return true;
-        },
-        &err);
+    durable = append_line_fsync(fd_, lines, &err);
     if (durable) {
       jm.fsync_us.observe(std::chrono::duration<double, std::micro>(
                               std::chrono::steady_clock::now() - t0)

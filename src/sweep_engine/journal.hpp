@@ -32,10 +32,11 @@
 // *resuming* quarantines the poisoned file (renamed aside) and starts
 // fresh -- resuming from a corrupt prefix would silently drop work; the
 // *read-only* loaders fail closed with line/offset diagnostics instead.
-// Append I/O failures retry transient errnos on the shared backoff, then
-// degrade the journal to memory-only (`degraded()`), which the campaign
-// maps to ExitCode::kDegraded -- a full disk costs durability, never the
-// run.
+// The first failed open, header write or append degrades the journal to
+// memory-only (`degraded()`), which the campaign maps to
+// ExitCode::kDegraded -- a full disk costs durability, never the run.
+// Nothing is written after that, so a failed append's partial bytes can
+// only be the file's tail, which the next open truncates.
 #pragma once
 
 #include <atomic>
@@ -131,8 +132,8 @@ class SweepJournal {
   /// (renamed to `path() + ".corrupt"`) and this journal started fresh.
   bool quarantined() const { return quarantined_; }
   /// True once durability has been lost: the file could not be opened,
-  /// read, or appended to after retries.  Entries are still tracked in
-  /// memory so the run completes, but the run must report no better than
+  /// read, or appended to.  Entries are still tracked in memory so the
+  /// run completes, but the run must report no better than
   /// fault::ExitCode::kDegraded -- nothing survives a crash any more.
   bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
 
@@ -151,11 +152,9 @@ class SweepJournal {
   /// checksummed record line into the O_APPEND fd, then fdatasync.
   /// Thread-safe.  Throws std::runtime_error on an out-of-range /
   /// duplicate index (the run protocol never journals an index twice).
-  /// I/O failures never throw: transient errnos retry on the shared
-  /// backoff (counting `io.fault.retried`), a partial write is truncated
-  /// away before the retry so the file stays parseable, and a permanent
-  /// failure or exhausted retry degrades the journal to memory-only
-  /// (counting `io.fault.degraded`).
+  /// I/O failures never throw: the first failed write or fdatasync
+  /// degrades the journal to memory-only (counting `io.fault.degraded`),
+  /// and later appends only fill the in-memory table.
   void append(const JournalEntry& e) { append(std::span(&e, 1)); }
   /// The same for a group of scenarios: every record line in one
   /// write(2), then one fdatasync.  The whole group is checked before a

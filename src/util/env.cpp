@@ -1,13 +1,10 @@
 #include "util/env.hpp"
 
 #include <fcntl.h>
-#include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
-
-#include "util/rng.hpp"
+#include <atomic>
+#include <cstdio>
 
 namespace rr {
 
@@ -21,8 +18,6 @@ int Env::open(const std::string& path, int flags, int mode) {
   return ::open(path.c_str(), flags, mode);
 }
 
-long Env::read(int fd, void* buf, std::size_t n) { return ::read(fd, buf, n); }
-
 long Env::write(int fd, const void* buf, std::size_t n) {
   return ::write(fd, buf, n);
 }
@@ -31,25 +26,9 @@ int Env::fsync(int fd) { return ::fsync(fd); }
 
 int Env::fdatasync(int fd) { return ::fdatasync(fd); }
 
-int Env::close(int fd) { return ::close(fd); }
-
 int Env::rename(const std::string& from, const std::string& to) {
   return ::rename(from.c_str(), to.c_str());
 }
-
-int Env::unlink(const std::string& path) { return ::unlink(path.c_str()); }
-
-int Env::truncate(const std::string& path, long long length) {
-  return ::truncate(path.c_str(), static_cast<off_t>(length));
-}
-
-int Env::mkdir(const std::string& path, int mode) {
-  return ::mkdir(path.c_str(), static_cast<mode_t>(mode));
-}
-
-int Env::flock_ex(int fd) { return ::flock(fd, LOCK_EX); }
-
-int Env::flock_un(int fd) { return ::flock(fd, LOCK_UN); }
 
 Env& Env::real() {
   static Env env;
@@ -64,192 +43,5 @@ Env& Env::current() {
 Env* Env::install(Env* env) {
   return g_current.exchange(env, std::memory_order_acq_rel);
 }
-
-// ---------------------------------------------------------------------------
-// ChaosEnv
-// ---------------------------------------------------------------------------
-
-ChaosEnv::ChaosEnv(ChaosConfig cfg, Env* base)
-    : cfg_(cfg), base_(base ? base : &Env::real()) {}
-
-bool ChaosEnv::consume_budget() {
-  if (cfg_.max_faults < 0) return true;
-  // Optimistic claim; over-claims under contention just under-inject.
-  if (budget_used_.fetch_add(1, std::memory_order_relaxed) < cfg_.max_faults)
-    return true;
-  budget_used_.fetch_sub(1, std::memory_order_relaxed);
-  return false;
-}
-
-FaultKind ChaosEnv::decide(bool write_path, bool is_read) {
-  const std::uint64_t op = op_.fetch_add(1, std::memory_order_relaxed);
-  stats_.ops.fetch_add(1, std::memory_order_relaxed);
-
-  // Sticky full disk: armed below, fails every write-path operation until
-  // the window closes -- the caller's retries must see the same ENOSPC a
-  // real full disk keeps returning.
-  if (write_path && op < enospc_until_.load(std::memory_order_relaxed)) {
-    stats_.injected.fetch_add(1, std::memory_order_relaxed);
-    stats_.enospc.fetch_add(1, std::memory_order_relaxed);
-    return FaultKind::kEnospc;
-  }
-
-  // Counter-keyed stream: deterministic per (seed, op index).
-  std::uint64_t state = cfg_.seed ^ (op * 0x9e3779b97f4a7c15ULL);
-  const std::uint64_t draw = splitmix64(state);
-  const double u = static_cast<double>(draw >> 11) * 0x1.0p-53;
-
-  if (is_read && cfg_.read_corrupt_rate > 0.0 && u < cfg_.read_corrupt_rate &&
-      consume_budget()) {
-    stats_.injected.fetch_add(1, std::memory_order_relaxed);
-    stats_.read_corruptions.fetch_add(1, std::memory_order_relaxed);
-    return FaultKind::kReadCorrupt;
-  }
-  if (u >= cfg_.fault_rate || is_read) {
-    if (!is_read || u >= cfg_.fault_rate) return FaultKind::kNone;
-  }
-  if (!consume_budget()) return FaultKind::kNone;
-
-  const std::uint64_t pick = splitmix64(state);
-  if (is_read) {
-    stats_.injected.fetch_add(1, std::memory_order_relaxed);
-    stats_.eio.fetch_add(1, std::memory_order_relaxed);
-    return FaultKind::kEio;
-  }
-  if (write_path && cfg_.allow_enospc && pick % 8 == 0) {
-    enospc_until_.store(op + static_cast<std::uint64_t>(cfg_.enospc_window_ops),
-                        std::memory_order_relaxed);
-    stats_.injected.fetch_add(1, std::memory_order_relaxed);
-    stats_.enospc.fetch_add(1, std::memory_order_relaxed);
-    return FaultKind::kEnospc;
-  }
-  stats_.injected.fetch_add(1, std::memory_order_relaxed);
-  switch (pick % 4) {
-    case 0: stats_.short_writes.fetch_add(1, std::memory_order_relaxed);
-            return FaultKind::kShortWrite;
-    case 1: stats_.torn_writes.fetch_add(1, std::memory_order_relaxed);
-            return FaultKind::kTornWrite;
-    default: stats_.eio.fetch_add(1, std::memory_order_relaxed);
-             return FaultKind::kEio;
-  }
-}
-
-int ChaosEnv::open(const std::string& path, int flags, int mode) {
-  switch (decide((flags & (O_CREAT | O_WRONLY | O_RDWR)) != 0, false)) {
-    case FaultKind::kNone: break;
-    case FaultKind::kEnospc: errno = ENOSPC; return -1;
-    default:
-      stats_.open_failures.fetch_add(1, std::memory_order_relaxed);
-      errno = EMFILE;  // fd exhaustion: transient, a retry may succeed
-      return -1;
-  }
-  return base_->open(path, flags, mode);
-}
-
-long ChaosEnv::read(int fd, void* buf, std::size_t n) {
-  switch (decide(false, true)) {
-    case FaultKind::kNone: break;
-    case FaultKind::kReadCorrupt: {
-      const long r = base_->read(fd, buf, n);
-      if (r > 0) {
-        // Flip one deterministic bit: garbage from the wire or the disk.
-        std::uint64_t state = cfg_.seed ^ static_cast<std::uint64_t>(r);
-        const std::uint64_t at = splitmix64(state);
-        static_cast<unsigned char*>(buf)[at % static_cast<std::uint64_t>(r)] ^=
-            static_cast<unsigned char>(1u << (at % 8));
-      }
-      return r;
-    }
-    default: errno = EIO; return -1;
-  }
-  return base_->read(fd, buf, n);
-}
-
-long ChaosEnv::write(int fd, const void* buf, std::size_t n) {
-  switch (decide(true, false)) {
-    case FaultKind::kNone: break;
-    case FaultKind::kEnospc: errno = ENOSPC; return -1;
-    case FaultKind::kShortWrite:
-      if (n > 1) return base_->write(fd, buf, n / 2);  // caller's loop resumes
-      break;
-    case FaultKind::kTornWrite:
-      // The nastiest tear: a prefix reaches the disk, then the device
-      // errors.  On the journal this manufactures exactly the torn tail
-      // the reader must recover from.
-      if (n > 1) (void)base_->write(fd, buf, n / 2);
-      errno = EIO;
-      return -1;
-    default: errno = EIO; return -1;
-  }
-  return base_->write(fd, buf, n);
-}
-
-int ChaosEnv::fsync(int fd) {
-  switch (decide(true, false)) {
-    case FaultKind::kNone: return base_->fsync(fd);
-    case FaultKind::kEnospc: errno = ENOSPC; return -1;
-    default: errno = EIO; return -1;
-  }
-}
-
-int ChaosEnv::fdatasync(int fd) {
-  switch (decide(true, false)) {
-    case FaultKind::kNone: return base_->fdatasync(fd);
-    case FaultKind::kEnospc: errno = ENOSPC; return -1;
-    default: errno = EIO; return -1;
-  }
-}
-
-int ChaosEnv::close(int fd) {
-  // Close failures are not injected: every consumer treats close as
-  // best-effort teardown, and leaking the real fd would starve the run.
-  return base_->close(fd);
-}
-
-int ChaosEnv::rename(const std::string& from, const std::string& to) {
-  switch (decide(true, false)) {
-    case FaultKind::kNone: return base_->rename(from, to);
-    case FaultKind::kEnospc: errno = ENOSPC; return -1;
-    default:
-      stats_.rename_failures.fetch_add(1, std::memory_order_relaxed);
-      errno = EIO;
-      return -1;
-  }
-}
-
-int ChaosEnv::unlink(const std::string& path) {
-  switch (decide(true, false)) {
-    case FaultKind::kNone: return base_->unlink(path);
-    default: errno = EIO; return -1;
-  }
-}
-
-int ChaosEnv::truncate(const std::string& path, long long length) {
-  switch (decide(true, false)) {
-    case FaultKind::kNone: return base_->truncate(path, length);
-    case FaultKind::kEnospc: errno = ENOSPC; return -1;
-    default: errno = EIO; return -1;
-  }
-}
-
-int ChaosEnv::mkdir(const std::string& path, int mode) {
-  switch (decide(true, false)) {
-    case FaultKind::kNone: return base_->mkdir(path, mode);
-    case FaultKind::kEnospc: errno = ENOSPC; return -1;
-    default: errno = EIO; return -1;
-  }
-}
-
-int ChaosEnv::flock_ex(int fd) {
-  switch (decide(false, false)) {
-    case FaultKind::kNone: return base_->flock_ex(fd);
-    default:
-      stats_.lock_failures.fetch_add(1, std::memory_order_relaxed);
-      errno = EINTR;
-      return -1;
-  }
-}
-
-int ChaosEnv::flock_un(int fd) { return base_->flock_un(fd); }
 
 }  // namespace rr

@@ -1,6 +1,7 @@
 #include "util/fileio.hpp"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -71,7 +72,7 @@ bool write_file_atomic(const std::string& path, std::string_view content,
     set_err(err, "fsync", tmp, errno);
     ok = false;
   }
-  if (env.close(fd) != 0 && ok) {
+  if (::close(fd) != 0 && ok) {
     set_err(err, "close", tmp, errno);
     ok = false;
   }
@@ -79,7 +80,7 @@ bool write_file_atomic(const std::string& path, std::string_view content,
     set_err(err, "rename", tmp + " -> " + path, errno);
     ok = false;
   }
-  if (!ok) env.unlink(tmp);
+  if (!ok) ::unlink(tmp.c_str());
   return ok;
 }
 
@@ -88,7 +89,6 @@ bool make_dirs(const std::string& path, IoError* err) {
     set_err(err, "mkdir", "(empty path)", EINVAL);
     return false;
   }
-  Env& env = Env::current();
   std::string partial;
   partial.reserve(path.size());
   for (std::size_t i = 0; i <= path.size(); ++i) {
@@ -96,8 +96,8 @@ bool make_dirs(const std::string& path, IoError* err) {
       partial.push_back(path[i]);
       continue;
     }
-    if (!partial.empty() && partial != "/" && env.mkdir(partial, 0755) != 0 &&
-        errno != EEXIST) {
+    if (!partial.empty() && partial != "/" &&
+        ::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST) {
       set_err(err, "mkdir", partial, errno);
       return false;
     }
@@ -116,24 +116,22 @@ bool make_dirs(const std::string& path, IoError* err) {
 }
 
 FileLock::FileLock(const std::string& path) {
-  Env& env = Env::current();
-  fd_ = env.open(path, O_RDWR | O_CREAT, 0644);
+  fd_ = Env::current().open(path, O_RDWR | O_CREAT, 0644);
   if (fd_ < 0) return;
   int rc;
   do {
-    rc = env.flock_ex(fd_);
+    rc = ::flock(fd_, LOCK_EX);
   } while (rc != 0 && errno == EINTR);
   if (rc != 0) {
-    env.close(fd_);
+    ::close(fd_);
     fd_ = -1;
   }
 }
 
 FileLock::~FileLock() {
   if (fd_ >= 0) {
-    Env& env = Env::current();
-    env.flock_un(fd_);
-    env.close(fd_);
+    ::flock(fd_, LOCK_UN);
+    ::close(fd_);
   }
 }
 
@@ -198,23 +196,22 @@ JsonlData read_jsonl(std::string_view text) {
 }
 
 std::string read_file(const std::string& path) {
-  Env& env = Env::current();
-  const int fd = env.open(path, O_RDONLY, 0);
+  const int fd = Env::current().open(path, O_RDONLY, 0);
   if (fd < 0) throw std::runtime_error(format_io_error("open", path, errno));
   std::string out;
   char buf[1 << 16];
   for (;;) {
-    const long r = env.read(fd, buf, sizeof(buf));
+    const long r = ::read(fd, buf, sizeof(buf));
     if (r < 0) {
       if (errno == EINTR) continue;
       const int errnum = errno;
-      env.close(fd);
+      ::close(fd);
       throw std::runtime_error(format_io_error("read", path, errnum));
     }
     if (r == 0) break;
     out.append(buf, static_cast<std::size_t>(r));
   }
-  env.close(fd);
+  ::close(fd);
   return out;
 }
 

@@ -12,9 +12,8 @@
 // read_jsonl() is the matching reader: it parses every complete line and
 // treats an unterminated or unparseable *last* line as a torn tail
 // (recovered, reported), while corruption anywhere earlier still throws.
-// All of these route their syscalls through util::Env::current()
-// (env.hpp), so a chaos environment can inject the failures each caller
-// must survive.
+// Their open, write, fsync, fdatasync and rename go through
+// util::Env::current() (env.hpp), so a test can fail any one of them.
 #pragma once
 
 #include <string>

@@ -1,8 +1,8 @@
 // Crash flight recorder (DESIGN.md §15): a fixed-size lock-free ring of
 // the most recent structured events -- log records, key metric deltas,
 // control frames, and free-form marks -- dumped atomically to a JSON
-// postmortem when a run goes bad, so a degraded chaos campaign leaves a
-// "what happened just before" artifact instead of only an exit code.
+// postmortem when a run goes bad, so a degraded campaign leaves a "what
+// happened just before" artifact instead of only an exit code.
 //
 // Writers pay one relaxed fetch_add plus a bounded memcpy; there are no
 // locks and no allocation, so record() is safe from any thread including

@@ -1,9 +1,8 @@
-// Chaos-hardening tests (DESIGN.md §13): the injectable fault
-// environment itself, the per-layer failure policies it exercises
-// (fileio diagnostics, journal retry/degrade/quarantine, cache
-// revalidation and abort-clean publish), and an in-process miniature of
-// the campaign-level chaos fuzzer that bench/chaos_driver.cpp runs at
-// full scale in CI.
+// Failure-domain tests (DESIGN.md §13): what each persisting layer does
+// when one of Env's five calls fails -- fileio's diagnostics, the
+// journal's immediate degrade and mid-file quarantine, the cache's
+// revalidation and abort-clean publish -- driven by test-local
+// environments that fail one operation on the real filesystem.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -115,56 +114,44 @@ class FailOpEnv : public Env {
   int failures_ = 0;
 };
 
-// ---------------------------------------------------------------------------
-// The chaos environment itself.
-// ---------------------------------------------------------------------------
-
-TEST(ChaosEnvTest, SameSeedReplaysTheSameFaultSequence) {
-  const std::string path = tmp_path("chaos_env_replay");
-  std::vector<bool> outcomes[2];
-  ChaosConfig cfg;
-  cfg.seed = 7;
-  cfg.fault_rate = 0.25;
-  for (int run = 0; run < 2; ++run) {
-    ChaosEnv env(cfg);
-    ScopedEnv scope(&env);
-    for (int i = 0; i < 120; ++i)
-      outcomes[run].push_back(write_file_atomic(path, "payload payload\n"));
-    EXPECT_GT(env.stats().injected.load(), 0u);
-    if (run == 1) {
-      ChaosEnv fresh(cfg);  // never used: proves config equality, not state
-      EXPECT_EQ(fresh.stats().injected.load(), 0u);
-    }
+/// Writes the first half of the next write(2), then fails it with EIO:
+/// the torn append a device error mid-write leaves behind.
+class TornWriteEnv : public Env {
+ public:
+  long write(int fd, const void* buf, std::size_t n) override {
+    if (torn_) return Env::write(fd, buf, n);
+    torn_ = true;
+    (void)Env::write(fd, buf, n / 2);
+    errno = EIO;
+    return -1;
   }
-  EXPECT_EQ(outcomes[0], outcomes[1]);
-}
 
-TEST(ChaosEnvTest, MaxFaultsBoundsInjections) {
-  ChaosConfig cfg;
-  cfg.seed = 11;
-  cfg.fault_rate = 1.0;   // every decision wants to fire...
-  cfg.max_faults = 3;     // ...but only three may
-  cfg.allow_enospc = false;  // sticky window would inject past the budget
-  ChaosEnv env(cfg);
-  ScopedEnv scope(&env);
-  const std::string path = tmp_path("chaos_env_budget");
-  for (int i = 0; i < 40; ++i) (void)write_file_atomic(path, "x\n");
-  EXPECT_EQ(env.stats().injected.load(), 3u);
-  EXPECT_TRUE(write_file_atomic(path, "calm after the budget\n"));
-}
+ private:
+  bool torn_ = false;
+};
+
+// ---------------------------------------------------------------------------
+// The environment itself.
+// ---------------------------------------------------------------------------
 
 TEST(ChaosEnvTest, ScopedEnvInstallsAndRestores) {
   EXPECT_EQ(&Env::current(), &Env::real());
   {
-    ChaosEnv env(ChaosConfig{});
-    ScopedEnv scope(&env);
-    EXPECT_EQ(&Env::current(), &env);
+    Env outer;
+    ScopedEnv outer_scope(&outer);
+    EXPECT_EQ(&Env::current(), &outer);
+    {
+      Env inner;
+      ScopedEnv inner_scope(&inner);
+      EXPECT_EQ(&Env::current(), &inner);
+    }
+    EXPECT_EQ(&Env::current(), &outer);
   }
   EXPECT_EQ(&Env::current(), &Env::real());
 }
 
 // ---------------------------------------------------------------------------
-// fileio diagnostics (satellite: errno + strerror + path in every error).
+// fileio diagnostics: errno, strerror and path in every error.
 // ---------------------------------------------------------------------------
 
 TEST(FileIoChaosTest, WriteFileAtomicReportsErrnoAndPath) {
@@ -192,25 +179,88 @@ TEST(FileIoChaosTest, AppendLineFsyncReportsFdatasyncFailure) {
   EXPECT_NE(err.detail.find("fdatasync"), std::string::npos) << err.detail;
   EXPECT_NE(err.detail.find(std::strerror(ENOSPC)), std::string::npos)
       << err.detail;
-  Env::real().close(fd);
+  ::close(fd);
 }
 
 // ---------------------------------------------------------------------------
-// Journal failure policy: transient retry, permanent degrade, mid-file
-// quarantine -- a full disk costs durability, never the run.
+// Journal failure policy: the first failed write or sync degrades at once,
+// mid-file corruption quarantines -- a full disk costs durability, never
+// the run.
 // ---------------------------------------------------------------------------
 
-TEST(JournalChaosTest, TransientFailuresAreRetriedAndCounted) {
-  const std::string path = tmp_path("journal_transient");
-  const Json params = demo_params("transient");
-  engine::SweepJournal journal(path, params, 4);
-  const std::uint64_t retried_before = counter_value("io.fault.retried");
-  FailOpEnv env(FailOpEnv::Op::kFdatasync, EIO, /*times=*/1);
-  ScopedEnv scope(&env);
-  journal.append(demo_entry(0));
-  EXPECT_FALSE(journal.degraded());
-  EXPECT_EQ(env.failures(), 1);
-  EXPECT_GT(counter_value("io.fault.retried"), retried_before);
+// The first failed write or fdatasync degrades the journal at once.  It
+// writes nothing more, so reopening its file resumes exactly the records
+// whose write(2) completed (the fdatasync case's second record too), with
+// no torn tail.
+TEST(JournalDegradeTest, FailedWriteOrSyncDegradesAtOnce) {
+  struct Case {
+    const char* name;
+    FailOpEnv::Op op;
+    int err;
+    int on_disk;  ///< records the reopen resumes
+  };
+  for (const Case& c : {Case{"fdatasync", FailOpEnv::Op::kFdatasync, EIO, 2},
+                        Case{"write", FailOpEnv::Op::kWrite, ENOSPC, 1}}) {
+    SCOPED_TRACE(c.name);
+    const std::string path = tmp_path(std::string("journal_fail_") + c.name);
+    const Json params = demo_params(c.name);
+    {
+      engine::SweepJournal journal(path, params, 4);
+      journal.append(demo_entry(0));
+      ASSERT_FALSE(journal.degraded());
+      FailOpEnv env(c.op, c.err, /*times=*/1);
+      ScopedEnv scope(&env);
+      journal.append(demo_entry(1));
+      EXPECT_EQ(env.failures(), 1);
+      EXPECT_TRUE(journal.degraded());
+      const std::string bytes = read_file(path);
+      journal.append(demo_entry(2));
+      EXPECT_EQ(read_file(path), bytes) << "a degraded journal wrote";
+      EXPECT_EQ(journal.completed_count(), 3u);
+    }
+    engine::SweepJournal reopened(path, params, 4);
+    EXPECT_TRUE(reopened.resumed());
+    EXPECT_FALSE(reopened.tail_recovered());
+    EXPECT_FALSE(reopened.degraded());
+    EXPECT_EQ(reopened.completed_count(), static_cast<std::size_t>(c.on_disk));
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(reopened.completed(i), i < c.on_disk) << i;
+      if (i < c.on_disk) {
+        EXPECT_EQ(reopened.entry(i)->metrics.dump(),
+                  demo_entry(i).metrics.dump());
+      }
+    }
+  }
+}
+
+// The torn bytes of a failed append are the file's tail, because nothing
+// follows them; the next open truncates them and appends cleanly.
+TEST(JournalDegradeTest, TornAppendIsATailTheReopenTruncates) {
+  const std::string path = tmp_path("journal_torn_append");
+  const Json params = demo_params("torn-append");
+  std::string clean;
+  {
+    engine::SweepJournal journal(path, params, 4);
+    journal.append(demo_entry(0));
+    clean = read_file(path);
+    TornWriteEnv env;
+    ScopedEnv scope(&env);
+    journal.append(demo_entry(1));
+    EXPECT_TRUE(journal.degraded());
+    journal.append(demo_entry(2));
+  }
+  ASSERT_GT(read_file(path).size(), clean.size());
+  {
+    engine::SweepJournal reopened(path, params, 4);
+    EXPECT_TRUE(reopened.tail_recovered());
+    EXPECT_EQ(reopened.completed_count(), 1u);
+    EXPECT_EQ(read_file(path), clean);
+    reopened.append(demo_entry(1));
+    EXPECT_FALSE(reopened.degraded());
+  }
+  engine::SweepJournal again(path, params, 4);
+  EXPECT_FALSE(again.tail_recovered());
+  EXPECT_EQ(again.completed_count(), 2u);
 }
 
 TEST(JournalChaosTest, PermanentAppendFailureDegradesToMemoryOnly) {
@@ -378,74 +428,6 @@ TEST(CacheChaosTest, FailedPublishLeavesNoPartialEntry) {
   EXPECT_TRUE(cache.publish(campaign, meta, "{\"index\":0}\n", "{}\n",
                             "# md\n"));
   EXPECT_TRUE(cache.lookup(campaign, params).has_value());
-}
-
-// ---------------------------------------------------------------------------
-// Mini chaos fuzz: the driver's invariants at unit-test scale, fully
-// in-process (workers = 0), so it runs under every sanitizer.
-// ---------------------------------------------------------------------------
-
-TEST(ChaosFuzzTest, InProcessCampaignsSurviveSeededSchedules) {
-  const std::string base = tmp_dir("chaos_mini_fuzz");
-  campaign::CampaignSpec spec;
-  spec.name = "chaos_mini";
-  spec.params = demo_params("mini-fuzz");
-  spec.scenarios = 6;
-  spec.base_seed = 0xfeedULL;
-  const std::uint64_t campaign = engine::campaign_hash(spec.params);
-
-  // Fault-free reference bytes.
-  campaign::ServiceConfig ref_cfg;
-  ref_cfg.workers = 0;
-  ref_cfg.work_dir = base + "/ref";
-  const std::string reference =
-      campaign::run_campaign(spec, plain_fn(), ref_cfg).result_bytes;
-  ASSERT_FALSE(reference.empty());
-
-  int clean = 0, degraded = 0;
-  for (std::uint64_t s = 0; s < 16; ++s) {
-    const std::string dir = base + "/s" + std::to_string(s);
-    campaign::ServiceConfig cfg;
-    cfg.workers = 0;
-    cfg.work_dir = dir + "/work";
-    cfg.cache_dir = dir + "/cache";
-    ChaosConfig ccfg;
-    ccfg.seed = 0x517e0000ULL + s;
-    ccfg.fault_rate = 0.08;
-    ccfg.read_corrupt_rate = 0.02;
-    ccfg.max_faults = 5;
-    ChaosEnv chaos(ccfg);
-    campaign::CampaignResult result;
-    {
-      ScopedEnv scope(&chaos);
-      // Invariant: no escaped exception, whatever the schedule injects.
-      ASSERT_NO_THROW(result = campaign::run_campaign(spec, plain_fn(), cfg))
-          << "schedule seed " << ccfg.seed;
-    }
-    if (result.outcome == engine::RunOutcome::kClean) {
-      ++clean;
-      // Invariant: a clean run is byte-identical to the fault-free one.
-      EXPECT_EQ(result.result_bytes, reference)
-          << "schedule seed " << ccfg.seed;
-    } else {
-      ++degraded;
-      EXPECT_EQ(result.exit_code(), 3) << "schedule seed " << ccfg.seed;
-    }
-    // Invariant: whatever happened, the cache holds either nothing or a
-    // complete, verifiable entry (checked with faults off).
-    campaign::ResultCache cache(cfg.cache_dir);
-    struct ::stat st{};
-    if (::stat(cache.entry_dir(campaign).c_str(), &st) == 0) {
-      const auto hit = cache.lookup(campaign, spec.params);
-      ASSERT_TRUE(hit.has_value())
-          << "partial cache entry, schedule seed " << ccfg.seed;
-      EXPECT_EQ(hit->result_bytes, reference);
-    }
-  }
-  // The schedule mix must actually exercise both halves of the contract;
-  // these hold for the pinned seeds above.
-  EXPECT_GT(clean, 0);
-  EXPECT_GT(degraded, 0);
 }
 
 }  // namespace
